@@ -7,16 +7,15 @@ use tilelink_sim::CostModelSpec;
 use tilelink_workloads::{attention, shapes};
 
 fn main() {
-    let cluster = default_cluster();
-    let cost = cost_for(&cluster, &CostModelSpec::Analytic);
+    let cost = cost_for(&default_cluster(), &CostModelSpec::Analytic);
     let shape = &shapes::attn_shapes()[0];
     for &seq in &[16_384usize, 65_536] {
         bench_case(
             &format!("fig10/tilelink_sp_attention/{}k", seq / 1024),
             10,
             || {
-                attention::timed_sp_attention(shape, seq, &cluster, &attention::attention_config())
-                    .unwrap();
+                let cfg = attention::attention_config();
+                attention::timed_sp_attention(shape, seq, &cfg, &cost, f64::INFINITY).unwrap();
             },
         );
     }

@@ -3,15 +3,16 @@
 //! Run with `cargo bench -p tilelink-bench --bench fig11_e2e`.
 
 use tilelink_bench::{bench_case, fig11, geomean};
-use tilelink_sim::CostModelSpec;
+use tilelink_sim::{analytic_cost, CostModelSpec};
 use tilelink_workloads::{e2e, shapes};
 
 fn main() {
     let (cluster, tokens) = e2e::single_node_setup();
+    let cost = analytic_cost(&cluster);
     // Benchmark one dense and one MoE model end to end.
     for model in [&shapes::model_configs()[1], &shapes::model_configs()[5]] {
         bench_case(&format!("fig11/tilelink_e2e/{}", model.name), 10, || {
-            e2e::tilelink_model_timing(model, &cluster, tokens).unwrap();
+            e2e::tilelink_model_timing(model, tokens, &cost).unwrap();
         });
     }
 

@@ -7,15 +7,14 @@ use tilelink_sim::CostModelSpec;
 use tilelink_workloads::{mlp, shapes};
 
 fn main() {
-    let cluster = default_cluster();
-    let cost = cost_for(&cluster, &CostModelSpec::Analytic);
+    let cost = cost_for(&default_cluster(), &CostModelSpec::Analytic);
     // Benchmark the TileLink kernel generation + simulation for two shapes.
     for shape in shapes::mlp_shapes().iter().take(2) {
         bench_case(
             &format!("fig8/tilelink_full_mlp/{}", shape.name),
             10,
             || {
-                mlp::timed_full_mlp(shape, &cluster).unwrap();
+                mlp::timed_full_mlp(shape, &cost).unwrap();
             },
         );
     }

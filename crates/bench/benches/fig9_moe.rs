@@ -7,14 +7,13 @@ use tilelink_sim::CostModelSpec;
 use tilelink_workloads::{moe, shapes};
 
 fn main() {
-    let cluster = default_cluster();
-    let cost = cost_for(&cluster, &CostModelSpec::Analytic);
+    let cost = cost_for(&default_cluster(), &CostModelSpec::Analytic);
     for shape in shapes::moe_shapes().iter().take(2) {
         bench_case(
             &format!("fig9/tilelink_full_moe/{}", shape.name),
             10,
             || {
-                moe::timed_full_moe(shape, &cluster).unwrap();
+                moe::timed_full_moe(shape, &cost).unwrap();
             },
         );
     }

@@ -7,20 +7,20 @@ use tilelink_sim::CostModelSpec;
 use tilelink_workloads::{baselines, mlp, shapes};
 
 fn main() {
-    let cluster = default_cluster();
+    let cost = cost_for(&default_cluster(), &CostModelSpec::Analytic);
     let shape = &shapes::mlp_shapes()[0];
     bench_case("table2/non_overlap_ag_gemm", 10, || {
-        baselines::non_overlap_ag_gemm(shape, &cluster);
+        baselines::non_overlap_ag_gemm(shape, &*cost);
     });
     bench_case("table2/tilelink_ag_gemm", 10, || {
-        mlp::timed_ag_gemm(shape, &cluster, &mlp::ag_gemm_config()).unwrap();
+        mlp::timed_ag_gemm(shape, &mlp::ag_gemm_config(), &cost, f64::INFINITY).unwrap();
     });
     bench_case("table2/tilelink_gemm_rs", 10, || {
-        mlp::timed_gemm_rs(shape, &cluster, &mlp::gemm_rs_config()).unwrap();
+        mlp::timed_gemm_rs(shape, &mlp::gemm_rs_config(), &cost, f64::INFINITY).unwrap();
     });
 
     // Print the actual table once so `cargo bench` output records it.
-    for g in table2(&cost_for(&cluster, &CostModelSpec::Analytic)) {
+    for g in table2(&cost) {
         println!("{}:", g.label);
         for e in &g.entries {
             println!("  {:<15} {:>9.3} ms", e.method, e.ms);

@@ -742,9 +742,8 @@ fn quick_e2e_tune_smoke(
         };
         let cost = cost_for(&cluster, spec);
         for model in models.iter().filter(|m| names.contains(&m.name)) {
-            let cmp =
-                tilelink_workloads::e2e::compare_model_tuned_with(model, tokens, &cost, &opts)
-                    .expect("tuned e2e smoke");
+            let cmp = tilelink_workloads::e2e::compare_model_tuned(model, tokens, &cost, &opts)
+                .expect("tuned e2e smoke");
             println!(
                 "{label:<8} {:<14} default speedup {:.2}x   tuned speedup {:.2}x ({} sims, {} cached)",
                 model.name,
@@ -915,7 +914,6 @@ fn serve_smoke(spec: &CostModelSpec) {
     let server = serve_ephemeral(TuneService::new(ServeOptions {
         cost: spec.clone(),
         cache_path: None, // smoke stays hermetic: no shared TSV
-        threads: Some(2),
         ..ServeOptions::quick()
     }))
     .expect("bind ephemeral port");
@@ -979,14 +977,18 @@ fn ablations(cost: &tilelink_sim::SharedCost) {
     println!("\n== Ablation: compute tile size (AG+GEMM, MLP-1) ==");
     for tile in [64usize, 128, 256] {
         let cfg = mlp::ag_gemm_config().with_compute_tile(TileShape::new(128, tile));
-        let r = mlp::timed_ag_gemm_with(shape, &cfg, cost).expect("ablation");
+        let r = mlp::timed_ag_gemm(shape, &cfg, cost, f64::INFINITY)
+            .expect("ablation")
+            .exact();
         println!("compute tile 128x{tile:<4} -> {:>9.3} ms", r.total_ms());
     }
 
     println!("\n== Ablation: communication SMs (GEMM+RS, MLP-1) ==");
     for sms in [8u64, 20, 40] {
         let cfg = mlp::gemm_rs_config().with_comm_mapping(CommMapping::Hybrid { sms });
-        let r = mlp::timed_gemm_rs_with(shape, &cfg, cost).expect("ablation");
+        let r = mlp::timed_gemm_rs(shape, &cfg, cost, f64::INFINITY)
+            .expect("ablation")
+            .exact();
         println!("comm SMs {sms:<3} -> {:>9.3} ms", r.total_ms());
     }
 
@@ -997,7 +999,9 @@ fn ablations(cost: &tilelink_sim::SharedCost) {
         ("hybrid", CommMapping::Hybrid { sms: 20 }),
     ] {
         let cfg = mlp::ag_gemm_config().with_comm_mapping(mapping);
-        let r = mlp::timed_ag_gemm_with(shape, &cfg, cost).expect("ablation");
+        let r = mlp::timed_ag_gemm(shape, &cfg, cost, f64::INFINITY)
+            .expect("ablation")
+            .exact();
         println!("{name:<12} -> {:>9.3} ms", r.total_ms());
     }
 }

@@ -77,20 +77,21 @@ pub fn table2(cost: &SharedCost) -> Vec<Group> {
         entries: vec![
             Measurement {
                 method: "Non-Overlap",
-                ms: baselines::non_overlap_ag_gemm_with(shape, &**cost).total_ms(),
+                ms: baselines::non_overlap_ag_gemm(shape, &**cost).total_ms(),
             },
             Measurement {
                 method: "Decomposition",
-                ms: baselines::decompose_ag_gemm_with(shape, &**cost).total_ms(),
+                ms: baselines::decompose_ag_gemm(shape, &**cost).total_ms(),
             },
             Measurement {
                 method: "Fusion (FLUX)",
-                ms: baselines::flux_ag_gemm_with(shape, &**cost).total_ms(),
+                ms: baselines::flux_ag_gemm(shape, &**cost).total_ms(),
             },
             Measurement {
                 method: "TileLink",
-                ms: mlp::timed_ag_gemm_with(shape, &mlp::ag_gemm_config(), cost)
+                ms: mlp::timed_ag_gemm(shape, &mlp::ag_gemm_config(), cost, f64::INFINITY)
                     .expect("tilelink ag+gemm")
+                    .exact()
                     .total_ms(),
             },
         ],
@@ -100,20 +101,21 @@ pub fn table2(cost: &SharedCost) -> Vec<Group> {
         entries: vec![
             Measurement {
                 method: "Non-Overlap",
-                ms: baselines::non_overlap_gemm_rs_with(shape, &**cost).total_ms(),
+                ms: baselines::non_overlap_gemm_rs(shape, &**cost).total_ms(),
             },
             Measurement {
                 method: "Decomposition",
-                ms: baselines::decompose_gemm_rs_with(shape, &**cost).total_ms(),
+                ms: baselines::decompose_gemm_rs(shape, &**cost).total_ms(),
             },
             Measurement {
                 method: "Fusion (FLUX)",
-                ms: baselines::flux_gemm_rs_with(shape, &**cost).total_ms(),
+                ms: baselines::flux_gemm_rs(shape, &**cost).total_ms(),
             },
             Measurement {
                 method: "TileLink",
-                ms: mlp::timed_gemm_rs_with(shape, &mlp::gemm_rs_config(), cost)
+                ms: mlp::timed_gemm_rs(shape, &mlp::gemm_rs_config(), cost, f64::INFINITY)
                     .expect("tilelink gemm+rs")
+                    .exact()
                     .total_ms(),
             },
         ],
@@ -144,26 +146,28 @@ pub fn fig8(panel: MlpPanel, cost: &SharedCost) -> Vec<Group> {
         .map(|shape| {
             let (base, decomp, flux, tilelink) = match panel {
                 MlpPanel::AgGemm => (
-                    baselines::non_overlap_ag_gemm_with(shape, &**cost).total_ms(),
-                    baselines::decompose_ag_gemm_with(shape, &**cost).total_ms(),
-                    baselines::flux_ag_gemm_with(shape, &**cost).total_ms(),
-                    mlp::timed_ag_gemm_with(shape, &mlp::ag_gemm_config(), cost)
+                    baselines::non_overlap_ag_gemm(shape, &**cost).total_ms(),
+                    baselines::decompose_ag_gemm(shape, &**cost).total_ms(),
+                    baselines::flux_ag_gemm(shape, &**cost).total_ms(),
+                    mlp::timed_ag_gemm(shape, &mlp::ag_gemm_config(), cost, f64::INFINITY)
                         .expect("tilelink")
+                        .exact()
                         .total_ms(),
                 ),
                 MlpPanel::GemmRs => (
-                    baselines::non_overlap_gemm_rs_with(shape, &**cost).total_ms(),
-                    baselines::decompose_gemm_rs_with(shape, &**cost).total_ms(),
-                    baselines::flux_gemm_rs_with(shape, &**cost).total_ms(),
-                    mlp::timed_gemm_rs_with(shape, &mlp::gemm_rs_config(), cost)
+                    baselines::non_overlap_gemm_rs(shape, &**cost).total_ms(),
+                    baselines::decompose_gemm_rs(shape, &**cost).total_ms(),
+                    baselines::flux_gemm_rs(shape, &**cost).total_ms(),
+                    mlp::timed_gemm_rs(shape, &mlp::gemm_rs_config(), cost, f64::INFINITY)
                         .expect("tilelink")
+                        .exact()
                         .total_ms(),
                 ),
                 MlpPanel::Full => (
-                    baselines::non_overlap_full_mlp_with(shape, &**cost).total_ms(),
-                    baselines::decompose_full_mlp_with(shape, &**cost).total_ms(),
-                    baselines::flux_full_mlp_with(shape, &**cost).total_ms(),
-                    mlp::timed_full_mlp_with(shape, cost)
+                    baselines::non_overlap_full_mlp(shape, &**cost).total_ms(),
+                    baselines::decompose_full_mlp(shape, &**cost).total_ms(),
+                    baselines::flux_full_mlp(shape, &**cost).total_ms(),
+                    mlp::timed_full_mlp(shape, cost)
                         .expect("tilelink")
                         .total_ms(),
                 ),
@@ -217,26 +221,28 @@ pub fn fig9(panel: MoePanel, cost: &SharedCost) -> Vec<Group> {
             let cfg = moe::moe_config();
             let (cublas, cutlass, vllm, tilelink) = match panel {
                 MoePanel::First => (
-                    baselines::cublas_nccl_moe_first_with(shape, &**cost).total_ms(),
-                    baselines::cutlass_nccl_moe_first_with(shape, &**cost).total_ms(),
-                    baselines::vllm_moe_first_with(shape, &**cost).total_ms(),
-                    moe::timed_ag_group_gemm_with(shape, &cfg, cost)
+                    baselines::cublas_nccl_moe_first(shape, &**cost).total_ms(),
+                    baselines::cutlass_nccl_moe_first(shape, &**cost).total_ms(),
+                    baselines::vllm_moe_first(shape, &**cost).total_ms(),
+                    moe::timed_ag_group_gemm(shape, &cfg, cost, f64::INFINITY)
                         .expect("tilelink")
+                        .exact()
                         .total_ms(),
                 ),
                 MoePanel::Second => (
-                    baselines::cublas_nccl_moe_second_with(shape, &**cost).total_ms(),
-                    baselines::cutlass_nccl_moe_second_with(shape, &**cost).total_ms(),
-                    baselines::vllm_moe_second_with(shape, &**cost).total_ms(),
-                    moe::timed_group_gemm_rs_with(shape, &cfg, cost)
+                    baselines::cublas_nccl_moe_second(shape, &**cost).total_ms(),
+                    baselines::cutlass_nccl_moe_second(shape, &**cost).total_ms(),
+                    baselines::vllm_moe_second(shape, &**cost).total_ms(),
+                    moe::timed_group_gemm_rs(shape, &cfg, cost, f64::INFINITY)
                         .expect("tilelink")
+                        .exact()
                         .total_ms(),
                 ),
                 MoePanel::Full => (
-                    baselines::cublas_nccl_full_moe_with(shape, &**cost).total_ms(),
-                    baselines::cutlass_nccl_full_moe_with(shape, &**cost).total_ms(),
-                    baselines::vllm_full_moe_with(shape, &**cost).total_ms(),
-                    moe::timed_full_moe_with(shape, cost)
+                    baselines::cublas_nccl_full_moe(shape, &**cost).total_ms(),
+                    baselines::cutlass_nccl_full_moe(shape, &**cost).total_ms(),
+                    baselines::vllm_full_moe(shape, &**cost).total_ms(),
+                    moe::timed_full_moe(shape, cost)
                         .expect("tilelink")
                         .total_ms(),
                 ),
@@ -289,15 +295,17 @@ pub fn fig10(shape_index: usize, cost: &SharedCost) -> Vec<AttentionRow> {
         .seq_lens
         .iter()
         .map(|&seq| {
-            let torch = baselines::torch_attention_with(shape, seq, &**cost).total_ms();
-            let ring = baselines::ring_attention_with(shape, seq, &**cost).total_ms();
-            let tl = attention::timed_sp_attention_with(
+            let torch = baselines::torch_attention(shape, seq, &**cost).total_ms();
+            let ring = baselines::ring_attention(shape, seq, &**cost).total_ms();
+            let tl = attention::timed_sp_attention(
                 shape,
                 seq,
                 &attention::attention_config(),
                 cost,
+                f64::INFINITY,
             )
-            .expect("tilelink attention");
+            .expect("tilelink attention")
+            .exact();
             AttentionRow {
                 label: format!("{} / {}k", shape.name, seq / 1024),
                 group: Group {
@@ -381,7 +389,7 @@ pub fn fig11(two_nodes: bool, model_subset: usize, spec: &CostModelSpec) -> Vec<
         .iter()
         .take(model_subset)
         .map(|model| {
-            let cmp = e2e::compare_model_with(model, tokens, &cost).expect("e2e comparison");
+            let cmp = e2e::compare_model(model, tokens, &cost).expect("e2e comparison");
             E2eRow {
                 model: model.name,
                 torch_ms: cmp.torch.total_s * 1e3,
@@ -418,8 +426,8 @@ pub fn fig11_tuned(
         .iter()
         .take(model_subset)
         .map(|model| {
-            let cmp = e2e::compare_model_tuned_with(model, tokens, &cost, opts)
-                .expect("tuned e2e comparison");
+            let cmp =
+                e2e::compare_model_tuned(model, tokens, &cost, opts).expect("tuned e2e comparison");
             E2eRow {
                 model: model.name,
                 torch_ms: cmp.base.torch.total_s * 1e3,
@@ -503,13 +511,12 @@ pub fn benchmark_graphs(
 /// Panics if a benchmark kernel fails to build (a compiler regression) or the
 /// spec names an unloadable calibration file.
 pub fn sim_throughput(iters: usize, spec: &CostModelSpec) -> Vec<SimThroughput> {
-    use tilelink_sim::{Engine, SimScratch};
+    use tilelink_sim::Engine;
 
     benchmark_graphs(spec)
         .into_iter()
         .map(|(name, cost, graph)| {
             let engine = Engine::with_cost(cost.clone());
-            let mut scratch = SimScratch::new();
             let trace_sims_per_sec = time_sims(
                 || {
                     std::hint::black_box(engine.run(&graph).expect("trace path"));
@@ -519,9 +526,7 @@ pub fn sim_throughput(iters: usize, spec: &CostModelSpec) -> Vec<SimThroughput> 
             let makespan_sims_per_sec = time_sims(
                 || {
                     std::hint::black_box(
-                        engine
-                            .makespan_with_scratch(&graph, &mut scratch)
-                            .expect("fast path"),
+                        engine.makespan(&graph, f64::INFINITY).expect("fast path"),
                     );
                 },
                 iters,
@@ -614,7 +619,7 @@ pub fn fig9_tune_throughput(quick: bool, spec: &CostModelSpec) -> TuneThroughput
 
     let shape = shapes::moe_shapes()[0].clone();
     let opts = if quick {
-        // A compact 128-combination grid, searched exhaustively: the CI
+        // A compact 192-combination grid, searched exhaustively: the CI
         // trajectory recording for the branch-and-bound path. The space
         // deliberately spans the Sm mappings and small compute tiles whose
         // admissible lower bounds exceed the best configuration's makespan,
@@ -759,13 +764,28 @@ pub fn fig9_oracle_phases(spec: &CostModelSpec) -> OracleProfile {
     tilelink::reset_compile_cache();
     let mut measure = || {
         let start = std::time::Instant::now();
-        oracle
-            .evaluate(&tilelink::OverlapConfig::default())
-            .expect("fig9 oracle evaluation");
+        {
+            // Marks the measuring thread: the sink is process-wide, so spans
+            // other threads record meanwhile must stay out of this report.
+            let _marker = tilelink_probe::span("bench.fig9_oracle_evaluation");
+            oracle
+                .evaluate(&tilelink::OverlapConfig::default())
+                .expect("fig9 oracle evaluation");
+        }
         let total_ms = start.elapsed().as_secs_f64() * 1e3;
-        let ours = tilelink_probe::take_spans();
+        let drained = tilelink_probe::take_spans();
+        let thread = drained
+            .iter()
+            .find(|r| r.name == "bench.fig9_oracle_evaluation")
+            .expect("marker span recorded")
+            .thread;
+        let ours: Vec<_> = drained
+            .iter()
+            .filter(|r| r.thread == thread)
+            .cloned()
+            .collect();
         let report = tilelink_probe::ProfileReport::from_spans(&ours);
-        prior.extend(ours);
+        prior.extend(drained);
         let ms = |name: &str| report.phase(name).map_or(0.0, |p| p.total_ms());
         OraclePhases {
             build_ms: ms("compile.build"),
@@ -986,6 +1006,15 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serialises the tests that reset the process-wide compile cache: a
+    /// reset between the cold and the warm evaluation of
+    /// [`fig9_oracle_phases`] would make the warm one rebuild its programs.
+    fn compile_cache_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn geomean_of_constant_is_constant() {
@@ -1189,6 +1218,7 @@ mod tests {
 
     #[test]
     fn fig9_oracle_phases_attribute_the_evaluation() {
+        let _lock = compile_cache_lock();
         let profile = fig9_oracle_phases(&CostModelSpec::Analytic);
         let phases = profile.cold;
         // Every instrumented phase of a cold MoE oracle evaluation must
@@ -1290,6 +1320,7 @@ mod tests {
 
     #[test]
     fn sim_throughput_accepts_the_calibrated_model() {
+        let _lock = compile_cache_lock();
         let spec = CostModelSpec::Calibrated { path: None };
         let rows = sim_throughput(1, &spec);
         assert_eq!(rows.len(), 3);

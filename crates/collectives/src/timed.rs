@@ -6,9 +6,7 @@
 //! [`CollectiveSchedule`] with per-rank start and end marker tasks so callers
 //! can wire the collective into a larger dependency graph.
 
-use tilelink_sim::{
-    ClusterSpec, CostModel, CostProvider, GpuSpec, ResourceKind, TaskGraph, TaskId, Work,
-};
+use tilelink_sim::{ClusterSpec, CostProvider, GpuSpec, ResourceKind, TaskGraph, TaskId, Work};
 
 /// Which hardware resource carries the collective's data movement.
 ///
@@ -317,7 +315,7 @@ pub fn ring_hop_seconds(cost: &dyn CostProvider, bytes: f64) -> f64 {
 /// Useful for sanity checks and quick analytical comparisons; the benchmark
 /// harness uses the task-graph builders so that overlap with compute is
 /// captured.
-pub fn ring_collective_seconds_with(cost: &dyn CostProvider, bytes_per_rank: f64) -> f64 {
+pub fn ring_collective_seconds(cost: &dyn CostProvider, bytes_per_rank: f64) -> f64 {
     let world = cost.cluster().world_size();
     if world <= 1 {
         return 0.0;
@@ -325,16 +323,10 @@ pub fn ring_collective_seconds_with(cost: &dyn CostProvider, bytes_per_rank: f64
     (world - 1) as f64 * ring_hop_seconds(cost, bytes_per_rank)
 }
 
-/// [`ring_collective_seconds_with`] priced by the default analytic
-/// [`CostModel`] for `cluster` (the historical signature).
-pub fn ring_collective_seconds(cluster: &ClusterSpec, bytes_per_rank: f64) -> f64 {
-    ring_collective_seconds_with(&CostModel::new(cluster.clone()), bytes_per_rank)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilelink_sim::Engine;
+    use tilelink_sim::{CostModel, Engine};
 
     fn run(graph: &TaskGraph, cluster: &ClusterSpec) -> f64 {
         Engine::new(cluster.clone()).run(graph).unwrap().makespan()
@@ -379,7 +371,7 @@ mod tests {
             CommResource::Sm { units: 20 },
         );
         let simulated = run(&g, &cluster);
-        let estimate = ring_collective_seconds(&cluster, bytes);
+        let estimate = ring_collective_seconds(&CostModel::new(cluster.clone()), bytes);
         assert!(
             simulated > estimate * 0.9 && simulated < estimate * 1.5,
             "simulated {simulated} vs estimate {estimate}"
@@ -422,7 +414,7 @@ mod tests {
             CommResource::Sm { units: 20 },
         );
         let t_ar = run(&ar, &cluster);
-        let single_pass = ring_collective_seconds(&cluster, bytes);
+        let single_pass = ring_collective_seconds(&CostModel::new(cluster.clone()), bytes);
         assert!(t_ar > 1.8 * single_pass && t_ar < 3.0 * single_pass);
     }
 
@@ -444,7 +436,9 @@ mod tests {
         ring_all_gather(&mut g, &cluster, 1e9, "ag", CommResource::CopyEngine);
         let t = run(&g, &cluster);
         assert!(t <= cluster.gpu.kernel_launch_s() * 1.01);
-        assert_eq!(ring_collective_seconds(&cluster, 1e9), 0.0);
+        let cost = CostModel::new(cluster);
+        assert_eq!(ring_collective_seconds(&cost, 1e9), 0.0);
+        assert_eq!(ring_hop_seconds(&cost, 1e9), 0.0);
     }
 
     #[test]
@@ -455,11 +449,11 @@ mod tests {
         let one = ClusterSpec::h800_node(8);
         let two = ClusterSpec::h800_multi_node(2);
         let bytes = 16e6;
-        let t1 = ring_collective_seconds(&one, bytes);
-        let t2 = ring_collective_seconds(&two, bytes);
+        let cost = CostModel::new(two);
+        let t1 = ring_collective_seconds(&CostModel::new(one), bytes);
+        let t2 = ring_collective_seconds(&cost, bytes);
         assert!(t2 > t1 * 15.0 / 7.0, "t1={t1} t2={t2}");
         // And the bottleneck hop itself is the IB hop, not the NVLink one.
-        let cost = CostModel::new(two.clone());
         let hop = ring_hop_seconds(&cost, bytes);
         assert_eq!(hop, cost.link_seconds(7, 8, bytes));
         assert!(hop > cost.link_seconds(0, 1, bytes));
@@ -470,28 +464,11 @@ mod tests {
         // A tiny message is latency-bound: each of the (R-1) steps pays at
         // least the link class's α, never pure bandwidth.
         let cluster = ClusterSpec::h800_node(8);
-        let cost = CostModel::new(cluster.clone());
-        let tiny = ring_collective_seconds(&cluster, 1.0);
+        let cost = CostModel::new(cluster);
+        let tiny = ring_collective_seconds(&cost, 1.0);
         let alpha = cost.link_seconds(0, 1, 0.0);
         assert!(alpha > 0.0);
         assert!(tiny >= 7.0 * alpha, "tiny={tiny} alpha={alpha}");
-    }
-
-    #[test]
-    fn closed_form_wrapper_matches_the_provider_form() {
-        for cluster in [ClusterSpec::h800_node(8), ClusterSpec::h800_multi_node(2)] {
-            let cost = CostModel::new(cluster.clone());
-            for bytes in [1.0, 1e6, 64e6] {
-                assert_eq!(
-                    ring_collective_seconds(&cluster, bytes),
-                    ring_collective_seconds_with(&cost, bytes)
-                );
-            }
-        }
-        assert_eq!(
-            ring_hop_seconds(&CostModel::new(ClusterSpec::h800_node(1)), 1e9),
-            0.0
-        );
     }
 
     #[test]

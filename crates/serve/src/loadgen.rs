@@ -53,9 +53,6 @@ pub struct LoadGenConfig {
     pub warm_requests: usize,
     /// Mixed catalog requests per client.
     pub mixed_requests: usize,
-    /// Evaluation threads per cold search (bounded so concurrent cold
-    /// searches do not oversubscribe the box).
-    pub search_threads: usize,
     /// Connection counts the ramp phase steps through.
     pub ramp_connections: Vec<usize>,
     /// Total warm requests per ramp level (split over the level's
@@ -75,7 +72,6 @@ impl LoadGenConfig {
             clients: 8,
             warm_requests: 250,
             mixed_requests: 25,
-            search_threads: 2,
             ramp_connections: vec![8, 16, 32, 64],
             ramp_total_requests: 2000,
             quick: true,
@@ -91,7 +87,6 @@ impl LoadGenConfig {
             clients: 32,
             warm_requests: 1000,
             mixed_requests: 100,
-            search_threads: 2,
             ramp_connections: vec![32, 64, 128, 256],
             ramp_total_requests: 8000,
             quick: false,
@@ -301,7 +296,6 @@ pub fn run_loadgen(cfg: &LoadGenConfig) -> std::io::Result<ServeBenchReport> {
     let opts = ServeOptions {
         cost: cfg.cost.clone(),
         cache_path: Some(cache_path.clone()),
-        threads: Some(cfg.search_threads.max(1)),
         ..ServeOptions::quick()
     };
     let cost_revision = opts

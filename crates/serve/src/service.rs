@@ -147,8 +147,6 @@ pub struct ServeOptions {
     pub cache_entries: usize,
     /// Idle TTL of warm entries; `None` keeps them until evicted.
     pub cache_ttl: Option<Duration>,
-    /// Evaluation threads per search; `None` uses one per CPU.
-    pub threads: Option<usize>,
     /// Shared search executor for cold misses; `None` uses
     /// [`SearchExecutor::global`], so every cold search in the process reuses
     /// one warm evaluator pool.
@@ -172,7 +170,6 @@ impl Default for ServeOptions {
             shards: DEFAULT_SHARDS,
             cache_entries: 4096,
             cache_ttl: None,
-            threads: None,
             executor: None,
             sweep_stale: true,
             pool_workers: 8,
@@ -493,7 +490,6 @@ fn run_search(req: &TuneRequest, cost: &SharedCost, opts: &ServeOptions) -> Sear
         strategy: opts.strategy,
         space: opts.space.clone(),
         cache_path: opts.cache_path.clone(),
-        threads: opts.threads,
         objective: req.objective,
         ..TuneOptions::default()
     }

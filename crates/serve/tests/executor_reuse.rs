@@ -26,7 +26,6 @@ fn two_cold_searches_reuse_the_shared_executor_pool() {
     let executor = Arc::new(SearchExecutor::with_threads(2));
     let service = TuneService::new(ServeOptions {
         cache_path: None,
-        threads: Some(2),
         executor: Some(Arc::clone(&executor)),
         ..ServeOptions::quick()
     });

@@ -10,7 +10,6 @@ use tilelink_serve::service::{ServeOptions, TuneService};
 fn quick_server() -> tilelink_serve::server::ServerHandle {
     serve_ephemeral(TuneService::new(ServeOptions {
         cache_path: None, // keep tests hermetic: no shared TSV
-        threads: Some(2),
         ..ServeOptions::quick()
     }))
     .expect("bind ephemeral port")

@@ -2,7 +2,7 @@
 
 use std::cell::RefCell;
 
-use crate::sched::{schedule, schedule_bounded, BoundedMakespan, SimScratch};
+use crate::sched::{schedule, BoundedMakespan, SimScratch};
 use crate::{
     analytic_cost, ClusterSpec, CostProvider, Result, Seconds, SharedCost, SimError, TaskGraph,
     Trace, TraceEntry, Work,
@@ -15,12 +15,13 @@ use crate::{
 /// units are free on its rank. Ready tasks are considered in submission order,
 /// which mirrors how a GPU's block scheduler drains a grid.
 ///
-/// The scheduling core lives in [`crate::sched`]; the engine exposes it twice:
+/// The scheduling core lives in the `sched` module; the engine exposes it twice:
 ///
 /// * [`Engine::run`] records a full [`Trace`] (per-task timing, utilisation);
-/// * [`Engine::makespan`] / [`Engine::makespan_with_scratch`] record nothing
-///   and return only the makespan — several times faster, and what search
-///   loops that price thousands of candidate graphs should call.
+/// * [`Engine::makespan`] records nothing and returns only the makespan,
+///   stopping early once it provably exceeds a cutoff — several times
+///   faster, and what search loops that price thousands of candidate graphs
+///   should call.
 #[derive(Debug, Clone)]
 pub struct Engine {
     cost: SharedCost,
@@ -90,110 +91,64 @@ impl Engine {
         let mut entries: Vec<Option<TraceEntry>> = vec![None; graph.len()];
         // The trace path allocates per-task entries anyway, so it pays for a
         // local scratch rather than borrowing the thread-local one — keeping
-        // `run` re-entrant for cost providers that themselves simulate.
+        // `run` re-entrant for cost providers that themselves simulate. An
+        // infinite cutoff schedules every task.
         let mut scratch = SimScratch::new();
-        schedule(&*self.cost, graph, &mut scratch, |id, task, start, end| {
-            entries[id.0] = Some(TraceEntry {
-                task: id,
-                name: task.name.to_arc(),
-                rank: task.rank,
-                resource: task.resource,
-                units: task.units,
-                start,
-                end,
-            });
-        })?;
+        schedule(
+            &*self.cost,
+            graph,
+            &mut scratch,
+            f64::INFINITY,
+            |id, task, start, end| {
+                entries[id.0] = Some(TraceEntry {
+                    task: id,
+                    name: task.name.to_arc(),
+                    rank: task.rank,
+                    resource: task.resource,
+                    units: task.units,
+                    start,
+                    end,
+                });
+            },
+        )?;
         let entries: Vec<TraceEntry> = entries.into_iter().flatten().collect();
         Ok(Trace::new(self.cluster().clone(), entries))
     }
 
-    /// Runs the graph to completion and returns only its makespan, skipping
-    /// all trace recording.
+    /// Runs the graph without recording a trace and returns its makespan,
+    /// stopping as soon as the simulated clock provably exceeds `cutoff`.
     ///
-    /// This is the fast path for search loops: it produces bit-identical
-    /// timing to [`Engine::run`] (one shared scheduler, see [`crate::sched`])
-    /// but allocates no per-task entries. Buffers are reused through one
-    /// scratch per thread; callers managing their own can use
-    /// [`Engine::makespan_with_scratch`].
+    /// [`BoundedMakespan::Finished`] carries the exact makespan, bit-identical
+    /// to [`Engine::run`]'s (one shared scheduler underneath);
+    /// `f64::INFINITY` always gets it. [`BoundedMakespan::Exceeded`] carries
+    /// the partial makespan at the abort, a certified lower bound on the true
+    /// one: branch-and-bound search loops pass the incumbent-best as `cutoff`
+    /// and discard candidates that exceed it without simulating their tail.
+    /// No per-task entries are allocated, and buffers are reused through one
+    /// scratch per thread.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Engine::run`].
-    pub fn makespan(&self, graph: &TaskGraph) -> Result<Seconds> {
-        SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+    pub fn makespan(&self, graph: &TaskGraph, cutoff: Seconds) -> Result<BoundedMakespan> {
+        // One relaxed counter bump per simulation (never per event) keeps the
+        // fast path's throughput intact while the registry still sees every run.
+        tilelink_probe::metrics::SIM_MAKESPAN_RUNS.inc();
+        self.validate(graph)?;
+        let result = SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
             Ok(mut scratch) => {
                 tilelink_probe::metrics::SIM_SCRATCH_REUSES.inc();
-                self.makespan_with_scratch(graph, &mut scratch)
+                schedule(&*self.cost, graph, &mut scratch, cutoff, |_, _, _, _| {})
             }
             // Re-entrant simulation (a cost provider that itself simulates on
             // this thread): fall back to a fresh scratch instead of panicking
             // on the RefCell.
             Err(_) => {
                 tilelink_probe::metrics::SIM_SCRATCH_COLD.inc();
-                self.makespan_with_scratch(graph, &mut SimScratch::new())
+                let mut cold = SimScratch::new();
+                schedule(&*self.cost, graph, &mut cold, cutoff, |_, _, _, _| {})
             }
-        })
-    }
-
-    /// [`Engine::makespan`] with an explicit reusable scratch buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::run`].
-    pub fn makespan_with_scratch(
-        &self,
-        graph: &TaskGraph,
-        scratch: &mut SimScratch,
-    ) -> Result<Seconds> {
-        // One relaxed counter bump per simulation (never per event) keeps the
-        // fast path's throughput intact while the registry still sees every run.
-        tilelink_probe::metrics::SIM_MAKESPAN_RUNS.inc();
-        self.validate(graph)?;
-        schedule(&*self.cost, graph, scratch, |_, _, _, _| {})
-    }
-
-    /// [`Engine::makespan`] with an abort cutoff: runs the identical
-    /// scheduler, but stops as soon as the simulated clock provably exceeds
-    /// `cutoff`, returning [`BoundedMakespan::Exceeded`] with the partial
-    /// makespan (a certified lower bound on the true one).
-    ///
-    /// When the cutoff is never hit, the returned
-    /// [`BoundedMakespan::Finished`] value is bit-identical to what
-    /// [`Engine::makespan`] returns — both drive the same scheduling core.
-    /// This is the branch-and-bound fast path: search loops pass the
-    /// incumbent-best as `cutoff` and discard candidates that exceed it
-    /// without simulating their tail.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::run`].
-    pub fn makespan_bounded(&self, graph: &TaskGraph, cutoff: Seconds) -> Result<BoundedMakespan> {
-        SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
-            Ok(mut scratch) => {
-                tilelink_probe::metrics::SIM_SCRATCH_REUSES.inc();
-                self.makespan_bounded_with_scratch(graph, cutoff, &mut scratch)
-            }
-            Err(_) => {
-                tilelink_probe::metrics::SIM_SCRATCH_COLD.inc();
-                self.makespan_bounded_with_scratch(graph, cutoff, &mut SimScratch::new())
-            }
-        })
-    }
-
-    /// [`Engine::makespan_bounded`] with an explicit reusable scratch buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::run`].
-    pub fn makespan_bounded_with_scratch(
-        &self,
-        graph: &TaskGraph,
-        cutoff: Seconds,
-        scratch: &mut SimScratch,
-    ) -> Result<BoundedMakespan> {
-        tilelink_probe::metrics::SIM_MAKESPAN_RUNS.inc();
-        self.validate(graph)?;
-        let result = schedule_bounded(&*self.cost, graph, scratch, cutoff, |_, _, _, _| {})?;
+        })?;
         if matches!(result, BoundedMakespan::Exceeded(_)) {
             tilelink_probe::metrics::SIM_MAKESPAN_BOUNDED_ABORTS.inc();
         }
@@ -222,7 +177,10 @@ mod tests {
         let trace = engine().run(&TaskGraph::new()).unwrap();
         assert_eq!(trace.makespan(), 0.0);
         assert!(trace.entries().is_empty());
-        assert_eq!(engine().makespan(&TaskGraph::new()).unwrap(), 0.0);
+        assert_eq!(
+            engine().makespan(&TaskGraph::new(), f64::INFINITY).unwrap(),
+            BoundedMakespan::Finished(0.0)
+        );
     }
 
     #[test]
@@ -337,7 +295,7 @@ mod tests {
             Err(SimError::DependencyCycle { .. })
         ));
         assert!(matches!(
-            engine().makespan(&g),
+            engine().makespan(&g, f64::INFINITY),
             Err(SimError::DependencyCycle { .. })
         ));
     }
@@ -451,8 +409,9 @@ mod tests {
             let mut sub = TaskGraph::new();
             sub.add_host_latency("nested", 0, 1e-6);
             let nested = Engine::with_cost(self.inner.clone())
-                .makespan(&sub)
-                .expect("nested simulation");
+                .makespan(&sub, f64::INFINITY)
+                .expect("nested simulation")
+                .clock();
             self.inner.duration(task, units) + nested
         }
 
@@ -474,7 +433,7 @@ mod tests {
         // Both recorders must price through the nested simulation without
         // panicking on the thread-local scratch.
         let traced = engine.run(&g).unwrap().makespan();
-        let fast = engine.makespan(&g).unwrap();
+        let fast = engine.makespan(&g, f64::INFINITY).unwrap().clock();
         assert_eq!(fast.to_bits(), traced.to_bits());
         assert!((fast - (2.0 + 1e-6)).abs() < 1e-9);
     }
@@ -502,9 +461,9 @@ mod tests {
     fn bounded_makespan_is_bit_identical_when_cutoff_not_hit() {
         let g = chain_graph();
         let e = engine();
-        let exact = e.makespan(&g).unwrap();
+        let exact = e.run(&g).unwrap().makespan();
         for cutoff in [f64::INFINITY, exact * 2.0, exact] {
-            match e.makespan_bounded(&g, cutoff).unwrap() {
+            match e.makespan(&g, cutoff).unwrap() {
                 BoundedMakespan::Finished(m) => assert_eq!(m.to_bits(), exact.to_bits()),
                 BoundedMakespan::Exceeded(c) => panic!("cutoff {cutoff} wrongly aborted at {c}"),
             }
@@ -515,9 +474,9 @@ mod tests {
     fn bounded_makespan_aborts_below_the_true_makespan() {
         let g = chain_graph();
         let e = engine();
-        let exact = e.makespan(&g).unwrap();
+        let exact = e.run(&g).unwrap().makespan();
         let before = tilelink_probe::metrics::SIM_MAKESPAN_BOUNDED_ABORTS.get();
-        match e.makespan_bounded(&g, exact * 0.25).unwrap() {
+        match e.makespan(&g, exact * 0.25).unwrap() {
             BoundedMakespan::Exceeded(clock) => {
                 assert!(clock > exact * 0.25, "abort clock must exceed the cutoff");
                 assert!(
@@ -530,7 +489,7 @@ mod tests {
         assert!(tilelink_probe::metrics::SIM_MAKESPAN_BOUNDED_ABORTS.get() > before);
         // Zero cutoff aborts at the very first completion batch.
         assert!(matches!(
-            e.makespan_bounded(&g, 0.0).unwrap(),
+            e.makespan(&g, 0.0).unwrap(),
             BoundedMakespan::Exceeded(_)
         ));
     }
@@ -539,10 +498,13 @@ mod tests {
     fn bounded_makespan_validates_like_the_unbounded_path() {
         let mut g = TaskGraph::new();
         g.add_host_latency("a", 9, 1.0);
-        assert!(matches!(
-            engine().makespan_bounded(&g, f64::INFINITY),
-            Err(SimError::InvalidRank { .. })
-        ));
+        // Validation runs before any scheduling, whatever the cutoff.
+        for cutoff in [f64::INFINITY, 0.0] {
+            assert!(matches!(
+                engine().makespan(&g, cutoff),
+                Err(SimError::InvalidRank { .. })
+            ));
+        }
     }
 
     #[test]
@@ -564,11 +526,15 @@ mod tests {
         }
         let e = engine();
         let traced = e.run(&g).unwrap().makespan();
-        let mut scratch = SimScratch::new();
-        // Same scratch across repeated runs must not change the result.
+        // The thread's scratch is reused across repeated runs without
+        // changing the result.
+        let before = tilelink_probe::metrics::SIM_SCRATCH_REUSES.get();
         for _ in 0..3 {
-            assert_eq!(e.makespan_with_scratch(&g, &mut scratch).unwrap(), traced);
+            assert_eq!(
+                e.makespan(&g, f64::INFINITY).unwrap(),
+                BoundedMakespan::Finished(traced)
+            );
         }
-        assert_eq!(e.makespan(&g).unwrap(), traced);
+        assert!(tilelink_probe::metrics::SIM_SCRATCH_REUSES.get() >= before + 3);
     }
 }

@@ -20,9 +20,10 @@
 //! Work is described as a dependency graph of [`Task`]s ([`TaskGraph`]) and
 //! executed by [`Engine::run`], producing a [`Trace`] with per-task timing, a
 //! makespan, and per-resource utilisation. Search loops that only need the
-//! makespan should call [`Engine::makespan`] (optionally threading a reusable
-//! [`SimScratch`] through [`Engine::makespan_with_scratch`]): the same
-//! scheduler with trace recording compiled out, several times faster.
+//! makespan call [`Engine::makespan`]: the same scheduler with trace
+//! recording compiled out and one warm scratch per thread, several times
+//! faster. It takes a cutoff and stops once the makespan provably exceeds it
+//! ([`BoundedMakespan`]); `f64::INFINITY` prices the graph exactly.
 //!
 //! Work is priced by a pluggable [`CostProvider`]: the analytic [`CostModel`]
 //! (the default — roofline GEMMs, pure-bandwidth links with a per-message α
@@ -75,7 +76,7 @@ pub use error::SimError;
 pub use gpu::GpuSpec;
 pub use graph::TaskGraph;
 pub use provider::{analytic_cost, CostModelSpec, CostProvider, SharedCost};
-pub use sched::{BoundedMakespan, SimScratch};
+pub use sched::BoundedMakespan;
 pub use task::{ResourceKind, Task, TaskId, TaskLabel, Work};
 pub use trace::{Trace, TraceEntry};
 

@@ -5,8 +5,9 @@
 //! have finished and (b) its requested resource units are free on its rank,
 //! with ready tasks considered in submission order. Both [`crate::Engine::run`]
 //! (which records a full [`crate::Trace`]) and [`crate::Engine::makespan`]
-//! (which records nothing) drive this one implementation through the
-//! `on_start` recorder callback, so the two paths cannot drift apart.
+//! (which records nothing and may stop at a cutoff) drive this one
+//! implementation through the `on_start` recorder callback, so the two paths
+//! cannot drift apart.
 //!
 //! # Hot-path layout
 //!
@@ -63,11 +64,11 @@ impl Ord for Completion {
 /// Reusable scheduler state for the makespan fast path.
 ///
 /// One simulation allocates nothing when it runs on a warm scratch of the same
-/// shape: callers that price many graphs in a row (the tuner's worker threads,
-/// the report-only executor) should create one `SimScratch` and thread it
-/// through [`crate::Engine::makespan_with_scratch`].
+/// shape: [`crate::Engine::makespan`] keeps one per thread, so callers that
+/// price many graphs in a row (the tuner's worker threads, the report-only
+/// executor) reuse its buffers without any plumbing.
 #[derive(Debug, Default)]
-pub struct SimScratch {
+pub(crate) struct SimScratch {
     /// Free units per `rank * ResourceKind::COUNT + kind.index()` slot.
     available: Vec<u64>,
     /// Extra destination-`LinkIn` `(slot, units)` held by a running transfer,
@@ -90,7 +91,7 @@ pub struct SimScratch {
 impl SimScratch {
     /// Creates an empty scratch; buffers grow on first use and are reused
     /// afterwards.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -122,7 +123,7 @@ impl SimScratch {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoundedMakespan {
     /// The graph ran to completion; the makespan is exact and bit-identical
-    /// to what the unbounded path returns.
+    /// to the traced one.
     Finished(Seconds),
     /// Scheduling stopped early: some already-started task ends after the
     /// cutoff, so the true makespan is at least this value.
@@ -140,9 +141,15 @@ impl BoundedMakespan {
     }
 }
 
-/// Runs `graph` to completion, invoking `on_start` for every task as it is
-/// scheduled (with its id, the task, its start and its end time), and returns
-/// the makespan: the maximum end time over all tasks (0 for an empty graph).
+/// Runs `graph`, invoking `on_start` for every task as it is scheduled (with
+/// its id, the task, its start and its end time), and returns the makespan:
+/// the maximum end time over all tasks (0 for an empty graph).
+///
+/// The loop stops as soon as the running makespan (the max end time over all
+/// *started* tasks, which only grows) strictly exceeds `cutoff`, returning
+/// [`BoundedMakespan::Exceeded`]. With `cutoff = f64::INFINITY` nothing can
+/// exceed it and every task is scheduled, so bounded and exact results are
+/// bit-identical whenever the cutoff is not hit.
 ///
 /// The caller ([`crate::Engine`]) is responsible for validating the graph
 /// first; this function assumes ranks are in range and no task requests more
@@ -152,26 +159,6 @@ impl BoundedMakespan {
 ///
 /// Returns [`SimError::DependencyCycle`] if the graph cannot make progress.
 pub(crate) fn schedule(
-    cost: &dyn CostProvider,
-    graph: &TaskGraph,
-    scratch: &mut SimScratch,
-    on_start: impl FnMut(TaskId, &Task, Seconds, Seconds),
-) -> Result<Seconds> {
-    match schedule_bounded(cost, graph, scratch, f64::INFINITY, on_start)? {
-        BoundedMakespan::Finished(makespan) => Ok(makespan),
-        // Nothing exceeds an infinite cutoff.
-        BoundedMakespan::Exceeded(_) => unreachable!("infinite cutoff can never be exceeded"),
-    }
-}
-
-/// [`schedule`] with an abort cutoff: identical event-by-event scheduling, but
-/// the loop stops as soon as the running makespan (the max end time over all
-/// *started* tasks, which only grows) strictly exceeds `cutoff`.
-///
-/// With `cutoff = f64::INFINITY` this is exactly [`schedule`] — same code
-/// path, so bounded and unbounded results are bit-identical whenever the
-/// cutoff is not hit.
-pub(crate) fn schedule_bounded(
     cost: &dyn CostProvider,
     graph: &TaskGraph,
     scratch: &mut SimScratch,

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use tilelink_sim::{
-    CalibratedCostModel, ClusterSpec, Engine, ResourceKind, SharedCost, SimScratch, TaskGraph, Work,
+    CalibratedCostModel, ClusterSpec, Engine, ResourceKind, SharedCost, TaskGraph, Work,
 };
 
 /// Deterministic splitmix64 (same generator the routing sampler uses; no
@@ -117,13 +117,13 @@ fn fast_path_makespan_is_bit_identical_to_the_trace_path() {
     for world in [4usize, 16] {
         for (model, cost) in providers(world) {
             let engine = Engine::with_cost(cost);
-            let mut scratch = SimScratch::new();
             for seed in 0..24u64 {
                 let g = random_graph(seed * 7919 + 1, world);
                 let traced = engine.run(&g).expect("trace path").makespan();
                 let fast = engine
-                    .makespan_with_scratch(&g, &mut scratch)
-                    .expect("fast path");
+                    .makespan(&g, f64::INFINITY)
+                    .expect("fast path")
+                    .clock();
                 assert_eq!(
                     fast.to_bits(),
                     traced.to_bits(),
@@ -137,13 +137,13 @@ fn fast_path_makespan_is_bit_identical_to_the_trace_path() {
 #[test]
 fn repeated_scratch_reuse_does_not_leak_state_between_graphs() {
     let engine = Engine::new(ClusterSpec::h800_node(4));
-    let mut scratch = SimScratch::new();
-    // Alternate between differently-shaped graphs on one scratch; every
-    // result must match a fresh computation.
+    // Alternate between differently-shaped graphs on this thread's one
+    // scratch; every result must match the trace path, which schedules on a
+    // fresh scratch of its own.
     for seed in 0..10u64 {
         let g = random_graph(seed, 4);
-        let fresh = engine.makespan(&g).unwrap();
-        let reused = engine.makespan_with_scratch(&g, &mut scratch).unwrap();
+        let fresh = engine.run(&g).unwrap().makespan();
+        let reused = engine.makespan(&g, f64::INFINITY).unwrap().clock();
         assert_eq!(reused.to_bits(), fresh.to_bits(), "seed {seed}");
     }
 }
@@ -202,7 +202,11 @@ fn wakeup_order_preserves_global_fifo_ready_order() {
     assert!((late_start - 3.0).abs() < 1e-6, "late at {late_start}");
     // And the fast path agrees to the bit.
     assert_eq!(
-        engine.makespan(&g).unwrap().to_bits(),
+        engine
+            .makespan(&g, f64::INFINITY)
+            .unwrap()
+            .clock()
+            .to_bits(),
         trace.makespan().to_bits()
     );
 }

@@ -4,7 +4,4 @@ pub mod functional;
 pub mod timed;
 
 pub use functional::{run_blocks, run_comm_compute};
-pub use timed::{
-    simulate, simulate_report_bounded_with, simulate_report_with, simulate_with, task_graph,
-    BoundedReport,
-};
+pub use timed::{simulate, simulate_report, task_graph, BoundedReport};

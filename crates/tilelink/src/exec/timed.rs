@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use tilelink_sim::{
-    analytic_cost, ClusterSpec, Engine, GpuSpec, ResourceKind, SharedCost, TaskGraph, TaskId,
+    BoundedMakespan, ClusterSpec, Engine, GpuSpec, ResourceKind, SharedCost, TaskGraph, TaskId,
     TaskLabel, Trace, Work,
 };
 
@@ -709,26 +709,16 @@ fn build_subset_graphs_into(
     builder.finish_slot(Subset::ComputeOnly.slot(), Subset::ComputeOnly);
 }
 
-/// Simulates a compiled kernel on `cluster` with the default analytic cost
-/// model and reports the overlapped time, the communication-only time and the
-/// computation-only time.
+/// Simulates a compiled kernel priced by `cost` (the cluster is the
+/// provider's) with full trace recording, and reports the overlapped time,
+/// the communication-only time and the computation-only time alongside the
+/// overlapped run's [`Trace`].
 ///
 /// # Errors
 ///
 /// Returns an error if the generated task graph is invalid (which indicates a
 /// compiler bug, e.g. a dependency cycle between blocks).
-pub fn simulate(kernel: &CompiledKernel, cluster: &ClusterSpec) -> Result<(OverlapReport, Trace)> {
-    simulate_with(kernel, &analytic_cost(cluster))
-}
-
-/// Simulates a compiled kernel priced by an explicit cost provider (the
-/// cluster is the provider's).
-///
-/// # Errors
-///
-/// Returns an error if the generated task graph is invalid (which indicates a
-/// compiler bug, e.g. a dependency cycle between blocks).
-pub fn simulate_with(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(OverlapReport, Trace)> {
+pub fn simulate(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(OverlapReport, Trace)> {
     let cluster = cost.cluster().clone();
     let engine = Engine::with_cost(cost.clone());
     with_graph_scratch(|scratch| {
@@ -752,48 +742,12 @@ pub fn simulate_with(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(Over
     })
 }
 
-/// Report-only simulation: the three makespans [`OverlapReport`] needs,
-/// without constructing any trace.
-///
-/// This is the fast path every workload wrapper and autotuning oracle runs
-/// on: it drives the same scheduler as [`simulate_with`] through
-/// [`Engine::makespan`] (bit-identical timing, per-thread scratch reuse) but
-/// skips all per-task entry recording *and all task labels* — the scheduler
-/// never reads names, and the empty shared label spares thousands of
-/// `format!` calls per candidate. Use [`simulate_with`] when the caller
-/// actually inspects the trace.
-///
-/// # Errors
-///
-/// Returns an error if the generated task graph is invalid (which indicates a
-/// compiler bug, e.g. a dependency cycle between blocks).
-pub fn simulate_report_with(kernel: &CompiledKernel, cost: &SharedCost) -> Result<OverlapReport> {
-    let cluster = cost.cluster().clone();
-    let engine = Engine::with_cost(cost.clone());
-    with_graph_scratch(|scratch| {
-        build_subset_graphs_into(scratch, kernel, &cluster);
-        let full = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::All.slot()].graph)?
-        };
-        let comm = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::CommOnly.slot()].graph)?
-        };
-        let comp = {
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::ComputeOnly.slot()].graph)?
-        };
-        Ok(OverlapReport::new(full, comm, comp))
-    })
-}
-
 /// Outcome of a cutoff-bounded report simulation: the full report, or proof
 /// that the kernel's overlapped makespan exceeds the caller's cutoff.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoundedReport {
-    /// The cutoff was never hit; the report is bit-identical to what
-    /// [`simulate_report_with`] returns.
+    /// The cutoff was never hit; the report is exact, bit-identical to the
+    /// one [`simulate`] derives from the traces.
     Report(OverlapReport),
     /// The overlapped (full-graph) simulation provably exceeds the cutoff;
     /// carries the certified lower bound on the true makespan. The comm-only
@@ -801,21 +755,47 @@ pub enum BoundedReport {
     Exceeded(f64),
 }
 
-/// [`simulate_report_with`] with an abort cutoff on the overlapped makespan —
-/// the branch-and-bound fast path for search loops.
+impl BoundedReport {
+    /// The report of an evaluation that ran to completion — what every
+    /// evaluation priced with an infinite cutoff returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`BoundedReport::Exceeded`]: only a finite cutoff can be
+    /// exceeded, and its caller must handle the abort.
+    #[must_use]
+    pub fn exact(self) -> OverlapReport {
+        match self {
+            BoundedReport::Report(report) => report,
+            BoundedReport::Exceeded(clock) => {
+                panic!("evaluation was cut off at {clock} s; only an infinite cutoff is exact")
+            }
+        }
+    }
+}
+
+/// Report-only simulation: the three makespans [`OverlapReport`] needs,
+/// without constructing any trace, under an abort cutoff on the overlapped
+/// makespan.
 ///
-/// The full (overlapped) graph is simulated first through
-/// [`Engine::makespan_bounded`]. If the simulated clock provably exceeds
-/// `cutoff` the whole evaluation stops — including the comm-only and
-/// compute-only subset simulations, which is where most of the saving comes
-/// from — and [`BoundedReport::Exceeded`] is returned. Otherwise the two
-/// subset graphs run unbounded and the resulting [`OverlapReport`] is
-/// bit-identical to the unbounded path (one shared scheduler underneath).
+/// This is the one path every workload pricing function and autotuning
+/// oracle runs on. It builds the full, comm-only and compute-only graphs in
+/// one walk without task labels (the scheduler never reads names, and the
+/// empty shared label spares thousands of `format!` calls per candidate),
+/// then simulates the full graph through [`Engine::makespan`] with `cutoff`.
+/// If the simulated clock provably exceeds `cutoff` the whole evaluation
+/// stops — including the comm-only and compute-only simulations, which is
+/// where most of the branch-and-bound saving comes from — and
+/// [`BoundedReport::Exceeded`] is returned. Otherwise the two subset graphs
+/// run to completion and the [`OverlapReport`] is bit-identical to
+/// [`simulate`]'s (one shared scheduler underneath). Pass `f64::INFINITY`
+/// for an exact report ([`BoundedReport::exact`]).
 ///
 /// # Errors
 ///
-/// Same failure modes as [`simulate_report_with`].
-pub fn simulate_report_bounded_with(
+/// Returns an error if the generated task graph is invalid (which indicates a
+/// compiler bug, e.g. a dependency cycle between blocks).
+pub fn simulate_report(
     kernel: &CompiledKernel,
     cost: &SharedCost,
     cutoff: f64,
@@ -826,20 +806,25 @@ pub fn simulate_report_bounded_with(
         build_subset_graphs_into(scratch, kernel, &cluster);
         let full = {
             let _span = tilelink_probe::span("simulate");
-            match engine.makespan_bounded(&scratch.slots[Subset::All.slot()].graph, cutoff)? {
-                tilelink_sim::BoundedMakespan::Finished(makespan) => makespan,
-                tilelink_sim::BoundedMakespan::Exceeded(clock) => {
-                    return Ok(BoundedReport::Exceeded(clock))
-                }
+            match engine.makespan(&scratch.slots[Subset::All.slot()].graph, cutoff)? {
+                BoundedMakespan::Finished(makespan) => makespan,
+                BoundedMakespan::Exceeded(clock) => return Ok(BoundedReport::Exceeded(clock)),
             }
         };
         let comm = {
             let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::CommOnly.slot()].graph)?
+            engine
+                .makespan(&scratch.slots[Subset::CommOnly.slot()].graph, f64::INFINITY)?
+                .clock()
         };
         let comp = {
             let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[Subset::ComputeOnly.slot()].graph)?
+            engine
+                .makespan(
+                    &scratch.slots[Subset::ComputeOnly.slot()].graph,
+                    f64::INFINITY,
+                )?
+                .clock()
         };
         Ok(BoundedReport::Report(OverlapReport::new(full, comm, comp)))
     })
@@ -849,7 +834,7 @@ pub fn simulate_report_bounded_with(
 ///
 /// Exposed for benchmark harnesses that time the simulator itself on real
 /// kernel graphs (`tilelink-bench`'s `sim_throughput`); figure reproduction
-/// goes through [`simulate_with`] / [`simulate_report_with`] instead.
+/// goes through [`simulate`] / [`simulate_report`] instead.
 pub fn task_graph(kernel: &CompiledKernel, cluster: &ClusterSpec) -> TaskGraph {
     with_graph_scratch(|scratch| {
         build_graph_into(scratch, kernel, cluster, Subset::All, true);
@@ -865,7 +850,7 @@ mod tests {
     use crate::ir::{BlockDesc, ComputeKind, TileProgram};
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
-    use tilelink_sim::GpuSpec;
+    use tilelink_sim::{analytic_cost, GpuSpec};
 
     /// A pull-mode AllGather + GEMM over `tiles` tiles of `rows x cols` values.
     fn ag_gemm_program(world: usize, tiles: usize, tile_bytes: f64, gemm_k: usize) -> TileProgram {
@@ -923,7 +908,7 @@ mod tests {
         let program = ag_gemm_program(8, 8, 4.0e6, 4096);
         let kernel = compile(&program, OverlapConfig::default());
         let cluster = ClusterSpec::h800_node(8);
-        let (report, trace) = simulate(&kernel, &cluster).unwrap();
+        let (report, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
         assert!(report.total_s > 0.0);
         assert!(trace.makespan() > 0.0);
         // Overlap: the fused kernel is faster than comm + compute run back to back,
@@ -949,9 +934,23 @@ mod tests {
                 OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine),
             ] {
                 let kernel = compile(&program, cfg);
-                let (traced, _) = simulate_with(&kernel, &cost).unwrap();
-                let fast = simulate_report_with(&kernel, &cost).unwrap();
-                assert_eq!(fast, traced, "fast path must not change any figure");
+                let (traced, _) = simulate(&kernel, &cost).unwrap();
+                let fast = simulate_report(&kernel, &cost, f64::INFINITY).unwrap();
+                assert_eq!(
+                    fast,
+                    BoundedReport::Report(traced),
+                    "fast path must not change any figure"
+                );
+                // A cutoff at the exact makespan is not exceeded (strict
+                // `>`), one just below it is.
+                assert_eq!(
+                    simulate_report(&kernel, &cost, traced.total_s).unwrap(),
+                    fast
+                );
+                assert!(matches!(
+                    simulate_report(&kernel, &cost, traced.total_s * 0.5).unwrap(),
+                    BoundedReport::Exceeded(clock) if clock > traced.total_s * 0.5
+                ));
             }
         }
     }
@@ -964,20 +963,11 @@ mod tests {
         let graph = task_graph(&kernel, &cluster);
         assert!(!graph.is_empty());
         let makespan = tilelink_sim::Engine::new(cluster.clone())
-            .makespan(&graph)
-            .unwrap();
-        let (report, _) = simulate(&kernel, &cluster).unwrap();
+            .makespan(&graph, f64::INFINITY)
+            .unwrap()
+            .clock();
+        let (report, _) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
         assert_eq!(makespan.to_bits(), report.total_s.to_bits());
-    }
-
-    #[test]
-    fn simulate_with_analytic_provider_matches_simulate() {
-        let program = ag_gemm_program(4, 4, 4.0e6, 1024);
-        let kernel = compile(&program, OverlapConfig::default());
-        let cluster = ClusterSpec::h800_node(4);
-        let (a, _) = simulate(&kernel, &cluster).unwrap();
-        let (b, _) = simulate_with(&kernel, &analytic_cost(&cluster)).unwrap();
-        assert_eq!(a, b, "the trait boundary must not change analytic results");
     }
 
     #[test]
@@ -988,8 +978,8 @@ mod tests {
         let calibrated: tilelink_sim::SharedCost = std::sync::Arc::new(
             tilelink_sim::CalibratedCostModel::h800_defaults(cluster.clone()),
         );
-        let (analytic, _) = simulate(&kernel, &cluster).unwrap();
-        let (measured, _) = simulate_with(&kernel, &calibrated).unwrap();
+        let (analytic, _) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
+        let (measured, _) = simulate(&kernel, &calibrated).unwrap();
         // The H800 table never credits a transfer with more than 95% of peak,
         // so the comm-only phase must be strictly slower than pure-bandwidth.
         assert!(measured.comm_only_s > analytic.comm_only_s);
@@ -1002,7 +992,7 @@ mod tests {
         let program = ag_gemm_program(4, 4, 8.0e6, 1024);
         let kernel = compile(&program, OverlapConfig::default());
         let cluster = ClusterSpec::h800_node(4);
-        let (_, trace) = simulate(&kernel, &cluster).unwrap();
+        let (_, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
         let link_tasks = trace
             .entries()
             .iter()
@@ -1017,7 +1007,7 @@ mod tests {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine);
         let kernel = compile(&program, cfg);
         let cluster = ClusterSpec::h800_node(4);
-        let (_, trace) = simulate(&kernel, &cluster).unwrap();
+        let (_, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
         assert!(trace
             .entries()
             .iter()
@@ -1061,7 +1051,7 @@ mod tests {
             .compile(&p, &mapping)
             .unwrap();
         let cluster = ClusterSpec::h800_node(1);
-        let (_, trace) = simulate(&kernel, &cluster).unwrap();
+        let (_, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
         let producer_end = trace
             .entries()
             .iter()
@@ -1089,8 +1079,9 @@ mod tests {
             OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 64 }),
         );
         let cluster = ClusterSpec::h800_node(8);
-        let (r_few, _) = simulate(&few, &cluster).unwrap();
-        let (r_many, _) = simulate(&many, &cluster).unwrap();
+        let cost = analytic_cost(&cluster);
+        let (r_few, _) = simulate(&few, &cost).unwrap();
+        let (r_many, _) = simulate(&many, &cost).unwrap();
         // The comm-SM knob trades compute throughput against communication
         // throughput; both settings must stay in the same regime rather than
         // collapse or explode.
@@ -1120,7 +1111,7 @@ mod tests {
         let kernel = Compiler::new(OverlapConfig::default(), GpuSpec::h800())
             .compile(&p, &mapping)
             .unwrap();
-        let (_, trace) = simulate(&kernel, &ClusterSpec::h800_node(4)).unwrap();
+        let (_, trace) = simulate(&kernel, &analytic_cost(&ClusterSpec::h800_node(4))).unwrap();
         let pushes = trace
             .entries()
             .iter()

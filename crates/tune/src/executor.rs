@@ -1,16 +1,18 @@
-//! A reusable, process-owned candidate-evaluation pool.
+//! The candidate-evaluation pool every tuning run evaluates on.
 //!
-//! [`Tuner::tune`](crate::Tuner::tune) historically spawned a fresh scoped
-//! worker pool per call. That is fine for one-shot CLI tuning, but a serving
-//! daemon runs many searches over its lifetime — often several at once for
-//! *different* cache keys — and per-call pools both pay a thread-spawn tax on
-//! every request and oversubscribe the machine under concurrent cold misses
+//! [`Tuner::tune`](crate::Tuner::tune) hands its candidates to a
+//! [`SearchExecutor`]: a private one of the tuner's thread count that lives
+//! for that one call, or a long-lived one shared through
+//! [`Tuner::with_executor`](crate::Tuner::with_executor). Private per-call
+//! pools are fine for one-shot CLI tuning, but a serving daemon runs many
+//! searches over its lifetime — often several at once for *different* cache
+//! keys — and per-call pools would both pay a thread-spawn tax on every
+//! request and oversubscribe the machine under concurrent cold misses
 //! (N searches × min(cores, 16) threads each).
 //!
-//! [`SearchExecutor`] is the long-lived replacement: one warm worker pool
-//! owned by the process, shared by every search wired to it (the
-//! `tilelink-serve` daemon, `reproduce --tune`, the load generator). Searches
-//! are admitted through a bounded session queue
+//! A shared executor is one warm worker pool owned by the process, used by
+//! every search wired to it (the `tilelink-serve` daemon, `reproduce --tune`,
+//! the load generator). Searches are admitted through a bounded session queue
 //! ([`SearchExecutor::session`]), and their evaluation batches interleave
 //! job-by-job on the same workers, so concurrent cold searches share one
 //! pool's worth of threads instead of stacking pools.
@@ -18,10 +20,10 @@
 //! # Determinism
 //!
 //! The executor changes *where* candidates are evaluated, never *what* the
-//! search observes: results land in a slot per candidate exactly like the
-//! scoped pool, and the tuner merges them in candidate order. A search run
-//! through a shared executor is bit-identical to the same search run on a
-//! private pool (see the `executor_parity` integration test).
+//! search observes: results land in a slot per candidate, and the tuner
+//! merges them in candidate order. A search run through a shared executor is
+//! bit-identical to the same search run on a private one, whatever either's
+//! thread count (see the `executor_parity` integration test).
 //!
 //! # Safety
 //!

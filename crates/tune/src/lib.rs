@@ -28,7 +28,8 @@
 //!   serving wrong timings.
 //!
 //! Candidate evaluation is embarrassingly parallel (the simulator is pure),
-//! so the tuner fans evaluations out over `std::thread`.
+//! so the tuner fans evaluations out over the worker threads of a
+//! [`SearchExecutor`].
 //!
 //! # Example
 //!

@@ -5,20 +5,14 @@ use tilelink_sim::ClusterSpec;
 
 use crate::Objective;
 
-/// Outcome of a cutoff-bounded oracle evaluation.
+/// Outcome of a cutoff-bounded oracle evaluation: the exec layer's report
+/// outcome, so oracles return what the workload pricing functions produce.
 ///
 /// Returned by [`CostOracle::evaluate_bounded`]: either the full report
 /// (bit-identical to [`CostOracle::evaluate`]) or proof that the candidate's
-/// objective value strictly exceeds the caller's cutoff, with the certified
-/// partial clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BoundedEval {
-    /// The cutoff was never hit; the report is exact.
-    Report(OverlapReport),
-    /// The evaluation aborted early: the objective value provably exceeds
-    /// the cutoff. Carries a lower bound on the true value.
-    Exceeded(f64),
-}
+/// objective value strictly exceeds the caller's cutoff, carrying a certified
+/// lower bound on the true value.
+pub use tilelink::exec::BoundedReport as BoundedEval;
 
 /// Prices one [`OverlapConfig`] for one workload on one cluster.
 ///
@@ -92,8 +86,8 @@ pub trait CostOracle: Sync {
     /// stop early and return [`BoundedEval::Exceeded`] as soon as the
     /// objective value provably exceeds `cutoff` strictly.
     ///
-    /// The contract mirrors [`tilelink_sim::Engine::makespan_bounded`]: when
-    /// the cutoff is not hit, the returned report must be bit-identical to
+    /// The contract mirrors [`tilelink_sim::Engine::makespan`]: when the
+    /// cutoff is not hit, the returned report must be bit-identical to
     /// [`CostOracle::evaluate`]. The default ignores the cutoff and never
     /// aborts, which is always sound.
     ///

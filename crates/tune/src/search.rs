@@ -3,7 +3,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tilelink::{OverlapConfig, OverlapReport, TileLinkError};
@@ -214,10 +214,11 @@ impl TuneReport {
 
 /// Drives a [`Strategy`] over a [`SearchSpace`] against a [`CostOracle`].
 ///
-/// Candidate evaluations run concurrently on `threads` OS threads (the
-/// simulator is pure, so replicas are independent); results are merged in
-/// candidate order, so the search is deterministic regardless of thread
-/// scheduling.
+/// Candidate evaluations run concurrently on a [`SearchExecutor`] — a shared
+/// one from [`Tuner::with_executor`], or a private one of `threads` workers
+/// that lives for one [`Tuner::tune`] call (the simulator is pure, so
+/// replicas are independent); results are merged in candidate order, so the
+/// search is deterministic regardless of thread scheduling.
 #[derive(Debug)]
 pub struct Tuner {
     strategy: Strategy,
@@ -255,7 +256,7 @@ struct BatchStats {
 /// Combined with the fixed [`PRUNE_CHUNK`] cadence this keeps every prune and
 /// abort decision deterministic regardless of thread count.
 struct Incumbent {
-    /// Cutoff as `f64` bits, read by pool / executor workers.
+    /// Cutoff as `f64` bits, read by the executor's workers.
     bits: Arc<AtomicU64>,
     /// Ascending best objective values, at most `width` of them.
     tops: Vec<f64>,
@@ -293,127 +294,6 @@ impl Incumbent {
                 self.bits
                     .store(self.tops[self.width - 1].to_bits(), Ordering::Relaxed);
             }
-        }
-    }
-}
-
-/// Shared state of the per-tune evaluation pool.
-///
-/// Workers are spawned once per [`Tuner::tune`] call and stay alive across
-/// every beam batch: per-thread compile/graph/simulate scratch stays warm, and
-/// small frontier batches stop paying an OS-thread spawn per batch (the
-/// pre-pool behaviour, which dominated quick-search wall time).
-struct EvalPool {
-    state: Mutex<PoolState>,
-    /// Workers park here between batches.
-    work: Condvar,
-    /// The batch submitter parks here until `outstanding` drains.
-    done: Condvar,
-    /// Incumbent cutoff as `f64` bits, loaded per job. The merge thread only
-    /// updates it between batches, so every job of one batch sees one value.
-    cutoff: Arc<AtomicU64>,
-}
-
-#[derive(Default)]
-struct PoolState {
-    /// Pending (result slot, config) jobs of the current batch.
-    jobs: Vec<(usize, OverlapConfig)>,
-    results: Vec<Option<tilelink::Result<BoundedEval>>>,
-    outstanding: usize,
-    shutdown: bool,
-}
-
-impl EvalPool {
-    fn new(cutoff: Arc<AtomicU64>) -> Self {
-        Self {
-            state: Mutex::new(PoolState::default()),
-            work: Condvar::new(),
-            done: Condvar::new(),
-            cutoff,
-        }
-    }
-
-    /// Evaluates `misses` on the pool's workers (each worker holds the oracle
-    /// from its spawn closure); blocks until every slot is filled and returns
-    /// the results in candidate order.
-    fn run(&self, misses: &[&OverlapConfig]) -> Vec<Option<tilelink::Result<BoundedEval>>> {
-        {
-            let mut st = self.state.lock().expect("eval pool poisoned");
-            st.results.clear();
-            st.results.resize_with(misses.len(), || None);
-            // Reversed so `pop` hands jobs out in candidate order.
-            st.jobs.clear();
-            st.jobs
-                .extend(misses.iter().enumerate().map(|(i, &cfg)| (i, *cfg)).rev());
-            st.outstanding = misses.len();
-        }
-        self.work.notify_all();
-        let mut st = self.state.lock().expect("eval pool poisoned");
-        while st.outstanding > 0 {
-            st = self.done.wait(st).expect("eval pool poisoned");
-        }
-        std::mem::take(&mut st.results)
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().expect("eval pool poisoned").shutdown = true;
-        self.work.notify_all();
-    }
-
-    fn worker(&self, oracle: &dyn CostOracle) {
-        loop {
-            let (idx, cfg) = {
-                let mut st = self.state.lock().expect("eval pool poisoned");
-                loop {
-                    if let Some(job) = st.jobs.pop() {
-                        break job;
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    st = self.work.wait(st).expect("eval pool poisoned");
-                }
-            };
-            let cutoff = f64::from_bits(self.cutoff.load(Ordering::Relaxed));
-            let r = timed_eval(oracle, &cfg, cutoff);
-            let mut st = self.state.lock().expect("eval pool poisoned");
-            st.results[idx] = Some(r);
-            st.outstanding -= 1;
-            if st.outstanding == 0 {
-                self.done.notify_all();
-            }
-        }
-    }
-}
-
-/// How a batch of cache misses reaches the oracle: the per-run scoped pool,
-/// or a shared [`SearchExecutor`] whose workers outlive this run. Either way
-/// results land in a slot per candidate and are merged in candidate order, so
-/// the choice is unobservable in the ranking.
-enum Eval<'a> {
-    /// Scoped per-run pool; the `usize` is the run's thread count.
-    Pool(&'a EvalPool, usize),
-    /// Process-shared warm pool; carries the run's incumbent-cutoff bits for
-    /// the executor's workers to read per job.
-    Shared(&'a SearchExecutor, Arc<AtomicU64>),
-}
-
-impl Eval<'_> {
-    fn parallelism(&self) -> usize {
-        match self {
-            Eval::Pool(_, threads) => *threads,
-            Eval::Shared(exec, _) => exec.threads(),
-        }
-    }
-
-    fn run(
-        &self,
-        oracle: &dyn CostOracle,
-        misses: &[&OverlapConfig],
-    ) -> Vec<Option<tilelink::Result<BoundedEval>>> {
-        match self {
-            Eval::Pool(pool, _) => pool.run(misses),
-            Eval::Shared(exec, cutoff) => exec.run_batch(oracle, misses, Arc::clone(cutoff)),
         }
     }
 }
@@ -461,16 +341,17 @@ impl Tuner {
         self
     }
 
-    /// Replaces the evaluation thread count (minimum 1).
+    /// Replaces the worker count of the private executor a run without
+    /// [`Tuner::with_executor`] evaluates on (minimum 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Evaluates candidates on a shared [`SearchExecutor`] instead of
-    /// spawning a private scoped pool for this run. The executor's thread
-    /// count governs parallelism; results are bit-identical either way (slot
-    /// per candidate, merged in candidate order).
+    /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
+    /// private one per run. The executor's thread count governs parallelism;
+    /// results are bit-identical either way (slot per candidate, merged in
+    /// candidate order).
     pub fn with_executor(mut self, executor: Arc<SearchExecutor>) -> Self {
         self.executor = Some(executor);
         self
@@ -574,203 +455,190 @@ impl Tuner {
             Strategy::Beam { width, .. } => width.max(1),
         };
         let mut incumbent = Incumbent::new(prune_width, self.pruning);
-        let cutoff_bits = Arc::clone(&incumbent.bits);
+        // A run without a shared executor gets a private one: its workers
+        // (and their warm per-thread scratch) survive across beam batches and
+        // exit with the run. Admission is bounded, so concurrent runs on a
+        // shared executor interleave their batches instead of stacking pools.
+        let private;
+        let exec = match &self.executor {
+            Some(exec) => &**exec,
+            None => {
+                private = SearchExecutor::with_threads(self.threads);
+                &private
+            }
+        };
+        let session = exec.session();
 
-        let mut run_strategy = |eval: &Eval| -> std::result::Result<(), TuneError> {
-            {
-                match self.strategy {
-                    Strategy::Exhaustive => {
-                        let (candidates, counts) = space.candidates_counted(oracle);
-                        pruned = counts;
-                        if candidates.is_empty() {
-                            return Err(TuneError::EmptySpace {
-                                unpruned: space.len_unpruned(),
-                            });
-                        }
-                        self.evaluate_batch(
-                            oracle,
-                            eval,
-                            &prefix,
-                            &candidates,
-                            &mut stats,
-                            &mut evaluated,
-                            &mut seen,
-                            &mut incumbent,
-                            &mut dominated,
-                        );
+        match self.strategy {
+            Strategy::Exhaustive => {
+                let (candidates, counts) = space.candidates_counted(oracle);
+                pruned = counts;
+                if candidates.is_empty() {
+                    return Err(TuneError::EmptySpace {
+                        unpruned: space.len_unpruned(),
+                    });
+                }
+                self.evaluate_batch(
+                    oracle,
+                    exec,
+                    &prefix,
+                    &candidates,
+                    &mut stats,
+                    &mut evaluated,
+                    &mut seen,
+                    &mut incumbent,
+                    &mut dominated,
+                );
+            }
+            Strategy::Beam { width, sweeps } => {
+                let width = width.max(1);
+                let sm_count = oracle.cluster().gpu.sm_count;
+                // Per-stage rejection tallies for every config the sweep
+                // considers (Cells because `valid` is shared immutably).
+                let validate_rejected = Cell::new(0usize);
+                let constraint_pruned = Cell::new(0usize);
+                let valid = |cfg: &OverlapConfig| {
+                    if cfg.validate(sm_count).is_err() {
+                        validate_rejected.set(validate_rejected.get() + 1);
+                        return false;
                     }
-                    Strategy::Beam { width, sweeps } => {
-                        let width = width.max(1);
-                        let sm_count = oracle.cluster().gpu.sm_count;
-                        // Per-stage rejection tallies for every config the sweep
-                        // considers (Cells because `valid` is shared immutably).
-                        let validate_rejected = Cell::new(0usize);
-                        let constraint_pruned = Cell::new(0usize);
-                        let valid = |cfg: &OverlapConfig| {
-                            if cfg.validate(sm_count).is_err() {
-                                validate_rejected.set(validate_rejected.get() + 1);
-                                return false;
-                            }
-                            if !space.allows(cfg) || !oracle.is_supported(cfg) {
-                                constraint_pruned.set(constraint_pruned.get() + 1);
-                                return false;
-                            }
-                            true
-                        };
-                        // Seeds: the library default and the space's own first-corner
-                        // config. Keeping them in the pool guarantees the final result
-                        // is never worse than either seed.
-                        let mut seeds: Vec<OverlapConfig> = Vec::new();
-                        for seed in [OverlapConfig::default(), space.seed()] {
-                            if valid(&seed) && !seeds.contains(&seed) {
-                                seeds.push(seed);
-                            }
-                        }
-                        if seeds.is_empty() {
-                            // Neither seed is valid for this workload: fall back to the
-                            // pruned enumeration for a starting pool.
-                            seeds = space.candidates(oracle);
-                            seeds.truncate(width);
-                        }
-                        if seeds.is_empty() {
-                            return Err(TuneError::EmptySpace {
-                                unpruned: space.len_unpruned(),
-                            });
-                        }
+                    if !space.allows(cfg) || !oracle.is_supported(cfg) {
+                        constraint_pruned.set(constraint_pruned.get() + 1);
+                        return false;
+                    }
+                    true
+                };
+                // Seeds: the library default and the space's own first-corner
+                // config. Keeping them in the pool guarantees the final result
+                // is never worse than either seed.
+                let mut seeds: Vec<OverlapConfig> = Vec::new();
+                for seed in [OverlapConfig::default(), space.seed()] {
+                    if valid(&seed) && !seeds.contains(&seed) {
+                        seeds.push(seed);
+                    }
+                }
+                if seeds.is_empty() {
+                    // Neither seed is valid for this workload: fall back to the
+                    // pruned enumeration for a starting pool.
+                    seeds = space.candidates(oracle);
+                    seeds.truncate(width);
+                }
+                if seeds.is_empty() {
+                    return Err(TuneError::EmptySpace {
+                        unpruned: space.len_unpruned(),
+                    });
+                }
+                self.evaluate_batch(
+                    oracle,
+                    exec,
+                    &prefix,
+                    &seeds,
+                    &mut stats,
+                    &mut evaluated,
+                    &mut seen,
+                    &mut incumbent,
+                    &mut dominated,
+                );
+                // Both seeds may pass validation yet fail in the oracle (e.g.
+                // a compile error for an unsupported axis pair). Walk the
+                // pruned enumeration in chunks until something evaluates, so
+                // the beam has a starting pool whenever Exhaustive would have
+                // found one.
+                if evaluated.is_empty() {
+                    for chunk in space.candidates(oracle).chunks(16) {
                         self.evaluate_batch(
                             oracle,
-                            eval,
+                            exec,
                             &prefix,
-                            &seeds,
+                            chunk,
                             &mut stats,
                             &mut evaluated,
                             &mut seen,
                             &mut incumbent,
                             &mut dominated,
                         );
-                        // Both seeds may pass validation yet fail in the oracle (e.g.
-                        // a compile error for an unsupported axis pair). Walk the
-                        // pruned enumeration in chunks until something evaluates, so
-                        // the beam has a starting pool whenever Exhaustive would have
-                        // found one.
-                        if evaluated.is_empty() {
-                            for chunk in space.candidates(oracle).chunks(16) {
-                                self.evaluate_batch(
-                                    oracle,
-                                    eval,
-                                    &prefix,
-                                    chunk,
-                                    &mut stats,
-                                    &mut evaluated,
-                                    &mut seen,
-                                    &mut incumbent,
-                                    &mut dominated,
-                                );
-                                if !evaluated.is_empty() {
-                                    break;
+                        if !evaluated.is_empty() {
+                            break;
+                        }
+                    }
+                }
+                let mut beam = Self::top(&evaluated, width);
+                let mut best = beam
+                    .first()
+                    .and_then(|c| seen.get(c))
+                    .map(|&i| evaluated[i].report.total_s);
+                for round in 1..=sweeps.max(1) {
+                    let _round_span = tilelink_probe::span("tune.beam_round");
+                    let mut improved = false;
+                    for axis in 0..SearchSpace::NUM_AXES {
+                        let mut frontier: Vec<OverlapConfig> = Vec::new();
+                        for base in &beam {
+                            for cfg in space.axis_variants(axis, base) {
+                                if valid(&cfg)
+                                    && !seen.contains_key(&cfg)
+                                    && !frontier.contains(&cfg)
+                                {
+                                    frontier.push(cfg);
                                 }
                             }
                         }
-                        let mut beam = Self::top(&evaluated, width);
-                        let mut best = beam
+                        self.evaluate_batch(
+                            oracle,
+                            exec,
+                            &prefix,
+                            &frontier,
+                            &mut stats,
+                            &mut evaluated,
+                            &mut seen,
+                            &mut incumbent,
+                            &mut dominated,
+                        );
+                        beam = Self::top(&evaluated, width);
+                        let new_best = beam
                             .first()
                             .and_then(|c| seen.get(c))
                             .map(|&i| evaluated[i].report.total_s);
-                        for round in 1..=sweeps.max(1) {
-                            let _round_span = tilelink_probe::span("tune.beam_round");
-                            let mut improved = false;
-                            for axis in 0..SearchSpace::NUM_AXES {
-                                let mut frontier: Vec<OverlapConfig> = Vec::new();
-                                for base in &beam {
-                                    for cfg in space.axis_variants(axis, base) {
-                                        if valid(&cfg)
-                                            && !seen.contains_key(&cfg)
-                                            && !frontier.contains(&cfg)
-                                        {
-                                            frontier.push(cfg);
-                                        }
-                                    }
-                                }
-                                self.evaluate_batch(
-                                    oracle,
-                                    eval,
-                                    &prefix,
-                                    &frontier,
-                                    &mut stats,
-                                    &mut evaluated,
-                                    &mut seen,
-                                    &mut incumbent,
-                                    &mut dominated,
-                                );
-                                beam = Self::top(&evaluated, width);
-                                let new_best = beam
-                                    .first()
-                                    .and_then(|c| seen.get(c))
-                                    .map(|&i| evaluated[i].report.total_s);
-                                if new_best < best || best.is_none() {
-                                    best = new_best;
-                                    improved = true;
-                                }
-                            }
-                            let progress = RoundProgress {
-                                round,
-                                best_total_s: best.unwrap_or(f64::INFINITY),
-                                evaluations: stats.evaluations,
-                                cache_hits: stats.cache_hits,
-                            };
-                            if self.verbose {
-                                let patched =
-                                    TUNE_COMPILE_PATCHED.get().saturating_sub(patched_start);
-                                let rebuilds = TUNE_COMPILE_FULL_REBUILDS
-                                    .get()
-                                    .saturating_sub(rebuilds_start);
-                                let compiles = (patched + rebuilds).max(1);
-                                eprintln!(
-                            "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
-                            progress.round,
-                            progress.best_total_s * 1e3,
-                            progress.evaluations,
-                            progress.cache_hits,
-                            stats.failed,
-                            stats.bound_pruned,
-                            stats.bounded_aborts,
-                            patched as f64 / compiles as f64 * 100.0
-                        );
-                            }
-                            rounds.push(progress);
-                            if !improved {
-                                break;
-                            }
+                        if new_best < best || best.is_none() {
+                            best = new_best;
+                            improved = true;
                         }
-                        pruned.validate_rejected = validate_rejected.get();
-                        pruned.constraint_pruned = constraint_pruned.get();
+                    }
+                    let progress = RoundProgress {
+                        round,
+                        best_total_s: best.unwrap_or(f64::INFINITY),
+                        evaluations: stats.evaluations,
+                        cache_hits: stats.cache_hits,
+                    };
+                    if self.verbose {
+                        let patched = TUNE_COMPILE_PATCHED.get().saturating_sub(patched_start);
+                        let rebuilds = TUNE_COMPILE_FULL_REBUILDS
+                            .get()
+                            .saturating_sub(rebuilds_start);
+                        let compiles = (patched + rebuilds).max(1);
+                        eprintln!(
+                    "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
+                    progress.round,
+                    progress.best_total_s * 1e3,
+                    progress.evaluations,
+                    progress.cache_hits,
+                    stats.failed,
+                    stats.bound_pruned,
+                    stats.bounded_aborts,
+                    patched as f64 / compiles as f64 * 100.0
+                );
+                    }
+                    rounds.push(progress);
+                    if !improved {
+                        break;
                     }
                 }
-                Ok(())
+                pruned.validate_rejected = validate_rejected.get();
+                pruned.constraint_pruned = constraint_pruned.get();
             }
-        };
-        let strategy_result: std::result::Result<(), TuneError> = match &self.executor {
-            Some(exec) => {
-                // Shared warm pool: admission is bounded, so concurrent runs
-                // interleave their batches instead of stacking private pools.
-                let _session = exec.session();
-                run_strategy(&Eval::Shared(exec, cutoff_bits))
-            }
-            None => {
-                // One scoped worker pool for the whole search: threads (and
-                // their warm per-thread scratch) survive across beam batches.
-                let pool = EvalPool::new(cutoff_bits);
-                std::thread::scope(|scope| {
-                    for _ in 0..self.threads.max(1) {
-                        scope.spawn(|| pool.worker(oracle));
-                    }
-                    let out = run_strategy(&Eval::Pool(&pool, self.threads));
-                    pool.shutdown();
-                    out
-                })
-            }
-        };
-        strategy_result?;
+        }
+        // Free the admission slot before the cache flush, which needs no
+        // workers.
+        drop(session);
 
         self.cache
             .lock()
@@ -839,7 +707,7 @@ impl Tuner {
     fn evaluate_batch(
         &self,
         oracle: &dyn CostOracle,
-        eval: &Eval,
+        exec: &SearchExecutor,
         prefix: &str,
         configs: &[OverlapConfig],
         stats: &mut BatchStats,
@@ -858,7 +726,7 @@ impl Tuner {
             let (chunk, tail) = rest.split_at(width.min(rest.len()));
             rest = tail;
             self.evaluate_chunk(
-                oracle, eval, prefix, chunk, stats, evaluated, seen, incumbent, dominated,
+                oracle, exec, prefix, chunk, stats, evaluated, seen, incumbent, dominated,
             );
         }
     }
@@ -868,7 +736,7 @@ impl Tuner {
     fn evaluate_chunk(
         &self,
         oracle: &dyn CostOracle,
-        eval: &Eval,
+        exec: &SearchExecutor,
         prefix: &str,
         configs: &[OverlapConfig],
         stats: &mut BatchStats,
@@ -930,14 +798,14 @@ impl Tuner {
         // a slot per candidate, so completion order never affects ranking.
         let mut results: Vec<Option<tilelink::Result<BoundedEval>>> = vec![None; misses.len()];
         if !misses.is_empty() {
-            if eval.parallelism().min(misses.len()) <= 1 {
+            if exec.threads().min(misses.len()) <= 1 {
                 // Evaluate on this thread (its scratch is warm too) rather
                 // than paying a pool round-trip for a single candidate.
                 for (slot, cfg) in results.iter_mut().zip(&misses) {
                     *slot = Some(timed_eval(oracle, cfg, cutoff));
                 }
             } else {
-                results = eval.run(oracle, &misses);
+                results = exec.run_batch(oracle, &misses, Arc::clone(&incumbent.bits));
             }
         }
 
@@ -1045,7 +913,7 @@ mod tests {
     }
 
     /// Oracle whose `evaluate_bounded` aborts as soon as the cost exceeds the
-    /// cutoff, mirroring `Engine::makespan_bounded`.
+    /// cutoff, mirroring `Engine::makespan`.
     struct AbortingOracle {
         cluster: ClusterSpec,
         aborts: AtomicUsize,

@@ -1,13 +1,13 @@
 //! Shared-executor bit-identity over the standard search space.
 //!
 //! The serving daemon evaluates cold searches on a process-shared
-//! [`SearchExecutor`] instead of a private scoped pool. The executor contract
-//! is that this is *unobservable* in the search outcome: results land in a
-//! slot per candidate and merge in candidate order either way, so the same
-//! oracle + space + strategy must produce a bit-identical ranking — same
-//! configs in the same order with the same reports — regardless of which pool
-//! evaluated them, how many sessions shared it, or how its threads were
-//! scheduled.
+//! [`SearchExecutor`]; a tuner without one evaluates on a private executor
+//! that lives for one run. The executor contract is that this is
+//! *unobservable* in the search outcome: results land in a slot per candidate
+//! and merge in candidate order either way, so the same oracle + space +
+//! strategy must produce a bit-identical ranking — same configs in the same
+//! order with the same reports — regardless of which pool evaluated them, how
+//! many sessions shared it, or how its threads were scheduled.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -158,7 +158,7 @@ fn concurrent_sessions_interleave_without_cross_talk() {
 #[test]
 fn default_config_seed_survives_executor_path() {
     // The beam guarantee (never worse than the seed) must hold through the
-    // shared executor exactly as it does on the private pool.
+    // shared executor exactly as it does on a private one.
     let calls = AtomicUsize::new(0);
     let report = Tuner::new(Strategy::Beam {
         width: 2,

@@ -8,17 +8,16 @@
 //! is order-invariant, so tiles may arrive in any rank order).
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{run_comm_compute, simulate_report_with};
+use tilelink::exec::{run_comm_compute, simulate_report, BoundedReport};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
 use tilelink::primitives::NotifyScope;
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, Compiler, DeviceHandle, OverlapReport, StaticMapping,
-    TileMapping,
+    detail_hash, BlockChannel, CacheSite, Compiler, DeviceHandle, StaticMapping, TileMapping,
 };
 use tilelink_compute::{FlashAccumulator, Tensor};
 use tilelink_shmem::ProcessGroup;
-use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
+use tilelink_sim::SharedCost;
 
 use crate::mlp::BYTES_PER_ELEM;
 use crate::AttnShape;
@@ -213,8 +212,10 @@ pub fn sp_attention_program(
     (program, mapping)
 }
 
-/// Simulates the TileLink sequence-parallel attention kernel with the default
-/// analytic cost model.
+/// Prices the TileLink sequence-parallel attention kernel at one sequence
+/// length: compiled for `cfg`, simulated under `cost` (the cluster is the
+/// provider's) and cut off once its overlapped makespan provably exceeds
+/// `cutoff` (`f64::INFINITY` prices it exactly).
 ///
 /// # Errors
 ///
@@ -222,24 +223,10 @@ pub fn sp_attention_program(
 pub fn timed_sp_attention(
     shape: &AttnShape,
     seq_len: usize,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_sp_attention_with(shape, seq_len, cfg, &analytic_cost(cluster))
-}
-
-/// Simulates the TileLink sequence-parallel attention kernel priced by an
-/// explicit cost provider (the cluster is the provider's).
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_sp_attention_with(
-    shape: &AttnShape,
-    seq_len: usize,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-) -> tilelink::Result<OverlapReport> {
+    cutoff: f64,
+) -> tilelink::Result<BoundedReport> {
     let world = cost.cluster().world_size();
     let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
@@ -263,13 +250,14 @@ pub fn timed_sp_attention_with(
                 ))
             },
         )?;
-    simulate_report_with(&kernel, cost)
+    simulate_report(&kernel, cost, cutoff)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tilelink_compute::attention::attention_reference;
+    use tilelink_sim::{analytic_cost, ClusterSpec};
 
     #[test]
     fn functional_sp_attention_matches_reference() {
@@ -323,9 +311,13 @@ mod tests {
     #[test]
     fn timed_attention_overlaps_and_scales_with_sequence() {
         let shape = crate::shapes::attn_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let short = timed_sp_attention(&shape, 16_384, &cluster, &attention_config()).unwrap();
-        let long = timed_sp_attention(&shape, 65_536, &cluster, &attention_config()).unwrap();
+        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let price = |seq_len| {
+            timed_sp_attention(&shape, seq_len, &attention_config(), &cost, f64::INFINITY)
+                .unwrap()
+                .exact()
+        };
+        let (short, long) = (price(16_384), price(65_536));
         assert!(short.total_s < long.total_s);
         assert!(short.total_s < short.comm_only_s + short.comp_only_s);
         assert!(long.overlap_ratio() > 0.2, "{long}");

@@ -14,7 +14,6 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use tilelink::exec::BoundedReport;
 use tilelink::{OverlapConfig, OverlapReport};
 use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_tune::{
@@ -123,63 +122,26 @@ impl CostOracle for MlpOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let ag = mlp::timed_ag_gemm_with(&self.shape, cfg, &self.cost)?;
-        let rs = mlp::timed_gemm_rs_with(&self.shape, cfg, &self.cost)?;
-        let act = mlp::activation_seconds_with(&self.shape, &*self.cost);
-        Ok(OverlapReport::new(
-            ag.total_s + rs.total_s + act,
-            ag.comm_only_s + rs.comm_only_s,
-            ag.comp_only_s + rs.comp_only_s + act,
-        ))
+        self.evaluate_bounded(cfg, f64::INFINITY)
+            .map(BoundedEval::exact)
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
         Some(
             bounds::mlp_ag_gemm_bound(&self.shape, cfg, &*self.cost)
                 + bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost)
-                + mlp::activation_seconds_with(&self.shape, &*self.cost),
+                + mlp::activation_seconds(&self.shape, &*self.cost),
         )
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        // Residual-budget composition: the AG half aborts once its makespan
-        // plus the admissible bound of the unsimulated remainder exceeds the
-        // cutoff; the RS half aborts once the running layer total does.
-        let act = mlp::activation_seconds_with(&self.shape, &*self.cost);
-        let rs_lb = bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost);
-        let ag = match mlp::timed_ag_gemm_bounded_with(
-            &self.shape,
-            cfg,
-            &self.cost,
-            cutoff - act - rs_lb,
-        )? {
-            BoundedReport::Report(report) => report,
-            BoundedReport::Exceeded(clock) => {
-                return Ok(BoundedEval::Exceeded(clock + rs_lb + act))
-            }
-        };
-        // With the AG half priced exactly, the remainder's admissible bound
-        // may already certify the layer past the cutoff — skip the RS half's
-        // compile and simulation entirely.
-        if ag.total_s + rs_lb + act > cutoff {
-            return Ok(BoundedEval::Exceeded(ag.total_s + rs_lb + act));
-        }
-        let rs = match mlp::timed_gemm_rs_bounded_with(
-            &self.shape,
-            cfg,
-            &self.cost,
-            cutoff - act - ag.total_s,
-        )? {
-            BoundedReport::Report(report) => report,
-            BoundedReport::Exceeded(clock) => {
-                return Ok(BoundedEval::Exceeded(ag.total_s + clock + act))
-            }
-        };
-        Ok(BoundedEval::Report(OverlapReport::new(
-            ag.total_s + rs.total_s + act,
-            ag.comm_only_s + rs.comm_only_s,
-            ag.comp_only_s + rs.comp_only_s + act,
-        )))
+        bounds::compose_layer(
+            cutoff,
+            mlp::activation_seconds(&self.shape, &*self.cost),
+            bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost),
+            |budget| mlp::timed_ag_gemm(&self.shape, cfg, &self.cost, budget),
+            |budget| mlp::timed_gemm_rs(&self.shape, cfg, &self.cost, budget),
+        )
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -231,7 +193,8 @@ impl CostOracle for MlpAgGemmOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        mlp::timed_ag_gemm_with(&self.shape, cfg, &self.cost)
+        self.evaluate_bounded(cfg, f64::INFINITY)
+            .map(BoundedEval::exact)
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
@@ -239,12 +202,7 @@ impl CostOracle for MlpAgGemmOracle {
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        Ok(
-            match mlp::timed_ag_gemm_bounded_with(&self.shape, cfg, &self.cost, cutoff)? {
-                BoundedReport::Report(report) => BoundedEval::Report(report),
-                BoundedReport::Exceeded(clock) => BoundedEval::Exceeded(clock),
-            },
-        )
+        mlp::timed_ag_gemm(&self.shape, cfg, &self.cost, cutoff)
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -261,7 +219,7 @@ impl CostOracle for MlpAgGemmOracle {
 /// static program builders (the historical behaviour, so existing figures and
 /// caches are unchanged). With [`MoeOracle::with_routing`] it instead prices
 /// every candidate over sampled routings through the dynamic-mapping builders
-/// ([`moe::timed_routed_full_moe_with`]) and folds the per-sample reports
+/// ([`moe::timed_routed_full_moe`]) and folds the per-sample reports
 /// with its [`Objective`] — tuning for the tail of the routing distribution
 /// rather than the mean.
 #[derive(Debug, Clone)]
@@ -336,27 +294,8 @@ impl CostOracle for MoeOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let Some(spec) = &self.routing else {
-            let first = moe::timed_ag_group_gemm_with(&self.shape, cfg, &self.cost)?;
-            let second = moe::timed_group_gemm_rs_with(&self.shape, cfg, &self.cost)?;
-            let act = moe::activation_seconds_with(&self.shape, &*self.cost);
-            return Ok(OverlapReport::new(
-                first.total_s + second.total_s + act,
-                first.comm_only_s + second.comm_only_s,
-                first.comp_only_s + second.comp_only_s + act,
-            ));
-        };
-        let sampler = spec.sampler();
-        let mut reports = Vec::with_capacity(spec.samples.max(1));
-        for sample in sampler.samples_for(&self.shape, spec.samples.max(1)) {
-            reports.push(moe::timed_routed_full_moe_with(
-                &self.shape,
-                cfg,
-                &self.cost,
-                &sample,
-            )?);
-        }
-        Ok(self.objective.fold_reports(&reports))
+        self.evaluate_bounded(cfg, f64::INFINITY)
+            .map(BoundedEval::exact)
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
@@ -367,54 +306,26 @@ impl CostOracle for MoeOracle {
         Some(
             bounds::moe_first_bound(&self.shape, cfg, &*self.cost)
                 + bounds::moe_second_bound(&self.shape, cfg, &*self.cost)
-                + moe::activation_seconds_with(&self.shape, &*self.cost),
+                + moe::activation_seconds(&self.shape, &*self.cost),
         )
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
         let Some(spec) = &self.routing else {
-            // Expected-routing path: residual-budget composition over the two
-            // halves, exactly like the MLP oracle.
-            let act = moe::activation_seconds_with(&self.shape, &*self.cost);
-            let second_lb = bounds::moe_second_bound(&self.shape, cfg, &*self.cost);
-            let first = match moe::timed_ag_group_gemm_bounded_with(
-                &self.shape,
-                cfg,
-                &self.cost,
-                cutoff - act - second_lb,
-            )? {
-                BoundedReport::Report(report) => report,
-                BoundedReport::Exceeded(clock) => {
-                    return Ok(BoundedEval::Exceeded(clock + second_lb + act))
-                }
-            };
-            // The first half is priced exactly; if even the second half's
-            // admissible bound keeps the layer past the cutoff, skip its
-            // compile and simulation entirely.
-            if first.total_s + second_lb + act > cutoff {
-                return Ok(BoundedEval::Exceeded(first.total_s + second_lb + act));
-            }
-            let second = match moe::timed_group_gemm_rs_bounded_with(
-                &self.shape,
-                cfg,
-                &self.cost,
-                cutoff - act - first.total_s,
-            )? {
-                BoundedReport::Report(report) => report,
-                BoundedReport::Exceeded(clock) => {
-                    return Ok(BoundedEval::Exceeded(first.total_s + clock + act))
-                }
-            };
-            return Ok(BoundedEval::Report(OverlapReport::new(
-                first.total_s + second.total_s + act,
-                first.comm_only_s + second.comm_only_s,
-                first.comp_only_s + second.comp_only_s + act,
-            )));
+            return bounds::compose_layer(
+                cutoff,
+                moe::activation_seconds(&self.shape, &*self.cost),
+                bounds::moe_second_bound(&self.shape, cfg, &*self.cost),
+                |budget| moe::timed_ag_group_gemm(&self.shape, cfg, &self.cost, budget),
+                |budget| moe::timed_group_gemm_rs(&self.shape, cfg, &self.cost, budget),
+            );
         };
 
-        let sampler = spec.sampler();
         let n = spec.samples.max(1);
-        let samples = sampler.samples_for(&self.shape, n);
+        let samples = spec.sampler().samples_for(&self.shape, n);
+        let price = |sample, budget| {
+            moe::timed_routed_full_moe(&self.shape, cfg, &self.cost, sample, budget)
+        };
         match self.objective {
             Objective::Mean => {
                 // Sample i gets the budget that keeps the *mean* beatable:
@@ -429,18 +340,12 @@ impl CostOracle for MoeOracle {
                 for (i, sample) in samples.iter().enumerate() {
                     let remaining_lb = (n - 1 - i) as f64 * lb_sample;
                     let budget = n as f64 * cutoff - sum - remaining_lb;
-                    match moe::timed_routed_full_moe_bounded_with(
-                        &self.shape,
-                        cfg,
-                        &self.cost,
-                        sample,
-                        budget,
-                    )? {
-                        BoundedReport::Report(report) => {
+                    match price(sample, budget)? {
+                        BoundedEval::Report(report) => {
                             sum += report.total_s;
                             reports.push(report);
                         }
-                        BoundedReport::Exceeded(clock) => {
+                        BoundedEval::Exceeded(clock) => {
                             return Ok(BoundedEval::Exceeded(
                                 (sum + clock + remaining_lb) / n as f64,
                             ))
@@ -454,15 +359,9 @@ impl CostOracle for MoeOracle {
                 // certifies worst > cutoff.
                 let mut reports = Vec::with_capacity(n);
                 for sample in &samples {
-                    match moe::timed_routed_full_moe_bounded_with(
-                        &self.shape,
-                        cfg,
-                        &self.cost,
-                        sample,
-                        cutoff,
-                    )? {
-                        BoundedReport::Report(report) => reports.push(report),
-                        BoundedReport::Exceeded(clock) => return Ok(BoundedEval::Exceeded(clock)),
+                    match price(sample, cutoff)? {
+                        BoundedEval::Report(report) => reports.push(report),
+                        BoundedEval::Exceeded(clock) => return Ok(BoundedEval::Exceeded(clock)),
                     }
                 }
                 Ok(BoundedEval::Report(self.objective.fold_reports(&reports)))
@@ -484,15 +383,9 @@ impl CostOracle for MoeOracle {
                 let mut aborted_floor = f64::INFINITY;
                 let mut aborts = 0usize;
                 for sample in &samples {
-                    match moe::timed_routed_full_moe_bounded_with(
-                        &self.shape,
-                        cfg,
-                        &self.cost,
-                        sample,
-                        cutoff,
-                    )? {
-                        BoundedReport::Report(report) => finished.push(report),
-                        BoundedReport::Exceeded(clock) => {
+                    match price(sample, cutoff)? {
+                        BoundedEval::Report(report) => finished.push(report),
+                        BoundedEval::Exceeded(clock) => {
                             aborts += 1;
                             aborted_floor = aborted_floor.min(clock);
                         }
@@ -565,7 +458,12 @@ impl CostOracle for AttentionOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        attention::timed_sp_attention_with(&self.shape, self.seq_len, cfg, &self.cost)
+        self.evaluate_bounded(cfg, f64::INFINITY)
+            .map(BoundedEval::exact)
+    }
+
+    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
+        attention::timed_sp_attention(&self.shape, self.seq_len, cfg, &self.cost, cutoff)
     }
 
     fn is_supported(&self, _cfg: &OverlapConfig) -> bool {
@@ -586,7 +484,8 @@ pub struct TuneOptions {
     pub space: SearchSpace,
     /// Persistent cache file; `None` keeps the cache in memory.
     pub cache_path: Option<PathBuf>,
-    /// Evaluation threads; `None` uses one per CPU.
+    /// Workers of the private per-run executor; `None` uses one per CPU.
+    /// Ignored when [`TuneOptions::executor`] is set.
     pub threads: Option<usize>,
     /// Cost provider pricing the candidates; `None` uses the analytic model
     /// for the constructor's cluster. The provider's revision becomes part of
@@ -607,11 +506,11 @@ pub struct TuneOptions {
     /// afterwards in [`tilelink_tune::TuneReport::rounds`].
     pub verbose: bool,
     /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
-    /// private per-run pool. `None` (the default) keeps the historical
-    /// scoped-pool behaviour; long-running processes (the serve daemon,
-    /// `reproduce --tune`) pass [`SearchExecutor::global`] so back-to-back
-    /// and concurrent searches share one warm pool. Results are
-    /// bit-identical either way.
+    /// private one of [`TuneOptions::threads`] workers per run (the default,
+    /// `None`); long-running processes (the serve daemon, `reproduce
+    /// --tune`) pass [`SearchExecutor::global`] so back-to-back and
+    /// concurrent searches share one warm pool. Results are bit-identical
+    /// either way.
     pub executor: Option<Arc<SearchExecutor>>,
     /// Physically removes same-scope cache entries recorded under another
     /// cost-model revision or objective at the start of the run (see

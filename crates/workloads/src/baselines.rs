@@ -5,11 +5,10 @@
 //! (the `tilelink-sim` cost provider: tensor-core roofline, tile efficiency,
 //! wave quantisation, link bandwidth, kernel-launch and host-sync latencies),
 //! so the comparisons in the benchmark harness measure the overlap *strategy*,
-//! not a different hardware model. Each baseline comes in two forms: the
-//! historical `foo(shape, cluster)` signature priced by the default analytic
-//! [`CostModel`], and a `foo_with(shape, cost)` variant priced by any
-//! [`CostProvider`] (e.g. the calibrated model), so a `--cost-model` switch
-//! reprices baselines and TileLink kernels consistently. The strategies are:
+//! not a different hardware model. Every baseline is priced by the
+//! [`CostProvider`] it is handed (the analytic `CostModel` or, e.g., the
+//! calibrated model), so a `--cost-model` switch reprices baselines and
+//! TileLink kernels consistently. The strategies are:
 //!
 //! * **cuBLAS + NCCL (non-overlap)** — collective, then compute, serially;
 //! * **Async-TP (decomposition)** — the operators are split into `world`
@@ -24,7 +23,7 @@
 //!   (materialised-score attention, and ring-scheduled blockwise attention).
 
 use tilelink::OverlapReport;
-use tilelink_sim::{ClusterSpec, CostModel, CostProvider};
+use tilelink_sim::CostProvider;
 
 use crate::mlp::BYTES_PER_ELEM;
 use crate::{AttnShape, MlpShape, MoeShape};
@@ -34,7 +33,7 @@ use crate::{AttnShape, MlpShape, MoeShape};
 /// by step so a calibrated provider sees the real per-message chunk size.
 ///
 /// Hops are priced through the shared
-/// [`tilelink_collectives::timed::ring_collective_seconds_with`] estimator:
+/// [`tilelink_collectives::timed::ring_collective_seconds`] estimator:
 /// every pipeline step drains at the *slowest* hop of the ring, so on
 /// multi-node rings the baselines pay the InfiniBand node-crossing hop (and,
 /// via [`CostProvider::link_seconds`], the per-message α floor) exactly like
@@ -46,7 +45,7 @@ fn ring_collective_seconds(cost: &dyn CostProvider, total_bytes: f64) -> f64 {
         return 0.0;
     }
     let per_rank = total_bytes / world;
-    tilelink_collectives::timed::ring_collective_seconds_with(cost, per_rank)
+    tilelink_collectives::timed::ring_collective_seconds(cost, per_rank)
         + cluster.gpu.kernel_launch_s()
 }
 
@@ -54,21 +53,12 @@ fn gathered_bytes(shape: &MlpShape) -> f64 {
     shape.tokens as f64 * shape.hidden as f64 * BYTES_PER_ELEM
 }
 
-fn analytic(cluster: &ClusterSpec) -> CostModel {
-    CostModel::new(cluster.clone())
-}
-
 // ---------------------------------------------------------------------------
 // MLP: cuBLAS+NCCL, Async-TP, FLUX
 // ---------------------------------------------------------------------------
 
 /// cuBLAS + NCCL AllGather + GEMM: collective then GEMM, no overlap.
-pub fn non_overlap_ag_gemm(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    non_overlap_ag_gemm_with(shape, &analytic(cluster))
-}
-
-/// [`non_overlap_ag_gemm`] priced by an explicit cost provider.
-pub fn non_overlap_ag_gemm_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn non_overlap_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = ring_collective_seconds(cost, gathered_bytes(shape));
@@ -85,12 +75,7 @@ pub fn non_overlap_ag_gemm_with(shape: &MlpShape, cost: &dyn CostProvider) -> Ov
 }
 
 /// cuBLAS + NCCL GEMM + ReduceScatter: GEMM then collective, no overlap.
-pub fn non_overlap_gemm_rs(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    non_overlap_gemm_rs_with(shape, &analytic(cluster))
-}
-
-/// [`non_overlap_gemm_rs`] priced by an explicit cost provider.
-pub fn non_overlap_gemm_rs_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn non_overlap_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = ring_collective_seconds(cost, gathered_bytes(shape));
@@ -107,15 +92,10 @@ pub fn non_overlap_gemm_rs_with(shape: &MlpShape, cost: &dyn CostProvider) -> Ov
 }
 
 /// cuBLAS + NCCL full MLP (both halves plus the activation).
-pub fn non_overlap_full_mlp(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    non_overlap_full_mlp_with(shape, &analytic(cluster))
-}
-
-/// [`non_overlap_full_mlp`] priced by an explicit cost provider.
-pub fn non_overlap_full_mlp_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
-    let a = non_overlap_ag_gemm_with(shape, cost);
-    let b = non_overlap_gemm_rs_with(shape, cost);
-    let act = crate::mlp::activation_seconds_with(shape, cost);
+pub fn non_overlap_full_mlp(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+    let a = non_overlap_ag_gemm(shape, cost);
+    let b = non_overlap_gemm_rs(shape, cost);
+    let act = crate::mlp::activation_seconds(shape, cost);
     OverlapReport::new(
         a.total_s + b.total_s + act,
         a.comm_only_s + b.comm_only_s,
@@ -126,12 +106,7 @@ pub fn non_overlap_full_mlp_with(shape: &MlpShape, cost: &dyn CostProvider) -> O
 /// Async-TP style decomposition: the M dimension is split into `world` chunks,
 /// each chunk's copy and GEMM run on separate streams with host
 /// synchronisation between them.
-pub fn decompose_ag_gemm(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    decompose_ag_gemm_with(shape, &analytic(cluster))
-}
-
-/// [`decompose_ag_gemm`] priced by an explicit cost provider.
-pub fn decompose_ag_gemm_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn decompose_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let chunks = world.max(2);
@@ -162,12 +137,7 @@ pub fn decompose_ag_gemm_with(shape: &MlpShape, cost: &dyn CostProvider) -> Over
 }
 
 /// Async-TP style decomposition of GEMM + ReduceScatter.
-pub fn decompose_gemm_rs(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    decompose_gemm_rs_with(shape, &analytic(cluster))
-}
-
-/// [`decompose_gemm_rs`] priced by an explicit cost provider.
-pub fn decompose_gemm_rs_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn decompose_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let chunks = world.max(2);
@@ -196,12 +166,7 @@ pub fn decompose_gemm_rs_with(shape: &MlpShape, cost: &dyn CostProvider) -> Over
 /// FLUX-style fused AllGather + GEMM: the communication is almost entirely
 /// hidden beneath a highly-tuned GEMM (the best result in Figure 8's first
 /// panel).
-pub fn flux_ag_gemm(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    flux_ag_gemm_with(shape, &analytic(cluster))
-}
-
-/// [`flux_ag_gemm`] priced by an explicit cost provider.
-pub fn flux_ag_gemm_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn flux_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = ring_collective_seconds(cost, gathered_bytes(shape));
@@ -226,12 +191,7 @@ pub fn flux_ag_gemm_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapRe
 /// FLUX-style fused GEMM + ReduceScatter: the tightly-coupled tile choice
 /// penalises the GEMM and leaves part of the scatter exposed (the paper finds
 /// it slower than the non-overlapped baseline here).
-pub fn flux_gemm_rs(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    flux_gemm_rs_with(shape, &analytic(cluster))
-}
-
-/// [`flux_gemm_rs`] priced by an explicit cost provider.
-pub fn flux_gemm_rs_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn flux_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = ring_collective_seconds(cost, gathered_bytes(shape));
@@ -255,15 +215,10 @@ pub fn flux_gemm_rs_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapRe
 }
 
 /// FLUX-style full MLP.
-pub fn flux_full_mlp(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    flux_full_mlp_with(shape, &analytic(cluster))
-}
-
-/// [`flux_full_mlp`] priced by an explicit cost provider.
-pub fn flux_full_mlp_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
-    let a = flux_ag_gemm_with(shape, cost);
-    let b = flux_gemm_rs_with(shape, cost);
-    let act = crate::mlp::activation_seconds_with(shape, cost);
+pub fn flux_full_mlp(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+    let a = flux_ag_gemm(shape, cost);
+    let b = flux_gemm_rs(shape, cost);
+    let act = crate::mlp::activation_seconds(shape, cost);
     OverlapReport::new(
         a.total_s + b.total_s + act,
         a.comm_only_s + b.comm_only_s,
@@ -272,15 +227,10 @@ pub fn flux_full_mlp_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapR
 }
 
 /// Async-TP full MLP.
-pub fn decompose_full_mlp(shape: &MlpShape, cluster: &ClusterSpec) -> OverlapReport {
-    decompose_full_mlp_with(shape, &analytic(cluster))
-}
-
-/// [`decompose_full_mlp`] priced by an explicit cost provider.
-pub fn decompose_full_mlp_with(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
-    let a = decompose_ag_gemm_with(shape, cost);
-    let b = decompose_gemm_rs_with(shape, cost);
-    let act = crate::mlp::activation_seconds_with(shape, cost);
+pub fn decompose_full_mlp(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
+    let a = decompose_ag_gemm(shape, cost);
+    let b = decompose_gemm_rs(shape, cost);
+    let act = crate::mlp::activation_seconds(shape, cost);
     OverlapReport::new(
         a.total_s + b.total_s + act,
         a.comm_only_s + b.comm_only_s,
@@ -309,12 +259,7 @@ fn unfused_shuffle_seconds(shape: &MoeShape, cost: &dyn CostProvider, width: usi
 
 /// First MoE half with cuBLAS + NCCL: AllGather, unfused gather, one GEMM per
 /// expert (each paying a launch and running far below peak).
-pub fn cublas_nccl_moe_first(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    cublas_nccl_moe_first_with(shape, &analytic(cluster))
-}
-
-/// [`cublas_nccl_moe_first`] priced by an explicit cost provider.
-pub fn cublas_nccl_moe_first_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn cublas_nccl_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = ring_collective_seconds(cost, moe_gathered_bytes(shape));
@@ -334,12 +279,7 @@ pub fn cublas_nccl_moe_first_with(shape: &MoeShape, cost: &dyn CostProvider) -> 
 }
 
 /// First MoE half with CUTLASS + NCCL: unfused gather, one grouped GEMM.
-pub fn cutlass_nccl_moe_first(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    cutlass_nccl_moe_first_with(shape, &analytic(cluster))
-}
-
-/// [`cutlass_nccl_moe_first`] priced by an explicit cost provider.
-pub fn cutlass_nccl_moe_first_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn cutlass_nccl_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = ring_collective_seconds(cost, moe_gathered_bytes(shape));
@@ -359,12 +299,7 @@ pub fn cutlass_nccl_moe_first_with(shape: &MoeShape, cost: &dyn CostProvider) ->
 
 /// First MoE half with vLLM's fused gather + grouped GEMM (no overlap with the
 /// AllGather).
-pub fn vllm_moe_first(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    vllm_moe_first_with(shape, &analytic(cluster))
-}
-
-/// [`vllm_moe_first`] priced by an explicit cost provider.
-pub fn vllm_moe_first_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn vllm_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = ring_collective_seconds(cost, moe_gathered_bytes(shape));
@@ -425,32 +360,17 @@ fn moe_second_baseline(
 }
 
 /// Second MoE half with cuBLAS + NCCL.
-pub fn cublas_nccl_moe_second(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    cublas_nccl_moe_second_with(shape, &analytic(cluster))
-}
-
-/// [`cublas_nccl_moe_second`] priced by an explicit cost provider.
-pub fn cublas_nccl_moe_second_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn cublas_nccl_moe_second(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     moe_second_baseline(shape, cost, false, true)
 }
 
 /// Second MoE half with CUTLASS + NCCL.
-pub fn cutlass_nccl_moe_second(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    cutlass_nccl_moe_second_with(shape, &analytic(cluster))
-}
-
-/// [`cutlass_nccl_moe_second`] priced by an explicit cost provider.
-pub fn cutlass_nccl_moe_second_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn cutlass_nccl_moe_second(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     moe_second_baseline(shape, cost, false, false)
 }
 
 /// Second MoE half with vLLM's fused scatter kernels.
-pub fn vllm_moe_second(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    vllm_moe_second_with(shape, &analytic(cluster))
-}
-
-/// [`vllm_moe_second`] priced by an explicit cost provider.
-pub fn vllm_moe_second_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn vllm_moe_second(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     moe_second_baseline(shape, cost, true, false)
 }
 
@@ -460,7 +380,7 @@ fn combine_moe(
     shape: &MoeShape,
     cost: &dyn CostProvider,
 ) -> OverlapReport {
-    let act = crate::moe::activation_seconds_with(shape, cost);
+    let act = crate::moe::activation_seconds(shape, cost);
     OverlapReport::new(
         first.total_s + second.total_s + act,
         first.comm_only_s + second.comm_only_s,
@@ -469,45 +389,30 @@ fn combine_moe(
 }
 
 /// Full MoE layer with cuBLAS + NCCL.
-pub fn cublas_nccl_full_moe(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    cublas_nccl_full_moe_with(shape, &analytic(cluster))
-}
-
-/// [`cublas_nccl_full_moe`] priced by an explicit cost provider.
-pub fn cublas_nccl_full_moe_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn cublas_nccl_full_moe(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     combine_moe(
-        cublas_nccl_moe_first_with(shape, cost),
-        cublas_nccl_moe_second_with(shape, cost),
+        cublas_nccl_moe_first(shape, cost),
+        cublas_nccl_moe_second(shape, cost),
         shape,
         cost,
     )
 }
 
 /// Full MoE layer with CUTLASS + NCCL.
-pub fn cutlass_nccl_full_moe(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    cutlass_nccl_full_moe_with(shape, &analytic(cluster))
-}
-
-/// [`cutlass_nccl_full_moe`] priced by an explicit cost provider.
-pub fn cutlass_nccl_full_moe_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn cutlass_nccl_full_moe(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     combine_moe(
-        cutlass_nccl_moe_first_with(shape, cost),
-        cutlass_nccl_moe_second_with(shape, cost),
+        cutlass_nccl_moe_first(shape, cost),
+        cutlass_nccl_moe_second(shape, cost),
         shape,
         cost,
     )
 }
 
 /// Full MoE layer with vLLM's fused operators.
-pub fn vllm_full_moe(shape: &MoeShape, cluster: &ClusterSpec) -> OverlapReport {
-    vllm_full_moe_with(shape, &analytic(cluster))
-}
-
-/// [`vllm_full_moe`] priced by an explicit cost provider.
-pub fn vllm_full_moe_with(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
+pub fn vllm_full_moe(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     combine_moe(
-        vllm_moe_first_with(shape, cost),
-        vllm_moe_second_with(shape, cost),
+        vllm_moe_first(shape, cost),
+        vllm_moe_second(shape, cost),
         shape,
         cost,
     )
@@ -540,12 +445,7 @@ fn flash_seconds(
 /// The "Torch" baseline of Figure 10: NCCL AllGather of the KV cache followed
 /// by attention with materialised score matrices (two batched GEMMs plus a
 /// softmax over the `S_q × S_kv` matrix).
-pub fn torch_attention(shape: &AttnShape, seq_len: usize, cluster: &ClusterSpec) -> OverlapReport {
-    torch_attention_with(shape, seq_len, &analytic(cluster))
-}
-
-/// [`torch_attention`] priced by an explicit cost provider.
-pub fn torch_attention_with(
+pub fn torch_attention(
     shape: &AttnShape,
     seq_len: usize,
     cost: &dyn CostProvider,
@@ -565,16 +465,7 @@ pub fn torch_attention_with(
 /// RingAttention: blockwise flash attention scheduled around the ring; each of
 /// the `world` steps waits for its KV block before computing, so the first
 /// transfer is exposed and the blockwise rescaling costs efficiency.
-pub fn ring_attention(shape: &AttnShape, seq_len: usize, cluster: &ClusterSpec) -> OverlapReport {
-    ring_attention_with(shape, seq_len, &analytic(cluster))
-}
-
-/// [`ring_attention`] priced by an explicit cost provider.
-pub fn ring_attention_with(
-    shape: &AttnShape,
-    seq_len: usize,
-    cost: &dyn CostProvider,
-) -> OverlapReport {
+pub fn ring_attention(shape: &AttnShape, seq_len: usize, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let comm = kv_allgather_seconds(shape, seq_len, cost);
@@ -594,15 +485,6 @@ pub fn ring_attention_with(
 pub fn overlapped_attention_estimate(
     shape: &AttnShape,
     seq_len: usize,
-    cluster: &ClusterSpec,
-) -> OverlapReport {
-    overlapped_attention_estimate_with(shape, seq_len, &analytic(cluster))
-}
-
-/// [`overlapped_attention_estimate`] priced by an explicit cost provider.
-pub fn overlapped_attention_estimate_with(
-    shape: &AttnShape,
-    seq_len: usize,
     cost: &dyn CostProvider,
 ) -> OverlapReport {
     let cluster = cost.cluster();
@@ -620,10 +502,14 @@ pub fn overlapped_attention_estimate_with(
 mod tests {
     use super::*;
     use crate::shapes::{attn_shapes, mlp_shapes, moe_shapes};
-    use tilelink_sim::CalibratedCostModel;
+    use tilelink_sim::{CalibratedCostModel, ClusterSpec, CostModel};
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::h800_node(8)
+    }
+
+    fn analytic(cluster: &ClusterSpec) -> CostModel {
+        CostModel::new(cluster.clone())
     }
 
     #[test]
@@ -631,8 +517,8 @@ mod tests {
         // Table 2 reports 0.676 ms and 0.541 ms for the two MLP-1 halves; the
         // simulated substrate should land in the same regime (hundreds of µs).
         let shape = &mlp_shapes()[0];
-        let ag = non_overlap_ag_gemm(shape, &cluster());
-        let rs = non_overlap_gemm_rs(shape, &cluster());
+        let ag = non_overlap_ag_gemm(shape, &analytic(&cluster()));
+        let rs = non_overlap_gemm_rs(shape, &analytic(&cluster()));
         assert!(ag.total_ms() > 0.1 && ag.total_ms() < 3.0, "{ag}");
         assert!(rs.total_ms() > 0.1 && rs.total_ms() < 3.0, "{rs}");
     }
@@ -642,7 +528,7 @@ mod tests {
         // The paper's motivational example: Async-TP is slower than the
         // non-overlapping baseline for both halves.
         let shape = &mlp_shapes()[0];
-        let c = cluster();
+        let c = analytic(&cluster());
         assert!(decompose_ag_gemm(shape, &c).total_s > non_overlap_ag_gemm(shape, &c).total_s);
         assert!(decompose_gemm_rs(shape, &c).total_s > non_overlap_gemm_rs(shape, &c).total_s);
     }
@@ -650,7 +536,7 @@ mod tests {
     #[test]
     fn flux_wins_ag_gemm_but_not_gemm_rs() {
         let shape = &mlp_shapes()[0];
-        let c = cluster();
+        let c = analytic(&cluster());
         assert!(flux_ag_gemm(shape, &c).total_s < non_overlap_ag_gemm(shape, &c).total_s);
         // FLUX GEMM+RS is not better than the plain baseline (Figure 8, middle).
         assert!(flux_gemm_rs(shape, &c).total_s >= non_overlap_gemm_rs(shape, &c).total_s * 0.95);
@@ -660,7 +546,7 @@ mod tests {
     fn vllm_fusion_crushes_unfused_moe_baselines() {
         // Figure 9: fusing gather/scatter into the Group GEMM gives vLLM a large
         // advantage over the unfused cuBLAS baseline, biggest for many experts.
-        let c = cluster();
+        let c = analytic(&cluster());
         for shape in moe_shapes() {
             let cublas = cublas_nccl_full_moe(&shape, &c);
             let vllm = vllm_full_moe(&shape, &c);
@@ -676,7 +562,7 @@ mod tests {
 
     #[test]
     fn cutlass_sits_between_cublas_and_vllm() {
-        let c = cluster();
+        let c = analytic(&cluster());
         let shape = &moe_shapes()[2]; // 32 experts: many small per-expert GEMMs
         let cublas = cublas_nccl_full_moe(shape, &c).total_s;
         let cutlass = cutlass_nccl_full_moe(shape, &c).total_s;
@@ -688,7 +574,7 @@ mod tests {
     #[test]
     fn torch_attention_is_much_slower_than_overlapped_flash() {
         let shape = &attn_shapes()[0];
-        let c = cluster();
+        let c = analytic(&cluster());
         for &s in &shape.seq_lens {
             let torch = torch_attention(shape, s, &c);
             let tl = overlapped_attention_estimate(shape, s, &c);
@@ -700,7 +586,7 @@ mod tests {
     #[test]
     fn ring_attention_beats_torch_but_loses_to_overlap() {
         let shape = &attn_shapes()[1];
-        let c = cluster();
+        let c = analytic(&cluster());
         let s = 65_536;
         let torch = torch_attention(shape, s, &c).total_s;
         let ring = ring_attention(shape, s, &c).total_s;
@@ -712,42 +598,10 @@ mod tests {
     #[test]
     fn attention_times_grow_with_sequence_length() {
         let shape = &attn_shapes()[0];
-        let c = cluster();
+        let c = analytic(&cluster());
         let t16 = torch_attention(shape, 16_384, &c).total_s;
         let t128 = torch_attention(shape, 131_072, &c).total_s;
         assert!(t128 > 4.0 * t16);
-    }
-
-    #[test]
-    fn analytic_wrappers_match_their_with_variants() {
-        // The provider refactor must not change any analytic baseline number.
-        let c = cluster();
-        let cost = analytic(&c);
-        let mlp = &mlp_shapes()[0];
-        assert_eq!(
-            non_overlap_full_mlp(mlp, &c),
-            non_overlap_full_mlp_with(mlp, &cost)
-        );
-        assert_eq!(flux_full_mlp(mlp, &c), flux_full_mlp_with(mlp, &cost));
-        assert_eq!(
-            decompose_full_mlp(mlp, &c),
-            decompose_full_mlp_with(mlp, &cost)
-        );
-        let moe = &moe_shapes()[0];
-        assert_eq!(
-            cublas_nccl_full_moe(moe, &c),
-            cublas_nccl_full_moe_with(moe, &cost)
-        );
-        assert_eq!(vllm_full_moe(moe, &c), vllm_full_moe_with(moe, &cost));
-        let attn = &attn_shapes()[0];
-        assert_eq!(
-            torch_attention(attn, 16_384, &c),
-            torch_attention_with(attn, 16_384, &cost)
-        );
-        assert_eq!(
-            ring_attention(attn, 16_384, &c),
-            ring_attention_with(attn, 16_384, &cost)
-        );
     }
 
     #[test]
@@ -785,11 +639,10 @@ mod tests {
     fn calibrated_provider_raises_baseline_communication_costs() {
         // The calibrated table never credits more than 95% of peak bandwidth,
         // so every baseline's comm phase is strictly slower than analytic.
-        let c = cluster();
-        let calibrated = CalibratedCostModel::h800_defaults(c.clone());
+        let calibrated = CalibratedCostModel::h800_defaults(cluster());
         let shape = &mlp_shapes()[0];
-        let a = non_overlap_ag_gemm(shape, &c);
-        let m = non_overlap_ag_gemm_with(shape, &calibrated);
+        let a = non_overlap_ag_gemm(shape, &analytic(&cluster()));
+        let m = non_overlap_ag_gemm(shape, &calibrated);
         assert!(m.comm_only_s > a.comm_only_s);
         assert!(m.total_s > a.total_s);
     }

@@ -24,8 +24,12 @@
 //! [`CostProvider`] — the same peak throughputs and tile-efficiency heuristic
 //! the simulator charges — so they stay admissible under calibrated models
 //! too (calibrated links only ever price *slower* than peak).
+//!
+//! [`compose_layer`] spends the bounds: it prices a two-half layer under one
+//! cutoff, handing each half the residual budget the other leaves.
 
-use tilelink::{CommMapping, OverlapConfig};
+use tilelink::exec::BoundedReport;
+use tilelink::{CommMapping, OverlapConfig, OverlapReport};
 use tilelink_sim::{CostProvider, ResourceKind, Task, Work};
 
 use crate::{MlpShape, MoeShape};
@@ -125,7 +129,7 @@ fn ring_rs_egress(tokens: usize, tile_m: usize, hidden: usize, world: usize) -> 
     tiles_per_segment * (world as f64 - 1.0) * tile_out_bytes
 }
 
-/// Lower bound for [`crate::mlp::timed_ag_gemm_with`] (AllGather + GEMM).
+/// Lower bound for [`crate::mlp::timed_ag_gemm`] (AllGather + GEMM).
 pub(crate) fn mlp_ag_gemm_bound(
     shape: &MlpShape,
     cfg: &OverlapConfig,
@@ -143,7 +147,7 @@ pub(crate) fn mlp_ag_gemm_bound(
     .lower_bound(cfg, cost)
 }
 
-/// Lower bound for [`crate::mlp::timed_gemm_rs_with`] (GEMM + ReduceScatter).
+/// Lower bound for [`crate::mlp::timed_gemm_rs`] (GEMM + ReduceScatter).
 pub(crate) fn mlp_gemm_rs_bound(
     shape: &MlpShape,
     cfg: &OverlapConfig,
@@ -210,17 +214,62 @@ pub(crate) fn moe_second_bound(
     PhaseTotals {
         flops_per_rank: 2.0 * gemm_rows as f64 * shape.hidden as f64 * i_local as f64,
         egress_bytes_per_rank: ring_rs_egress(shape.tokens, tile_m, shape.hidden, world),
-        // timed_group_gemm_rs_with / timed_routed_group_gemm_rs_with force
+        // timed_group_gemm_rs / timed_routed_group_gemm_rs force
         // CommMapping::Hybrid before compiling.
         mapping: CommMapping::Hybrid { sms: 20 },
     }
     .lower_bound(cfg, cost)
 }
 
+/// Prices a layer of two kernel halves with an activation between them under
+/// one cutoff on the layer total: the residual-budget composition every
+/// full-layer timing and layer oracle shares.
+///
+/// `first` and `second` price one half each within the budget they are
+/// handed. The first half may spend what the cutoff leaves after the
+/// activation `act` and `second_bound`, an admissible lower bound of the
+/// second half; the second half what remains after the exactly priced first
+/// one. An `Exceeded` clock is therefore a certified lower bound on the layer
+/// total, and under an infinite cutoff both halves run to completion (any
+/// `second_bound` will do) and the report is their exact sum.
+///
+/// # Errors
+///
+/// Returns the first error either half reports.
+pub(crate) fn compose_layer(
+    cutoff: f64,
+    act: f64,
+    second_bound: f64,
+    first: impl FnOnce(f64) -> tilelink::Result<BoundedReport>,
+    second: impl FnOnce(f64) -> tilelink::Result<BoundedReport>,
+) -> tilelink::Result<BoundedReport> {
+    let first = match first(cutoff - act - second_bound)? {
+        BoundedReport::Report(report) => report,
+        BoundedReport::Exceeded(clock) => {
+            return Ok(BoundedReport::Exceeded(clock + second_bound + act))
+        }
+    };
+    // With the first half priced exactly, the second half's bound may already
+    // certify the layer past the cutoff: skip its compile and simulation.
+    if first.total_s + second_bound + act > cutoff {
+        return Ok(BoundedReport::Exceeded(first.total_s + second_bound + act));
+    }
+    let second = match second(cutoff - act - first.total_s)? {
+        BoundedReport::Report(report) => report,
+        BoundedReport::Exceeded(clock) => {
+            return Ok(BoundedReport::Exceeded(first.total_s + clock + act))
+        }
+    };
+    Ok(BoundedReport::Report(OverlapReport::new(
+        first.total_s + second.total_s + act,
+        first.comm_only_s + second.comm_only_s,
+        first.comp_only_s + second.comp_only_s + act,
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilelink::OverlapReport;
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
     fn shape() -> MlpShape {
@@ -235,11 +284,15 @@ mod tests {
         let cluster = ClusterSpec::h800_node(8);
         let cost = analytic_cost(&cluster);
         let cfg = OverlapConfig::default();
-        let ag: OverlapReport = crate::mlp::timed_ag_gemm_with(&shape(), &cfg, &cost).unwrap();
+        let ag = crate::mlp::timed_ag_gemm(&shape(), &cfg, &cost, f64::INFINITY)
+            .unwrap()
+            .exact();
         let lb = mlp_ag_gemm_bound(&shape(), &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(lb <= ag.total_s, "AG bound {lb} > simulated {}", ag.total_s);
-        let rs = crate::mlp::timed_gemm_rs_with(&shape(), &cfg, &cost).unwrap();
+        let rs = crate::mlp::timed_gemm_rs(&shape(), &cfg, &cost, f64::INFINITY)
+            .unwrap()
+            .exact();
         let lb = mlp_gemm_rs_bound(&shape(), &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(lb <= rs.total_s, "RS bound {lb} > simulated {}", rs.total_s);
@@ -251,7 +304,9 @@ mod tests {
         let cluster = ClusterSpec::h800_node(8);
         let cost = analytic_cost(&cluster);
         let cfg = OverlapConfig::default();
-        let first = crate::moe::timed_ag_group_gemm_with(&shape, &cfg, &cost).unwrap();
+        let first = crate::moe::timed_ag_group_gemm(&shape, &cfg, &cost, f64::INFINITY)
+            .unwrap()
+            .exact();
         let lb = moe_first_bound(&shape, &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(
@@ -259,7 +314,9 @@ mod tests {
             "first-half bound {lb} > {}",
             first.total_s
         );
-        let second = crate::moe::timed_group_gemm_rs_with(&shape, &cfg, &cost).unwrap();
+        let second = crate::moe::timed_group_gemm_rs(&shape, &cfg, &cost, f64::INFINITY)
+            .unwrap()
+            .exact();
         let lb = moe_second_bound(&shape, &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(

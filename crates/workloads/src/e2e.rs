@@ -6,7 +6,7 @@
 //! one node (8 GPUs, batch 4 × sequence 8192) or two nodes (16 GPUs, batch 8).
 
 use tilelink::OverlapConfig;
-use tilelink_sim::{analytic_cost, ClusterSpec, CostProvider, SharedCost};
+use tilelink_sim::{ClusterSpec, CostProvider, SharedCost};
 
 use crate::autotune::{self, TuneOptions};
 use crate::baselines;
@@ -86,13 +86,13 @@ fn attention_part_seconds(
 fn ffn_torch_seconds(model: &ModelConfig, tokens: usize, cost: &dyn CostProvider) -> f64 {
     let mut total = 0.0;
     if model.intermediate > 0 {
-        total += baselines::non_overlap_full_mlp_with(&mlp_shape_of(model, tokens), cost).total_s;
+        total += baselines::non_overlap_full_mlp(&mlp_shape_of(model, tokens), cost).total_s;
     }
     if let Some(moe) = moe_shape_of(model, tokens) {
         // PyTorch-style execution of the MoE layer: grouped GEMM kernels with
         // unfused token shuffling and no overlap (the CUTLASS+NCCL column of
         // Figure 9 is the closest open implementation).
-        total += baselines::cutlass_nccl_full_moe_with(&moe, cost).total_s;
+        total += baselines::cutlass_nccl_full_moe(&moe, cost).total_s;
     }
     total
 }
@@ -109,25 +109,17 @@ fn ffn_tilelink_seconds(
 ) -> tilelink::Result<f64> {
     let mut total = 0.0;
     if model.intermediate > 0 {
-        total += crate::mlp::timed_full_mlp_with(&mlp_shape_of(model, tokens), cost)?.total_s;
+        total += crate::mlp::timed_full_mlp(&mlp_shape_of(model, tokens), cost)?.total_s;
     }
     if let Some(moe) = moe_shape_of(model, tokens) {
-        total += crate::moe::timed_full_moe_with(&moe, cost)?.total_s;
+        total += crate::moe::timed_full_moe(&moe, cost)?.total_s;
     }
     Ok(total)
 }
 
-/// End-to-end PyTorch (non-overlapping) estimate for one model.
+/// End-to-end PyTorch (non-overlapping) estimate for one model, priced by
+/// `cost` (the cluster is the provider's).
 pub fn torch_model_timing(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> ModelTiming {
-    torch_model_timing_with(model, tokens, &*analytic_cost(cluster))
-}
-
-/// [`torch_model_timing`] priced by an explicit cost provider.
-pub fn torch_model_timing_with(
     model: &ModelConfig,
     tokens: usize,
     cost: &dyn CostProvider,
@@ -142,25 +134,13 @@ pub fn torch_model_timing_with(
     }
 }
 
-/// End-to-end TileLink estimate for one model.
+/// End-to-end TileLink estimate for one model under the hand-picked layer
+/// configurations, priced by `cost` (the cluster is the provider's).
 ///
 /// # Errors
 ///
 /// Returns an error if a TileLink kernel fails to compile or simulate.
 pub fn tilelink_model_timing(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> tilelink::Result<ModelTiming> {
-    tilelink_model_timing_with(model, tokens, &analytic_cost(cluster))
-}
-
-/// [`tilelink_model_timing`] priced by an explicit cost provider.
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
-pub fn tilelink_model_timing_with(
     model: &ModelConfig,
     tokens: usize,
     cost: &SharedCost,
@@ -173,21 +153,6 @@ pub fn tilelink_model_timing_with(
         attention_s: model.layers as f64 * attn,
         ffn_s: model.layers as f64 * ffn,
     })
-}
-
-/// Speed-up of TileLink over PyTorch for one model on one cluster.
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
-pub fn model_speedup(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> tilelink::Result<f64> {
-    let torch = torch_model_timing(model, cluster, tokens);
-    let tl = tilelink_model_timing(model, cluster, tokens)?;
-    Ok(torch.total_s / tl.total_s)
 }
 
 /// Combined per-model comparison used by the Figure 11 harness.
@@ -206,32 +171,20 @@ impl E2eComparison {
     }
 }
 
-/// Runs the Figure 11 comparison for one model.
+/// Runs the Figure 11 comparison for one model, priced by `cost` (the
+/// cluster is the provider's).
 ///
 /// # Errors
 ///
 /// Returns an error if a TileLink kernel fails to compile or simulate.
 pub fn compare_model(
     model: &ModelConfig,
-    cluster: &ClusterSpec,
-    tokens: usize,
-) -> tilelink::Result<E2eComparison> {
-    compare_model_with(model, tokens, &analytic_cost(cluster))
-}
-
-/// [`compare_model`] priced by an explicit cost provider.
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
-pub fn compare_model_with(
-    model: &ModelConfig,
     tokens: usize,
     cost: &SharedCost,
 ) -> tilelink::Result<E2eComparison> {
     Ok(E2eComparison {
-        torch: torch_model_timing_with(model, tokens, &**cost),
-        tilelink: tilelink_model_timing_with(model, tokens, cost)?,
+        torch: torch_model_timing(model, tokens, &**cost),
+        tilelink: tilelink_model_timing(model, tokens, cost)?,
     })
 }
 
@@ -242,9 +195,9 @@ pub fn compare_model_with(
 /// End-to-end timing of one model under *searched* per-layer configurations,
 /// plus the winning configs and the search-effort counters.
 ///
-/// Produced by [`tuned_model_timing_with`]: the FFN parts replay the best
+/// Produced by [`tuned_model_timing`]: the FFN parts replay the best
 /// [`OverlapConfig`] the `tilelink-tune` search found per layer kind instead
-/// of the hand-picked defaults of [`tilelink_model_timing_with`]. The
+/// of the hand-picked defaults of [`tilelink_model_timing`]. The
 /// counters aggregate over both layer searches, so a rerun against a warm
 /// persistent [`tilelink_tune::TuneCache`] reports zero `evaluations`.
 #[derive(Debug, Clone)]
@@ -275,7 +228,7 @@ pub struct TunedModelTiming {
 ///
 /// Returns an error if a layer search prunes empty, every candidate fails, or
 /// the persistent cache cannot be written.
-pub fn tuned_model_timing_with(
+pub fn tuned_model_timing(
     model: &ModelConfig,
     tokens: usize,
     cost: &SharedCost,
@@ -345,15 +298,15 @@ impl E2eTunedComparison {
 /// # Errors
 ///
 /// Returns an error if a TileLink kernel fails to compile or simulate, or if
-/// a layer search fails (see [`tuned_model_timing_with`]).
-pub fn compare_model_tuned_with(
+/// a layer search fails (see [`tuned_model_timing`]).
+pub fn compare_model_tuned(
     model: &ModelConfig,
     tokens: usize,
     cost: &SharedCost,
     opts: &TuneOptions,
 ) -> tilelink_tune::Result<E2eTunedComparison> {
-    let base = compare_model_with(model, tokens, cost).map_err(tilelink_tune::TuneError::from)?;
-    let tuned = tuned_model_timing_with(model, tokens, cost, opts)?;
+    let base = compare_model(model, tokens, cost).map_err(tilelink_tune::TuneError::from)?;
+    let tuned = tuned_model_timing(model, tokens, cost, opts)?;
     Ok(E2eTunedComparison { base, tuned })
 }
 
@@ -374,22 +327,27 @@ pub fn two_node_setup() -> (ClusterSpec, usize) {
 mod tests {
     use super::*;
     use crate::shapes::model_configs;
+    use tilelink_sim::analytic_cost;
+
+    fn speedup(model: &ModelConfig, (cluster, tokens): (ClusterSpec, usize)) -> f64 {
+        compare_model(model, tokens, &analytic_cost(&cluster))
+            .unwrap()
+            .speedup()
+    }
 
     #[test]
     fn dense_models_speed_up_in_the_papers_range() {
-        let (cluster, tokens) = single_node_setup();
         // Use a smaller dense model to keep the test fast.
         let model = &model_configs()[1]; // LLaMA2-7B
-        let s = model_speedup(model, &cluster, tokens).unwrap();
+        let s = speedup(model, single_node_setup());
         assert!(s > 1.05 && s < 1.8, "unexpected dense speedup {s:.2}");
     }
 
     #[test]
     fn moe_models_speed_up_at_least_as_much_as_dense() {
-        let (cluster, tokens) = single_node_setup();
         let models = model_configs();
-        let dense = model_speedup(&models[1], &cluster, tokens).unwrap();
-        let moe = model_speedup(&models[5], &cluster, tokens).unwrap(); // Mixtral-8x7B
+        let dense = speedup(&models[1], single_node_setup());
+        let moe = speedup(&models[5], single_node_setup()); // Mixtral-8x7B
         assert!(moe > 1.0);
         assert!(moe > dense * 0.8, "moe {moe:.2} vs dense {dense:.2}");
     }
@@ -397,16 +355,17 @@ mod tests {
     #[test]
     fn timings_scale_with_layer_count() {
         let (cluster, tokens) = single_node_setup();
+        let cost = analytic_cost(&cluster);
         let models = model_configs();
-        let small = torch_model_timing(&models[1], &cluster, tokens); // 32 layers
-        let large = torch_model_timing(&models[3], &cluster, tokens); // 80 layers
+        let small = torch_model_timing(&models[1], tokens, &*cost); // 32 layers
+        let large = torch_model_timing(&models[3], tokens, &*cost); // 80 layers
         assert!(large.total_s > small.total_s * 2.0);
     }
 
     #[test]
     fn comparison_struct_reports_speedup() {
         let (cluster, tokens) = single_node_setup();
-        let cmp = compare_model(&model_configs()[7], &cluster, tokens).unwrap(); // Qwen1.5 MoE
+        let cmp = compare_model(&model_configs()[7], tokens, &analytic_cost(&cluster)).unwrap(); // Qwen1.5 MoE
         assert!(cmp.speedup() > 1.0, "speedup {}", cmp.speedup());
         assert_eq!(cmp.torch.model, "Qwen1.5-2.7B");
     }
@@ -426,8 +385,8 @@ mod tests {
         let (c8, t8) = single_node_setup();
         let (c16, t16) = two_node_setup();
         let model = &model_configs()[1]; // LLaMA2-7B
-        let torch8 = torch_model_timing(model, &c8, t8);
-        let cmp16 = compare_model_with(model, t16, &analytic_cost(&c16)).unwrap();
+        let torch8 = torch_model_timing(model, t8, &*analytic_cost(&c8));
+        let cmp16 = compare_model(model, t16, &analytic_cost(&c16)).unwrap();
         let token_scale = (t16 / t8) as f64;
         assert!(
             cmp16.torch.total_s > token_scale * torch8.total_s,
@@ -453,7 +412,7 @@ mod tests {
         let models = model_configs();
         for model in [&models[1], &models[5]] {
             // LLaMA2-7B, Mixtral-8x7B
-            let cmp = compare_model_tuned_with(model, tokens, &cost, &opts).unwrap();
+            let cmp = compare_model_tuned(model, tokens, &cost, &opts).unwrap();
             assert!(
                 cmp.tuned_speedup() >= cmp.default_speedup(),
                 "{}: tuned {:.3}x < default {:.3}x",
@@ -482,10 +441,10 @@ mod tests {
             ..TuneOptions::default()
         };
         let model = &model_configs()[1]; // LLaMA2-7B
-        let cold = tuned_model_timing_with(model, tokens, &cost, &opts).unwrap();
+        let cold = tuned_model_timing(model, tokens, &cost, &opts).unwrap();
         assert!(cold.evaluations > 0, "cold search must simulate");
 
-        let warm = tuned_model_timing_with(model, tokens, &cost, &opts).unwrap();
+        let warm = tuned_model_timing(model, tokens, &cost, &opts).unwrap();
         assert_eq!(warm.evaluations, 0, "warm rerun must not simulate");
         assert!(warm.cache_hits > 0);
         assert_eq!(warm.timing, cold.timing);

@@ -14,12 +14,12 @@
 //! * **timed** ([`timed_ag_gemm`], [`timed_gemm_rs`], [`timed_full_mlp`]) — the
 //!   same kernels expressed as tile programs, compiled by the TileLink compiler
 //!   and executed on the cluster simulator; these produce the TileLink bars of
-//!   Figure 8 and Table 2.
+//!   Figure 8 and Table 2. Each half is priced by one function taking the
+//!   shape, the config, the cost provider and a cutoff on its makespan
+//!   (`f64::INFINITY` prices it exactly).
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{
-    run_comm_compute, simulate_report_bounded_with, simulate_report_with, BoundedReport,
-};
+use tilelink::exec::{run_comm_compute, simulate_report, BoundedReport};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, write_tile, TileRect};
@@ -30,7 +30,7 @@ use tilelink::{
 use tilelink_compute::gemm::matmul;
 use tilelink_compute::Tensor;
 use tilelink_shmem::ProcessGroup;
-use tilelink_sim::{analytic_cost, ClusterSpec, CostModel, CostProvider, SharedCost};
+use tilelink_sim::{CostProvider, SharedCost};
 
 /// Bytes per element on the paper's hardware (BF16).
 pub const BYTES_PER_ELEM: f64 = 2.0;
@@ -446,59 +446,22 @@ fn mlp_detail(shape: &crate::MlpShape, world: usize) -> u64 {
     ])
 }
 
-/// Simulates the TileLink AllGather + GEMM kernel for one MLP shape with the
-/// default analytic cost model.
+/// Prices the TileLink AllGather + GEMM kernel for one MLP shape: compiled for
+/// `cfg`, simulated under `cost` (the cluster is the provider's) and cut off
+/// once its overlapped makespan provably exceeds `cutoff` (see
+/// [`simulate_report`]; `f64::INFINITY` prices it exactly).
 ///
 /// # Errors
 ///
 /// Returns an error if compilation or simulation fails.
 pub fn timed_ag_gemm(
     shape: &crate::MlpShape,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_ag_gemm_with(shape, cfg, &analytic_cost(cluster))
-}
-
-/// Simulates the TileLink AllGather + GEMM kernel priced by an explicit cost
-/// provider (the cluster is the provider's).
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_gemm_with(
-    shape: &crate::MlpShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<OverlapReport> {
-    let kernel = compile_ag_gemm(shape, cfg, cost)?;
-    simulate_report_with(&kernel, cost)
-}
-
-/// [`timed_ag_gemm_with`] with an abort cutoff on the overlapped makespan —
-/// the branch-and-bound fast path (see
-/// [`tilelink::exec::simulate_report_bounded_with`]).
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_gemm_bounded_with(
-    shape: &crate::MlpShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     cutoff: f64,
 ) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_ag_gemm(shape, cfg, cost)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_ag_gemm(
-    shape: &crate::MlpShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<tilelink::CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
+    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("mlp.ag_gemm", mlp_detail(shape, world)),
@@ -511,60 +474,24 @@ fn compile_ag_gemm(
                     cfg,
                 ))
             },
-        )
+        )?;
+    simulate_report(&kernel, cost, cutoff)
 }
 
-/// Simulates the TileLink GEMM + ReduceScatter kernel for one MLP shape with
-/// the default analytic cost model.
+/// Prices the TileLink GEMM + ReduceScatter kernel for one MLP shape, the
+/// same way as [`timed_ag_gemm`].
 ///
 /// # Errors
 ///
 /// Returns an error if compilation or simulation fails.
 pub fn timed_gemm_rs(
     shape: &crate::MlpShape,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_gemm_rs_with(shape, cfg, &analytic_cost(cluster))
-}
-
-/// Simulates the TileLink GEMM + ReduceScatter kernel priced by an explicit
-/// cost provider (the cluster is the provider's).
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_gemm_rs_with(
-    shape: &crate::MlpShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<OverlapReport> {
-    let kernel = compile_gemm_rs(shape, cfg, cost)?;
-    simulate_report_with(&kernel, cost)
-}
-
-/// [`timed_gemm_rs_with`] with an abort cutoff on the overlapped makespan.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_gemm_rs_bounded_with(
-    shape: &crate::MlpShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     cutoff: f64,
 ) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_gemm_rs(shape, cfg, cost)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_gemm_rs(
-    shape: &crate::MlpShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<tilelink::CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
+    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("mlp.gemm_rs", mlp_detail(shape, world)),
@@ -577,48 +504,32 @@ fn compile_gemm_rs(
                     cfg,
                 ))
             },
-        )
+        )?;
+    simulate_report(&kernel, cost, cutoff)
 }
 
-/// Simulates the full TileLink MLP layer (AG+GEMM, activation, GEMM+RS) with
-/// the default analytic cost model.
+/// Simulates the full TileLink MLP layer (AG+GEMM, activation, GEMM+RS) under
+/// the recommended per-half configurations, priced exactly by `cost`.
 ///
 /// # Errors
 ///
 /// Returns an error if either half fails to compile or simulate.
 pub fn timed_full_mlp(
     shape: &crate::MlpShape,
-    cluster: &ClusterSpec,
-) -> tilelink::Result<OverlapReport> {
-    timed_full_mlp_with(shape, &analytic_cost(cluster))
-}
-
-/// Simulates the full TileLink MLP layer priced by an explicit cost provider.
-///
-/// # Errors
-///
-/// Returns an error if either half fails to compile or simulate.
-pub fn timed_full_mlp_with(
-    shape: &crate::MlpShape,
     cost: &SharedCost,
 ) -> tilelink::Result<OverlapReport> {
-    let ag = timed_ag_gemm_with(shape, &ag_gemm_config(), cost)?;
-    let rs = timed_gemm_rs_with(shape, &gemm_rs_config(), cost)?;
-    let act = activation_seconds_with(shape, &**cost);
-    Ok(OverlapReport::new(
-        ag.total_s + rs.total_s + act,
-        ag.comm_only_s + rs.comm_only_s,
-        ag.comp_only_s + rs.comp_only_s + act,
-    ))
+    crate::bounds::compose_layer(
+        f64::INFINITY,
+        activation_seconds(shape, &**cost),
+        0.0,
+        |budget| timed_ag_gemm(shape, &ag_gemm_config(), cost, budget),
+        |budget| timed_gemm_rs(shape, &gemm_rs_config(), cost, budget),
+    )
+    .map(BoundedReport::exact)
 }
 
 /// Time of the SiLU-mul activation between the two MLP halves (memory bound).
-pub fn activation_seconds(shape: &crate::MlpShape, cluster: &ClusterSpec) -> f64 {
-    activation_seconds_with(shape, &CostModel::new(cluster.clone()))
-}
-
-/// Activation time priced by an explicit cost provider.
-pub fn activation_seconds_with(shape: &crate::MlpShape, cost: &dyn CostProvider) -> f64 {
+pub fn activation_seconds(shape: &crate::MlpShape, cost: &dyn CostProvider) -> f64 {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let elems = shape.tokens as f64 * (shape.intermediate / world) as f64;
@@ -630,6 +541,11 @@ pub fn activation_seconds_with(shape: &crate::MlpShape, cost: &dyn CostProvider)
 mod tests {
     use super::*;
     use tilelink_collectives::Comm;
+    use tilelink_sim::{analytic_cost, ClusterSpec};
+
+    fn cost() -> SharedCost {
+        analytic_cost(&ClusterSpec::h800_node(8))
+    }
 
     fn reference_ag_gemm(tokens: &Tensor, weight_shards: &[Tensor]) -> Vec<Tensor> {
         weight_shards.iter().map(|w| matmul(tokens, w)).collect()
@@ -723,8 +639,9 @@ mod tests {
     #[test]
     fn timed_ag_gemm_overlaps_and_beats_serial() {
         let shape = crate::shapes::mlp_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let report = timed_ag_gemm(&shape, &cluster, &ag_gemm_config()).unwrap();
+        let report = timed_ag_gemm(&shape, &ag_gemm_config(), &cost(), f64::INFINITY)
+            .unwrap()
+            .exact();
         assert!(report.total_s > 0.0);
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         // Table 2 magnitude check: the overlapped AG+GEMM of MLP-1 is a few
@@ -743,8 +660,9 @@ mod tests {
         // overlapped total to beat the serial sum and to stay in the Table 2
         // regime of a few hundred microseconds.
         let shape = crate::shapes::mlp_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let report = timed_gemm_rs(&shape, &cluster, &gemm_rs_config()).unwrap();
+        let report = timed_gemm_rs(&shape, &gemm_rs_config(), &cost(), f64::INFINITY)
+            .unwrap()
+            .exact();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         assert!(
             report.total_ms() > 0.05 && report.total_ms() < 2.0,
@@ -755,10 +673,14 @@ mod tests {
     #[test]
     fn timed_full_mlp_is_sum_of_parts_plus_activation() {
         let shape = crate::shapes::mlp_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let ag = timed_ag_gemm(&shape, &cluster, &ag_gemm_config()).unwrap();
-        let rs = timed_gemm_rs(&shape, &cluster, &gemm_rs_config()).unwrap();
-        let full = timed_full_mlp(&shape, &cluster).unwrap();
+        let cost = cost();
+        let ag = timed_ag_gemm(&shape, &ag_gemm_config(), &cost, f64::INFINITY)
+            .unwrap()
+            .exact();
+        let rs = timed_gemm_rs(&shape, &gemm_rs_config(), &cost, f64::INFINITY)
+            .unwrap()
+            .exact();
+        let full = timed_full_mlp(&shape, &cost).unwrap();
         assert!(full.total_s > ag.total_s + rs.total_s);
         assert!(full.total_s < (ag.total_s + rs.total_s) * 1.2);
     }
@@ -766,9 +688,8 @@ mod tests {
     #[test]
     fn bigger_mlp_shapes_take_longer() {
         let shapes = crate::shapes::mlp_shapes();
-        let cluster = ClusterSpec::h800_node(8);
-        let small = timed_full_mlp(&shapes[0], &cluster).unwrap();
-        let large = timed_full_mlp(&shapes[4], &cluster).unwrap();
+        let small = timed_full_mlp(&shapes[0], &cost()).unwrap();
+        let large = timed_full_mlp(&shapes[4], &cost()).unwrap();
         assert!(large.total_s > small.total_s);
     }
 }

@@ -18,9 +18,7 @@
 //! tile touches.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{
-    run_comm_compute, simulate_report_bounded_with, simulate_report_with, BoundedReport,
-};
+use tilelink::exec::{run_comm_compute, simulate_report, BoundedReport};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
@@ -33,7 +31,7 @@ use tilelink_compute::group_gemm::expert_weight;
 use tilelink_compute::topk::{topk_routing, Routing};
 use tilelink_compute::{Dispatch, Tensor};
 use tilelink_shmem::ProcessGroup;
-use tilelink_sim::{analytic_cost, ClusterSpec, CostProvider, SharedCost};
+use tilelink_sim::{CostProvider, SharedCost};
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -421,157 +419,78 @@ fn routed_detail(shape: &MoeShape, world: usize, sample: &RoutingSample) -> u64 
     )
 }
 
-/// Simulates the TileLink AG + Gather + GroupGEMM kernel with the default
-/// analytic cost model.
+/// Prices the TileLink AG + Gather + GroupGEMM kernel for one MoE shape under
+/// the expected routing: compiled for `cfg`, simulated under `cost` (the
+/// cluster is the provider's) and cut off once its overlapped makespan
+/// provably exceeds `cutoff` (`f64::INFINITY` prices it exactly).
 ///
 /// # Errors
 ///
 /// Returns an error if compilation or simulation fails.
 pub fn timed_ag_group_gemm(
     shape: &MoeShape,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_ag_group_gemm_with(shape, cfg, &analytic_cost(cluster))
-}
-
-/// Simulates the TileLink AG + Gather + GroupGEMM kernel priced by an
-/// explicit cost provider (the cluster is the provider's).
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_group_gemm_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<OverlapReport> {
-    let kernel = compile_ag_group_gemm(shape, cfg, cost)?;
-    simulate_report_with(&kernel, cost)
-}
-
-/// [`timed_ag_group_gemm_with`] with an abort cutoff on the overlapped
-/// makespan — the branch-and-bound fast path.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_group_gemm_bounded_with(
-    shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     cutoff: f64,
 ) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_ag_group_gemm(shape, cfg, cost)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_ag_group_gemm(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<tilelink::CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
+    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world)),
             || Ok(ag_group_gemm_program(shape, world, cfg)),
-        )
+        )?;
+    simulate_report(&kernel, cost, cutoff)
 }
 
-/// Simulates the TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel with
-/// the default analytic cost model.
+/// Prices the TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel for one
+/// MoE shape under the expected routing, the same way as
+/// [`timed_ag_group_gemm`]. The kernel always compiles onto the hybrid
+/// transfer lane, whatever `cfg.comm_mapping` says.
 ///
 /// # Errors
 ///
 /// Returns an error if compilation or simulation fails.
 pub fn timed_group_gemm_rs(
     shape: &MoeShape,
-    cluster: &ClusterSpec,
-    cfg: &OverlapConfig,
-) -> tilelink::Result<OverlapReport> {
-    timed_group_gemm_rs_with(shape, cfg, &analytic_cost(cluster))
-}
-
-/// Simulates the TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel
-/// priced by an explicit cost provider (the cluster is the provider's).
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_group_gemm_rs_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<OverlapReport> {
-    let kernel = compile_group_gemm_rs(shape, cfg, cost)?;
-    simulate_report_with(&kernel, cost)
-}
-
-/// [`timed_group_gemm_rs_with`] with an abort cutoff on the overlapped
-/// makespan.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_group_gemm_rs_bounded_with(
-    shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     cutoff: f64,
 ) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_group_gemm_rs(shape, cfg, cost)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_group_gemm_rs(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<tilelink::CompiledKernel> {
     let world = cost.cluster().world_size();
     let mut cfg = *cfg;
     cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
-    Compiler::new(cfg, cost.cluster().gpu.clone())
+    let kernel = Compiler::new(cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("moe.group_gemm_rs", moe_detail(shape, world)),
             || Ok(group_gemm_rs_program(shape, world, &cfg)),
-        )
+        )?;
+    simulate_report(&kernel, cost, cutoff)
 }
 
 /// Simulates the full TileLink MoE layer (both halves plus the activation)
-/// with the default analytic cost model.
+/// under the recommended configuration, priced exactly by `cost`.
 ///
 /// # Errors
 ///
 /// Returns an error if either half fails.
-pub fn timed_full_moe(shape: &MoeShape, cluster: &ClusterSpec) -> tilelink::Result<OverlapReport> {
-    timed_full_moe_with(shape, &analytic_cost(cluster))
-}
-
-/// Simulates the full TileLink MoE layer priced by an explicit cost provider.
-///
-/// # Errors
-///
-/// Returns an error if either half fails.
-pub fn timed_full_moe_with(shape: &MoeShape, cost: &SharedCost) -> tilelink::Result<OverlapReport> {
+pub fn timed_full_moe(shape: &MoeShape, cost: &SharedCost) -> tilelink::Result<OverlapReport> {
     let cfg = moe_config();
-    let first = timed_ag_group_gemm_with(shape, &cfg, cost)?;
-    let second = timed_group_gemm_rs_with(shape, &cfg, cost)?;
-    let act = activation_seconds_with(shape, &**cost);
-    Ok(OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    ))
+    crate::bounds::compose_layer(
+        f64::INFINITY,
+        activation_seconds(shape, &**cost),
+        0.0,
+        |budget| timed_ag_group_gemm(shape, &cfg, cost, budget),
+        |budget| timed_group_gemm_rs(shape, &cfg, cost, budget),
+    )
+    .map(BoundedReport::exact)
 }
 
 /// Time of the expert-MLP activation between the two MoE halves, priced by an
 /// explicit cost provider (memory bound; three passes over the dispatched
 /// intermediate activations).
-pub fn activation_seconds_with(shape: &MoeShape, cost: &dyn CostProvider) -> f64 {
+pub fn activation_seconds(shape: &MoeShape, cost: &dyn CostProvider) -> f64 {
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let act_elems = dispatched_rows(shape) as f64 * (shape.intermediate / world) as f64;
@@ -1078,46 +997,21 @@ pub fn routed_group_gemm_rs_program(
     (program, mapping)
 }
 
-/// Simulates the routed AG + Gather + GroupGEMM kernel for one sampled
-/// routing, priced by an explicit cost provider.
+/// Prices the routed AG + Gather + GroupGEMM kernel for one sampled routing,
+/// the same way as [`timed_ag_group_gemm`].
 ///
 /// # Errors
 ///
 /// Returns an error if compilation or simulation fails.
-pub fn timed_routed_ag_group_gemm_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<OverlapReport> {
-    let kernel = compile_routed_ag_group_gemm(shape, cfg, cost, sample)?;
-    simulate_report_with(&kernel, cost)
-}
-
-/// [`timed_routed_ag_group_gemm_with`] with an abort cutoff.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_routed_ag_group_gemm_bounded_with(
+pub fn timed_routed_ag_group_gemm(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     sample: &RoutingSample,
     cutoff: f64,
 ) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_routed_ag_group_gemm(shape, cfg, cost, sample)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_routed_ag_group_gemm(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<tilelink::CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
+    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new(
@@ -1125,51 +1019,28 @@ fn compile_routed_ag_group_gemm(
                 routed_detail(shape, world, sample),
             ),
             || routed_ag_group_gemm_program(shape, world, cfg, sample),
-        )
+        )?;
+    simulate_report(&kernel, cost, cutoff)
 }
 
-/// Simulates the routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one
-/// sampled routing, priced by an explicit cost provider.
+/// Prices the routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one
+/// sampled routing, the same way as [`timed_group_gemm_rs`] (hybrid lane
+/// included).
 ///
 /// # Errors
 ///
 /// Returns an error if compilation or simulation fails.
-pub fn timed_routed_group_gemm_rs_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<OverlapReport> {
-    let kernel = compile_routed_group_gemm_rs(shape, cfg, cost, sample)?;
-    simulate_report_with(&kernel, cost)
-}
-
-/// [`timed_routed_group_gemm_rs_with`] with an abort cutoff.
-///
-/// # Errors
-///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_routed_group_gemm_rs_bounded_with(
+pub fn timed_routed_group_gemm_rs(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     sample: &RoutingSample,
     cutoff: f64,
 ) -> tilelink::Result<BoundedReport> {
-    let kernel = compile_routed_group_gemm_rs(shape, cfg, cost, sample)?;
-    simulate_report_bounded_with(&kernel, cost, cutoff)
-}
-
-fn compile_routed_group_gemm_rs(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<tilelink::CompiledKernel> {
     let world = cost.cluster().world_size();
     let mut cfg = *cfg;
     cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
-    Compiler::new(cfg, cost.cluster().gpu.clone())
+    let kernel = Compiler::new(cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new(
@@ -1177,93 +1048,48 @@ fn compile_routed_group_gemm_rs(
                 routed_detail(shape, world, sample),
             ),
             || Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample)),
-        )
+        )?;
+    simulate_report(&kernel, cost, cutoff)
 }
 
-/// Simulates the full routed MoE layer (both halves plus the activation) for
-/// one sampled routing, priced by an explicit cost provider.
-///
-/// # Errors
-///
-/// Returns an error if either half fails.
-pub fn timed_routed_full_moe_with(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<OverlapReport> {
-    let first = timed_routed_ag_group_gemm_with(shape, cfg, cost, sample)?;
-    let second = timed_routed_group_gemm_rs_with(shape, cfg, cost, sample)?;
-    let act = activation_seconds_with(shape, &**cost);
-    Ok(OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    ))
-}
-
-/// [`timed_routed_full_moe_with`] with an abort cutoff on the layer total.
+/// Prices the full routed MoE layer (both halves plus the activation) for one
+/// sampled routing under one cutoff on the layer total.
 ///
 /// The cutoff is threaded through both halves as a *residual budget*: the
 /// first half aborts once its makespan alone makes the layer total exceed
 /// `cutoff` (using the admissible lower bound of the second half for the
 /// unsimulated remainder), the second once the running total does. An
 /// `Exceeded` clock is therefore a certified lower bound on the full layer
-/// total; with an infinite cutoff the report is bit-identical to
-/// [`timed_routed_full_moe_with`].
+/// total; with an infinite cutoff the report is exact.
 ///
 /// # Errors
 ///
 /// Returns an error if either half fails to compile or simulate.
-pub fn timed_routed_full_moe_bounded_with(
+pub fn timed_routed_full_moe(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     sample: &RoutingSample,
     cutoff: f64,
 ) -> tilelink::Result<BoundedReport> {
-    let act = activation_seconds_with(shape, &**cost);
-    let second_lb = crate::bounds::moe_second_bound(shape, cfg, &**cost);
-    let first = match timed_routed_ag_group_gemm_bounded_with(
-        shape,
-        cfg,
-        cost,
-        sample,
-        cutoff - act - second_lb,
-    )? {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(clock + second_lb + act))
-        }
-    };
-    // The first half is priced exactly; if even the second half's admissible
-    // bound keeps the sample past the cutoff, skip its compile and simulation.
-    if first.total_s + second_lb + act > cutoff {
-        return Ok(BoundedReport::Exceeded(first.total_s + second_lb + act));
-    }
-    let second = match timed_routed_group_gemm_rs_bounded_with(
-        shape,
-        cfg,
-        cost,
-        sample,
-        cutoff - act - first.total_s,
-    )? {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(first.total_s + clock + act))
-        }
-    };
-    Ok(BoundedReport::Report(OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    )))
+    crate::bounds::compose_layer(
+        cutoff,
+        activation_seconds(shape, &**cost),
+        crate::bounds::moe_second_bound(shape, cfg, &**cost),
+        |budget| timed_routed_ag_group_gemm(shape, cfg, cost, sample, budget),
+        |budget| timed_routed_group_gemm_rs(shape, cfg, cost, sample, budget),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tilelink_compute::group_gemm::group_gemm;
+    use tilelink_sim::{analytic_cost, ClusterSpec};
+
+    fn cost() -> SharedCost {
+        analytic_cost(&ClusterSpec::h800_node(8))
+    }
 
     fn reference(
         tokens: &Tensor,
@@ -1318,8 +1144,9 @@ mod tests {
     #[test]
     fn timed_moe_first_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let report = timed_ag_group_gemm(&shape, &cluster, &moe_config()).unwrap();
+        let report = timed_ag_group_gemm(&shape, &moe_config(), &cost(), f64::INFINITY)
+            .unwrap()
+            .exact();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         assert!(report.total_ms() > 0.01 && report.total_ms() < 20.0);
     }
@@ -1327,17 +1154,17 @@ mod tests {
     #[test]
     fn timed_moe_second_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let report = timed_group_gemm_rs(&shape, &cluster, &moe_config()).unwrap();
+        let report = timed_group_gemm_rs(&shape, &moe_config(), &cost(), f64::INFINITY)
+            .unwrap()
+            .exact();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
     }
 
     #[test]
     fn timed_full_moe_scales_with_topk() {
         let shapes = crate::shapes::moe_shapes();
-        let cluster = ClusterSpec::h800_node(8);
-        let k2 = timed_full_moe(&shapes[1], &cluster).unwrap(); // MoE-2: topk 2
-        let k5 = timed_full_moe(&shapes[2], &cluster).unwrap(); // MoE-3: topk 5
+        let k2 = timed_full_moe(&shapes[1], &cost()).unwrap(); // MoE-2: topk 2
+        let k5 = timed_full_moe(&shapes[2], &cost()).unwrap(); // MoE-3: topk 5
         assert!(k5.total_s > k2.total_s);
     }
 
@@ -1396,7 +1223,7 @@ mod tests {
     #[test]
     fn routed_kernels_price_skew_higher_than_balance() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let cost = cost();
         let cfg = moe_config();
         let rows = dispatched_rows(&shape);
         let balanced = RoutingSample::balanced(shape.experts, rows);
@@ -1406,8 +1233,12 @@ mod tests {
         let skewed = RoutingSample {
             rows_per_expert: all_on_one,
         };
-        let flat = timed_routed_full_moe_with(&shape, &cfg, &cost, &balanced).unwrap();
-        let hot = timed_routed_full_moe_with(&shape, &cfg, &cost, &skewed).unwrap();
+        let flat = timed_routed_full_moe(&shape, &cfg, &cost, &balanced, f64::INFINITY)
+            .unwrap()
+            .exact();
+        let hot = timed_routed_full_moe(&shape, &cfg, &cost, &skewed, f64::INFINITY)
+            .unwrap()
+            .exact();
         assert!(
             hot.total_s > flat.total_s,
             "skewed {} ms <= balanced {} ms",
@@ -1422,15 +1253,14 @@ mod tests {
     #[test]
     fn routed_kernel_is_deterministic_for_a_fixed_sample() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let cost = cost();
         let sample = RoutingSampler::new(RoutingProfile::Zipf { s: 1.2 }, 42).sample(
             shape.experts,
             dispatched_rows(&shape),
             0,
         );
-        let a = timed_routed_full_moe_with(&shape, &moe_config(), &cost, &sample).unwrap();
-        let b = timed_routed_full_moe_with(&shape, &moe_config(), &cost, &sample).unwrap();
-        assert_eq!(a, b);
+        let price = || timed_routed_full_moe(&shape, &moe_config(), &cost, &sample, f64::INFINITY);
+        assert_eq!(price().unwrap(), price().unwrap());
     }
 
     #[test]

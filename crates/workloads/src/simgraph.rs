@@ -94,13 +94,12 @@ pub fn e2e_two_node_graph_with(cost: &SharedCost) -> tilelink::Result<TaskGraph>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilelink_sim::{analytic_cost, Engine, SimScratch};
+    use tilelink_sim::{analytic_cost, Engine};
 
     #[test]
     fn bench_graphs_build_and_simulate() {
         let single = analytic_cost(&tilelink_sim::ClusterSpec::h800_node(8));
         let two_node = analytic_cost(&e2e::two_node_setup().0);
-        let mut scratch = SimScratch::new();
         for (label, graph) in [
             ("fig8", fig8_mlp_graph_with(&single).unwrap()),
             ("fig9", fig9_routed_moe_graph_with(&single).unwrap()),
@@ -109,7 +108,7 @@ mod tests {
             assert!(!graph.is_empty(), "{label}");
             let cost = if label == "e2e" { &two_node } else { &single };
             let engine = Engine::with_cost(cost.clone());
-            let fast = engine.makespan_with_scratch(&graph, &mut scratch).unwrap();
+            let fast = engine.makespan(&graph, f64::INFINITY).unwrap().clock();
             let traced = engine.run(&graph).unwrap().makespan();
             assert!(fast > 0.0, "{label}");
             assert_eq!(fast.to_bits(), traced.to_bits(), "{label}");

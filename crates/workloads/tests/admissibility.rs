@@ -174,6 +174,26 @@ fn mlp_pruning_is_admissible_across_random_subspaces_and_cost_models() {
 }
 
 #[test]
+fn expected_routing_moe_pruning_is_admissible_across_random_subspaces_and_cost_models() {
+    // The expected-routing oracle is what every standard MoE tune runs; its
+    // two halves share the residual-budget composer with the MLP oracle.
+    let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
+    let cluster = ClusterSpec::h800_node(8);
+    let mut rng = Rng(0x0e40_e5ca_1ab1_e000);
+    let mut pruned_total = 0;
+    for round in 0..2 {
+        let space = random_space(&mut rng);
+        for (name, cost) in providers(&cluster) {
+            let oracle = MoeOracle::new(shape.clone(), cluster.clone()).with_cost(cost);
+            let pruned = assert_admissible(&oracle, &space, Strategy::Exhaustive);
+            eprintln!("round {round} ({name}): {pruned} bound-pruned");
+            pruned_total += pruned;
+        }
+    }
+    assert!(pruned_total > 0, "no candidate was ever bound-pruned");
+}
+
+#[test]
 fn routed_moe_pruning_is_admissible_for_tail_objectives() {
     let shape = tilelink_workloads::shapes::moe_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);

@@ -10,7 +10,7 @@
 //! bit-identical overlap report as a cold compile of the neighbour alone,
 //! under both cost models.
 
-use tilelink::exec::{simulate_report_with, task_graph};
+use tilelink::exec::{simulate_report, task_graph};
 use tilelink::{
     reset_compile_cache, CacheSite, CommMapping, CompiledKernel, Compiler, OverlapConfig,
     OverlapReport, TileOrder, TileShape, TransferMode,
@@ -138,13 +138,17 @@ fn warm_axis_neighbour_compiles_match_cold_compiles_for_both_cost_models() {
                 let _ = compile_kernel(site, &shape, &cluster, &base, cost);
                 let warm = compile_kernel(site, &shape, &cluster, &nb, cost);
                 let warm_graph = task_graph(&warm, &cluster);
-                let warm_report = simulate_report_with(&warm, cost).expect("warm report");
+                let warm_report = simulate_report(&warm, cost, f64::INFINITY)
+                    .expect("warm report")
+                    .exact();
 
                 // Cold path: the same neighbour compiled from nothing.
                 reset_compile_cache();
                 let cold = compile_kernel(site, &shape, &cluster, &nb, cost);
                 let cold_graph = task_graph(&cold, &cluster);
-                let cold_report = simulate_report_with(&cold, cost).expect("cold report");
+                let cold_report = simulate_report(&cold, cost, f64::INFINITY)
+                    .expect("cold report")
+                    .exact();
 
                 assert_eq!(warm, cold, "compiled kernel: {ctx}");
                 assert_eq!(warm_graph, cold_graph, "task graph: {ctx}");

@@ -33,7 +33,7 @@ fn main() {
         .iter()
         .filter(|m| m.name == "LLaMA2-7B" || m.name == "Mixtral-8x7B")
     {
-        let cmp = e2e::compare_model_with(model, tokens, &cost).expect("comparison");
+        let cmp = e2e::compare_model(model, tokens, &cost).expect("comparison");
         print!(
             "{:<14} PyTorch {:>8.1} ms | TileLink {:>8.1} ms | speedup {:.2}x (attention {:.0}% of time)",
             model.name,
@@ -43,7 +43,7 @@ fn main() {
             100.0 * cmp.tilelink.attention_s / cmp.tilelink.total_s,
         );
         if tune {
-            let tuned = e2e::tuned_model_timing_with(model, tokens, &cost, &opts).expect("tuning");
+            let tuned = e2e::tuned_model_timing(model, tokens, &cost, &opts).expect("tuning");
             print!(
                 " | tuned {:>8.1} ms, speedup {:.2}x ({} sims, {} cached)",
                 tuned.timing.total_s * 1e3,

@@ -4,7 +4,7 @@
 
 use tilelink_compute::topk::topk_routing;
 use tilelink_compute::Tensor;
-use tilelink_sim::ClusterSpec;
+use tilelink_sim::{analytic_cost, ClusterSpec};
 use tilelink_workloads::{baselines, moe, shapes};
 
 fn main() {
@@ -30,11 +30,11 @@ fn main() {
     );
 
     // --- simulated Figure 9 comparison --------------------------------------
-    let cluster = ClusterSpec::h800_node(8);
+    let cost = analytic_cost(&ClusterSpec::h800_node(8));
     for shape in shapes::moe_shapes().iter().take(3) {
-        let cublas = baselines::cublas_nccl_full_moe(shape, &cluster);
-        let vllm = baselines::vllm_full_moe(shape, &cluster);
-        let tilelink = moe::timed_full_moe(shape, &cluster).expect("simulation");
+        let cublas = baselines::cublas_nccl_full_moe(shape, &*cost);
+        let vllm = baselines::vllm_full_moe(shape, &*cost);
+        let tilelink = moe::timed_full_moe(shape, &cost).expect("simulation");
         println!(
             "{}: cuBLAS+NCCL {:>7.3} ms | vLLM-Op {:>7.3} ms | TileLink {:>7.3} ms ({:.2}x over cuBLAS)",
             shape.name,

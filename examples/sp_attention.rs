@@ -5,7 +5,7 @@
 
 use tilelink_compute::attention::attention_reference;
 use tilelink_compute::Tensor;
-use tilelink_sim::ClusterSpec;
+use tilelink_sim::{analytic_cost, ClusterSpec};
 use tilelink_workloads::{attention, baselines, shapes};
 
 fn main() {
@@ -30,15 +30,16 @@ fn main() {
     println!("overlapped AG-KV + flash attention matches the reference on {world} ranks");
 
     // --- simulated Figure 10 -------------------------------------------------
-    let cluster = ClusterSpec::h800_node(8);
+    let cost = analytic_cost(&ClusterSpec::h800_node(8));
+    let cfg = attention::attention_config();
     let shape = &shapes::attn_shapes()[0];
     println!("\n{} on simulated 8xH800:", shape.name);
     for &seq in &shape.seq_lens {
-        let torch = baselines::torch_attention(shape, seq, &cluster);
-        let ring = baselines::ring_attention(shape, seq, &cluster);
-        let tl =
-            attention::timed_sp_attention(shape, seq, &cluster, &attention::attention_config())
-                .expect("simulation");
+        let torch = baselines::torch_attention(shape, seq, &*cost);
+        let ring = baselines::ring_attention(shape, seq, &*cost);
+        let tl = attention::timed_sp_attention(shape, seq, &cfg, &cost, f64::INFINITY)
+            .expect("simulation")
+            .exact();
         println!(
             "  seq {:>6}: Torch {:>9.2} ms | RingAttn {:>9.2} ms | TileLink {:>9.2} ms | overlap ratio {:>5.1}%",
             seq,

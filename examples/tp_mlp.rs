@@ -8,7 +8,7 @@
 
 use tilelink_compute::gemm::matmul;
 use tilelink_compute::Tensor;
-use tilelink_sim::ClusterSpec;
+use tilelink_sim::{analytic_cost, ClusterSpec};
 use tilelink_workloads::{baselines, mlp, shapes};
 
 fn main() {
@@ -39,11 +39,11 @@ fn main() {
     );
 
     // --- simulated performance on 8xH800 (Table 2 / Figure 8) --------------
-    let cluster = ClusterSpec::h800_node(8);
+    let cost = analytic_cost(&ClusterSpec::h800_node(8));
     let shape = &shapes::mlp_shapes()[0];
-    let non_overlap = baselines::non_overlap_full_mlp(shape, &cluster);
-    let flux = baselines::flux_full_mlp(shape, &cluster);
-    let tilelink = mlp::timed_full_mlp(shape, &cluster).expect("simulation");
+    let non_overlap = baselines::non_overlap_full_mlp(shape, &*cost);
+    let flux = baselines::flux_full_mlp(shape, &*cost);
+    let tilelink = mlp::timed_full_mlp(shape, &cost).expect("simulation");
     println!("\nMLP-1 ({}) on simulated 8xH800:", shape.source);
     println!("  cuBLAS+NCCL : {:>8.3} ms", non_overlap.total_ms());
     println!("  FLUX        : {:>8.3} ms", flux.total_ms());

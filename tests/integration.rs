@@ -6,7 +6,7 @@ use tilelink_compute::attention::attention_reference;
 use tilelink_compute::gemm::matmul;
 use tilelink_compute::Tensor;
 use tilelink_shmem::ProcessGroup;
-use tilelink_sim::ClusterSpec;
+use tilelink_sim::{analytic_cost, ClusterSpec};
 use tilelink_workloads::{attention, baselines, mlp, moe, shapes};
 
 #[test]
@@ -159,31 +159,32 @@ fn paper_headline_speedups_hold_on_the_simulated_cluster() {
     // The paper claims 1.17x–20.76x over non-overlapping baselines. Verify the
     // simulated reproduction stays within (a generous reading of) that band for
     // representative workloads.
-    let cluster = ClusterSpec::h800_node(8);
+    let cost = analytic_cost(&ClusterSpec::h800_node(8));
 
     let mlp_shape = &shapes::mlp_shapes()[0];
-    let mlp_speedup = mlp::timed_full_mlp(mlp_shape, &cluster)
+    let mlp_speedup = mlp::timed_full_mlp(mlp_shape, &cost)
         .unwrap()
-        .speedup_over(&baselines::non_overlap_full_mlp(mlp_shape, &cluster));
+        .speedup_over(&baselines::non_overlap_full_mlp(mlp_shape, &*cost));
     assert!(
         mlp_speedup > 1.1 && mlp_speedup < 3.0,
         "MLP speedup {mlp_speedup:.2}"
     );
 
     let moe_shape = &shapes::moe_shapes()[2];
-    let moe_speedup = moe::timed_full_moe(moe_shape, &cluster)
+    let moe_speedup = moe::timed_full_moe(moe_shape, &cost)
         .unwrap()
-        .speedup_over(&baselines::cublas_nccl_full_moe(moe_shape, &cluster));
+        .speedup_over(&baselines::cublas_nccl_full_moe(moe_shape, &*cost));
     assert!(
         moe_speedup > 2.0 && moe_speedup < 25.0,
         "MoE speedup {moe_speedup:.2}"
     );
 
     let attn_shape = &shapes::attn_shapes()[0];
-    let attn =
-        attention::timed_sp_attention(attn_shape, 65_536, &cluster, &attention::attention_config())
-            .unwrap();
-    let attn_speedup = attn.speedup_over(&baselines::torch_attention(attn_shape, 65_536, &cluster));
+    let attn_cfg = attention::attention_config();
+    let attn = attention::timed_sp_attention(attn_shape, 65_536, &attn_cfg, &cost, f64::INFINITY)
+        .unwrap()
+        .exact();
+    let attn_speedup = attn.speedup_over(&baselines::torch_attention(attn_shape, 65_536, &*cost));
     assert!(
         attn_speedup > 2.0 && attn_speedup < 10.0,
         "attention speedup {attn_speedup:.2}"
@@ -193,10 +194,18 @@ fn paper_headline_speedups_hold_on_the_simulated_cluster() {
 #[test]
 fn multi_node_cluster_is_slower_but_still_overlaps() {
     let shape = &shapes::mlp_shapes()[0];
-    let one = ClusterSpec::h800_node(8);
-    let two = ClusterSpec::h800_multi_node(2);
-    let r1 = mlp::timed_ag_gemm(shape, &one, &mlp::ag_gemm_config()).unwrap();
-    let r2 = mlp::timed_ag_gemm(shape, &two, &mlp::ag_gemm_config()).unwrap();
+    let price = |cluster| {
+        mlp::timed_ag_gemm(
+            shape,
+            &mlp::ag_gemm_config(),
+            &analytic_cost(&cluster),
+            f64::INFINITY,
+        )
+        .unwrap()
+        .exact()
+    };
+    let r1 = price(ClusterSpec::h800_node(8));
+    let r2 = price(ClusterSpec::h800_multi_node(2));
     // More ranks, slower inter-node links: the collective takes longer.
     assert!(r2.comm_only_s > r1.comm_only_s);
     assert!(r2.total_s < r2.comm_only_s + r2.comp_only_s);

@@ -241,20 +241,20 @@ fn tuned_e2e_calibrated_cache_never_serves_the_analytic_search() {
         ..TuneOptions::default()
     };
 
-    let cold = tilelink_workloads::e2e::tuned_model_timing_with(&model, tokens, &calibrated, &opts)
-        .unwrap();
+    let cold =
+        tilelink_workloads::e2e::tuned_model_timing(&model, tokens, &calibrated, &opts).unwrap();
     assert!(cold.evaluations > 0);
     assert!(cold.mlp_config.is_some());
     assert_eq!(cold.moe_config, None);
 
-    let warm = tilelink_workloads::e2e::tuned_model_timing_with(&model, tokens, &calibrated, &opts)
-        .unwrap();
+    let warm =
+        tilelink_workloads::e2e::tuned_model_timing(&model, tokens, &calibrated, &opts).unwrap();
     assert_eq!(warm.evaluations, 0, "warm calibrated rerun must be free");
     assert_eq!(warm.timing, cold.timing);
 
     let analytic = analytic_cost(&cluster);
     let cross =
-        tilelink_workloads::e2e::tuned_model_timing_with(&model, tokens, &analytic, &opts).unwrap();
+        tilelink_workloads::e2e::tuned_model_timing(&model, tokens, &analytic, &opts).unwrap();
     assert!(
         cross.evaluations > 0,
         "analytic search must not be served calibrated timings"
