@@ -26,6 +26,12 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Runs `child_test` in a fresh process of this same test binary.
+///
+/// The child's output is collected rather than inherited: an aborted child
+/// leaves `test child_insert_and_flush ... ` unterminated, and on the shared
+/// stdout the next result line of the parent run was spliced onto it, so the
+/// harness reported garbled test names. The collected output is replayed on
+/// this test's stderr, which the harness shows only when the test fails.
 fn run_child(child_test: &str, cache_path: &std::path::Path, abort_point: Option<&str>) -> bool {
     let exe = std::env::current_exe().unwrap();
     let mut cmd = Command::new(exe);
@@ -35,7 +41,13 @@ fn run_child(child_test: &str, cache_path: &std::path::Path, abort_point: Option
         Some(point) => cmd.env(FLUSH_ABORT_ENV, point),
         None => cmd.env_remove(FLUSH_ABORT_ENV),
     };
-    cmd.status().unwrap().success()
+    let out = cmd.output().unwrap();
+    eprintln!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.status.success()
 }
 
 /// Child body: open the cache, insert a batch of entries, flush. With the
