@@ -3,6 +3,8 @@
 //!
 //! Flags (combine freely; no flags prints everything):
 //! `--table2 --shapes --fig8 --fig9 --fig10 --fig11 --ablation`
+//! An argument that is neither a section flag nor an option below exits 2
+//! before any section runs.
 //!
 //! `--quick` prints a fast smoke subset (shapes + Table 2) — used by CI to
 //! keep this binary from rotting.
@@ -23,25 +25,10 @@
 //! (`--fig11 --tune`) the end-to-end rows gain a third, tuned-TileLink column
 //! whose per-layer configs come from the same search and cache.
 //!
-//! `--bench-sim` times the simulator itself instead of printing figures:
-//! simulations/sec of the full-trace path vs the makespan-only fast path on
-//! three representative kernel graphs, plus the wall-clock throughput of a
-//! cold Figure 9 tune. `--bench-sim --json` additionally writes the numbers
-//! to `BENCH_sim.json` (the perf trajectory CI uploads as an artifact);
-//! `--bench-sim --quick` uses fewer iterations and a compact tuning space.
-//!
-//! `--bench-serve` load-tests the `tilelink-serve` tuning daemon over real
-//! localhost sockets: a dedup volley (N identical cold requests must trigger
-//! exactly one search), a warm-hit hammer (the microsecond path) and a mixed
-//! catalog sweep, reporting throughput and p50/p95/p99 latency per phase.
-//! `--bench-serve --json` writes the numbers to `BENCH_serve.json` (soft-gated
-//! by `perf_gate` next to `BENCH_sim.json`); `--bench-serve --quick` runs the
-//! reduced CI volume.
-//!
-//! `--serve` runs a small smoke of the same daemon: boots it on an ephemeral
-//! port, then exercises PING, a cold search, a warm hit and a concurrent
-//! dedup volley through real client connections. Like `--tune` it is opt-in
-//! (not part of the no-flag default).
+//! `--serve` runs a small smoke of the `tilelink-serve` tuning daemon: boots
+//! it on an ephemeral port, then exercises PING, a cold search, a warm hit
+//! and a concurrent dedup volley through real client connections. Like
+//! `--tune` it is opt-in (not part of the no-flag default).
 //!
 //! `--routing {uniform|zipf:<s>|hot:<k>}` and `--objective {mean|p<1-99>|worst}`
 //! make the MoE part of `--tune` routing-distribution-aware: candidates are
@@ -51,8 +38,7 @@
 //! skew-tuned winner side by side per Figure 9 shape. `--quick --tune` runs a
 //! reduced smoke version of the same comparison (used by CI).
 //!
-//! Observability (combine with any of the above, including `--quick` and
-//! `--bench-sim`):
+//! Observability (combine with any of the above, including `--quick`):
 //!
 //! * `--profile[=<path>]` enables the `tilelink-probe` span profiler for the
 //!   whole run and prints a per-phase wall-time table (count, total, mean,
@@ -67,14 +53,27 @@
 //!   (round, best-so-far, evaluations) to stderr while tuning.
 
 use tilelink_bench::{
-    bench_serve_json, bench_sim_json, benchmark_graphs, cost_for, default_cluster, fig10, fig11,
-    fig11_tuned, fig8, fig9, fig9_oracle_phases, fig9_tune_throughput, geomean, sim_throughput,
+    benchmark_graphs, cost_for, default_cluster, fig10, fig11, fig11_tuned, fig8, fig9, geomean,
     table2, MlpPanel, MoePanel,
 };
 use tilelink_sim::CostModelSpec;
 use tilelink_tune::{Objective, SearchExecutor, TuneCache};
 use tilelink_workloads::moe::RoutingProfile;
 use tilelink_workloads::{shapes, RoutingSpec, TuneOptions};
+
+/// Every section flag `reproduce` knows. `--tune` and `--serve` are opt-in:
+/// the no-flag default run leaves them out.
+const SECTIONS: [&str; 9] = [
+    "--shapes",
+    "--table2",
+    "--fig8",
+    "--fig9",
+    "--fig10",
+    "--fig11",
+    "--ablation",
+    "--tune",
+    "--serve",
+];
 
 /// The section flags of a command line: everything except the option-style
 /// arguments (`--cost-model`, `--routing`, `--objective`, `--trace-out` and
@@ -182,6 +181,15 @@ fn print_groups(title: &str, groups: &[tilelink_bench::Group], baseline: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Sections are opt-in filters, so an unknown flag would otherwise select
+    // nothing and exit 0 as if it had run.
+    if let Some(flag) = section_flags(&args)
+        .into_iter()
+        .find(|a| !SECTIONS.contains(&a.as_str()))
+    {
+        eprintln!("error: unknown argument {flag}");
+        std::process::exit(2);
+    }
     let cluster = default_cluster();
     let spec = CostModelSpec::from_args(&args).unwrap_or_else(|e| {
         eprintln!("error: {e}");
@@ -200,18 +208,6 @@ fn main() {
     // `--tune` would silently drop them (same policy as --quick + sections).
     if routing.is_some() && !args.iter().any(|a| a == "--tune") {
         eprintln!("error: --routing/--objective require --tune");
-        std::process::exit(2);
-    }
-
-    // `--json` only means something to the bench modes; anywhere else it
-    // would be silently swallowed as an unmatched section flag, so reject it
-    // (same policy as --routing without --tune).
-    if args.iter().any(|a| a == "--json")
-        && !args
-            .iter()
-            .any(|a| a == "--bench-sim" || a == "--bench-serve")
-    {
-        eprintln!("error: --json requires --bench-sim or --bench-serve");
         std::process::exit(2);
     }
 
@@ -244,8 +240,8 @@ fn main() {
 }
 
 /// Everything the selected flags asked for, in section order. Split out of
-/// `main` so its early returns (`--bench-sim`, `--quick`) still fall through
-/// to the `--trace-out` / `--profile` epilogue.
+/// `main` so its early return (`--quick`) still falls through to the
+/// `--trace-out` / `--profile` epilogue.
 #[allow(clippy::too_many_arguments)]
 fn run(
     args: &[String],
@@ -256,39 +252,6 @@ fn run(
     objective: Objective,
     verbose: bool,
 ) {
-    if args.iter().any(|a| a == "--bench-sim") {
-        // A perf-trajectory mode, not a figure section: it times the
-        // simulator itself (trace path vs makespan-only fast path, plus a
-        // cold Figure 9 tune) and with --json records the numbers into
-        // BENCH_sim.json so future perf PRs have a baseline.
-        let quick = args.iter().any(|a| a == "--quick");
-        if let Some(flag) = section_flags(args)
-            .iter()
-            .find(|f| **f != "--bench-sim" && **f != "--json")
-        {
-            eprintln!("error: --bench-sim cannot be combined with {flag}");
-            std::process::exit(2);
-        }
-        bench_sim(quick, args.iter().any(|a| a == "--json"), spec, cost);
-        return;
-    }
-
-    if args.iter().any(|a| a == "--bench-serve") {
-        // The serving counterpart of --bench-sim: load-tests the
-        // tilelink-serve daemon over real sockets and with --json records
-        // the numbers into BENCH_serve.json for the perf-gate trajectory.
-        let quick = args.iter().any(|a| a == "--quick");
-        if let Some(flag) = section_flags(args)
-            .iter()
-            .find(|f| **f != "--bench-serve" && **f != "--json")
-        {
-            eprintln!("error: --bench-serve cannot be combined with {flag}");
-            std::process::exit(2);
-        }
-        bench_serve(quick, args.iter().any(|a| a == "--json"), spec);
-        return;
-    }
-
     if args.iter().any(|a| a == "--quick") {
         // `--quick` replaces section selection entirely; combining it with
         // section flags would silently drop them, so reject that instead.
@@ -753,151 +716,6 @@ fn quick_e2e_tune_smoke(
                 cmp.tuned.cache_hits
             );
         }
-    }
-}
-
-/// Simulator-throughput trajectory: trace path vs makespan-only fast path on
-/// the three benchmark graphs, plus one cold Figure 9 tune — all priced by
-/// the selected `--cost-model`. With `json` the numbers are also written to
-/// `BENCH_sim.json` in the working directory.
-fn bench_sim(quick: bool, json: bool, spec: &CostModelSpec, cost: &tilelink_sim::SharedCost) {
-    let iters = if quick { 30 } else { 200 };
-    println!("== Simulator throughput ({iters} timed simulations per path) ==");
-    let rows = sim_throughput(iters, spec);
-    for r in &rows {
-        println!(
-            "{:<24} {:>6} tasks   trace {:>9.1} sims/s   makespan-only {:>9.1} sims/s   {:>5.2}x",
-            r.name,
-            r.tasks,
-            r.trace_sims_per_sec,
-            r.makespan_sims_per_sec,
-            r.speedup()
-        );
-    }
-    // Compile-vs-simulate attribution of one full fig9 MoE oracle evaluation
-    // (span-profiled build/lower/plan/graph/simulate phases).
-    let profile = fig9_oracle_phases(spec);
-    for (label, phases) in [("cold", &profile.cold), ("warm", &profile.warm)] {
-        println!(
-            "fig9 MoE-1 oracle phases ({label}): build {:.3} ms, lower {:.3} ms, plan {:.3} ms, \
-             graph {:.3} ms, simulate {:.3} ms ({:.1}% compile of {:.3} ms wall)",
-            phases.build_ms,
-            phases.lower_ms,
-            phases.plan_ms,
-            phases.graph_ms,
-            phases.simulate_ms,
-            phases.compile_fraction() * 100.0,
-            phases.total_ms
-        );
-    }
-    let tune = fig9_tune_throughput(quick, spec);
-    println!(
-        "fig9 MoE-1 cold tune ({}): {:.2} s wall, {} disposed/s ({} full sims, \
-         {} bound-pruned, {} bounded aborts; {:.0}% short-circuited), {} sims ({:.1}/s), \
-         {:.0}% patched compiles",
-        if quick {
-            "compact space"
-        } else {
-            "standard space"
-        },
-        tune.wall_s,
-        tune.candidates_per_sec as u64,
-        tune.full_sims,
-        tune.pruned_bound,
-        tune.bounded_aborts,
-        tune.short_circuit_rate() * 100.0,
-        tune.evaluations,
-        tune.sims_per_sec,
-        tune.patch_rate() * 100.0
-    );
-    if json {
-        let path = "BENCH_sim.json";
-        std::fs::write(
-            path,
-            bench_sim_json(&rows, &profile, &tune, quick, &cost.revision()),
-        )
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("(wrote {path})");
-    }
-}
-
-/// Serving-throughput trajectory: drives the `tilelink-serve` daemon with the
-/// three-phase load generator (dedup volley, warm hammer, mixed catalog
-/// sweep) over real localhost sockets. With `json` the numbers are also
-/// written to `BENCH_serve.json` in the working directory.
-fn bench_serve(quick: bool, json: bool, spec: &CostModelSpec) {
-    use tilelink_serve::loadgen::{run_loadgen, LoadGenConfig};
-
-    let cfg = if quick {
-        LoadGenConfig::quick(spec.clone())
-    } else {
-        LoadGenConfig::full(spec.clone())
-    };
-    println!(
-        "== Serving throughput ({} dedup waiters, {} clients x {} warm + {} mixed requests) ==",
-        cfg.dedup_waiters, cfg.clients, cfg.warm_requests, cfg.mixed_requests
-    );
-    let report = run_loadgen(&cfg).unwrap_or_else(|e| panic!("load generation failed: {e}"));
-
-    let d = &report.dedup;
-    println!(
-        "dedup  {:>3} identical cold requests -> {} search, {} deduped, {} warm ({} identical replies)",
-        d.waiters, d.searches, d.deduped, d.warm, d.identical
-    );
-    let w = &report.warm;
-    println!(
-        "warm   {:>6} requests in {:.3} s   {:>9.0} req/s   mean {:>7.1} us   \
-         p50 {:>5} us   p95 {:>5} us   p99 {:>5} us   max {:>6} us   [p99 < 1 ms: {}]",
-        w.count,
-        w.wall_s,
-        w.requests_per_sec,
-        w.mean_us,
-        w.p50_us,
-        w.p95_us,
-        w.p99_us,
-        w.max_us,
-        if w.p99_us < 1000 { "OK" } else { "MISS" }
-    );
-    let m = &report.mixed;
-    println!(
-        "mixed  {:>6} requests in {:.3} s   {:>9.0} req/s   mean {:>7.1} us   \
-         p50 {:>5} us   p95 {:>5} us   p99 {:>5} us   ({} warm, {} cold, {} deduped)",
-        m.stats.count,
-        m.stats.wall_s,
-        m.stats.requests_per_sec,
-        m.stats.mean_us,
-        m.stats.p50_us,
-        m.stats.p95_us,
-        m.stats.p99_us,
-        m.warm,
-        m.cold,
-        m.deduped
-    );
-    for level in &report.ramp {
-        let s = &level.stats;
-        println!(
-            "ramp   {:>4} conns {:>6} requests   {:>9.0} req/s   mean {:>7.1} us   \
-             p50 {:>5} us   p95 {:>5} us   p99 {:>5} us   [p99 < 1 ms: {}]",
-            level.connections,
-            s.count,
-            s.requests_per_sec,
-            s.mean_us,
-            s.p50_us,
-            s.p95_us,
-            s.p99_us,
-            if s.p99_us < 1000 { "OK" } else { "MISS" }
-        );
-    }
-    let pm = &report.metrics;
-    println!(
-        "pipeline counters: pool_rejected={} cache_evictions={} cache_expired={} executor_reuses={}",
-        pm.pool_rejected, pm.cache_evictions, pm.cache_expired, pm.executor_reuses
-    );
-    if json {
-        let path = "BENCH_serve.json";
-        std::fs::write(path, bench_serve_json(&report))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("(wrote {path})");
     }
 }
 

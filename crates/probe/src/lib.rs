@@ -38,4 +38,4 @@ pub use chrome::ChromeTrace;
 pub use json::{parse_json, JsonError, JsonValue};
 pub use metrics::{metrics_json, Counter, Gauge, Histogram};
 pub use report::{PhaseStats, ProfileReport};
-pub use span::{enabled, restore_spans, set_enabled, span, take_spans, SpanGuard, SpanRecord};
+pub use span::{enabled, set_enabled, span, take_spans, SpanGuard, SpanRecord};

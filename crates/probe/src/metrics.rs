@@ -5,7 +5,7 @@
 //! path. A counter bump is one relaxed `fetch_add`, cheap enough for
 //! per-simulation granularity (it is still never used inside the scheduler's
 //! inner event loop). [`metrics_json`] snapshots every instrument as a JSON
-//! object for `--profile` output and `BENCH_sim.json`.
+//! object for `--profile` output.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 

@@ -169,19 +169,6 @@ pub fn take_spans() -> Vec<SpanRecord> {
     std::mem::take(&mut *SINK.lock().expect("span sink poisoned"))
 }
 
-/// Puts previously drained records back into the global sink (appended in
-/// order, before anything recorded since the drain).
-///
-/// This lets a harness take a *scoped* measurement — drain, run the scope,
-/// drain again — and then return everything, so a later process-wide
-/// [`take_spans`] (e.g. the final `--profile` report) still sees the spans
-/// recorded before the scope.
-pub fn restore_spans(records: Vec<SpanRecord>) {
-    let mut sink = SINK.lock().expect("span sink poisoned");
-    let tail = std::mem::replace(&mut *sink, records);
-    sink.extend(tail);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

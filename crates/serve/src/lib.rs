@@ -34,10 +34,7 @@
 //!   objective=p95`, `PING`, `STATS`) and its response forms;
 //! * [`server`] — the TCP front end: one reactor thread multiplexing every
 //!   connection over nonblocking sockets, a fixed worker pool behind a
-//!   bounded queue, and a minimal blocking [`server::Client`];
-//! * [`loadgen`] — the load generator behind `reproduce --bench-serve` and
-//!   `BENCH_serve.json`, including a connection-ramp phase that holds total
-//!   work constant while multiplying idle connections.
+//!   bounded queue, and a minimal blocking [`server::Client`].
 //!
 //! Cold searches reuse the existing tuning stack unchanged: the same
 //! [`tilelink_workloads::autotune::MlpOracle`]/[`tilelink_workloads::autotune::MoeOracle`],
@@ -48,13 +45,11 @@
 
 #![deny(missing_docs)]
 
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod service;
 pub mod shard;
 
-pub use loadgen::{LoadGenConfig, PipelineMetrics, RampLevel, ServeBenchReport};
 pub use protocol::{
     parse_command, parse_reply, parse_stats, Command, Reply, StatsFields, TuneRequest, WorkloadSpec,
 };

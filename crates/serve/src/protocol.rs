@@ -366,7 +366,7 @@ impl Reply {
 }
 
 /// Parses one response line into a [`Reply`] (the client half of the
-/// protocol; used by the load generator and the smoke test).
+/// protocol; used by the `reproduce --serve` smoke and the wire tests).
 ///
 /// # Errors
 ///

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 use tilelink_probe::metrics::{SERVE_CACHE_EVICTIONS, SERVE_CACHE_EXPIRED};
 
 /// Number of shards [`ShardedCache::default`] uses — comfortably more than
-/// the worker threads a load generator throws at the daemon, so two
-/// concurrent warm hits rarely contend on the same lock.
+/// the daemon's worker threads, so two concurrent warm hits rarely contend
+/// on the same lock.
 pub const DEFAULT_SHARDS: usize = 64;
 
 /// Bounds on a [`ShardedCache`]: entry cap and idle time-to-live. The

@@ -153,3 +153,49 @@ fn concurrent_identical_requests_over_sockets_share_one_search() {
     assert_eq!(configs.len(), 1, "every client gets the same winner");
     server.shutdown();
 }
+
+/// The reactor answers warm hits inline for every connection it multiplexes;
+/// a burst from many connections at once must not drop or misroute a reply.
+#[test]
+fn sixty_four_connections_released_together_lose_no_warm_reply() {
+    const CONNECTIONS: usize = 64;
+    const REQUESTS: usize = 20;
+    let server = quick_server();
+    let addr = server.addr();
+    let line = "TUNE workload=MLP-1";
+    let Reply::Ok(primed) =
+        parse_reply(&Client::connect(addr).unwrap().request(line).unwrap()).unwrap()
+    else {
+        panic!("priming request failed");
+    };
+    assert_eq!(primed.source, "cold");
+
+    let barrier = Barrier::new(CONNECTIONS);
+    let replies: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONNECTIONS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr).unwrap();
+                    barrier.wait();
+                    (0..REQUESTS)
+                        .map(|_| client.request(line).unwrap())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    assert_eq!(replies.len(), CONNECTIONS * REQUESTS);
+    for reply in &replies {
+        let Reply::Ok(fields) = parse_reply(reply).unwrap() else {
+            panic!("request failed: {reply}");
+        };
+        assert_eq!(fields.source, "warm");
+        assert_eq!(fields.config, primed.config);
+    }
+    server.shutdown();
+}

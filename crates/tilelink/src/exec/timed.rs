@@ -832,9 +832,9 @@ pub fn simulate_report(
 
 /// The full task graph (all block roles) a compiled kernel simulates as.
 ///
-/// Exposed for benchmark harnesses that time the simulator itself on real
-/// kernel graphs (`tilelink-bench`'s `sim_throughput`); figure reproduction
-/// goes through [`simulate`] / [`simulate_report`] instead.
+/// Exposed for exporting real kernel graphs as traces (`tilelink-bench`'s
+/// `reproduce --trace-out`); figure reproduction goes through [`simulate`] /
+/// [`simulate_report`] instead.
 pub fn task_graph(kernel: &CompiledKernel, cluster: &ClusterSpec) -> TaskGraph {
     with_graph_scratch(|scratch| {
         build_graph_into(scratch, kernel, cluster, Subset::All, true);

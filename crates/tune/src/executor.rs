@@ -11,8 +11,8 @@
 //! (N searches × min(cores, 16) threads each).
 //!
 //! A shared executor is one warm worker pool owned by the process, used by
-//! every search wired to it (the `tilelink-serve` daemon, `reproduce --tune`,
-//! the load generator). Searches are admitted through a bounded session queue
+//! every search wired to it (the `tilelink-serve` daemon, `reproduce --tune`).
+//! Searches are admitted through a bounded session queue
 //! ([`SearchExecutor::session`]), and their evaluation batches interleave
 //! job-by-job on the same workers, so concurrent cold searches share one
 //! pool's worth of threads instead of stacking pools.

@@ -1,12 +1,11 @@
-//! Representative simulator task graphs for benchmarking the engine itself.
+//! Representative simulator task graphs of real kernels.
 //!
-//! The `sim_throughput` bench of `tilelink-bench` (and `reproduce
-//! --bench-sim`) time raw simulations/second of [`tilelink_sim::Engine`] on
-//! real kernel graphs rather than synthetic ones. This module builds the
-//! three graphs those harnesses use — a Figure 8 MLP half, a routed Figure 9
-//! MoE half and a two-node end-to-end-scale kernel — through the same
-//! program-builder + compiler path the figures run, so engine optimisations
-//! are measured on exactly the workloads they are meant to speed up.
+//! `reproduce --trace-out` of `tilelink-bench` simulates these graphs with
+//! [`tilelink_sim::Engine`] and exports each as a Chrome trace. This module
+//! builds the three graphs — a Figure 8 MLP half, a routed Figure 9 MoE half
+//! and a two-node end-to-end-scale kernel — through the same program builders
+//! and compiler the figures run, so the traces show the kernels the figures
+//! price.
 
 use tilelink::exec::task_graph;
 use tilelink::ir::TileProgram;
