@@ -2,6 +2,7 @@
 //!
 //! Run with `cargo bench -p tilelink-bench --bench fig10_attention`.
 
+use tilelink::exec::simulate_report;
 use tilelink_bench::{bench_case, cost_for, default_cluster, fig10, geomean};
 use tilelink_sim::CostModelSpec;
 use tilelink_workloads::{attention, shapes};
@@ -15,7 +16,8 @@ fn main() {
             10,
             || {
                 let cfg = attention::attention_config();
-                attention::timed_sp_attention(shape, seq, &cfg, &cost, f64::INFINITY).unwrap();
+                let kernel = attention::sp_attention_kernel(shape, seq, &cfg, &cost).unwrap();
+                simulate_report(&kernel, &cost).unwrap();
             },
         );
     }

@@ -2,6 +2,7 @@
 //!
 //! Run with `cargo bench -p tilelink-bench --bench table2_motivation`.
 
+use tilelink::exec::simulate_report;
 use tilelink_bench::{bench_case, cost_for, default_cluster, table2};
 use tilelink_sim::CostModelSpec;
 use tilelink_workloads::{baselines, mlp, shapes};
@@ -13,10 +14,12 @@ fn main() {
         baselines::non_overlap_ag_gemm(shape, &*cost);
     });
     bench_case("table2/tilelink_ag_gemm", 10, || {
-        mlp::timed_ag_gemm(shape, &mlp::ag_gemm_config(), &cost, f64::INFINITY).unwrap();
+        let kernel = mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), &cost).unwrap();
+        simulate_report(&kernel, &cost).unwrap();
     });
     bench_case("table2/tilelink_gemm_rs", 10, || {
-        mlp::timed_gemm_rs(shape, &mlp::gemm_rs_config(), &cost, f64::INFINITY).unwrap();
+        let kernel = mlp::gemm_rs_kernel(shape, &mlp::gemm_rs_config(), &cost).unwrap();
+        simulate_report(&kernel, &cost).unwrap();
     });
 
     // Print the actual table once so `cargo bench` output records it.

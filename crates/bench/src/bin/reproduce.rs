@@ -789,24 +789,23 @@ fn serve_smoke(spec: &CostModelSpec) {
 /// sizes, number of communication SMs and resource mapping.
 fn ablations(cost: &tilelink_sim::SharedCost) {
     use tilelink::config::{CommMapping, TileShape};
+    use tilelink::exec::simulate_report;
     use tilelink_workloads::mlp;
 
     let shape = &shapes::mlp_shapes()[0];
     println!("\n== Ablation: compute tile size (AG+GEMM, MLP-1) ==");
     for tile in [64usize, 128, 256] {
         let cfg = mlp::ag_gemm_config().with_compute_tile(TileShape::new(128, tile));
-        let r = mlp::timed_ag_gemm(shape, &cfg, cost, f64::INFINITY)
-            .expect("ablation")
-            .exact();
+        let kernel = mlp::ag_gemm_kernel(shape, &cfg, cost).expect("ablation");
+        let r = simulate_report(&kernel, cost).expect("ablation");
         println!("compute tile 128x{tile:<4} -> {:>9.3} ms", r.total_ms());
     }
 
     println!("\n== Ablation: communication SMs (GEMM+RS, MLP-1) ==");
     for sms in [8u64, 20, 40] {
         let cfg = mlp::gemm_rs_config().with_comm_mapping(CommMapping::Hybrid { sms });
-        let r = mlp::timed_gemm_rs(shape, &cfg, cost, f64::INFINITY)
-            .expect("ablation")
-            .exact();
+        let kernel = mlp::gemm_rs_kernel(shape, &cfg, cost).expect("ablation");
+        let r = simulate_report(&kernel, cost).expect("ablation");
         println!("comm SMs {sms:<3} -> {:>9.3} ms", r.total_ms());
     }
 
@@ -817,9 +816,8 @@ fn ablations(cost: &tilelink_sim::SharedCost) {
         ("hybrid", CommMapping::Hybrid { sms: 20 }),
     ] {
         let cfg = mlp::ag_gemm_config().with_comm_mapping(mapping);
-        let r = mlp::timed_ag_gemm(shape, &cfg, cost, f64::INFINITY)
-            .expect("ablation")
-            .exact();
+        let kernel = mlp::ag_gemm_kernel(shape, &cfg, cost).expect("ablation");
+        let r = simulate_report(&kernel, cost).expect("ablation");
         println!("{name:<12} -> {:>9.3} ms", r.total_ms());
     }
 }
@@ -837,7 +835,7 @@ fn default_ms(
         .ranked
         .iter()
         .find(|c| c.config == default)
-        .map(|c| c.report.total_ms())
+        .map(|c| c.total_s * 1e3)
         .unwrap_or_else(|| {
             oracle
                 .evaluate(&default)

@@ -7,6 +7,7 @@
 
 #![deny(missing_docs)]
 
+use tilelink::exec::simulate_report;
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
 use tilelink_workloads::{attention, baselines, e2e, mlp, moe, shapes, TuneOptions};
 
@@ -89,10 +90,13 @@ pub fn table2(cost: &SharedCost) -> Vec<Group> {
             },
             Measurement {
                 method: "TileLink",
-                ms: mlp::timed_ag_gemm(shape, &mlp::ag_gemm_config(), cost, f64::INFINITY)
-                    .expect("tilelink ag+gemm")
-                    .exact()
-                    .total_ms(),
+                ms: simulate_report(
+                    &mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), cost)
+                        .expect("tilelink ag+gemm"),
+                    cost,
+                )
+                .expect("tilelink ag+gemm")
+                .total_ms(),
             },
         ],
     };
@@ -113,10 +117,13 @@ pub fn table2(cost: &SharedCost) -> Vec<Group> {
             },
             Measurement {
                 method: "TileLink",
-                ms: mlp::timed_gemm_rs(shape, &mlp::gemm_rs_config(), cost, f64::INFINITY)
-                    .expect("tilelink gemm+rs")
-                    .exact()
-                    .total_ms(),
+                ms: simulate_report(
+                    &mlp::gemm_rs_kernel(shape, &mlp::gemm_rs_config(), cost)
+                        .expect("tilelink gemm+rs"),
+                    cost,
+                )
+                .expect("tilelink gemm+rs")
+                .total_ms(),
             },
         ],
     };
@@ -149,19 +156,25 @@ pub fn fig8(panel: MlpPanel, cost: &SharedCost) -> Vec<Group> {
                     baselines::non_overlap_ag_gemm(shape, &**cost).total_ms(),
                     baselines::decompose_ag_gemm(shape, &**cost).total_ms(),
                     baselines::flux_ag_gemm(shape, &**cost).total_ms(),
-                    mlp::timed_ag_gemm(shape, &mlp::ag_gemm_config(), cost, f64::INFINITY)
-                        .expect("tilelink")
-                        .exact()
-                        .total_ms(),
+                    simulate_report(
+                        &mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), cost)
+                            .expect("tilelink"),
+                        cost,
+                    )
+                    .expect("tilelink")
+                    .total_ms(),
                 ),
                 MlpPanel::GemmRs => (
                     baselines::non_overlap_gemm_rs(shape, &**cost).total_ms(),
                     baselines::decompose_gemm_rs(shape, &**cost).total_ms(),
                     baselines::flux_gemm_rs(shape, &**cost).total_ms(),
-                    mlp::timed_gemm_rs(shape, &mlp::gemm_rs_config(), cost, f64::INFINITY)
-                        .expect("tilelink")
-                        .exact()
-                        .total_ms(),
+                    simulate_report(
+                        &mlp::gemm_rs_kernel(shape, &mlp::gemm_rs_config(), cost)
+                            .expect("tilelink"),
+                        cost,
+                    )
+                    .expect("tilelink")
+                    .total_ms(),
                 ),
                 MlpPanel::Full => (
                     baselines::non_overlap_full_mlp(shape, &**cost).total_ms(),
@@ -224,19 +237,23 @@ pub fn fig9(panel: MoePanel, cost: &SharedCost) -> Vec<Group> {
                     baselines::cublas_nccl_moe_first(shape, &**cost).total_ms(),
                     baselines::cutlass_nccl_moe_first(shape, &**cost).total_ms(),
                     baselines::vllm_moe_first(shape, &**cost).total_ms(),
-                    moe::timed_ag_group_gemm(shape, &cfg, cost, f64::INFINITY)
-                        .expect("tilelink")
-                        .exact()
-                        .total_ms(),
+                    simulate_report(
+                        &moe::ag_group_gemm_kernel(shape, &cfg, cost).expect("tilelink"),
+                        cost,
+                    )
+                    .expect("tilelink")
+                    .total_ms(),
                 ),
                 MoePanel::Second => (
                     baselines::cublas_nccl_moe_second(shape, &**cost).total_ms(),
                     baselines::cutlass_nccl_moe_second(shape, &**cost).total_ms(),
                     baselines::vllm_moe_second(shape, &**cost).total_ms(),
-                    moe::timed_group_gemm_rs(shape, &cfg, cost, f64::INFINITY)
-                        .expect("tilelink")
-                        .exact()
-                        .total_ms(),
+                    simulate_report(
+                        &moe::group_gemm_rs_kernel(shape, &cfg, cost).expect("tilelink"),
+                        cost,
+                    )
+                    .expect("tilelink")
+                    .total_ms(),
                 ),
                 MoePanel::Full => (
                     baselines::cublas_nccl_full_moe(shape, &**cost).total_ms(),
@@ -297,15 +314,10 @@ pub fn fig10(shape_index: usize, cost: &SharedCost) -> Vec<AttentionRow> {
         .map(|&seq| {
             let torch = baselines::torch_attention(shape, seq, &**cost).total_ms();
             let ring = baselines::ring_attention(shape, seq, &**cost).total_ms();
-            let tl = attention::timed_sp_attention(
-                shape,
-                seq,
-                &attention::attention_config(),
-                cost,
-                f64::INFINITY,
-            )
-            .expect("tilelink attention")
-            .exact();
+            let kernel =
+                attention::sp_attention_kernel(shape, seq, &attention::attention_config(), cost)
+                    .expect("tilelink attention");
+            let tl = simulate_report(&kernel, cost).expect("tilelink attention");
             AttentionRow {
                 label: format!("{} / {}k", shape.name, seq / 1024),
                 group: Group {

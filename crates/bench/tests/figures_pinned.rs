@@ -107,6 +107,5 @@ fn default_total(tuned: &tilelink_workloads::TunedLayer) -> f64 {
         .iter()
         .find(|c| c.config == default)
         .expect("default config is a beam seed")
-        .report
         .total_s
 }

@@ -238,6 +238,9 @@ pub static SIM_SCRATCH_REUSES: Counter = Counter::new("sim.scratch.reuses");
 /// Fast-path simulations that had to allocate a fresh scratch because the
 /// thread-local one was already borrowed (re-entrant simulation).
 pub static SIM_SCRATCH_COLD: Counter = Counter::new("sim.scratch.cold");
+/// Routing samples drawn (`RoutingSampler::sample` calls) for routed MoE
+/// pricing.
+pub static WORKLOADS_ROUTING_SAMPLES: Counter = Counter::new("workloads.routing.samples");
 /// Cache files that existed but could not be read when opening the default
 /// tune cache (the open falls back to in-memory, but loudly).
 pub static TUNE_CACHE_OPEN_ERRORS: Counter = Counter::new("tune.cache.open_errors");
@@ -293,6 +296,7 @@ static COUNTERS: &[&Counter] = &[
     &SIM_TRACE_RUNS,
     &SIM_SCRATCH_REUSES,
     &SIM_SCRATCH_COLD,
+    &WORKLOADS_ROUTING_SAMPLES,
     &TUNE_CACHE_OPEN_ERRORS,
     &SERVE_REQUESTS_WARM,
     &SERVE_REQUESTS_COLD,

@@ -51,7 +51,8 @@ pub mod service;
 pub mod shard;
 
 pub use protocol::{
-    parse_command, parse_reply, parse_stats, Command, Reply, StatsFields, TuneRequest, WorkloadSpec,
+    parse_command, parse_reply, parse_stats, Command, Reply, StatsFields, TuneRequest,
+    WorkloadSpec, MAX_ROUTING_SAMPLES,
 };
 pub use server::{serve, serve_ephemeral, Client, ServerHandle, MAX_LINE_BYTES};
 pub use service::{ServeOptions, Source, TuneOutcome, TuneService};

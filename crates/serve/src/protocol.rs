@@ -11,7 +11,8 @@
 //!           | "cluster=" cluster          ; default "h800x8"
 //!           | "objective=" objective      ; default "mean"
 //!           | "routing=" profile          ; MoE only: uniform | zipf:<s> | hot:<k>
-//!           | "samples=" uint             ; routing samples per candidate
+//!           | "samples=" uint             ; routing samples per candidate,
+//!                                         ; 1..=MAX_ROUTING_SAMPLES
 //!           | "seed=" uint                ; routing sampler seed
 //! cluster   = ("h800" | "a100") "x" gpus ["x" nodes]
 //! objective = "mean" | "worst" | "p" <1-99>
@@ -32,9 +33,16 @@ use std::str::FromStr;
 
 use tilelink_sim::{ClusterSpec, GpuSpec};
 use tilelink_tune::Objective;
+use tilelink_workloads::autotune::DEFAULT_ROUTING_SAMPLES;
 use tilelink_workloads::moe::RoutingProfile;
 use tilelink_workloads::shapes::{mlp_shapes, moe_shapes, MlpShape, MoeShape};
 use tilelink_workloads::RoutingSpec;
+
+/// The most routing samples one request may ask to price per candidate (8×
+/// the default): a routed search draws and keeps every sample and prices
+/// each candidate over all of them, so the wire must bound what one request
+/// line can make a daemon worker allocate and simulate.
+pub const MAX_ROUTING_SAMPLES: usize = 8 * DEFAULT_ROUTING_SAMPLES;
 
 /// The workload a tuning request names: one catalog shape from Table 4.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,10 +170,18 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             "objective" => objective = Objective::from_str(value)?,
             "routing" => routing = Some(RoutingProfile::from_str(value)?),
             "samples" => {
-                samples =
-                    Some(value.parse().map_err(|_| {
-                        format!("samples must be a positive integer, got {value:?}")
-                    })?)
+                samples = Some(
+                    value
+                        .parse()
+                        .ok()
+                        .filter(|n| (1..=MAX_ROUTING_SAMPLES).contains(n))
+                        .ok_or_else(|| {
+                            format!(
+                                "samples must be an integer in 1..={MAX_ROUTING_SAMPLES}, \
+                                 got {value:?}"
+                            )
+                        })?,
+                )
             }
             "seed" => {
                 seed = Some(
@@ -478,6 +494,18 @@ mod tests {
             ("TUNE workload=MLP-1 routing=uniform", "only to MoE"),
             ("TUNE workload=MLP-1 objective=p95", "sampled routings"),
             ("TUNE workload=MoE-1 samples=4", "require routing"),
+            (
+                "TUNE workload=MoE-1 routing=uniform samples=0",
+                "samples must be",
+            ),
+            (
+                "TUNE workload=MoE-1 routing=uniform samples=18446744073709551615",
+                "samples must be",
+            ),
+            (
+                "TUNE workload=MoE-1 routing=uniform samples=65",
+                "samples must be",
+            ),
             ("TUNE workload=MoE-1 routing=zipf:x", "zipf exponent"),
             ("TUNE workload=MLP-1 cluster=b200x8", "unknown GPU"),
             ("TUNE workload=MLP-1 cluster=h800x1", "at least 2 ranks"),
@@ -493,6 +521,20 @@ mod tests {
                 err.contains(needle),
                 "{line:?} should fail with {needle:?}, got {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn routing_sample_counts_up_to_the_cap_parse() {
+        for samples in [1, MAX_ROUTING_SAMPLES] {
+            let line = format!("TUNE workload=MoE-1 routing=uniform samples={samples}");
+            let Command::Tune(req) = parse_command(&line).unwrap() else {
+                panic!("expected TUNE");
+            };
+            let WorkloadSpec::Moe { routing, .. } = &req.workload else {
+                panic!("expected MoE");
+            };
+            assert_eq!(routing.unwrap().samples, samples);
         }
     }
 

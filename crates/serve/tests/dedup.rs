@@ -3,14 +3,20 @@
 //! A slow stub search stands in for the beam search so the tests can prove
 //! the concurrency contract exactly: N threads asking for the same uncached
 //! key must trigger exactly 1 search and receive N identical responses, and
-//! a warm key must trigger 0.
+//! a warm key must trigger 0. No stub search draws routing samples, so the
+//! process-wide draw counter moves only where a test draws on purpose.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use tilelink_probe::metrics::WORKLOADS_ROUTING_SAMPLES;
 use tilelink_serve::protocol::{parse_command, Command, TuneRequest};
 use tilelink_serve::service::{ServeOptions, Source, TuneOutcome, TuneService};
+use tilelink_sim::ClusterSpec;
+use tilelink_tune::{CostOracle, Objective};
+use tilelink_workloads::autotune::MoeOracle;
+use tilelink_workloads::{shapes, RoutingProfile, RoutingSpec};
 
 fn request(line: &str) -> TuneRequest {
     match parse_command(line).unwrap() {
@@ -168,4 +174,44 @@ fn failed_search_is_broadcast_to_every_waiter() {
         "the failure, too, is deduplicated"
     );
     assert_eq!(service.cached_results(), 0);
+}
+
+#[test]
+fn warm_routed_probe_draws_no_routing_samples() {
+    let evaluations = Arc::new(AtomicUsize::new(0));
+    let service = slow_stub_service(Arc::clone(&evaluations), Duration::from_millis(1));
+    // The most samples the wire admits, on a shape with the most dispatched
+    // rows: drawing them takes milliseconds, so the reactor's warm probe
+    // must key the request without drawing.
+    let req = request("TUNE workload=MoE-3 routing=zipf:1.2 objective=p95 samples=64");
+    let drawn = WORKLOADS_ROUTING_SAMPLES.get();
+    let (cold, source) = service.tune(&req).unwrap();
+    assert_eq!(source, Source::Cold);
+    for _ in 0..100 {
+        let (outcome, source) = service.try_warm(&req).expect("the primed key is warm");
+        assert_eq!(source, Source::Warm);
+        assert_eq!(outcome, cold);
+    }
+    assert_eq!(evaluations.load(Ordering::SeqCst), 1);
+    assert_eq!(
+        WORKLOADS_ROUTING_SAMPLES.get(),
+        drawn,
+        "keying a routed request must draw no routing sample"
+    );
+
+    // The counter does see draws: a routed oracle draws its samples on its
+    // first evaluation and reuses them on every later one.
+    let spec = RoutingSpec {
+        samples: 2,
+        ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
+    };
+    let oracle = MoeOracle::new(shapes::moe_shapes()[0].clone(), ClusterSpec::h800_node(8))
+        .with_routing(spec)
+        .with_objective(Objective::Percentile(95));
+    assert_eq!(WORKLOADS_ROUTING_SAMPLES.get(), drawn);
+    let cfg = tilelink::OverlapConfig::default();
+    for _ in 0..2 {
+        oracle.evaluate_bounded(&cfg, 0.0).unwrap();
+        assert_eq!(WORKLOADS_ROUTING_SAMPLES.get(), drawn + 2);
+    }
 }

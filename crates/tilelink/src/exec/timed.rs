@@ -11,15 +11,22 @@
 //!   this is where the overlap comes from: a consumer segment starts as soon as
 //!   *its* channels are complete, not when the whole communication finishes.
 //!
-//! The executor also produces communication-only and computation-only variants
-//! of the graph so [`simulate`] can report the paper's overlap ratio
-//! (Section 7.2).
+//! A kernel is priced one of three ways:
+//!
+//! * [`simulate`] runs the labelled full graph with a [`Trace`], plus the
+//!   communication-only and computation-only variants behind the paper's
+//!   overlap ratio (Section 7.2);
+//! * [`simulate_report`] produces the same [`OverlapReport`] without traces
+//!   — the exact price of figures, baselines and tuning winners;
+//! * [`simulate_makespan`] builds and simulates the full graph only, under an
+//!   abort cutoff — the price of every candidate a search ranks, which reads
+//!   nothing but the overlapped makespan.
 //!
 //! Graph construction is the tuner's per-candidate hot path, so it reuses a
 //! thread-local [`GraphScratch`]: the task graph (with warm per-task successor
 //! vectors), the notifier map (a pooled linked-list multimap keyed by packed
 //! sync keys with a fast hasher) and the wait/launch lists all keep their
-//! allocations across builds. The makespan-only path additionally skips task
+//! allocations across builds. The untraced paths additionally skip task
 //! *labels* entirely — the scheduler never reads names, and formatting
 //! thousands of them per candidate dominated graph-build time. The trace path
 //! keeps real labels.
@@ -742,91 +749,62 @@ pub fn simulate(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(OverlapRe
     })
 }
 
-/// Outcome of a cutoff-bounded report simulation: the full report, or proof
-/// that the kernel's overlapped makespan exceeds the caller's cutoff.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BoundedReport {
-    /// The cutoff was never hit; the report is exact, bit-identical to the
-    /// one [`simulate`] derives from the traces.
-    Report(OverlapReport),
-    /// The overlapped (full-graph) simulation provably exceeds the cutoff;
-    /// carries the certified lower bound on the true makespan. The comm-only
-    /// and compute-only simulations are skipped entirely.
-    Exceeded(f64),
-}
-
-impl BoundedReport {
-    /// The report of an evaluation that ran to completion — what every
-    /// evaluation priced with an infinite cutoff returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`BoundedReport::Exceeded`]: only a finite cutoff can be
-    /// exceeded, and its caller must handle the abort.
-    #[must_use]
-    pub fn exact(self) -> OverlapReport {
-        match self {
-            BoundedReport::Report(report) => report,
-            BoundedReport::Exceeded(clock) => {
-                panic!("evaluation was cut off at {clock} s; only an infinite cutoff is exact")
-            }
-        }
-    }
-}
-
-/// Report-only simulation: the three makespans [`OverlapReport`] needs,
-/// without constructing any trace, under an abort cutoff on the overlapped
-/// makespan.
+/// Exact report-only simulation: the three makespans an [`OverlapReport`]
+/// needs, without constructing any trace.
 ///
-/// This is the one path every workload pricing function and autotuning
-/// oracle runs on. It builds the full, comm-only and compute-only graphs in
-/// one walk without task labels (the scheduler never reads names, and the
-/// empty shared label spares thousands of `format!` calls per candidate),
-/// then simulates the full graph through [`Engine::makespan`] with `cutoff`.
-/// If the simulated clock provably exceeds `cutoff` the whole evaluation
-/// stops — including the comm-only and compute-only simulations, which is
-/// where most of the branch-and-bound saving comes from — and
-/// [`BoundedReport::Exceeded`] is returned. Otherwise the two subset graphs
-/// run to completion and the [`OverlapReport`] is bit-identical to
-/// [`simulate`]'s (one shared scheduler underneath). Pass `f64::INFINITY`
-/// for an exact report ([`BoundedReport::exact`]).
+/// Builds the full, comm-only and compute-only graphs in one walk without
+/// task labels (the scheduler never reads names, and the empty shared label
+/// spares thousands of `format!` calls per kernel) and simulates all three to
+/// completion. The report is bit-identical to [`simulate`]'s (one shared
+/// scheduler underneath), and its `total_s` to the finished
+/// [`simulate_makespan`] of the same kernel.
 ///
 /// # Errors
 ///
 /// Returns an error if the generated task graph is invalid (which indicates a
 /// compiler bug, e.g. a dependency cycle between blocks).
-pub fn simulate_report(
-    kernel: &CompiledKernel,
-    cost: &SharedCost,
-    cutoff: f64,
-) -> Result<BoundedReport> {
+pub fn simulate_report(kernel: &CompiledKernel, cost: &SharedCost) -> Result<OverlapReport> {
     let cluster = cost.cluster().clone();
     let engine = Engine::with_cost(cost.clone());
     with_graph_scratch(|scratch| {
         build_subset_graphs_into(scratch, kernel, &cluster);
-        let full = {
+        let [full, comm, comp] = [Subset::All, Subset::CommOnly, Subset::ComputeOnly].map(|s| {
             let _span = tilelink_probe::span("simulate");
-            match engine.makespan(&scratch.slots[Subset::All.slot()].graph, cutoff)? {
-                BoundedMakespan::Finished(makespan) => makespan,
-                BoundedMakespan::Exceeded(clock) => return Ok(BoundedReport::Exceeded(clock)),
-            }
-        };
-        let comm = {
-            let _span = tilelink_probe::span("simulate");
-            engine
-                .makespan(&scratch.slots[Subset::CommOnly.slot()].graph, f64::INFINITY)?
-                .clock()
-        };
-        let comp = {
-            let _span = tilelink_probe::span("simulate");
-            engine
-                .makespan(
-                    &scratch.slots[Subset::ComputeOnly.slot()].graph,
-                    f64::INFINITY,
-                )?
-                .clock()
-        };
-        Ok(BoundedReport::Report(OverlapReport::new(full, comm, comp)))
+            engine.makespan(&scratch.slots[s.slot()].graph, f64::INFINITY)
+        });
+        Ok(OverlapReport::new(
+            full?.clock(),
+            comm?.clock(),
+            comp?.clock(),
+        ))
+    })
+}
+
+/// Makespan-only simulation under an abort cutoff: the price of a candidate
+/// kernel that a search only ranks.
+///
+/// Builds the full graph alone, without task labels, and runs one
+/// [`Engine::makespan`] with `cutoff`. [`BoundedMakespan::Finished`] carries
+/// the overlapped makespan, bit-identical to [`simulate_report`]'s `total_s`
+/// (`f64::INFINITY` always finishes); [`BoundedMakespan::Exceeded`] carries a
+/// certified lower bound on it once the simulated clock provably passes
+/// `cutoff`, and the rest of the schedule is skipped.
+///
+/// # Errors
+///
+/// Returns an error if the generated task graph is invalid (which indicates a
+/// compiler bug, e.g. a dependency cycle between blocks).
+pub fn simulate_makespan(
+    kernel: &CompiledKernel,
+    cost: &SharedCost,
+    cutoff: f64,
+) -> Result<BoundedMakespan> {
+    let cluster = cost.cluster().clone();
+    let engine = Engine::with_cost(cost.clone());
+    with_graph_scratch(|scratch| {
+        build_graph_into(scratch, kernel, &cluster, Subset::All, false);
+        let _span = tilelink_probe::span("simulate");
+        Ok(engine.makespan(&scratch.slots[0].graph, cutoff)?)
     })
 }
 
@@ -935,21 +913,22 @@ mod tests {
             ] {
                 let kernel = compile(&program, cfg);
                 let (traced, _) = simulate(&kernel, &cost).unwrap();
-                let fast = simulate_report(&kernel, &cost, f64::INFINITY).unwrap();
+                let fast = simulate_report(&kernel, &cost).unwrap();
+                assert_eq!(fast, traced, "fast path must not change any figure");
+                let finished = BoundedMakespan::Finished(traced.total_s);
                 assert_eq!(
-                    fast,
-                    BoundedReport::Report(traced),
-                    "fast path must not change any figure"
+                    simulate_makespan(&kernel, &cost, f64::INFINITY).unwrap(),
+                    finished
                 );
                 // A cutoff at the exact makespan is not exceeded (strict
                 // `>`), one just below it is.
                 assert_eq!(
-                    simulate_report(&kernel, &cost, traced.total_s).unwrap(),
-                    fast
+                    simulate_makespan(&kernel, &cost, traced.total_s).unwrap(),
+                    finished
                 );
                 assert!(matches!(
-                    simulate_report(&kernel, &cost, traced.total_s * 0.5).unwrap(),
-                    BoundedReport::Exceeded(clock) if clock > traced.total_s * 0.5
+                    simulate_makespan(&kernel, &cost, traced.total_s * 0.5).unwrap(),
+                    BoundedMakespan::Exceeded(clock) if clock > traced.total_s * 0.5
                 ));
             }
         }

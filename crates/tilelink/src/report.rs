@@ -32,6 +32,20 @@ impl OverlapReport {
         }
     }
 
+    /// The report of a layer that runs `first`, an elementwise step of
+    /// `act_s` seconds (counted as computation) and `second` back to back.
+    ///
+    /// Totals sum as `(first + second) + act_s`: every pinned layer figure
+    /// and the tuner's makespan composition use that association, so exact
+    /// and makespan-only layer prices agree to the bit.
+    pub fn layer(first: OverlapReport, act_s: f64, second: OverlapReport) -> Self {
+        Self::new(
+            first.total_s + second.total_s + act_s,
+            first.comm_only_s + second.comm_only_s,
+            first.comp_only_s + second.comp_only_s + act_s,
+        )
+    }
+
     /// Overlapped time in milliseconds.
     pub fn total_ms(&self) -> f64 {
         self.total_s * 1e3

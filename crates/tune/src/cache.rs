@@ -40,10 +40,44 @@ fn flush_abort_point(point: &str) {
 /// microseconds instead of the whole tuning run).
 static FLUSH_LOCK: Mutex<()> = Mutex::new(());
 
-/// A persistent map from tuning keys to simulated timing reports.
+/// What the cache holds for one key: a search's objective value alone, or
+/// the exact report of a priced winner (whose `total_s` is that value).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    Total(f64),
+    Exact(OverlapReport),
+}
+
+impl Entry {
+    fn total_s(self) -> f64 {
+        match self {
+            Entry::Total(total) => total,
+            Entry::Exact(report) => report.total_s,
+        }
+    }
+}
+
+/// Stores `entry` under `key` unless that would replace an exact report with
+/// an objective-only value: the one rule shared by inserts, file loads and
+/// the flush merge.
+fn put(entries: &mut HashMap<String, Entry>, key: String, entry: Entry) {
+    if let (Entry::Total(_), Some(Entry::Exact(_))) = (entry, entries.get(&key)) {
+        return;
+    }
+    entries.insert(key, entry);
+}
+
+/// A persistent map from tuning keys to simulated timings.
+///
+/// Every candidate a search ranks is cached with its objective value
+/// ([`TuneCache::insert_total`], read back by [`TuneCache::total`]); each
+/// search's winner is cached with its exact report ([`TuneCache::insert`],
+/// read back by [`TuneCache::get`]), which also answers [`TuneCache::total`].
+/// An objective-only value never replaces an exact report.
 ///
 /// The on-disk format is a line-oriented TSV so cache files can be inspected
-/// and diffed: `key<TAB>total_s<TAB>comm_only_s<TAB>comp_only_s`. Keys combine
+/// and diffed: `key<TAB>total_s<TAB>comm_only_s<TAB>comp_only_s` for exact
+/// reports and `key<TAB>total_s` for objective-only values. Keys combine
 /// the oracle's workload key, the [`crate::cluster_key`] of the cluster, the
 /// cost-model revision ([`crate::CostOracle::cost_revision`]), the objective
 /// key ([`crate::Objective::key`]) and [`OverlapConfig::cache_key`], none of
@@ -61,7 +95,8 @@ static FLUSH_LOCK: Mutex<()> = Mutex::new(());
 /// file — an interrupted flush can never truncate the cache. Before
 /// rewriting, `flush` re-reads the on-disk file and merges it with the
 /// in-memory entries (union; the in-memory value wins when both sides hold
-/// the same key), so concurrent tuners sharing one cache file — as CI's
+/// the same key, unless that would replace an exact report with an
+/// objective-only value), so concurrent tuners sharing one cache file — as CI's
 /// shared `TILELINK_TUNE_CACHE` does across smoke steps — accumulate entries
 /// instead of clobbering each other. Unparseable lines are still skipped on
 /// load, so a cache file damaged by external means only loses the damaged
@@ -69,7 +104,7 @@ static FLUSH_LOCK: Mutex<()> = Mutex::new(());
 #[derive(Debug)]
 pub struct TuneCache {
     path: Option<PathBuf>,
-    entries: HashMap<String, OverlapReport>,
+    entries: HashMap<String, Entry>,
     /// Keys removed by [`TuneCache::sweep_stale`]. The flush merge re-reads
     /// the on-disk file, which would silently resurrect swept entries;
     /// tombstones make the removal stick until the next flush rewrites the
@@ -108,25 +143,14 @@ impl TuneCache {
     /// Parses the TSV at `path` into a map, treating a missing file as empty
     /// and skipping unparseable lines. Shared by [`TuneCache::open`] and the
     /// merge pass of [`TuneCache::flush`].
-    fn read_entries(path: &Path) -> Result<HashMap<String, OverlapReport>> {
+    fn read_entries(path: &Path) -> Result<HashMap<String, Entry>> {
         let mut entries = HashMap::new();
         match std::fs::read_to_string(path) {
             Ok(text) => {
                 for line in text.lines() {
-                    let mut parts = line.split('\t');
-                    let (Some(key), Some(total), Some(comm), Some(comp)) =
-                        (parts.next(), parts.next(), parts.next(), parts.next())
-                    else {
-                        continue;
-                    };
-                    let (Ok(total), Ok(comm), Ok(comp)) = (
-                        total.parse::<f64>(),
-                        comm.parse::<f64>(),
-                        comp.parse::<f64>(),
-                    ) else {
-                        continue;
-                    };
-                    entries.insert(key.to_string(), OverlapReport::new(total, comm, comp));
+                    if let Some((key, entry)) = Self::parse_line(line) {
+                        put(&mut entries, key.to_string(), entry);
+                    }
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -138,6 +162,24 @@ impl TuneCache {
             }
         }
         Ok(entries)
+    }
+
+    /// One TSV line: 4 columns are an exact report, 2 an objective value;
+    /// anything else (or an unparseable number) is `None`.
+    fn parse_line(line: &str) -> Option<(&str, Entry)> {
+        let mut parts = line.split('\t');
+        let key = parts.next()?;
+        let total = parts.next()?.parse::<f64>().ok()?;
+        let entry = match (parts.next(), parts.next()) {
+            (None, _) => Entry::Total(total),
+            (Some(comm), Some(comp)) => Entry::Exact(OverlapReport::new(
+                total,
+                comm.parse().ok()?,
+                comp.parse().ok()?,
+            )),
+            (Some(_), None) => return None,
+        };
+        Some((key, entry))
     }
 
     /// The default cache location: `$TILELINK_TUNE_CACHE` if set, otherwise
@@ -231,9 +273,17 @@ impl TuneCache {
         )
     }
 
-    /// Looks up a cached report.
+    /// Looks up a cached exact report (objective-only entries miss).
     pub fn get(&self, key: &str) -> Option<OverlapReport> {
-        self.entries.get(key).copied()
+        match self.entries.get(key) {
+            Some(Entry::Exact(report)) => Some(*report),
+            _ => None,
+        }
+    }
+
+    /// Looks up a cached objective value, from either kind of entry.
+    pub fn total(&self, key: &str) -> Option<f64> {
+        self.entries.get(key).map(|entry| entry.total_s())
     }
 
     /// Number of entries for the same `workload|cluster` scope that were
@@ -276,21 +326,29 @@ impl TuneCache {
         stale.len()
     }
 
-    /// Inserts (or replaces) a cached report. Call [`TuneCache::flush`] to
-    /// persist.
+    /// Inserts (or replaces) a cached exact report. Call [`TuneCache::flush`]
+    /// to persist.
     pub fn insert(&mut self, key: String, report: OverlapReport) {
         self.tombstones.remove(&key);
-        self.entries.insert(key, report);
+        self.entries.insert(key, Entry::Exact(report));
+    }
+
+    /// Caches an objective value, unless `key` already holds an exact report
+    /// (whose `total_s` is the same value). Call [`TuneCache::flush`] to
+    /// persist.
+    pub fn insert_total(&mut self, key: String, total_s: f64) {
+        self.tombstones.remove(&key);
+        put(&mut self.entries, key, Entry::Total(total_s));
     }
 
     /// Writes the cache to its backing file (no-op for in-memory caches).
     ///
     /// The rewrite is atomic (temp sibling + `rename`) and merges with the
     /// current on-disk contents first — union of both sides, the in-memory
-    /// value winning on key conflict — so an interrupted flush never
-    /// truncates the file and concurrent writers never clobber each other's
-    /// entries. Entries are written sorted by key so the file is
-    /// deterministic.
+    /// value winning on key conflict unless it is objective-only and the disk
+    /// holds an exact report — so an interrupted flush never truncates the
+    /// file and concurrent writers never clobber each other's entries.
+    /// Entries are written sorted by key so the file is deterministic.
     ///
     /// # Errors
     ///
@@ -312,27 +370,30 @@ impl TuneCache {
 
         // Merge with whatever is on disk right now: another tuner may have
         // flushed since this cache was opened. In-memory entries win on
-        // conflict (they are this run's freshest measurements), and keys
-        // swept by `sweep_stale` are dropped from the merge so the rewrite
-        // shrinks the file instead of re-reading the stale entries back in.
+        // conflict (they are this run's freshest measurements) except that an
+        // objective value never replaces an exact report, and keys swept by
+        // `sweep_stale` are dropped from the merge so the rewrite shrinks the
+        // file instead of re-reading the stale entries back in.
         let mut merged = Self::read_entries(path)?;
         for key in &self.tombstones {
             merged.remove(key);
         }
-        for (key, report) in &self.entries {
-            merged.insert(key.clone(), *report);
+        for (key, entry) in &self.entries {
+            put(&mut merged, key.clone(), *entry);
         }
 
         let mut keys: Vec<&String> = merged.keys().collect();
         keys.sort();
         let mut out = Vec::with_capacity(merged.len() * 64);
         for key in keys {
-            let r = &merged[key];
-            writeln!(
-                out,
-                "{key}\t{:.17e}\t{:.17e}\t{:.17e}",
-                r.total_s, r.comm_only_s, r.comp_only_s
-            )
+            match merged[key] {
+                Entry::Total(total) => writeln!(out, "{key}\t{total:.17e}"),
+                Entry::Exact(r) => writeln!(
+                    out,
+                    "{key}\t{:.17e}\t{:.17e}\t{:.17e}",
+                    r.total_s, r.comm_only_s, r.comp_only_s
+                ),
+            }
             .map_err(io_err)?;
         }
 
@@ -390,6 +451,75 @@ mod tests {
         assert_eq!(r.total_s, 1.25e-3);
         assert_eq!(r.comm_only_s, 5e-4);
         assert_eq!(r.comp_only_s, 1e-3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn objective_only_entries_roundtrip_as_two_columns() {
+        let path = tmp("objective-only.tsv");
+        let _ = std::fs::remove_file(&path);
+        let mut cache = TuneCache::open(&path).unwrap();
+        cache.insert_total("k".into(), 1.25e-3);
+        assert_eq!(cache.total("k"), Some(1.25e-3));
+        assert!(
+            cache.get("k").is_none(),
+            "an objective value is not a report"
+        );
+        cache.flush().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().next().unwrap().split('\t').count(), 2);
+
+        let reloaded = TuneCache::open(&path).unwrap();
+        assert_eq!(reloaded.total("k").unwrap().to_bits(), 1.25e-3f64.to_bits());
+        assert!(reloaded.get("k").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn objective_only_values_never_downgrade_an_exact_entry() {
+        let exact = OverlapReport::new(2.0, 0.9, 1.5);
+        let mut cache = TuneCache::in_memory();
+        cache.insert("k".into(), exact);
+        cache.insert_total("k".into(), 2.0);
+        assert_eq!(cache.get("k"), Some(exact));
+        // An exact report does replace an objective value.
+        cache.insert_total("j".into(), 3.0);
+        cache.insert("j".into(), exact);
+        assert_eq!(cache.get("j"), Some(exact));
+        assert_eq!(cache.total("j"), Some(2.0));
+
+        // Nor in the flush merge: an exact report on disk survives a writer
+        // that only ranked the same key.
+        let path = tmp("no-downgrade.tsv");
+        let _ = std::fs::remove_file(&path);
+        let mut ranked_only = TuneCache::open(&path).unwrap();
+        let mut winner = TuneCache::open(&path).unwrap();
+        winner.insert("k".into(), exact);
+        winner.flush().unwrap();
+        ranked_only.insert_total("k".into(), 2.0);
+        ranked_only.flush().unwrap();
+        assert_eq!(TuneCache::open(&path).unwrap().get("k"), Some(exact));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn four_column_files_from_older_writers_still_serve_exact_hits() {
+        let path = tmp("four-column.tsv");
+        let key = TuneCache::key("w", "c", "analytic-v2", "mean", &OverlapConfig::default());
+        std::fs::write(
+            &path,
+            format!(
+                "{key}\t{:.17e}\t{:.17e}\t{:.17e}\n",
+                1.25e-3f64, 5e-4f64, 1e-3f64
+            ),
+        )
+        .unwrap();
+        let cache = TuneCache::open(&path).unwrap();
+        assert_eq!(
+            cache.get(&key),
+            Some(OverlapReport::new(1.25e-3, 5e-4, 1e-3))
+        );
+        assert_eq!(cache.total(&key), Some(1.25e-3));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -185,8 +185,8 @@ impl SearchExecutor {
         self
     }
 
-    /// The process-wide executor shared by the serve daemon, the load
-    /// generator and `reproduce --tune`.
+    /// The process-wide executor shared by the serve daemon and
+    /// `reproduce --tune`.
     pub fn global() -> Arc<SearchExecutor> {
         static GLOBAL: OnceLock<Arc<SearchExecutor>> = OnceLock::new();
         GLOBAL
@@ -391,10 +391,10 @@ mod tests {
         assert_eq!(results.len(), 3);
         for (i, r) in results.iter().enumerate() {
             let eval = r.as_ref().expect("slot filled").as_ref().expect("ok");
-            let BoundedEval::Report(report) = eval else {
+            let BoundedEval::Finished(total) = eval else {
                 panic!("infinite cutoff must never abort");
             };
-            assert_eq!(report.total_s, configs[i].num_stages as f64);
+            assert_eq!(*total, configs[i].num_stages as f64);
         }
         assert_eq!(calls.load(Ordering::SeqCst), 3);
     }

@@ -21,7 +21,8 @@
 //!   config worse than its seed (the default config);
 //! * [`TuneCache`] — a persistent on-disk cache keyed by
 //!   `(workload, cluster, cost-model revision, config)` so repeated searches
-//!   are near-free. The simulator is deterministic, so cached costs never go
+//!   are near-free: it holds every ranked candidate's objective value and
+//!   each winner's exact report. The simulator is deterministic, so cached costs never go
 //!   stale for a fixed cost model — and because the provider's
 //!   [`tilelink_sim::CostProvider::revision`] fingerprint is part of the key,
 //!   entries evaluated under an older cost model self-invalidate instead of
@@ -75,7 +76,7 @@ pub use error::TuneError;
 pub use executor::{ExecutorSession, SearchExecutor};
 pub use objective::Objective;
 pub use oracle::{cluster_key, BoundedEval, CostOracle, FnOracle};
-pub use search::{Candidate, FailedBreakdown, RoundProgress, Strategy, TuneReport, Tuner};
+pub use search::{Candidate, FailedBreakdown, Ranked, RoundProgress, Strategy, TuneReport, Tuner};
 pub use space::{AxisConstraint, PruneCounts, SearchSpace, RING_REQUIRES_PUSH};
 
 /// Convenience result alias used throughout the crate.

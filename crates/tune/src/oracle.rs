@@ -5,14 +5,15 @@ use tilelink_sim::ClusterSpec;
 
 use crate::Objective;
 
-/// Outcome of a cutoff-bounded oracle evaluation: the exec layer's report
-/// outcome, so oracles return what the workload pricing functions produce.
+/// Outcome of a cutoff-bounded oracle evaluation: the simulator's bounded
+/// makespan, so oracles return what `tilelink::exec::simulate_makespan`
+/// produces.
 ///
-/// Returned by [`CostOracle::evaluate_bounded`]: either the full report
-/// (bit-identical to [`CostOracle::evaluate`]) or proof that the candidate's
-/// objective value strictly exceeds the caller's cutoff, carrying a certified
+/// Returned by [`CostOracle::evaluate_bounded`]: either the finished
+/// objective value (bit-identical to [`CostOracle::evaluate`]'s `total_s`) or
+/// proof that it strictly exceeds the caller's cutoff, carrying a certified
 /// lower bound on the true value.
-pub use tilelink::exec::BoundedReport as BoundedEval;
+pub use tilelink_sim::BoundedMakespan as BoundedEval;
 
 /// Prices one [`OverlapConfig`] for one workload on one cluster.
 ///
@@ -21,9 +22,13 @@ pub use tilelink::exec::BoundedReport as BoundedEval;
 /// result on the `tilelink-sim` engine; the simulated makespan
 /// ([`OverlapReport::total_s`]) is the objective the tuner minimises.
 ///
+/// The tuner ranks candidates by [`CostOracle::evaluate_bounded`], which only
+/// has to price that objective value, and calls [`CostOracle::evaluate`] once
+/// per search, for the winner's full report.
+///
 /// Implementations must be deterministic and thread-safe (`Sync`): the tuner
-/// calls [`CostOracle::evaluate`] concurrently from multiple threads, and the
-/// persistent cache assumes a config always prices to the same cost.
+/// calls [`CostOracle::evaluate_bounded`] concurrently from multiple threads,
+/// and the persistent cache assumes a config always prices to the same cost.
 pub trait CostOracle: Sync {
     /// Stable identifier of the workload kind and shape, used in cache keys.
     ///
@@ -55,7 +60,10 @@ pub trait CostOracle: Sync {
         Objective::Mean
     }
 
-    /// Compiles and simulates one candidate, returning its timing report.
+    /// Compiles and simulates one candidate exactly, returning its full
+    /// timing report: the objective value as `total_s`, plus the
+    /// communication-only and computation-only times behind the overlap
+    /// ratio. The tuner calls it for the winner of a search only.
     ///
     /// # Errors
     ///
@@ -82,21 +90,26 @@ pub trait CostOracle: Sync {
         None
     }
 
-    /// [`CostOracle::evaluate`] with an abort cutoff: implementations may
-    /// stop early and return [`BoundedEval::Exceeded`] as soon as the
-    /// objective value provably exceeds `cutoff` strictly.
+    /// The objective value alone, under an abort cutoff: what the tuner
+    /// ranks every candidate by. Implementations price only what the value
+    /// needs (for the workload oracles, the overlapped makespan — no comm-only
+    /// or compute-only simulation) and may stop early and return
+    /// [`BoundedEval::Exceeded`] as soon as the value provably exceeds
+    /// `cutoff` strictly.
     ///
     /// The contract mirrors [`tilelink_sim::Engine::makespan`]: when the
-    /// cutoff is not hit, the returned report must be bit-identical to
-    /// [`CostOracle::evaluate`]. The default ignores the cutoff and never
-    /// aborts, which is always sound.
+    /// cutoff is not hit, the [`BoundedEval::Finished`] value must be
+    /// bit-identical to [`CostOracle::evaluate`]'s `total_s`. The default
+    /// prices the full report, ignores the cutoff and never aborts, which is
+    /// always sound.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`CostOracle::evaluate`].
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
         let _ = cutoff;
-        self.evaluate(cfg).map(BoundedEval::Report)
+        self.evaluate(cfg)
+            .map(|report| BoundedEval::Finished(report.total_s))
     }
 
     /// Workload-specific validity constraints beyond

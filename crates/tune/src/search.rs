@@ -60,14 +60,27 @@ impl Default for Strategy {
     }
 }
 
-/// One evaluated configuration.
+/// The winning configuration of a search, with its exact report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The configuration.
     pub config: OverlapConfig,
-    /// Its simulated timing.
+    /// Its full simulated timing ([`CostOracle::evaluate`]), including the
+    /// communication-only and computation-only times.
     pub report: OverlapReport,
-    /// Whether the timing came from the persistent cache (no oracle call).
+    /// Whether the report came from the persistent cache (no oracle call).
+    pub from_cache: bool,
+}
+
+/// One configuration a search ranked, by its objective value alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ranked {
+    /// The configuration.
+    pub config: OverlapConfig,
+    /// Its objective value ([`CostOracle::evaluate_bounded`], finished), in
+    /// seconds.
+    pub total_s: f64,
+    /// Whether the value came from the persistent cache (no oracle call).
     pub from_cache: bool,
 }
 
@@ -133,12 +146,16 @@ pub struct RoundProgress {
 /// The outcome of one tuning run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuneReport {
-    /// The best configuration found.
+    /// The best configuration found, with its exact report: priced once per
+    /// search by [`CostOracle::evaluate`] (or served from the cache), so its
+    /// `total_s` is `ranked[0].total_s` and its comm/compute split is the
+    /// only one the search computes.
     pub best: Candidate,
-    /// Every evaluated candidate, fastest first (ties broken by first
-    /// evaluation order, so reports are deterministic).
-    pub ranked: Vec<Candidate>,
-    /// Oracle calls performed (simulator evaluations).
+    /// Every ranked candidate with its objective value, fastest first (ties
+    /// broken by first evaluation order, so reports are deterministic).
+    pub ranked: Vec<Ranked>,
+    /// Candidates the search priced through the oracle (the winner's exact
+    /// pricing is not counted).
     pub evaluations: usize,
     /// Lookups served by the cache instead of the oracle.
     pub cache_hits: usize,
@@ -184,7 +201,8 @@ impl TuneReport {
         }
     }
 
-    /// A short human-readable table of the `n` best candidates.
+    /// A short human-readable table of the `n` best candidates, after the
+    /// winner's full report (the only one with an overlap ratio).
     pub fn summary(&self, n: usize) -> String {
         let mut out = format!(
             "{} candidates evaluated ({} simulated, {} cached; {})\n",
@@ -199,12 +217,12 @@ impl TuneReport {
             self.compile_full_rebuilds,
             self.compile_patch_rate() * 100.0
         ));
+        out.push_str(&format!("winner: {}\n", self.best.report));
         for (i, c) in self.ranked.iter().take(n).enumerate() {
             out.push_str(&format!(
-                "  #{:<2} {:>9.4} ms  overlap {:>5.1}%  {}\n",
+                "  #{:<2} {:>9.4} ms  {}\n",
                 i + 1,
-                c.report.total_ms(),
-                c.report.overlap_ratio() * 100.0,
+                c.total_s * 1e3,
                 c.config.cache_key()
             ));
         }
@@ -440,8 +458,8 @@ impl Tuner {
         let mut pruned = PruneCounts::default();
         let mut rounds: Vec<RoundProgress> = Vec::new();
 
-        // (config, report, from_cache) in first-evaluation order.
-        let mut evaluated: Vec<Candidate> = Vec::new();
+        // Ranked candidates in first-evaluation order.
+        let mut evaluated: Vec<Ranked> = Vec::new();
         let mut seen: HashMap<OverlapConfig, usize> = HashMap::new();
         // Configs disposed of by branch-and-bound (lower-bound skip or
         // bounded-simulation abort): provably unable to enter the top of the
@@ -566,7 +584,7 @@ impl Tuner {
                 let mut best = beam
                     .first()
                     .and_then(|c| seen.get(c))
-                    .map(|&i| evaluated[i].report.total_s);
+                    .map(|&i| evaluated[i].total_s);
                 for round in 1..=sweeps.max(1) {
                     let _round_span = tilelink_probe::span("tune.beam_round");
                     let mut improved = false;
@@ -597,7 +615,7 @@ impl Tuner {
                         let new_best = beam
                             .first()
                             .and_then(|c| seen.get(c))
-                            .map(|&i| evaluated[i].report.total_s);
+                            .map(|&i| evaluated[i].total_s);
                         if new_best < best || best.is_none() {
                             best = new_best;
                             improved = true;
@@ -636,31 +654,35 @@ impl Tuner {
                 pruned.constraint_pruned = constraint_pruned.get();
             }
         }
-        // Free the admission slot before the cache flush, which needs no
-        // workers.
+        // Free the admission slot before pricing the winner and flushing the
+        // cache, which need no workers.
         drop(session);
+
+        let mut ranked = evaluated;
+        ranked.sort_by(|a, b| a.total_s.total_cmp(&b.total_s));
+        let best = ranked
+            .first()
+            .map(|winner| self.price_winner(oracle, &prefix, winner));
 
         self.cache
             .lock()
             .expect("tune cache lock poisoned")
             .flush()?;
 
-        if evaluated.is_empty() {
+        let Some(best) = best else {
             return Err(TuneError::AllCandidatesFailed {
                 attempted: stats.evaluations + stats.failed,
                 last: stats.last_error.unwrap_or(TileLinkError::InvalidConfig {
                     reason: "no candidate could be evaluated".to_string(),
                 }),
             });
-        }
+        };
 
         TUNE_CANDIDATES_PRUNED_VALIDATE.add(pruned.validate_rejected as u64);
         TUNE_CANDIDATES_PRUNED_CONSTRAINT.add(pruned.constraint_pruned as u64);
 
-        let mut ranked = evaluated;
-        ranked.sort_by(|a, b| a.report.total_s.total_cmp(&b.report.total_s));
         Ok(TuneReport {
-            best: ranked[0].clone(),
+            best: best?,
             ranked,
             evaluations: stats.evaluations,
             cache_hits: stats.cache_hits,
@@ -680,10 +702,50 @@ impl Tuner {
     }
 
     /// The `width` fastest configs in `evaluated` (stable order).
-    fn top(evaluated: &[Candidate], width: usize) -> Vec<OverlapConfig> {
-        let mut sorted: Vec<&Candidate> = evaluated.iter().collect();
-        sorted.sort_by(|a, b| a.report.total_s.total_cmp(&b.report.total_s));
+    fn top(evaluated: &[Ranked], width: usize) -> Vec<OverlapConfig> {
+        let mut sorted: Vec<&Ranked> = evaluated.iter().collect();
+        sorted.sort_by(|a, b| a.total_s.total_cmp(&b.total_s));
         sorted.into_iter().take(width).map(|c| c.config).collect()
+    }
+
+    /// The search winner's exact report: the cached one, or one
+    /// [`CostOracle::evaluate`] call whose report is then cached, so a rerun
+    /// on the same cache prices nothing.
+    fn price_winner(
+        &self,
+        oracle: &dyn CostOracle,
+        prefix: &str,
+        winner: &Ranked,
+    ) -> Result<Candidate> {
+        let key = TuneCache::key_in(prefix, &winner.config);
+        let cached = self
+            .cache
+            .lock()
+            .expect("tune cache lock poisoned")
+            .get(&key);
+        let from_cache = cached.is_some();
+        let report = match cached {
+            Some(report) => report,
+            None => {
+                let _span = tilelink_probe::span("tune.winner");
+                let report = oracle.evaluate(&winner.config)?;
+                self.cache
+                    .lock()
+                    .expect("tune cache lock poisoned")
+                    .insert(key, report);
+                report
+            }
+        };
+        debug_assert_eq!(
+            report.total_s.to_bits(),
+            winner.total_s.to_bits(),
+            "the oracle's exact report disagrees with the value it ranked"
+        );
+        Ok(Candidate {
+            config: winner.config,
+            report,
+            from_cache,
+        })
     }
 
     /// Evaluates `configs` (cache first, then the branch-and-bound prune,
@@ -711,7 +773,7 @@ impl Tuner {
         prefix: &str,
         configs: &[OverlapConfig],
         stats: &mut BatchStats,
-        evaluated: &mut Vec<Candidate>,
+        evaluated: &mut Vec<Ranked>,
         seen: &mut HashMap<OverlapConfig, usize>,
         incumbent: &mut Incumbent,
         dominated: &mut HashSet<OverlapConfig>,
@@ -740,7 +802,7 @@ impl Tuner {
         prefix: &str,
         configs: &[OverlapConfig],
         stats: &mut BatchStats,
-        evaluated: &mut Vec<Candidate>,
+        evaluated: &mut Vec<Ranked>,
         seen: &mut HashMap<OverlapConfig, usize>,
         incumbent: &mut Incumbent,
         dominated: &mut HashSet<OverlapConfig>,
@@ -750,7 +812,7 @@ impl Tuner {
         // into the incumbent right away so they sharpen this very chunk's
         // lower-bound pruning.
         let mut misses: Vec<&OverlapConfig> = Vec::new();
-        let mut hit_or_miss: Vec<Option<OverlapReport>> = Vec::with_capacity(configs.len());
+        let mut hit_or_miss: Vec<Option<f64>> = Vec::with_capacity(configs.len());
         {
             let _span = tilelink_probe::span("tune.cache_lookup");
             let cache = self.cache.lock().expect("tune cache lock poisoned");
@@ -760,12 +822,12 @@ impl Tuner {
                     continue;
                 }
                 let key = TuneCache::key_in(prefix, cfg);
-                match cache.get(&key) {
-                    Some(report) => {
+                match cache.total(&key) {
+                    Some(total) => {
                         stats.cache_hits += 1;
                         TUNE_CACHE_HITS.inc();
-                        incumbent.observe(report.total_s);
-                        hit_or_miss.push(Some(report));
+                        incumbent.observe(total);
+                        hit_or_miss.push(Some(total));
                     }
                     None => {
                         TUNE_CACHE_MISSES.inc();
@@ -816,22 +878,21 @@ impl Tuner {
             if seen.contains_key(cfg) || dominated.contains(cfg) {
                 continue;
             }
-            let (report, from_cache) = match cached {
-                Some(report) => {
+            let (total_s, from_cache) = match cached {
+                Some(total) => {
                     TUNE_CANDIDATES_CACHED.inc();
-                    (report, true)
+                    (total, true)
                 }
                 None => {
                     let result = results[miss_idx].take().expect("evaluated slot");
                     miss_idx += 1;
                     match result {
-                        Ok(BoundedEval::Report(report)) => {
+                        Ok(BoundedEval::Finished(total)) => {
                             stats.evaluations += 1;
                             TUNE_CANDIDATES_SIMULATED.inc();
-                            incumbent.observe(report.total_s);
-                            let key = TuneCache::key_in(prefix, cfg);
-                            cache.insert(key, report);
-                            (report, false)
+                            incumbent.observe(total);
+                            cache.insert_total(TuneCache::key_in(prefix, cfg), total);
+                            (total, false)
                         }
                         Ok(BoundedEval::Exceeded(_)) => {
                             // The objective value provably exceeds the
@@ -851,9 +912,9 @@ impl Tuner {
                 }
             };
             seen.insert(*cfg, evaluated.len());
-            evaluated.push(Candidate {
+            evaluated.push(Ranked {
                 config: *cfg,
-                report,
+                total_s,
                 from_cache,
             });
         }
@@ -943,7 +1004,7 @@ mod tests {
                 self.aborts.fetch_add(1, Ordering::SeqCst);
                 return Ok(BoundedEval::Exceeded(t));
             }
-            self.evaluate(cfg).map(BoundedEval::Report)
+            Ok(BoundedEval::Finished(t))
         }
     }
 
@@ -1050,12 +1111,15 @@ mod tests {
         assert_eq!(report.best.config.order, tilelink::TileOrder::Ring);
         assert_eq!(report.best.config.comm_mapping, CommMapping::CopyEngine);
         assert_eq!(report.best.config.num_stages, 2);
-        assert_eq!(report.evaluations, calls.load(Ordering::SeqCst));
+        // One oracle call per priced candidate, plus the winner's exact
+        // report (not counted as an evaluation).
+        assert_eq!(report.evaluations + 1, calls.load(Ordering::SeqCst));
         assert_eq!(report.failed.simulation_error, 0);
         assert!(report.rounds.is_empty(), "exhaustive search has no rounds");
-        // Ranking is fastest-first.
+        // Ranking is fastest-first, led by the winner.
+        assert_eq!(report.ranked[0].config, report.best.config);
         for w in report.ranked.windows(2) {
-            assert!(w[0].report.total_s <= w[1].report.total_s);
+            assert!(w[0].total_s <= w[1].total_s);
         }
     }
 

@@ -6,8 +6,9 @@
 //! *unobservable* in the search outcome: results land in a slot per candidate
 //! and merge in candidate order either way, so the same oracle + space +
 //! strategy must produce a bit-identical ranking — same configs in the same
-//! order with the same reports — regardless of which pool evaluated them, how
-//! many sessions shared it, or how its threads were scheduled.
+//! order with the same objective values, and the same winner report —
+//! regardless of which pool evaluated them, how many sessions shared it, or
+//! how its threads were scheduled.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -46,21 +47,27 @@ fn assert_bit_identical(a: &tilelink_tune::TuneReport, b: &tilelink_tune::TuneRe
     for (i, (x, y)) in a.ranked.iter().zip(&b.ranked).enumerate() {
         assert_eq!(x.config, y.config, "{label}: rank {i} config differs");
         assert_eq!(
-            x.report.total_s.to_bits(),
-            y.report.total_s.to_bits(),
+            x.total_s.to_bits(),
+            y.total_s.to_bits(),
             "{label}: rank {i} total_s not bit-identical"
         );
-        assert_eq!(
-            x.report.comm_only_s.to_bits(),
-            y.report.comm_only_s.to_bits(),
-            "{label}: rank {i} comm_only_s not bit-identical"
-        );
-        assert_eq!(
-            x.report.comp_only_s.to_bits(),
-            y.report.comp_only_s.to_bits(),
-            "{label}: rank {i} comp_only_s not bit-identical"
-        );
     }
+    let (x, y) = (&a.best.report, &b.best.report);
+    assert_eq!(
+        x.total_s.to_bits(),
+        y.total_s.to_bits(),
+        "{label}: winner total_s not bit-identical"
+    );
+    assert_eq!(
+        x.comm_only_s.to_bits(),
+        y.comm_only_s.to_bits(),
+        "{label}: winner comm_only_s not bit-identical"
+    );
+    assert_eq!(
+        x.comp_only_s.to_bits(),
+        y.comp_only_s.to_bits(),
+        "{label}: winner comp_only_s not bit-identical"
+    );
     assert_eq!(a.evaluations, b.evaluations, "{label}: evaluation counts");
 }
 

@@ -8,12 +8,13 @@
 //! is order-invariant, so tiles may arrive in any rank order).
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{run_comm_compute, simulate_report, BoundedReport};
+use tilelink::exec::run_comm_compute;
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
 use tilelink::primitives::NotifyScope;
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, Compiler, DeviceHandle, StaticMapping, TileMapping,
+    detail_hash, BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, StaticMapping,
+    TileMapping,
 };
 use tilelink_compute::{FlashAccumulator, Tensor};
 use tilelink_shmem::ProcessGroup;
@@ -212,23 +213,22 @@ pub fn sp_attention_program(
     (program, mapping)
 }
 
-/// Prices the TileLink sequence-parallel attention kernel at one sequence
-/// length: compiled for `cfg`, simulated under `cost` (the cluster is the
-/// provider's) and cut off once its overlapped makespan provably exceeds
-/// `cutoff` (`f64::INFINITY` prices it exactly).
+/// The TileLink sequence-parallel attention kernel at one sequence length,
+/// compiled for `cfg` on the cluster `cost` prices. Price it exactly with
+/// [`tilelink::exec::simulate_report`], or its makespan under a cutoff with
+/// [`tilelink::exec::simulate_makespan`].
 ///
 /// # Errors
 ///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_sp_attention(
+/// Returns an error if compilation fails.
+pub fn sp_attention_kernel(
     shape: &AttnShape,
     seq_len: usize,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
+    Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new(
@@ -249,8 +249,7 @@ pub fn timed_sp_attention(
                     cfg,
                 ))
             },
-        )?;
-    simulate_report(&kernel, cost, cutoff)
+        )
 }
 
 #[cfg(test)]
@@ -313,9 +312,8 @@ mod tests {
         let shape = crate::shapes::attn_shapes()[0].clone();
         let cost = analytic_cost(&ClusterSpec::h800_node(8));
         let price = |seq_len| {
-            timed_sp_attention(&shape, seq_len, &attention_config(), &cost, f64::INFINITY)
-                .unwrap()
-                .exact()
+            let kernel = sp_attention_kernel(&shape, seq_len, &attention_config(), &cost).unwrap();
+            tilelink::exec::simulate_report(&kernel, &cost).unwrap()
         };
         let (short, long) = (price(16_384), price(65_536));
         assert!(short.total_s < long.total_s);

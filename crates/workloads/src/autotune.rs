@@ -12,8 +12,9 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use tilelink::exec::{simulate_makespan, simulate_report};
 use tilelink::{OverlapConfig, OverlapReport};
 use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_tune::{
@@ -23,7 +24,7 @@ use tilelink_tune::{
 
 use crate::bounds;
 
-use crate::moe::{RoutingProfile, RoutingSampler};
+use crate::moe::{RoutingProfile, RoutingSample, RoutingSampler};
 use crate::{attention, mlp, moe, AttnShape, MlpShape, MoeShape};
 
 // ---------------------------------------------------------------------------
@@ -122,8 +123,13 @@ impl CostOracle for MlpOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        self.evaluate_bounded(cfg, f64::INFINITY)
-            .map(BoundedEval::exact)
+        let (shape, cost) = (&self.shape, &self.cost);
+        bounds::exact_layer(
+            cost,
+            mlp::activation_seconds(shape, &**cost),
+            || mlp::ag_gemm_kernel(shape, cfg, cost),
+            || mlp::gemm_rs_kernel(shape, cfg, cost),
+        )
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
@@ -135,12 +141,14 @@ impl CostOracle for MlpOracle {
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
+        let (shape, cost) = (&self.shape, &self.cost);
         bounds::compose_layer(
+            cost,
             cutoff,
-            mlp::activation_seconds(&self.shape, &*self.cost),
-            bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost),
-            |budget| mlp::timed_ag_gemm(&self.shape, cfg, &self.cost, budget),
-            |budget| mlp::timed_gemm_rs(&self.shape, cfg, &self.cost, budget),
+            mlp::activation_seconds(shape, &**cost),
+            bounds::mlp_gemm_rs_bound(shape, cfg, &**cost),
+            || mlp::ag_gemm_kernel(shape, cfg, cost),
+            || mlp::gemm_rs_kernel(shape, cfg, cost),
         )
     }
 
@@ -193,8 +201,10 @@ impl CostOracle for MlpAgGemmOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        self.evaluate_bounded(cfg, f64::INFINITY)
-            .map(BoundedEval::exact)
+        simulate_report(
+            &mlp::ag_gemm_kernel(&self.shape, cfg, &self.cost)?,
+            &self.cost,
+        )
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
@@ -202,7 +212,8 @@ impl CostOracle for MlpAgGemmOracle {
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        mlp::timed_ag_gemm(&self.shape, cfg, &self.cost, cutoff)
+        let kernel = mlp::ag_gemm_kernel(&self.shape, cfg, &self.cost)?;
+        simulate_makespan(&kernel, &self.cost, cutoff)
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -219,14 +230,15 @@ impl CostOracle for MlpAgGemmOracle {
 /// static program builders (the historical behaviour, so existing figures and
 /// caches are unchanged). With [`MoeOracle::with_routing`] it instead prices
 /// every candidate over sampled routings through the dynamic-mapping builders
-/// ([`moe::timed_routed_full_moe`]) and folds the per-sample reports
+/// ([`moe::timed_routed_full_moe`]) and folds the per-sample prices
 /// with its [`Objective`] — tuning for the tail of the routing distribution
 /// rather than the mean.
 #[derive(Debug, Clone)]
 pub struct MoeOracle {
     shape: MoeShape,
     cost: SharedCost,
-    routing: Option<RoutingSpec>,
+    /// The routing spec and the samples drawn from it on first use.
+    routing: Option<(RoutingSpec, OnceLock<Vec<RoutingSample>>)>,
     objective: Objective,
 }
 
@@ -250,18 +262,46 @@ impl MoeOracle {
     }
 
     /// Prices candidates over routings sampled from `spec` instead of the
-    /// expected uniform routing.
+    /// expected uniform routing. The `spec.samples` routings (at least one)
+    /// are drawn once, by the first evaluation, and every later evaluation
+    /// reuses them; an oracle built only for its
+    /// [`CostOracle::workload_key`] draws nothing.
     pub fn with_routing(mut self, spec: RoutingSpec) -> Self {
-        self.routing = Some(spec);
+        self.routing = Some((spec, OnceLock::new()));
         self
     }
 
-    /// Replaces the statistic folding the per-sample reports (only meaningful
+    /// Replaces the statistic folding the per-sample prices (only meaningful
     /// together with [`MoeOracle::with_routing`]; a non-mean objective over
     /// the single expected-routing evaluation is the identity).
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
         self
+    }
+
+    /// The sampled routings, drawn on the first call; `None` prices the
+    /// expected routing.
+    fn samples(&self) -> Option<&[RoutingSample]> {
+        let (spec, samples) = self.routing.as_ref()?;
+        Some(samples.get_or_init(|| spec.sampler().samples_for(&self.shape, spec.samples.max(1))))
+    }
+
+    /// The layer makespan under one sampled routing, cut off at `cutoff`.
+    fn routed_makespan(
+        &self,
+        cfg: &OverlapConfig,
+        sample: &RoutingSample,
+        cutoff: f64,
+    ) -> tilelink::Result<BoundedEval> {
+        let (shape, cost) = (&self.shape, &self.cost);
+        bounds::compose_layer(
+            cost,
+            cutoff,
+            moe::activation_seconds(shape, &**cost),
+            bounds::moe_second_bound(shape, cfg, &**cost),
+            || moe::routed_ag_group_gemm_kernel(shape, cfg, cost, sample),
+            || moe::routed_group_gemm_rs_kernel(shape, cfg, cost, sample),
+        )
     }
 }
 
@@ -277,7 +317,7 @@ impl CostOracle for MoeOracle {
         );
         match &self.routing {
             None => base,
-            Some(spec) => format!("{base}/rt={spec}"),
+            Some((spec, _)) => format!("{base}/rt={spec}"),
         }
     }
 
@@ -294,8 +334,20 @@ impl CostOracle for MoeOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        self.evaluate_bounded(cfg, f64::INFINITY)
-            .map(BoundedEval::exact)
+        let (shape, cost) = (&self.shape, &self.cost);
+        let Some(samples) = self.samples() else {
+            return bounds::exact_layer(
+                cost,
+                moe::activation_seconds(shape, &**cost),
+                || moe::ag_group_gemm_kernel(shape, cfg, cost),
+                || moe::group_gemm_rs_kernel(shape, cfg, cost),
+            );
+        };
+        let reports = samples
+            .iter()
+            .map(|sample| moe::timed_routed_full_moe(shape, cfg, cost, sample))
+            .collect::<tilelink::Result<Vec<_>>>()?;
+        Ok(self.objective.fold_reports(&reports))
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
@@ -311,100 +363,69 @@ impl CostOracle for MoeOracle {
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let Some(spec) = &self.routing else {
+        let (shape, cost) = (&self.shape, &self.cost);
+        let Some(samples) = self.samples() else {
             return bounds::compose_layer(
+                cost,
                 cutoff,
-                moe::activation_seconds(&self.shape, &*self.cost),
-                bounds::moe_second_bound(&self.shape, cfg, &*self.cost),
-                |budget| moe::timed_ag_group_gemm(&self.shape, cfg, &self.cost, budget),
-                |budget| moe::timed_group_gemm_rs(&self.shape, cfg, &self.cost, budget),
+                moe::activation_seconds(shape, &**cost),
+                bounds::moe_second_bound(shape, cfg, &**cost),
+                || moe::ag_group_gemm_kernel(shape, cfg, cost),
+                || moe::group_gemm_rs_kernel(shape, cfg, cost),
             );
         };
 
-        let n = spec.samples.max(1);
-        let samples = spec.sampler().samples_for(&self.shape, n);
-        let price = |sample, budget| {
-            moe::timed_routed_full_moe(&self.shape, cfg, &self.cost, sample, budget)
+        let n = samples.len();
+        let mut totals = Vec::with_capacity(n);
+        let Some(pick) = self.objective.sorted_pick_index(n) else {
+            // Mean: sample i gets the budget that keeps the *mean* beatable:
+            // n·cutoff minus the totals already simulated minus the
+            // admissible per-sample bound for each sample still to come. An
+            // abort therefore certifies mean > cutoff.
+            let lb_sample = self
+                .lower_bound(cfg)
+                .expect("moe oracle always has a bound");
+            let mut sum = 0.0;
+            for (i, sample) in samples.iter().enumerate() {
+                let remaining_lb = (n - 1 - i) as f64 * lb_sample;
+                let budget = n as f64 * cutoff - sum - remaining_lb;
+                match self.routed_makespan(cfg, sample, budget)? {
+                    BoundedEval::Finished(total) => {
+                        sum += total;
+                        totals.push(total);
+                    }
+                    BoundedEval::Exceeded(clock) => {
+                        return Ok(BoundedEval::Exceeded(
+                            (sum + clock + remaining_lb) / n as f64,
+                        ))
+                    }
+                }
+            }
+            return Ok(BoundedEval::Finished(self.objective.fold(&totals)));
         };
-        match self.objective {
-            Objective::Mean => {
-                // Sample i gets the budget that keeps the *mean* beatable:
-                // n·cutoff minus the totals already simulated minus the
-                // admissible per-sample bound for each sample still to come.
-                // An abort therefore certifies mean > cutoff.
-                let lb_sample = self
-                    .lower_bound(cfg)
-                    .expect("moe oracle always has a bound");
-                let mut reports = Vec::with_capacity(n);
-                let mut sum = 0.0;
-                for (i, sample) in samples.iter().enumerate() {
-                    let remaining_lb = (n - 1 - i) as f64 * lb_sample;
-                    let budget = n as f64 * cutoff - sum - remaining_lb;
-                    match price(sample, budget)? {
-                        BoundedEval::Report(report) => {
-                            sum += report.total_s;
-                            reports.push(report);
-                        }
-                        BoundedEval::Exceeded(clock) => {
-                            return Ok(BoundedEval::Exceeded(
-                                (sum + clock + remaining_lb) / n as f64,
-                            ))
-                        }
+        // Percentile and worst case: the nearest-rank order statistic at
+        // sorted index `pick`. Aborted samples (total > cutoff) sort strictly
+        // above every finished one (total <= cutoff), so while at most
+        // n - 1 - pick samples abort the pick falls inside the finished
+        // prefix and is the unbounded fold's value bit for bit. One abort
+        // more puts the folded value at or above an aborted sample's total,
+        // which every aborted clock floors: stop there.
+        let allowed_aborts = n - 1 - pick;
+        let (mut aborts, mut aborted_floor) = (0, f64::INFINITY);
+        for sample in samples {
+            match self.routed_makespan(cfg, sample, cutoff)? {
+                BoundedEval::Finished(total) => totals.push(total),
+                BoundedEval::Exceeded(clock) => {
+                    aborts += 1;
+                    aborted_floor = aborted_floor.min(clock);
+                    if aborts > allowed_aborts {
+                        return Ok(BoundedEval::Exceeded(aborted_floor));
                     }
                 }
-                Ok(BoundedEval::Report(self.objective.fold_reports(&reports)))
-            }
-            Objective::WorstCase => {
-                // The fold is the slowest sample: the first abort already
-                // certifies worst > cutoff.
-                let mut reports = Vec::with_capacity(n);
-                for sample in &samples {
-                    match price(sample, cutoff)? {
-                        BoundedEval::Report(report) => reports.push(report),
-                        BoundedEval::Exceeded(clock) => return Ok(BoundedEval::Exceeded(clock)),
-                    }
-                }
-                Ok(BoundedEval::Report(self.objective.fold_reports(&reports)))
-            }
-            Objective::Percentile(_) => {
-                // Nearest-rank order statistic at sorted index `pick`:
-                // aborted samples (total > cutoff) sort strictly above every
-                // finished one (total <= cutoff), so as long as at most
-                // n - 1 - pick samples abort the pick falls inside the
-                // finished prefix and folding it is bit-identical to the
-                // unbounded fold. With more aborts the folded value is itself
-                // an aborted sample's total, which every aborted clock floors.
-                let pick = self
-                    .objective
-                    .sorted_pick_index(n)
-                    .expect("percentile picks a sample");
-                let allowed_aborts = n - 1 - pick;
-                let mut finished = Vec::with_capacity(n);
-                let mut aborted_floor = f64::INFINITY;
-                let mut aborts = 0usize;
-                for sample in &samples {
-                    match price(sample, cutoff)? {
-                        BoundedEval::Report(report) => finished.push(report),
-                        BoundedEval::Exceeded(clock) => {
-                            aborts += 1;
-                            aborted_floor = aborted_floor.min(clock);
-                        }
-                    }
-                }
-                if aborts > allowed_aborts {
-                    return Ok(BoundedEval::Exceeded(aborted_floor));
-                }
-                if aborts == 0 {
-                    return Ok(BoundedEval::Report(self.objective.fold_reports(&finished)));
-                }
-                // Pick within the finished prefix: identical order statistic
-                // (stable sort, and finished totals never tie with aborted
-                // ones), without re-simulating the aborted samples.
-                let mut order: Vec<usize> = (0..finished.len()).collect();
-                order.sort_by(|&a, &b| finished[a].total_s.total_cmp(&finished[b].total_s));
-                Ok(BoundedEval::Report(finished[order[pick]]))
             }
         }
+        totals.sort_by(f64::total_cmp);
+        Ok(BoundedEval::Finished(totals[pick]))
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
@@ -458,12 +479,13 @@ impl CostOracle for AttentionOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        self.evaluate_bounded(cfg, f64::INFINITY)
-            .map(BoundedEval::exact)
+        let kernel = attention::sp_attention_kernel(&self.shape, self.seq_len, cfg, &self.cost)?;
+        simulate_report(&kernel, &self.cost)
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        attention::timed_sp_attention(&self.shape, self.seq_len, cfg, &self.cost, cutoff)
+        let kernel = attention::sp_attention_kernel(&self.shape, self.seq_len, cfg, &self.cost)?;
+        simulate_makespan(&kernel, &self.cost, cutoff)
     }
 
     fn is_supported(&self, _cfg: &OverlapConfig) -> bool {

@@ -95,12 +95,7 @@ pub fn non_overlap_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> Overlap
 pub fn non_overlap_full_mlp(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let a = non_overlap_ag_gemm(shape, cost);
     let b = non_overlap_gemm_rs(shape, cost);
-    let act = crate::mlp::activation_seconds(shape, cost);
-    OverlapReport::new(
-        a.total_s + b.total_s + act,
-        a.comm_only_s + b.comm_only_s,
-        a.comp_only_s + b.comp_only_s + act,
-    )
+    OverlapReport::layer(a, crate::mlp::activation_seconds(shape, cost), b)
 }
 
 /// Async-TP style decomposition: the M dimension is split into `world` chunks,
@@ -218,24 +213,14 @@ pub fn flux_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport 
 pub fn flux_full_mlp(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let a = flux_ag_gemm(shape, cost);
     let b = flux_gemm_rs(shape, cost);
-    let act = crate::mlp::activation_seconds(shape, cost);
-    OverlapReport::new(
-        a.total_s + b.total_s + act,
-        a.comm_only_s + b.comm_only_s,
-        a.comp_only_s + b.comp_only_s + act,
-    )
+    OverlapReport::layer(a, crate::mlp::activation_seconds(shape, cost), b)
 }
 
 /// Async-TP full MLP.
 pub fn decompose_full_mlp(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let a = decompose_ag_gemm(shape, cost);
     let b = decompose_gemm_rs(shape, cost);
-    let act = crate::mlp::activation_seconds(shape, cost);
-    OverlapReport::new(
-        a.total_s + b.total_s + act,
-        a.comm_only_s + b.comm_only_s,
-        a.comp_only_s + b.comp_only_s + act,
-    )
+    OverlapReport::layer(a, crate::mlp::activation_seconds(shape, cost), b)
 }
 
 // ---------------------------------------------------------------------------
@@ -380,12 +365,7 @@ fn combine_moe(
     shape: &MoeShape,
     cost: &dyn CostProvider,
 ) -> OverlapReport {
-    let act = crate::moe::activation_seconds(shape, cost);
-    OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    )
+    OverlapReport::layer(first, crate::moe::activation_seconds(shape, cost), second)
 }
 
 /// Full MoE layer with cuBLAS + NCCL.

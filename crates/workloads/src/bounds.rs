@@ -25,12 +25,14 @@
 //! the simulator charges — so they stay admissible under calibrated models
 //! too (calibrated links only ever price *slower* than peak).
 //!
-//! [`compose_layer`] spends the bounds: it prices a two-half layer under one
-//! cutoff, handing each half the residual budget the other leaves.
+//! [`compose_layer`] spends the bounds: it prices a two-half layer's makespan
+//! under one cutoff, handing each half the residual budget the other leaves.
+//! [`exact_layer`] is its exact sibling: the same two halves, each priced
+//! with its comm/compute split.
 
-use tilelink::exec::BoundedReport;
-use tilelink::{CommMapping, OverlapConfig, OverlapReport};
-use tilelink_sim::{CostProvider, ResourceKind, Task, Work};
+use tilelink::exec::{simulate_makespan, simulate_report};
+use tilelink::{CommMapping, CompiledKernel, OverlapConfig, OverlapReport};
+use tilelink_sim::{BoundedMakespan, CostProvider, ResourceKind, SharedCost, Task, Work};
 
 use crate::{MlpShape, MoeShape};
 
@@ -129,7 +131,7 @@ fn ring_rs_egress(tokens: usize, tile_m: usize, hidden: usize, world: usize) -> 
     tiles_per_segment * (world as f64 - 1.0) * tile_out_bytes
 }
 
-/// Lower bound for [`crate::mlp::timed_ag_gemm`] (AllGather + GEMM).
+/// Lower bound for [`crate::mlp::ag_gemm_kernel`] (AllGather + GEMM).
 pub(crate) fn mlp_ag_gemm_bound(
     shape: &MlpShape,
     cfg: &OverlapConfig,
@@ -147,7 +149,7 @@ pub(crate) fn mlp_ag_gemm_bound(
     .lower_bound(cfg, cost)
 }
 
-/// Lower bound for [`crate::mlp::timed_gemm_rs`] (GEMM + ReduceScatter).
+/// Lower bound for [`crate::mlp::gemm_rs_kernel`] (GEMM + ReduceScatter).
 pub(crate) fn mlp_gemm_rs_bound(
     shape: &MlpShape,
     cfg: &OverlapConfig,
@@ -214,57 +216,72 @@ pub(crate) fn moe_second_bound(
     PhaseTotals {
         flops_per_rank: 2.0 * gemm_rows as f64 * shape.hidden as f64 * i_local as f64,
         egress_bytes_per_rank: ring_rs_egress(shape.tokens, tile_m, shape.hidden, world),
-        // timed_group_gemm_rs / timed_routed_group_gemm_rs force
+        // group_gemm_rs_kernel / routed_group_gemm_rs_kernel force
         // CommMapping::Hybrid before compiling.
         mapping: CommMapping::Hybrid { sms: 20 },
     }
     .lower_bound(cfg, cost)
 }
 
-/// Prices a layer of two kernel halves with an activation between them under
-/// one cutoff on the layer total: the residual-budget composition every
-/// full-layer timing and layer oracle shares.
+/// Prices a layer of two kernel halves with an activation of `act` seconds
+/// between them exactly: each half's full [`OverlapReport`], summed by
+/// [`OverlapReport::layer`]. It takes the closures [`compose_layer`] takes,
+/// so a layer's exact and bounded prices compile the same kernels and agree
+/// on `total_s` bit for bit.
 ///
-/// `first` and `second` price one half each within the budget they are
-/// handed. The first half may spend what the cutoff leaves after the
-/// activation `act` and `second_bound`, an admissible lower bound of the
-/// second half; the second half what remains after the exactly priced first
-/// one. An `Exceeded` clock is therefore a certified lower bound on the layer
-/// total, and under an infinite cutoff both halves run to completion (any
-/// `second_bound` will do) and the report is their exact sum.
+/// # Errors
+///
+/// Returns the first error either half reports.
+pub(crate) fn exact_layer(
+    cost: &SharedCost,
+    act: f64,
+    first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
+    second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
+) -> tilelink::Result<OverlapReport> {
+    let first = simulate_report(&first()?, cost)?;
+    let second = simulate_report(&second()?, cost)?;
+    Ok(OverlapReport::layer(first, act, second))
+}
+
+/// Prices the makespan of a layer of two kernel halves with an activation
+/// between them under one cutoff on the layer total: the residual-budget
+/// composition every layer oracle's bounded evaluation shares.
+///
+/// `first` and `second` compile one half each, and each half's makespan is
+/// simulated under `cost` within the budget it is handed. The first half may
+/// spend what the cutoff leaves after the activation `act` and
+/// `second_bound`, an admissible lower bound of the second half; the second
+/// half what remains after the exactly priced first one. An `Exceeded` clock
+/// is therefore a certified lower bound on the layer total, and a `Finished`
+/// total sums as `(first + second) + act`, bit for bit the `total_s` of
+/// [`exact_layer`].
 ///
 /// # Errors
 ///
 /// Returns the first error either half reports.
 pub(crate) fn compose_layer(
+    cost: &SharedCost,
     cutoff: f64,
     act: f64,
     second_bound: f64,
-    first: impl FnOnce(f64) -> tilelink::Result<BoundedReport>,
-    second: impl FnOnce(f64) -> tilelink::Result<BoundedReport>,
-) -> tilelink::Result<BoundedReport> {
-    let first = match first(cutoff - act - second_bound)? {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(clock + second_bound + act))
+    first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
+    second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
+) -> tilelink::Result<BoundedMakespan> {
+    let first = match simulate_makespan(&first()?, cost, cutoff - act - second_bound)? {
+        BoundedMakespan::Finished(total) => total,
+        BoundedMakespan::Exceeded(clock) => {
+            return Ok(BoundedMakespan::Exceeded(clock + second_bound + act))
         }
     };
     // With the first half priced exactly, the second half's bound may already
     // certify the layer past the cutoff: skip its compile and simulation.
-    if first.total_s + second_bound + act > cutoff {
-        return Ok(BoundedReport::Exceeded(first.total_s + second_bound + act));
+    if first + second_bound + act > cutoff {
+        return Ok(BoundedMakespan::Exceeded(first + second_bound + act));
     }
-    let second = match second(cutoff - act - first.total_s)? {
-        BoundedReport::Report(report) => report,
-        BoundedReport::Exceeded(clock) => {
-            return Ok(BoundedReport::Exceeded(first.total_s + clock + act))
-        }
-    };
-    Ok(BoundedReport::Report(OverlapReport::new(
-        first.total_s + second.total_s + act,
-        first.comm_only_s + second.comm_only_s,
-        first.comp_only_s + second.comp_only_s + act,
-    )))
+    match simulate_makespan(&second()?, cost, cutoff - act - first)? {
+        BoundedMakespan::Finished(second) => Ok(BoundedMakespan::Finished(first + second + act)),
+        BoundedMakespan::Exceeded(clock) => Ok(BoundedMakespan::Exceeded(first + clock + act)),
+    }
 }
 
 #[cfg(test)]
@@ -284,15 +301,13 @@ mod tests {
         let cluster = ClusterSpec::h800_node(8);
         let cost = analytic_cost(&cluster);
         let cfg = OverlapConfig::default();
-        let ag = crate::mlp::timed_ag_gemm(&shape(), &cfg, &cost, f64::INFINITY)
-            .unwrap()
-            .exact();
+        let kernel = crate::mlp::ag_gemm_kernel(&shape(), &cfg, &cost).unwrap();
+        let ag = simulate_report(&kernel, &cost).unwrap();
         let lb = mlp_ag_gemm_bound(&shape(), &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(lb <= ag.total_s, "AG bound {lb} > simulated {}", ag.total_s);
-        let rs = crate::mlp::timed_gemm_rs(&shape(), &cfg, &cost, f64::INFINITY)
-            .unwrap()
-            .exact();
+        let kernel = crate::mlp::gemm_rs_kernel(&shape(), &cfg, &cost).unwrap();
+        let rs = simulate_report(&kernel, &cost).unwrap();
         let lb = mlp_gemm_rs_bound(&shape(), &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(lb <= rs.total_s, "RS bound {lb} > simulated {}", rs.total_s);
@@ -304,9 +319,8 @@ mod tests {
         let cluster = ClusterSpec::h800_node(8);
         let cost = analytic_cost(&cluster);
         let cfg = OverlapConfig::default();
-        let first = crate::moe::timed_ag_group_gemm(&shape, &cfg, &cost, f64::INFINITY)
-            .unwrap()
-            .exact();
+        let kernel = crate::moe::ag_group_gemm_kernel(&shape, &cfg, &cost).unwrap();
+        let first = simulate_report(&kernel, &cost).unwrap();
         let lb = moe_first_bound(&shape, &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(
@@ -314,9 +328,8 @@ mod tests {
             "first-half bound {lb} > {}",
             first.total_s
         );
-        let second = crate::moe::timed_group_gemm_rs(&shape, &cfg, &cost, f64::INFINITY)
-            .unwrap()
-            .exact();
+        let kernel = crate::moe::group_gemm_rs_kernel(&shape, &cfg, &cost).unwrap();
+        let second = simulate_report(&kernel, &cost).unwrap();
         let lb = moe_second_bound(&shape, &cfg, &*cost);
         assert!(lb > 0.0);
         assert!(

@@ -11,21 +11,22 @@
 //!   overlapped kernels written with the tile-centric primitives, executed on
 //!   real data with one thread per block; unit tests check them against the
 //!   unoverlapped collective + GEMM reference;
-//! * **timed** ([`timed_ag_gemm`], [`timed_gemm_rs`], [`timed_full_mlp`]) — the
-//!   same kernels expressed as tile programs, compiled by the TileLink compiler
-//!   and executed on the cluster simulator; these produce the TileLink bars of
-//!   Figure 8 and Table 2. Each half is priced by one function taking the
-//!   shape, the config, the cost provider and a cutoff on its makespan
-//!   (`f64::INFINITY` prices it exactly).
+//! * **timed** ([`ag_gemm_kernel`], [`gemm_rs_kernel`], [`timed_full_mlp`]) —
+//!   the same kernels expressed as tile programs, compiled by the TileLink
+//!   compiler and executed on the cluster simulator; these produce the
+//!   TileLink bars of Figure 8 and Table 2. Each half has one entry point
+//!   taking the shape, the config and the cost provider and returning the
+//!   compiled kernel, which `tilelink::exec` prices exactly or under a
+//!   cutoff on its makespan.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{run_comm_compute, simulate_report, BoundedReport};
+use tilelink::exec::run_comm_compute;
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, write_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, Compiler, DeviceHandle, OverlapReport, StaticMapping,
-    TileMapping,
+    detail_hash, BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, OverlapReport,
+    StaticMapping, TileMapping,
 };
 use tilelink_compute::gemm::matmul;
 use tilelink_compute::Tensor;
@@ -446,22 +447,21 @@ fn mlp_detail(shape: &crate::MlpShape, world: usize) -> u64 {
     ])
 }
 
-/// Prices the TileLink AllGather + GEMM kernel for one MLP shape: compiled for
-/// `cfg`, simulated under `cost` (the cluster is the provider's) and cut off
-/// once its overlapped makespan provably exceeds `cutoff` (see
-/// [`simulate_report`]; `f64::INFINITY` prices it exactly).
+/// The TileLink AllGather + GEMM kernel for one MLP shape, compiled for `cfg`
+/// on the cluster `cost` prices. Price it exactly with
+/// [`tilelink::exec::simulate_report`], or its makespan under a cutoff with
+/// [`tilelink::exec::simulate_makespan`].
 ///
 /// # Errors
 ///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_gemm(
+/// Returns an error if compilation fails.
+pub fn ag_gemm_kernel(
     shape: &crate::MlpShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
+    Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("mlp.ag_gemm", mlp_detail(shape, world)),
@@ -474,24 +474,22 @@ pub fn timed_ag_gemm(
                     cfg,
                 ))
             },
-        )?;
-    simulate_report(&kernel, cost, cutoff)
+        )
 }
 
-/// Prices the TileLink GEMM + ReduceScatter kernel for one MLP shape, the
-/// same way as [`timed_ag_gemm`].
+/// The TileLink GEMM + ReduceScatter kernel for one MLP shape, compiled the
+/// same way as [`ag_gemm_kernel`].
 ///
 /// # Errors
 ///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_gemm_rs(
+/// Returns an error if compilation fails.
+pub fn gemm_rs_kernel(
     shape: &crate::MlpShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
+    Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("mlp.gemm_rs", mlp_detail(shape, world)),
@@ -504,8 +502,7 @@ pub fn timed_gemm_rs(
                     cfg,
                 ))
             },
-        )?;
-    simulate_report(&kernel, cost, cutoff)
+        )
 }
 
 /// Simulates the full TileLink MLP layer (AG+GEMM, activation, GEMM+RS) under
@@ -518,14 +515,12 @@ pub fn timed_full_mlp(
     shape: &crate::MlpShape,
     cost: &SharedCost,
 ) -> tilelink::Result<OverlapReport> {
-    crate::bounds::compose_layer(
-        f64::INFINITY,
+    crate::bounds::exact_layer(
+        cost,
         activation_seconds(shape, &**cost),
-        0.0,
-        |budget| timed_ag_gemm(shape, &ag_gemm_config(), cost, budget),
-        |budget| timed_gemm_rs(shape, &gemm_rs_config(), cost, budget),
+        || ag_gemm_kernel(shape, &ag_gemm_config(), cost),
+        || gemm_rs_kernel(shape, &gemm_rs_config(), cost),
     )
-    .map(BoundedReport::exact)
 }
 
 /// Time of the SiLU-mul activation between the two MLP halves (memory bound).
@@ -540,6 +535,7 @@ pub fn activation_seconds(shape: &crate::MlpShape, cost: &dyn CostProvider) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilelink::exec::simulate_report;
     use tilelink_collectives::Comm;
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
@@ -639,9 +635,9 @@ mod tests {
     #[test]
     fn timed_ag_gemm_overlaps_and_beats_serial() {
         let shape = crate::shapes::mlp_shapes()[0].clone();
-        let report = timed_ag_gemm(&shape, &ag_gemm_config(), &cost(), f64::INFINITY)
-            .unwrap()
-            .exact();
+        let cost = cost();
+        let kernel = ag_gemm_kernel(&shape, &ag_gemm_config(), &cost).unwrap();
+        let report = simulate_report(&kernel, &cost).unwrap();
         assert!(report.total_s > 0.0);
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         // Table 2 magnitude check: the overlapped AG+GEMM of MLP-1 is a few
@@ -660,9 +656,9 @@ mod tests {
         // overlapped total to beat the serial sum and to stay in the Table 2
         // regime of a few hundred microseconds.
         let shape = crate::shapes::mlp_shapes()[0].clone();
-        let report = timed_gemm_rs(&shape, &gemm_rs_config(), &cost(), f64::INFINITY)
-            .unwrap()
-            .exact();
+        let cost = cost();
+        let kernel = gemm_rs_kernel(&shape, &gemm_rs_config(), &cost).unwrap();
+        let report = simulate_report(&kernel, &cost).unwrap();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         assert!(
             report.total_ms() > 0.05 && report.total_ms() < 2.0,
@@ -674,12 +670,16 @@ mod tests {
     fn timed_full_mlp_is_sum_of_parts_plus_activation() {
         let shape = crate::shapes::mlp_shapes()[0].clone();
         let cost = cost();
-        let ag = timed_ag_gemm(&shape, &ag_gemm_config(), &cost, f64::INFINITY)
-            .unwrap()
-            .exact();
-        let rs = timed_gemm_rs(&shape, &gemm_rs_config(), &cost, f64::INFINITY)
-            .unwrap()
-            .exact();
+        let ag = simulate_report(
+            &ag_gemm_kernel(&shape, &ag_gemm_config(), &cost).unwrap(),
+            &cost,
+        )
+        .unwrap();
+        let rs = simulate_report(
+            &gemm_rs_kernel(&shape, &gemm_rs_config(), &cost).unwrap(),
+            &cost,
+        )
+        .unwrap();
         let full = timed_full_mlp(&shape, &cost).unwrap();
         assert!(full.total_s > ag.total_s + rs.total_s);
         assert!(full.total_s < (ag.total_s + rs.total_s) * 1.2);

@@ -18,13 +18,13 @@
 //! tile touches.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{run_comm_compute, simulate_report, BoundedReport};
+use tilelink::exec::run_comm_compute;
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, Compiler, DeviceHandle, DynamicMapping, OverlapReport,
-    StaticMapping, TileMapping,
+    detail_hash, BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, DynamicMapping,
+    OverlapReport, StaticMapping, TileMapping,
 };
 use tilelink_compute::gemm::matmul;
 use tilelink_compute::group_gemm::expert_weight;
@@ -419,54 +419,50 @@ fn routed_detail(shape: &MoeShape, world: usize, sample: &RoutingSample) -> u64 
     )
 }
 
-/// Prices the TileLink AG + Gather + GroupGEMM kernel for one MoE shape under
-/// the expected routing: compiled for `cfg`, simulated under `cost` (the
-/// cluster is the provider's) and cut off once its overlapped makespan
-/// provably exceeds `cutoff` (`f64::INFINITY` prices it exactly).
+/// The TileLink AG + Gather + GroupGEMM kernel for one MoE shape under the
+/// expected routing, compiled for `cfg` on the cluster `cost` prices. Price
+/// it exactly with [`tilelink::exec::simulate_report`], or its makespan
+/// under a cutoff with [`tilelink::exec::simulate_makespan`].
 ///
 /// # Errors
 ///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_ag_group_gemm(
+/// Returns an error if compilation fails.
+pub fn ag_group_gemm_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
+    Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world)),
             || Ok(ag_group_gemm_program(shape, world, cfg)),
-        )?;
-    simulate_report(&kernel, cost, cutoff)
+        )
 }
 
-/// Prices the TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel for one
-/// MoE shape under the expected routing, the same way as
-/// [`timed_ag_group_gemm`]. The kernel always compiles onto the hybrid
+/// The TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel for one MoE
+/// shape under the expected routing, compiled the same way as
+/// [`ag_group_gemm_kernel`]. The kernel always compiles onto the hybrid
 /// transfer lane, whatever `cfg.comm_mapping` says.
 ///
 /// # Errors
 ///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_group_gemm_rs(
+/// Returns an error if compilation fails.
+pub fn group_gemm_rs_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     let mut cfg = *cfg;
     cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
-    let kernel = Compiler::new(cfg, cost.cluster().gpu.clone())
+    Compiler::new(cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new("moe.group_gemm_rs", moe_detail(shape, world)),
             || Ok(group_gemm_rs_program(shape, world, &cfg)),
-        )?;
-    simulate_report(&kernel, cost, cutoff)
+        )
 }
 
 /// Simulates the full TileLink MoE layer (both halves plus the activation)
@@ -477,14 +473,12 @@ pub fn timed_group_gemm_rs(
 /// Returns an error if either half fails.
 pub fn timed_full_moe(shape: &MoeShape, cost: &SharedCost) -> tilelink::Result<OverlapReport> {
     let cfg = moe_config();
-    crate::bounds::compose_layer(
-        f64::INFINITY,
+    crate::bounds::exact_layer(
+        cost,
         activation_seconds(shape, &**cost),
-        0.0,
-        |budget| timed_ag_group_gemm(shape, &cfg, cost, budget),
-        |budget| timed_group_gemm_rs(shape, &cfg, cost, budget),
+        || ag_group_gemm_kernel(shape, &cfg, cost),
+        || group_gemm_rs_kernel(shape, &cfg, cost),
     )
-    .map(BoundedReport::exact)
 }
 
 /// Time of the expert-MLP activation between the two MoE halves, priced by an
@@ -700,6 +694,7 @@ impl RoutingSampler {
     /// Panics if `experts` is zero.
     pub fn sample(&self, experts: usize, rows: usize, index: usize) -> RoutingSample {
         assert!(experts > 0, "expert count must be positive");
+        tilelink_probe::metrics::WORKLOADS_ROUTING_SAMPLES.inc();
         let mut rng = SplitMix::new(
             self.seed
                 .wrapping_add((index as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F)),
@@ -997,21 +992,20 @@ pub fn routed_group_gemm_rs_program(
     (program, mapping)
 }
 
-/// Prices the routed AG + Gather + GroupGEMM kernel for one sampled routing,
-/// the same way as [`timed_ag_group_gemm`].
+/// The routed AG + Gather + GroupGEMM kernel for one sampled routing,
+/// compiled the same way as [`ag_group_gemm_kernel`].
 ///
 /// # Errors
 ///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_routed_ag_group_gemm(
+/// Returns an error if compilation fails.
+pub fn routed_ag_group_gemm_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     sample: &RoutingSample,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
+    Compiler::new(*cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new(
@@ -1019,28 +1013,26 @@ pub fn timed_routed_ag_group_gemm(
                 routed_detail(shape, world, sample),
             ),
             || routed_ag_group_gemm_program(shape, world, cfg, sample),
-        )?;
-    simulate_report(&kernel, cost, cutoff)
+        )
 }
 
-/// Prices the routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one
-/// sampled routing, the same way as [`timed_group_gemm_rs`] (hybrid lane
+/// The routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one sampled
+/// routing, compiled the same way as [`group_gemm_rs_kernel`] (hybrid lane
 /// included).
 ///
 /// # Errors
 ///
-/// Returns an error if compilation or simulation fails.
-pub fn timed_routed_group_gemm_rs(
+/// Returns an error if compilation fails.
+pub fn routed_group_gemm_rs_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
     sample: &RoutingSample,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
+) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     let mut cfg = *cfg;
     cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
-    let kernel = Compiler::new(cfg, cost.cluster().gpu.clone())
+    Compiler::new(cfg, cost.cluster().gpu.clone())
         .with_cost(cost.clone())
         .compile_cached(
             CacheSite::new(
@@ -1048,19 +1040,11 @@ pub fn timed_routed_group_gemm_rs(
                 routed_detail(shape, world, sample),
             ),
             || Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample)),
-        )?;
-    simulate_report(&kernel, cost, cutoff)
+        )
 }
 
-/// Prices the full routed MoE layer (both halves plus the activation) for one
-/// sampled routing under one cutoff on the layer total.
-///
-/// The cutoff is threaded through both halves as a *residual budget*: the
-/// first half aborts once its makespan alone makes the layer total exceed
-/// `cutoff` (using the admissible lower bound of the second half for the
-/// unsimulated remainder), the second once the running total does. An
-/// `Exceeded` clock is therefore a certified lower bound on the full layer
-/// total; with an infinite cutoff the report is exact.
+/// Simulates the full routed MoE layer (both halves plus the activation) for
+/// one sampled routing, priced exactly by `cost`.
 ///
 /// # Errors
 ///
@@ -1070,20 +1054,19 @@ pub fn timed_routed_full_moe(
     cfg: &OverlapConfig,
     cost: &SharedCost,
     sample: &RoutingSample,
-    cutoff: f64,
-) -> tilelink::Result<BoundedReport> {
-    crate::bounds::compose_layer(
-        cutoff,
+) -> tilelink::Result<OverlapReport> {
+    crate::bounds::exact_layer(
+        cost,
         activation_seconds(shape, &**cost),
-        crate::bounds::moe_second_bound(shape, cfg, &**cost),
-        |budget| timed_routed_ag_group_gemm(shape, cfg, cost, sample, budget),
-        |budget| timed_routed_group_gemm_rs(shape, cfg, cost, sample, budget),
+        || routed_ag_group_gemm_kernel(shape, cfg, cost, sample),
+        || routed_group_gemm_rs_kernel(shape, cfg, cost, sample),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilelink::exec::simulate_report;
     use tilelink_compute::group_gemm::group_gemm;
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
@@ -1144,9 +1127,9 @@ mod tests {
     #[test]
     fn timed_moe_first_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let report = timed_ag_group_gemm(&shape, &moe_config(), &cost(), f64::INFINITY)
-            .unwrap()
-            .exact();
+        let cost = cost();
+        let kernel = ag_group_gemm_kernel(&shape, &moe_config(), &cost).unwrap();
+        let report = simulate_report(&kernel, &cost).unwrap();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         assert!(report.total_ms() > 0.01 && report.total_ms() < 20.0);
     }
@@ -1154,9 +1137,9 @@ mod tests {
     #[test]
     fn timed_moe_second_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let report = timed_group_gemm_rs(&shape, &moe_config(), &cost(), f64::INFINITY)
-            .unwrap()
-            .exact();
+        let cost = cost();
+        let kernel = group_gemm_rs_kernel(&shape, &moe_config(), &cost).unwrap();
+        let report = simulate_report(&kernel, &cost).unwrap();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
     }
 
@@ -1233,12 +1216,8 @@ mod tests {
         let skewed = RoutingSample {
             rows_per_expert: all_on_one,
         };
-        let flat = timed_routed_full_moe(&shape, &cfg, &cost, &balanced, f64::INFINITY)
-            .unwrap()
-            .exact();
-        let hot = timed_routed_full_moe(&shape, &cfg, &cost, &skewed, f64::INFINITY)
-            .unwrap()
-            .exact();
+        let flat = timed_routed_full_moe(&shape, &cfg, &cost, &balanced).unwrap();
+        let hot = timed_routed_full_moe(&shape, &cfg, &cost, &skewed).unwrap();
         assert!(
             hot.total_s > flat.total_s,
             "skewed {} ms <= balanced {} ms",
@@ -1259,7 +1238,7 @@ mod tests {
             dispatched_rows(&shape),
             0,
         );
-        let price = || timed_routed_full_moe(&shape, &moe_config(), &cost, &sample, f64::INFINITY);
+        let price = || timed_routed_full_moe(&shape, &moe_config(), &cost, &sample);
         assert_eq!(price().unwrap(), price().unwrap());
     }
 

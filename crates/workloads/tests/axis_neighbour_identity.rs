@@ -8,14 +8,15 @@
 //! of the standard space, compiling the neighbour against a cache warmed by
 //! the base must produce the same compiled kernel, the same task graph and a
 //! bit-identical overlap report as a cold compile of the neighbour alone,
-//! under both cost models.
+//! under both cost models — and the makespan-only price a search ranks by
+//! must finish with that report's `total_s`, bit for bit.
 
-use tilelink::exec::{simulate_report, task_graph};
+use tilelink::exec::{simulate_makespan, simulate_report, task_graph};
 use tilelink::{
     reset_compile_cache, CacheSite, CommMapping, CompiledKernel, Compiler, OverlapConfig,
     OverlapReport, TileOrder, TileShape, TransferMode,
 };
-use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec, SharedCost};
+use tilelink_sim::{analytic_cost, BoundedMakespan, CalibratedCostModel, ClusterSpec, SharedCost};
 use tilelink_workloads::moe::{ag_group_gemm_program, group_gemm_rs_program};
 use tilelink_workloads::shapes::moe_shapes;
 use tilelink_workloads::MoeShape;
@@ -138,21 +139,25 @@ fn warm_axis_neighbour_compiles_match_cold_compiles_for_both_cost_models() {
                 let _ = compile_kernel(site, &shape, &cluster, &base, cost);
                 let warm = compile_kernel(site, &shape, &cluster, &nb, cost);
                 let warm_graph = task_graph(&warm, &cluster);
-                let warm_report = simulate_report(&warm, cost, f64::INFINITY)
-                    .expect("warm report")
-                    .exact();
+                let warm_report = simulate_report(&warm, cost).expect("warm report");
 
                 // Cold path: the same neighbour compiled from nothing.
                 reset_compile_cache();
                 let cold = compile_kernel(site, &shape, &cluster, &nb, cost);
                 let cold_graph = task_graph(&cold, &cluster);
-                let cold_report = simulate_report(&cold, cost, f64::INFINITY)
-                    .expect("cold report")
-                    .exact();
+                let cold_report = simulate_report(&cold, cost).expect("cold report");
 
                 assert_eq!(warm, cold, "compiled kernel: {ctx}");
                 assert_eq!(warm_graph, cold_graph, "task graph: {ctx}");
                 assert_reports_bit_identical(&warm_report, &cold_report, &ctx);
+                match simulate_makespan(&warm, cost, f64::INFINITY).expect("warm makespan") {
+                    BoundedMakespan::Finished(total) => assert_eq!(
+                        total.to_bits(),
+                        warm_report.total_s.to_bits(),
+                        "makespan-only total_s: {ctx}"
+                    ),
+                    BoundedMakespan::Exceeded(_) => panic!("infinite cutoff aborted: {ctx}"),
+                }
                 checked += 1;
             }
         }

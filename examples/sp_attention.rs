@@ -3,6 +3,7 @@
 //!
 //! Run with `cargo run --release --example sp_attention`.
 
+use tilelink::exec::simulate_report;
 use tilelink_compute::attention::attention_reference;
 use tilelink_compute::Tensor;
 use tilelink_sim::{analytic_cost, ClusterSpec};
@@ -37,9 +38,8 @@ fn main() {
     for &seq in &shape.seq_lens {
         let torch = baselines::torch_attention(shape, seq, &*cost);
         let ring = baselines::ring_attention(shape, seq, &*cost);
-        let tl = attention::timed_sp_attention(shape, seq, &cfg, &cost, f64::INFINITY)
-            .expect("simulation")
-            .exact();
+        let kernel = attention::sp_attention_kernel(shape, seq, &cfg, &cost).expect("compile");
+        let tl = simulate_report(&kernel, &cost).expect("simulation");
         println!(
             "  seq {:>6}: Torch {:>9.2} ms | RingAttn {:>9.2} ms | TileLink {:>9.2} ms | overlap ratio {:>5.1}%",
             seq,

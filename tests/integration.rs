@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: overlapped kernels against collective +
 //! compute references, and compiled kernels against the simulator.
 
+use tilelink::exec::simulate_report;
 use tilelink_collectives::Comm;
 use tilelink_compute::attention::attention_reference;
 use tilelink_compute::gemm::matmul;
@@ -181,9 +182,8 @@ fn paper_headline_speedups_hold_on_the_simulated_cluster() {
 
     let attn_shape = &shapes::attn_shapes()[0];
     let attn_cfg = attention::attention_config();
-    let attn = attention::timed_sp_attention(attn_shape, 65_536, &attn_cfg, &cost, f64::INFINITY)
-        .unwrap()
-        .exact();
+    let attn_kernel = attention::sp_attention_kernel(attn_shape, 65_536, &attn_cfg, &cost).unwrap();
+    let attn = simulate_report(&attn_kernel, &cost).unwrap();
     let attn_speedup = attn.speedup_over(&baselines::torch_attention(attn_shape, 65_536, &*cost));
     assert!(
         attn_speedup > 2.0 && attn_speedup < 10.0,
@@ -195,14 +195,9 @@ fn paper_headline_speedups_hold_on_the_simulated_cluster() {
 fn multi_node_cluster_is_slower_but_still_overlaps() {
     let shape = &shapes::mlp_shapes()[0];
     let price = |cluster| {
-        mlp::timed_ag_gemm(
-            shape,
-            &mlp::ag_gemm_config(),
-            &analytic_cost(&cluster),
-            f64::INFINITY,
-        )
-        .unwrap()
-        .exact()
+        let cost = analytic_cost(&cluster);
+        let kernel = mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), &cost).unwrap();
+        simulate_report(&kernel, &cost).unwrap()
     };
     let r1 = price(ClusterSpec::h800_node(8));
     let r2 = price(ClusterSpec::h800_multi_node(2));

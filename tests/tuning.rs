@@ -2,13 +2,14 @@
 //! workload oracles on the simulated cluster (the acceptance path of the
 //! `tilelink-tune` subsystem).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use tilelink::{CommMapping, OverlapConfig, TileShape};
+use tilelink::{CommMapping, OverlapConfig, OverlapReport, TileShape};
 use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec};
-use tilelink_tune::{CostOracle, SearchSpace, Strategy, TuneCache, Tuner};
-use tilelink_workloads::autotune::{self, MlpAgGemmOracle, MlpOracle, TuneOptions};
-use tilelink_workloads::shapes;
+use tilelink_tune::{BoundedEval, CostOracle, Objective, SearchSpace, Strategy, TuneCache, Tuner};
+use tilelink_workloads::autotune::{self, MlpAgGemmOracle, MlpOracle, MoeOracle, TuneOptions};
+use tilelink_workloads::{shapes, RoutingProfile, RoutingSpec, TunedLayer};
 
 /// A small space that still spans tile sizes, mappings and stages.
 fn small_space() -> SearchSpace {
@@ -98,12 +99,12 @@ fn search_over_the_real_oracle_is_deterministic_across_thread_counts() {
     let a: Vec<_> = serial
         .ranked
         .iter()
-        .map(|c| (&c.config, c.report.total_s))
+        .map(|c| (&c.config, c.total_s))
         .collect();
     let b: Vec<_> = parallel
         .ranked
         .iter()
-        .map(|c| (&c.config, c.report.total_s))
+        .map(|c| (&c.config, c.total_s))
         .collect();
     assert_eq!(a, b);
 }
@@ -260,4 +261,148 @@ fn tuned_e2e_calibrated_cache_never_serves_the_analytic_search() {
         "analytic search must not be served calibrated timings"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Delegates to `inner`, counting the exact [`CostOracle::evaluate`] calls
+/// (the tuner makes one per search, for the winner, unless the cache holds
+/// its report).
+struct CountingExact<'a> {
+    inner: &'a dyn CostOracle,
+    calls: AtomicUsize,
+}
+
+impl CostOracle for CountingExact<'_> {
+    fn workload_key(&self) -> String {
+        self.inner.workload_key()
+    }
+
+    fn cluster(&self) -> &ClusterSpec {
+        self.inner.cluster()
+    }
+
+    fn cost_revision(&self) -> String {
+        self.inner.cost_revision()
+    }
+
+    fn objective(&self) -> Objective {
+        self.inner.objective()
+    }
+
+    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.evaluate(cfg)
+    }
+
+    fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
+        self.inner.lower_bound(cfg)
+    }
+
+    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
+        self.inner.evaluate_bounded(cfg, cutoff)
+    }
+
+    fn is_supported(&self, cfg: &OverlapConfig) -> bool {
+        self.inner.is_supported(cfg)
+    }
+}
+
+fn assert_bit_identical(a: &OverlapReport, b: &OverlapReport, ctx: &str) {
+    assert_eq!(a.total_s.to_bits(), b.total_s.to_bits(), "{ctx}: total_s");
+    assert_eq!(
+        a.comm_only_s.to_bits(),
+        b.comm_only_s.to_bits(),
+        "{ctx}: comm_only_s"
+    );
+    assert_eq!(
+        a.comp_only_s.to_bits(),
+        b.comp_only_s.to_bits(),
+        "{ctx}: comp_only_s"
+    );
+}
+
+#[test]
+fn tuned_winners_carry_their_exact_report_and_rerun_without_pricing() {
+    // The search ranks makespans only and prices the comm/compute split once,
+    // for the winner: that report must be exactly what the oracle's exact
+    // evaluation returns, and a rerun on the same persistent cache must serve
+    // it, and every ranked value, without pricing anything. (Candidates the
+    // first run aborted past its incumbent are not cached and may abort
+    // again; they are never ranked.)
+    let dir = std::env::temp_dir().join(format!("tilelink-winner-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cluster = ClusterSpec::h800_node(8);
+    let mlp_shape = shapes::mlp_shapes()[0].clone();
+    let moe_shape = shapes::moe_shapes()[0].clone();
+    let routing = RoutingSpec {
+        samples: 3,
+        ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
+    };
+    let cases: [(&str, Box<dyn CostOracle>); 3] = [
+        (
+            "mlp",
+            Box::new(MlpOracle::new(mlp_shape.clone(), cluster.clone())),
+        ),
+        (
+            "moe",
+            Box::new(MoeOracle::new(moe_shape.clone(), cluster.clone())),
+        ),
+        (
+            "moe-routed-p95",
+            Box::new(
+                MoeOracle::new(moe_shape.clone(), cluster.clone())
+                    .with_routing(routing)
+                    .with_objective(Objective::Percentile(95)),
+            ),
+        ),
+    ];
+    for (name, oracle) in cases {
+        let path = dir.join(format!("{name}.tsv"));
+        let _ = std::fs::remove_file(&path);
+        let opts = TuneOptions {
+            strategy: Strategy::Beam {
+                width: 2,
+                sweeps: 1,
+            },
+            space: small_space(),
+            cache_path: Some(path.clone()),
+            ..TuneOptions::default()
+        };
+        let tuned: TunedLayer = match name {
+            "mlp" => autotune::tuned_full_mlp(&mlp_shape, &cluster, &opts),
+            "moe" => autotune::tuned_full_moe(&moe_shape, &cluster, &opts),
+            _ => autotune::tuned_full_moe(
+                &moe_shape,
+                &cluster,
+                &opts
+                    .clone()
+                    .with_routing(routing)
+                    .with_objective(Objective::Percentile(95)),
+            ),
+        }
+        .unwrap();
+        assert!(tuned.search.evaluations > 0, "{name}");
+        assert_eq!(tuned.search.best.config, tuned.config, "{name}");
+        assert_eq!(
+            tuned.search.ranked[0].total_s.to_bits(),
+            tuned.layer.total_s.to_bits(),
+            "{name}: the ranked value is the winner's total"
+        );
+        let exact = oracle.evaluate(&tuned.config).unwrap();
+        assert_bit_identical(&tuned.layer, &exact, name);
+
+        let counting = CountingExact {
+            inner: &*oracle,
+            calls: AtomicUsize::new(0),
+        };
+        let rerun = Tuner::new(opts.strategy)
+            .with_cache(TuneCache::open(&path).unwrap())
+            .tune(&counting, &opts.space)
+            .unwrap();
+        assert_eq!(counting.calls.load(Ordering::SeqCst), 0, "{name}");
+        assert_eq!(rerun.evaluations, 0, "{name}");
+        assert!(rerun.best.from_cache, "{name}");
+        assert_eq!(rerun.best.config, tuned.config, "{name}");
+        assert_bit_identical(&rerun.best.report, &exact, name);
+        let _ = std::fs::remove_file(&path);
+    }
 }
