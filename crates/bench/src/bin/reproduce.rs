@@ -3,8 +3,11 @@
 //!
 //! Flags (combine freely; no flags prints everything):
 //! `--table2 --shapes --fig8 --fig9 --fig10 --fig11 --ablation`
-//! An argument that is neither a section flag nor an option below exits 2
-//! before any section runs.
+//! Each argument may appear once, and the command line is checked before
+//! anything is printed: an unknown argument, a missing value, a value that
+//! is itself a flag, a repeated argument, `--quick` with a section other
+//! than `--tune`, or `--routing`/`--objective`/`--verbose` without `--tune`
+//! exits 2.
 //!
 //! `--quick` prints a fast smoke subset (shapes + Table 2) — used by CI to
 //! keep this binary from rotting.
@@ -52,11 +55,12 @@
 //! * `--verbose` (requires `--tune`) prints per-beam-round search progress
 //!   (round, best-so-far, evaluations) to stderr while tuning.
 
+use tilelink_bench::cli::{self, Arity};
 use tilelink_bench::{
     benchmark_graphs, cost_for, default_cluster, fig10, fig11, fig11_tuned, fig8, fig9, geomean,
     table2, MlpPanel, MoePanel,
 };
-use tilelink_sim::CostModelSpec;
+use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
 use tilelink_tune::{Objective, SearchExecutor, TuneCache};
 use tilelink_workloads::moe::RoutingProfile;
 use tilelink_workloads::{shapes, RoutingSpec, TuneOptions};
@@ -75,92 +79,88 @@ const SECTIONS: [&str; 9] = [
     "--serve",
 ];
 
-/// The section flags of a command line: everything except the option-style
-/// arguments (`--cost-model`, `--routing`, `--objective`, `--trace-out` and
-/// their values, `--quick`, `--verbose` and `--profile[=…]`). `--tune` keeps
-/// its historical role as a section selector.
-fn section_flags(args: &[String]) -> Vec<&String> {
-    let mut sections: Vec<&String> = Vec::new();
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--cost-model" || a == "--routing" || a == "--objective" || a == "--trace-out" {
-            skip_next = true; // skip the flag's value too
-            continue;
-        }
-        if a == "--quick"
-            || a == "--profile"
-            || a == "--verbose"
-            || a.starts_with("--cost-model=")
-            || a.starts_with("--routing=")
-            || a.starts_with("--objective=")
-            || a.starts_with("--trace-out=")
-            || a.starts_with("--profile=")
-        {
-            continue;
-        }
-        sections.push(a);
-    }
-    sections
+/// The options besides the section flags.
+const OPTIONS: [(&str, Arity); 7] = [
+    ("--quick", Arity::Flag),
+    ("--verbose", Arity::Flag),
+    ("--profile", Arity::OptionalValue),
+    ("--cost-model", Arity::Value),
+    ("--routing", Arity::Value),
+    ("--objective", Arity::Value),
+    ("--trace-out", Arity::Value),
+];
+
+/// A parsed `reproduce` command line.
+struct Args {
+    /// The section flags given; none selects every default section.
+    sections: Vec<&'static str>,
+    quick: bool,
+    verbose: bool,
+    cost: CostModelSpec,
+    routing: Option<RoutingSpec>,
+    objective: Objective,
+    /// `--profile`: `Some(None)` for the bare flag (table on stdout only),
+    /// `Some(Some(path))` when a JSON report was also requested.
+    profile: Option<Option<String>>,
+    trace_out: Option<String>,
 }
 
-/// Parses `--profile[=<path>]`: `None` when absent, `Some(None)` for the bare
-/// flag (table on stdout only), `Some(Some(path))` when a JSON report was
-/// also requested.
-fn profile_arg(args: &[String]) -> Option<Option<String>> {
-    let mut found = None;
-    for a in args {
-        if a == "--profile" {
-            found = found.or(Some(None));
-        } else if let Some(path) = a.strip_prefix("--profile=") {
-            found = Some(Some(path.to_string()));
+impl Args {
+    fn parse(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let known: Vec<(&str, Arity)> = SECTIONS
+            .iter()
+            .map(|&s| (s, Arity::Flag))
+            .chain(OPTIONS)
+            .collect();
+        let p = cli::parse(argv, &known)?;
+        let sections: Vec<&'static str> = p.names().filter(|n| SECTIONS.contains(n)).collect();
+        // `--quick` replaces section selection entirely; combining it with
+        // section flags would silently drop them. `--tune` is the one
+        // exception: `--quick --tune` runs a reduced tuning smoke (the CI
+        // entry point for the routing-aware search).
+        if p.has("--quick") {
+            if let Some(flag) = sections.iter().find(|&&f| f != "--tune") {
+                return Err(format!("--quick cannot be combined with {flag}"));
+            }
         }
-    }
-    found
-}
-
-/// Extracts the value of an option-style `--flag VALUE` / `--flag=VALUE`.
-fn option_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        return match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(format!("{flag} requires a value")),
+        // These only change the tuning pass; accepting them without `--tune`
+        // would silently drop them.
+        for option in ["--routing", "--objective", "--verbose"] {
+            if p.has(option) && !p.has("--tune") {
+                return Err(format!("{option} requires --tune"));
+            }
+        }
+        // `--objective` without `--routing` implies sampled uniform routing
+        // (a percentile needs a distribution to take the percentile of).
+        let objective = p.parse("--objective")?.unwrap_or(Objective::Mean);
+        let routing = match (p.parse::<RoutingProfile>("--routing")?, objective) {
+            (Some(profile), _) => Some(RoutingSpec::new(profile)),
+            (None, Objective::Mean) => None,
+            (None, _) => Some(RoutingSpec::new(RoutingProfile::Uniform)),
         };
+        Ok(Self {
+            sections,
+            quick: p.has("--quick"),
+            verbose: p.has("--verbose"),
+            cost: p.parse("--cost-model")?.unwrap_or_default(),
+            routing,
+            objective,
+            profile: p
+                .has("--profile")
+                .then(|| p.value("--profile").map(String::from)),
+            trace_out: p.value("--trace-out").map(String::from),
+        })
     }
-    let prefix = format!("{flag}=");
-    Ok(args
-        .iter()
-        .find_map(|a| a.strip_prefix(&prefix))
-        .map(String::from))
-}
 
-/// Parses `--routing` / `--objective` into the routing-aware tuning inputs.
-/// `--objective` without `--routing` implies sampled uniform routing (a
-/// percentile needs a distribution to take the percentile of).
-fn routing_args(args: &[String]) -> Result<(Option<RoutingSpec>, Objective), String> {
-    let profile = option_value(args, "--routing")?
-        .map(|v| v.parse::<RoutingProfile>())
-        .transpose()?;
-    let objective = option_value(args, "--objective")?
-        .map(|v| v.parse::<Objective>())
-        .transpose()?
-        .unwrap_or(Objective::Mean);
-    let spec = match (profile, objective) {
-        (Some(p), _) => Some(RoutingSpec::new(p)),
-        (None, Objective::Mean) => None,
-        (None, _) => Some(RoutingSpec::new(RoutingProfile::Uniform)),
-    };
-    Ok((spec, objective))
-}
+    /// Whether a default section runs: no section flag means all of them.
+    fn wants(&self, section: &str) -> bool {
+        self.sections.is_empty() || self.has(section)
+    }
 
-/// Section selection: no section flag means "print everything", so
-/// `reproduce --cost-model calibrated` still prints everything.
-fn wants(args: &[String], flag: &str) -> bool {
-    let sections = section_flags(args);
-    sections.is_empty() || sections.iter().any(|a| *a == flag)
+    /// Whether a section flag was given (the opt-in `--tune` and `--serve`).
+    fn has(&self, section: &str) -> bool {
+        self.sections.contains(&section)
+    }
 }
 
 fn print_groups(title: &str, groups: &[tilelink_bench::Group], baseline: &str) {
@@ -180,87 +180,34 @@ fn print_groups(title: &str, groups: &[tilelink_bench::Group], baseline: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Sections are opt-in filters, so an unknown flag would otherwise select
-    // nothing and exit 0 as if it had run.
-    if let Some(flag) = section_flags(&args)
-        .into_iter()
-        .find(|a| !SECTIONS.contains(&a.as_str()))
-    {
-        eprintln!("error: unknown argument {flag}");
-        std::process::exit(2);
-    }
+    let args = Args::parse(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e));
     let cluster = default_cluster();
-    let spec = CostModelSpec::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
     // Build once and fail fast on an unloadable calibration file; every
     // single-cluster section below shares this provider (fig11 picks its own
     // clusters, so it takes the spec instead).
-    let cost = cost_for(&cluster, &spec);
-    println!("(cost model: {spec}, revision {})", cost.revision());
-    let (routing, objective) = routing_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    // Routing flags only affect the tuning pass; accepting them without
-    // `--tune` would silently drop them (same policy as --quick + sections).
-    if routing.is_some() && !args.iter().any(|a| a == "--tune") {
-        eprintln!("error: --routing/--objective require --tune");
-        std::process::exit(2);
-    }
-
-    // Like --routing, --verbose only changes the tuning pass.
-    let verbose = args.iter().any(|a| a == "--verbose");
-    if verbose && !args.iter().any(|a| a == "--tune") {
-        eprintln!("error: --verbose requires --tune");
-        std::process::exit(2);
-    }
-
-    let profile = profile_arg(&args);
-    let trace_out = option_value(&args, "--trace-out").unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    if profile.is_some() {
+    let cost = cost_for(&cluster, &args.cost);
+    println!("(cost model: {}, revision {})", args.cost, cost.revision());
+    if args.profile.is_some() {
         // Enabled before any section runs so the exit report attributes the
         // whole run; disabled sites cost one relaxed atomic load each.
         tilelink_probe::set_enabled(true);
     }
 
-    run(&args, &cluster, &spec, &cost, routing, objective, verbose);
+    run(&args, &cluster, &cost);
 
-    if let Some(dir) = &trace_out {
-        write_traces(dir, &spec);
+    if let Some(dir) = &args.trace_out {
+        write_traces(dir, &args.cost);
     }
-    if let Some(json_path) = &profile {
-        finish_profile(json_path.as_deref(), trace_out.as_deref());
+    if let Some(json_path) = &args.profile {
+        finish_profile(json_path.as_deref(), args.trace_out.as_deref());
     }
 }
 
 /// Everything the selected flags asked for, in section order. Split out of
 /// `main` so its early return (`--quick`) still falls through to the
 /// `--trace-out` / `--profile` epilogue.
-#[allow(clippy::too_many_arguments)]
-fn run(
-    args: &[String],
-    cluster: &tilelink_sim::ClusterSpec,
-    spec: &CostModelSpec,
-    cost: &tilelink_sim::SharedCost,
-    routing: Option<RoutingSpec>,
-    objective: Objective,
-    verbose: bool,
-) {
-    if args.iter().any(|a| a == "--quick") {
-        // `--quick` replaces section selection entirely; combining it with
-        // section flags would silently drop them, so reject that instead.
-        // `--tune` is the one exception: `--quick --tune` runs a reduced
-        // tuning smoke (the CI entry point for the routing-aware search).
-        if let Some(flag) = section_flags(args).iter().find(|f| **f != "--tune") {
-            eprintln!("error: --quick cannot be combined with {flag}");
-            std::process::exit(2);
-        }
+fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
+    if args.quick {
         // CI smoke subset: cheap, but exercises shapes, baselines and one
         // compiled TileLink kernel per MLP half.
         print_shapes();
@@ -269,18 +216,18 @@ fn run(
             &table2(cost),
             "Non-Overlap",
         );
-        if args.iter().any(|a| a == "--tune") {
-            quick_tune_smoke(cluster, cost, routing, objective, verbose);
-            quick_e2e_tune_smoke(spec, routing, objective, verbose);
+        if args.has("--tune") {
+            quick_tune_smoke(cluster, cost, args);
+            quick_e2e_tune_smoke(args);
         }
         return;
     }
 
-    if wants(args, "--shapes") {
+    if args.wants("--shapes") {
         print_shapes();
     }
 
-    if wants(args, "--table2") {
+    if args.wants("--table2") {
         print_groups(
             "Table 2: motivational example (MLP-1)",
             &table2(cost),
@@ -288,7 +235,7 @@ fn run(
         );
     }
 
-    if wants(args, "--fig8") {
+    if args.wants("--fig8") {
         print_groups(
             "Figure 8: AG+GEMM",
             &fig8(MlpPanel::AgGemm, cost),
@@ -306,7 +253,7 @@ fn run(
         );
     }
 
-    if wants(args, "--fig9") {
+    if args.wants("--fig9") {
         print_groups(
             "Figure 9: AG+Gather+GroupGEMM",
             &fig9(MoePanel::First, cost),
@@ -324,7 +271,7 @@ fn run(
         );
     }
 
-    if wants(args, "--fig10") {
+    if args.wants("--fig10") {
         for idx in 0..shapes::attn_shapes().len() {
             let rows = fig10(idx, cost);
             println!("\n== Figure 10: {} ==", shapes::attn_shapes()[idx].name);
@@ -344,19 +291,18 @@ fn run(
         }
     }
 
-    if wants(args, "--fig11") {
+    if args.wants("--fig11") {
         // Under --tune the Figure 11 rows gain a third, tuned-TileLink column:
         // per-layer configs searched by tilelink-tune (persistent cache, so
         // reruns answer from disk with zero simulations).
-        let tune_requested = args.iter().any(|a| a == "--tune");
-        let tune_opts = tune_requested.then(|| {
+        let tune_opts = args.has("--tune").then(|| {
             let opts = TuneOptions::default()
                 .with_default_cache()
                 .with_executor(SearchExecutor::global())
-                .with_verbose(verbose);
-            let opts = match routing {
-                Some(spec) => opts.with_routing(spec).with_objective(objective),
-                None => opts.with_objective(objective),
+                .with_verbose(args.verbose);
+            let opts = match args.routing {
+                Some(spec) => opts.with_routing(spec).with_objective(args.objective),
+                None => opts.with_objective(args.objective),
             };
             println!(
                 "\n(figure 11 tuning cache: {})",
@@ -367,15 +313,16 @@ fn run(
                 // sampled routings — a harder workload than the
                 // uniform-routing default column.
                 println!(
-                    "(MoE layers tuned and priced under routing {spec}, objective {objective})"
+                    "(MoE layers tuned and priced under routing {spec}, objective {})",
+                    args.objective
                 );
             }
             opts
         });
         for (two_nodes, label) in [(false, "8xH800"), (true, "16xH800")] {
             let rows = match &tune_opts {
-                Some(opts) => fig11_tuned(two_nodes, usize::MAX, spec, opts),
-                None => fig11(two_nodes, usize::MAX, spec),
+                Some(opts) => fig11_tuned(two_nodes, usize::MAX, &args.cost, opts),
+                None => fig11(two_nodes, usize::MAX, &args.cost),
             };
             println!("\n== Figure 11: end-to-end, {label} ==");
             for r in &rows {
@@ -409,18 +356,18 @@ fn run(
         }
     }
 
-    if wants(args, "--ablation") {
+    if args.wants("--ablation") {
         ablations(cost);
     }
 
     // Opt-in only: a cold tuning run simulates hundreds of candidates.
-    if args.iter().any(|a| a == "--tune") {
-        tune(cluster, cost, routing, objective, verbose);
+    if args.has("--tune") {
+        tune(cluster, cost, args);
     }
 
     // Opt-in only, like --tune: boots a real daemon on an ephemeral port.
-    if args.iter().any(|a| a == "--serve") {
-        serve_smoke(spec);
+    if args.has("--serve") {
+        serve_smoke(&args.cost);
     }
 }
 
@@ -491,20 +438,14 @@ fn print_shapes() {
 /// Tuned-vs-default comparison on the Figure 8 MLP and Figure 9 MoE shapes,
 /// plus — when a routing distribution was requested — the mean/uniform-tuned
 /// vs skew-tuned winner comparison per Figure 9 shape.
-fn tune(
-    cluster: &tilelink_sim::ClusterSpec,
-    cost: &tilelink_sim::SharedCost,
-    routing: Option<RoutingSpec>,
-    objective: Objective,
-    verbose: bool,
-) {
-    use tilelink_workloads::autotune::{self, MlpOracle, MoeOracle, TuneOptions};
+fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
+    use tilelink_workloads::autotune::{self, MlpOracle, MoeOracle};
 
     let opts = TuneOptions::default()
         .with_default_cache()
         .with_cost(cost.clone())
-        .with_executor(tilelink_tune::SearchExecutor::global())
-        .with_verbose(verbose);
+        .with_executor(SearchExecutor::global())
+        .with_verbose(args.verbose);
     if let Some(path) = &opts.cache_path {
         println!(
             "\n(tuning cache: {}, cost-model revision {})",
@@ -569,7 +510,8 @@ fn tune(
 
     // Routing-distribution-aware pass: retune each MoE shape over sampled
     // routings and print the skew winner next to the mean/uniform winner.
-    let Some(spec) = routing else { return };
+    let Some(spec) = args.routing else { return };
+    let objective = args.objective;
     let routed_opts = opts.with_routing(spec).with_objective(objective);
     println!("\n== Autotune: Figure 9 MoE layers under routing {spec}, objective {objective} ==");
     for (shape, mean_tuned) in &mean_winners {
@@ -602,16 +544,10 @@ fn tune(
 /// few routing samples — enough to exercise the routing-aware search end to
 /// end without the cost of the full `--tune` pass. CI runs this under both
 /// cost models.
-fn quick_tune_smoke(
-    cluster: &tilelink_sim::ClusterSpec,
-    cost: &tilelink_sim::SharedCost,
-    routing: Option<RoutingSpec>,
-    objective: Objective,
-    verbose: bool,
-) {
+fn quick_tune_smoke(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
     use tilelink::{CommMapping, TileShape};
     use tilelink_tune::{SearchSpace, Strategy};
-    use tilelink_workloads::autotune::{self, TuneOptions};
+    use tilelink_workloads::autotune;
 
     let shape = shapes::moe_shapes()[0].clone();
     let space = SearchSpace::new()
@@ -628,8 +564,8 @@ fn quick_tune_smoke(
         ..TuneOptions::default()
     }
     .with_cost(cost.clone())
-    .with_executor(tilelink_tune::SearchExecutor::global())
-    .with_verbose(verbose);
+    .with_executor(SearchExecutor::global())
+    .with_verbose(args.verbose);
 
     println!("\n== Autotune smoke: {} (compact space) ==", shape.name);
     let mean_tuned =
@@ -640,9 +576,11 @@ fn quick_tune_smoke(
         mean_tuned.layer.total_ms(),
         mean_tuned.search.evaluations,
     );
-    let Some(mut spec) = routing else { return };
+    let Some(mut spec) = args.routing else {
+        return;
+    };
     spec.samples = 4; // smoke: fewer sampled routings per candidate
-    let routed_opts = base.with_routing(spec).with_objective(objective);
+    let routed_opts = base.with_routing(spec).with_objective(args.objective);
     let routed =
         autotune::tuned_full_moe(&shape, cluster, &routed_opts).expect("routed tuning succeeds");
     let marker = if routed.config == mean_tuned.config {
@@ -653,7 +591,7 @@ fn quick_tune_smoke(
     println!(
         "{}/{} best:     {:<44} {:>9.3} ms ({} sims)  [{marker}]",
         spec.profile,
-        objective,
+        args.objective,
         routed.config.cache_key(),
         routed.layer.total_ms(),
         routed.search.evaluations,
@@ -666,18 +604,14 @@ fn quick_tune_smoke(
 /// tuning TSV instead of re-simulating). Unlike the layer smoke above this
 /// searches the *standard* space — the tuned column is only meaningful if the
 /// search can reach configurations at least as good as the hand-picked ones.
-fn quick_e2e_tune_smoke(
-    spec: &CostModelSpec,
-    routing: Option<RoutingSpec>,
-    objective: Objective,
-    verbose: bool,
-) {
+fn quick_e2e_tune_smoke(args: &Args) {
+    let objective = args.objective;
     let mut opts = TuneOptions::default()
         .with_default_cache()
         .with_objective(objective)
         .with_executor(SearchExecutor::global())
-        .with_verbose(verbose);
-    if let Some(mut spec) = routing {
+        .with_verbose(args.verbose);
+    if let Some(mut spec) = args.routing {
         spec.samples = 4; // smoke: fewer sampled routings per candidate
         opts = opts.with_routing(spec);
     }
@@ -703,7 +637,7 @@ fn quick_e2e_tune_smoke(
         } else {
             tilelink_workloads::e2e::single_node_setup()
         };
-        let cost = cost_for(&cluster, spec);
+        let cost = cost_for(&cluster, &args.cost);
         for model in models.iter().filter(|m| names.contains(&m.name)) {
             let cmp = tilelink_workloads::e2e::compare_model_tuned(model, tokens, &cost, &opts)
                 .expect("tuned e2e smoke");

@@ -7,6 +7,8 @@
 
 #![deny(missing_docs)]
 
+pub mod cli;
+
 use tilelink::exec::simulate_report;
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
 use tilelink_workloads::{attention, baselines, e2e, mlp, moe, shapes, TuneOptions};

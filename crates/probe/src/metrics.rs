@@ -241,9 +241,6 @@ pub static SIM_SCRATCH_COLD: Counter = Counter::new("sim.scratch.cold");
 /// Routing samples drawn (`RoutingSampler::sample` calls) for routed MoE
 /// pricing.
 pub static WORKLOADS_ROUTING_SAMPLES: Counter = Counter::new("workloads.routing.samples");
-/// Cache files that existed but could not be read when opening the default
-/// tune cache (the open falls back to in-memory, but loudly).
-pub static TUNE_CACHE_OPEN_ERRORS: Counter = Counter::new("tune.cache.open_errors");
 /// Serve requests answered from the sharded in-memory result cache.
 pub static SERVE_REQUESTS_WARM: Counter = Counter::new("serve.requests.warm");
 /// Serve requests that ran a search (the in-flight leader for their key).
@@ -297,7 +294,6 @@ static COUNTERS: &[&Counter] = &[
     &SIM_SCRATCH_REUSES,
     &SIM_SCRATCH_COLD,
     &WORKLOADS_ROUTING_SAMPLES,
-    &TUNE_CACHE_OPEN_ERRORS,
     &SERVE_REQUESTS_WARM,
     &SERVE_REQUESTS_COLD,
     &SERVE_REQUESTS_DEDUPED,

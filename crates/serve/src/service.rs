@@ -151,9 +151,6 @@ pub struct ServeOptions {
     /// [`SearchExecutor::global`], so every cold search in the process reuses
     /// one warm evaluator pool.
     pub executor: Option<Arc<SearchExecutor>>,
-    /// Sweep stale persistent-cache entries (older cost revisions or other
-    /// objectives for the same workload/cluster) after each cold search.
-    pub sweep_stale: bool,
     /// Request worker threads behind the connection reactor.
     pub pool_workers: usize,
     /// Dispatch-queue bound; requests beyond it are answered `ERR busy`.
@@ -171,7 +168,6 @@ impl Default for ServeOptions {
             cache_entries: 4096,
             cache_ttl: None,
             executor: None,
-            sweep_stale: true,
             pool_workers: 8,
             pool_queue: 256,
         }
@@ -495,7 +491,9 @@ fn run_search(req: &TuneRequest, cost: &SharedCost, opts: &ServeOptions) -> Sear
     }
     .with_cost(cost.clone())
     .with_executor(executor)
-    .with_stale_sweep(opts.sweep_stale);
+    // The daemon always sweeps same-scope entries of other cost revisions or
+    // objectives, so its write-behind cache file and memory stay bounded.
+    .with_stale_sweep(true);
     let tuned = match &req.workload {
         WorkloadSpec::Mlp(shape) => autotune::tuned_full_mlp(shape, cost.cluster(), &topts),
         WorkloadSpec::Moe { shape, routing } => {

@@ -163,7 +163,7 @@ impl LinkCalibration {
     ///
     /// Returns [`SimError::Calibration`] on an unknown class tag, a
     /// non-numeric field, an achieved fraction outside `(0, 1]`, a negative
-    /// α, non-monotone bucket edges within a class, or a class whose last
+    /// or non-finite α, non-monotone bucket edges within a class, or a class whose last
     /// bucket edge is not `inf`.
     pub fn from_tsv(text: &str) -> Result<Self> {
         let bad = |line_no: usize, message: String| SimError::Calibration {
@@ -211,10 +211,12 @@ impl LinkCalibration {
                     format!("max_bytes must be positive, got {max_bytes}"),
                 ));
             }
-            if alpha_us.is_nan() || alpha_us < 0.0 {
+            // An infinite α (`inf`, or a literal like `1e309` that overflows)
+            // would make every transfer of the class infinitely slow.
+            if !alpha_us.is_finite() || alpha_us < 0.0 {
                 return Err(bad(
                     line_no,
-                    format!("alpha_us must be >= 0, got {alpha_us}"),
+                    format!("alpha_us must be >= 0 and finite, got {alpha_us}"),
                 ));
             }
             if achieved_frac.is_nan() || achieved_frac <= 0.0 || achieved_frac > 1.0 {
@@ -541,6 +543,11 @@ mod tests {
             ("warp\t100\t1.0\t0.5", "unknown link class"),
             ("nvlink\tabc\t1.0\t0.5", "bad max_bytes"),
             ("nvlink\t100\t-1.0\t0.5", "alpha_us must be >= 0"),
+            ("nvlink\tinf\tinf\t0.5", "alpha_us must be >= 0 and finite"),
+            (
+                "nvlink\tinf\t1e309\t0.5",
+                "alpha_us must be >= 0 and finite",
+            ),
             ("nvlink\t100\t1.0\t1.5", "achieved_frac must be in (0, 1]"),
             ("nvlink\t100\t1.0\t0.0", "achieved_frac must be in (0, 1]"),
             ("nvlink\t-5\t1.0\t0.5", "max_bytes must be positive"),

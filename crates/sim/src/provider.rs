@@ -156,32 +156,6 @@ impl CostModelSpec {
             )),
         }
     }
-
-    /// Extracts a `--cost-model VALUE` / `--cost-model=VALUE` selector from a
-    /// command line (shared by the `reproduce` binary and the examples so the
-    /// flag's syntax cannot drift between them). No flag means
-    /// [`CostModelSpec::Analytic`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Calibration`] if the flag is present without a
-    /// value or the value does not parse.
-    pub fn from_args(args: &[String]) -> Result<Self> {
-        if let Some(i) = args.iter().position(|a| a == "--cost-model") {
-            let Some(value) = args.get(i + 1) else {
-                return Err(SimError::Calibration {
-                    message:
-                        "--cost-model requires a value (analytic, calibrated or calibrated:<path>)"
-                            .to_string(),
-                });
-            };
-            return value.parse();
-        }
-        match args.iter().find_map(|a| a.strip_prefix("--cost-model=")) {
-            Some(value) => value.parse(),
-            None => Ok(CostModelSpec::Analytic),
-        }
-    }
 }
 
 impl FromStr for CostModelSpec {
@@ -263,28 +237,6 @@ mod tests {
         assert!("bogus".parse::<CostModelSpec>().is_err());
         assert!("calibrated:".parse::<CostModelSpec>().is_err());
         assert_eq!(CostModelSpec::default(), CostModelSpec::Analytic);
-    }
-
-    #[test]
-    fn spec_from_args_handles_both_flag_forms_and_errors() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            CostModelSpec::from_args(&args(&["--fig8"])).unwrap(),
-            CostModelSpec::Analytic
-        );
-        assert_eq!(
-            CostModelSpec::from_args(&args(&["--cost-model", "calibrated"])).unwrap(),
-            CostModelSpec::Calibrated { path: None }
-        );
-        assert_eq!(
-            CostModelSpec::from_args(&args(&["--cost-model=calibrated:/t.tsv"])).unwrap(),
-            CostModelSpec::Calibrated {
-                path: Some(PathBuf::from("/t.tsv"))
-            }
-        );
-        // A trailing flag without a value is an error, not a silent default.
-        assert!(CostModelSpec::from_args(&args(&["--fig8", "--cost-model"])).is_err());
-        assert!(CostModelSpec::from_args(&args(&["--cost-model", "bogus"])).is_err());
     }
 
     #[test]

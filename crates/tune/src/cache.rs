@@ -6,7 +6,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use tilelink::{OverlapConfig, OverlapReport};
-use tilelink_probe::metrics::TUNE_CACHE_OPEN_ERRORS;
 
 use crate::{Result, TuneError};
 
@@ -165,17 +164,25 @@ impl TuneCache {
     }
 
     /// One TSV line: 4 columns are an exact report, 2 an objective value;
-    /// anything else (or an unparseable number) is `None`.
+    /// anything else is `None`. So is a value no simulation produces: a
+    /// `total_s` that is not finite and positive, or a comm/compute time that
+    /// is not finite and non-negative. A cached value is trusted without
+    /// re-pricing, so one such line would otherwise win the search.
     fn parse_line(line: &str) -> Option<(&str, Entry)> {
+        let seconds = |text: &str, positive: bool| {
+            let s = text.parse::<f64>().ok()?;
+            let plausible = s.is_finite() && if positive { s > 0.0 } else { s >= 0.0 };
+            plausible.then_some(s)
+        };
         let mut parts = line.split('\t');
         let key = parts.next()?;
-        let total = parts.next()?.parse::<f64>().ok()?;
+        let total = seconds(parts.next()?, true)?;
         let entry = match (parts.next(), parts.next()) {
             (None, _) => Entry::Total(total),
             (Some(comm), Some(comp)) => Entry::Exact(OverlapReport::new(
                 total,
-                comm.parse().ok()?,
-                comp.parse().ok()?,
+                seconds(comm, false)?,
+                seconds(comp, false)?,
             )),
             (Some(_), None) => return None,
         };
@@ -188,37 +195,6 @@ impl TuneCache {
         std::env::var_os(CACHE_PATH_ENV)
             .map(PathBuf::from)
             .unwrap_or_else(|| std::env::temp_dir().join("tilelink-tune-cache.tsv"))
-    }
-
-    /// Opens the default cache (see [`TuneCache::default_path`]). Falls back
-    /// to an in-memory cache if the file exists but is unreadable — loudly:
-    /// see [`TuneCache::open_or_warn`].
-    pub fn open_default() -> Self {
-        Self::open_or_warn(Self::default_path())
-    }
-
-    /// Opens the cache at `path`, falling back to an *empty in-memory* cache
-    /// if the file exists but cannot be read.
-    ///
-    /// Unlike a silent fallback, the error is reported on stderr and counted
-    /// in the `tune.cache.open_errors` probe counter, so a permissions typo
-    /// on `$TILELINK_TUNE_CACHE` shows up as a warning instead of
-    /// masquerading as a cold cache that re-runs every search.
-    pub fn open_or_warn(path: impl AsRef<Path>) -> Self {
-        let path = path.as_ref();
-        match Self::open(path) {
-            Ok(cache) => cache,
-            Err(e) => {
-                TUNE_CACHE_OPEN_ERRORS.inc();
-                eprintln!(
-                    "warning: tuning cache {} is unreadable ({e}); continuing with an \
-                     empty in-memory cache, so every search will re-simulate and \
-                     nothing will be persisted",
-                    path.display()
-                );
-                Self::in_memory()
-            }
-        }
     }
 
     /// The backing file, if any.
@@ -524,6 +500,30 @@ mod tests {
     }
 
     #[test]
+    fn impossible_values_are_skipped_as_corrupt() {
+        let path = tmp("impossible.tsv");
+        let lines = [
+            "total-neg\t-1",
+            "total-zero\t0",
+            "total-nan\t-NaN",
+            "total-inf\tinf",
+            "exact-neg-comm\t1.0\t-0.5\t0.5",
+            "exact-inf-comp\t1.0\t0.5\tinf",
+            "zero-split\t1.0\t0\t0",
+            "good\t2.5e-3",
+        ];
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let cache = TuneCache::open(&path).unwrap();
+        assert_eq!(cache.len(), 2, "only the last two lines are plausible");
+        assert_eq!(cache.total("good"), Some(2.5e-3));
+        assert_eq!(
+            cache.get("zero-split"),
+            Some(OverlapReport::new(1.0, 0.0, 0.0))
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn corrupt_lines_are_skipped() {
         let path = tmp("corrupt.tsv");
         std::fs::write(&path, "good\t1.0\t0.5\t0.5\nbad line\nworse\tnan-ish\t\t\n").unwrap();
@@ -592,26 +592,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "flush must clean up its temp sibling");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unreadable_cache_surfaces_open_error() {
-        // A directory is unreadable as a file on every platform; before the
-        // fix open_or_warn/open_default swallowed this and the counter did
-        // not exist.
-        let dir = std::env::temp_dir().join(format!("tilelink-unreadable-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let before = TUNE_CACHE_OPEN_ERRORS.get();
-        let cache = TuneCache::open_or_warn(&dir);
-        assert!(
-            cache.path().is_none(),
-            "fallback cache must be in-memory so a later flush cannot damage the path"
-        );
-        assert!(
-            TUNE_CACHE_OPEN_ERRORS.get() > before,
-            "an unreadable cache file must be counted in tune.cache.open_errors"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,9 +1,9 @@
 //! The candidate-evaluation pool every tuning run evaluates on.
 //!
 //! [`Tuner::tune`](crate::Tuner::tune) hands its candidates to a
-//! [`SearchExecutor`]: a private one of the tuner's thread count that lives
-//! for that one call, or a long-lived one shared through
-//! [`Tuner::with_executor`](crate::Tuner::with_executor). Private per-call
+//! [`SearchExecutor`]: a private [`SearchExecutor::new`] (one worker per CPU,
+//! capped at 16) that lives for that one call, or a long-lived one shared
+//! through [`Tuner::with_executor`](crate::Tuner::with_executor). Private per-call
 //! pools are fine for one-shot CLI tuning, but a serving daemon runs many
 //! searches over its lifetime — often several at once for *different* cache
 //! keys — and per-call pools would both pay a thread-spawn tax on every
@@ -40,11 +40,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use tilelink::{OverlapConfig, TileLinkError};
-use tilelink_probe::metrics::{TUNE_EXECUTOR_QUEUE_DEPTH, TUNE_EXECUTOR_REUSES};
+use tilelink_probe::metrics::{TUNE_EVAL_US, TUNE_EXECUTOR_QUEUE_DEPTH, TUNE_EXECUTOR_REUSES};
 
-use crate::search::timed_eval;
 use crate::{BoundedEval, CostOracle};
 
 /// Default cap on concurrently admitted search sessions.
@@ -233,17 +233,25 @@ impl SearchExecutor {
         ExecutorSession { executor: self }
     }
 
-    /// Evaluates `misses` on the shared workers, blocking until every slot is
-    /// filled, and returns the results in candidate order. Batches from
-    /// concurrently admitted sessions interleave job-by-job (FIFO).
+    /// Evaluates `misses` under the cutoff in `cutoff` (`f64` bits) and
+    /// returns the results in candidate order, blocking until every one is
+    /// in. Batches from concurrently admitted sessions interleave job-by-job
+    /// (FIFO) on the shared workers. A batch of at most one miss, or any
+    /// batch on a one-worker pool, runs on the calling thread instead (its
+    /// scratch is warm too, and a pool round-trip buys no parallelism).
+    /// Either way a panicking oracle fails its candidate, not the search.
     pub(crate) fn run_batch(
         &self,
         oracle: &dyn CostOracle,
-        misses: &[&OverlapConfig],
-        cutoff: Arc<AtomicU64>,
-    ) -> Vec<Option<tilelink::Result<BoundedEval>>> {
-        if misses.is_empty() {
-            return Vec::new();
+        misses: &[OverlapConfig],
+        cutoff: &Arc<AtomicU64>,
+    ) -> Vec<tilelink::Result<BoundedEval>> {
+        if self.threads.min(misses.len()) <= 1 {
+            let cutoff = f64::from_bits(cutoff.load(Ordering::Relaxed));
+            return misses
+                .iter()
+                .map(|cfg| guarded_eval(oracle, cfg, cutoff))
+                .collect();
         }
         let batch = Arc::new(Batch {
             state: Mutex::new(BatchState {
@@ -251,7 +259,7 @@ impl SearchExecutor {
                 outstanding: misses.len(),
             }),
             done: Condvar::new(),
-            cutoff,
+            cutoff: Arc::clone(cutoff),
         });
         let oracle = OraclePtr::erase(oracle);
         {
@@ -260,7 +268,7 @@ impl SearchExecutor {
                 st.jobs.push_back(Job {
                     batch: Arc::clone(&batch),
                     idx,
-                    cfg: *cfg,
+                    cfg,
                     oracle,
                 });
             }
@@ -275,7 +283,34 @@ impl SearchExecutor {
             bs = batch.done.wait(bs).expect("executor batch poisoned");
         }
         std::mem::take(&mut bs.results)
+            .into_iter()
+            .map(|slot| slot.expect("every job fills its slot"))
+            .collect()
     }
+}
+
+/// One timed, profiled oracle call under the incumbent cutoff. The span lands
+/// on whichever thread ran it (the profiler keeps per-thread stacks). A
+/// panicking oracle must neither kill a shared worker (the pool would
+/// silently shrink for every later search) nor wedge the batch barrier or
+/// unwind through the search: it surfaces as a failed candidate instead.
+fn guarded_eval(
+    oracle: &dyn CostOracle,
+    cfg: &OverlapConfig,
+    cutoff: f64,
+) -> tilelink::Result<BoundedEval> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let _span = tilelink_probe::span("tune.candidate");
+        let t0 = Instant::now();
+        let r = oracle.evaluate_bounded(cfg, cutoff);
+        TUNE_EVAL_US.record(t0.elapsed().as_micros() as u64);
+        r
+    }))
+    .unwrap_or_else(|_| {
+        Err(TileLinkError::InvalidConfig {
+            reason: "oracle panicked during evaluation".to_string(),
+        })
+    })
 }
 
 impl Drop for SearchExecutor {
@@ -334,16 +369,8 @@ fn worker(inner: &Inner) {
         // SAFETY: see `OraclePtr` — the submitting `run_batch` is still
         // blocked on this batch, so the oracle it borrowed is live.
         let oracle: &dyn CostOracle = unsafe { &*job.oracle.0 };
-        // A panicking oracle must not kill a shared worker (the pool would
-        // silently shrink for every later search) nor wedge the batch
-        // barrier: surface it as a failed candidate instead.
         let cutoff = f64::from_bits(job.batch.cutoff.load(Ordering::Relaxed));
-        let result = catch_unwind(AssertUnwindSafe(|| timed_eval(oracle, &job.cfg, cutoff)))
-            .unwrap_or_else(|_| {
-                Err(TileLinkError::InvalidConfig {
-                    reason: "oracle panicked during evaluation".to_string(),
-                })
-            });
+        let result = guarded_eval(oracle, &job.cfg, cutoff);
         let mut bs = job.batch.state.lock().expect("executor batch poisoned");
         bs.results[job.idx] = Some(result);
         bs.outstanding -= 1;
@@ -386,12 +413,10 @@ mod tests {
                 ..Default::default()
             })
             .collect();
-        let refs: Vec<&OverlapConfig> = configs.iter().collect();
-        let results = exec.run_batch(&oracle, &refs, no_cutoff());
+        let results = exec.run_batch(&oracle, &configs, &no_cutoff());
         assert_eq!(results.len(), 3);
         for (i, r) in results.iter().enumerate() {
-            let eval = r.as_ref().expect("slot filled").as_ref().expect("ok");
-            let BoundedEval::Finished(total) = eval else {
+            let BoundedEval::Finished(total) = r.as_ref().expect("ok") else {
                 panic!("infinite cutoff must never abort");
             };
             assert_eq!(*total, configs[i].num_stages as f64);
@@ -420,17 +445,28 @@ mod tests {
             |_| -> tilelink::Result<OverlapReport> { panic!("synthetic oracle panic") },
         );
         let _session = exec.session();
-        let cfg = OverlapConfig::default();
-        let results = exec.run_batch(&panicky, &[&cfg], no_cutoff());
-        assert!(matches!(
-            results[0],
-            Some(Err(TileLinkError::InvalidConfig { .. }))
-        ));
+        let two = [
+            OverlapConfig::default(),
+            OverlapConfig {
+                num_stages: 4,
+                ..Default::default()
+            },
+        ];
+        // On the workers (two misses) and on the calling thread (one miss)
+        // alike, the panic fails the candidate instead of unwinding.
+        for batch in [&two[..], &two[..1]] {
+            let results = exec.run_batch(&panicky, batch, &no_cutoff());
+            assert_eq!(results.len(), batch.len());
+            assert!(results
+                .iter()
+                .all(|r| matches!(r, Err(TileLinkError::InvalidConfig { .. }))));
+        }
         // And the pool still works afterwards.
         let calls = AtomicUsize::new(0);
         let oracle = counting_oracle(&calls);
-        let results = exec.run_batch(&oracle, &[&cfg], no_cutoff());
-        assert!(results[0].as_ref().unwrap().is_ok());
+        let results = exec.run_batch(&oracle, &two, &no_cutoff());
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]

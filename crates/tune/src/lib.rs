@@ -77,7 +77,7 @@ pub use executor::{ExecutorSession, SearchExecutor};
 pub use objective::Objective;
 pub use oracle::{cluster_key, BoundedEval, CostOracle, FnOracle};
 pub use search::{Candidate, FailedBreakdown, Ranked, RoundProgress, Strategy, TuneReport, Tuner};
-pub use space::{AxisConstraint, PruneCounts, SearchSpace, RING_REQUIRES_PUSH};
+pub use space::{AxisConstraint, SearchSpace, RING_REQUIRES_PUSH};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TuneError>;

@@ -1,22 +1,20 @@
 //! Search strategies and the multi-threaded tuner driver.
 
-use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use tilelink::{OverlapConfig, OverlapReport, TileLinkError};
 use tilelink_probe::metrics::{
     TUNE_CACHE_HITS, TUNE_CACHE_MISSES, TUNE_CACHE_REVISION_INVALIDATIONS, TUNE_CANDIDATES_CACHED,
     TUNE_CANDIDATES_FAILED_SIM, TUNE_CANDIDATES_PRUNED_BOUND, TUNE_CANDIDATES_PRUNED_CONSTRAINT,
     TUNE_CANDIDATES_PRUNED_VALIDATE, TUNE_CANDIDATES_SIMULATED, TUNE_COMPILE_FULL_REBUILDS,
-    TUNE_COMPILE_PATCHED, TUNE_EVAL_US, TUNE_SPACE_SIZE,
+    TUNE_COMPILE_PATCHED, TUNE_SPACE_SIZE,
 };
 
 use crate::executor::SearchExecutor;
 use crate::oracle::{cluster_key, BoundedEval};
-use crate::space::{PruneCounts, SearchSpace};
+use crate::space::{Rejected, SearchSpace};
 use crate::{CostOracle, Result, TuneCache, TuneError};
 
 /// Candidates per branch-and-bound chunk: the incumbent cutoff is refreshed
@@ -30,7 +28,7 @@ const PRUNE_CHUNK: usize = 32;
 /// Chunk width used while the incumbent is still infinite (nothing ranked or
 /// cached yet): just enough parallelism to price a handful of candidates and
 /// put a real cutoff in place before the wide chunks stream through. See
-/// [`Tuner::evaluate_batch`].
+/// [`Run::evaluate`].
 const PRUNE_SEED_CHUNK: usize = 4;
 
 /// How the tuner explores the space.
@@ -86,14 +84,15 @@ pub struct Ranked {
 
 /// Why candidates dropped out of a tuning run, by pruning stage.
 ///
-/// The four counters partition the configurations that were considered but
-/// never ranked: `validate_rejected` and `constraint_pruned` never reached the
-/// oracle (free, counted during enumeration — see
-/// [`SearchSpace::candidates_counted`]), `bound_pruned` candidates were
-/// disposed of by branch-and-bound (an admissible lower bound at or above the
+/// The four counters partition the distinct configurations a search judged
+/// but never ranked, under both strategies (a search judges each
+/// configuration at most once): `validate_rejected` and `constraint_pruned`
+/// never reached the oracle (free, counted at admission — see
+/// [`SearchSpace::candidates`]), `bound_pruned` candidates were disposed of
+/// by branch-and-bound (an admissible lower bound at or above the
 /// incumbent, or a bounded simulation that aborted past it), and
 /// `simulation_error` candidates cost a full compile or simulation attempt
-/// before failing.
+/// before failing (or panicked in the oracle).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FailedBreakdown {
     /// Rejected by [`OverlapConfig::validate`] (impossible on the GPU).
@@ -232,31 +231,23 @@ impl TuneReport {
 
 /// Drives a [`Strategy`] over a [`SearchSpace`] against a [`CostOracle`].
 ///
-/// Candidate evaluations run concurrently on a [`SearchExecutor`] — a shared
-/// one from [`Tuner::with_executor`], or a private one of `threads` workers
+/// Both strategies run on one private per-search state that judges each
+/// configuration at most once: it is admitted or rejected (see
+/// [`SearchSpace::candidates`]), then ranked, disposed of by
+/// branch-and-bound, or failed in the oracle, and never priced again.
+/// Candidate evaluations run concurrently on a [`SearchExecutor`]: a shared
+/// one from [`Tuner::with_executor`], or a private [`SearchExecutor::new`]
 /// that lives for one [`Tuner::tune`] call (the simulator is pure, so
-/// replicas are independent); results are merged in candidate order, so the
-/// search is deterministic regardless of thread scheduling.
+/// replicas are independent). Results are merged in candidate order, so the
+/// search is deterministic regardless of thread count or scheduling.
 #[derive(Debug)]
 pub struct Tuner {
     strategy: Strategy,
-    threads: usize,
     verbose: bool,
     cache: Mutex<TuneCache>,
     executor: Option<Arc<SearchExecutor>>,
     sweep_stale: bool,
     pruning: bool,
-}
-
-struct BatchStats {
-    evaluations: usize,
-    cache_hits: usize,
-    failed: usize,
-    /// Candidates skipped on their admissible lower bound (no oracle call).
-    bound_pruned: usize,
-    /// Oracle evaluations that abort-shortened past the incumbent cutoff.
-    bounded_aborts: usize,
-    last_error: Option<TileLinkError>,
 }
 
 /// The branch-and-bound incumbent: the `width` best objective values ranked
@@ -316,31 +307,13 @@ impl Incumbent {
     }
 }
 
-/// One timed, profiled oracle call with the incumbent cutoff. The span lands
-/// on whichever worker thread ran it (the profiler keeps per-thread stacks).
-pub(crate) fn timed_eval(
-    oracle: &dyn CostOracle,
-    cfg: &OverlapConfig,
-    cutoff: f64,
-) -> tilelink::Result<BoundedEval> {
-    let _span = tilelink_probe::span("tune.candidate");
-    let t0 = Instant::now();
-    let r = oracle.evaluate_bounded(cfg, cutoff);
-    TUNE_EVAL_US.record(t0.elapsed().as_micros() as u64);
-    r
-}
-
 impl Tuner {
-    /// Creates a tuner with an in-memory cache and one thread per available
-    /// CPU (capped at 16).
+    /// Creates a tuner with an in-memory cache that evaluates on a private
+    /// [`SearchExecutor::new`] per run (one worker per CPU, capped at 16)
+    /// unless given a shared one with [`Tuner::with_executor`].
     pub fn new(strategy: Strategy) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(16);
         Self {
             strategy,
-            threads,
             verbose: false,
             cache: Mutex::new(TuneCache::in_memory()),
             executor: None,
@@ -356,13 +329,6 @@ impl Tuner {
     /// suite, not correctness.
     pub fn with_pruning(mut self, pruning: bool) -> Self {
         self.pruning = pruning;
-        self
-    }
-
-    /// Replaces the worker count of the private executor a run without
-    /// [`Tuner::with_executor`] evaluates on (minimum 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -401,20 +367,93 @@ impl Tuner {
         self
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// Runs the search and returns the ranked outcome.
+    ///
+    /// Set-up (cache scope, executor session), then the strategy's front,
+    /// then the finish: the winner is priced exactly once (or served from
+    /// the cache), the cache is flushed and the report assembled. Each
+    /// configuration is judged at most once per search, so every
+    /// [`FailedBreakdown`] stage counts distinct configurations.
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError::EmptySpace`] if pruning leaves no candidate,
+    /// Returns [`TuneError::EmptySpace`] if admission leaves no candidate,
     /// [`TuneError::AllCandidatesFailed`] if every candidate errors in the
     /// oracle, and [`TuneError::CacheIo`] if the persistent cache cannot be
     /// written.
     pub fn tune(&self, oracle: &dyn CostOracle, space: &SearchSpace) -> Result<TuneReport> {
+        TUNE_SPACE_SIZE.set(space.len_unpruned() as i64);
+        // A run without a shared executor gets a private one: its workers
+        // (and their warm per-thread scratch) survive across beam batches and
+        // exit with the run. Admission is bounded, so concurrent runs on a
+        // shared executor interleave their batches instead of stacking pools.
+        let private;
+        let exec = match &self.executor {
+            Some(exec) => &**exec,
+            None => {
+                private = SearchExecutor::new();
+                &private
+            }
+        };
+        let session = exec.session();
+        let mut run = Run::new(self, oracle, space, exec);
+        match self.strategy {
+            Strategy::Exhaustive => run.exhaustive()?,
+            Strategy::Beam { width, sweeps } => run.beam(width.max(1), sweeps.max(1))?,
+        }
+        // Free the admission slot before pricing the winner and flushing the
+        // cache, which need no workers.
+        drop(session);
+        run.finish()
+    }
+}
+
+/// What a search decided about one configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Passed admission; not judged by cache, bound or oracle yet.
+    Admitted,
+    /// Failed admission (counted in its [`FailedBreakdown`] stage).
+    Rejected,
+    /// Ranked with its objective value.
+    Ranked,
+    /// Disposed of by branch-and-bound: skipped on its lower bound, or its
+    /// bounded simulation aborted past the incumbent.
+    Dominated,
+    /// Errored (or panicked) in the oracle.
+    Failed,
+}
+
+/// The state of one [`Tuner::tune`] call, shared by both strategy fronts.
+struct Run<'a> {
+    tuner: &'a Tuner,
+    oracle: &'a dyn CostOracle,
+    space: &'a SearchSpace,
+    exec: &'a SearchExecutor,
+    /// The memoized [`TuneCache::key_prefix`] of this run.
+    prefix: String,
+    incumbent: Incumbent,
+    /// Ranked candidates in first-evaluation order.
+    ranked: Vec<Ranked>,
+    /// Every configuration judged so far.
+    verdicts: HashMap<OverlapConfig, Verdict>,
+    evaluations: usize,
+    cache_hits: usize,
+    failed: FailedBreakdown,
+    bounded_aborts: usize,
+    last_error: Option<TileLinkError>,
+    rounds: Vec<RoundProgress>,
+    patched_start: u64,
+    rebuilds_start: u64,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        tuner: &'a Tuner,
+        oracle: &'a dyn CostOracle,
+        space: &'a SearchSpace,
+        exec: &'a SearchExecutor,
+    ) -> Self {
         // The workload / cluster / revision / objective parts of the cache
         // key are fixed for this whole run, and the oracle accessors allocate
         // a String per call: memoize the joined prefix once instead of
@@ -425,7 +464,6 @@ impl Tuner {
             &oracle.cost_revision(),
             &oracle.objective().key(),
         );
-        TUNE_SPACE_SIZE.set(space.len_unpruned() as i64);
         {
             // Entries for this workload+cluster recorded under another cost
             // revision or objective will self-invalidate (miss) this run;
@@ -437,299 +475,381 @@ impl Tuner {
                 oracle.workload_key(),
                 cluster_key(oracle.cluster())
             );
-            let mut cache = self.cache.lock().expect("tune cache lock poisoned");
-            let stale = if self.sweep_stale {
+            let mut cache = tuner.cache.lock().expect("tune cache lock poisoned");
+            let stale = if tuner.sweep_stale {
                 cache.sweep_stale(&scope, &prefix)
             } else {
                 cache.count_stale(&scope, &prefix)
             };
             TUNE_CACHE_REVISION_INVALIDATIONS.add(stale as u64);
         }
-        let mut stats = BatchStats {
-            evaluations: 0,
-            cache_hits: 0,
-            failed: 0,
-            bound_pruned: 0,
-            bounded_aborts: 0,
-            last_error: None,
-        };
-        let patched_start = TUNE_COMPILE_PATCHED.get();
-        let rebuilds_start = TUNE_COMPILE_FULL_REBUILDS.get();
-        let mut pruned = PruneCounts::default();
-        let mut rounds: Vec<RoundProgress> = Vec::new();
-
-        // Ranked candidates in first-evaluation order.
-        let mut evaluated: Vec<Ranked> = Vec::new();
-        let mut seen: HashMap<OverlapConfig, usize> = HashMap::new();
-        // Configs disposed of by branch-and-bound (lower-bound skip or
-        // bounded-simulation abort): provably unable to enter the top of the
-        // ranking, never re-dispatched, counted once.
-        let mut dominated: HashSet<OverlapConfig> = HashSet::new();
         // Exhaustive search only needs the winner intact, so it prunes
         // against the global best; beam search keeps its `width`-wide
         // frontier bit-identical by pruning against the width-th best.
-        let prune_width = match self.strategy {
+        let prune_width = match tuner.strategy {
             Strategy::Exhaustive => 1,
-            Strategy::Beam { width, .. } => width.max(1),
+            Strategy::Beam { width, .. } => width,
         };
-        let mut incumbent = Incumbent::new(prune_width, self.pruning);
-        // A run without a shared executor gets a private one: its workers
-        // (and their warm per-thread scratch) survive across beam batches and
-        // exit with the run. Admission is bounded, so concurrent runs on a
-        // shared executor interleave their batches instead of stacking pools.
-        let private;
-        let exec = match &self.executor {
-            Some(exec) => &**exec,
-            None => {
-                private = SearchExecutor::with_threads(self.threads);
-                &private
-            }
-        };
-        let session = exec.session();
+        Self {
+            tuner,
+            oracle,
+            space,
+            exec,
+            prefix,
+            incumbent: Incumbent::new(prune_width, tuner.pruning),
+            ranked: Vec::new(),
+            verdicts: HashMap::new(),
+            evaluations: 0,
+            cache_hits: 0,
+            failed: FailedBreakdown::default(),
+            bounded_aborts: 0,
+            last_error: None,
+            rounds: Vec::new(),
+            patched_start: TUNE_COMPILE_PATCHED.get(),
+            rebuilds_start: TUNE_COMPILE_FULL_REBUILDS.get(),
+        }
+    }
 
-        match self.strategy {
-            Strategy::Exhaustive => {
-                let (candidates, counts) = space.candidates_counted(oracle);
-                pruned = counts;
-                if candidates.is_empty() {
-                    return Err(TuneError::EmptySpace {
-                        unpruned: space.len_unpruned(),
-                    });
-                }
-                self.evaluate_batch(
-                    oracle,
-                    exec,
-                    &prefix,
-                    &candidates,
-                    &mut stats,
-                    &mut evaluated,
-                    &mut seen,
-                    &mut incumbent,
-                    &mut dominated,
-                );
-            }
-            Strategy::Beam { width, sweeps } => {
-                let width = width.max(1);
-                let sm_count = oracle.cluster().gpu.sm_count;
-                // Per-stage rejection tallies for every config the sweep
-                // considers (Cells because `valid` is shared immutably).
-                let validate_rejected = Cell::new(0usize);
-                let constraint_pruned = Cell::new(0usize);
-                let valid = |cfg: &OverlapConfig| {
-                    if cfg.validate(sm_count).is_err() {
-                        validate_rejected.set(validate_rejected.get() + 1);
-                        return false;
-                    }
-                    if !space.allows(cfg) || !oracle.is_supported(cfg) {
-                        constraint_pruned.set(constraint_pruned.get() + 1);
-                        return false;
-                    }
-                    true
-                };
-                // Seeds: the library default and the space's own first-corner
-                // config. Keeping them in the pool guarantees the final result
-                // is never worse than either seed.
-                let mut seeds: Vec<OverlapConfig> = Vec::new();
-                for seed in [OverlapConfig::default(), space.seed()] {
-                    if valid(&seed) && !seeds.contains(&seed) {
-                        seeds.push(seed);
-                    }
-                }
-                if seeds.is_empty() {
-                    // Neither seed is valid for this workload: fall back to the
-                    // pruned enumeration for a starting pool.
-                    seeds = space.candidates(oracle);
-                    seeds.truncate(width);
-                }
-                if seeds.is_empty() {
-                    return Err(TuneError::EmptySpace {
-                        unpruned: space.len_unpruned(),
-                    });
-                }
-                self.evaluate_batch(
-                    oracle,
-                    exec,
-                    &prefix,
-                    &seeds,
-                    &mut stats,
-                    &mut evaluated,
-                    &mut seen,
-                    &mut incumbent,
-                    &mut dominated,
-                );
-                // Both seeds may pass validation yet fail in the oracle (e.g.
-                // a compile error for an unsupported axis pair). Walk the
-                // pruned enumeration in chunks until something evaluates, so
-                // the beam has a starting pool whenever Exhaustive would have
-                // found one.
-                if evaluated.is_empty() {
-                    for chunk in space.candidates(oracle).chunks(16) {
-                        self.evaluate_batch(
-                            oracle,
-                            exec,
-                            &prefix,
-                            chunk,
-                            &mut stats,
-                            &mut evaluated,
-                            &mut seen,
-                            &mut incumbent,
-                            &mut dominated,
-                        );
-                        if !evaluated.is_empty() {
-                            break;
-                        }
-                    }
-                }
-                let mut beam = Self::top(&evaluated, width);
-                let mut best = beam
-                    .first()
-                    .and_then(|c| seen.get(c))
-                    .map(|&i| evaluated[i].total_s);
-                for round in 1..=sweeps.max(1) {
-                    let _round_span = tilelink_probe::span("tune.beam_round");
-                    let mut improved = false;
-                    for axis in 0..SearchSpace::NUM_AXES {
-                        let mut frontier: Vec<OverlapConfig> = Vec::new();
-                        for base in &beam {
-                            for cfg in space.axis_variants(axis, base) {
-                                if valid(&cfg)
-                                    && !seen.contains_key(&cfg)
-                                    && !frontier.contains(&cfg)
-                                {
-                                    frontier.push(cfg);
-                                }
-                            }
-                        }
-                        self.evaluate_batch(
-                            oracle,
-                            exec,
-                            &prefix,
-                            &frontier,
-                            &mut stats,
-                            &mut evaluated,
-                            &mut seen,
-                            &mut incumbent,
-                            &mut dominated,
-                        );
-                        beam = Self::top(&evaluated, width);
-                        let new_best = beam
-                            .first()
-                            .and_then(|c| seen.get(c))
-                            .map(|&i| evaluated[i].total_s);
-                        if new_best < best || best.is_none() {
-                            best = new_best;
-                            improved = true;
-                        }
-                    }
-                    let progress = RoundProgress {
-                        round,
-                        best_total_s: best.unwrap_or(f64::INFINITY),
-                        evaluations: stats.evaluations,
-                        cache_hits: stats.cache_hits,
-                    };
-                    if self.verbose {
-                        let patched = TUNE_COMPILE_PATCHED.get().saturating_sub(patched_start);
-                        let rebuilds = TUNE_COMPILE_FULL_REBUILDS
-                            .get()
-                            .saturating_sub(rebuilds_start);
-                        let compiles = (patched + rebuilds).max(1);
-                        eprintln!(
-                    "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
-                    progress.round,
-                    progress.best_total_s * 1e3,
-                    progress.evaluations,
-                    progress.cache_hits,
-                    stats.failed,
-                    stats.bound_pruned,
-                    stats.bounded_aborts,
-                    patched as f64 / compiles as f64 * 100.0
-                );
-                    }
-                    rounds.push(progress);
-                    if !improved {
-                        break;
-                    }
-                }
-                pruned.validate_rejected = validate_rejected.get();
-                pruned.constraint_pruned = constraint_pruned.get();
+    /// Grid search: judge every admitted candidate of the space.
+    fn exhaustive(&mut self) -> Result<()> {
+        let candidates = self.candidates();
+        if candidates.is_empty() {
+            return Err(self.empty_space());
+        }
+        self.evaluate(&candidates);
+        Ok(())
+    }
+
+    /// Coordinate-descent beam search (see [`Strategy::Beam`]).
+    fn beam(&mut self, width: usize, sweeps: usize) -> Result<()> {
+        // Seeds: the library default and the space's own first-corner
+        // config. Keeping them in the pool guarantees the final result is
+        // never worse than either seed.
+        let mut seeds: Vec<OverlapConfig> = Vec::new();
+        for seed in [OverlapConfig::default(), self.space.seed()] {
+            if self.admit(&seed) && !seeds.contains(&seed) {
+                seeds.push(seed);
             }
         }
-        // Free the admission slot before pricing the winner and flushing the
-        // cache, which need no workers.
-        drop(session);
+        if seeds.is_empty() {
+            // Neither seed is admitted for this workload: fall back to the
+            // admitted enumeration for a starting pool.
+            seeds = self.candidates();
+            seeds.truncate(width);
+        }
+        if seeds.is_empty() {
+            return Err(self.empty_space());
+        }
+        self.evaluate(&seeds);
+        // Both seeds may pass admission yet fail in the oracle (e.g. a
+        // compile error for an unsupported axis pair). Walk the admitted
+        // enumeration in chunks until something ranks, so the beam has a
+        // starting pool whenever Exhaustive would have found one.
+        if self.ranked.is_empty() {
+            for chunk in self.candidates().chunks(16) {
+                self.evaluate(chunk);
+                if !self.ranked.is_empty() {
+                    break;
+                }
+            }
+        }
+        let space = self.space;
+        let mut beam = self.top(width);
+        let mut best = beam.first().map(|c| c.total_s);
+        for round in 1..=sweeps {
+            let _round_span = tilelink_probe::span("tune.beam_round");
+            let mut improved = false;
+            for axis in 0..SearchSpace::NUM_AXES {
+                // The frontier: each admitted, not yet ranked axis variant of
+                // the beam, once. Configs disposed of or failed earlier stay
+                // in it, so chunk boundaries (and with them every incumbent
+                // refresh) do not change, but they are never judged again.
+                let mut frontier: Vec<OverlapConfig> = Vec::new();
+                for base in &beam {
+                    for cfg in space.axis_variants(axis, &base.config) {
+                        if self.admit(&cfg)
+                            && self.verdicts[&cfg] != Verdict::Ranked
+                            && !frontier.contains(&cfg)
+                        {
+                            frontier.push(cfg);
+                        }
+                    }
+                }
+                self.evaluate(&frontier);
+                beam = self.top(width);
+                let new_best = beam.first().map(|c| c.total_s);
+                if new_best < best || best.is_none() {
+                    best = new_best;
+                    improved = true;
+                }
+            }
+            self.end_round(round, best.unwrap_or(f64::INFINITY));
+            if !improved {
+                break;
+            }
+        }
+        Ok(())
+    }
 
-        let mut ranked = evaluated;
-        ranked.sort_by(|a, b| a.total_s.total_cmp(&b.total_s));
-        let best = ranked
-            .first()
-            .map(|winner| self.price_winner(oracle, &prefix, winner));
+    /// Records one beam round's progress (and prints it when verbose).
+    fn end_round(&mut self, round: usize, best_total_s: f64) {
+        let progress = RoundProgress {
+            round,
+            best_total_s,
+            evaluations: self.evaluations,
+            cache_hits: self.cache_hits,
+        };
+        if self.tuner.verbose {
+            let patched = TUNE_COMPILE_PATCHED
+                .get()
+                .saturating_sub(self.patched_start);
+            let rebuilds = TUNE_COMPILE_FULL_REBUILDS
+                .get()
+                .saturating_sub(self.rebuilds_start);
+            let compiles = (patched + rebuilds).max(1);
+            eprintln!(
+                "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
+                progress.round,
+                progress.best_total_s * 1e3,
+                progress.evaluations,
+                progress.cache_hits,
+                self.failed.simulation_error,
+                self.failed.bound_pruned - self.bounded_aborts,
+                self.bounded_aborts,
+                patched as f64 / compiles as f64 * 100.0
+            );
+        }
+        self.rounds.push(progress);
+    }
 
-        self.cache
+    /// Whether `cfg` passes [`SearchSpace::admit`]. The check runs once per
+    /// config; a rejection is counted in its stage when first seen.
+    fn admit(&mut self, cfg: &OverlapConfig) -> bool {
+        if let Some(&verdict) = self.verdicts.get(cfg) {
+            return verdict != Verdict::Rejected;
+        }
+        let verdict = match self.space.admit(self.oracle, cfg) {
+            Ok(()) => Verdict::Admitted,
+            Err(Rejected::Validate) => {
+                self.failed.validate_rejected += 1;
+                TUNE_CANDIDATES_PRUNED_VALIDATE.inc();
+                Verdict::Rejected
+            }
+            Err(Rejected::Constraint) => {
+                self.failed.constraint_pruned += 1;
+                TUNE_CANDIDATES_PRUNED_CONSTRAINT.inc();
+                Verdict::Rejected
+            }
+        };
+        self.verdicts.insert(*cfg, verdict);
+        verdict == Verdict::Admitted
+    }
+
+    /// The admitted configs of the whole space, in enumeration order.
+    fn candidates(&mut self) -> Vec<OverlapConfig> {
+        let space = self.space;
+        space.configs().filter(|cfg| self.admit(cfg)).collect()
+    }
+
+    fn empty_space(&self) -> TuneError {
+        TuneError::EmptySpace {
+            unpruned: self.space.len_unpruned(),
+        }
+    }
+
+    /// The `width` best ranked candidates (stable order).
+    fn top(&self, width: usize) -> Vec<Ranked> {
+        let mut sorted = self.ranked.clone();
+        sorted.sort_by(|a, b| a.total_s.total_cmp(&b.total_s));
+        sorted.truncate(width);
+        sorted
+    }
+
+    /// Judges the admitted, not yet judged configs of `configs` in order:
+    /// cache first, then the branch-and-bound prune, then the oracle in
+    /// parallel, appending the ranked ones to `ranked` in candidate order.
+    ///
+    /// The batch is processed in [`PRUNE_CHUNK`]-sized chunks so the
+    /// incumbent tightens as results merge: workers see one frozen cutoff
+    /// per chunk, updated only here on the driver thread.
+    ///
+    /// While no incumbent exists yet (the cutoff is still infinite) the
+    /// chunks ramp up from [`PRUNE_SEED_CHUNK`]: a large opening chunk would
+    /// full-simulate every candidate in it with nothing to prune against,
+    /// so the batch starts small to put a cutoff in place, then widens to
+    /// the steady-state chunk for parallel throughput. Candidate order is
+    /// unchanged — chunk boundaries only decide how often the incumbent
+    /// refreshes — so rankings (first-evaluation order) stay deterministic
+    /// and, because pruning is admissible, identical to the unramped ones.
+    fn evaluate(&mut self, configs: &[OverlapConfig]) {
+        let mut rest = configs;
+        while !rest.is_empty() {
+            let width = if self.incumbent.enabled && !self.incumbent.cutoff().is_finite() {
+                PRUNE_SEED_CHUNK
+            } else {
+                PRUNE_CHUNK
+            };
+            let (chunk, tail) = rest.split_at(width.min(rest.len()));
+            rest = tail;
+            self.evaluate_chunk(chunk);
+        }
+    }
+
+    /// One chunk of [`Run::evaluate`].
+    fn evaluate_chunk(&mut self, configs: &[OverlapConfig]) {
+        // Cache pass over the configs still to judge, each once. Cached
+        // totals fold into the incumbent right away so they sharpen this
+        // very chunk's lower-bound pruning.
+        let mut pending: Vec<(OverlapConfig, Option<f64>)> = Vec::with_capacity(configs.len());
+        {
+            let _span = tilelink_probe::span("tune.cache_lookup");
+            let cache = self.tuner.cache.lock().expect("tune cache lock poisoned");
+            for cfg in configs {
+                if self.verdicts.get(cfg) != Some(&Verdict::Admitted)
+                    || pending.iter().any(|(c, _)| c == cfg)
+                {
+                    continue;
+                }
+                let cached = cache.total(&TuneCache::key_in(&self.prefix, cfg));
+                match cached {
+                    Some(total) => {
+                        self.cache_hits += 1;
+                        TUNE_CACHE_HITS.inc();
+                        self.incumbent.observe(total);
+                    }
+                    None => TUNE_CACHE_MISSES.inc(),
+                }
+                pending.push((*cfg, cached));
+            }
+        }
+
+        // Bound pass: skip misses whose admissible lower bound already
+        // reaches the incumbent — they provably cannot enter the top of the
+        // ranking (on a tie the earlier incumbent wins the stable sort), so
+        // neither compile nor simulation is owed. The cutoff is frozen for
+        // the rest of this chunk.
+        let cutoff = self.incumbent.cutoff();
+        if self.incumbent.enabled && cutoff.is_finite() {
+            pending.retain(|(cfg, cached)| {
+                if cached.is_some() {
+                    return true;
+                }
+                match self.oracle.lower_bound(cfg) {
+                    Some(lb) if lb >= cutoff => {
+                        self.failed.bound_pruned += 1;
+                        TUNE_CANDIDATES_PRUNED_BOUND.inc();
+                        self.verdicts.insert(*cfg, Verdict::Dominated);
+                        false
+                    }
+                    _ => true,
+                }
+            });
+        }
+
+        // Oracle pass on the executor. Results come back in candidate order,
+        // so completion order never affects ranking.
+        let misses: Vec<OverlapConfig> = pending
+            .iter()
+            .filter(|(_, cached)| cached.is_none())
+            .map(|&(cfg, _)| cfg)
+            .collect();
+        let mut results = self
+            .exec
+            .run_batch(self.oracle, &misses, &self.incumbent.bits)
+            .into_iter();
+
+        // Merge, in candidate order.
+        let mut cache = self.tuner.cache.lock().expect("tune cache lock poisoned");
+        for (cfg, cached) in pending {
+            let (total_s, from_cache) = match cached {
+                Some(total) => {
+                    TUNE_CANDIDATES_CACHED.inc();
+                    (total, true)
+                }
+                None => match results.next().expect("one result per miss") {
+                    Ok(BoundedEval::Finished(total)) => {
+                        self.evaluations += 1;
+                        TUNE_CANDIDATES_SIMULATED.inc();
+                        self.incumbent.observe(total);
+                        cache.insert_total(TuneCache::key_in(&self.prefix, &cfg), total);
+                        (total, false)
+                    }
+                    Ok(BoundedEval::Exceeded(_)) => {
+                        // The objective value provably exceeds the
+                        // incumbent: not ranked, not cached (the exact value
+                        // is unknown).
+                        self.failed.bound_pruned += 1;
+                        self.bounded_aborts += 1;
+                        self.verdicts.insert(cfg, Verdict::Dominated);
+                        continue;
+                    }
+                    Err(e) => {
+                        self.failed.simulation_error += 1;
+                        TUNE_CANDIDATES_FAILED_SIM.inc();
+                        self.last_error = Some(e);
+                        self.verdicts.insert(cfg, Verdict::Failed);
+                        continue;
+                    }
+                },
+            };
+            self.verdicts.insert(cfg, Verdict::Ranked);
+            self.ranked.push(Ranked {
+                config: cfg,
+                total_s,
+                from_cache,
+            });
+        }
+    }
+
+    /// Ranks the candidates, prices the winner, flushes the cache and
+    /// assembles the report.
+    fn finish(mut self) -> Result<TuneReport> {
+        self.ranked.sort_by(|a, b| a.total_s.total_cmp(&b.total_s));
+        let best = self.ranked.first().map(|winner| self.price_winner(winner));
+        self.tuner
+            .cache
             .lock()
             .expect("tune cache lock poisoned")
             .flush()?;
-
         let Some(best) = best else {
             return Err(TuneError::AllCandidatesFailed {
-                attempted: stats.evaluations + stats.failed,
-                last: stats.last_error.unwrap_or(TileLinkError::InvalidConfig {
+                attempted: self.evaluations + self.failed.simulation_error,
+                last: self.last_error.unwrap_or(TileLinkError::InvalidConfig {
                     reason: "no candidate could be evaluated".to_string(),
                 }),
             });
         };
-
-        TUNE_CANDIDATES_PRUNED_VALIDATE.add(pruned.validate_rejected as u64);
-        TUNE_CANDIDATES_PRUNED_CONSTRAINT.add(pruned.constraint_pruned as u64);
-
         Ok(TuneReport {
             best: best?,
-            ranked,
-            evaluations: stats.evaluations,
-            cache_hits: stats.cache_hits,
-            failed: FailedBreakdown {
-                validate_rejected: pruned.validate_rejected,
-                constraint_pruned: pruned.constraint_pruned,
-                bound_pruned: stats.bound_pruned + stats.bounded_aborts,
-                simulation_error: stats.failed,
-            },
-            bounded_aborts: stats.bounded_aborts,
-            rounds,
-            compile_patched: TUNE_COMPILE_PATCHED.get().saturating_sub(patched_start),
+            ranked: self.ranked,
+            evaluations: self.evaluations,
+            cache_hits: self.cache_hits,
+            failed: self.failed,
+            bounded_aborts: self.bounded_aborts,
+            rounds: self.rounds,
+            compile_patched: TUNE_COMPILE_PATCHED
+                .get()
+                .saturating_sub(self.patched_start),
             compile_full_rebuilds: TUNE_COMPILE_FULL_REBUILDS
                 .get()
-                .saturating_sub(rebuilds_start),
+                .saturating_sub(self.rebuilds_start),
         })
-    }
-
-    /// The `width` fastest configs in `evaluated` (stable order).
-    fn top(evaluated: &[Ranked], width: usize) -> Vec<OverlapConfig> {
-        let mut sorted: Vec<&Ranked> = evaluated.iter().collect();
-        sorted.sort_by(|a, b| a.total_s.total_cmp(&b.total_s));
-        sorted.into_iter().take(width).map(|c| c.config).collect()
     }
 
     /// The search winner's exact report: the cached one, or one
     /// [`CostOracle::evaluate`] call whose report is then cached, so a rerun
     /// on the same cache prices nothing.
-    fn price_winner(
-        &self,
-        oracle: &dyn CostOracle,
-        prefix: &str,
-        winner: &Ranked,
-    ) -> Result<Candidate> {
-        let key = TuneCache::key_in(prefix, &winner.config);
-        let cached = self
-            .cache
-            .lock()
-            .expect("tune cache lock poisoned")
-            .get(&key);
+    fn price_winner(&self, winner: &Ranked) -> Result<Candidate> {
+        let key = TuneCache::key_in(&self.prefix, &winner.config);
+        let cache = &self.tuner.cache;
+        let cached = cache.lock().expect("tune cache lock poisoned").get(&key);
         let from_cache = cached.is_some();
         let report = match cached {
             Some(report) => report,
             None => {
                 let _span = tilelink_probe::span("tune.winner");
-                let report = oracle.evaluate(&winner.config)?;
-                self.cache
+                let report = self.oracle.evaluate(&winner.config)?;
+                cache
                     .lock()
                     .expect("tune cache lock poisoned")
                     .insert(key, report);
@@ -746,178 +866,6 @@ impl Tuner {
             report,
             from_cache,
         })
-    }
-
-    /// Evaluates `configs` (cache first, then the branch-and-bound prune,
-    /// then the oracle in parallel), appending successes to `evaluated` in
-    /// candidate order. `prefix` is the memoized [`TuneCache::key_prefix`] of
-    /// this tuning run.
-    ///
-    /// The batch is processed in [`PRUNE_CHUNK`]-sized chunks so the
-    /// incumbent tightens as results merge: workers see one frozen cutoff
-    /// per chunk, updated only here on the driver thread.
-    ///
-    /// While no incumbent exists yet (the cutoff is still infinite) the
-    /// chunks ramp up from [`PRUNE_SEED_CHUNK`]: a large opening chunk would
-    /// full-simulate every candidate in it with nothing to prune against,
-    /// so the batch starts small to put a cutoff in place, then widens to
-    /// the steady-state chunk for parallel throughput. Candidate order is
-    /// unchanged — chunk boundaries only decide how often the incumbent
-    /// refreshes — so rankings (first-evaluation order) stay deterministic
-    /// and, because pruning is admissible, identical to the unramped ones.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_batch(
-        &self,
-        oracle: &dyn CostOracle,
-        exec: &SearchExecutor,
-        prefix: &str,
-        configs: &[OverlapConfig],
-        stats: &mut BatchStats,
-        evaluated: &mut Vec<Ranked>,
-        seen: &mut HashMap<OverlapConfig, usize>,
-        incumbent: &mut Incumbent,
-        dominated: &mut HashSet<OverlapConfig>,
-    ) {
-        let mut rest = configs;
-        while !rest.is_empty() {
-            let width = if incumbent.enabled && !incumbent.cutoff().is_finite() {
-                PRUNE_SEED_CHUNK
-            } else {
-                PRUNE_CHUNK
-            };
-            let (chunk, tail) = rest.split_at(width.min(rest.len()));
-            rest = tail;
-            self.evaluate_chunk(
-                oracle, exec, prefix, chunk, stats, evaluated, seen, incumbent, dominated,
-            );
-        }
-    }
-
-    /// One [`PRUNE_CHUNK`] of [`Tuner::evaluate_batch`].
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_chunk(
-        &self,
-        oracle: &dyn CostOracle,
-        exec: &SearchExecutor,
-        prefix: &str,
-        configs: &[OverlapConfig],
-        stats: &mut BatchStats,
-        evaluated: &mut Vec<Ranked>,
-        seen: &mut HashMap<OverlapConfig, usize>,
-        incumbent: &mut Incumbent,
-        dominated: &mut HashSet<OverlapConfig>,
-    ) {
-        // Cache pass (also dedups configs revisited across beam sweeps, and
-        // configs branch-and-bound already disposed of). Cached totals fold
-        // into the incumbent right away so they sharpen this very chunk's
-        // lower-bound pruning.
-        let mut misses: Vec<&OverlapConfig> = Vec::new();
-        let mut hit_or_miss: Vec<Option<f64>> = Vec::with_capacity(configs.len());
-        {
-            let _span = tilelink_probe::span("tune.cache_lookup");
-            let cache = self.cache.lock().expect("tune cache lock poisoned");
-            for cfg in configs {
-                if seen.contains_key(cfg) || dominated.contains(cfg) {
-                    hit_or_miss.push(None); // already ranked or disposed of
-                    continue;
-                }
-                let key = TuneCache::key_in(prefix, cfg);
-                match cache.total(&key) {
-                    Some(total) => {
-                        stats.cache_hits += 1;
-                        TUNE_CACHE_HITS.inc();
-                        incumbent.observe(total);
-                        hit_or_miss.push(Some(total));
-                    }
-                    None => {
-                        TUNE_CACHE_MISSES.inc();
-                        misses.push(cfg);
-                        hit_or_miss.push(None);
-                    }
-                }
-            }
-        }
-
-        // Bound pass: skip misses whose admissible lower bound already
-        // reaches the incumbent — they provably cannot enter the top of the
-        // ranking (on a tie the earlier incumbent wins the stable sort), so
-        // neither compile nor simulation is owed. The cutoff is frozen for
-        // the rest of this chunk.
-        let cutoff = incumbent.cutoff();
-        if incumbent.enabled && cutoff.is_finite() {
-            misses.retain(|cfg| match oracle.lower_bound(cfg) {
-                Some(lb) if lb >= cutoff => {
-                    stats.bound_pruned += 1;
-                    TUNE_CANDIDATES_PRUNED_BOUND.inc();
-                    dominated.insert(**cfg);
-                    false
-                }
-                _ => true,
-            });
-        }
-
-        // Oracle pass: fan the misses out over worker threads. Results land in
-        // a slot per candidate, so completion order never affects ranking.
-        let mut results: Vec<Option<tilelink::Result<BoundedEval>>> = vec![None; misses.len()];
-        if !misses.is_empty() {
-            if exec.threads().min(misses.len()) <= 1 {
-                // Evaluate on this thread (its scratch is warm too) rather
-                // than paying a pool round-trip for a single candidate.
-                for (slot, cfg) in results.iter_mut().zip(&misses) {
-                    *slot = Some(timed_eval(oracle, cfg, cutoff));
-                }
-            } else {
-                results = exec.run_batch(oracle, &misses, Arc::clone(&incumbent.bits));
-            }
-        }
-
-        // Merge, in candidate order.
-        let mut cache = self.cache.lock().expect("tune cache lock poisoned");
-        let mut miss_idx = 0usize;
-        for (cfg, cached) in configs.iter().zip(hit_or_miss) {
-            if seen.contains_key(cfg) || dominated.contains(cfg) {
-                continue;
-            }
-            let (total_s, from_cache) = match cached {
-                Some(total) => {
-                    TUNE_CANDIDATES_CACHED.inc();
-                    (total, true)
-                }
-                None => {
-                    let result = results[miss_idx].take().expect("evaluated slot");
-                    miss_idx += 1;
-                    match result {
-                        Ok(BoundedEval::Finished(total)) => {
-                            stats.evaluations += 1;
-                            TUNE_CANDIDATES_SIMULATED.inc();
-                            incumbent.observe(total);
-                            cache.insert_total(TuneCache::key_in(prefix, cfg), total);
-                            (total, false)
-                        }
-                        Ok(BoundedEval::Exceeded(_)) => {
-                            // The objective value provably exceeds the
-                            // incumbent: not ranked, not cached (the exact
-                            // value is unknown), never re-dispatched.
-                            stats.bounded_aborts += 1;
-                            dominated.insert(*cfg);
-                            continue;
-                        }
-                        Err(e) => {
-                            stats.failed += 1;
-                            TUNE_CANDIDATES_FAILED_SIM.inc();
-                            stats.last_error = Some(e);
-                            continue;
-                        }
-                    }
-                }
-            };
-            seen.insert(*cfg, evaluated.len());
-            evaluated.push(Ranked {
-                config: *cfg,
-                total_s,
-                from_cache,
-            });
-        }
     }
 }
 
@@ -1102,7 +1050,7 @@ mod tests {
     fn exhaustive_finds_the_analytic_optimum() {
         let calls = AtomicUsize::new(0);
         let report = Tuner::new(Strategy::Exhaustive)
-            .with_threads(4)
+            .with_executor(Arc::new(SearchExecutor::with_threads(4)))
             .tune(&analytic(&calls), &space())
             .unwrap();
         // Optimum of the analytic model: largest compute tile, ring order,
@@ -1149,14 +1097,14 @@ mod tests {
             width: 2,
             sweeps: 3,
         })
-        .with_threads(8)
+        .with_executor(Arc::new(SearchExecutor::with_threads(8)))
         .tune(&analytic(&c1), &space())
         .unwrap();
         let r2 = Tuner::new(Strategy::Beam {
             width: 2,
             sweeps: 3,
         })
-        .with_threads(1)
+        .with_executor(Arc::new(SearchExecutor::with_threads(1)))
         .tune(&analytic(&c2), &space())
         .unwrap();
         assert_eq!(r1.best.config, r2.best.config);
@@ -1273,7 +1221,134 @@ mod tests {
         .tune(&oracle, &space)
         .unwrap();
         assert_eq!(report.best.config.num_stages, 4);
-        assert!(report.failed.simulation_error >= 1);
+        // The one failing config (the shared seed) is priced once, though
+        // the fallback enumeration and every stage sweep revisit it.
+        assert_eq!(report.failed.simulation_error, 1);
+    }
+
+    /// Oracle that counts `evaluate_bounded` and `is_supported` calls per
+    /// config: it fails on `num_stages == 4` and does not support 40 comm SMs.
+    struct JudgedOnce {
+        cluster: ClusterSpec,
+        priced: Mutex<HashMap<OverlapConfig, usize>>,
+        checked: Mutex<HashMap<OverlapConfig, usize>>,
+    }
+
+    impl CostOracle for JudgedOnce {
+        fn workload_key(&self) -> String {
+            "judged-once".to_string()
+        }
+
+        fn cluster(&self) -> &ClusterSpec {
+            &self.cluster
+        }
+
+        fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
+            if cfg.num_stages == 4 {
+                return Err(tilelink::TileLinkError::InvalidConfig {
+                    reason: "synthetic".to_string(),
+                });
+            }
+            let t = toy_cost(cfg);
+            Ok(OverlapReport::new(t, t / 3.0, 2.0 * t / 3.0))
+        }
+
+        fn evaluate_bounded(
+            &self,
+            cfg: &OverlapConfig,
+            _cutoff: f64,
+        ) -> tilelink::Result<BoundedEval> {
+            *self.priced.lock().unwrap().entry(*cfg).or_default() += 1;
+            self.evaluate(cfg).map(|r| BoundedEval::Finished(r.total_s))
+        }
+
+        fn is_supported(&self, cfg: &OverlapConfig) -> bool {
+            *self.checked.lock().unwrap().entry(*cfg).or_default() += 1;
+            cfg.comm_mapping != CommMapping::Sm { sms: 40 }
+        }
+    }
+
+    /// A width-2 beam over a [`JudgedOnce`] oracle, on a space without
+    /// constraints (every constraint rejection is the oracle's).
+    fn judged_beam() -> (JudgedOnce, TuneReport) {
+        let space = SearchSpace::new()
+            .with_compute_tiles([
+                TileShape::new(64, 128),
+                TileShape::new(128, 128),
+                TileShape::new(128, 256),
+            ])
+            .with_orders([tilelink::TileOrder::AllToAll, tilelink::TileOrder::Ring])
+            .with_mappings([
+                CommMapping::CopyEngine,
+                CommMapping::Sm { sms: 8 },
+                CommMapping::Sm { sms: 40 },
+                CommMapping::Hybrid { sms: 8 },
+            ])
+            .with_stages([2, 3, 4]);
+        let oracle = JudgedOnce {
+            cluster: ClusterSpec::h800_node(8),
+            priced: Mutex::default(),
+            checked: Mutex::default(),
+        };
+        let report = Tuner::new(Strategy::Beam {
+            width: 2,
+            sweeps: 3,
+        })
+        .tune(&oracle, &space)
+        .unwrap();
+        assert!(report.rounds.len() > 1, "the beam revisits its bases");
+        (oracle, report)
+    }
+
+    #[test]
+    fn a_beam_prices_each_failing_config_once() {
+        let (oracle, report) = judged_beam();
+        let priced = oracle.priced.lock().unwrap();
+        assert!(priced.values().all(|&n| n == 1), "{priced:?}");
+        let failing = priced.keys().filter(|c| c.num_stages == 4).count();
+        assert!(failing > 0);
+        assert_eq!(report.failed.simulation_error, failing);
+    }
+
+    #[test]
+    fn a_beam_checks_admission_once_per_config() {
+        let (oracle, report) = judged_beam();
+        let checked = oracle.checked.lock().unwrap();
+        assert!(checked.values().all(|&n| n == 1), "{checked:?}");
+        let unsupported = checked
+            .keys()
+            .filter(|c| c.comm_mapping == CommMapping::Sm { sms: 40 })
+            .count();
+        assert!(unsupported > 0);
+        assert_eq!(report.failed.constraint_pruned, unsupported);
+    }
+
+    #[test]
+    fn a_panicking_oracle_fails_its_candidate_at_any_thread_count() {
+        let oracle = FnOracle::new("panicky", ClusterSpec::h800_node(8), |cfg| {
+            if cfg.num_stages == 3 {
+                panic!("synthetic oracle panic");
+            }
+            Ok(OverlapReport::new(cfg.num_stages as f64, 0.1, 0.9))
+        });
+        let space = SearchSpace::new().with_stages([2, 3, 4]);
+        for strategy in [Strategy::Exhaustive, Strategy::default()] {
+            let run = |threads: usize| {
+                Tuner::new(strategy)
+                    .with_executor(Arc::new(SearchExecutor::with_threads(threads)))
+                    .tune(&oracle, &space)
+                    .unwrap()
+            };
+            let one = run(1);
+            let four = run(4);
+            assert_eq!(one.best.config.num_stages, 2);
+            assert_eq!(one.failed.simulation_error, 1);
+            assert_eq!(format!("{one:?}"), format!("{four:?}"));
+            assert_eq!(
+                one.best.report.total_s.to_bits(),
+                four.best.report.total_s.to_bits()
+            );
+        }
     }
 
     #[test]

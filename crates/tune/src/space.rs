@@ -38,9 +38,10 @@ pub const RING_REQUIRES_PUSH: AxisConstraint = AxisConstraint {
 /// Every axis starts from the corresponding [`OverlapConfig::default`] value;
 /// builder methods replace one axis with a list of candidates. The full space
 /// is the cartesian product of the axes, enumerated in a fixed nested-loop
-/// order (so searches are deterministic), with invalid combinations pruned by
-/// [`OverlapConfig::validate`], the space's own cross-axis constraints
-/// ([`SearchSpace::with_constraint`]) and the oracle's
+/// order (so searches are deterministic). Both search strategies admit a
+/// combination through one check (see [`SearchSpace::candidates`]):
+/// [`OverlapConfig::validate`], then the space's own cross-axis constraints
+/// ([`SearchSpace::with_constraint`]), then the oracle's
 /// [`CostOracle::is_supported`][crate::CostOracle::is_supported] predicate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
@@ -254,67 +255,78 @@ impl SearchSpace {
         }
     }
 
-    /// Enumerates every valid candidate for `oracle`, in deterministic order.
-    ///
-    /// A candidate is valid when [`OverlapConfig::validate`] accepts it for the
-    /// oracle's GPU, every cross-axis constraint of the space allows it, and
-    /// the oracle's `is_supported` predicate holds.
-    pub fn candidates(&self, oracle: &dyn CostOracle) -> Vec<OverlapConfig> {
-        self.candidates_counted(oracle).0
+    /// Every combination of the axes, before admission, in the fixed
+    /// nested-loop order: the communication tile varies slowest, the stage
+    /// count fastest.
+    pub(crate) fn configs(&self) -> impl Iterator<Item = OverlapConfig> + '_ {
+        (0..self.len_unpruned()).map(move |mut i| {
+            let mut pick = |len: usize| {
+                let j = i % len;
+                i /= len;
+                j
+            };
+            let num_stages = self.stages[pick(self.stages.len())];
+            let channels_per_rank = self.channels[pick(self.channels.len())];
+            let comm_mapping = self.mappings[pick(self.mappings.len())];
+            let mode = self.modes[pick(self.modes.len())];
+            let order = self.orders[pick(self.orders.len())];
+            let compute_tile = self.compute_tiles[pick(self.compute_tiles.len())];
+            let comm_tile = self.comm_tiles[pick(self.comm_tiles.len())];
+            OverlapConfig {
+                comm_tile,
+                compute_tile,
+                order,
+                mode,
+                comm_mapping,
+                channels_per_rank,
+                num_stages,
+            }
+        })
     }
 
-    /// Like [`SearchSpace::candidates`], but also reports how many
-    /// combinations each pruning stage rejected, so tuning reports can
-    /// attribute the gap between [`SearchSpace::len_unpruned`] and the
-    /// evaluated count.
-    pub fn candidates_counted(&self, oracle: &dyn CostOracle) -> (Vec<OverlapConfig>, PruneCounts) {
-        let sm_count = oracle.cluster().gpu.sm_count;
-        let mut out = Vec::new();
-        let mut counts = PruneCounts::default();
-        for &comm_tile in &self.comm_tiles {
-            for &compute_tile in &self.compute_tiles {
-                for &order in &self.orders {
-                    for &mode in &self.modes {
-                        for &comm_mapping in &self.mappings {
-                            for &channels_per_rank in &self.channels {
-                                for &num_stages in &self.stages {
-                                    let cfg = OverlapConfig {
-                                        comm_tile,
-                                        compute_tile,
-                                        order,
-                                        mode,
-                                        comm_mapping,
-                                        channels_per_rank,
-                                        num_stages,
-                                    };
-                                    if cfg.validate(sm_count).is_err() {
-                                        counts.validate_rejected += 1;
-                                    } else if !self.allows(&cfg) || !oracle.is_supported(&cfg) {
-                                        counts.constraint_pruned += 1;
-                                    } else {
-                                        out.push(cfg);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    /// The admission check every search runs on a configuration before
+    /// pricing it: [`OverlapConfig::validate`] for the oracle's GPU, then the
+    /// space's cross-axis constraints, then the oracle's
+    /// [`CostOracle::is_supported`] predicate. Names the first stage that
+    /// rejects `cfg`.
+    pub(crate) fn admit(
+        &self,
+        oracle: &dyn CostOracle,
+        cfg: &OverlapConfig,
+    ) -> Result<(), Rejected> {
+        if cfg.validate(oracle.cluster().gpu.sm_count).is_err() {
+            Err(Rejected::Validate)
+        } else if !self.allows(cfg) || !oracle.is_supported(cfg) {
+            Err(Rejected::Constraint)
+        } else {
+            Ok(())
         }
-        (out, counts)
+    }
+
+    /// Every admitted candidate for `oracle`, in the deterministic
+    /// enumeration order both search strategies share. A candidate is
+    /// admitted when [`OverlapConfig::validate`] accepts it for the oracle's
+    /// GPU, every cross-axis constraint of the space allows it, and the
+    /// oracle's `is_supported` predicate holds; the tuner runs this same
+    /// check, once per configuration, and counts each rejection in its
+    /// [`FailedBreakdown`](crate::FailedBreakdown) stage.
+    pub fn candidates(&self, oracle: &dyn CostOracle) -> Vec<OverlapConfig> {
+        self.configs()
+            .filter(|cfg| self.admit(oracle, cfg).is_ok())
+            .collect()
     }
 }
 
-/// How many combinations each pruning stage of one enumeration rejected
-/// (see [`SearchSpace::candidates_counted`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PruneCounts {
-    /// Rejected by [`OverlapConfig::validate`] (physically impossible on the
-    /// oracle's GPU, e.g. more communication SMs than the chip has).
-    pub validate_rejected: usize,
-    /// Rejected by a cross-axis constraint of the space or by the oracle's
-    /// [`CostOracle::is_supported`] predicate.
-    pub constraint_pruned: usize,
+/// The admission stage that rejected a configuration (see
+/// [`SearchSpace::admit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rejected {
+    /// [`OverlapConfig::validate`] failed: impossible on the oracle's GPU
+    /// (e.g. more communication SMs than the chip has).
+    Validate,
+    /// A cross-axis constraint of the space or the oracle's
+    /// [`CostOracle::is_supported`] predicate rejected it.
+    Constraint,
 }
 
 #[cfg(test)]
@@ -381,15 +393,35 @@ mod tests {
             .with_orders([TileOrder::AllToAll, TileOrder::Ring])
             .with_modes([TransferMode::Pull, TransferMode::Push])
             .with_constraint(crate::RING_REQUIRES_PUSH);
-        let (cands, counts) = space.candidates_counted(&unit_oracle());
-        assert_eq!(cands.len(), 3);
-        assert_eq!(counts.validate_rejected, 4);
-        assert_eq!(counts.constraint_pruned, 1);
+        let oracle = unit_oracle();
+        let verdicts: Vec<_> = space.configs().map(|c| space.admit(&oracle, &c)).collect();
+        let count = |v: Result<(), Rejected>| verdicts.iter().filter(|&&x| x == v).count();
+        assert_eq!(count(Ok(())), 3);
+        assert_eq!(count(Err(Rejected::Validate)), 4);
+        assert_eq!(count(Err(Rejected::Constraint)), 1);
+        assert_eq!(verdicts.len(), space.len_unpruned());
+        let admitted: Vec<OverlapConfig> = space
+            .configs()
+            .filter(|c| space.admit(&oracle, c).is_ok())
+            .collect();
+        assert_eq!(admitted, space.candidates(&oracle));
+    }
+
+    #[test]
+    fn enumeration_is_the_nested_loop_order() {
+        // The communication tile varies slowest and the stage count fastest.
+        let space = SearchSpace::new()
+            .with_comm_tiles([TileShape::new(64, 64), TileShape::new(128, 128)])
+            .with_stages([2, 3, 4]);
+        let order: Vec<(usize, usize)> = space
+            .configs()
+            .map(|c| (c.comm_tile.m, c.num_stages))
+            .collect();
         assert_eq!(
-            cands.len() + counts.validate_rejected + counts.constraint_pruned,
-            space.len_unpruned()
+            order,
+            vec![(64, 2), (64, 3), (64, 4), (128, 2), (128, 3), (128, 4)]
         );
-        assert_eq!(cands, space.candidates(&unit_oracle()));
+        assert_eq!(space.configs().next(), Some(space.seed()));
     }
 
     #[test]

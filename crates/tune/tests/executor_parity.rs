@@ -82,7 +82,6 @@ fn shared_executor_matches_private_pool_bit_for_bit() {
     ] {
         let c_pool = AtomicUsize::new(0);
         let private = Tuner::new(strategy)
-            .with_threads(8)
             .tune(&analytic(&c_pool), &space())
             .unwrap();
 

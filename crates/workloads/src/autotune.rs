@@ -506,9 +506,6 @@ pub struct TuneOptions {
     pub space: SearchSpace,
     /// Persistent cache file; `None` keeps the cache in memory.
     pub cache_path: Option<PathBuf>,
-    /// Workers of the private per-run executor; `None` uses one per CPU.
-    /// Ignored when [`TuneOptions::executor`] is set.
-    pub threads: Option<usize>,
     /// Cost provider pricing the candidates; `None` uses the analytic model
     /// for the constructor's cluster. The provider's revision becomes part of
     /// the tuning-cache key, so results tuned under different cost models
@@ -528,8 +525,8 @@ pub struct TuneOptions {
     /// afterwards in [`tilelink_tune::TuneReport::rounds`].
     pub verbose: bool,
     /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
-    /// private one of [`TuneOptions::threads`] workers per run (the default,
-    /// `None`); long-running processes (the serve daemon, `reproduce
+    /// private one per run (the default, `None`: one worker per CPU, capped
+    /// at 16); long-running processes (the serve daemon, `reproduce
     /// --tune`) pass [`SearchExecutor::global`] so back-to-back and
     /// concurrent searches share one warm pool. Results are bit-identical
     /// either way.
@@ -547,7 +544,6 @@ impl Default for TuneOptions {
             strategy: Strategy::default(),
             space: SearchSpace::standard(),
             cache_path: None,
-            threads: None,
             cost: None,
             routing: None,
             objective: Objective::Mean,
@@ -637,9 +633,6 @@ fn run_tune(oracle: &dyn CostOracle, opts: &TuneOptions) -> tilelink_tune::Resul
     let mut tuner = Tuner::new(opts.strategy)
         .with_verbose(opts.verbose)
         .with_stale_sweep(opts.sweep_stale);
-    if let Some(threads) = opts.threads {
-        tuner = tuner.with_threads(threads);
-    }
     if let Some(executor) = &opts.executor {
         tuner = tuner.with_executor(Arc::clone(executor));
     }

@@ -14,50 +14,32 @@
 //! expected uniform routing and once over sampled routings for the chosen
 //! objective, and both winners are printed side by side.
 
-use std::str::FromStr;
-
 use tilelink::OverlapConfig;
+use tilelink_bench::cli::{self, Arity};
 use tilelink_sim::{ClusterSpec, CostModelSpec};
 use tilelink_tune::{CostOracle, Objective, SearchSpace, Strategy, Tuner};
 use tilelink_workloads::autotune::{self, MlpOracle, TuneOptions};
 use tilelink_workloads::moe::RoutingProfile;
 use tilelink_workloads::{shapes, RoutingSpec};
 
-/// Value of an option-style `--flag VALUE` / `--flag=VALUE`, parsed with `T`'s
-/// `FromStr`.
-fn parse_flag<T: FromStr>(args: &[String], flag: &str) -> Option<T>
-where
-    T::Err: std::fmt::Display,
-{
-    let text = match args.iter().position(|a| a == flag) {
-        Some(i) => Some(args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("error: {flag} requires a value");
-            std::process::exit(2);
-        })),
-        None => {
-            let prefix = format!("{flag}=");
-            args.iter().find_map(|a| a.strip_prefix(&prefix).map(|_| a))
-        }
-    }?;
-    let value = text.strip_prefix(&format!("{flag}=")).unwrap_or(text);
-    match value.parse::<T>() {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let cluster = ClusterSpec::h800_node(8);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let spec = CostModelSpec::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let routing: Option<RoutingProfile> = parse_flag(&args, "--routing");
-    let objective: Objective = parse_flag(&args, "--objective").unwrap_or(Objective::Mean);
+    let known = [
+        ("--cost-model", Arity::Value),
+        ("--routing", Arity::Value),
+        ("--objective", Arity::Value),
+    ];
+    let (spec, routing, objective) = cli::parse(std::env::args().skip(1), &known)
+        .and_then(|p| {
+            Ok((
+                p.parse::<CostModelSpec>("--cost-model")?
+                    .unwrap_or_default(),
+                p.parse::<RoutingProfile>("--routing")?,
+                p.parse::<Objective>("--objective")?
+                    .unwrap_or(Objective::Mean),
+            ))
+        })
+        .unwrap_or_else(|e| cli::exit_usage(&e));
     let cost = spec
         .build(&cluster)
         .unwrap_or_else(|e| panic!("cannot build cost model {spec}: {e}"));

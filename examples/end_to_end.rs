@@ -9,24 +9,25 @@
 //! {analytic|calibrated[:path]}` selects the pricing provider as in the
 //! `reproduce` binary.
 
+use tilelink_bench::cli::{self, Arity};
 use tilelink_sim::CostModelSpec;
 use tilelink_workloads::autotune::TuneOptions;
 use tilelink_workloads::e2e;
 use tilelink_workloads::shapes::model_configs;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let spec = CostModelSpec::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let tune = args.iter().any(|a| a == "--tune");
+    let known = [("--tune", Arity::Flag), ("--cost-model", Arity::Value)];
+    let (spec, tune) = cli::parse(std::env::args().skip(1), &known)
+        .and_then(|p| {
+            let spec = p.parse::<CostModelSpec>("--cost-model")?;
+            Ok((spec.unwrap_or_default(), p.has("--tune")))
+        })
+        .unwrap_or_else(|e| cli::exit_usage(&e));
 
     let (cluster, tokens) = e2e::single_node_setup();
-    let cost = spec.build(&cluster).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let cost = spec
+        .build(&cluster)
+        .unwrap_or_else(|e| cli::exit_usage(&e.to_string()));
     println!("simulated 8xH800, batch 4 x sequence 8192 (cost model: {spec})\n");
     let opts = TuneOptions::default().with_default_cache();
     for model in model_configs()

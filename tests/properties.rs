@@ -12,9 +12,10 @@ use tilelink_collectives::Comm;
 use tilelink_compute::attention::{attention_reference, flash_attention};
 use tilelink_compute::gemm::{matmul, matmul_tiled};
 use tilelink_compute::Tensor;
+use tilelink_serve::{parse_command, parse_reply, parse_stats};
 use tilelink_shmem::ProcessGroup;
-use tilelink_sim::ClusterSpec;
-use tilelink_tune::{FnOracle, SearchSpace, Strategy, Tuner, RING_REQUIRES_PUSH};
+use tilelink_sim::{ClusterSpec, LinkCalibration, LinkClass};
+use tilelink_tune::{FnOracle, SearchSpace, Strategy, TuneCache, Tuner, RING_REQUIRES_PUSH};
 
 /// A splitmix64-style generator: deterministic, seedable, no dependencies.
 struct Rng(u64);
@@ -304,4 +305,200 @@ fn collective_algebra_holds() {
             }
         }
     }
+}
+
+/// Values that break naive parsers: empty, signs, non-finite and overflowing
+/// numbers, zero and out-of-range counts, separators and non-ASCII text.
+const NASTY: [&str; 24] = [
+    "",
+    "=",
+    "x=y=z",
+    "-1",
+    "0",
+    "-0",
+    "NaN",
+    "-NaN",
+    "inf",
+    "-inf",
+    "1e309",
+    "18446744073709551616",
+    "p0",
+    "p101",
+    "zipf:",
+    "zipf:-1",
+    "hot:0",
+    "h800x0",
+    "h800x18446744073709551615x18446744073709551615",
+    "samples=65",
+    "seed=-1",
+    "\t",
+    "é\u{0}",
+    "  ",
+];
+
+/// Up to 48 random bytes, decoded lossily (the parsers take text).
+fn random_text(rng: &mut Rng) -> String {
+    let bytes: Vec<u8> = (0..rng.range(0, 49))
+        .map(|_| rng.next_u64() as u8)
+        .collect();
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// One fuzz input: random bytes (one case in four) or a token-level mutation
+/// of a valid `seed` line split on `sep`. A mutation drops, duplicates, swaps
+/// or replaces tokens (with a [`NASTY`] value, a nasty `key=value` value or
+/// random bytes), then maybe truncates the line.
+fn fuzz_line(rng: &mut Rng, seeds: &[&str], sep: char) -> String {
+    if rng.range(0, 4) == 0 {
+        return random_text(rng);
+    }
+    let seed = seeds[rng.range(0, seeds.len())];
+    let mut tokens: Vec<String> = seed.split(sep).map(String::from).collect();
+    for _ in 0..rng.range(1, 4) {
+        let i = rng.range(0, tokens.len());
+        match rng.range(0, 6) {
+            0 if tokens.len() > 1 => drop(tokens.remove(i)),
+            1 => tokens.insert(i, tokens[i].clone()),
+            2 => {
+                let j = rng.range(0, tokens.len());
+                tokens.swap(i, j);
+            }
+            3 => tokens[i] = NASTY[rng.range(0, NASTY.len())].to_string(),
+            4 => {
+                let key = tokens[i].split('=').next().unwrap_or("").to_string();
+                tokens[i] = format!("{key}={}", NASTY[rng.range(0, NASTY.len())]);
+            }
+            _ => tokens[i] = random_text(rng),
+        }
+    }
+    let mut line = tokens.join(&sep.to_string());
+    if rng.range(0, 4) == 0 {
+        let mut cut = rng.range(0, line.len() + 1);
+        while !line.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        line.truncate(cut);
+    }
+    line
+}
+
+/// The daemon's wire grammar is untrusted input: fuzzed request, reply and
+/// `STATS` lines parse or return `Err`, and never panic.
+#[test]
+fn wire_parsers_survive_fuzzed_lines() {
+    let requests = [
+        "TUNE workload=MoE-3 cluster=h800x8x2 routing=zipf:1.2 samples=4 seed=99 objective=p95",
+        "TUNE workload=MLP-1 cluster=a100x4",
+        "TUNE workload=MoE-1 routing=hot:2 objective=worst",
+        "PING",
+        "STATS",
+    ];
+    let stats = "warm=12 cold=3 deduped=5 inflight=2 cached=7 cache_entries=7 evictions=4 \
+                 expired=1 pool_queued=6 pool_active=8 pool_rejected=9";
+    let stats_reply = format!("STATS {stats}");
+    let replies = [
+        "OK workload=MoE-1 source=warm config=ct128x128-gt256x256 total_ms=1.250000 \
+         comm_ms=0.500000 comp_ms=1.000000 evals=17 cache_hits=3",
+        "ERR unknown workload \"MLP-9\"",
+        "PONG",
+        &stats_reply,
+    ];
+    let mut rng = Rng::new(0xF0221);
+    let (mut parsed, mut rejected) = (0, 0);
+    for _ in 0..3000 {
+        for ok in [
+            parse_command(&fuzz_line(&mut rng, &requests, ' ')).is_ok(),
+            parse_reply(&fuzz_line(&mut rng, &replies, ' ')).is_ok(),
+            parse_stats(&fuzz_line(&mut rng, &[stats], ' ')).is_ok(),
+        ] {
+            if ok {
+                parsed += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    // The mutations reach both outcomes, not only the first token check.
+    assert!(
+        parsed > 500 && rejected > 500,
+        "{parsed} parsed, {rejected} rejected"
+    );
+}
+
+/// The calibration TSV is untrusted input: a fuzzed table loads or returns
+/// `Err`, never panics, and a table that loads prices every transfer with a
+/// finite, non-negative α and an achieved fraction in (0, 1].
+#[test]
+fn calibration_loader_survives_fuzzed_tables() {
+    let table = LinkCalibration::h800_defaults().to_tsv();
+    let lines: Vec<&str> = table.lines().collect();
+    let mut rng = Rng::new(0xCA1B);
+    let (mut loaded, mut rejected) = (0, 0);
+    for _ in 0..1500 {
+        let mut text: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        for _ in 0..rng.range(1, 3) {
+            let i = rng.range(0, text.len());
+            text[i] = fuzz_line(&mut rng, &[lines[i]], '\t');
+        }
+        let Ok(cal) = LinkCalibration::from_tsv(&text.join("\n")) else {
+            rejected += 1;
+            continue;
+        };
+        loaded += 1;
+        for class in LinkClass::ALL {
+            for b in cal.class(class) {
+                assert!(b.alpha_us.is_finite() && b.alpha_us >= 0.0, "{b:?}");
+                assert!(b.achieved_frac > 0.0 && b.achieved_frac <= 1.0, "{b:?}");
+                assert!(b.max_bytes > 0.0, "{b:?}");
+            }
+        }
+    }
+    assert!(
+        loaded > 20 && rejected > 100,
+        "{loaded} loaded, {rejected} rejected"
+    );
+}
+
+/// The tune-cache TSV is untrusted input, and its values are trusted without
+/// re-pricing: a fuzzed file opens (skipping the lines it cannot use) or
+/// returns `Err`, never panics, and every value it then serves is a
+/// plausible time — a finite, positive total and a finite, non-negative
+/// comm/compute split.
+#[test]
+fn tune_cache_serves_only_plausible_values_from_fuzzed_files() {
+    let dir = std::env::temp_dir().join(format!("tilelink-fuzz-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.tsv");
+    let seeds = [
+        "mlp|h800x8|analytic-v2|mean|ct128x128-gt128x256\t1.25e-3",
+        "moe|h800x8|analytic-v2|p95|ct64x64-gt128x128\t1.25e-3\t5e-4\t1e-3",
+    ];
+    let mut rng = Rng::new(0xCAC4E);
+    let mut served = 0;
+    for _ in 0..400 {
+        let text: Vec<String> = (0..rng.range(1, 8))
+            .map(|_| fuzz_line(&mut rng, &seeds, '\t'))
+            .collect();
+        let text = text.join("\n");
+        std::fs::write(&path, &text).unwrap();
+        let cache = TuneCache::open(&path).expect("a readable UTF-8 file opens");
+        for key in text.lines().filter_map(|l| l.split('\t').next()) {
+            if let Some(total) = cache.total(key) {
+                assert!(total.is_finite() && total > 0.0, "{key:?}: {total}");
+                served += 1;
+            }
+            if let Some(r) = cache.get(key) {
+                assert!(r.total_s.is_finite() && r.total_s > 0.0, "{key:?}: {r:?}");
+                for part in [r.comm_only_s, r.comp_only_s] {
+                    assert!(part.is_finite() && part >= 0.0, "{key:?}: {r:?}");
+                }
+            }
+        }
+    }
+    assert!(served > 100, "only {served} values served");
+    // Raw bytes that are not UTF-8 make the whole file unreadable: a loud
+    // error, not a panic.
+    std::fs::write(&path, [0x66, 0xff, 0x09, 0x31]).unwrap();
+    assert!(TuneCache::open(&path).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
 }

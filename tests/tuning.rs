@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use tilelink::{CommMapping, OverlapConfig, OverlapReport, TileShape};
 use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec};
-use tilelink_tune::{BoundedEval, CostOracle, Objective, SearchSpace, Strategy, TuneCache, Tuner};
+use tilelink_tune::{
+    BoundedEval, CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache, Tuner,
+};
 use tilelink_workloads::autotune::{self, MlpAgGemmOracle, MlpOracle, MoeOracle, TuneOptions};
 use tilelink_workloads::{shapes, RoutingProfile, RoutingSpec, TunedLayer};
 
@@ -88,11 +90,11 @@ fn search_over_the_real_oracle_is_deterministic_across_thread_counts() {
     let space = small_space();
 
     let serial = Tuner::new(Strategy::Exhaustive)
-        .with_threads(1)
+        .with_executor(Arc::new(SearchExecutor::with_threads(1)))
         .tune(&oracle, &space)
         .unwrap();
     let parallel = Tuner::new(Strategy::Exhaustive)
-        .with_threads(8)
+        .with_executor(Arc::new(SearchExecutor::with_threads(8)))
         .tune(&oracle, &space)
         .unwrap();
     assert_eq!(serial.best.config, parallel.best.config);
