@@ -719,7 +719,7 @@ fn serve_smoke(spec: &CostModelSpec) {
     server.shutdown();
 }
 
-/// Ablations over the design choices called out in DESIGN.md: decoupled tile
+/// Ablations over the paper's design space (Section 3.1): decoupled tile
 /// sizes, number of communication SMs and resource mapping.
 fn ablations(cost: &tilelink_sim::SharedCost) {
     use tilelink::config::{CommMapping, TileShape};

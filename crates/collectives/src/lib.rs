@@ -7,10 +7,11 @@
 //!   the [`tilelink_shmem`] symmetric memory, used to validate that the
 //!   overlapped kernels produce bit-identical results to an unoverlapped
 //!   collective + compute reference;
-//! * **timed** ([`timed`]) — task-graph builders for the
-//!   [`tilelink_sim`] discrete-event simulator, used by every baseline in the
-//!   benchmark harness ("cuBLAS+NCCL", "CUTLASS+NCCL", Async-TP) to model the
-//!   cost of the non-overlapped or decomposed collectives.
+//! * **timed** ([`timed`]) — closed-form ring estimates, used by every
+//!   baseline ("cuBLAS+NCCL", "CUTLASS+NCCL", Async-TP) to price the
+//!   non-overlapped or decomposed collectives, plus task-graph builders for
+//!   the [`tilelink_sim`] discrete-event simulator that serve as their test
+//!   reference.
 //!
 //! The supported collectives are the ones the paper's workloads need
 //! (Section 2.1): AllGather, ReduceScatter, AllReduce, All-to-All and

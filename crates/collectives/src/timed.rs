@@ -1,8 +1,12 @@
-//! Timed collectives: task-graph builders for the cluster simulator.
+//! Timed collectives: closed-form ring estimates plus task-graph builders for
+//! the cluster simulator.
 //!
-//! These builders reproduce the *cost structure* of NCCL's ring collectives so
-//! that the non-overlapped ("cuBLAS+NCCL") and decomposed ("Async-TP")
-//! baselines of the paper's figures can be simulated. Every builder returns a
+//! The non-overlapped ("cuBLAS+NCCL") and decomposed ("Async-TP") baselines
+//! of the paper's figures price their collectives with the closed forms
+//! [`ring_collective_seconds`] and [`ring_hop_seconds`], which follow the
+//! *cost structure* of NCCL's ring collectives. The task-graph builders
+//! simulate the same rings step by step; they serve as this module's test
+//! reference for the closed forms. Every builder returns a
 //! [`CollectiveSchedule`] with per-rank start and end marker tasks so callers
 //! can wire the collective into a larger dependency graph.
 
@@ -312,9 +316,9 @@ pub fn ring_hop_seconds(cost: &dyn CostProvider, bytes: f64) -> f64 {
 /// pipeline steps of `bytes_per_rank` at the slowest hop in the ring
 /// ([`ring_hop_seconds`]), priced by an explicit cost provider.
 ///
-/// Useful for sanity checks and quick analytical comparisons; the benchmark
-/// harness uses the task-graph builders so that overlap with compute is
-/// captured.
+/// Every baseline prices its collectives through this estimate (or
+/// [`ring_hop_seconds`] directly); the task-graph builders above are the test
+/// reference it is checked against.
 pub fn ring_collective_seconds(cost: &dyn CostProvider, bytes_per_rank: f64) -> f64 {
     let world = cost.cluster().world_size();
     if world <= 1 {

@@ -5,7 +5,7 @@
 //! through the compile pipeline, the simulator and the tuner — and provides
 //! four small building blocks:
 //!
-//! * [`span`] / [`SpanGuard`] — a hierarchical wall-clock **span profiler**.
+//! * [`span()`] / [`SpanGuard`] — a hierarchical wall-clock **span profiler**.
 //!   Scopes are RAII guards, nest across call frames, are tracked per thread,
 //!   and cost ~a nanosecond when profiling is disabled (one relaxed atomic
 //!   load, no allocation, no lock). Finished spans record total and

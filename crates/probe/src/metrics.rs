@@ -49,10 +49,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-value-wins gauge.
@@ -95,10 +91,6 @@ impl Gauge {
     #[must_use]
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -177,14 +169,6 @@ impl Histogram {
             }
         }
         u64::MAX
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -349,19 +333,6 @@ pub fn metrics_json() -> String {
     }
     out.push_str("\n  }\n}");
     out
-}
-
-/// Resets every instrument to zero (test isolation only).
-pub fn reset_metrics() {
-    for c in COUNTERS {
-        c.reset();
-    }
-    for g in GAUGES {
-        g.reset();
-    }
-    for h in HISTOGRAMS {
-        h.reset();
-    }
 }
 
 #[cfg(test)]

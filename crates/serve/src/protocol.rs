@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! request   = tune | "PING" | "STATS"
-//! tune      = "TUNE" SP pair (SP pair)*
+//! tune      = "TUNE" SP pair (SP pair)*       ; each key at most once
 //! pair      = "workload=" name            ; required: "MLP-1".."MLP-6" or
 //!                                         ; "MoE-1".."MoE-6" (Table 4)
 //!           | "cluster=" cluster          ; default "h800x8"
@@ -147,16 +147,16 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         "STATS" => return Ok(Command::Stats),
         _ => {}
     }
-    let Some(rest) = line.strip_prefix("TUNE") else {
+    let (verb, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+    if verb != "TUNE" {
         return Err(format!(
-            "unknown request {:?} (expected TUNE, PING or STATS)",
-            line.split_whitespace().next().unwrap_or("")
+            "unknown request {verb:?} (expected TUNE, PING or STATS)"
         ));
-    };
+    }
 
     let mut workload_name: Option<&str> = None;
     let mut cluster: Option<&str> = None;
-    let mut objective = Objective::Mean;
+    let mut objective: Option<Objective> = None;
     let mut routing: Option<RoutingProfile> = None;
     let mut samples: Option<usize> = None;
     let mut seed: Option<u64> = None;
@@ -164,13 +164,13 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         let Some((key, value)) = pair.split_once('=') else {
             return Err(format!("malformed pair {pair:?} (expected key=value)"));
         };
-        match key {
-            "workload" => workload_name = Some(value),
-            "cluster" => cluster = Some(value),
-            "objective" => objective = Objective::from_str(value)?,
-            "routing" => routing = Some(RoutingProfile::from_str(value)?),
-            "samples" => {
-                samples = Some(
+        let repeated = match key {
+            "workload" => workload_name.replace(value).is_some(),
+            "cluster" => cluster.replace(value).is_some(),
+            "objective" => objective.replace(Objective::from_str(value)?).is_some(),
+            "routing" => routing.replace(RoutingProfile::from_str(value)?).is_some(),
+            "samples" => samples
+                .replace(
                     value
                         .parse()
                         .ok()
@@ -182,17 +182,21 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                             )
                         })?,
                 )
-            }
-            "seed" => {
-                seed = Some(
+                .is_some(),
+            "seed" => seed
+                .replace(
                     value
                         .parse()
                         .map_err(|_| format!("seed must be an unsigned integer, got {value:?}"))?,
                 )
-            }
+                .is_some(),
             _ => return Err(format!("unknown key {key:?}")),
+        };
+        if repeated {
+            return Err(format!("repeated key {key:?} (each key may appear once)"));
         }
     }
+    let objective = objective.unwrap_or(Objective::Mean);
 
     let Some(name) = workload_name else {
         return Err("TUNE requires workload=<name> (MLP-1..MLP-6 or MoE-1..MoE-6)".to_string());
@@ -515,6 +519,16 @@ mod tests {
             ),
             ("TUNE workload=MLP-1 frobnicate=yes", "unknown key"),
             ("TUNE workload", "malformed pair"),
+            ("TUNEworkload=MLP-1", "unknown request"),
+            (
+                "TUNE workload=MLP-1 cluster=h800x8 cluster=a100x4",
+                "repeated key \"cluster\"",
+            ),
+            ("TUNE workload=MLP-1 workload=MLP-2", "repeated key"),
+            (
+                "TUNE workload=MoE-1 objective=p95 objective=mean",
+                "repeated key",
+            ),
         ] {
             let err = parse_command(line).unwrap_err();
             assert!(

@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use tilelink_probe::metrics::{SERVE_POOL_ACTIVE, SERVE_POOL_QUEUED, SERVE_POOL_REJECTED};
 
-use crate::protocol::{parse_command, Command};
+use crate::protocol::{parse_command, Command, TuneRequest};
 use crate::service::TuneService;
 
 /// Hard cap on one request line. Anything longer gets `ERR` and a closed
@@ -60,10 +60,11 @@ const IDLE_SPINS: u32 = 64;
 /// Read granularity per connection per tick.
 const READ_CHUNK: usize = 4096;
 
-/// One parsed-off request line travelling to the worker pool.
+/// One parsed `TUNE` request the warm cache missed, travelling to the worker
+/// pool.
 struct Job {
     conn: u64,
-    line: String,
+    req: Box<TuneRequest>,
 }
 
 struct QueueState {
@@ -339,8 +340,11 @@ pub fn serve(service: Arc<TuneService>, addr: &str) -> std::io::Result<ServerHan
 fn worker_loop(service: &TuneService, queue: &JobQueue, completions: &mpsc::Sender<(u64, String)>) {
     while let Some(job) = queue.pop() {
         SERVE_POOL_ACTIVE.add(1);
-        let response = catch_unwind(AssertUnwindSafe(|| respond(service, &job.line)))
-            .unwrap_or_else(|_| "ERR internal: request handler panicked".to_string());
+        let response = catch_unwind(AssertUnwindSafe(|| match service.tune(&job.req) {
+            Ok((outcome, source)) => outcome.ok_fields(job.req.workload.name(), source).render(),
+            Err(message) => format!("ERR {}", message.replace('\n', " ")),
+        }))
+        .unwrap_or_else(|_| "ERR internal: request handler panicked".to_string());
         SERVE_POOL_ACTIVE.add(-1);
         if completions.send((job.conn, response)).is_err() {
             break;
@@ -459,17 +463,19 @@ fn tick_conn(
             conn.queue_response(&format!("ERR request line exceeds {MAX_LINE_BYTES} bytes"));
             conn.close_after_write = true;
         } else {
-            let line = String::from_utf8_lossy(&raw).into_owned();
-            if let Some(response) = fast_response(service, &line) {
+            match dispatch(service, &String::from_utf8_lossy(&raw)) {
                 // Answered inline on the reactor thread — warm hits and
                 // control commands never pay the two scheduler hops through
                 // the worker pool.
-                conn.queue_response(&response);
-            } else if queue.try_push(Job { conn: id, line }) {
-                conn.busy = true;
-            } else {
-                SERVE_POOL_REJECTED.inc();
-                conn.queue_response("ERR busy: request queue is full");
+                Dispatch::Reply(response) => conn.queue_response(&response),
+                Dispatch::Search(req) => {
+                    if queue.try_push(Job { conn: id, req }) {
+                        conn.busy = true;
+                    } else {
+                        SERVE_POOL_REJECTED.inc();
+                        conn.queue_response("ERR busy: request queue is full");
+                    }
+                }
             }
         }
     } else if conn.read_buf.len() > MAX_LINE_BYTES {
@@ -482,41 +488,37 @@ fn tick_conn(
     Ok(())
 }
 
-/// Answers a request inline when doing so cannot block the reactor: control
-/// commands, parse errors, and `TUNE` requests the warm cache can satisfy.
-/// `None` hands the request (a cold or in-flight search) to the worker pool.
-fn fast_response(service: &TuneService, line: &str) -> Option<String> {
-    if line.trim().is_empty() {
-        return Some("ERR empty request".to_string());
-    }
-    match parse_command(line) {
-        Ok(Command::Ping) => Some("PONG".to_string()),
-        Ok(Command::Stats) => Some(format!("STATS {}", service.stats_line())),
-        Ok(Command::Tune(req)) => service
-            .try_warm(&req)
-            .map(|(outcome, source)| outcome.ok_fields(req.workload.name(), source).render()),
-        Err(message) => Some(format!("ERR {}", message.replace('\n', " "))),
-    }
+/// What the reactor does with one request line.
+enum Dispatch {
+    /// Answer inline with this response line.
+    Reply(String),
+    /// Hand this request (a cold or in-flight search) to the worker pool.
+    Search(Box<TuneRequest>),
 }
 
-/// Produces the single response line (no newline) for one request line.
-fn respond(service: &TuneService, line: &str) -> String {
+/// Parses a request line — the only parse it gets — and answers it inline
+/// when doing so cannot block the reactor: control commands, parse errors,
+/// and `TUNE` requests the warm cache can satisfy.
+fn dispatch(service: &TuneService, line: &str) -> Dispatch {
     if line.trim().is_empty() {
-        return "ERR empty request".to_string();
+        return Dispatch::Reply("ERR empty request".to_string());
     }
     match parse_command(line) {
-        Ok(Command::Ping) => "PONG".to_string(),
-        Ok(Command::Stats) => format!("STATS {}", service.stats_line()),
-        Ok(Command::Tune(req)) => match service.tune(&req) {
-            Ok((outcome, source)) => outcome.ok_fields(req.workload.name(), source).render(),
-            Err(message) => format!("ERR {}", message.replace('\n', " ")),
+        Ok(Command::Ping) => Dispatch::Reply("PONG".to_string()),
+        Ok(Command::Stats) => Dispatch::Reply(format!("STATS {}", service.stats_line())),
+        Ok(Command::Tune(req)) => match service.try_warm(&req) {
+            Some((outcome, source)) => {
+                Dispatch::Reply(outcome.ok_fields(req.workload.name(), source).render())
+            }
+            None => Dispatch::Search(req),
         },
-        Err(message) => format!("ERR {}", message.replace('\n', " ")),
+        Err(message) => Dispatch::Reply(format!("ERR {}", message.replace('\n', " "))),
     }
 }
 
-/// A minimal blocking client for the daemon's protocol — what the load
-/// generator, the smoke test and examples use to talk to the server.
+/// A minimal blocking client for the daemon's protocol — what the
+/// `reproduce --serve` smoke, the wire tests and the benchmark use to talk to
+/// the server.
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,

@@ -2,16 +2,17 @@
 //!
 //! Besides the classic [`Compiler::compile`] entry point, the compiler keeps a
 //! process-wide cache of lowered programs ([`Compiler::compile_cached`]) so
-//! that the thousands of neighbouring candidates a beam search evaluates do
-//! not rebuild and re-lower the same program from scratch. A beam /
-//! coordinate-descent search changes one `OverlapConfig` axis at a time, and
-//! only a few axes actually change the lowered program:
+//! that the thousands of neighbouring candidates a search evaluates do not
+//! rebuild and re-lower the same program from scratch. Only a few
+//! `OverlapConfig` axes actually change the lowered program:
 //!
 //! * `comm_tile`, `compute_tile` and `channels_per_rank` feed the program
 //!   builders and the tile mapping, so changing them forces a full rebuild;
 //! * `num_stages` only drives the (cheap, in-place) pipelining pass, and
 //!   `comm_mapping` only drives resource planning — changing either reuses
-//!   the cached lowered program and just re-runs those final steps.
+//!   the cached lowered program and just re-runs those final steps;
+//! * `order` and `mode` are read by no builder or pass, so changing either
+//!   reuses the cached program too.
 //!
 //! The config-delta classification is encoded structurally: the cache key
 //! contains exactly the axes that force a rebuild, so a lookup *is* the
@@ -21,9 +22,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tilelink_sim::{GpuSpec, SharedCost};
+use tilelink_sim::SharedCost;
 
-use crate::config::{OverlapConfig, TileOrder, TileShape, TransferMode};
+use crate::config::{OverlapConfig, TileShape};
 use crate::ir::{Symbol, TileProgram};
 use crate::mapping::TileMapping;
 use crate::passes::{
@@ -36,8 +37,8 @@ use crate::Result;
 /// mapping.
 ///
 /// A `CompiledKernel` can be handed to the timed executor
-/// ([`crate::exec::timed::simulate`]) to measure its overlapped execution on
-/// the cluster simulator.
+/// ([`crate::exec::timed::simulate_report`]) to measure its overlapped
+/// execution on the cluster simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
     /// Kernel name (interned — copying a kernel never clones the name).
@@ -125,18 +126,16 @@ pub fn detail_hash(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// The cache key: the call site plus exactly the config axes whose change
-/// invalidates the lowered program. `num_stages` and `comm_mapping` are
-/// deliberately absent — candidates differing only in those axes share an
-/// entry and take the patched fast path.
+/// The cache key: the call site plus exactly the config axes the program
+/// builders and the mapping read. `num_stages`, `comm_mapping`, `order` and
+/// `mode` are deliberately absent — candidates differing only in those axes
+/// share an entry and take the patched fast path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     site: &'static str,
     detail: u64,
     comm_tile: TileShape,
     compute_tile: TileShape,
-    order: TileOrder,
-    mode: TransferMode,
     channels_per_rank: usize,
 }
 
@@ -147,8 +146,6 @@ impl CacheKey {
             detail: site.detail,
             comm_tile: config.comm_tile,
             compute_tile: config.compute_tile,
-            order: config.order,
-            mode: config.mode,
             channels_per_rank: config.channels_per_rank,
         }
     }
@@ -203,6 +200,23 @@ struct CachedLowered {
     comm: CommSummary,
 }
 
+impl CachedLowered {
+    /// Lowers `program` through `mapping` and checks its consistency: the
+    /// axis-independent head of every compile.
+    fn lower(program: &TileProgram, mapping: &dyn TileMapping) -> Result<Self> {
+        let _span = tilelink_probe::span("compile.lower");
+        let lowered = lower(program, mapping)?;
+        check_consistency(&lowered)?;
+        Ok(Self {
+            name: program.name,
+            world_size: program.world_size,
+            comm: CommSummary::of_lowered(&lowered, program.world_size),
+            lowered,
+            plan_inputs: PlanInputs::of_program(program),
+        })
+    }
+}
+
 /// Bound on distinct (site, shape, structural-config) entries; a quick tune
 /// touches a few dozen. Hitting the cap clears the map (simple, and never
 /// wrong — a miss just rebuilds).
@@ -230,30 +244,28 @@ pub fn reset_compile_cache() {
 #[derive(Debug, Clone)]
 pub struct Compiler {
     config: OverlapConfig,
-    gpu: GpuSpec,
-    cost: Option<SharedCost>,
+    cost: SharedCost,
 }
 
 impl Compiler {
-    /// Creates a compiler for one device and configuration (resource mapping
-    /// uses the analytic cost model's efficiency heuristics).
-    pub fn new(config: OverlapConfig, gpu: GpuSpec) -> Self {
+    /// Creates a compiler for one configuration on the device `cost` prices
+    /// (its cluster's GPU); resource mapping uses the provider's GEMM
+    /// efficiency heuristic.
+    pub fn new(config: OverlapConfig, cost: &SharedCost) -> Self {
         Self {
             config,
-            gpu,
-            cost: None,
+            cost: cost.clone(),
         }
-    }
-
-    /// Replaces the cost provider consulted by the resource-mapping pass.
-    pub fn with_cost(mut self, cost: SharedCost) -> Self {
-        self.cost = Some(cost);
-        self
     }
 
     /// The configuration this compiler applies.
     pub fn config(&self) -> &OverlapConfig {
         &self.config
+    }
+
+    /// Rejects a configuration the device cannot run.
+    fn validate(&self) -> Result<()> {
+        self.config.validate(self.cost.cluster().gpu.sm_count)
     }
 
     /// Compiles `program` using `mapping` for tile resolution.
@@ -268,29 +280,11 @@ impl Compiler {
         program: &TileProgram,
         mapping: &dyn TileMapping,
     ) -> Result<CompiledKernel> {
-        self.config.validate(self.gpu.sm_count)?;
-        let lowered = {
-            let _span = tilelink_probe::span("compile.lower");
-            let mut lowered = lower(program, mapping)?;
-            check_consistency(&lowered)?;
-            pipeline_program(&mut lowered, self.config.num_stages);
-            // Pipelining must preserve consistency; verify the invariant.
-            check_consistency(&lowered)?;
-            lowered
-        };
-        let plan = {
-            let _span = tilelink_probe::span("compile.plan");
-            ResourcePlan::derive_with(&self.config, &self.gpu, program, self.cost.as_deref())?
-        };
-        let comm = CommSummary::of_lowered(&lowered, program.world_size);
-        Ok(CompiledKernel::assemble(
-            program.name,
-            program.world_size,
-            lowered,
-            plan,
-            self.config,
-            comm,
-        ))
+        self.validate()?;
+        let kernel = self.finish(&CachedLowered::lower(program, mapping)?)?;
+        // Pipelining must preserve consistency; verify the invariant.
+        check_consistency(&kernel.lowered)?;
+        Ok(kernel)
     }
 
     /// Compiles through the process-wide incremental cache.
@@ -299,8 +293,8 @@ impl Compiler {
     /// miss (a *full rebuild*). On a hit (a *patched* compile) the cached
     /// lowered program is copied (a flat memcpy — ops are `Copy`), pipelined
     /// in place for this config's `num_stages`, and re-planned for this
-    /// config's `comm_mapping`: the only two axes the key omits. The result is
-    /// bit-identical to a cold [`Self::compile`] of the same inputs.
+    /// config's `comm_mapping`. The result is bit-identical to a cold
+    /// [`Self::compile`] of the same inputs.
     ///
     /// # Errors
     ///
@@ -311,7 +305,7 @@ impl Compiler {
         site: CacheSite,
         build: impl FnOnce() -> Result<(TileProgram, M)>,
     ) -> Result<CompiledKernel> {
-        self.config.validate(self.gpu.sm_count)?;
+        self.validate()?;
         let key = CacheKey::new(site, &self.config);
         let hit = {
             let cache = compile_cache().lock().expect("compile cache poisoned");
@@ -319,22 +313,10 @@ impl Compiler {
         };
         if let Some(cached) = hit {
             tilelink_probe::metrics::TUNE_COMPILE_PATCHED.inc();
-            return self.finish_from_cached(&cached);
+            return self.finish(&cached);
         }
         let (program, mapping) = build()?;
-        let entry = {
-            let _span = tilelink_probe::span("compile.lower");
-            let lowered = lower(&program, &mapping)?;
-            check_consistency(&lowered)?;
-            let comm = CommSummary::of_lowered(&lowered, program.world_size);
-            Arc::new(CachedLowered {
-                name: program.name,
-                world_size: program.world_size,
-                lowered,
-                plan_inputs: PlanInputs::of_program(&program),
-                comm,
-            })
-        };
+        let entry = Arc::new(CachedLowered::lower(&program, &mapping)?);
         {
             let mut cache = compile_cache().lock().expect("compile cache poisoned");
             if cache.len() >= COMPILE_CACHE_CAP {
@@ -343,17 +325,17 @@ impl Compiler {
             cache.insert(key, Arc::clone(&entry));
         }
         tilelink_probe::metrics::TUNE_COMPILE_FULL_REBUILDS.inc();
-        self.finish_from_cached(&entry)
+        self.finish(&entry)
     }
 
     /// Applies the per-candidate (axis-dependent) tail of the pipeline to a
-    /// cached lowered program: pipelining and resource planning.
-    fn finish_from_cached(&self, cached: &CachedLowered) -> Result<CompiledKernel> {
+    /// lowered program: pipelining and resource planning.
+    fn finish(&self, cached: &CachedLowered) -> Result<CompiledKernel> {
         let lowered = {
             let _span = tilelink_probe::span("compile.lower");
             let mut lowered = cached.lowered.clone();
             pipeline_program(&mut lowered, self.config.num_stages);
-            // The cached program was consistency-checked before insertion and
+            // The program was consistency-checked when it was lowered and
             // pipelining preserves consistency by construction (it never moves
             // a load across a wait/notify/transfer); spot-check in debug.
             debug_assert!(check_consistency(&lowered).is_ok());
@@ -361,12 +343,7 @@ impl Compiler {
         };
         let plan = {
             let _span = tilelink_probe::span("compile.plan");
-            ResourcePlan::derive_from_inputs(
-                &self.config,
-                &self.gpu,
-                cached.plan_inputs,
-                self.cost.as_deref(),
-            )?
+            ResourcePlan::derive(&self.config, cached.plan_inputs, &*self.cost)?
         };
         Ok(CompiledKernel::assemble(
             cached.name,
@@ -382,11 +359,17 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CommMapping;
+    use crate::config::{CommMapping, TileOrder, TransferMode};
     use crate::ir::{BlockDesc, BlockRole, ComputeKind, TileOp};
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
     use crate::TileLinkError;
+    use tilelink_probe::metrics::TUNE_COMPILE_PATCHED;
+    use tilelink_sim::{analytic_cost, ClusterSpec};
+
+    fn h800() -> SharedCost {
+        analytic_cost(&ClusterSpec::h800_node(8))
+    }
 
     fn ag_gemm_program(world: usize, tiles: usize) -> TileProgram {
         let mut p = TileProgram::new("ag_gemm", world);
@@ -429,7 +412,7 @@ mod tests {
     #[test]
     fn compile_produces_blocks_and_plan() {
         let mapping = StaticMapping::new(256, 64, 2, 2);
-        let compiler = Compiler::new(OverlapConfig::default(), GpuSpec::h800());
+        let compiler = Compiler::new(OverlapConfig::default(), &h800());
         let kernel = compiler.compile(&ag_gemm_program(2, 4), &mapping).unwrap();
         assert_eq!(kernel.world_size, 2);
         assert_eq!(kernel.lowered.block_count(), 4);
@@ -440,7 +423,7 @@ mod tests {
     #[test]
     fn inconsistent_program_is_rejected() {
         let mapping = StaticMapping::new(256, 64, 2, 2);
-        let compiler = Compiler::new(OverlapConfig::default(), GpuSpec::h800());
+        let compiler = Compiler::new(OverlapConfig::default(), &h800());
         let mut p = TileProgram::new("bad", 2);
         p.add_block(
             BlockDesc::new("gemm", 0, BlockRole::Consumer)
@@ -461,7 +444,7 @@ mod tests {
     fn invalid_config_is_rejected_before_lowering() {
         let mapping = StaticMapping::new(256, 64, 2, 2);
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 999 });
-        let compiler = Compiler::new(cfg, GpuSpec::h800());
+        let compiler = Compiler::new(cfg, &h800());
         assert!(compiler.compile(&ag_gemm_program(2, 4), &mapping).is_err());
     }
 
@@ -472,7 +455,7 @@ mod tests {
             num_stages: 3,
             ..OverlapConfig::default()
         };
-        let compiler = Compiler::new(cfg, GpuSpec::h800());
+        let compiler = Compiler::new(cfg, &h800());
         let kernel = compiler.compile(&ag_gemm_program(2, 4), &mapping).unwrap();
         // after pipelining, some load is directly followed by another load
         let gemm = kernel.blocks().find(|b| b.name == "gemm/r0").unwrap();
@@ -495,9 +478,14 @@ mod tests {
     fn cached_compile_is_bit_identical_to_cold_compile() {
         let site = CacheSite::new("test.compile.cache", detail_hash([2, 4]));
         reset_compile_cache();
-        let make = || Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)));
+        let builds = std::cell::Cell::new(0);
+        let make = || {
+            builds.set(builds.get() + 1);
+            Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)))
+        };
         // Cold compile through the cache (miss), then patched neighbours that
-        // differ only in num_stages / comm_mapping (hits).
+        // differ only in axes the key omits (hits, which never run the
+        // builder): num_stages, comm_mapping, and the unread order and mode.
         let base = OverlapConfig::default();
         let neighbours = [
             base,
@@ -511,25 +499,31 @@ mod tests {
             },
             base.with_comm_mapping(CommMapping::CopyEngine),
             base.with_comm_mapping(CommMapping::Hybrid { sms: 16 }),
+            base.with_order(TileOrder::Ring),
+            base.with_mode(TransferMode::Push),
         ];
+        let cost = h800();
         for (i, cfg) in neighbours.iter().enumerate() {
-            let compiler = Compiler::new(*cfg, GpuSpec::h800());
+            let compiler = Compiler::new(*cfg, &cost);
+            let (builds_before, patched_before) = (builds.get(), TUNE_COMPILE_PATCHED.get());
             let cached = compiler.compile_cached(site, make).unwrap();
+            if i > 0 {
+                assert_eq!(builds.get(), builds_before, "neighbour {i} rebuilt");
+                assert!(
+                    TUNE_COMPILE_PATCHED.get() > patched_before,
+                    "neighbour {i} not counted as patched"
+                );
+            }
             let (program, mapping) = make().map_err(|_: TileLinkError| ()).unwrap();
             let cold = compiler.compile(&program, &mapping).unwrap();
             assert_eq!(cached, cold, "neighbour {i} diverged");
         }
         // Changing a structural axis is classified as a rebuild, not a patch.
-        let patched_before = tilelink_probe::metrics::TUNE_COMPILE_PATCHED.get();
-        let compiler = Compiler::new(
-            base.with_comm_tile(crate::config::TileShape::new(64, 128)),
-            GpuSpec::h800(),
-        );
-        compiler.compile_cached(site, make).unwrap();
-        assert_eq!(
-            tilelink_probe::metrics::TUNE_COMPILE_PATCHED.get(),
-            patched_before
-        );
+        let builds_before = builds.get();
+        Compiler::new(base.with_comm_tile(TileShape::new(64, 128)), &cost)
+            .compile_cached(site, make)
+            .unwrap();
+        assert_eq!(builds.get(), builds_before + 1);
     }
 
     #[test]

@@ -11,24 +11,27 @@
 //!   this is where the overlap comes from: a consumer segment starts as soon as
 //!   *its* channels are complete, not when the whole communication finishes.
 //!
-//! A kernel is priced one of three ways:
+//! A kernel is priced one of two ways:
 //!
-//! * [`simulate`] runs the labelled full graph with a [`Trace`], plus the
-//!   communication-only and computation-only variants behind the paper's
-//!   overlap ratio (Section 7.2);
-//! * [`simulate_report`] produces the same [`OverlapReport`] without traces
-//!   — the exact price of figures, baselines and tuning winners;
+//! * [`simulate_report`] simulates the full graph plus the
+//!   communication-only and computation-only graphs behind the paper's
+//!   overlap ratio (Section 7.2) — the exact [`OverlapReport`] of figures,
+//!   baselines and tuning winners;
 //! * [`simulate_makespan`] builds and simulates the full graph only, under an
 //!   abort cutoff — the price of every candidate a search ranks, which reads
 //!   nothing but the overlapped makespan.
 //!
-//! Graph construction is the tuner's per-candidate hot path, so it reuses a
-//! thread-local [`GraphScratch`]: the task graph (with warm per-task successor
-//! vectors), the notifier map (a pooled linked-list multimap keyed by packed
-//! sync keys with a fast hasher) and the wait/launch lists all keep their
-//! allocations across builds. The untraced paths additionally skip task
-//! *labels* entirely — the scheduler never reads names, and formatting
-//! thousands of them per candidate dominated graph-build time. The trace path
+//! [`task_graph`] returns the labelled full graph; [`Engine::run`] over it
+//! records the overlapped run's trace (what `reproduce --trace-out` exports).
+//!
+//! Each graph is built by one walk over its subset's blocks. Graph
+//! construction is the tuner's per-candidate hot path, so every build reuses
+//! one thread-local scratch graph: the task graph (with warm per-task
+//! successor vectors), the notifier map (a pooled linked-list multimap keyed
+//! by packed sync keys with a fast hasher) and the wait/launch lists all keep
+//! their allocations across builds. The two pricing paths additionally skip
+//! task *labels* entirely — the scheduler never reads names, and formatting
+//! thousands of them per candidate dominated graph-build time. [`task_graph`]
 //! keeps real labels.
 
 use std::cell::RefCell;
@@ -38,7 +41,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use tilelink_sim::{
     BoundedMakespan, ClusterSpec, Engine, GpuSpec, ResourceKind, SharedCost, TaskGraph, TaskId,
-    TaskLabel, Trace, Work,
+    TaskLabel, Work,
 };
 
 use crate::compile::CompiledKernel;
@@ -56,16 +59,15 @@ enum Subset {
 }
 
 impl Subset {
-    /// Index of the [`GraphScratch`] slot this subset's graph is built into.
-    fn slot(self) -> usize {
+    /// Whether blocks of `role` belong to this subset's graph.
+    fn includes(self, role: BlockRole) -> bool {
         match self {
-            Subset::All => 0,
-            Subset::CommOnly => 1,
-            Subset::ComputeOnly => 2,
+            Subset::All => true,
+            Subset::CommOnly => matches!(role, BlockRole::Producer | BlockRole::Host),
+            Subset::ComputeOnly => matches!(role, BlockRole::Consumer),
         }
     }
 }
-
 /// Synchronisation key connecting notifies to waits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum SyncKey {
@@ -161,34 +163,16 @@ impl NotifierMap {
     }
 }
 
-/// One reusable graph target: a task graph plus the synchronisation state
-/// needed to resolve its notify -> wait edges.
-struct GraphSlot {
-    graph: TaskGraph,
-    notifiers: NotifierMap,
-    /// (waiting task, key) pairs to resolve in the second phase.
-    waits: Vec<(TaskId, SyncKey)>,
-    launch: Vec<TaskId>,
-}
-
-impl Default for GraphSlot {
-    fn default() -> Self {
-        Self {
-            graph: TaskGraph::new(),
-            notifiers: NotifierMap::default(),
-            waits: Vec::new(),
-            launch: Vec::new(),
-        }
-    }
-}
-
-/// Reusable per-thread graph-construction state, one slot per [`Subset`]
-/// (indexed by [`Subset::slot`]) so the report path can materialise the full,
-/// comm-only and compute-only graphs in a single walk over the lowered
-/// blocks.
+/// Reusable per-thread graph-construction state: one task graph plus the
+/// synchronisation state needed to resolve its notify -> wait edges.
 #[derive(Default)]
 struct GraphScratch {
-    slots: [GraphSlot; 3],
+    graph: TaskGraph,
+    notifiers: NotifierMap,
+    /// (waiting task, key) pairs to resolve once every block is added.
+    waits: Vec<(TaskId, SyncKey)>,
+    /// Each rank's kernel-launch task.
+    launch: Vec<TaskId>,
     used: bool,
 }
 
@@ -232,48 +216,47 @@ struct GraphBuilder<'a> {
     kernel: &'a CompiledKernel,
     cluster: &'a ClusterSpec,
     scratch: &'a mut GraphScratch,
-    /// Real task labels (trace path) vs no labels (makespan path).
+    /// Real task labels (trace path) vs no labels (pricing paths).
     labels: bool,
-    /// SMs granted to each communication (producer/host) block's compute steps.
-    sms_per_comm_block: u64,
+    /// Compute/load/store work accumulated since the block's last task.
+    segment: SegmentState,
+    /// The block's last task, which its next task depends on.
+    prev: Option<TaskId>,
+    /// Sync keys the block's next task waits on.
+    pending_waits: Vec<SyncKey>,
+    /// Per-block task counter (labels only).
+    seq: usize,
 }
 
 impl<'a> GraphBuilder<'a> {
+    /// Resets `scratch` and seeds it with one launch task per rank.
     fn new(
         kernel: &'a CompiledKernel,
         cluster: &'a ClusterSpec,
         scratch: &'a mut GraphScratch,
         labels: bool,
     ) -> Self {
-        Self {
+        scratch.graph.reset();
+        scratch.notifiers.clear();
+        scratch.waits.clear();
+        scratch.launch.clear();
+        let builder = Self {
             kernel,
             cluster,
             scratch,
             labels,
-            // Communication blocks (reductions and epilogues of the comm side)
-            // share the SMs the resource plan reserved for communication;
-            // precomputed at kernel assembly so graph builds don't rescan.
-            sms_per_comm_block: kernel.sms_per_comm_block,
+            segment: SegmentState::default(),
+            prev: None,
+            pending_waits: Vec::new(),
+            seq: 0,
+        };
+        let launch_s = cluster.gpu.kernel_launch_s();
+        for r in 0..kernel.world_size {
+            let label = builder.label(|| format!("{}/launch/r{r}", kernel.name));
+            let id = builder.scratch.graph.add_host_latency(label, r, launch_s);
+            builder.scratch.launch.push(id);
         }
-    }
-
-    /// Resets slot `ti` and seeds it with one launch task per rank.
-    fn init_slot(&mut self, ti: usize) {
-        let launch_s = self.cluster.gpu.kernel_launch_s();
-        let slot = &mut self.scratch.slots[ti];
-        slot.graph.reset();
-        slot.notifiers.clear();
-        slot.waits.clear();
-        slot.launch.clear();
-        for r in 0..self.kernel.world_size {
-            let label = if self.labels {
-                TaskLabel::from(format!("{}/launch/r{r}", self.kernel.name))
-            } else {
-                TaskLabel::Unlabeled
-            };
-            let id = slot.graph.add_host_latency(label, r, launch_s);
-            slot.launch.push(id);
-        }
+        builder
     }
 
     fn label(&self, f: impl FnOnce() -> String) -> TaskLabel {
@@ -284,387 +267,251 @@ impl<'a> GraphBuilder<'a> {
         }
     }
 
-    fn include(&self, role: BlockRole, subset: Subset) -> bool {
-        match subset {
-            Subset::All => true,
-            Subset::CommOnly => matches!(role, BlockRole::Producer | BlockRole::Host),
-            Subset::ComputeOnly => matches!(role, BlockRole::Consumer),
-        }
-    }
-
     fn compute_units(&self, role: BlockRole) -> u64 {
         match role {
             BlockRole::Consumer => self.kernel.plan.sms_per_compute_block,
-            _ => self.sms_per_comm_block,
+            // Communication blocks (reductions and epilogues of the comm side)
+            // share the SMs the resource plan reserved for communication.
+            _ => self.kernel.sms_per_comm_block,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn flush_segment(
-        &mut self,
-        block: &LoweredBlockRef<'_>,
-        segment: &mut SegmentState,
-        prev: &mut [Option<TaskId>; 2],
-        pending_waits: &mut Vec<SyncKey>,
-        seq: &mut usize,
-        targets: &[usize],
-    ) {
-        if segment.is_empty() && pending_waits.is_empty() {
+    /// Orders `task` after its rank's launch and the block's previous task,
+    /// hands it the block's pending waits, and makes it the previous task.
+    fn chain(&mut self, rank: usize, task: TaskId) {
+        let scratch = &mut *self.scratch;
+        scratch.graph.add_dep(scratch.launch[rank], task);
+        if let Some(p) = self.prev {
+            scratch.graph.add_dep(p, task);
+        }
+        scratch
+            .waits
+            .extend(self.pending_waits.drain(..).map(|key| (task, key)));
+        self.prev = Some(task);
+    }
+
+    /// The task a notify issued now signals from: the block's last task, or
+    /// its rank's launch when the block has none yet.
+    fn notifier(&self, rank: usize) -> TaskId {
+        self.prev.unwrap_or(self.scratch.launch[rank])
+    }
+
+    /// Emits the accumulated segment (or a bare wait point) as one SM task.
+    fn flush_segment(&mut self, block: &LoweredBlockRef<'_>) {
+        if self.segment.is_empty() && self.pending_waits.is_empty() {
             return;
         }
         let label = self.label(|| {
             if block.role == BlockRole::Consumer {
-                format!("compute_{}/{}", block.name, seq)
+                format!("compute_{}/{}", block.name, self.seq)
             } else {
-                format!("comm_{}/{}", block.name, seq)
+                format!("comm_{}/{}", block.name, self.seq)
             }
         });
-        *seq += 1;
-        let work = if segment.matmul_flops > 0.0 {
+        self.seq += 1;
+        let work = if self.segment.matmul_flops > 0.0 {
             Work::MatmulFlops {
-                flops: segment.matmul_flops,
+                flops: self.segment.matmul_flops,
                 efficiency: self.kernel.plan.compute_efficiency,
             }
         } else {
             Work::HbmBytes {
-                bytes: segment.hbm_bytes.max(1.0),
+                bytes: self.segment.hbm_bytes.max(1.0),
             }
         };
         let units = self.compute_units(block.role);
-        for (i, &ti) in targets.iter().enumerate() {
-            let slot = &mut self.scratch.slots[ti];
-            let task =
-                slot.graph
-                    .add_task(label.clone(), block.rank, ResourceKind::Sm, units, work);
-            slot.graph.add_dep(slot.launch[block.rank], task);
-            if let Some(p) = prev[i] {
-                slot.graph.add_dep(p, task);
-            }
-            for &key in pending_waits.iter() {
-                slot.waits.push((task, key));
-            }
-            prev[i] = Some(task);
-        }
-        pending_waits.clear();
-        *segment = SegmentState::default();
+        let task = self
+            .scratch
+            .graph
+            .add_task(label, block.rank, ResourceKind::Sm, units, work);
+        self.chain(block.rank, task);
+        self.segment = SegmentState::default();
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Emits one `kind` transfer of `bytes` from `src_rank` to `dst_rank` on
+    /// the plan's lane, preceded by a host launch when it is host-driven.
     fn add_transfer(
         &mut self,
         block: &LoweredBlockRef<'_>,
-        label: TaskLabel,
+        kind: &str,
         bytes: f64,
         src_rank: usize,
         dst_rank: usize,
-        prev: &mut [Option<TaskId>; 2],
-        pending_waits: &mut Vec<SyncKey>,
         host_driven: bool,
-        targets: &[usize],
     ) {
+        let label = self.label(|| format!("comm_{kind}_{}/{}", block.name, self.seq));
+        self.seq += 1;
         let lane = self.kernel.plan.lane;
         // Only genuinely host-driven copies (cudaMemcpyPeerAsync from the
         // CPU, Figure 6) pay a launch per transfer; device-initiated puts
         // on the copy engine do not.
-        let host_launch = matches!(lane, TransferLane::CopyEngine)
+        if matches!(lane, TransferLane::CopyEngine)
             && self.kernel.plan.host_launch_per_copy
-            && host_driven;
-        let launch_label = if host_launch {
-            Some(self.label(|| format!("{}/copy_launch", block.name)))
-        } else {
-            None
-        };
-        let launch_s = self.cluster.gpu.kernel_launch_s();
-        for (i, &ti) in targets.iter().enumerate() {
-            let slot = &mut self.scratch.slots[ti];
-            if let Some(launch_label) = &launch_label {
-                let launch =
-                    slot.graph
-                        .add_host_latency(launch_label.clone(), block.rank, launch_s);
-                if let Some(p) = prev[i] {
-                    slot.graph.add_dep(p, launch);
-                }
-                prev[i] = Some(launch);
+            && host_driven
+        {
+            let launch_label = self.label(|| format!("{}/copy_launch", block.name));
+            let launch_s = self.cluster.gpu.kernel_launch_s();
+            let launch = self
+                .scratch
+                .graph
+                .add_host_latency(launch_label, block.rank, launch_s);
+            if let Some(p) = self.prev {
+                self.scratch.graph.add_dep(p, launch);
             }
-            let task = match lane {
-                TransferLane::SmPort { port_share } => slot.graph.add_task(
-                    label.clone(),
-                    src_rank,
-                    ResourceKind::LinkOut,
-                    port_share.min(GpuSpec::LINK_PORT_SHARES),
-                    Work::LinkBytes { bytes, dst_rank },
-                ),
-                TransferLane::CopyEngine => slot.graph.add_task(
-                    label.clone(),
-                    src_rank,
-                    ResourceKind::DmaEngine,
-                    1,
-                    Work::LinkBytes { bytes, dst_rank },
-                ),
-            };
-            slot.graph.add_dep(slot.launch[block.rank], task);
-            if let Some(p) = prev[i] {
-                slot.graph.add_dep(p, task);
-            }
-            for &key in pending_waits.iter() {
-                slot.waits.push((task, key));
-            }
-            prev[i] = Some(task);
+            self.prev = Some(launch);
         }
-        pending_waits.clear();
+        let (resource, units) = match lane {
+            TransferLane::SmPort { port_share } => (
+                ResourceKind::LinkOut,
+                port_share.min(GpuSpec::LINK_PORT_SHARES),
+            ),
+            TransferLane::CopyEngine => (ResourceKind::DmaEngine, 1),
+        };
+        let task = self.scratch.graph.add_task(
+            label,
+            src_rank,
+            resource,
+            units,
+            Work::LinkBytes { bytes, dst_rank },
+        );
+        self.chain(block.rank, task);
     }
 
-    /// Adds `block`'s tasks to every slot in `targets` at once (each slot
-    /// gets its own task ids, predecessor chain and wait list).
-    fn add_block(&mut self, block: &LoweredBlockRef<'_>, targets: &[usize]) {
-        let mut segment = SegmentState::default();
-        let mut prev: [Option<TaskId>; 2] = [None, None];
-        let mut pending_waits: Vec<SyncKey> = Vec::new();
-        let mut seq = 0usize;
+    /// Adds `block`'s tasks and records its notifies and waits.
+    fn add_block(&mut self, block: &LoweredBlockRef<'_>) {
+        self.segment = SegmentState::default();
+        self.prev = None;
+        self.pending_waits.clear();
+        self.seq = 0;
         let world_size = self.kernel.world_size;
 
         for lop in block.ops {
             match &lop.op {
                 TileOp::Compute(kind) => {
                     if kind.is_matmul_like() {
-                        segment.matmul_flops += kind.flops();
+                        self.segment.matmul_flops += kind.flops();
                     } else {
-                        segment.hbm_bytes += kind.hbm_bytes();
+                        self.segment.hbm_bytes += kind.hbm_bytes();
                     }
                 }
                 TileOp::LoadTile { bytes, .. } | TileOp::StoreTile { bytes, .. } => {
-                    segment.hbm_bytes += bytes;
+                    self.segment.hbm_bytes += bytes;
                 }
                 TileOp::ConsumerWait { .. } => {
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
-                    );
+                    self.flush_segment(block);
                     if let Some(channel) = lop.channel {
-                        pending_waits.push(SyncKey::Channel {
+                        self.pending_waits.push(SyncKey::Channel {
                             rank: block.rank,
                             channel,
                         });
                     }
                 }
                 TileOp::PeerWait { slot, .. } => {
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
-                    );
-                    pending_waits.push(SyncKey::Peer {
+                    self.flush_segment(block);
+                    self.pending_waits.push(SyncKey::Peer {
                         rank: block.rank,
                         slot: *slot,
                     });
                 }
                 TileOp::ProducerNotify { .. } => {
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
-                    );
+                    self.flush_segment(block);
                     if let Some(channel) = lop.channel {
-                        for (i, &ti) in targets.iter().enumerate() {
-                            let slot = &mut self.scratch.slots[ti];
-                            let notifier = prev[i].unwrap_or(slot.launch[block.rank]);
-                            for dst in lop.targets.iter(world_size) {
-                                slot.notifiers
-                                    .push(SyncKey::Channel { rank: dst, channel }, notifier);
-                            }
+                        let notifier = self.notifier(block.rank);
+                        for dst in lop.targets.iter(world_size) {
+                            self.scratch
+                                .notifiers
+                                .push(SyncKey::Channel { rank: dst, channel }, notifier);
                         }
                     }
                 }
                 TileOp::PeerNotify { slot, dst_rank } => {
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
+                    self.flush_segment(block);
+                    let notifier = self.notifier(block.rank);
+                    self.scratch.notifiers.push(
+                        SyncKey::Peer {
+                            rank: *dst_rank,
+                            slot: *slot,
+                        },
+                        notifier,
                     );
-                    for (i, &ti) in targets.iter().enumerate() {
-                        let target = &mut self.scratch.slots[ti];
-                        let notifier = prev[i].unwrap_or(target.launch[block.rank]);
-                        target.notifiers.push(
-                            SyncKey::Peer {
-                                rank: *dst_rank,
-                                slot: *slot,
-                            },
-                            notifier,
-                        );
-                    }
                 }
                 TileOp::RankNotifySegment { .. } => {
                     // Host-side release: the dependency is carried by the copy
                     // task that precedes it; nothing to add for timing.
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
-                    );
+                    self.flush_segment(block);
                 }
                 TileOp::PushTile { bytes, .. } => {
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
-                    );
+                    self.flush_segment(block);
                     for dst in lop.targets.iter(world_size) {
                         if dst == block.rank {
                             // local copy: charge HBM instead of the link
-                            segment.hbm_bytes += bytes;
+                            self.segment.hbm_bytes += bytes;
                             continue;
                         }
-                        let label = self.label(|| format!("comm_push_{}/{}", block.name, seq));
-                        self.add_transfer(
-                            block,
-                            label,
-                            *bytes,
-                            block.rank,
-                            dst,
-                            &mut prev,
-                            &mut pending_waits,
-                            false,
-                            targets,
-                        );
-                        seq += 1;
+                        self.add_transfer(block, "push", *bytes, block.rank, dst, false);
                     }
                 }
                 TileOp::PullTile { bytes, .. } => {
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
-                    );
+                    self.flush_segment(block);
                     let src = lop.targets.first().unwrap_or(block.rank);
                     if src == block.rank {
-                        segment.hbm_bytes += bytes;
+                        self.segment.hbm_bytes += bytes;
                     } else {
-                        let label = self.label(|| format!("comm_pull_{}/{}", block.name, seq));
-                        self.add_transfer(
-                            block,
-                            label,
-                            *bytes,
-                            src,
-                            block.rank,
-                            &mut prev,
-                            &mut pending_waits,
-                            false,
-                            targets,
-                        );
-                        seq += 1;
+                        self.add_transfer(block, "pull", *bytes, src, block.rank, false);
                     }
                 }
                 TileOp::HostCopy { bytes, src_rank } => {
-                    self.flush_segment(
-                        block,
-                        &mut segment,
-                        &mut prev,
-                        &mut pending_waits,
-                        &mut seq,
-                        targets,
-                    );
-                    let label = self.label(|| format!("comm_copy_{}/{}", block.name, seq));
-                    self.add_transfer(
-                        block,
-                        label,
-                        *bytes,
-                        *src_rank,
-                        block.rank,
-                        &mut prev,
-                        &mut pending_waits,
-                        true,
-                        targets,
-                    );
-                    seq += 1;
+                    self.flush_segment(block);
+                    self.add_transfer(block, "copy", *bytes, *src_rank, block.rank, true);
                 }
             }
         }
-        self.flush_segment(
-            block,
-            &mut segment,
-            &mut prev,
-            &mut pending_waits,
-            &mut seq,
-            targets,
-        );
+        self.flush_segment(block);
     }
 
-    /// Finalises slot `ti` as the `subset` graph: appends the comm-SM
-    /// reservation tasks (where the subset carries communication) and resolves
-    /// the slot's wait -> notifier edges.
-    fn finish_slot(&mut self, ti: usize, subset: Subset) {
-        let slot = &mut self.scratch.slots[ti];
+    /// Finalises the `subset` graph: appends the comm-SM reservation tasks
+    /// (where the subset carries communication) and resolves the wait ->
+    /// notifier edges.
+    fn finish(self, subset: Subset) {
+        let kernel = self.kernel;
         // Reserve the communication SMs for the duration of the data movement
         // (they are unavailable to compute blocks even while idle).
-        if matches!(subset, Subset::All | Subset::CommOnly) {
-            if let TransferLane::SmPort { .. } = self.kernel.plan.lane {
-                if self.kernel.plan.comm_sms > 0 {
-                    // Per-rank transfer bytes are precomputed at kernel
-                    // assembly (invariant under pipelining).
-                    for (rank, &bytes) in self.kernel.rank_comm_bytes.iter().enumerate() {
-                        if bytes > 0.0 {
-                            let est = bytes / self.cluster.gpu.nvlink_bytes_per_s();
-                            let label = if self.labels {
-                                TaskLabel::from(format!(
-                                    "{}/comm_sm_reservation/r{rank}",
-                                    self.kernel.name
-                                ))
-                            } else {
-                                TaskLabel::Unlabeled
-                            };
-                            let t = slot.graph.add_task(
-                                label,
-                                rank,
-                                ResourceKind::Sm,
-                                self.kernel.plan.comm_sms,
-                                Work::Latency { seconds: est },
-                            );
-                            slot.graph.add_dep(slot.launch[rank], t);
-                        }
-                    }
+        if subset != Subset::ComputeOnly
+            && matches!(kernel.plan.lane, TransferLane::SmPort { .. })
+            && kernel.plan.comm_sms > 0
+        {
+            // Per-rank transfer bytes are precomputed at kernel assembly
+            // (invariant under pipelining).
+            for (rank, &bytes) in kernel.rank_comm_bytes.iter().enumerate() {
+                if bytes > 0.0 {
+                    let est = bytes / self.cluster.gpu.nvlink_bytes_per_s();
+                    let label =
+                        self.label(|| format!("{}/comm_sm_reservation/r{rank}", kernel.name));
+                    let t = self.scratch.graph.add_task(
+                        label,
+                        rank,
+                        ResourceKind::Sm,
+                        kernel.plan.comm_sms,
+                        Work::Latency { seconds: est },
+                    );
+                    self.scratch.graph.add_dep(self.scratch.launch[rank], t);
                 }
             }
         }
         // Resolve wait → notifier edges.
-        let GraphSlot {
-            graph,
-            notifiers,
-            waits,
-            ..
-        } = slot;
-        for &(task, key) in waits.iter() {
-            for n in notifiers.iter(key) {
+        let scratch = self.scratch;
+        for &(task, key) in &scratch.waits {
+            for n in scratch.notifiers.iter(key) {
                 if n != task {
-                    graph.add_dep(n, task);
+                    scratch.graph.add_dep(n, task);
                 }
             }
         }
     }
 }
 
-/// Builds the `subset` graph of `kernel` into `scratch.slots[0]`.
+/// Builds the `subset` graph of `kernel` into `scratch` in one walk over the
+/// subset's blocks.
 fn build_graph_into(
     scratch: &mut GraphScratch,
     kernel: &CompiledKernel,
@@ -674,103 +521,36 @@ fn build_graph_into(
 ) {
     let _span = tilelink_probe::span("graph.build");
     let mut builder = GraphBuilder::new(kernel, cluster, scratch, labels);
-    builder.init_slot(0);
-    for idx in 0..kernel.lowered.block_count() {
-        let block = kernel.lowered.block(idx);
-        if builder.include(block.role, subset) {
-            builder.add_block(&block, &[0]);
+    for block in kernel.lowered.iter_blocks() {
+        if subset.includes(block.role) {
+            builder.add_block(&block);
         }
     }
-    builder.finish_slot(0, subset);
-}
-
-/// Builds all three subset graphs of `kernel` in one walk over the lowered
-/// blocks: the full graph into `scratch.slots[0]`, the comm-only graph into
-/// slot 1 and the compute-only graph into slot 2 (see [`Subset::slot`]).
-///
-/// Every block belongs to the full graph plus exactly one subset, so each
-/// block is visited once and its tasks are appended to both targets in the
-/// same order separate per-subset walks would produce — the resulting graphs
-/// (and therefore the scheduled makespans) are bit-identical to three
-/// [`build_graph_into`] calls at a third less op iteration.
-fn build_subset_graphs_into(
-    scratch: &mut GraphScratch,
-    kernel: &CompiledKernel,
-    cluster: &ClusterSpec,
-) {
-    let _span = tilelink_probe::span("graph.build");
-    let mut builder = GraphBuilder::new(kernel, cluster, scratch, false);
-    for subset in [Subset::All, Subset::CommOnly, Subset::ComputeOnly] {
-        builder.init_slot(subset.slot());
-    }
-    for idx in 0..kernel.lowered.block_count() {
-        let block = kernel.lowered.block(idx);
-        let subset = match block.role {
-            BlockRole::Consumer => Subset::ComputeOnly,
-            _ => Subset::CommOnly,
-        };
-        builder.add_block(&block, &[Subset::All.slot(), subset.slot()]);
-    }
-    builder.finish_slot(Subset::All.slot(), Subset::All);
-    builder.finish_slot(Subset::CommOnly.slot(), Subset::CommOnly);
-    builder.finish_slot(Subset::ComputeOnly.slot(), Subset::ComputeOnly);
-}
-
-/// Simulates a compiled kernel priced by `cost` (the cluster is the
-/// provider's) with full trace recording, and reports the overlapped time,
-/// the communication-only time and the computation-only time alongside the
-/// overlapped run's [`Trace`].
-///
-/// # Errors
-///
-/// Returns an error if the generated task graph is invalid (which indicates a
-/// compiler bug, e.g. a dependency cycle between blocks).
-pub fn simulate(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(OverlapReport, Trace)> {
-    let cluster = cost.cluster().clone();
-    let engine = Engine::with_cost(cost.clone());
-    with_graph_scratch(|scratch| {
-        build_graph_into(scratch, kernel, &cluster, Subset::All, true);
-        let full = {
-            let _span = tilelink_probe::span("simulate");
-            engine.run(&scratch.slots[0].graph)?
-        };
-        build_graph_into(scratch, kernel, &cluster, Subset::CommOnly, true);
-        let comm = {
-            let _span = tilelink_probe::span("simulate");
-            engine.run(&scratch.slots[0].graph)?
-        };
-        build_graph_into(scratch, kernel, &cluster, Subset::ComputeOnly, true);
-        let comp = {
-            let _span = tilelink_probe::span("simulate");
-            engine.run(&scratch.slots[0].graph)?
-        };
-        let report = OverlapReport::new(full.makespan(), comm.makespan(), comp.makespan());
-        Ok((report, full))
-    })
+    builder.finish(subset);
 }
 
 /// Exact report-only simulation: the three makespans an [`OverlapReport`]
 /// needs, without constructing any trace.
 ///
-/// Builds the full, comm-only and compute-only graphs in one walk without
-/// task labels (the scheduler never reads names, and the empty shared label
-/// spares thousands of `format!` calls per kernel) and simulates all three to
-/// completion. The report is bit-identical to [`simulate`]'s (one shared
-/// scheduler underneath), and its `total_s` to the finished
-/// [`simulate_makespan`] of the same kernel.
+/// Builds the full, comm-only and compute-only graphs one after another
+/// without task labels (the scheduler never reads names, and the empty shared
+/// label spares thousands of `format!` calls per kernel) and simulates each
+/// to completion. Its `total_s` is bit-identical to the finished
+/// [`simulate_makespan`] of the same kernel, and to the makespan
+/// [`Engine::run`] records over [`task_graph`] (one shared scheduler
+/// underneath).
 ///
 /// # Errors
 ///
 /// Returns an error if the generated task graph is invalid (which indicates a
 /// compiler bug, e.g. a dependency cycle between blocks).
 pub fn simulate_report(kernel: &CompiledKernel, cost: &SharedCost) -> Result<OverlapReport> {
-    let cluster = cost.cluster().clone();
     let engine = Engine::with_cost(cost.clone());
     with_graph_scratch(|scratch| {
-        build_subset_graphs_into(scratch, kernel, &cluster);
         let [full, comm, comp] = [Subset::All, Subset::CommOnly, Subset::ComputeOnly].map(|s| {
+            build_graph_into(scratch, kernel, cost.cluster(), s, false);
             let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.slots[s.slot()].graph, f64::INFINITY)
+            engine.makespan(&scratch.graph, f64::INFINITY)
         });
         Ok(OverlapReport::new(
             full?.clock(),
@@ -799,24 +579,25 @@ pub fn simulate_makespan(
     cost: &SharedCost,
     cutoff: f64,
 ) -> Result<BoundedMakespan> {
-    let cluster = cost.cluster().clone();
     let engine = Engine::with_cost(cost.clone());
     with_graph_scratch(|scratch| {
-        build_graph_into(scratch, kernel, &cluster, Subset::All, false);
+        build_graph_into(scratch, kernel, cost.cluster(), Subset::All, false);
         let _span = tilelink_probe::span("simulate");
-        Ok(engine.makespan(&scratch.slots[0].graph, cutoff)?)
+        Ok(engine.makespan(&scratch.graph, cutoff)?)
     })
 }
 
-/// The full task graph (all block roles) a compiled kernel simulates as.
+/// The full task graph (all block roles) a compiled kernel simulates as,
+/// with real task labels.
 ///
-/// Exposed for exporting real kernel graphs as traces (`tilelink-bench`'s
-/// `reproduce --trace-out`); figure reproduction goes through [`simulate`] /
-/// [`simulate_report`] instead.
+/// Callers that inspect a kernel's trace run it with [`Engine::run`] (as
+/// `tilelink-bench`'s `reproduce --trace-out` does); figure reproduction and
+/// tuning price kernels through [`simulate_report`] / [`simulate_makespan`]
+/// instead.
 pub fn task_graph(kernel: &CompiledKernel, cluster: &ClusterSpec) -> TaskGraph {
     with_graph_scratch(|scratch| {
         build_graph_into(scratch, kernel, cluster, Subset::All, true);
-        scratch.slots[0].graph.clone()
+        scratch.graph.clone()
     })
 }
 
@@ -828,7 +609,7 @@ mod tests {
     use crate::ir::{BlockDesc, ComputeKind, TileProgram};
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
-    use tilelink_sim::{analytic_cost, GpuSpec};
+    use tilelink_sim::{analytic_cost, Trace};
 
     /// A pull-mode AllGather + GEMM over `tiles` tiles of `rows x cols` values.
     fn ag_gemm_program(world: usize, tiles: usize, tile_bytes: f64, gemm_k: usize) -> TileProgram {
@@ -876,19 +657,39 @@ mod tests {
 
     fn compile(program: &TileProgram, config: OverlapConfig) -> CompiledKernel {
         let mapping = StaticMapping::new(128 * 8, 128, 8, 4);
-        Compiler::new(config, GpuSpec::h800())
+        Compiler::new(config, &analytic_cost(&ClusterSpec::h800_node(8)))
             .compile(program, &mapping)
             .unwrap()
+    }
+
+    /// The overlapped run's trace, recorded the way `reproduce --trace-out`
+    /// records it: [`Engine::run`] over the labelled [`task_graph`].
+    fn trace(kernel: &CompiledKernel, cost: &SharedCost) -> Trace {
+        Engine::with_cost(cost.clone())
+            .run(&task_graph(kernel, cost.cluster()))
+            .unwrap()
+    }
+
+    /// The report priced the traced way: [`Engine::run`] over the labelled
+    /// graph of each subset.
+    fn traced_report(kernel: &CompiledKernel, cost: &SharedCost) -> OverlapReport {
+        let engine = Engine::with_cost(cost.clone());
+        let [full, comm, comp] = [Subset::All, Subset::CommOnly, Subset::ComputeOnly].map(|s| {
+            let mut scratch = GraphScratch::default();
+            build_graph_into(&mut scratch, kernel, cost.cluster(), s, true);
+            engine.run(&scratch.graph).unwrap().makespan()
+        });
+        OverlapReport::new(full, comm, comp)
     }
 
     #[test]
     fn overlapped_time_is_less_than_serial_sum() {
         let program = ag_gemm_program(8, 8, 4.0e6, 4096);
         let kernel = compile(&program, OverlapConfig::default());
-        let cluster = ClusterSpec::h800_node(8);
-        let (report, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
+        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        let report = simulate_report(&kernel, &cost).unwrap();
         assert!(report.total_s > 0.0);
-        assert!(trace.makespan() > 0.0);
+        assert!(trace(&kernel, &cost).makespan() > 0.0);
         // Overlap: the fused kernel is faster than comm + compute run back to back,
         // and no faster than the slower of the two.
         let serial = report.comm_only_s + report.comp_only_s;
@@ -912,7 +713,7 @@ mod tests {
                 OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine),
             ] {
                 let kernel = compile(&program, cfg);
-                let (traced, _) = simulate(&kernel, &cost).unwrap();
+                let traced = traced_report(&kernel, &cost);
                 let fast = simulate_report(&kernel, &cost).unwrap();
                 assert_eq!(fast, traced, "fast path must not change any figure");
                 let finished = BoundedMakespan::Finished(traced.total_s);
@@ -945,7 +746,7 @@ mod tests {
             .makespan(&graph, f64::INFINITY)
             .unwrap()
             .clock();
-        let (report, _) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
+        let report = simulate_report(&kernel, &analytic_cost(&cluster)).unwrap();
         assert_eq!(makespan.to_bits(), report.total_s.to_bits());
     }
 
@@ -957,8 +758,8 @@ mod tests {
         let calibrated: tilelink_sim::SharedCost = std::sync::Arc::new(
             tilelink_sim::CalibratedCostModel::h800_defaults(cluster.clone()),
         );
-        let (analytic, _) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
-        let (measured, _) = simulate(&kernel, &calibrated).unwrap();
+        let analytic = simulate_report(&kernel, &analytic_cost(&cluster)).unwrap();
+        let measured = simulate_report(&kernel, &calibrated).unwrap();
         // The H800 table never credits a transfer with more than 95% of peak,
         // so the comm-only phase must be strictly slower than pure-bandwidth.
         assert!(measured.comm_only_s > analytic.comm_only_s);
@@ -971,7 +772,7 @@ mod tests {
         let program = ag_gemm_program(4, 4, 8.0e6, 1024);
         let kernel = compile(&program, OverlapConfig::default());
         let cluster = ClusterSpec::h800_node(4);
-        let (_, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
+        let trace = trace(&kernel, &analytic_cost(&cluster));
         let link_tasks = trace
             .entries()
             .iter()
@@ -986,7 +787,7 @@ mod tests {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine);
         let kernel = compile(&program, cfg);
         let cluster = ClusterSpec::h800_node(4);
-        let (_, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
+        let trace = trace(&kernel, &analytic_cost(&cluster));
         assert!(trace
             .entries()
             .iter()
@@ -1026,11 +827,11 @@ mod tests {
                 })),
         );
         let mapping = StaticMapping::new(64, 64, 1, 1);
-        let kernel = Compiler::new(OverlapConfig::default(), GpuSpec::h800())
+        let cost = analytic_cost(&ClusterSpec::h800_node(1));
+        let kernel = Compiler::new(OverlapConfig::default(), &cost)
             .compile(&p, &mapping)
             .unwrap();
-        let cluster = ClusterSpec::h800_node(1);
-        let (_, trace) = simulate(&kernel, &analytic_cost(&cluster)).unwrap();
+        let trace = trace(&kernel, &cost);
         let producer_end = trace
             .entries()
             .iter()
@@ -1059,8 +860,8 @@ mod tests {
         );
         let cluster = ClusterSpec::h800_node(8);
         let cost = analytic_cost(&cluster);
-        let (r_few, _) = simulate(&few, &cost).unwrap();
-        let (r_many, _) = simulate(&many, &cost).unwrap();
+        let r_few = simulate_report(&few, &cost).unwrap();
+        let r_many = simulate_report(&many, &cost).unwrap();
         // The comm-SM knob trades compute throughput against communication
         // throughput; both settings must stay in the same regime rather than
         // collapse or explode.
@@ -1087,10 +888,11 @@ mod tests {
                 }),
         );
         let mapping = StaticMapping::new(512, 128, 4, 1);
-        let kernel = Compiler::new(OverlapConfig::default(), GpuSpec::h800())
+        let cost = analytic_cost(&ClusterSpec::h800_node(4));
+        let kernel = Compiler::new(OverlapConfig::default(), &cost)
             .compile(&p, &mapping)
             .unwrap();
-        let (_, trace) = simulate(&kernel, &analytic_cost(&ClusterSpec::h800_node(4))).unwrap();
+        let trace = trace(&kernel, &cost);
         let pushes = trace
             .entries()
             .iter()

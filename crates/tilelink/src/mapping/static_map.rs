@@ -59,11 +59,6 @@ impl StaticMapping {
         }
     }
 
-    /// Global extent `M`.
-    pub fn global_rows(&self) -> usize {
-        self.m
-    }
-
     /// Producer tile extent `T_m`.
     pub fn tile_rows(&self) -> usize {
         self.tile_m

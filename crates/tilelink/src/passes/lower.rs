@@ -1,6 +1,6 @@
 //! Lowering: resolve tile ids through the tile-centric mapping.
 
-use crate::ir::{BlockDesc, BlockRole, Symbol, TileOp, TileProgram};
+use crate::ir::{BlockRole, Symbol, TileOp, TileProgram};
 use crate::mapping::TileMapping;
 use crate::primitives::PushTarget;
 use crate::Result;
@@ -150,20 +150,6 @@ impl LoweredProgram {
         let info = &self.blocks[idx];
         &mut self.ops[info.start as usize..info.end as usize]
     }
-
-    /// Clears both tables, keeping their capacity.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-        self.blocks.clear();
-    }
-
-    /// Copies another lowered program into this one, reusing capacity.
-    pub fn clone_from_program(&mut self, other: &LoweredProgram) {
-        self.ops.clear();
-        self.ops.extend_from_slice(&other.ops);
-        self.blocks.clear();
-        self.blocks.extend_from_slice(&other.blocks);
-    }
 }
 
 fn lower_op(op: &TileOp, block_rank: usize, mapping: &dyn TileMapping) -> Result<LoweredOp> {
@@ -241,51 +227,6 @@ fn lower_op(op: &TileOp, block_rank: usize, mapping: &dyn TileMapping) -> Result
     Ok(lowered)
 }
 
-fn lower_block_into(
-    out: &mut LoweredProgram,
-    block: &BlockDesc,
-    mapping: &dyn TileMapping,
-) -> Result<()> {
-    let start = u32::try_from(out.ops.len()).expect("op table overflow");
-    for op in &block.ops {
-        out.ops.push(lower_op(op, block.rank, mapping)?);
-    }
-    let end = u32::try_from(out.ops.len()).expect("op table overflow");
-    out.blocks.push(BlockInfo {
-        name: block.name,
-        rank: block.rank,
-        role: block.role,
-        start,
-        end,
-    });
-    Ok(())
-}
-
-/// Lowers every block of `program` through `mapping` into `out`, reusing
-/// `out`'s existing table capacity.
-///
-/// # Errors
-///
-/// Returns an error if any tile id is outside the mapping or a dynamic mapping
-/// has not been filled for a referenced tile. On error `out` is left cleared.
-pub fn lower_into(
-    out: &mut LoweredProgram,
-    program: &TileProgram,
-    mapping: &dyn TileMapping,
-) -> Result<()> {
-    out.clear();
-    out.blocks.reserve(program.blocks.len());
-    out.ops
-        .reserve(program.blocks.iter().map(|b| b.ops.len()).sum());
-    for block in &program.blocks {
-        if let Err(e) = lower_block_into(out, block, mapping) {
-            out.clear();
-            return Err(e);
-        }
-    }
-    Ok(())
-}
-
 /// Lowers every block of `program` through `mapping`.
 ///
 /// # Errors
@@ -293,15 +234,31 @@ pub fn lower_into(
 /// Returns an error if any tile id is outside the mapping or a dynamic mapping
 /// has not been filled for a referenced tile.
 pub fn lower(program: &TileProgram, mapping: &dyn TileMapping) -> Result<LoweredProgram> {
-    let mut out = LoweredProgram::default();
-    lower_into(&mut out, program, mapping)?;
+    let mut out = LoweredProgram {
+        ops: Vec::with_capacity(program.blocks.iter().map(|b| b.ops.len()).sum()),
+        blocks: Vec::with_capacity(program.blocks.len()),
+    };
+    for block in &program.blocks {
+        let start = u32::try_from(out.ops.len()).expect("op table overflow");
+        for op in &block.ops {
+            out.ops.push(lower_op(op, block.rank, mapping)?);
+        }
+        let end = u32::try_from(out.ops.len()).expect("op table overflow");
+        out.blocks.push(BlockInfo {
+            name: block.name,
+            rank: block.rank,
+            role: block.role,
+            start,
+            end,
+        });
+    }
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::ComputeKind;
+    use crate::ir::{BlockDesc, ComputeKind};
     use crate::mapping::{DynamicMapping, StaticMapping};
     use crate::primitives::NotifyScope;
     use crate::TileLinkError;
@@ -382,10 +339,6 @@ mod tests {
         assert_eq!(lowered.blocks[0].end, 2);
         assert_eq!(lowered.blocks[1].start, 2);
         assert_eq!(lowered.blocks[1].end, 5);
-        // lower_into reuses capacity without leaking stale state
-        let mut out = lowered.clone();
-        lower_into(&mut out, &program(), &mapping).unwrap();
-        assert_eq!(out, lowered);
     }
 
     #[test]

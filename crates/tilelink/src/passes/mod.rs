@@ -4,7 +4,7 @@
 //! through a handful of transformations. The reproduction keeps the same pass
 //! structure:
 //!
-//! * [`lower`] — resolves tile ids through the tile-centric mapping into
+//! * [`lower`](mod@lower) — resolves tile ids through the tile-centric mapping into
 //!   concrete channels, thresholds and destination ranks (the paper's shape /
 //!   rank / channel mapping, Section 4.1);
 //! * [`consistency`] — verifies that every access to remotely-produced data is
@@ -23,8 +23,6 @@ pub mod pipeline;
 pub mod resource;
 
 pub use consistency::check_consistency;
-pub use lower::{
-    lower, lower_into, BlockInfo, LoweredBlockRef, LoweredOp, LoweredProgram, Targets,
-};
+pub use lower::{lower, BlockInfo, LoweredBlockRef, LoweredOp, LoweredProgram, Targets};
 pub use pipeline::{pipeline_ops, pipeline_program};
 pub use resource::{PlanInputs, ResourcePlan, TransferLane};

@@ -37,7 +37,7 @@ pub struct ResourcePlan {
 }
 
 /// The facts the resource-mapping pass needs from a program: everything else
-/// in [`ResourcePlan::derive_with`] depends only on the config and the device.
+/// in [`ResourcePlan::derive`] depends only on the config and the device.
 ///
 /// Extracting this tiny summary is what lets the incremental recompilation
 /// path re-derive a plan for a patched candidate without walking (or even
@@ -73,45 +73,20 @@ impl PlanInputs {
 }
 
 impl ResourcePlan {
-    /// Derives the plan from the kernel configuration, the device and the
-    /// program, using the analytic cost model's efficiency heuristics.
+    /// Derives the plan from the kernel configuration and a program summary,
+    /// for the device `cost` prices (its cluster's GPU) and with the
+    /// provider's GEMM-efficiency heuristic.
     ///
     /// # Errors
     ///
     /// Returns [`TileLinkError::InvalidConfig`] if the configuration is invalid
     /// for the device (for example reserving every SM for communication).
-    pub fn derive(config: &OverlapConfig, gpu: &GpuSpec, program: &TileProgram) -> Result<Self> {
-        Self::derive_with(config, gpu, program, None)
-    }
-
-    /// Derives the plan with the GEMM-efficiency heuristic of an explicit cost
-    /// provider (`None` falls back to the analytic model).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TileLinkError::InvalidConfig`] if the configuration is invalid
-    /// for the device (for example reserving every SM for communication).
-    pub fn derive_with(
+    pub fn derive(
         config: &OverlapConfig,
-        gpu: &GpuSpec,
-        program: &TileProgram,
-        cost: Option<&dyn CostProvider>,
-    ) -> Result<Self> {
-        Self::derive_from_inputs(config, gpu, PlanInputs::of_program(program), cost)
-    }
-
-    /// Derives the plan from a pre-computed program summary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TileLinkError::InvalidConfig`] if the configuration is invalid
-    /// for the device (for example reserving every SM for communication).
-    pub fn derive_from_inputs(
-        config: &OverlapConfig,
-        gpu: &GpuSpec,
         inputs: PlanInputs,
-        cost: Option<&dyn CostProvider>,
+        cost: &dyn CostProvider,
     ) -> Result<Self> {
+        let gpu = &cost.cluster().gpu;
         config.validate(gpu.sm_count)?;
         let comm_sms = config.comm_mapping.comm_sms();
         let compute_sms = gpu.sm_count - comm_sms;
@@ -132,16 +107,8 @@ impl ResourcePlan {
         // Tile efficiency of the computation side: decoupling lets the compute
         // tile stay large even when the communication tile is small.
         // The K extent is unknown at this level; use a deep-reduction proxy.
-        let compute_efficiency = match cost {
-            Some(cost) => {
-                cost.gemm_tile_efficiency(config.compute_tile.m, config.compute_tile.n, 4096)
-            }
-            None => tilelink_sim::CostModel::gemm_tile_efficiency(
-                config.compute_tile.m,
-                config.compute_tile.n,
-                4096,
-            ),
-        };
+        let compute_efficiency =
+            cost.gemm_tile_efficiency(config.compute_tile.m, config.compute_tile.n, 4096);
         // Each coarse consumer block of the tile program stands for a row of
         // real thread blocks. Spread them so the grid drains in a handful of
         // waves: early tiles finish first and release their consumers, which is
@@ -168,8 +135,11 @@ mod tests {
     use super::*;
     use crate::config::TileShape;
     use crate::ir::{BlockDesc, TileProgram};
+    use tilelink_sim::{analytic_cost, ClusterSpec};
 
-    fn program_with_blocks(producers: usize, consumers: usize) -> TileProgram {
+    /// Plans `cfg` on an H800 for a one-rank program with `producers`
+    /// communication and `consumers` computation blocks.
+    fn derive(cfg: &OverlapConfig, producers: usize, consumers: usize) -> Result<ResourcePlan> {
         let mut p = TileProgram::new("p", 1);
         for i in 0..producers {
             p.add_block(BlockDesc::new(format!("comm{i}"), 0, BlockRole::Producer));
@@ -177,14 +147,14 @@ mod tests {
         for i in 0..consumers {
             p.add_block(BlockDesc::new(format!("gemm{i}"), 0, BlockRole::Consumer));
         }
-        p
+        let cost = analytic_cost(&ClusterSpec::h800_node(8));
+        ResourcePlan::derive(cfg, PlanInputs::of_program(&p), &*cost)
     }
 
     #[test]
     fn sm_mapping_reserves_comm_sms() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 20 });
-        let plan =
-            ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(20, 112)).unwrap();
+        let plan = derive(&cfg, 20, 112).unwrap();
         assert_eq!(plan.comm_sms, 20);
         assert_eq!(plan.compute_sms, 112);
         assert!(matches!(plan.lane, TransferLane::SmPort { port_share } if port_share == 5));
@@ -194,8 +164,7 @@ mod tests {
     #[test]
     fn copy_engine_mapping_keeps_all_sms_for_compute() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::CopyEngine);
-        let plan =
-            ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(1, 100)).unwrap();
+        let plan = derive(&cfg, 1, 100).unwrap();
         assert_eq!(plan.comm_sms, 0);
         assert_eq!(plan.compute_sms, 132);
         assert_eq!(plan.lane, TransferLane::CopyEngine);
@@ -205,8 +174,7 @@ mod tests {
     #[test]
     fn hybrid_mapping_reserves_sms_and_uses_copy_engine() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Hybrid { sms: 16 });
-        let plan =
-            ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(16, 100)).unwrap();
+        let plan = derive(&cfg, 16, 100).unwrap();
         assert_eq!(plan.comm_sms, 16);
         assert_eq!(plan.lane, TransferLane::CopyEngine);
         assert!(plan.host_launch_per_copy);
@@ -216,30 +184,14 @@ mod tests {
     fn larger_compute_tiles_give_better_efficiency() {
         let small = OverlapConfig::default().with_compute_tile(TileShape::new(32, 32));
         let large = OverlapConfig::default().with_compute_tile(TileShape::new(128, 256));
-        let p = program_with_blocks(1, 1);
-        let e_small = ResourcePlan::derive(&small, &GpuSpec::h800(), &p)
-            .unwrap()
-            .compute_efficiency;
-        let e_large = ResourcePlan::derive(&large, &GpuSpec::h800(), &p)
-            .unwrap()
-            .compute_efficiency;
+        let e_small = derive(&small, 1, 1).unwrap().compute_efficiency;
+        let e_large = derive(&large, 1, 1).unwrap().compute_efficiency;
         assert!(e_large > e_small);
-    }
-
-    #[test]
-    fn derive_with_provider_matches_analytic_default() {
-        let cluster = tilelink_sim::ClusterSpec::h800_node(8);
-        let cost = tilelink_sim::analytic_cost(&cluster);
-        let cfg = OverlapConfig::default();
-        let p = program_with_blocks(2, 4);
-        let a = ResourcePlan::derive(&cfg, &GpuSpec::h800(), &p).unwrap();
-        let b = ResourcePlan::derive_with(&cfg, &GpuSpec::h800(), &p, Some(&*cost)).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
     fn invalid_config_is_rejected() {
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 200 });
-        assert!(ResourcePlan::derive(&cfg, &GpuSpec::h800(), &program_with_blocks(1, 1)).is_err());
+        assert!(derive(&cfg, 1, 1).is_err());
     }
 }

@@ -105,19 +105,9 @@ impl DeviceHandle {
         self.ctx.world_size()
     }
 
-    /// The barrier metadata of the kernel (Figure 7's `BlockChannel`).
-    pub fn block_channel(&self) -> &BlockChannel {
-        &self.channel
-    }
-
     /// The underlying rank context (for symmetric allocation).
     pub fn context(&self) -> &RankContext {
         &self.ctx
-    }
-
-    /// Name of the kernel this handle was created for.
-    pub fn kernel_name(&self) -> &str {
-        &self.kernel
     }
 
     /// Waits for every rank of the kernel to reach this point.
@@ -357,18 +347,6 @@ impl DeviceHandle {
         let local = (rows.start - src_base)..(rows.end - src_base);
         let buf = self.buffer_on(owner, name);
         read_tile(&buf, row_stride, &TileRect::full_rows(local, row_stride))
-    }
-
-    /// Reads an arbitrary rectangle from rank `src_rank`'s buffer `name`.
-    pub fn tile_pull_rect(
-        &self,
-        name: &str,
-        row_stride: usize,
-        rect: &TileRect,
-        src_rank: usize,
-    ) -> Vec<f32> {
-        let buf = self.buffer_on(src_rank, name);
-        read_tile(&buf, row_stride, rect)
     }
 
     /// Copies `len` values from `src_rank`'s buffer `src_name` (offset

@@ -228,28 +228,26 @@ pub fn sp_attention_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile_cached(
-            CacheSite::new(
-                "attn.sp_attention",
-                detail_hash([
-                    shape.heads as u64,
-                    shape.head_dim as u64,
-                    seq_len as u64,
-                    world as u64,
-                ]),
-            ),
-            || {
-                Ok(sp_attention_program(
-                    shape.heads,
-                    shape.head_dim,
-                    seq_len,
-                    world,
-                    cfg,
-                ))
-            },
-        )
+    Compiler::new(*cfg, cost).compile_cached(
+        CacheSite::new(
+            "attn.sp_attention",
+            detail_hash([
+                shape.heads as u64,
+                shape.head_dim as u64,
+                seq_len as u64,
+                world as u64,
+            ]),
+        ),
+        || {
+            Ok(sp_attention_program(
+                shape.heads,
+                shape.head_dim,
+                seq_len,
+                world,
+                cfg,
+            ))
+        },
+    )
 }
 
 #[cfg(test)]

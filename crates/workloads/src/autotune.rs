@@ -1,10 +1,11 @@
 //! Simulator-guided autotuning of the workload layers.
 //!
 //! This module connects the layers of this crate to the `tilelink-tune`
-//! design-space search: each layer gets a [`tilelink_tune::CostOracle`] that
-//! compiles the candidate configuration through the TileLink compiler and
-//! measures the simulated makespan, plus a `tuned_*` constructor that runs the
-//! search and returns the best configuration together with its timing.
+//! design-space search: the MLP and MoE layers each get a
+//! [`tilelink_tune::CostOracle`] that compiles the candidate configuration
+//! through the TileLink compiler and measures the simulated makespan, plus a
+//! `tuned_*` constructor that runs the search and returns the best
+//! configuration together with its timing.
 //!
 //! The paper picks the per-workload `OverlapConfig` by hand (Section 7); these
 //! constructors *generate* it, which is the point of decoupling the design
@@ -25,7 +26,7 @@ use tilelink_tune::{
 use crate::bounds;
 
 use crate::moe::{RoutingProfile, RoutingSample, RoutingSampler};
-use crate::{attention, mlp, moe, AttnShape, MlpShape, MoeShape};
+use crate::{mlp, moe, MlpShape, MoeShape};
 
 // ---------------------------------------------------------------------------
 // Routing-aware tuning inputs
@@ -434,65 +435,6 @@ impl CostOracle for MoeOracle {
     }
 }
 
-/// Prices one config for the sequence-parallel attention kernel at one
-/// sequence length.
-#[derive(Debug, Clone)]
-pub struct AttentionOracle {
-    shape: AttnShape,
-    seq_len: usize,
-    cost: SharedCost,
-}
-
-impl AttentionOracle {
-    /// Creates the oracle for one attention shape and sequence length
-    /// (analytic costs).
-    pub fn new(shape: AttnShape, seq_len: usize, cluster: ClusterSpec) -> Self {
-        Self {
-            shape,
-            seq_len,
-            cost: analytic_cost(&cluster),
-        }
-    }
-
-    /// Replaces the cost provider (and with it the cluster) the oracle
-    /// evaluates against.
-    pub fn with_cost(mut self, cost: SharedCost) -> Self {
-        self.cost = cost;
-        self
-    }
-}
-
-impl CostOracle for AttentionOracle {
-    fn workload_key(&self) -> String {
-        format!(
-            "sp_attention/h{}-d{}-s{}",
-            self.shape.heads, self.shape.head_dim, self.seq_len
-        )
-    }
-
-    fn cluster(&self) -> &ClusterSpec {
-        self.cost.cluster()
-    }
-
-    fn cost_revision(&self) -> String {
-        self.cost.revision()
-    }
-
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let kernel = attention::sp_attention_kernel(&self.shape, self.seq_len, cfg, &self.cost)?;
-        simulate_report(&kernel, &self.cost)
-    }
-
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let kernel = attention::sp_attention_kernel(&self.shape, self.seq_len, cfg, &self.cost)?;
-        simulate_makespan(&kernel, &self.cost, cutoff)
-    }
-
-    fn is_supported(&self, _cfg: &OverlapConfig) -> bool {
-        self.seq_len.is_multiple_of(self.cluster().world_size())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Tuned constructors
 // ---------------------------------------------------------------------------
@@ -666,23 +608,6 @@ pub fn tuned_full_mlp(
     run_tune(&oracle, opts)
 }
 
-/// Searches the design space for the AllGather + GEMM half of the MLP.
-///
-/// # Errors
-///
-/// Returns an error if the space prunes empty or every candidate fails.
-pub fn tuned_ag_gemm(
-    shape: &MlpShape,
-    cluster: &ClusterSpec,
-    opts: &TuneOptions,
-) -> tilelink_tune::Result<TunedLayer> {
-    let mut oracle = MlpAgGemmOracle::new(shape.clone(), cluster.clone());
-    if let Some(cost) = checked_cost(opts, cluster) {
-        oracle = oracle.with_cost(cost);
-    }
-    run_tune(&oracle, opts)
-}
-
 /// Searches the overlap design space for the full MoE layer.
 ///
 /// With [`TuneOptions::routing`] set, candidates are priced over sampled
@@ -703,25 +628,6 @@ pub fn tuned_full_moe(
     }
     if let Some(spec) = opts.routing {
         oracle = oracle.with_routing(spec);
-    }
-    run_tune(&oracle, opts)
-}
-
-/// Searches the overlap design space for the sequence-parallel attention
-/// kernel at one sequence length.
-///
-/// # Errors
-///
-/// Returns an error if the space prunes empty or every candidate fails.
-pub fn tuned_sp_attention(
-    shape: &AttnShape,
-    seq_len: usize,
-    cluster: &ClusterSpec,
-    opts: &TuneOptions,
-) -> tilelink_tune::Result<TunedLayer> {
-    let mut oracle = AttentionOracle::new(shape.clone(), seq_len, cluster.clone());
-    if let Some(cost) = checked_cost(opts, cluster) {
-        oracle = oracle.with_cost(cost);
     }
     run_tune(&oracle, opts)
 }
@@ -848,14 +754,5 @@ mod tests {
         let again = tuned_full_moe(&shape, &cluster, &opts).unwrap();
         assert_eq!(tuned.config, again.config);
         assert_eq!(tuned.layer, again.layer);
-    }
-
-    #[test]
-    fn attention_oracle_requires_even_sharding() {
-        let shape = crate::shapes::attn_shapes()[0].clone();
-        let odd = AttentionOracle::new(shape.clone(), 16_384 + 1, ClusterSpec::h800_node(8));
-        assert!(!odd.is_supported(&OverlapConfig::default()));
-        let even = AttentionOracle::new(shape, 16_384, ClusterSpec::h800_node(8));
-        assert!(even.is_supported(&OverlapConfig::default()));
     }
 }

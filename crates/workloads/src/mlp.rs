@@ -461,20 +461,18 @@ pub fn ag_gemm_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile_cached(
-            CacheSite::new("mlp.ag_gemm", mlp_detail(shape, world)),
-            || {
-                Ok(ag_gemm_program(
-                    shape.tokens,
-                    shape.hidden,
-                    shape.intermediate,
-                    world,
-                    cfg,
-                ))
-            },
-        )
+    Compiler::new(*cfg, cost).compile_cached(
+        CacheSite::new("mlp.ag_gemm", mlp_detail(shape, world)),
+        || {
+            Ok(ag_gemm_program(
+                shape.tokens,
+                shape.hidden,
+                shape.intermediate,
+                world,
+                cfg,
+            ))
+        },
+    )
 }
 
 /// The TileLink GEMM + ReduceScatter kernel for one MLP shape, compiled the
@@ -489,20 +487,18 @@ pub fn gemm_rs_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile_cached(
-            CacheSite::new("mlp.gemm_rs", mlp_detail(shape, world)),
-            || {
-                Ok(gemm_rs_program(
-                    shape.tokens,
-                    shape.hidden,
-                    shape.intermediate,
-                    world,
-                    cfg,
-                ))
-            },
-        )
+    Compiler::new(*cfg, cost).compile_cached(
+        CacheSite::new("mlp.gemm_rs", mlp_detail(shape, world)),
+        || {
+            Ok(gemm_rs_program(
+                shape.tokens,
+                shape.hidden,
+                shape.intermediate,
+                world,
+                cfg,
+            ))
+        },
+    )
 }
 
 /// Simulates the full TileLink MLP layer (AG+GEMM, activation, GEMM+RS) under

@@ -433,12 +433,10 @@ pub fn ag_group_gemm_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile_cached(
-            CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world)),
-            || Ok(ag_group_gemm_program(shape, world, cfg)),
-        )
+    Compiler::new(*cfg, cost).compile_cached(
+        CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world)),
+        || Ok(ag_group_gemm_program(shape, world, cfg)),
+    )
 }
 
 /// The TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel for one MoE
@@ -457,12 +455,10 @@ pub fn group_gemm_rs_kernel(
     let world = cost.cluster().world_size();
     let mut cfg = *cfg;
     cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
-    Compiler::new(cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile_cached(
-            CacheSite::new("moe.group_gemm_rs", moe_detail(shape, world)),
-            || Ok(group_gemm_rs_program(shape, world, &cfg)),
-        )
+    Compiler::new(cfg, cost).compile_cached(
+        CacheSite::new("moe.group_gemm_rs", moe_detail(shape, world)),
+        || Ok(group_gemm_rs_program(shape, world, &cfg)),
+    )
 }
 
 /// Simulates the full TileLink MoE layer (both halves plus the activation)
@@ -518,7 +514,7 @@ pub enum RoutingProfile {
         /// The Zipf exponent (`> 0`; larger is more skewed).
         s: f64,
     },
-    /// `hot` experts receive [`HOT_EXPERT_WEIGHT`]× the traffic of the rest —
+    /// `hot` experts receive 8× (`HOT_EXPERT_WEIGHT`) the traffic of the rest —
     /// the "few hot experts" regime of capacity-overflow studies. With
     /// `hot >= experts` every expert is "hot", which degenerates to
     /// [`RoutingProfile::Uniform`] (the sampler cannot know the expert count
@@ -1005,15 +1001,13 @@ pub fn routed_ag_group_gemm_kernel(
     sample: &RoutingSample,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile_cached(
-            CacheSite::new(
-                "moe.routed_ag_group_gemm",
-                routed_detail(shape, world, sample),
-            ),
-            || routed_ag_group_gemm_program(shape, world, cfg, sample),
-        )
+    Compiler::new(*cfg, cost).compile_cached(
+        CacheSite::new(
+            "moe.routed_ag_group_gemm",
+            routed_detail(shape, world, sample),
+        ),
+        || routed_ag_group_gemm_program(shape, world, cfg, sample),
+    )
 }
 
 /// The routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one sampled
@@ -1032,15 +1026,13 @@ pub fn routed_group_gemm_rs_kernel(
     let world = cost.cluster().world_size();
     let mut cfg = *cfg;
     cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
-    Compiler::new(cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile_cached(
-            CacheSite::new(
-                "moe.routed_group_gemm_rs",
-                routed_detail(shape, world, sample),
-            ),
-            || Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample)),
-        )
+    Compiler::new(cfg, cost).compile_cached(
+        CacheSite::new(
+            "moe.routed_group_gemm_rs",
+            routed_detail(shape, world, sample),
+        ),
+        || Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample)),
+    )
 }
 
 /// Simulates the full routed MoE layer (both halves plus the activation) for

@@ -21,9 +21,7 @@ fn compile_to_graph(
     cfg: &OverlapConfig,
     cost: &SharedCost,
 ) -> tilelink::Result<TaskGraph> {
-    let kernel = Compiler::new(*cfg, cost.cluster().gpu.clone())
-        .with_cost(cost.clone())
-        .compile(program, mapping)?;
+    let kernel = Compiler::new(*cfg, cost).compile(program, mapping)?;
     Ok(task_graph(&kernel, cost.cluster()))
 }
 

@@ -80,7 +80,7 @@ fn compile_kernel(
     cost: &SharedCost,
 ) -> CompiledKernel {
     let world = cluster.world_size();
-    let compiler = Compiler::new(*cfg, cluster.gpu.clone()).with_cost(cost.clone());
+    let compiler = Compiler::new(*cfg, cost);
     match site {
         "ag" => compiler
             .compile_cached(CacheSite::new("test.axis_neighbour.ag", 0), || {
