@@ -126,6 +126,9 @@ fn parse_cluster(value: &str) -> Result<ClusterSpec, String> {
     if gpus_per_node == 0 || nodes == 0 {
         return Err(format!("cluster {value:?} has a zero component"));
     }
+    if gpus_per_node.checked_mul(nodes).is_none() {
+        return Err(format!("GPU count of cluster {value:?} overflows"));
+    }
     if gpus_per_node < 2 && nodes < 2 {
         return Err(format!(
             "cluster {value:?} has a single GPU; overlap tuning needs at least 2 ranks"
@@ -516,6 +519,14 @@ mod tests {
             (
                 "TUNE workload=MLP-1 cluster=h800x8x2x2",
                 "too many components",
+            ),
+            (
+                "TUNE workload=MLP-1 cluster=h800x9223372036854775809x2",
+                "GPU count of cluster \"h800x9223372036854775809x2\" overflows",
+            ),
+            (
+                "TUNE workload=MLP-1 cluster=h800x4294967296x4294967296",
+                "GPU count of cluster \"h800x4294967296x4294967296\" overflows",
             ),
             ("TUNE workload=MLP-1 frobnicate=yes", "unknown key"),
             ("TUNE workload", "malformed pair"),

@@ -66,10 +66,15 @@ impl ClusterSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `gpus_per_node` or `nodes` is zero.
+    /// Panics if `gpus_per_node` or `nodes` is zero, or if their product
+    /// (the world size) overflows `usize`.
     pub fn new(gpu: GpuSpec, gpus_per_node: usize, nodes: usize) -> Self {
         assert!(gpus_per_node > 0, "gpus_per_node must be positive");
         assert!(nodes > 0, "nodes must be positive");
+        assert!(
+            gpus_per_node.checked_mul(nodes).is_some(),
+            "gpus_per_node * nodes overflows usize"
+        );
         Self {
             gpu,
             gpus_per_node,

@@ -32,7 +32,7 @@ pub use tilelink_sim::BoundedMakespan as BoundedEval;
 pub trait CostOracle: Sync {
     /// Stable identifier of the workload kind and shape, used in cache keys.
     ///
-    /// Must be unique per (workload, shape): e.g. `"mlp_ag_gemm/S8192/H4096/I11008"`.
+    /// Must be unique per (workload, shape): e.g. `"mlp/S8192-H4096-I11008"`.
     fn workload_key(&self) -> String;
 
     /// The cluster the workload runs on.

@@ -15,7 +15,6 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use tilelink::exec::{simulate_makespan, simulate_report};
 use tilelink::{OverlapConfig, OverlapReport};
 use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_tune::{
@@ -23,10 +22,8 @@ use tilelink_tune::{
     TuneReport, Tuner,
 };
 
-use crate::bounds;
-
 use crate::moe::{RoutingProfile, RoutingSample, RoutingSampler};
-use crate::{mlp, moe, MlpShape, MoeShape};
+use crate::{bounds, comm, mlp, moe, MlpShape, MoeShape};
 
 // ---------------------------------------------------------------------------
 // Routing-aware tuning inputs
@@ -154,73 +151,8 @@ impl CostOracle for MlpOracle {
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
-        // The ring ReduceScatter half indexes tiles as segment × tile, so the
-        // token count must split evenly into per-rank segments of compute tiles.
         let world = self.cluster().world_size();
-        self.shape.tokens.is_multiple_of(world * cfg.compute_tile.m)
-    }
-}
-
-/// Prices one config for the AllGather + GEMM half of the MLP on its own.
-#[derive(Debug, Clone)]
-pub struct MlpAgGemmOracle {
-    shape: MlpShape,
-    cost: SharedCost,
-}
-
-impl MlpAgGemmOracle {
-    /// Creates the oracle for one MLP shape on one cluster (analytic costs).
-    pub fn new(shape: MlpShape, cluster: ClusterSpec) -> Self {
-        Self {
-            shape,
-            cost: analytic_cost(&cluster),
-        }
-    }
-
-    /// Replaces the cost provider (and with it the cluster) the oracle
-    /// evaluates against.
-    pub fn with_cost(mut self, cost: SharedCost) -> Self {
-        self.cost = cost;
-        self
-    }
-}
-
-impl CostOracle for MlpAgGemmOracle {
-    fn workload_key(&self) -> String {
-        format!(
-            "mlp_ag_gemm/S{}-H{}-I{}",
-            self.shape.tokens, self.shape.hidden, self.shape.intermediate
-        )
-    }
-
-    fn cluster(&self) -> &ClusterSpec {
-        self.cost.cluster()
-    }
-
-    fn cost_revision(&self) -> String {
-        self.cost.revision()
-    }
-
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        simulate_report(
-            &mlp::ag_gemm_kernel(&self.shape, cfg, &self.cost)?,
-            &self.cost,
-        )
-    }
-
-    fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
-        Some(bounds::mlp_ag_gemm_bound(&self.shape, cfg, &*self.cost))
-    }
-
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let kernel = mlp::ag_gemm_kernel(&self.shape, cfg, &self.cost)?;
-        simulate_makespan(&kernel, &self.cost, cutoff)
-    }
-
-    fn is_supported(&self, cfg: &OverlapConfig) -> bool {
-        // One producer tile per comm block: keep tiles aligned to the shard.
-        let world = self.cluster().world_size();
-        self.shape.tokens.is_multiple_of(world * cfg.comm_tile.m)
+        comm::ring_supported(self.shape.tokens, world, cfg.compute_tile.m)
     }
 }
 
@@ -431,7 +363,7 @@ impl CostOracle for MoeOracle {
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
         let world = self.cluster().world_size();
-        self.shape.tokens.is_multiple_of(world * cfg.compute_tile.m)
+        comm::ring_supported(self.shape.tokens, world, cfg.compute_tile.m)
     }
 }
 

@@ -26,6 +26,7 @@ use tilelink::OverlapReport;
 use tilelink_sim::CostProvider;
 
 use crate::mlp::BYTES_PER_ELEM;
+use crate::moe::dispatched_rows;
 use crate::{AttnShape, MlpShape, MoeShape};
 
 /// Seconds for a ring AllGather / ReduceScatter where every rank ends up
@@ -49,8 +50,10 @@ fn ring_collective_seconds(cost: &dyn CostProvider, total_bytes: f64) -> f64 {
         + cluster.gpu.kernel_launch_s()
 }
 
-fn gathered_bytes(shape: &MlpShape) -> f64 {
-    shape.tokens as f64 * shape.hidden as f64 * BYTES_PER_ELEM
+/// Bytes of the gathered `[tokens, hidden]` activation an MLP or MoE layer's
+/// collectives move.
+fn gathered_bytes(tokens: usize, hidden: usize) -> f64 {
+    tokens as f64 * hidden as f64 * BYTES_PER_ELEM
 }
 
 // ---------------------------------------------------------------------------
@@ -61,7 +64,7 @@ fn gathered_bytes(shape: &MlpShape) -> f64 {
 pub fn non_overlap_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
-    let comm = ring_collective_seconds(cost, gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let n_local = 2 * shape.intermediate / world;
     let comp = cost.gemm_seconds(
         shape.tokens,
@@ -78,7 +81,7 @@ pub fn non_overlap_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> Overlap
 pub fn non_overlap_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
-    let comm = ring_collective_seconds(cost, gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let k_local = shape.intermediate / world;
     let comp = cost.gemm_seconds(
         shape.tokens,
@@ -109,8 +112,10 @@ pub fn decompose_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapRe
     let chunk_rows = shape.tokens / chunks;
     // Each chunk's copy circulates around the same ring as the collective, so
     // it drains at the slowest (on multi-node rings: InfiniBand) hop.
-    let chunk_comm =
-        tilelink_collectives::timed::ring_hop_seconds(cost, gathered_bytes(shape) / chunks as f64);
+    let chunk_comm = tilelink_collectives::timed::ring_hop_seconds(
+        cost,
+        gathered_bytes(shape.tokens, shape.hidden) / chunks as f64,
+    );
     // The decomposed GEMM loses efficiency from wave quantisation on the small chunk.
     let chunk_comp = cost.gemm_seconds(
         chunk_rows,
@@ -138,8 +143,10 @@ pub fn decompose_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapRe
     let chunks = world.max(2);
     let k_local = shape.intermediate / world;
     let chunk_rows = shape.tokens / chunks;
-    let chunk_comm =
-        tilelink_collectives::timed::ring_hop_seconds(cost, gathered_bytes(shape) / chunks as f64);
+    let chunk_comm = tilelink_collectives::timed::ring_hop_seconds(
+        cost,
+        gathered_bytes(shape.tokens, shape.hidden) / chunks as f64,
+    );
     let chunk_comp = cost.gemm_seconds(
         chunk_rows,
         shape.hidden,
@@ -164,7 +171,7 @@ pub fn decompose_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapRe
 pub fn flux_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
-    let comm = ring_collective_seconds(cost, gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let n_local = 2 * shape.intermediate / world;
     let comp = cost.gemm_seconds(
         shape.tokens,
@@ -189,7 +196,7 @@ pub fn flux_ag_gemm(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport 
 pub fn flux_gemm_rs(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
-    let comm = ring_collective_seconds(cost, gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let k_local = shape.intermediate / world;
     // Coupled tile: the GEMM must adopt the communication tile (128x128) and
     // runs its reduction epilogue on the same CTAs, costing efficiency.
@@ -227,14 +234,6 @@ pub fn decompose_full_mlp(shape: &MlpShape, cost: &dyn CostProvider) -> OverlapR
 // MoE: cuBLAS+NCCL, CUTLASS+NCCL, vLLM-Op
 // ---------------------------------------------------------------------------
 
-fn moe_gathered_bytes(shape: &MoeShape) -> f64 {
-    shape.tokens as f64 * shape.hidden as f64 * BYTES_PER_ELEM
-}
-
-fn dispatched_rows(shape: &MoeShape) -> usize {
-    shape.tokens * shape.top_k
-}
-
 /// Time of an *unfused* gather (or scatter) that materialises the dispatched
 /// token matrix in HBM.
 fn unfused_shuffle_seconds(shape: &MoeShape, cost: &dyn CostProvider, width: usize) -> f64 {
@@ -247,7 +246,7 @@ fn unfused_shuffle_seconds(shape: &MoeShape, cost: &dyn CostProvider, width: usi
 pub fn cublas_nccl_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
-    let comm = ring_collective_seconds(cost, moe_gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let gather = unfused_shuffle_seconds(shape, cost, shape.hidden);
     let rows_per_expert = (dispatched_rows(shape) / shape.experts).max(1);
     let i_local = shape.intermediate / world;
@@ -267,7 +266,7 @@ pub fn cublas_nccl_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> Overl
 pub fn cutlass_nccl_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
-    let comm = ring_collective_seconds(cost, moe_gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let gather = unfused_shuffle_seconds(shape, cost, shape.hidden);
     let i_local = shape.intermediate / world;
     let group_gemm = cost.gemm_seconds(
@@ -287,7 +286,7 @@ pub fn cutlass_nccl_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> Over
 pub fn vllm_moe_first(shape: &MoeShape, cost: &dyn CostProvider) -> OverlapReport {
     let cluster = cost.cluster();
     let world = cluster.world_size();
-    let comm = ring_collective_seconds(cost, moe_gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let i_local = shape.intermediate / world;
     let fused = cost.gemm_seconds(
         dispatched_rows(shape),
@@ -312,7 +311,7 @@ fn moe_second_baseline(
     let cluster = cost.cluster();
     let world = cluster.world_size();
     let i_local = shape.intermediate / world;
-    let comm = ring_collective_seconds(cost, moe_gathered_bytes(shape));
+    let comm = ring_collective_seconds(cost, gathered_bytes(shape.tokens, shape.hidden));
     let gemm_rows = dispatched_rows(shape);
     let mut comp = if per_expert_launches {
         let rows_per_expert = (gemm_rows / shape.experts).max(1);

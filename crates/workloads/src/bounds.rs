@@ -34,10 +34,8 @@ use tilelink::exec::{simulate_makespan, simulate_report};
 use tilelink::{CommMapping, CompiledKernel, OverlapConfig, OverlapReport};
 use tilelink_sim::{BoundedMakespan, CostProvider, ResourceKind, SharedCost, Task, Work};
 
-use crate::{MlpShape, MoeShape};
-
-/// Bytes per activation element (bf16), mirroring the program builders.
-const BYTES_PER_ELEM: f64 = 2.0;
+use crate::comm::{allgather_egress, ring_rs_egress};
+use crate::{moe, MlpShape, MoeShape};
 
 /// Closed-form totals of one compiled kernel, per rank: matmul flops on the
 /// SM pool and bytes pushed out of the rank's egress lane.
@@ -107,30 +105,6 @@ impl PhaseTotals {
     }
 }
 
-/// Per-rank AllGather egress: every rank broadcasts its token tiles to the
-/// other `world - 1` ranks. Uses the per-rank *average* tile count (the
-/// busiest rank owns at least that many tiles).
-fn allgather_egress(tokens: usize, comm_tile_m: usize, hidden: usize, world: usize) -> f64 {
-    if world < 2 {
-        return 0.0;
-    }
-    let num_tiles = tokens.div_ceil(comm_tile_m) as f64;
-    let tile_bytes = comm_tile_m as f64 * hidden as f64 * BYTES_PER_ELEM;
-    num_tiles * tile_bytes * (world as f64 - 1.0) / world as f64
-}
-
-/// Per-rank ring ReduceScatter egress: `tiles_per_segment` blocks each push
-/// `world - 1` partial tiles to the ring neighbour (exact, same formula as
-/// the builders).
-fn ring_rs_egress(tokens: usize, tile_m: usize, hidden: usize, world: usize) -> f64 {
-    if world < 2 {
-        return 0.0;
-    }
-    let tiles_per_segment = ((tokens / world) / tile_m).max(1) as f64;
-    let tile_out_bytes = tile_m as f64 * hidden as f64 * BYTES_PER_ELEM;
-    tiles_per_segment * (world as f64 - 1.0) * tile_out_bytes
-}
-
 /// Lower bound for [`crate::mlp::ag_gemm_kernel`] (AllGather + GEMM).
 pub(crate) fn mlp_ag_gemm_bound(
     shape: &MlpShape,
@@ -143,7 +117,7 @@ pub(crate) fn mlp_ag_gemm_bound(
         // Each rank multiplies the full gathered [M, H] against its weight
         // shard: exactly M rows across the consumer blocks.
         flops_per_rank: 2.0 * shape.tokens as f64 * n_local as f64 * shape.hidden as f64,
-        egress_bytes_per_rank: allgather_egress(shape.tokens, cfg.comm_tile.m, shape.hidden, world),
+        egress_bytes_per_rank: allgather_egress(world, shape.tokens, cfg.comm_tile.m, shape.hidden),
         mapping: cfg.comm_mapping,
     }
     .lower_bound(cfg, cost)
@@ -161,10 +135,10 @@ pub(crate) fn mlp_gemm_rs_bound(
         // GEMM blocks cover every row tile of the [M, H] partial output.
         flops_per_rank: 2.0 * shape.tokens as f64 * shape.hidden as f64 * k_local as f64,
         egress_bytes_per_rank: ring_rs_egress(
+            world,
             shape.tokens,
             cfg.compute_tile.m,
             shape.hidden,
-            world,
         ),
         mapping: cfg.comm_mapping,
     }
@@ -182,17 +156,18 @@ pub(crate) fn moe_first_bound(
 ) -> f64 {
     let world = cost.cluster().world_size();
     let i_local = shape.intermediate / world;
-    let rows = crate::moe::dispatched_rows(shape) as f64;
+    let rows = moe::dispatched_rows(shape) as f64;
     PhaseTotals {
         flops_per_rank: 2.0 * rows * i_local as f64 * shape.hidden as f64,
-        egress_bytes_per_rank: allgather_egress(shape.tokens, cfg.comm_tile.m, shape.hidden, world),
+        egress_bytes_per_rank: allgather_egress(world, shape.tokens, cfg.comm_tile.m, shape.hidden),
         mapping: cfg.comm_mapping,
     }
     .lower_bound(cfg, cost)
 }
 
-/// Lower bound for the MoE second half (GroupGEMM + RS). The builders force
-/// the hybrid transfer lane for this kernel, so the bound does too.
+/// Lower bound for the MoE second half (GroupGEMM + RS). Both second-half
+/// kernels compile onto `moe::SECOND_HALF_MAPPING` whatever the config says,
+/// so the bound drains through that lane too.
 pub(crate) fn moe_second_bound(
     shape: &MoeShape,
     cfg: &OverlapConfig,
@@ -200,7 +175,7 @@ pub(crate) fn moe_second_bound(
 ) -> f64 {
     let world = cost.cluster().world_size();
     let i_local = shape.intermediate / world;
-    let rows = crate::moe::dispatched_rows(shape);
+    let rows = moe::dispatched_rows(shape);
     // Replicate the builder's per-tile floor division exactly: the dispatched
     // rows feeding each output tile are `tile_rows * rows / M`, summed over
     // the row tiles of the [M, H] output (both the expected-routing and the
@@ -215,10 +190,8 @@ pub(crate) fn moe_second_bound(
     }
     PhaseTotals {
         flops_per_rank: 2.0 * gemm_rows as f64 * shape.hidden as f64 * i_local as f64,
-        egress_bytes_per_rank: ring_rs_egress(shape.tokens, tile_m, shape.hidden, world),
-        // group_gemm_rs_kernel / routed_group_gemm_rs_kernel force
-        // CommMapping::Hybrid before compiling.
-        mapping: CommMapping::Hybrid { sms: 20 },
+        egress_bytes_per_rank: ring_rs_egress(world, shape.tokens, tile_m, shape.hidden),
+        mapping: moe::SECOND_HALF_MAPPING,
     }
     .lower_bound(cfg, cost)
 }

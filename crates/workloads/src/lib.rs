@@ -20,6 +20,10 @@
 //! * [`autotune`] — `tilelink-tune` oracles and `tuned_*` constructors that
 //!   *search* the overlap design space per layer instead of replaying the
 //!   hand-picked defaults.
+//!
+//! The MLP, MoE and routed MoE program builders share one AllGather and one
+//! ring ReduceScatter emitter (the private `comm` module), which also owns
+//! the egress the tuner's lower bounds read.
 
 #![deny(missing_docs)]
 
@@ -27,6 +31,7 @@ pub mod attention;
 pub mod autotune;
 pub mod baselines;
 mod bounds;
+mod comm;
 pub mod e2e;
 pub mod mlp;
 pub mod moe;

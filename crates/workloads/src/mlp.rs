@@ -18,6 +18,10 @@
 //!   taking the shape, the config and the cost provider and returning the
 //!   compiled kernel, which `tilelink::exec` prices exactly or under a
 //!   cutoff on its makespan.
+//!
+//! The timed builders emit the GEMM halves themselves; the AllGather
+//! producers and the ring ReduceScatter come from the crate's one
+//! communication module, which the MoE builders share.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
 use tilelink::exec::run_comm_compute;
@@ -32,6 +36,8 @@ use tilelink_compute::gemm::matmul;
 use tilelink_compute::Tensor;
 use tilelink_shmem::ProcessGroup;
 use tilelink_sim::{CostProvider, SharedCost};
+
+use crate::comm;
 
 /// Bytes per element on the paper's hardware (BF16).
 pub const BYTES_PER_ELEM: f64 = 2.0;
@@ -291,25 +297,10 @@ pub fn ag_gemm_program(
     let _span = tilelink_probe::span("compile.build");
     let mapping = StaticMapping::new(tokens, cfg.comm_tile.m, world, cfg.channels_per_rank);
     let n_local = 2 * intermediate / world;
-    let tile_bytes = cfg.comm_tile.m as f64 * hidden as f64 * BYTES_PER_ELEM;
     let mut program = TileProgram::new("mlp_ag_gemm", world);
     for rank in 0..world {
         // Communication: push this rank's token tiles to every peer.
-        for (i, tile) in mapping.tiles_of_rank(rank).into_iter().enumerate() {
-            program.add_block(
-                BlockDesc::new(format!("ag/r{rank}/b{i}"), rank, BlockRole::Producer)
-                    .op(TileOp::PushTile {
-                        buffer: "gathered".into(),
-                        bytes: tile_bytes,
-                        tile,
-                        target: PushTarget::Broadcast,
-                    })
-                    .op(TileOp::ProducerNotify {
-                        tile,
-                        scope: NotifyScope::Broadcast,
-                    }),
-            );
-        }
+        comm::allgather_blocks(&mut program, rank, &mapping, hidden);
         // Computation: one block per compute row tile, covering the full local N.
         let compute_tiles = tokens.div_ceil(cfg.compute_tile.m);
         for b in 0..compute_tiles {
@@ -355,8 +346,6 @@ pub fn gemm_rs_program(
     let tile_m = cfg.compute_tile.m;
     let mapping = StaticMapping::new(tokens, tile_m, world, cfg.channels_per_rank);
     let k_local = intermediate / world;
-    let m_per_rank = tokens / world;
-    let tiles_per_segment = (m_per_rank / tile_m).max(1);
     let tile_out_bytes = tile_m as f64 * hidden as f64 * BYTES_PER_ELEM;
     let mut program = TileProgram::new("mlp_gemm_rs", world);
     for rank in 0..world {
@@ -387,52 +376,7 @@ pub fn gemm_rs_program(
             );
         }
         // Ring ReduceScatter blocks: one per tile of this rank's segment.
-        let to_rank = (rank + world - 1) % world;
-        for tid_m in 0..tiles_per_segment {
-            let mut block =
-                BlockDesc::new(format!("rs/r{rank}/t{tid_m}"), rank, BlockRole::Producer);
-            for stage in 0..world {
-                let seg = (rank + stage + 1) % world;
-                let tile_global = seg * tiles_per_segment + tid_m;
-                block = block
-                    .op(TileOp::ConsumerWait { tile: tile_global })
-                    .op(TileOp::LoadTile {
-                        buffer: "gemm_out".into(),
-                        bytes: tile_out_bytes,
-                        tile: Some(tile_global),
-                    });
-                if stage != 0 {
-                    block = block
-                        .op(TileOp::PeerWait {
-                            slot: tile_global,
-                            expected: 1,
-                        })
-                        .op(TileOp::Compute(ComputeKind::Reduction {
-                            elems: tile_m * hidden,
-                        }));
-                }
-                if stage == world - 1 {
-                    block = block.op(TileOp::StoreTile {
-                        buffer: "out".into(),
-                        bytes: tile_out_bytes,
-                        tile: None,
-                    });
-                } else {
-                    block = block
-                        .op(TileOp::PushTile {
-                            buffer: "partial".into(),
-                            bytes: tile_out_bytes,
-                            tile: tile_global,
-                            target: PushTarget::Rank(to_rank),
-                        })
-                        .op(TileOp::PeerNotify {
-                            slot: tile_global,
-                            dst_rank: to_rank,
-                        });
-                }
-            }
-            program.add_block(block);
-        }
+        comm::ring_reduce_scatter_blocks(&mut program, rank, world, tokens, tile_m, hidden);
     }
     (program, mapping)
 }

@@ -16,6 +16,10 @@
 //! the dispatched-row range and the expert that consumes it) and uses the
 //! static AllGather mapping to wait for exactly the token tiles each consumer
 //! tile touches.
+//!
+//! The timed builders, expected-routing and routed alike, emit only the
+//! Group-GEMM halves: the AllGather and the ring ReduceScatter come from the
+//! communication module the MLP builders use too.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
 use tilelink::exec::run_comm_compute;
@@ -39,7 +43,7 @@ use std::ops::Range;
 use std::str::FromStr;
 
 use crate::mlp::BYTES_PER_ELEM;
-use crate::MoeShape;
+use crate::{comm, MoeShape};
 
 /// Recommended configuration for the MoE halves: AllGather on the copy engine,
 /// large compute tiles, dynamic routing handled by the dynamic mapping.
@@ -201,6 +205,10 @@ pub fn dispatched_rows(shape: &MoeShape) -> usize {
     shape.tokens * shape.top_k
 }
 
+/// Dispatch tiles per Group-GEMM consumer block, in both the expected-routing
+/// and the routed first-half builders.
+const DISPATCH_TILES_PER_BLOCK: usize = 8;
+
 /// Builds the AG + Gather + GroupGEMM tile program for one MoE shape.
 ///
 /// The routing is load-balanced in expectation, so the timed program assumes a
@@ -216,34 +224,17 @@ pub fn ag_group_gemm_program(
     let h = shape.hidden;
     let i_local = shape.intermediate / world;
     let mapping = StaticMapping::new(m, cfg.comm_tile.m, world, cfg.channels_per_rank);
-    let tile_bytes = cfg.comm_tile.m as f64 * h as f64 * BYTES_PER_ELEM;
     let rows = dispatched_rows(shape);
-    let compute_tiles = rows.div_ceil(cfg.compute_tile.m * 8); // 8 dispatch tiles share one block
-                                                               // Buffer names are interned once here instead of once per op: the intern
-                                                               // table lookup takes a global lock, and these loops run for every block of
-                                                               // every rank on every cache-miss compile.
+    let compute_tiles = rows.div_ceil(cfg.compute_tile.m * DISPATCH_TILES_PER_BLOCK);
+    // Buffer names are interned once here instead of once per op: the intern
+    // table lookup takes a global lock, and these loops run for every block of
+    // every rank on every cache-miss compile.
     let gathered = Symbol::intern("gathered");
     let expert_out = Symbol::intern("expert_out");
     let mut name = String::with_capacity(32);
     let mut program = TileProgram::new("moe_ag_group_gemm", world);
     for rank in 0..world {
-        for (i, tile) in mapping.tiles_of_rank(rank).into_iter().enumerate() {
-            name.clear();
-            write!(name, "ag/r{rank}/b{i}").expect("write to string");
-            program.add_block(
-                BlockDesc::new(name.as_str(), rank, BlockRole::Producer)
-                    .op(TileOp::PushTile {
-                        buffer: gathered,
-                        bytes: tile_bytes,
-                        tile,
-                        target: PushTarget::Broadcast,
-                    })
-                    .op(TileOp::ProducerNotify {
-                        tile,
-                        scope: NotifyScope::Broadcast,
-                    }),
-            );
-        }
+        comm::allgather_blocks(&mut program, rank, &mapping, h);
         let rows_per_block = rows.div_ceil(compute_tiles);
         for b in 0..compute_tiles {
             // Each Group-GEMM block consumes tokens scattered across the whole
@@ -293,14 +284,10 @@ pub fn group_gemm_rs_program(
     let rows = dispatched_rows(shape);
     let tile_m = cfg.compute_tile.m;
     let mapping = StaticMapping::new(m, tile_m, world, cfg.channels_per_rank);
-    let m_per_rank = m / world;
-    let tiles_per_segment = (m_per_rank / tile_m).max(1);
     let tile_out_bytes = tile_m as f64 * h as f64 * BYTES_PER_ELEM;
     // Interned once per compile, not once per op (see ag_group_gemm_program).
     let expert_act = Symbol::intern("expert_act");
     let gemm_out = Symbol::intern("gemm_out");
-    let out_buf = Symbol::intern("out");
-    let partial = Symbol::intern("partial");
     let mut name = String::with_capacity(32);
     let mut program = TileProgram::new("moe_group_gemm_rs", world);
     for rank in 0..world {
@@ -338,73 +325,16 @@ pub fn group_gemm_rs_program(
                     }),
             );
         }
-        // Ring ReduceScatter, identical in structure to the MLP second half.
-        let to_rank = (rank + world - 1) % world;
-        for tid_m in 0..tiles_per_segment {
-            name.clear();
-            write!(name, "rs/r{rank}/t{tid_m}").expect("write to string");
-            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Producer);
-            for stage in 0..world {
-                let seg = (rank + stage + 1) % world;
-                let tile_global = seg * tiles_per_segment + tid_m;
-                block = block
-                    .op(TileOp::ConsumerWait { tile: tile_global })
-                    .op(TileOp::LoadTile {
-                        buffer: gemm_out,
-                        bytes: tile_out_bytes,
-                        tile: Some(tile_global),
-                    });
-                if stage != 0 {
-                    block = block
-                        .op(TileOp::PeerWait {
-                            slot: tile_global,
-                            expected: 1,
-                        })
-                        .op(TileOp::Compute(ComputeKind::Reduction {
-                            elems: tile_m * h,
-                        }));
-                }
-                if stage == world - 1 {
-                    block = block.op(TileOp::StoreTile {
-                        buffer: out_buf,
-                        bytes: tile_out_bytes,
-                        tile: None,
-                    });
-                } else {
-                    block = block
-                        .op(TileOp::PushTile {
-                            buffer: partial,
-                            bytes: tile_out_bytes,
-                            tile: tile_global,
-                            target: PushTarget::Rank(to_rank),
-                        })
-                        .op(TileOp::PeerNotify {
-                            slot: tile_global,
-                            dst_rank: to_rank,
-                        });
-                }
-            }
-            program.add_block(block);
-        }
+        // Ring ReduceScatter blocks: one per tile of this rank's segment.
+        comm::ring_reduce_scatter_blocks(&mut program, rank, world, m, tile_m, h);
     }
     (program, mapping)
 }
 
-/// Compile-cache detail words for one MoE shape on one cluster size.
-fn moe_detail(shape: &MoeShape, world: usize) -> u64 {
-    detail_hash([
-        shape.tokens as u64,
-        shape.hidden as u64,
-        shape.intermediate as u64,
-        shape.experts as u64,
-        shape.top_k as u64,
-        world as u64,
-    ])
-}
-
-/// Detail words for the routed kernels: the sampled per-expert row counts
-/// change the emitted program, so they are part of the cache identity.
-fn routed_detail(shape: &MoeShape, world: usize, sample: &RoutingSample) -> u64 {
+/// Compile-cache detail words for one MoE shape on one cluster size. A
+/// routed kernel's sampled per-expert row counts change the emitted program,
+/// so they are part of its cache identity.
+fn moe_detail(shape: &MoeShape, world: usize, sample: Option<&RoutingSample>) -> u64 {
     detail_hash(
         [
             shape.tokens as u64,
@@ -415,9 +345,18 @@ fn routed_detail(shape: &MoeShape, world: usize, sample: &RoutingSample) -> u64 
             world as u64,
         ]
         .into_iter()
-        .chain(sample.rows_per_expert.iter().map(|&r| r as u64)),
+        .chain(
+            sample
+                .into_iter()
+                .flat_map(|s| s.rows_per_expert.iter().map(|&r| r as u64)),
+        ),
     )
 }
+
+/// The transfer lane both second-half kernels compile onto, whatever the
+/// config's `comm_mapping` says: the ring's pushes on the copy engine, its
+/// reductions on 20 SMs.
+pub(crate) const SECOND_HALF_MAPPING: CommMapping = CommMapping::Hybrid { sms: 20 };
 
 /// The TileLink AG + Gather + GroupGEMM kernel for one MoE shape under the
 /// expected routing, compiled for `cfg` on the cluster `cost` prices. Price
@@ -434,7 +373,7 @@ pub fn ag_group_gemm_kernel(
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     Compiler::new(*cfg, cost).compile_cached(
-        CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world)),
+        CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world, None)),
         || Ok(ag_group_gemm_program(shape, world, cfg)),
     )
 }
@@ -453,10 +392,9 @@ pub fn group_gemm_rs_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let mut cfg = *cfg;
-    cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
+    let cfg = cfg.with_comm_mapping(SECOND_HALF_MAPPING);
     Compiler::new(cfg, cost).compile_cached(
-        CacheSite::new("moe.group_gemm_rs", moe_detail(shape, world)),
+        CacheSite::new("moe.group_gemm_rs", moe_detail(shape, world, None)),
         || Ok(group_gemm_rs_program(shape, world, &cfg)),
     )
 }
@@ -728,10 +666,6 @@ impl RoutingSampler {
     }
 }
 
-/// Dispatch tiles per Group-GEMM consumer block (the granularity the expected
-/// routing builder [`ag_group_gemm_program`] uses too).
-const DISPATCH_TILES_PER_BLOCK: usize = 8;
-
 /// Builds the routed AG + Gather + GroupGEMM program for one sampled routing.
 ///
 /// Unlike [`ag_group_gemm_program`], which assumes the expected uniform
@@ -766,9 +700,9 @@ pub fn routed_ag_group_gemm_program(
     let ag_tiles = ag.num_tiles();
     let ag_channels = ag.num_channels();
 
-    // One consumer block per slice of at most `compute_tile.m * 8` dispatched
-    // rows of one expert (mirroring the expected-routing builder's block
-    // granularity).
+    // One consumer block per slice of at most `compute_tile.m *
+    // DISPATCH_TILES_PER_BLOCK` dispatched rows of one expert (the
+    // expected-routing builder's block granularity).
     let rows_per_block_target = (cfg.compute_tile.m * DISPATCH_TILES_PER_BLOCK).max(1);
     let mut block_rows: Vec<Range<usize>> = Vec::new();
     let mut block_expert: Vec<usize> = Vec::new();
@@ -806,24 +740,9 @@ pub fn routed_ag_group_gemm_program(
         )?;
     }
 
-    let tile_bytes = cfg.comm_tile.m as f64 * h as f64 * BYTES_PER_ELEM;
     let mut program = TileProgram::new("moe_routed_ag_group_gemm", world);
     for rank in 0..world {
-        for (i, tile) in ag.tiles_of_rank(rank).into_iter().enumerate() {
-            program.add_block(
-                BlockDesc::new(format!("ag/r{rank}/b{i}"), rank, BlockRole::Producer)
-                    .op(TileOp::PushTile {
-                        buffer: "gathered".into(),
-                        bytes: tile_bytes,
-                        tile,
-                        target: PushTarget::Broadcast,
-                    })
-                    .op(TileOp::ProducerNotify {
-                        tile,
-                        scope: NotifyScope::Broadcast,
-                    }),
-            );
-        }
+        comm::allgather_blocks(&mut program, rank, &ag, h);
         for d in 0..dispatch_tiles {
             // The block's row slice and expert group come back out of the
             // dynamic mapping — the tables are the single source of truth the
@@ -886,8 +805,6 @@ pub fn routed_group_gemm_rs_program(
     let tile_m = cfg.compute_tile.m;
     let mapping = StaticMapping::new(m, tile_m, world, cfg.channels_per_rank);
     let num_tiles = mapping.num_tiles();
-    let m_per_rank = m / world;
-    let tiles_per_segment = (m_per_rank / tile_m).max(1);
     let tile_out_bytes = tile_m as f64 * h as f64 * BYTES_PER_ELEM;
     let mut program = TileProgram::new("moe_routed_group_gemm_rs", world);
     for rank in 0..world {
@@ -935,55 +852,9 @@ pub fn routed_group_gemm_rs_program(
             }
             program.add_block(block);
         }
-        // Ring ReduceScatter, identical in structure to the expected-routing
-        // builder (the collective itself is routing-independent; only *when*
-        // its inputs become ready depends on the sample).
-        let to_rank = (rank + world - 1) % world;
-        for tid_m in 0..tiles_per_segment {
-            let mut block =
-                BlockDesc::new(format!("rs/r{rank}/t{tid_m}"), rank, BlockRole::Producer);
-            for stage in 0..world {
-                let seg = (rank + stage + 1) % world;
-                let tile_global = seg * tiles_per_segment + tid_m;
-                block = block
-                    .op(TileOp::ConsumerWait { tile: tile_global })
-                    .op(TileOp::LoadTile {
-                        buffer: "gemm_out".into(),
-                        bytes: tile_out_bytes,
-                        tile: Some(tile_global),
-                    });
-                if stage != 0 {
-                    block = block
-                        .op(TileOp::PeerWait {
-                            slot: tile_global,
-                            expected: 1,
-                        })
-                        .op(TileOp::Compute(ComputeKind::Reduction {
-                            elems: tile_m * h,
-                        }));
-                }
-                if stage == world - 1 {
-                    block = block.op(TileOp::StoreTile {
-                        buffer: "out".into(),
-                        bytes: tile_out_bytes,
-                        tile: None,
-                    });
-                } else {
-                    block = block
-                        .op(TileOp::PushTile {
-                            buffer: "partial".into(),
-                            bytes: tile_out_bytes,
-                            tile: tile_global,
-                            target: PushTarget::Rank(to_rank),
-                        })
-                        .op(TileOp::PeerNotify {
-                            slot: tile_global,
-                            dst_rank: to_rank,
-                        });
-                }
-            }
-            program.add_block(block);
-        }
+        // The ring ReduceScatter itself is routing-independent; only *when*
+        // its inputs become ready depends on the sample.
+        comm::ring_reduce_scatter_blocks(&mut program, rank, world, m, tile_m, h);
     }
     (program, mapping)
 }
@@ -1004,7 +875,7 @@ pub fn routed_ag_group_gemm_kernel(
     Compiler::new(*cfg, cost).compile_cached(
         CacheSite::new(
             "moe.routed_ag_group_gemm",
-            routed_detail(shape, world, sample),
+            moe_detail(shape, world, Some(sample)),
         ),
         || routed_ag_group_gemm_program(shape, world, cfg, sample),
     )
@@ -1024,12 +895,11 @@ pub fn routed_group_gemm_rs_kernel(
     sample: &RoutingSample,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let mut cfg = *cfg;
-    cfg.comm_mapping = CommMapping::Hybrid { sms: 20 };
+    let cfg = cfg.with_comm_mapping(SECOND_HALF_MAPPING);
     Compiler::new(cfg, cost).compile_cached(
         CacheSite::new(
             "moe.routed_group_gemm_rs",
-            routed_detail(shape, world, sample),
+            moe_detail(shape, world, Some(sample)),
         ),
         || Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample)),
     )

@@ -10,7 +10,7 @@ use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec};
 use tilelink_tune::{
     BoundedEval, CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache, Tuner,
 };
-use tilelink_workloads::autotune::{self, MlpAgGemmOracle, MlpOracle, MoeOracle, TuneOptions};
+use tilelink_workloads::autotune::{self, MlpOracle, MoeOracle, TuneOptions};
 use tilelink_workloads::{shapes, RoutingProfile, RoutingSpec, TunedLayer};
 
 /// A small space that still spans tile sizes, mappings and stages.
@@ -53,12 +53,12 @@ fn beam_tuned_mlp1_is_never_worse_than_the_default_config() {
 fn repeated_search_is_served_entirely_from_the_persistent_cache() {
     let dir = std::env::temp_dir().join(format!("tilelink-tuning-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mlp-ag.tsv");
+    let path = dir.join("mlp.tsv");
     let _ = std::fs::remove_file(&path);
 
     let shape = shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
-    let oracle = MlpAgGemmOracle::new(shape, cluster);
+    let oracle = MlpOracle::new(shape, cluster);
     let space = small_space();
 
     let first = Tuner::new(Strategy::Exhaustive)
@@ -86,7 +86,7 @@ fn repeated_search_is_served_entirely_from_the_persistent_cache() {
 fn search_over_the_real_oracle_is_deterministic_across_thread_counts() {
     let shape = shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
-    let oracle = MlpAgGemmOracle::new(shape, cluster);
+    let oracle = MlpOracle::new(shape, cluster);
     let space = small_space();
 
     let serial = Tuner::new(Strategy::Exhaustive)
@@ -118,7 +118,7 @@ fn tuning_cache_self_invalidates_across_cost_model_revisions() {
     // returns — the acceptance path of the cost-provider refactor.
     let dir = std::env::temp_dir().join(format!("tilelink-tuning-rev-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("mlp-ag-rev.tsv");
+    let path = dir.join("mlp-rev.tsv");
     let _ = std::fs::remove_file(&path);
 
     let shape = shapes::mlp_shapes()[0].clone();
@@ -130,7 +130,7 @@ fn tuning_cache_self_invalidates_across_cost_model_revisions() {
     let space = small_space();
 
     let run = |cost: &tilelink_sim::SharedCost| {
-        let oracle = MlpAgGemmOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
+        let oracle = MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
         Tuner::new(Strategy::Exhaustive)
             .with_cache(TuneCache::open(&path).unwrap())
             .tune(&oracle, &space)
@@ -145,7 +145,8 @@ fn tuning_cache_self_invalidates_across_cost_model_revisions() {
     let other = run(&calibrated);
     assert_eq!(other.cache_hits, 0, "stale analytic entries must not hit");
     assert_eq!(other.evaluations, other.ranked.len());
-    // The calibrated link model prices the AllGather strictly higher.
+    // The calibrated link model prices the layer's communication strictly
+    // higher.
     assert!(other.best.report.comm_only_s > first.best.report.comm_only_s);
 
     // Returning to the original revision hits the original entries again.
