@@ -335,7 +335,7 @@ fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
                 );
                 match (&r.tuned, r.tuned_speedup()) {
                     (Some(t), Some(s)) => println!(
-                        "   tuned {:>10.1} ms   speedup {s:.2}x ({} sims, {} cached)",
+                        "   tuned {:>10.1} ms   speedup {s:.2}x ({} evaluations, {} cached)",
                         t.ms, t.evaluations, t.cache_hits
                     ),
                     _ => println!(),
@@ -465,7 +465,7 @@ fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
         let speedup = default_ms / tuned.layer.total_ms();
         speedups.push(speedup);
         println!(
-            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} sims, {} cached) best: {}",
+            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} evaluations, {} cached) best: {}",
             shape.name,
             default_ms,
             tuned.layer.total_ms(),
@@ -492,7 +492,7 @@ fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
         let speedup = default_ms / tuned.layer.total_ms();
         speedups.push(speedup);
         println!(
-            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} sims, {} cached) best: {}",
+            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} evaluations, {} cached) best: {}",
             shape.name,
             default_ms,
             tuned.layer.total_ms(),
@@ -529,7 +529,7 @@ fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
             mean_tuned.layer.total_ms(),
         );
         println!(
-            "         {}/{} best:   {:<44} {:>9.3} ms  ({} sims, {} cached)  [{marker}]",
+            "         {}/{} best:   {:<44} {:>9.3} ms  ({} evaluations, {} cached)  [{marker}]",
             spec.profile,
             objective,
             routed.config.cache_key(),
@@ -571,7 +571,7 @@ fn quick_tune_smoke(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
     let mean_tuned =
         autotune::tuned_full_moe(&shape, cluster, &base).expect("mean tuning succeeds");
     println!(
-        "mean/uniform best: {:<44} {:>9.3} ms ({} sims)",
+        "mean/uniform best: {:<44} {:>9.3} ms ({} evaluations)",
         mean_tuned.config.cache_key(),
         mean_tuned.layer.total_ms(),
         mean_tuned.search.evaluations,
@@ -589,7 +589,7 @@ fn quick_tune_smoke(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
         "DIFFERS"
     };
     println!(
-        "{}/{} best:     {:<44} {:>9.3} ms ({} sims)  [{marker}]",
+        "{}/{} best:     {:<44} {:>9.3} ms ({} evaluations)  [{marker}]",
         spec.profile,
         args.objective,
         routed.config.cache_key(),
@@ -642,7 +642,7 @@ fn quick_e2e_tune_smoke(args: &Args) {
             let cmp = tilelink_workloads::e2e::compare_model_tuned(model, tokens, &cost, &opts)
                 .expect("tuned e2e smoke");
             println!(
-                "{label:<8} {:<14} default speedup {:.2}x   tuned speedup {:.2}x ({} sims, {} cached)",
+                "{label:<8} {:<14} default speedup {:.2}x   tuned speedup {:.2}x ({} evaluations, {} cached)",
                 model.name,
                 cmp.default_speedup(),
                 cmp.tuned_speedup(),
@@ -682,7 +682,7 @@ fn serve_smoke(spec: &CostModelSpec) {
             panic!("{pass} request failed: {reply}");
         };
         println!(
-            "{line} -> source={} total {:.3} ms ({} sims) best: {}",
+            "{line} -> source={} total {:.3} ms ({} evaluations) best: {}",
             fields.source, fields.total_ms, fields.evals, fields.config
         );
     }

@@ -213,6 +213,13 @@ pub static GRAPH_SCRATCH_REUSES: Counter = Counter::new("graph.scratch.reuses");
 /// Task-graph builds that allocated a fresh scratch (first build on a thread,
 /// or a re-entrant build while the scratch was borrowed).
 pub static GRAPH_SCRATCH_COLD: Counter = Counter::new("graph.scratch.cold");
+/// Makespan lookups a kernel memo answered from a price it already held (an
+/// exact makespan, or an abort floor above the cutoff), without building or
+/// simulating the kernel's task graph.
+pub static EXEC_MEMO_HITS: Counter = Counter::new("exec.memo.hits");
+/// Makespan lookups a kernel memo had to simulate (the kernel was new to it,
+/// or its recorded floor did not clear the cutoff).
+pub static EXEC_MEMO_MISSES: Counter = Counter::new("exec.memo.misses");
 /// Makespan-only (fast-path) simulations run.
 pub static SIM_MAKESPAN_RUNS: Counter = Counter::new("sim.makespan_runs");
 /// Full-trace simulations run.
@@ -273,6 +280,8 @@ static COUNTERS: &[&Counter] = &[
     &TUNE_COMPILE_FULL_REBUILDS,
     &GRAPH_SCRATCH_REUSES,
     &GRAPH_SCRATCH_COLD,
+    &EXEC_MEMO_HITS,
+    &EXEC_MEMO_MISSES,
     &SIM_MAKESPAN_RUNS,
     &SIM_TRACE_RUNS,
     &SIM_SCRATCH_REUSES,

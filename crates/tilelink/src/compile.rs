@@ -17,7 +17,12 @@
 //! The config-delta classification is encoded structurally: the cache key
 //! contains exactly the axes that force a rebuild, so a lookup *is* the
 //! classifier. Hits and misses are counted in the `tune.compile.patched` /
-//! `tune.compile.full_rebuilds` probe counters.
+//! `tune.compile.full_rebuilds` probe counters; concurrent compiles of one
+//! key build it once.
+//!
+//! Every compiled kernel carries a content [`Fingerprint`]: the lowered
+//! program is hashed once per cache miss, and each compile mixes in its
+//! plan (and its stage count, if pipelining moved an op).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -25,6 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tilelink_sim::SharedCost;
 
 use crate::config::{OverlapConfig, TileShape};
+use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::ir::{Symbol, TileProgram};
 use crate::mapping::TileMapping;
 use crate::passes::{
@@ -59,6 +65,11 @@ pub struct CompiledKernel {
     /// order. Feeds the timed executor's comm-SM reservation tasks; invariant
     /// under pipelining (which never reorders transfer ops).
     pub rank_comm_bytes: Vec<f64>,
+    /// Content fingerprint of everything the timed executor reads (the
+    /// lowered program and the plan): kernels with equal fingerprints
+    /// simulate to the same makespan under one cost provider, whatever
+    /// configs they were compiled from.
+    pub fingerprint: Fingerprint,
 }
 
 impl CompiledKernel {
@@ -71,6 +82,7 @@ impl CompiledKernel {
         plan: ResourcePlan,
         config: OverlapConfig,
         comm: CommSummary,
+        fingerprint: Fingerprint,
     ) -> Self {
         let sms_per_comm_block = (plan.comm_sms / comm.busiest_rank_blocks).max(1);
         Self {
@@ -81,6 +93,7 @@ impl CompiledKernel {
             config,
             sms_per_comm_block,
             rank_comm_bytes: comm.rank_bytes,
+            fingerprint,
         }
     }
 
@@ -190,19 +203,21 @@ impl CommSummary {
 }
 
 /// A cached compile artifact: the *unpipelined*, consistency-checked lowered
-/// program plus the program summary resource planning needs. Pipelining and
-/// planning re-run per candidate (they are the axis-dependent parts).
+/// program plus the program summary resource planning needs and the
+/// program's share of the kernel fingerprint. Pipelining and planning re-run
+/// per candidate (they are the axis-dependent parts).
 struct CachedLowered {
     name: Symbol,
     world_size: usize,
     lowered: LoweredProgram,
     plan_inputs: PlanInputs,
     comm: CommSummary,
+    content: Fingerprinter,
 }
 
 impl CachedLowered {
-    /// Lowers `program` through `mapping` and checks its consistency: the
-    /// axis-independent head of every compile.
+    /// Lowers `program` through `mapping`, checks its consistency and hashes
+    /// the result: the axis-independent head of every compile.
     fn lower(program: &TileProgram, mapping: &dyn TileMapping) -> Result<Self> {
         let _span = tilelink_probe::span("compile.lower");
         let lowered = lower(program, mapping)?;
@@ -211,6 +226,7 @@ impl CachedLowered {
             name: program.name,
             world_size: program.world_size,
             comm: CommSummary::of_lowered(&lowered, program.world_size),
+            content: Fingerprinter::of_lowered(program.name, program.world_size, &lowered),
             lowered,
             plan_inputs: PlanInputs::of_program(program),
         })
@@ -222,8 +238,13 @@ impl CachedLowered {
 /// wrong — a miss just rebuilds).
 const COMPILE_CACHE_CAP: usize = 512;
 
-fn compile_cache() -> &'static Mutex<HashMap<CacheKey, Arc<CachedLowered>>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<CachedLowered>>>> = OnceLock::new();
+/// One cache entry, filled by the first compile of its key. The slot stays
+/// locked while that compile builds and lowers the program, so concurrent
+/// compiles of the key wait for it instead of building the program again.
+type CacheSlot = Arc<Mutex<Option<Arc<CachedLowered>>>>;
+
+fn compile_cache() -> &'static Mutex<HashMap<CacheKey, CacheSlot>> {
+    static CACHE: OnceLock<Mutex<HashMap<CacheKey, CacheSlot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -294,7 +315,8 @@ impl Compiler {
     /// lowered program is copied (a flat memcpy — ops are `Copy`), pipelined
     /// in place for this config's `num_stages`, and re-planned for this
     /// config's `comm_mapping`. The result is bit-identical to a cold
-    /// [`Self::compile`] of the same inputs.
+    /// [`Self::compile`] of the same inputs. Concurrent compiles of one key
+    /// run `build` once: the others wait for it and patch.
     ///
     /// # Errors
     ///
@@ -307,34 +329,38 @@ impl Compiler {
     ) -> Result<CompiledKernel> {
         self.validate()?;
         let key = CacheKey::new(site, &self.config);
-        let hit = {
-            let cache = compile_cache().lock().expect("compile cache poisoned");
-            cache.get(&key).cloned()
+        let slot = {
+            let mut cache = compile_cache().lock().expect("compile cache poisoned");
+            if cache.len() >= COMPILE_CACHE_CAP && !cache.contains_key(&key) {
+                cache.clear();
+            }
+            Arc::clone(cache.entry(key).or_default())
         };
-        if let Some(cached) = hit {
+        // A compile that panicked while building left the slot empty.
+        let mut entry = slot.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(cached) = entry.clone() {
+            drop(entry);
             tilelink_probe::metrics::TUNE_COMPILE_PATCHED.inc();
             return self.finish(&cached);
         }
         let (program, mapping) = build()?;
-        let entry = Arc::new(CachedLowered::lower(&program, &mapping)?);
-        {
-            let mut cache = compile_cache().lock().expect("compile cache poisoned");
-            if cache.len() >= COMPILE_CACHE_CAP {
-                cache.clear();
-            }
-            cache.insert(key, Arc::clone(&entry));
-        }
+        let cached = Arc::new(CachedLowered::lower(&program, &mapping)?);
+        *entry = Some(Arc::clone(&cached));
+        drop(entry);
         tilelink_probe::metrics::TUNE_COMPILE_FULL_REBUILDS.inc();
-        self.finish(&entry)
+        self.finish(&cached)
     }
 
     /// Applies the per-candidate (axis-dependent) tail of the pipeline to a
-    /// lowered program: pipelining and resource planning.
+    /// lowered program: pipelining and resource planning, each mixed into
+    /// the cached program's fingerprint.
     fn finish(&self, cached: &CachedLowered) -> Result<CompiledKernel> {
+        let mut content = cached.content;
         let lowered = {
             let _span = tilelink_probe::span("compile.lower");
             let mut lowered = cached.lowered.clone();
-            pipeline_program(&mut lowered, self.config.num_stages);
+            let moved = pipeline_program(&mut lowered, self.config.num_stages);
+            content.pipelined(self.config.num_stages, moved);
             // The program was consistency-checked when it was lowered and
             // pipelining preserves consistency by construction (it never moves
             // a load across a wait/notify/transfer); spot-check in debug.
@@ -343,7 +369,9 @@ impl Compiler {
         };
         let plan = {
             let _span = tilelink_probe::span("compile.plan");
-            ResourcePlan::derive(&self.config, cached.plan_inputs, &*self.cost)?
+            let plan = ResourcePlan::derive(&self.config, cached.plan_inputs, &*self.cost)?;
+            content.plan(&plan);
+            plan
         };
         Ok(CompiledKernel::assemble(
             cached.name,
@@ -352,6 +380,7 @@ impl Compiler {
             plan,
             self.config,
             cached.comm.clone(),
+            content.finish(),
         ))
     }
 }
@@ -370,6 +399,9 @@ mod tests {
     fn h800() -> SharedCost {
         analytic_cost(&ClusterSpec::h800_node(8))
     }
+
+    /// Serialises the tests that empty the process-wide compile cache.
+    static CACHE_TESTS: Mutex<()> = Mutex::new(());
 
     fn ag_gemm_program(world: usize, tiles: usize) -> TileProgram {
         let mut p = TileProgram::new("ag_gemm", world);
@@ -476,6 +508,7 @@ mod tests {
 
     #[test]
     fn cached_compile_is_bit_identical_to_cold_compile() {
+        let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let site = CacheSite::new("test.compile.cache", detail_hash([2, 4]));
         reset_compile_cache();
         let builds = std::cell::Cell::new(0);
@@ -516,6 +549,7 @@ mod tests {
             }
             let (program, mapping) = make().map_err(|_: TileLinkError| ()).unwrap();
             let cold = compiler.compile(&program, &mapping).unwrap();
+            assert_eq!(cached.fingerprint, cold.fingerprint, "neighbour {i}");
             assert_eq!(cached, cold, "neighbour {i} diverged");
         }
         // Changing a structural axis is classified as a rebuild, not a patch.
@@ -524,6 +558,102 @@ mod tests {
             .compile_cached(site, make)
             .unwrap();
         assert_eq!(builds.get(), builds_before + 1);
+    }
+
+    #[test]
+    fn concurrent_compiles_of_one_key_build_it_once() {
+        let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        reset_compile_cache();
+        let site = CacheSite::new("test.compile.concurrent", 0);
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        let cost = h800();
+        let compile = || {
+            Compiler::new(OverlapConfig::default(), &cost)
+                .compile_cached(site, || {
+                    builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    // Hold the build open so every thread looks the key up
+                    // while it is still being built.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)))
+                })
+                .unwrap()
+        };
+        let kernels: Vec<CompiledKernel> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4).map(|_| scope.spawn(compile)).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(builds.into_inner(), 1);
+        assert!(kernels.iter().all(|k| *k == kernels[0]));
+    }
+
+    #[test]
+    fn neighbours_that_compile_to_one_kernel_share_its_fingerprint() {
+        // Every load of this program follows its wait, so no stage count
+        // moves an op: order, mode and stage neighbours are one kernel.
+        let mapping = StaticMapping::new(256, 64, 2, 2);
+        let program = ag_gemm_program(2, 4);
+        let cost = h800();
+        let fingerprint = |cfg: OverlapConfig| {
+            Compiler::new(cfg, &cost)
+                .compile(&program, &mapping)
+                .unwrap()
+                .fingerprint
+        };
+        let base = OverlapConfig::default();
+        let stages = |num_stages| OverlapConfig { num_stages, ..base };
+        for cfg in [
+            base.with_order(TileOrder::Ring),
+            base.with_mode(TransferMode::Push),
+            stages(1),
+            stages(2),
+            stages(4),
+        ] {
+            assert_eq!(fingerprint(cfg), fingerprint(base), "{cfg:?}");
+        }
+        // A different lane, or only a different compute efficiency (the
+        // compute tile feeds nothing else here), is another kernel.
+        for cfg in [
+            base.with_comm_mapping(CommMapping::CopyEngine),
+            base.with_compute_tile(TileShape::new(64, 128)),
+        ] {
+            assert_ne!(fingerprint(cfg), fingerprint(base), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn pipelining_that_moves_an_op_changes_the_fingerprint() {
+        // wait, load, compute, load, compute: two stages hoist the second
+        // load past the first compute.
+        let mut p = TileProgram::new("k_loop", 1);
+        let mut gemm =
+            BlockDesc::new("gemm", 0, BlockRole::Consumer).op(TileOp::ConsumerWait { tile: 0 });
+        for _ in 0..2 {
+            gemm = gemm
+                .op(TileOp::LoadTile {
+                    buffer: "tokens".into(),
+                    bytes: 512.0,
+                    tile: Some(0),
+                })
+                .op(TileOp::Compute(ComputeKind::MatmulTile {
+                    m: 64,
+                    n: 64,
+                    k: 64,
+                }));
+        }
+        p.add_block(gemm);
+        let mapping = StaticMapping::new(256, 64, 1, 1);
+        let cost = h800();
+        let compile = |num_stages| {
+            let cfg = OverlapConfig {
+                num_stages,
+                ..OverlapConfig::default()
+            };
+            Compiler::new(cfg, &cost).compile(&p, &mapping).unwrap()
+        };
+        let (unmoved, moved) = (compile(1), compile(2));
+        assert_ne!(unmoved.lowered, moved.lowered);
+        assert_ne!(unmoved.fingerprint, moved.fingerprint);
+        assert_eq!(compile(2).fingerprint, moved.fingerprint);
     }
 
     #[test]

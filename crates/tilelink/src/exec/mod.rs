@@ -1,7 +1,21 @@
 //! Kernel runtimes: functional (threads + real data) and timed (simulator).
+//!
+//! The timed runtime prices a compiled kernel three ways:
+//!
+//! * [`simulate_report`] — the exact [`crate::OverlapReport`] (full,
+//!   comm-only and compute-only makespans) of figures, baselines and tuning
+//!   winners;
+//! * [`simulate_makespan`] — the full graph only, under an abort cutoff;
+//! * [`MakespanMemo::makespan`] — [`simulate_makespan`] behind a memo keyed
+//!   by [`crate::Fingerprint`], which simulates each distinct kernel once
+//!   (and again only when a recorded abort floor does not settle a new
+//!   cutoff). The layer oracles price every candidate a search ranks through
+//!   one memo each.
 
 pub mod functional;
+mod memo;
 pub mod timed;
 
 pub use functional::{run_blocks, run_comm_compute};
+pub use memo::MakespanMemo;
 pub use timed::{simulate_makespan, simulate_report, task_graph};

@@ -35,6 +35,7 @@ pub mod compile;
 pub mod config;
 pub mod error;
 pub mod exec;
+mod fingerprint;
 pub mod ir;
 pub mod mapping;
 pub mod passes;
@@ -46,6 +47,7 @@ pub use channel::BlockChannel;
 pub use compile::{detail_hash, reset_compile_cache, CacheSite, CompiledKernel, Compiler};
 pub use config::{CommMapping, OverlapConfig, TileOrder, TileShape, TransferMode};
 pub use error::TileLinkError;
+pub use fingerprint::Fingerprint;
 pub use mapping::{DynamicMapping, StaticMapping, TileMapping};
 pub use primitives::DeviceHandle;
 pub use report::OverlapReport;

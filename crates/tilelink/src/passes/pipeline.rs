@@ -18,14 +18,16 @@ fn is_barrier_for_loads(op: &TileOp) -> bool {
 
 /// Hoists each `LoadTile` in `ops` up to `stages - 1` positions earlier,
 /// in place, stopping at any synchronisation, transfer or store operation.
+/// Returns whether any op moved.
 ///
 /// `stages == 1` leaves the ops untouched (no pipelining). Ops are `Copy`, so
 /// reordering is pure swaps — no allocation.
-pub fn pipeline_ops(ops: &mut [LoweredOp], stages: usize) {
+pub fn pipeline_ops(ops: &mut [LoweredOp], stages: usize) -> bool {
     if stages <= 1 {
-        return;
+        return false;
     }
     let max_hoist = stages - 1;
+    let mut moved = false;
     // Walk forward; for every load, try to move it earlier past compute ops.
     let mut i = 0;
     while i < ops.len() {
@@ -40,20 +42,22 @@ pub fn pipeline_ops(ops: &mut [LoweredOp], stages: usize) {
                 ops.swap(pos - 1, pos);
                 pos -= 1;
                 hoisted += 1;
+                moved = true;
             }
         }
         i += 1;
     }
+    moved
 }
 
-/// Pipelines every block of `program` in place.
-pub fn pipeline_program(program: &mut LoweredProgram, stages: usize) {
-    if stages <= 1 {
-        return;
-    }
+/// Pipelines every block of `program` in place and returns whether any op
+/// moved (if none did, the program is unchanged).
+pub fn pipeline_program(program: &mut LoweredProgram, stages: usize) -> bool {
+    let mut moved = false;
     for idx in 0..program.block_count() {
-        pipeline_ops(program.block_ops_mut(idx), stages);
+        moved |= pipeline_ops(program.block_ops_mut(idx), stages);
     }
+    moved
 }
 
 #[cfg(test)]
@@ -117,14 +121,14 @@ mod tests {
     fn single_stage_is_identity() {
         let b = lowered(k_loop_block());
         let mut p = b.clone();
-        pipeline_program(&mut p, 1);
+        assert!(!pipeline_program(&mut p, 1));
         assert_eq!(p, b);
     }
 
     #[test]
     fn loads_are_hoisted_past_compute() {
         let mut p = lowered(k_loop_block());
-        pipeline_program(&mut p, 2);
+        assert!(pipeline_program(&mut p, 2));
         // The second load moves above the first compute.
         assert_eq!(
             kinds(p.block(0).ops),
@@ -142,6 +146,33 @@ mod tests {
             assert_eq!(kinds(p.block(0).ops)[0], "wait");
             // and the pipelined program must still be consistent
             assert!(check_consistency(&p).is_ok(), "stages={stages}");
+        }
+    }
+
+    #[test]
+    fn loads_behind_waits_report_nothing_moved() {
+        // wait, load, compute per tile: every load follows its wait, so no
+        // stage count can move it.
+        let mut block = BlockDesc::new("gemm", 0, BlockRole::Consumer);
+        for tile in 0..2 {
+            block = block
+                .op(TileOp::ConsumerWait { tile })
+                .op(TileOp::LoadTile {
+                    buffer: "a".into(),
+                    bytes: 8.0,
+                    tile: Some(tile),
+                })
+                .op(TileOp::Compute(ComputeKind::MatmulTile {
+                    m: 2,
+                    n: 2,
+                    k: 2,
+                }));
+        }
+        let b = lowered(block);
+        for stages in 1..6 {
+            let mut p = b.clone();
+            assert!(!pipeline_program(&mut p, stages), "stages={stages}");
+            assert_eq!(p, b, "stages={stages}");
         }
     }
 

@@ -6,8 +6,9 @@ use std::sync::{Arc, Mutex};
 
 use tilelink::{OverlapConfig, OverlapReport, TileLinkError};
 use tilelink_probe::metrics::{
-    TUNE_CACHE_HITS, TUNE_CACHE_MISSES, TUNE_CACHE_REVISION_INVALIDATIONS, TUNE_CANDIDATES_CACHED,
-    TUNE_CANDIDATES_FAILED_SIM, TUNE_CANDIDATES_PRUNED_BOUND, TUNE_CANDIDATES_PRUNED_CONSTRAINT,
+    EXEC_MEMO_HITS, EXEC_MEMO_MISSES, TUNE_CACHE_HITS, TUNE_CACHE_MISSES,
+    TUNE_CACHE_REVISION_INVALIDATIONS, TUNE_CANDIDATES_CACHED, TUNE_CANDIDATES_FAILED_SIM,
+    TUNE_CANDIDATES_PRUNED_BOUND, TUNE_CANDIDATES_PRUNED_CONSTRAINT,
     TUNE_CANDIDATES_PRUNED_VALIDATE, TUNE_CANDIDATES_SIMULATED, TUNE_COMPILE_FULL_REBUILDS,
     TUNE_COMPILE_PATCHED, TUNE_SPACE_SIZE,
 };
@@ -153,8 +154,11 @@ pub struct TuneReport {
     /// Every ranked candidate with its objective value, fastest first (ties
     /// broken by first evaluation order, so reports are deterministic).
     pub ranked: Vec<Ranked>,
-    /// Candidates the search priced through the oracle (the winner's exact
-    /// pricing is not counted).
+    /// Ranked oracle pricings: candidates the oracle priced within the
+    /// cutoff (aborted ones count in [`TuneReport::bounded_aborts`], and the
+    /// winner's exact pricing is not counted). An evaluation is not a
+    /// simulation: a layer oracle simulates two or more half kernels per
+    /// evaluation, or none when its memo already priced them.
     pub evaluations: usize,
     /// Lookups served by the cache instead of the oracle.
     pub cache_hits: usize,
@@ -204,7 +208,7 @@ impl TuneReport {
     /// winner's full report (the only one with an overlap ratio).
     pub fn summary(&self, n: usize) -> String {
         let mut out = format!(
-            "{} candidates evaluated ({} simulated, {} cached; {})\n",
+            "{} candidates ranked ({} evaluations, {} cached; {})\n",
             self.ranked.len(),
             self.evaluations,
             self.cache_hits,
@@ -445,6 +449,8 @@ struct Run<'a> {
     rounds: Vec<RoundProgress>,
     patched_start: u64,
     rebuilds_start: u64,
+    memo_hits_start: u64,
+    memo_misses_start: u64,
 }
 
 impl<'a> Run<'a> {
@@ -507,6 +513,8 @@ impl<'a> Run<'a> {
             rounds: Vec::new(),
             patched_start: TUNE_COMPILE_PATCHED.get(),
             rebuilds_start: TUNE_COMPILE_FULL_REBUILDS.get(),
+            memo_hits_start: EXEC_MEMO_HITS.get(),
+            memo_misses_start: EXEC_MEMO_MISSES.get(),
         }
     }
 
@@ -608,7 +616,7 @@ impl<'a> Run<'a> {
                 .saturating_sub(self.rebuilds_start);
             let compiles = (patched + rebuilds).max(1);
             eprintln!(
-                "[tune] round {}: best {:.4} ms | {} full sims, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles",
+                "[tune] round {}: best {:.4} ms | {} evaluations, {} cache hits, {} failed, {} bound-pruned, {} aborted, {:.0}% patched compiles, {} memo hits, {} memo misses",
                 progress.round,
                 progress.best_total_s * 1e3,
                 progress.evaluations,
@@ -616,7 +624,9 @@ impl<'a> Run<'a> {
                 self.failed.simulation_error,
                 self.failed.bound_pruned - self.bounded_aborts,
                 self.bounded_aborts,
-                patched as f64 / compiles as f64 * 100.0
+                patched as f64 / compiles as f64 * 100.0,
+                EXEC_MEMO_HITS.get().saturating_sub(self.memo_hits_start),
+                EXEC_MEMO_MISSES.get().saturating_sub(self.memo_misses_start),
             );
         }
         self.rounds.push(progress);

@@ -15,6 +15,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
+use tilelink::exec::MakespanMemo;
 use tilelink::{OverlapConfig, OverlapReport};
 use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_tune::{
@@ -81,10 +82,15 @@ impl fmt::Display for RoutingSpec {
 /// Prices one config for the full tensor-parallel MLP layer (both halves plus
 /// the activation, mirroring [`mlp::timed_full_mlp`] but with the candidate
 /// config applied to both halves).
+///
+/// Bounded evaluations price each half kernel through the oracle's own
+/// [`MakespanMemo`], so every distinct kernel is simulated once however many
+/// configs and searches compile to it; [`CostOracle::evaluate`] stays
+/// memo-free.
 #[derive(Debug, Clone)]
 pub struct MlpOracle {
     shape: MlpShape,
-    cost: SharedCost,
+    memo: MakespanMemo,
 }
 
 impl MlpOracle {
@@ -92,14 +98,14 @@ impl MlpOracle {
     pub fn new(shape: MlpShape, cluster: ClusterSpec) -> Self {
         Self {
             shape,
-            cost: analytic_cost(&cluster),
+            memo: MakespanMemo::new(analytic_cost(&cluster)),
         }
     }
 
     /// Replaces the cost provider (and with it the cluster) the oracle
-    /// evaluates against.
+    /// evaluates against, starting a new memo.
     pub fn with_cost(mut self, cost: SharedCost) -> Self {
-        self.cost = cost;
+        self.memo = MakespanMemo::new(cost);
         self
     }
 }
@@ -113,15 +119,15 @@ impl CostOracle for MlpOracle {
     }
 
     fn cluster(&self) -> &ClusterSpec {
-        self.cost.cluster()
+        self.memo.cost().cluster()
     }
 
     fn cost_revision(&self) -> String {
-        self.cost.revision()
+        self.memo.cost().revision()
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let (shape, cost) = (&self.shape, &self.cost);
+        let (shape, cost) = (&self.shape, self.memo.cost());
         bounds::exact_layer(
             cost,
             mlp::activation_seconds(shape, &**cost),
@@ -131,17 +137,18 @@ impl CostOracle for MlpOracle {
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
+        let cost = &**self.memo.cost();
         Some(
-            bounds::mlp_ag_gemm_bound(&self.shape, cfg, &*self.cost)
-                + bounds::mlp_gemm_rs_bound(&self.shape, cfg, &*self.cost)
-                + mlp::activation_seconds(&self.shape, &*self.cost),
+            bounds::mlp_ag_gemm_bound(&self.shape, cfg, cost)
+                + bounds::mlp_gemm_rs_bound(&self.shape, cfg, cost)
+                + mlp::activation_seconds(&self.shape, cost),
         )
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let (shape, cost) = (&self.shape, &self.cost);
+        let (shape, cost) = (&self.shape, self.memo.cost());
         bounds::compose_layer(
-            cost,
+            &self.memo,
             cutoff,
             mlp::activation_seconds(shape, &**cost),
             bounds::mlp_gemm_rs_bound(shape, cfg, &**cost),
@@ -166,10 +173,13 @@ impl CostOracle for MlpOracle {
 /// ([`moe::timed_routed_full_moe`]) and folds the per-sample prices
 /// with its [`Objective`] — tuning for the tail of the routing distribution
 /// rather than the mean.
+///
+/// Like [`MlpOracle`], bounded evaluations price each half kernel (per
+/// sample, when routed) through the oracle's own [`MakespanMemo`].
 #[derive(Debug, Clone)]
 pub struct MoeOracle {
     shape: MoeShape,
-    cost: SharedCost,
+    memo: MakespanMemo,
     /// The routing spec and the samples drawn from it on first use.
     routing: Option<(RoutingSpec, OnceLock<Vec<RoutingSample>>)>,
     objective: Objective,
@@ -181,16 +191,16 @@ impl MoeOracle {
     pub fn new(shape: MoeShape, cluster: ClusterSpec) -> Self {
         Self {
             shape,
-            cost: analytic_cost(&cluster),
+            memo: MakespanMemo::new(analytic_cost(&cluster)),
             routing: None,
             objective: Objective::Mean,
         }
     }
 
     /// Replaces the cost provider (and with it the cluster) the oracle
-    /// evaluates against.
+    /// evaluates against, starting a new memo.
     pub fn with_cost(mut self, cost: SharedCost) -> Self {
-        self.cost = cost;
+        self.memo = MakespanMemo::new(cost);
         self
     }
 
@@ -226,9 +236,9 @@ impl MoeOracle {
         sample: &RoutingSample,
         cutoff: f64,
     ) -> tilelink::Result<BoundedEval> {
-        let (shape, cost) = (&self.shape, &self.cost);
+        let (shape, cost) = (&self.shape, self.memo.cost());
         bounds::compose_layer(
-            cost,
+            &self.memo,
             cutoff,
             moe::activation_seconds(shape, &**cost),
             bounds::moe_second_bound(shape, cfg, &**cost),
@@ -255,11 +265,11 @@ impl CostOracle for MoeOracle {
     }
 
     fn cluster(&self) -> &ClusterSpec {
-        self.cost.cluster()
+        self.memo.cost().cluster()
     }
 
     fn cost_revision(&self) -> String {
-        self.cost.revision()
+        self.memo.cost().revision()
     }
 
     fn objective(&self) -> Objective {
@@ -267,7 +277,7 @@ impl CostOracle for MoeOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let (shape, cost) = (&self.shape, &self.cost);
+        let (shape, cost) = (&self.shape, self.memo.cost());
         let Some(samples) = self.samples() else {
             return bounds::exact_layer(
                 cost,
@@ -288,18 +298,19 @@ impl CostOracle for MoeOracle {
         // conserves the dispatched row count and the AG traffic), so it
         // floors each sample's total and therefore every objective fold —
         // the mean, any percentile and the worst case alike.
+        let cost = &**self.memo.cost();
         Some(
-            bounds::moe_first_bound(&self.shape, cfg, &*self.cost)
-                + bounds::moe_second_bound(&self.shape, cfg, &*self.cost)
-                + moe::activation_seconds(&self.shape, &*self.cost),
+            bounds::moe_first_bound(&self.shape, cfg, cost)
+                + bounds::moe_second_bound(&self.shape, cfg, cost)
+                + moe::activation_seconds(&self.shape, cost),
         )
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let (shape, cost) = (&self.shape, &self.cost);
+        let (shape, cost) = (&self.shape, self.memo.cost());
         let Some(samples) = self.samples() else {
             return bounds::compose_layer(
-                cost,
+                &self.memo,
                 cutoff,
                 moe::activation_seconds(shape, &**cost),
                 bounds::moe_second_bound(shape, cfg, &**cost),

@@ -27,10 +27,15 @@
 //!
 //! [`compose_layer`] spends the bounds: it prices a two-half layer's makespan
 //! under one cutoff, handing each half the residual budget the other leaves.
+//! It prices each half through the oracle's [`MakespanMemo`], so a half
+//! kernel the search already priced (the same kernel compiled from another
+//! config) costs a lookup, not a graph build and a simulation; the memo
+//! answers every cutoff exactly as a fresh simulation would classify it.
 //! [`exact_layer`] is its exact sibling: the same two halves, each priced
-//! with its comm/compute split.
+//! with its comm/compute split and no memo, the reference the memoised
+//! prices must match.
 
-use tilelink::exec::{simulate_makespan, simulate_report};
+use tilelink::exec::{simulate_report, MakespanMemo};
 use tilelink::{CommMapping, CompiledKernel, OverlapConfig, OverlapReport};
 use tilelink_sim::{BoundedMakespan, CostProvider, ResourceKind, SharedCost, Task, Work};
 
@@ -221,7 +226,7 @@ pub(crate) fn exact_layer(
 /// composition every layer oracle's bounded evaluation shares.
 ///
 /// `first` and `second` compile one half each, and each half's makespan is
-/// simulated under `cost` within the budget it is handed. The first half may
+/// priced through `memo` within the budget it is handed. The first half may
 /// spend what the cutoff leaves after the activation `act` and
 /// `second_bound`, an admissible lower bound of the second half; the second
 /// half what remains after the exactly priced first one. An `Exceeded` clock
@@ -233,14 +238,14 @@ pub(crate) fn exact_layer(
 ///
 /// Returns the first error either half reports.
 pub(crate) fn compose_layer(
-    cost: &SharedCost,
+    memo: &MakespanMemo,
     cutoff: f64,
     act: f64,
     second_bound: f64,
     first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
     second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
 ) -> tilelink::Result<BoundedMakespan> {
-    let first = match simulate_makespan(&first()?, cost, cutoff - act - second_bound)? {
+    let first = match memo.makespan(&first()?, cutoff - act - second_bound)? {
         BoundedMakespan::Finished(total) => total,
         BoundedMakespan::Exceeded(clock) => {
             return Ok(BoundedMakespan::Exceeded(clock + second_bound + act))
@@ -251,7 +256,7 @@ pub(crate) fn compose_layer(
     if first + second_bound + act > cutoff {
         return Ok(BoundedMakespan::Exceeded(first + second_bound + act));
     }
-    match simulate_makespan(&second()?, cost, cutoff - act - first)? {
+    match memo.makespan(&second()?, cutoff - act - first)? {
         BoundedMakespan::Finished(second) => Ok(BoundedMakespan::Finished(first + second + act)),
         BoundedMakespan::Exceeded(clock) => Ok(BoundedMakespan::Exceeded(first + clock + act)),
     }
