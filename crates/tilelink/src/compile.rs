@@ -2,21 +2,20 @@
 //!
 //! Besides the classic [`Compiler::compile`] entry point, the compiler keeps a
 //! process-wide cache of lowered programs ([`Compiler::compile_cached`]) so
-//! that the thousands of neighbouring candidates a search evaluates do not
-//! rebuild and re-lower the same program from scratch. Only a few
-//! `OverlapConfig` axes actually change the lowered program:
+//! that the thousands of candidates a search evaluates do not rebuild and
+//! re-lower the same program from scratch. The cache is keyed by a
+//! [`CacheSite`] alone: the builder's name and every value the builder reads,
+//! including the few config values it reads. Every config whose builder
+//! inputs are equal compiles from one lowered program, so changing any other
+//! axis (`num_stages`, `comm_mapping`, a tile's column count...) only re-runs
+//! the per-config tail:
 //!
-//! * `comm_tile`, `compute_tile` and `channels_per_rank` feed the program
-//!   builders and the tile mapping, so changing them forces a full rebuild;
-//! * `num_stages` only drives the (cheap, in-place) pipelining pass, and
-//!   `comm_mapping` only drives resource planning — changing either reuses
-//!   the cached lowered program and just re-runs those final steps;
-//! * `order` and `mode` are read by no builder or pass, so changing either
-//!   reuses the cached program too.
+//! * pipelining, which shares the cached program as it is unless the stage
+//!   count moves an op (no builder's program has a load a stage count can
+//!   move today), and otherwise pipelines a copy;
+//! * resource planning, which reads the whole config.
 //!
-//! The config-delta classification is encoded structurally: the cache key
-//! contains exactly the axes that force a rebuild, so a lookup *is* the
-//! classifier. Hits and misses are counted in the `tune.compile.patched` /
+//! Hits and misses are counted in the `tune.compile.patched` /
 //! `tune.compile.full_rebuilds` probe counters; concurrent compiles of one
 //! key build it once.
 //!
@@ -29,13 +28,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tilelink_sim::SharedCost;
 
-use crate::config::{OverlapConfig, TileShape};
+use crate::config::OverlapConfig;
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::ir::{Symbol, TileProgram};
 use crate::mapping::TileMapping;
 use crate::passes::{
-    check_consistency, lower, pipeline_program, LoweredBlockRef, LoweredProgram, PlanInputs,
-    ResourcePlan,
+    check_consistency, lower, pipeline_program, pipelining_moves, LoweredBlockRef, LoweredProgram,
+    PlanInputs, ResourcePlan,
 };
 use crate::Result;
 
@@ -51,8 +50,10 @@ pub struct CompiledKernel {
     pub name: Symbol,
     /// Number of ranks.
     pub world_size: usize,
-    /// Lowered, pipelined program (flat op and block tables).
-    pub lowered: LoweredProgram,
+    /// Lowered, pipelined program (flat op and block tables). A kernel whose
+    /// stage count moves no op shares it with the compile cache and with
+    /// every other such kernel compiled from the same program.
+    pub lowered: Arc<LoweredProgram>,
     /// Resource-mapping decisions.
     pub plan: ResourcePlan,
     /// The configuration the kernel was compiled with.
@@ -78,7 +79,7 @@ impl CompiledKernel {
     fn assemble(
         name: Symbol,
         world_size: usize,
-        lowered: LoweredProgram,
+        lowered: Arc<LoweredProgram>,
         plan: ResourcePlan,
         config: OverlapConfig,
         comm: CommSummary,
@@ -108,60 +109,41 @@ impl CompiledKernel {
     }
 }
 
-/// Identity of a call site for [`Compiler::compile_cached`]: a static site
-/// name (one per program builder) plus a hash of every non-config input the
-/// builder reads (shape dimensions, world size, routing samples...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The key of a program in the compile cache ([`Compiler::compile_cached`]):
+/// a static site name (one per program builder) plus a hash of every value
+/// the builder reads. Those are shape dimensions, the world size, a routing
+/// sample, and the config values the builder reads (tile row counts,
+/// `channels_per_rank`), but no config value it ignores: configs that differ
+/// only in those share one cached program. A site that leaves out a value
+/// its builder reads hands a stale program to a compile that changes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheSite {
-    /// Builder identity, e.g. `"moe.ag_group_gemm"`.
-    pub site: &'static str,
-    /// FNV-1a hash of the builder's non-config inputs (see [`detail_hash`]).
-    pub detail: u64,
+    site: &'static str,
+    inputs: u64,
 }
 
 impl CacheSite {
-    /// Creates a cache site key.
-    pub fn new(site: &'static str, detail: u64) -> Self {
-        Self { site, detail }
+    /// The key of the program that builder `site` builds from `inputs`
+    /// (every value it reads, in a fixed order).
+    pub fn new(site: &'static str, inputs: impl IntoIterator<Item = usize>) -> Self {
+        Self {
+            site,
+            inputs: detail_hash(inputs),
+        }
     }
 }
 
-/// FNV-1a over a stream of `u64` words; used to build [`CacheSite::detail`]
-/// from shape dimensions, world sizes and routing samples.
-pub fn detail_hash(words: impl IntoIterator<Item = u64>) -> u64 {
+/// FNV-1a over a stream of words: the hash [`CacheSite::new`] keeps of a
+/// builder's inputs.
+fn detail_hash(words: impl IntoIterator<Item = usize>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in words {
-        for byte in w.to_le_bytes() {
+        for byte in (w as u64).to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
-}
-
-/// The cache key: the call site plus exactly the config axes the program
-/// builders and the mapping read. `num_stages`, `comm_mapping`, `order` and
-/// `mode` are deliberately absent — candidates differing only in those axes
-/// share an entry and take the patched fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
-    site: &'static str,
-    detail: u64,
-    comm_tile: TileShape,
-    compute_tile: TileShape,
-    channels_per_rank: usize,
-}
-
-impl CacheKey {
-    fn new(site: CacheSite, config: &OverlapConfig) -> Self {
-        Self {
-            site: site.site,
-            detail: site.detail,
-            comm_tile: config.comm_tile,
-            compute_tile: config.compute_tile,
-            channels_per_rank: config.channels_per_rank,
-        }
-    }
 }
 
 /// Per-rank communication-block summary of a lowered program: how many comm
@@ -209,7 +191,9 @@ impl CommSummary {
 struct CachedLowered {
     name: Symbol,
     world_size: usize,
-    lowered: LoweredProgram,
+    lowered: Arc<LoweredProgram>,
+    /// Whether pipelining at two or more stages moves an op of `lowered`.
+    hoists: bool,
     plan_inputs: PlanInputs,
     comm: CommSummary,
     content: Fingerprinter,
@@ -227,15 +211,18 @@ impl CachedLowered {
             world_size: program.world_size,
             comm: CommSummary::of_lowered(&lowered, program.world_size),
             content: Fingerprinter::of_lowered(program.name, program.world_size, &lowered),
-            lowered,
+            hoists: pipelining_moves(&lowered),
+            lowered: Arc::new(lowered),
             plan_inputs: PlanInputs::of_program(program),
         })
     }
 }
 
-/// Bound on distinct (site, shape, structural-config) entries; a quick tune
-/// touches a few dozen. Hitting the cap clears the map (simple, and never
-/// wrong — a miss just rebuilds).
+/// Bound on distinct cache sites. A layer search over the standard space
+/// compiles 8 distinct programs (6 AllGather and 2 ReduceScatter builder
+/// inputs), and a routed one 8 per sampled routing (64 at the default 8
+/// samples), so six routed searches fit. Hitting the cap clears the map
+/// (simple, and never wrong — a miss just rebuilds).
 const COMPILE_CACHE_CAP: usize = 512;
 
 /// One cache entry, filled by the first compile of its key. The slot stays
@@ -243,8 +230,8 @@ const COMPILE_CACHE_CAP: usize = 512;
 /// compiles of the key wait for it instead of building the program again.
 type CacheSlot = Arc<Mutex<Option<Arc<CachedLowered>>>>;
 
-fn compile_cache() -> &'static Mutex<HashMap<CacheKey, CacheSlot>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, CacheSlot>>> = OnceLock::new();
+fn compile_cache() -> &'static Mutex<HashMap<CacheSite, CacheSlot>> {
+    static CACHE: OnceLock<Mutex<HashMap<CacheSite, CacheSlot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -311,12 +298,13 @@ impl Compiler {
     /// Compiles through the process-wide incremental cache.
     ///
     /// `build` constructs the program and its mapping; it only runs on a cache
-    /// miss (a *full rebuild*). On a hit (a *patched* compile) the cached
-    /// lowered program is copied (a flat memcpy — ops are `Copy`), pipelined
-    /// in place for this config's `num_stages`, and re-planned for this
-    /// config's `comm_mapping`. The result is bit-identical to a cold
-    /// [`Self::compile`] of the same inputs. Concurrent compiles of one key
-    /// run `build` once: the others wait for it and patch.
+    /// miss (a *full rebuild*), so `site` must name every value it reads. On a
+    /// hit (a *patched* compile) the cached lowered program is pipelined for
+    /// this config's `num_stages` (shared as it is when that moves no op,
+    /// copied and pipelined otherwise) and re-planned for this config. The
+    /// result is bit-identical to a cold [`Self::compile`] of the same
+    /// inputs. Concurrent compiles of one key run `build` once: the others
+    /// wait for it and patch.
     ///
     /// # Errors
     ///
@@ -328,13 +316,12 @@ impl Compiler {
         build: impl FnOnce() -> Result<(TileProgram, M)>,
     ) -> Result<CompiledKernel> {
         self.validate()?;
-        let key = CacheKey::new(site, &self.config);
         let slot = {
             let mut cache = compile_cache().lock().expect("compile cache poisoned");
-            if cache.len() >= COMPILE_CACHE_CAP && !cache.contains_key(&key) {
+            if cache.len() >= COMPILE_CACHE_CAP && !cache.contains_key(&site) {
                 cache.clear();
             }
-            Arc::clone(cache.entry(key).or_default())
+            Arc::clone(cache.entry(site).or_default())
         };
         // A compile that panicked while building left the slot empty.
         let mut entry = slot.lock().unwrap_or_else(|e| e.into_inner());
@@ -356,16 +343,26 @@ impl Compiler {
     /// the cached program's fingerprint.
     fn finish(&self, cached: &CachedLowered) -> Result<CompiledKernel> {
         let mut content = cached.content;
-        let lowered = {
+        let stages = self.config.num_stages;
+        let moves = cached.hoists && stages > 1;
+        content.pipelined(stages, moves);
+        let lowered = if moves {
             let _span = tilelink_probe::span("compile.lower");
-            let mut lowered = cached.lowered.clone();
-            let moved = pipeline_program(&mut lowered, self.config.num_stages);
-            content.pipelined(self.config.num_stages, moved);
+            let mut lowered = LoweredProgram::clone(&cached.lowered);
+            let moved = pipeline_program(&mut lowered, stages);
+            debug_assert!(moved, "pipelining moved no op of a hoisting program");
             // The program was consistency-checked when it was lowered and
             // pipelining preserves consistency by construction (it never moves
             // a load across a wait/notify/transfer); spot-check in debug.
             debug_assert!(check_consistency(&lowered).is_ok());
-            lowered
+            Arc::new(lowered)
+        } else {
+            // Pipelining would leave the program as it is: share it.
+            debug_assert!(
+                !pipeline_program(&mut LoweredProgram::clone(&cached.lowered), stages),
+                "pipelining moved an op of a shared program"
+            );
+            Arc::clone(&cached.lowered)
         };
         let plan = {
             let _span = tilelink_probe::span("compile.plan");
@@ -388,7 +385,7 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CommMapping, TileOrder, TransferMode};
+    use crate::config::{CommMapping, TileOrder, TileShape, TransferMode};
     use crate::ir::{BlockDesc, BlockRole, ComputeKind, TileOp};
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
@@ -438,6 +435,29 @@ mod tests {
             }
             p.add_block(gemm);
         }
+        p
+    }
+
+    /// wait, load, compute, load, compute: two stages hoist the second load
+    /// past the first compute.
+    fn k_loop_program() -> TileProgram {
+        let mut p = TileProgram::new("k_loop", 1);
+        let mut gemm =
+            BlockDesc::new("gemm", 0, BlockRole::Consumer).op(TileOp::ConsumerWait { tile: 0 });
+        for _ in 0..2 {
+            gemm = gemm
+                .op(TileOp::LoadTile {
+                    buffer: "tokens".into(),
+                    bytes: 512.0,
+                    tile: Some(0),
+                })
+                .op(TileOp::Compute(ComputeKind::MatmulTile {
+                    m: 64,
+                    n: 64,
+                    k: 64,
+                }));
+        }
+        p.add_block(gemm);
         p
     }
 
@@ -509,7 +529,9 @@ mod tests {
     #[test]
     fn cached_compile_is_bit_identical_to_cold_compile() {
         let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let site = CacheSite::new("test.compile.cache", detail_hash([2, 4]));
+        // The builder reads its world size and tile count, and no config
+        // value.
+        let site = CacheSite::new("test.compile.cache", [2, 4]);
         reset_compile_cache();
         let builds = std::cell::Cell::new(0);
         let make = || {
@@ -517,8 +539,8 @@ mod tests {
             Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)))
         };
         // Cold compile through the cache (miss), then patched neighbours that
-        // differ only in axes the key omits (hits, which never run the
-        // builder): num_stages, comm_mapping, and the unread order and mode.
+        // differ only in config values the builder does not read (hits,
+        // which never run the builder).
         let base = OverlapConfig::default();
         let neighbours = [
             base,
@@ -534,6 +556,12 @@ mod tests {
             base.with_comm_mapping(CommMapping::Hybrid { sms: 16 }),
             base.with_order(TileOrder::Ring),
             base.with_mode(TransferMode::Push),
+            base.with_comm_tile(TileShape::new(64, 128)),
+            base.with_compute_tile(TileShape::new(64, 256)),
+            OverlapConfig {
+                channels_per_rank: 1,
+                ..base
+            },
         ];
         let cost = h800();
         for (i, cfg) in neighbours.iter().enumerate() {
@@ -552,19 +580,74 @@ mod tests {
             assert_eq!(cached.fingerprint, cold.fingerprint, "neighbour {i}");
             assert_eq!(cached, cold, "neighbour {i} diverged");
         }
-        // Changing a structural axis is classified as a rebuild, not a patch.
+        // A different builder input rebuilds.
         let builds_before = builds.get();
-        Compiler::new(base.with_comm_tile(TileShape::new(64, 128)), &cost)
-            .compile_cached(site, make)
+        Compiler::new(base, &cost)
+            .compile_cached(CacheSite::new("test.compile.cache", [2, 8]), || {
+                builds.set(builds.get() + 1);
+                Ok((ag_gemm_program(2, 8), StaticMapping::new(512, 64, 2, 2)))
+            })
             .unwrap();
         assert_eq!(builds.get(), builds_before + 1);
+    }
+
+    #[test]
+    fn compiles_whose_stage_counts_move_nothing_share_one_program() {
+        let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        reset_compile_cache();
+        let site = CacheSite::new("test.compile.shared", [2, 4]);
+        let cost = h800();
+        let compile = |num_stages| {
+            let cfg = OverlapConfig {
+                num_stages,
+                ..OverlapConfig::default()
+            };
+            Compiler::new(cfg, &cost)
+                .compile_cached(site, || {
+                    Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)))
+                })
+                .unwrap()
+        };
+        // Every load of this program follows its wait, so no stage count
+        // moves an op.
+        let (two, four) = (compile(2), compile(4));
+        assert!(Arc::ptr_eq(&two.lowered, &four.lowered));
+    }
+
+    #[test]
+    fn a_program_pipelining_moves_gets_its_own_copy() {
+        let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        reset_compile_cache();
+        let site = CacheSite::new("test.compile.hoisting", [1]);
+        let mapping = StaticMapping::new(256, 64, 1, 1);
+        let cost = h800();
+        let cfg = |num_stages| OverlapConfig {
+            num_stages,
+            ..OverlapConfig::default()
+        };
+        let compile = |num_stages| {
+            Compiler::new(cfg(num_stages), &cost)
+                .compile_cached(site, || Ok((k_loop_program(), mapping.clone())))
+                .unwrap()
+        };
+        // One stage moves nothing and shares the cached program; two stages
+        // hoist a load, so each such compile pipelines its own copy.
+        let (one, two) = (compile(1), compile(2));
+        assert!(Arc::ptr_eq(&one.lowered, &compile(1).lowered));
+        assert!(!Arc::ptr_eq(&two.lowered, &one.lowered));
+        assert!(!Arc::ptr_eq(&two.lowered, &compile(2).lowered));
+        assert_ne!(two.lowered, one.lowered);
+        let cold = Compiler::new(cfg(2), &cost)
+            .compile(&k_loop_program(), &mapping)
+            .unwrap();
+        assert_eq!(two, cold);
     }
 
     #[test]
     fn concurrent_compiles_of_one_key_build_it_once() {
         let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         reset_compile_cache();
-        let site = CacheSite::new("test.compile.concurrent", 0);
+        let site = CacheSite::new("test.compile.concurrent", [2, 4]);
         let builds = std::sync::atomic::AtomicUsize::new(0);
         let cost = h800();
         let compile = || {
@@ -622,25 +705,7 @@ mod tests {
 
     #[test]
     fn pipelining_that_moves_an_op_changes_the_fingerprint() {
-        // wait, load, compute, load, compute: two stages hoist the second
-        // load past the first compute.
-        let mut p = TileProgram::new("k_loop", 1);
-        let mut gemm =
-            BlockDesc::new("gemm", 0, BlockRole::Consumer).op(TileOp::ConsumerWait { tile: 0 });
-        for _ in 0..2 {
-            gemm = gemm
-                .op(TileOp::LoadTile {
-                    buffer: "tokens".into(),
-                    bytes: 512.0,
-                    tile: Some(0),
-                })
-                .op(TileOp::Compute(ComputeKind::MatmulTile {
-                    m: 64,
-                    n: 64,
-                    k: 64,
-                }));
-        }
-        p.add_block(gemm);
+        let p = k_loop_program();
         let mapping = StaticMapping::new(256, 64, 1, 1);
         let cost = h800();
         let compile = |num_stages| {

@@ -44,7 +44,7 @@ pub mod report;
 pub mod tile;
 
 pub use channel::BlockChannel;
-pub use compile::{detail_hash, reset_compile_cache, CacheSite, CompiledKernel, Compiler};
+pub use compile::{reset_compile_cache, CacheSite, CompiledKernel, Compiler};
 pub use config::{CommMapping, OverlapConfig, TileOrder, TileShape, TransferMode};
 pub use error::TileLinkError;
 pub use fingerprint::Fingerprint;

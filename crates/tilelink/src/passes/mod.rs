@@ -24,5 +24,5 @@ pub mod resource;
 
 pub use consistency::check_consistency;
 pub use lower::{lower, BlockInfo, LoweredBlockRef, LoweredOp, LoweredProgram, Targets};
-pub use pipeline::{pipeline_ops, pipeline_program};
+pub use pipeline::{pipeline_ops, pipeline_program, pipelining_moves};
 pub use resource::{PlanInputs, ResourcePlan, TransferLane};

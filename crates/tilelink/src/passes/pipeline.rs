@@ -5,20 +5,36 @@
 //! of the paper points out the hazard: a pipelining pass that hoists loads
 //! without knowing about the tile-centric primitives could move a load *above*
 //! the `consumer_tile_wait` that orders it. The reproduction's pass therefore
-//! hoists loads past compute steps only, never past a wait, notify or data
-//! transfer — so the output always still satisfies
-//! [`crate::passes::check_consistency`].
+//! has one hoisting rule: a load hoists past compute steps only. It never
+//! crosses a wait, notify, transfer, store or another load, so the output
+//! always still satisfies [`crate::passes::check_consistency`].
 
 use crate::ir::TileOp;
 use crate::passes::lower::{LoweredOp, LoweredProgram};
 
-fn is_barrier_for_loads(op: &TileOp) -> bool {
-    op.is_wait() || op.is_notify() || op.is_transfer() || matches!(op, TileOp::StoreTile { .. })
+/// The hoisting rule: a load moves up past `op` only if `op` is a compute
+/// step.
+fn hoists_past(op: &TileOp) -> bool {
+    matches!(op, TileOp::Compute(_))
+}
+
+/// Whether pipelining `program` at two or more stages moves an op: some load
+/// directly follows a compute step in its block.
+///
+/// Such a load hoists at least one step at any stage count above one.
+/// Hoisting only ever swaps a load with the compute step right before it,
+/// so a program without such a pair is left unchanged at every stage count.
+pub fn pipelining_moves(program: &LoweredProgram) -> bool {
+    program.iter_blocks().any(|block| {
+        block
+            .ops
+            .windows(2)
+            .any(|w| matches!(w[1].op, TileOp::LoadTile { .. }) && hoists_past(&w[0].op))
+    })
 }
 
 /// Hoists each `LoadTile` in `ops` up to `stages - 1` positions earlier,
-/// in place, stopping at any synchronisation, transfer or store operation.
-/// Returns whether any op moved.
+/// in place, past compute steps only. Returns whether any op moved.
 ///
 /// `stages == 1` leaves the ops untouched (no pipelining). Ops are `Copy`, so
 /// reordering is pure swaps — no allocation.
@@ -34,11 +50,7 @@ pub fn pipeline_ops(ops: &mut [LoweredOp], stages: usize) -> bool {
         if matches!(ops[i].op, TileOp::LoadTile { .. }) {
             let mut pos = i;
             let mut hoisted = 0;
-            while pos > 0
-                && hoisted < max_hoist
-                && matches!(ops[pos - 1].op, TileOp::Compute(_))
-                && !is_barrier_for_loads(&ops[pos - 1].op)
-            {
+            while pos > 0 && hoisted < max_hoist && hoists_past(&ops[pos - 1].op) {
                 ops.swap(pos - 1, pos);
                 pos -= 1;
                 hoisted += 1;
@@ -173,6 +185,39 @@ mod tests {
             let mut p = b.clone();
             assert!(!pipeline_program(&mut p, stages), "stages={stages}");
             assert_eq!(p, b, "stages={stages}");
+        }
+    }
+
+    #[test]
+    fn pipelining_moves_predicts_the_pass() {
+        let wait_load_compute = BlockDesc::new("gemm", 0, BlockRole::Consumer)
+            .op(TileOp::ConsumerWait { tile: 0 })
+            .op(TileOp::LoadTile {
+                buffer: "a".into(),
+                bytes: 8.0,
+                tile: Some(0),
+            })
+            .op(TileOp::Compute(ComputeKind::Elementwise { elems: 1 }));
+        let compute_then_load = BlockDesc::new("gemm", 0, BlockRole::Consumer)
+            .op(TileOp::Compute(ComputeKind::Elementwise { elems: 1 }))
+            .op(TileOp::LoadTile {
+                buffer: "a".into(),
+                bytes: 8.0,
+                tile: None,
+            });
+        for (block, moves) in [
+            (k_loop_block(), true),
+            (wait_load_compute, false),
+            (compute_then_load, true),
+        ] {
+            let p = lowered(block);
+            assert_eq!(pipelining_moves(&p), moves);
+            for stages in 1..6 {
+                let mut copy = p.clone();
+                let moved = pipeline_program(&mut copy, stages);
+                assert_eq!(moved, moves && stages > 1, "stages={stages}");
+                assert_eq!(copy != p, moved, "stages={stages}");
+            }
         }
     }
 

@@ -13,8 +13,7 @@ use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
 use tilelink::primitives::NotifyScope;
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, StaticMapping,
-    TileMapping,
+    BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, StaticMapping, TileMapping,
 };
 use tilelink_compute::{FlashAccumulator, Tensor};
 use tilelink_shmem::ProcessGroup;
@@ -228,26 +227,20 @@ pub fn sp_attention_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost).compile_cached(
-        CacheSite::new(
-            "attn.sp_attention",
-            detail_hash([
-                shape.heads as u64,
-                shape.head_dim as u64,
-                seq_len as u64,
-                world as u64,
-            ]),
-        ),
-        || {
-            Ok(sp_attention_program(
-                shape.heads,
-                shape.head_dim,
-                seq_len,
-                world,
-                cfg,
-            ))
-        },
-    )
+    // The builder reads no config value.
+    let site = CacheSite::new(
+        "attn.sp_attention",
+        [shape.heads, shape.head_dim, seq_len, world],
+    );
+    Compiler::new(*cfg, cost).compile_cached(site, || {
+        Ok(sp_attention_program(
+            shape.heads,
+            shape.head_dim,
+            seq_len,
+            world,
+            cfg,
+        ))
+    })
 }
 
 #[cfg(test)]

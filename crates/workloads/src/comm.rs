@@ -6,14 +6,15 @@
 //! builders emit their compute halves and call [`allgather_blocks`] and
 //! [`ring_reduce_scatter_blocks`] for the rest. The rules that follow from
 //! these two formats live here too: the egress each half pushes (which the
-//! lower bounds drain) and the ring's divisibility rule (which the oracles
-//! prune by).
+//! lower bounds drain), the ring's divisibility rule (which the oracles
+//! prune by), and the config values each kind of kernel's builder reads
+//! (which key its compiled program).
 
 use std::fmt::Write as _;
 
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
-use tilelink::StaticMapping;
+use tilelink::{OverlapConfig, StaticMapping};
 
 use crate::mlp::BYTES_PER_ELEM;
 
@@ -32,6 +33,20 @@ fn tiles_per_segment(world: usize, tokens: usize, tile_m: usize) -> usize {
 /// split evenly into `world` segments of whole `tile_m`-row tiles.
 pub(crate) fn ring_supported(tokens: usize, world: usize, tile_m: usize) -> bool {
     tokens.is_multiple_of(world * tile_m)
+}
+
+/// The config values the builder of an AllGather kernel (MLP, MoE or routed
+/// MoE) reads, which its compile-cache site must name: the AllGather
+/// mapping's tile rows and channel count, and the compute half's tile rows.
+pub(crate) fn allgather_config_inputs(cfg: &OverlapConfig) -> [usize; 3] {
+    [cfg.comm_tile.m, cfg.compute_tile.m, cfg.channels_per_rank]
+}
+
+/// The config values the builder of a GEMM + ReduceScatter kernel reads:
+/// the compute tile rows, which also tile the ring, and the channel count of
+/// its mapping. No such builder reads `comm_tile`.
+pub(crate) fn reduce_scatter_config_inputs(cfg: &OverlapConfig) -> [usize; 2] {
+    [cfg.compute_tile.m, cfg.channels_per_rank]
 }
 
 /// Emits rank `rank`'s AllGather producer blocks `ag/r{rank}/b{i}`, one per

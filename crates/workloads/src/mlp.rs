@@ -23,14 +23,16 @@
 //! producers and the ring ReduceScatter come from the crate's one
 //! communication module, which the MoE builders share.
 
+use std::fmt::Write as _;
+
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
 use tilelink::exec::run_comm_compute;
-use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
+use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, write_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, OverlapReport,
-    StaticMapping, TileMapping,
+    BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, OverlapReport, StaticMapping,
+    TileMapping,
 };
 use tilelink_compute::gemm::matmul;
 use tilelink_compute::Tensor;
@@ -296,7 +298,13 @@ pub fn ag_gemm_program(
 ) -> (TileProgram, StaticMapping) {
     let _span = tilelink_probe::span("compile.build");
     let mapping = StaticMapping::new(tokens, cfg.comm_tile.m, world, cfg.channels_per_rank);
+    let comm_m = mapping.tile_rows();
     let n_local = 2 * intermediate / world;
+    // Buffer names are interned once per build, not once per op (see
+    // `moe::ag_group_gemm_program`).
+    let gathered = Symbol::intern("gathered");
+    let intermediate_buf = Symbol::intern("intermediate");
+    let mut name = String::with_capacity(32);
     let mut program = TileProgram::new("mlp_ag_gemm", world);
     for rank in 0..world {
         // Communication: push this rank's token tiles to every peer.
@@ -305,16 +313,16 @@ pub fn ag_gemm_program(
         let compute_tiles = tokens.div_ceil(cfg.compute_tile.m);
         for b in 0..compute_tiles {
             let rows = b * cfg.compute_tile.m..((b + 1) * cfg.compute_tile.m).min(tokens);
-            let mut block = BlockDesc::new(format!("gemm/r{rank}/b{b}"), rank, BlockRole::Consumer);
-            for tile in 0..mapping.num_tiles() {
-                let trows = mapping.rows_of(tile).expect("tile in range");
-                if trows.start < rows.end && rows.start < trows.end {
-                    block = block.op(TileOp::ConsumerWait { tile });
-                }
+            name.clear();
+            write!(name, "gemm/r{rank}/b{b}").expect("write to string");
+            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Consumer);
+            // Comm tile `t` covers rows `t * comm_m..(t + 1) * comm_m`.
+            for tile in rows.start / comm_m..rows.end.div_ceil(comm_m) {
+                block = block.op(TileOp::ConsumerWait { tile });
             }
             block = block
                 .op(TileOp::LoadTile {
-                    buffer: "gathered".into(),
+                    buffer: gathered,
                     bytes: rows.len() as f64 * hidden as f64 * BYTES_PER_ELEM,
                     tile: None,
                 })
@@ -324,7 +332,7 @@ pub fn ag_gemm_program(
                     k: hidden,
                 }))
                 .op(TileOp::StoreTile {
-                    buffer: "intermediate".into(),
+                    buffer: intermediate_buf,
                     bytes: rows.len() as f64 * n_local as f64 * BYTES_PER_ELEM,
                     tile: None,
                 });
@@ -347,15 +355,21 @@ pub fn gemm_rs_program(
     let mapping = StaticMapping::new(tokens, tile_m, world, cfg.channels_per_rank);
     let k_local = intermediate / world;
     let tile_out_bytes = tile_m as f64 * hidden as f64 * BYTES_PER_ELEM;
+    // Interned once per build, not once per op (see ag_gemm_program).
+    let act = Symbol::intern("act");
+    let gemm_out = Symbol::intern("gemm_out");
+    let mut name = String::with_capacity(32);
     let mut program = TileProgram::new("mlp_gemm_rs", world);
     for rank in 0..world {
         // GEMM blocks produce partial-sum tiles of the full [M, H] output.
         for tile in 0..mapping.num_tiles() {
             let rows = mapping.rows_of(tile).expect("tile in range");
+            name.clear();
+            write!(name, "gemm/r{rank}/t{tile}").expect("write to string");
             program.add_block(
-                BlockDesc::new(format!("gemm/r{rank}/t{tile}"), rank, BlockRole::Consumer)
+                BlockDesc::new(name.as_str(), rank, BlockRole::Consumer)
                     .op(TileOp::LoadTile {
-                        buffer: "act".into(),
+                        buffer: act,
                         bytes: rows.len() as f64 * k_local as f64 * BYTES_PER_ELEM,
                         tile: None,
                     })
@@ -365,7 +379,7 @@ pub fn gemm_rs_program(
                         k: k_local,
                     }))
                     .op(TileOp::StoreTile {
-                        buffer: "gemm_out".into(),
+                        buffer: gemm_out,
                         bytes: tile_out_bytes,
                         tile: Some(tile),
                     })
@@ -381,14 +395,20 @@ pub fn gemm_rs_program(
     (program, mapping)
 }
 
-/// Compile-cache detail words for one MLP shape on one cluster size.
-fn mlp_detail(shape: &crate::MlpShape, world: usize) -> u64 {
-    detail_hash([
-        shape.tokens as u64,
-        shape.hidden as u64,
-        shape.intermediate as u64,
-        world as u64,
-    ])
+/// Compile-cache site of one MLP half: the shape, the cluster size and
+/// `cfg_inputs`, the config values the half's builder reads.
+fn mlp_site(
+    site: &'static str,
+    shape: &crate::MlpShape,
+    world: usize,
+    cfg_inputs: impl IntoIterator<Item = usize>,
+) -> CacheSite {
+    CacheSite::new(
+        site,
+        [shape.tokens, shape.hidden, shape.intermediate, world]
+            .into_iter()
+            .chain(cfg_inputs),
+    )
 }
 
 /// The TileLink AllGather + GEMM kernel for one MLP shape, compiled for `cfg`
@@ -405,18 +425,21 @@ pub fn ag_gemm_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost).compile_cached(
-        CacheSite::new("mlp.ag_gemm", mlp_detail(shape, world)),
-        || {
-            Ok(ag_gemm_program(
-                shape.tokens,
-                shape.hidden,
-                shape.intermediate,
-                world,
-                cfg,
-            ))
-        },
-    )
+    let site = mlp_site(
+        "mlp.ag_gemm",
+        shape,
+        world,
+        comm::allgather_config_inputs(cfg),
+    );
+    Compiler::new(*cfg, cost).compile_cached(site, || {
+        Ok(ag_gemm_program(
+            shape.tokens,
+            shape.hidden,
+            shape.intermediate,
+            world,
+            cfg,
+        ))
+    })
 }
 
 /// The TileLink GEMM + ReduceScatter kernel for one MLP shape, compiled the
@@ -431,18 +454,21 @@ pub fn gemm_rs_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost).compile_cached(
-        CacheSite::new("mlp.gemm_rs", mlp_detail(shape, world)),
-        || {
-            Ok(gemm_rs_program(
-                shape.tokens,
-                shape.hidden,
-                shape.intermediate,
-                world,
-                cfg,
-            ))
-        },
-    )
+    let site = mlp_site(
+        "mlp.gemm_rs",
+        shape,
+        world,
+        comm::reduce_scatter_config_inputs(cfg),
+    );
+    Compiler::new(*cfg, cost).compile_cached(site, || {
+        Ok(gemm_rs_program(
+            shape.tokens,
+            shape.hidden,
+            shape.intermediate,
+            world,
+            cfg,
+        ))
+    })
 }
 
 /// Simulates the full TileLink MLP layer (AG+GEMM, activation, GEMM+RS) under

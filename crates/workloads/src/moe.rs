@@ -27,8 +27,8 @@ use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgra
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
-    detail_hash, BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, DynamicMapping,
-    OverlapReport, StaticMapping, TileMapping,
+    BlockChannel, CacheSite, CompiledKernel, Compiler, DeviceHandle, DynamicMapping, OverlapReport,
+    StaticMapping, TileMapping,
 };
 use tilelink_compute::gemm::matmul;
 use tilelink_compute::group_gemm::expert_weight;
@@ -331,24 +331,33 @@ pub fn group_gemm_rs_program(
     (program, mapping)
 }
 
-/// Compile-cache detail words for one MoE shape on one cluster size. A
-/// routed kernel's sampled per-expert row counts change the emitted program,
-/// so they are part of its cache identity.
-fn moe_detail(shape: &MoeShape, world: usize, sample: Option<&RoutingSample>) -> u64 {
-    detail_hash(
+/// Compile-cache site of one MoE half: the shape, the cluster size,
+/// `cfg_inputs` (the config values the half's builder reads) and, for a
+/// routed kernel, the sampled per-expert row counts, which change the
+/// emitted program.
+fn moe_site(
+    site: &'static str,
+    shape: &MoeShape,
+    world: usize,
+    cfg_inputs: impl IntoIterator<Item = usize>,
+    sample: Option<&RoutingSample>,
+) -> CacheSite {
+    CacheSite::new(
+        site,
         [
-            shape.tokens as u64,
-            shape.hidden as u64,
-            shape.intermediate as u64,
-            shape.experts as u64,
-            shape.top_k as u64,
-            world as u64,
+            shape.tokens,
+            shape.hidden,
+            shape.intermediate,
+            shape.experts,
+            shape.top_k,
+            world,
         ]
         .into_iter()
+        .chain(cfg_inputs)
         .chain(
             sample
                 .into_iter()
-                .flat_map(|s| s.rows_per_expert.iter().map(|&r| r as u64)),
+                .flat_map(|s| s.rows_per_expert.iter().copied()),
         ),
     )
 }
@@ -372,10 +381,14 @@ pub fn ag_group_gemm_kernel(
     cost: &SharedCost,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost).compile_cached(
-        CacheSite::new("moe.ag_group_gemm", moe_detail(shape, world, None)),
-        || Ok(ag_group_gemm_program(shape, world, cfg)),
-    )
+    let site = moe_site(
+        "moe.ag_group_gemm",
+        shape,
+        world,
+        comm::allgather_config_inputs(cfg),
+        None,
+    );
+    Compiler::new(*cfg, cost).compile_cached(site, || Ok(ag_group_gemm_program(shape, world, cfg)))
 }
 
 /// The TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel for one MoE
@@ -393,10 +406,14 @@ pub fn group_gemm_rs_kernel(
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     let cfg = cfg.with_comm_mapping(SECOND_HALF_MAPPING);
-    Compiler::new(cfg, cost).compile_cached(
-        CacheSite::new("moe.group_gemm_rs", moe_detail(shape, world, None)),
-        || Ok(group_gemm_rs_program(shape, world, &cfg)),
-    )
+    let site = moe_site(
+        "moe.group_gemm_rs",
+        shape,
+        world,
+        comm::reduce_scatter_config_inputs(&cfg),
+        None,
+    );
+    Compiler::new(cfg, cost).compile_cached(site, || Ok(group_gemm_rs_program(shape, world, &cfg)))
 }
 
 /// Simulates the full TileLink MoE layer (both halves plus the activation)
@@ -740,6 +757,10 @@ pub fn routed_ag_group_gemm_program(
         )?;
     }
 
+    // Interned once per build, not once per op (see ag_group_gemm_program).
+    let gathered = Symbol::intern("gathered");
+    let expert_out = Symbol::intern("expert_out");
+    let mut name = String::with_capacity(32);
     let mut program = TileProgram::new("moe_routed_ag_group_gemm", world);
     for rank in 0..world {
         comm::allgather_blocks(&mut program, rank, &ag, h);
@@ -750,11 +771,9 @@ pub fn routed_ag_group_gemm_program(
             let rows = dyn_map.rows_of(ag_tiles + d)?;
             let expert = dyn_map.rank_of(ag_tiles + d)?;
             let rows_blk = rows.len();
-            let mut block = BlockDesc::new(
-                format!("ggemm/r{rank}/e{expert}/d{d}"),
-                rank,
-                BlockRole::Consumer,
-            );
+            name.clear();
+            write!(name, "ggemm/r{rank}/e{expert}/d{d}").expect("write to string");
+            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Consumer);
             // Tokens routed to one expert are scattered over the whole
             // gathered matrix, so blocks wait on a prefix spread of producer
             // tiles (the same arrival model as the expected-routing builder).
@@ -764,7 +783,7 @@ pub fn routed_ag_group_gemm_program(
             }
             block = block
                 .op(TileOp::LoadTile {
-                    buffer: "gathered".into(),
+                    buffer: gathered,
                     bytes: rows_blk as f64 * h as f64 * BYTES_PER_ELEM,
                     tile: None,
                 })
@@ -774,7 +793,7 @@ pub fn routed_ag_group_gemm_program(
                     k: h,
                 }))
                 .op(TileOp::StoreTile {
-                    buffer: "expert_out".into(),
+                    buffer: expert_out,
                     bytes: rows_blk as f64 * i_local as f64 * BYTES_PER_ELEM,
                     tile: Some(ag_tiles + d),
                 });
@@ -806,6 +825,10 @@ pub fn routed_group_gemm_rs_program(
     let mapping = StaticMapping::new(m, tile_m, world, cfg.channels_per_rank);
     let num_tiles = mapping.num_tiles();
     let tile_out_bytes = tile_m as f64 * h as f64 * BYTES_PER_ELEM;
+    // Interned once per build, not once per op (see ag_group_gemm_program).
+    let expert_act = Symbol::intern("expert_act");
+    let gemm_out = Symbol::intern("gemm_out");
+    let mut name = String::with_capacity(32);
     let mut program = TileProgram::new("moe_routed_group_gemm_rs", world);
     for rank in 0..world {
         // Per-expert Group GEMM, fused with the scatter + top-k reduce
@@ -819,29 +842,27 @@ pub fn routed_group_gemm_rs_program(
             let tile_lo = num_tiles * cumulative / rows_total;
             cumulative += rows_e;
             let tile_hi = num_tiles * cumulative / rows_total;
-            let mut block = BlockDesc::new(
-                format!("ggemm2/r{rank}/e{expert}"),
-                rank,
-                BlockRole::Consumer,
-            )
-            .op(TileOp::LoadTile {
-                buffer: "expert_act".into(),
-                bytes: rows_e as f64 * i_local as f64 * BYTES_PER_ELEM,
-                tile: None,
-            })
-            .op(TileOp::Compute(ComputeKind::MatmulTile {
-                m: rows_e,
-                n: h,
-                k: i_local,
-            }))
-            // top-k weighted combine of the expert rows into token rows
-            .op(TileOp::Compute(ComputeKind::Elementwise {
-                elems: rows_e * h,
-            }));
+            name.clear();
+            write!(name, "ggemm2/r{rank}/e{expert}").expect("write to string");
+            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Consumer)
+                .op(TileOp::LoadTile {
+                    buffer: expert_act,
+                    bytes: rows_e as f64 * i_local as f64 * BYTES_PER_ELEM,
+                    tile: None,
+                })
+                .op(TileOp::Compute(ComputeKind::MatmulTile {
+                    m: rows_e,
+                    n: h,
+                    k: i_local,
+                }))
+                // top-k weighted combine of the expert rows into token rows
+                .op(TileOp::Compute(ComputeKind::Elementwise {
+                    elems: rows_e * h,
+                }));
             for tile in tile_lo..tile_hi {
                 block = block
                     .op(TileOp::StoreTile {
-                        buffer: "gemm_out".into(),
+                        buffer: gemm_out,
                         bytes: tile_out_bytes,
                         tile: Some(tile),
                     })
@@ -872,13 +893,16 @@ pub fn routed_ag_group_gemm_kernel(
     sample: &RoutingSample,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    Compiler::new(*cfg, cost).compile_cached(
-        CacheSite::new(
-            "moe.routed_ag_group_gemm",
-            moe_detail(shape, world, Some(sample)),
-        ),
-        || routed_ag_group_gemm_program(shape, world, cfg, sample),
-    )
+    let site = moe_site(
+        "moe.routed_ag_group_gemm",
+        shape,
+        world,
+        comm::allgather_config_inputs(cfg),
+        Some(sample),
+    );
+    Compiler::new(*cfg, cost).compile_cached(site, || {
+        routed_ag_group_gemm_program(shape, world, cfg, sample)
+    })
 }
 
 /// The routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one sampled
@@ -896,13 +920,16 @@ pub fn routed_group_gemm_rs_kernel(
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     let cfg = cfg.with_comm_mapping(SECOND_HALF_MAPPING);
-    Compiler::new(cfg, cost).compile_cached(
-        CacheSite::new(
-            "moe.routed_group_gemm_rs",
-            moe_detail(shape, world, Some(sample)),
-        ),
-        || Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample)),
-    )
+    let site = moe_site(
+        "moe.routed_group_gemm_rs",
+        shape,
+        world,
+        comm::reduce_scatter_config_inputs(&cfg),
+        Some(sample),
+    );
+    Compiler::new(cfg, cost).compile_cached(site, || {
+        Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample))
+    })
 }
 
 /// Simulates the full routed MoE layer (both halves plus the activation) for

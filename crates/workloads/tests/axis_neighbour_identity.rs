@@ -2,14 +2,16 @@
 //!
 //! Beam and coordinate-descent searches move one [`OverlapConfig`] axis at a
 //! time, so a tuning run compiles long chains of axis-neighbour candidates
-//! against a warm compile cache — stage/mapping neighbours take the patch
-//! path, every other axis a keyed full rebuild. The incremental-recompile
-//! contract is that none of this is observable: for every axis-neighbour pair
-//! of the standard space, compiling the neighbour against a cache warmed by
-//! the base must produce the same compiled kernel, the same task graph and a
-//! bit-identical overlap report as a cold compile of the neighbour alone,
-//! under both cost models — and the makespan-only price a search ranks by
-//! must finish with that report's `total_s`, bit for bit.
+//! against a warm compile cache — a neighbour whose builder reads the same
+//! values as the base takes the patch path, and one that changes a value
+//! the builder reads (a tile's row count, the channel count) is a keyed full
+//! rebuild. The incremental-recompile contract is that none of this is
+//! observable: for every axis-neighbour pair of the standard space,
+//! compiling the neighbour against a cache warmed by the base must produce
+//! the same compiled kernel, the same task graph and a bit-identical overlap
+//! report as a cold compile of the neighbour alone, under both cost models —
+//! and the makespan-only price a search ranks by must finish with that
+//! report's `total_s`, bit for bit.
 
 use tilelink::exec::{simulate_makespan, simulate_report, task_graph};
 use tilelink::{
@@ -83,14 +85,22 @@ fn compile_kernel(
     let compiler = Compiler::new(*cfg, cost);
     match site {
         "ag" => compiler
-            .compile_cached(CacheSite::new("test.axis_neighbour.ag", 0), || {
-                Ok(ag_group_gemm_program(shape, world, cfg))
-            })
+            .compile_cached(
+                CacheSite::new(
+                    "test.axis_neighbour.ag",
+                    [cfg.comm_tile.m, cfg.compute_tile.m, cfg.channels_per_rank],
+                ),
+                || Ok(ag_group_gemm_program(shape, world, cfg)),
+            )
             .expect("compile ag"),
         _ => compiler
-            .compile_cached(CacheSite::new("test.axis_neighbour.rs", 0), || {
-                Ok(group_gemm_rs_program(shape, world, cfg))
-            })
+            .compile_cached(
+                CacheSite::new(
+                    "test.axis_neighbour.rs",
+                    [cfg.compute_tile.m, cfg.channels_per_rank],
+                ),
+                || Ok(group_gemm_rs_program(shape, world, cfg)),
+            )
             .expect("compile rs"),
     }
 }
