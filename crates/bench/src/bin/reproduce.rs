@@ -23,15 +23,18 @@
 //! `--tune` additionally runs the `tilelink-tune` design-space search on the
 //! Figure 8 MLP and Figure 9 MoE shapes and prints tuned-vs-default speedups.
 //! It is opt-in (not part of the no-flag default) because a cold search
-//! simulates a few hundred candidate kernels per shape; repeated runs are
-//! near-free thanks to the persistent tuning cache. Combined with `--fig11`
+//! compiles and simulates its candidate kernels (about 30 simulations per
+//! shape on a traced `tune-cold` run of tunebench); a rerun answers every
+//! ranked candidate from the persistent tuning cache and re-prices only the
+//! candidates branch-and-bound disposed of. Combined with `--fig11`
 //! (`--fig11 --tune`) the end-to-end rows gain a third, tuned-TileLink column
 //! whose per-layer configs come from the same search and cache.
 //!
 //! `--serve` runs a small smoke of the `tilelink-serve` tuning daemon: boots
 //! it on an ephemeral port, then exercises PING, a cold search, a warm hit
-//! and a concurrent dedup volley through real client connections. Like
-//! `--tune` it is opt-in (not part of the no-flag default).
+//! and a concurrent dedup volley through real client connections, and checks
+//! the counters its `STATS` reply reports. Like `--tune` it is opt-in (not
+//! part of the no-flag default).
 //!
 //! `--routing {uniform|zipf:<s>|hot:<k>}` and `--objective {mean|p<1-99>|worst}`
 //! make the MoE part of `--tune` routing-distribution-aware: candidates are
@@ -656,7 +659,8 @@ fn quick_e2e_tune_smoke(args: &Args) {
 /// `--serve` smoke: boots the daemon on an ephemeral localhost port and
 /// exercises every request path through real client connections — PING, a
 /// cold quick-space search, a warm hit of the same key, and a concurrent
-/// volley of identical requests that must collapse into one search.
+/// volley of identical requests that must collapse into one search — then
+/// panics unless `STATS` counts exactly that traffic.
 fn serve_smoke(spec: &CostModelSpec) {
     use std::sync::{Arc, Barrier};
     use tilelink_serve::protocol::{parse_reply, Reply};
@@ -714,8 +718,24 @@ fn serve_smoke(spec: &CostModelSpec) {
     }
     println!("{WAITERS} concurrent identical requests -> {cold} search, {deduped} deduped");
 
-    let stats = client.request("STATS").expect("stats");
-    println!("{stats}");
+    // The fixed mix above leaves exact counters: one warm hit, the two
+    // searches, the volley's followers, nothing in flight, two cached keys.
+    let reply = client.request("STATS").expect("stats");
+    println!("{reply}");
+    let stats = parse_reply(&reply)
+        .and_then(|r| r.stats())
+        .unwrap_or_else(|e| panic!("STATS reply does not parse: {e}"));
+    assert_eq!(
+        (
+            stats.warm,
+            stats.cold,
+            stats.deduped,
+            stats.inflight,
+            stats.cached
+        ),
+        (1, 2, 3, 0, 2),
+        "STATS after PING, cold + warm MLP-1 and a {WAITERS}-way MoE-1 volley: {reply}"
+    );
     server.shutdown();
 }
 

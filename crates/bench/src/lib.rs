@@ -1,9 +1,10 @@
 //! Shared evaluation functions for the benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation (Section 7) has one
-//! function here that produces its rows; the Criterion benches and the
-//! `reproduce` binary both call these functions, so the printed numbers and the
-//! benchmarked numbers are always the same code path.
+//! function here that produces its rows; the `harness = false` bench
+//! binaries (built on [`bench_case`]) and the `reproduce` binary both call
+//! these functions, so the printed numbers and the benchmarked numbers are
+//! always the same code path.
 
 #![deny(missing_docs)]
 
@@ -355,7 +356,8 @@ pub fn fig10(shape_index: usize, cost: &SharedCost) -> Vec<AttentionRow> {
 pub struct TunedE2e {
     /// TileLink time under searched per-layer configs, in milliseconds.
     pub ms: f64,
-    /// Simulator evaluations the layer searches performed for this model.
+    /// Ranked oracle pricings the layer searches performed for this model
+    /// (see [`tilelink_tune::TuneReport::evaluations`]).
     pub evaluations: usize,
     /// Lookups served by the persistent tuning cache instead of the simulator.
     pub cache_hits: usize,
@@ -390,8 +392,8 @@ impl E2eRow {
 ///
 /// Takes the cost-model *spec* rather than a built provider because the
 /// cluster is chosen inside (a provider is bound to one cluster).
-/// `model_subset` limits the evaluation to the first `n` models (the Criterion
-/// benches use a subset to keep run times reasonable); pass `usize::MAX` for all.
+/// `model_subset` limits the evaluation to the first `n` models (the bench
+/// binaries use a subset to keep run times reasonable); pass `usize::MAX` for all.
 pub fn fig11(two_nodes: bool, model_subset: usize, spec: &CostModelSpec) -> Vec<E2eRow> {
     let (cluster, tokens) = if two_nodes {
         e2e::two_node_setup()
@@ -418,7 +420,8 @@ pub fn fig11(two_nodes: bool, model_subset: usize, spec: &CostModelSpec) -> Vec<
 /// come from the `tilelink-tune` search (strategy, space, persistent cache,
 /// and — for MoE layers — routing distribution and objective all taken from
 /// `opts`; its cost provider is overridden per cluster). With a warm
-/// persistent cache the tuned column reports zero simulator evaluations.
+/// persistent cache the tuned column reports zero evaluations (ranked
+/// oracle pricings).
 ///
 /// # Panics
 ///

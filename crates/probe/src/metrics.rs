@@ -232,7 +232,7 @@ pub static SIM_SCRATCH_COLD: Counter = Counter::new("sim.scratch.cold");
 /// Routing samples drawn (`RoutingSampler::sample` calls) for routed MoE
 /// pricing.
 pub static WORKLOADS_ROUTING_SAMPLES: Counter = Counter::new("workloads.routing.samples");
-/// Serve requests answered from the sharded in-memory result cache.
+/// Serve requests answered from the in-memory warm result map.
 pub static SERVE_REQUESTS_WARM: Counter = Counter::new("serve.requests.warm");
 /// Serve requests that ran a search (the in-flight leader for their key).
 pub static SERVE_REQUESTS_COLD: Counter = Counter::new("serve.requests.cold");
@@ -242,10 +242,9 @@ pub static SERVE_REQUESTS_DEDUPED: Counter = Counter::new("serve.requests.dedupe
 /// Requests the serve connection pool rejected because its admission queue
 /// was full (answered `ERR busy` without touching a worker).
 pub static SERVE_POOL_REJECTED: Counter = Counter::new("serve.pool.rejected");
-/// Warm-cache entries evicted to keep a shard under its entry cap (LRU).
+/// Warm results evicted (least recently used first) to keep the daemon's
+/// warm map under its entry cap.
 pub static SERVE_CACHE_EVICTIONS: Counter = Counter::new("serve.cache.evictions");
-/// Warm-cache entries dropped because they outlived the configured TTL.
-pub static SERVE_CACHE_EXPIRED: Counter = Counter::new("serve.cache.expired");
 /// Tuning runs admitted to a shared `SearchExecutor` whose worker pool was
 /// already warm (spawned by an earlier run) instead of spawning fresh
 /// threads.
@@ -292,7 +291,6 @@ static COUNTERS: &[&Counter] = &[
     &SERVE_REQUESTS_DEDUPED,
     &SERVE_POOL_REJECTED,
     &SERVE_CACHE_EVICTIONS,
-    &SERVE_CACHE_EXPIRED,
     &TUNE_EXECUTOR_REUSES,
 ];
 

@@ -14,7 +14,7 @@
 //!           | "samples=" uint             ; routing samples per candidate,
 //!                                         ; 1..=MAX_ROUTING_SAMPLES
 //!           | "seed=" uint                ; routing sampler seed
-//! cluster   = ("h800" | "a100") "x" gpus ["x" nodes]
+//! cluster   = ("h800" | "h100" | "a100") "x" gpus ["x" nodes]
 //! objective = "mean" | "worst" | "p" <1-99>
 //!
 //! response  = ok | "ERR " message | "PONG" | "STATS " pairs
@@ -300,9 +300,9 @@ impl OkFields {
     }
 }
 
-/// The parsed payload of a `STATS` response: request sources, warm-cache
-/// occupancy and churn, and request-pool pressure. Gauges are signed so a
-/// transiently skewed snapshot still parses.
+/// The parsed payload of a `STATS` response: request sources, warm-map
+/// occupancy and evictions, and request-pool pressure. Gauges are signed so
+/// a transiently skewed snapshot still parses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsFields {
     /// Requests answered from the warm cache.
@@ -313,14 +313,10 @@ pub struct StatsFields {
     pub deduped: u64,
     /// Requests currently being answered.
     pub inflight: i64,
-    /// Entries in the warm result cache (legacy alias of `cache_entries`).
+    /// Entries in the warm result map.
     pub cached: u64,
-    /// Entries in the warm result cache.
-    pub cache_entries: u64,
     /// Warm entries evicted by the LRU cap so far.
     pub evictions: u64,
-    /// Warm entries dropped by TTL expiry so far.
-    pub expired: u64,
     /// Requests sitting in the worker-pool queue.
     pub pool_queued: i64,
     /// Requests executing on pool workers.
@@ -329,8 +325,8 @@ pub struct StatsFields {
     pub pool_rejected: u64,
 }
 
-/// Parses the pair list of a `STATS` response into [`StatsFields`]
-/// (unlisted keys stay 0, so older daemons' shorter lines still parse).
+/// Parses the pair list of a `STATS` response into [`StatsFields`] (keys a
+/// line omits stay 0).
 ///
 /// # Errors
 ///
@@ -348,9 +344,7 @@ pub fn parse_stats(pairs: &str) -> Result<StatsFields, String> {
             "deduped" => fields.deduped = value.parse().map_err(|_| bad_num())?,
             "inflight" => fields.inflight = value.parse().map_err(|_| bad_num())?,
             "cached" => fields.cached = value.parse().map_err(|_| bad_num())?,
-            "cache_entries" => fields.cache_entries = value.parse().map_err(|_| bad_num())?,
             "evictions" => fields.evictions = value.parse().map_err(|_| bad_num())?,
-            "expired" => fields.expired = value.parse().map_err(|_| bad_num())?,
             "pool_queued" => fields.pool_queued = value.parse().map_err(|_| bad_num())?,
             "pool_active" => fields.pool_active = value.parse().map_err(|_| bad_num())?,
             "pool_rejected" => fields.pool_rejected = value.parse().map_err(|_| bad_num())?,
@@ -605,8 +599,8 @@ mod tests {
 
     #[test]
     fn stats_payload_roundtrips_through_the_typed_parser() {
-        let line = "STATS warm=12 cold=3 deduped=5 inflight=2 cached=7 cache_entries=7 \
-                    evictions=4 expired=1 pool_queued=6 pool_active=8 pool_rejected=9";
+        let line = "STATS warm=12 cold=3 deduped=5 inflight=2 cached=7 evictions=4 \
+                    pool_queued=6 pool_active=8 pool_rejected=9";
         let stats = parse_reply(line).unwrap().stats().unwrap();
         assert_eq!(
             stats,
@@ -616,9 +610,7 @@ mod tests {
                 deduped: 5,
                 inflight: 2,
                 cached: 7,
-                cache_entries: 7,
                 evictions: 4,
-                expired: 1,
                 pool_queued: 6,
                 pool_active: 8,
                 pool_rejected: 9,
@@ -626,7 +618,7 @@ mod tests {
         );
         // Shorter lines from older daemons still parse; absent keys stay 0.
         let old = parse_stats("warm=1 cold=2 deduped=0 inflight=0 cached=3").unwrap();
-        assert_eq!(old.cache_entries, 0);
+        assert_eq!(old.evictions, 0);
         assert_eq!(old.warm, 1);
         // A non-STATS reply refuses the typed accessor.
         assert!(parse_reply("PONG").unwrap().stats().is_err());

@@ -60,6 +60,12 @@ const IDLE_SPINS: u32 = 64;
 /// Read granularity per connection per tick.
 const READ_CHUNK: usize = 4096;
 
+/// Request worker threads behind the reactor.
+const POOL_WORKERS: usize = 8;
+
+/// Dispatch-queue bound; requests beyond it are answered `ERR busy`.
+const POOL_QUEUE: usize = 256;
+
 /// One parsed `TUNE` request the warm cache missed, travelling to the worker
 /// pool.
 struct Job {
@@ -67,35 +73,25 @@ struct Job {
     req: Box<TuneRequest>,
 }
 
+#[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
 }
 
 /// The bounded dispatch queue between the reactor and the workers.
+#[derive(Default)]
 struct JobQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
-    cap: usize,
 }
 
 impl JobQueue {
-    fn new(cap: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
     /// Enqueues unless the queue is at capacity. Never blocks — the reactor
     /// must not stall behind a slow pool.
     fn try_push(&self, job: Job) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.jobs.len() >= self.cap {
+        if state.jobs.len() >= POOL_QUEUE {
             return false;
         }
         state.jobs.push_back(job);
@@ -184,7 +180,9 @@ impl Conn {
         Ok(progressed)
     }
 
-    /// Pulls available bytes into the read buffer. `Err(())` = dead.
+    /// Pulls available bytes into the read buffer, stopping once it holds
+    /// more than [`MAX_LINE_BYTES`] (the caller refuses such a line), so one
+    /// call buffers at most one chunk past the cap. `Err(())` = dead.
     fn fill_read_buf(&mut self) -> Result<bool, ()> {
         let mut progressed = false;
         let mut chunk = [0u8; READ_CHUNK];
@@ -197,7 +195,7 @@ impl Conn {
                 Ok(n) => {
                     self.read_buf.extend_from_slice(&chunk[..n]);
                     progressed = true;
-                    if n < chunk.len() {
+                    if n < chunk.len() || self.read_buf.len() > MAX_LINE_BYTES {
                         break;
                     }
                 }
@@ -286,8 +284,8 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves
-/// `service` until [`ServerHandle::shutdown`]. Worker-pool size and queue
-/// bound come from the service's [`crate::ServeOptions`].
+/// `service` until [`ServerHandle::shutdown`] on 8 worker threads behind a
+/// 256-request dispatch queue.
 ///
 /// # Errors
 ///
@@ -298,12 +296,11 @@ pub fn serve(service: Arc<TuneService>, addr: &str) -> std::io::Result<ServerHan
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (pool_workers, pool_queue) = service.pool_config();
-    let queue = Arc::new(JobQueue::new(pool_queue));
+    let queue = Arc::new(JobQueue::default());
     let (completion_tx, completion_rx) = mpsc::channel::<(u64, String)>();
 
-    let mut workers = Vec::with_capacity(pool_workers);
-    for i in 0..pool_workers {
+    let mut workers = Vec::with_capacity(POOL_WORKERS);
+    for i in 0..POOL_WORKERS {
         let service = Arc::clone(&service);
         let queue = Arc::clone(&queue);
         let tx = completion_tx.clone();
@@ -443,10 +440,10 @@ fn tick_conn(
     *activity |= conn.flush_writes()?;
     let write_pending = conn.write_pos < conn.write_buf.len();
     if conn.close_after_write && !write_pending {
-        // Drain whatever the peer already sent before dropping the stream:
-        // closing with unread bytes in the receive queue turns the close
-        // into an RST, which can destroy the ERR we just flushed before the
-        // client gets to read it.
+        // Drain what the peer already sent (up to the line cap) before
+        // dropping the stream: closing with unread bytes in the receive
+        // queue turns the close into an RST, which can destroy the ERR we
+        // just flushed before the client gets to read it.
         let _ = conn.fill_read_buf();
         conn.read_buf.clear();
         return Err(());
@@ -570,4 +567,44 @@ impl Client {
 /// Returns the bind error.
 pub fn serve_ephemeral(service: TuneService) -> std::io::Result<ServerHandle> {
     serve(Arc::new(service), "127.0.0.1:0")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_read_stops_one_chunk_past_the_line_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("listener address");
+        let writer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // 1 MiB without a newline; the write fails once the reader hangs up.
+            let _ = stream.write_all(&vec![b'X'; 1 << 20]);
+        });
+        let (stream, _) = listener.accept().expect("accept");
+
+        // Wait until the kernel holds more than one chunk past the cap, so a
+        // read loop that only stops on a short read or `WouldBlock` overruns.
+        let queued = MAX_LINE_BYTES + 2 * READ_CHUNK;
+        let mut peek = vec![0u8; queued];
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while stream.peek(&mut peek).expect("peek") < queued {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "loopback never queued {queued} bytes"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let mut conn = Conn::new(stream).expect("nonblocking connection");
+        assert_eq!(conn.fill_read_buf(), Ok(true));
+        assert!(
+            conn.read_buf.len() <= MAX_LINE_BYTES + READ_CHUNK,
+            "one read buffered {} bytes",
+            conn.read_buf.len()
+        );
+        drop(conn);
+        writer.join().expect("writer thread");
+    }
 }

@@ -1,10 +1,9 @@
-//! The tuning service: warm sharded cache, deduplicated cold searches.
+//! The tuning service: one LRU warm map, deduplicated cold searches.
 //!
 //! Requests resolve in three ways, counted by the probe registry:
 //!
-//! * **warm** (`serve.requests.warm`) — the request key is in the sharded
-//!   in-memory result cache; the answer is a couple of lock-free hashes and
-//!   one shard read-lock away, microseconds end to end.
+//! * **warm** (`serve.requests.warm`) — the request key is in the in-memory
+//!   result map; the answer is one read lock away, microseconds end to end.
 //! * **cold** (`serve.requests.cold`) — this request is the first for its
 //!   key: it becomes the *leader*, runs the beam search (through the
 //!   existing `tilelink-tune` machinery, multi-threaded evaluator and
@@ -15,6 +14,9 @@
 //!   in-flight slot instead of starting a second search. N simultaneous
 //!   identical cold requests cost exactly one search.
 //!
+//! A request's key is the [`TuneCache::oracle_prefix`] of the oracle its
+//! search prices, so warm identity and on-disk identity are one function.
+//!
 //! The persistent [`TuneCache`] is the service's write-behind layer: each
 //! cold search opens it, reuses any priced candidates, and flushes its new
 //! entries at the end (atomically, merged with concurrent writers). A
@@ -24,26 +26,29 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use tilelink_probe::metrics::{
-    SERVE_CACHE_EVICTIONS, SERVE_CACHE_EXPIRED, SERVE_INFLIGHT, SERVE_POOL_ACTIVE,
-    SERVE_POOL_QUEUED, SERVE_POOL_REJECTED, SERVE_REQUESTS_COLD, SERVE_REQUESTS_DEDUPED,
-    SERVE_REQUESTS_WARM,
+    SERVE_CACHE_EVICTIONS, SERVE_INFLIGHT, SERVE_POOL_ACTIVE, SERVE_POOL_QUEUED,
+    SERVE_POOL_REJECTED, SERVE_REQUESTS_COLD, SERVE_REQUESTS_DEDUPED, SERVE_REQUESTS_WARM,
 };
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
-use tilelink_tune::{cluster_key, CostOracle, SearchExecutor, SearchSpace, Strategy, TuneCache};
+use tilelink_tune::{
+    cluster_key, CostOracle, SearchExecutor, SearchSpace, Strategy, TuneCache, Tuner,
+};
 use tilelink_workloads::autotune::{MlpOracle, MoeOracle};
-use tilelink_workloads::{autotune, TuneOptions};
 
 use crate::protocol::{OkFields, TuneRequest, WorkloadSpec};
-use crate::shard::{CachePolicy, ShardedCache, DEFAULT_SHARDS};
+
+/// Results the warm map holds before it evicts. `seed=<u64>` lets any client
+/// mint unbounded distinct keys, so this cap is the daemon's memory bound.
+const WARM_ENTRIES: usize = 4096;
 
 /// How a request was answered (the `source=` response field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
-    /// Served from the sharded in-memory cache.
+    /// Served from the in-memory warm map.
     Warm,
     /// This request ran the search.
     Cold,
@@ -99,6 +104,64 @@ impl TuneOutcome {
 /// error types are not `Clone`).
 type SearchResult = Result<TuneOutcome, String>;
 
+/// One warm result plus its recency stamp, a logical access number bumped
+/// with a relaxed atomic so a hit needs only the map's read lock
+/// (wall-clock stamps would tie within a microsecond).
+struct WarmEntry {
+    outcome: TuneOutcome,
+    last_used: AtomicU64,
+}
+
+/// The warm path: one lock-guarded map of finished searches. Past `cap`
+/// entries an insert evicts the least recently used entry of the whole map
+/// (counted in `serve.cache.evictions`).
+struct WarmMap {
+    entries: RwLock<HashMap<String, WarmEntry>>,
+    cap: usize,
+    /// The logical clock feeding [`WarmEntry::last_used`].
+    clock: AtomicU64,
+}
+
+impl WarmMap {
+    fn new(cap: usize) -> Self {
+        Self {
+            entries: RwLock::new(HashMap::new()),
+            cap,
+            clock: AtomicU64::new(0),
+        }
+    }
+
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn get(&self, key: &str) -> Option<TuneOutcome> {
+        let entries = self.entries.read().unwrap_or_else(|e| e.into_inner());
+        let entry = entries.get(key)?;
+        entry.last_used.store(self.tick(), Ordering::Relaxed);
+        Some(entry.outcome.clone())
+    }
+
+    fn insert(&self, key: String, outcome: TuneOutcome) {
+        let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
+        let last_used = AtomicU64::new(self.tick());
+        entries.insert(key, WarmEntry { outcome, last_used });
+        if entries.len() > self.cap {
+            let oldest = entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(k, _)| k.clone())
+                .expect("a map over its cap is not empty");
+            entries.remove(&oldest);
+            SERVE_CACHE_EVICTIONS.inc();
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.read().unwrap_or_else(|e| e.into_inner()).len()
+    }
+}
+
 /// One in-flight cold search: waiters block on the condvar until the leader
 /// publishes into the slot.
 #[derive(Default)]
@@ -125,9 +188,11 @@ impl Flight {
     }
 }
 
-/// The search function a [`TuneService`] runs on a cold miss. Injectable so
-/// tests can count invocations against a slow stub instead of a real search.
-pub type SearchFn = dyn Fn(&TuneRequest, &SharedCost, &ServeOptions) -> SearchResult + Send + Sync;
+/// The search function a [`TuneService`] runs on a cold miss, given the
+/// request and the oracle its key came from. Injectable so tests can count
+/// invocations against a slow stub instead of a real search.
+pub type SearchFn =
+    dyn Fn(&TuneRequest, &dyn CostOracle, &ServeOptions) -> SearchResult + Send + Sync;
 
 /// Configuration of a [`TuneService`].
 #[derive(Debug, Clone)]
@@ -140,21 +205,6 @@ pub struct ServeOptions {
     pub space: SearchSpace,
     /// Persistent write-behind cache file; `None` keeps searches in-memory.
     pub cache_path: Option<PathBuf>,
-    /// Shards of the warm result cache.
-    pub shards: usize,
-    /// Entry cap of the warm result cache (`0` = unbounded); beyond it the
-    /// least-recently-used entry per shard is evicted.
-    pub cache_entries: usize,
-    /// Idle TTL of warm entries; `None` keeps them until evicted.
-    pub cache_ttl: Option<Duration>,
-    /// Shared search executor for cold misses; `None` uses
-    /// [`SearchExecutor::global`], so every cold search in the process reuses
-    /// one warm evaluator pool.
-    pub executor: Option<Arc<SearchExecutor>>,
-    /// Request worker threads behind the connection reactor.
-    pub pool_workers: usize,
-    /// Dispatch-queue bound; requests beyond it are answered `ERR busy`.
-    pub pool_queue: usize,
 }
 
 impl Default for ServeOptions {
@@ -164,12 +214,6 @@ impl Default for ServeOptions {
             strategy: Strategy::default(),
             space: SearchSpace::standard(),
             cache_path: Some(TuneCache::default_path()),
-            shards: DEFAULT_SHARDS,
-            cache_entries: 4096,
-            cache_ttl: None,
-            executor: None,
-            pool_workers: 8,
-            pool_queue: 256,
         }
     }
 }
@@ -206,7 +250,7 @@ impl ServeOptions {
 /// The tuning service shared by every connection of the daemon.
 pub struct TuneService {
     opts: ServeOptions,
-    results: ShardedCache<TuneOutcome>,
+    results: WarmMap,
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
     /// One provider per cluster asked about, built lazily; providers embed
     /// their cluster, so one per topology serves every request for it.
@@ -232,41 +276,18 @@ impl TuneService {
     /// Creates a service with an injected search function (tests use a slow
     /// counting stub to prove dedup semantics).
     pub fn with_search(opts: ServeOptions, search: Box<SearchFn>) -> Self {
-        let results = ShardedCache::with_policy(
-            opts.shards,
-            CachePolicy {
-                max_entries: opts.cache_entries,
-                ttl: opts.cache_ttl,
-            },
-        );
         Self {
             opts,
-            results,
+            results: WarmMap::new(WARM_ENTRIES),
             inflight: Mutex::new(HashMap::new()),
             providers: Mutex::new(HashMap::new()),
             search,
         }
     }
 
-    /// The options the service was built with.
-    pub fn options(&self) -> &ServeOptions {
-        &self.opts
-    }
-
-    /// Entries in the warm result cache.
+    /// Entries in the warm result map.
     pub fn cached_results(&self) -> usize {
         self.results.len()
-    }
-
-    /// Request-pool sizing for the front end: `(workers, queue bound)`.
-    pub fn pool_config(&self) -> (usize, usize) {
-        (self.opts.pool_workers.max(1), self.opts.pool_queue.max(1))
-    }
-
-    /// Drops expired warm entries now; returns how many were reclaimed.
-    /// No-op without a [`ServeOptions::cache_ttl`].
-    pub fn purge_expired(&self) -> usize {
-        self.results.purge_expired()
     }
 
     /// The cost provider for `cluster`, built on first use.
@@ -281,56 +302,21 @@ impl TuneService {
         Ok(cost)
     }
 
-    /// The full cache-key prefix of a request: workload (routing included),
-    /// cluster, cost revision and objective — the same quintuple scope the
-    /// persistent cache files entries under, so warm-cache identity and
-    /// disk identity can never drift apart.
-    fn request_key(&self, req: &TuneRequest, cost: &SharedCost) -> String {
-        let (workload_key, cluster_key, revision, objective) = match &req.workload {
-            WorkloadSpec::Mlp(shape) => {
-                let oracle =
-                    MlpOracle::new(shape.clone(), req.cluster.clone()).with_cost(cost.clone());
-                (
-                    oracle.workload_key(),
-                    cluster_key(oracle.cluster()),
-                    oracle.cost_revision(),
-                    oracle.objective().key(),
-                )
-            }
-            WorkloadSpec::Moe { shape, routing } => {
-                let mut oracle = MoeOracle::new(shape.clone(), req.cluster.clone())
-                    .with_cost(cost.clone())
-                    .with_objective(req.objective);
-                if let Some(spec) = routing {
-                    oracle = oracle.with_routing(*spec);
-                }
-                (
-                    oracle.workload_key(),
-                    cluster_key(oracle.cluster()),
-                    oracle.cost_revision(),
-                    oracle.objective().key(),
-                )
-            }
-        };
-        TuneCache::key_prefix(&workload_key, &cluster_key, &revision, &objective)
-    }
-
-    /// Warm-cache-only probe: answers from the in-memory cache without ever
-    /// running — or waiting on — a search. `None` means the request needs
-    /// the cold path.
+    /// Warm-map-only probe: answers from memory without ever running — or
+    /// waiting on — a search. `None` means the request needs the cold path.
     ///
-    /// This is the daemon front end's fast path: it never blocks beyond a
-    /// shard read lock, so the reactor thread can answer warm hits inline
-    /// instead of paying two scheduler hops through the worker pool. A
-    /// cluster whose cost provider was never built cannot have warm entries
-    /// (providers are built by the first search), so the probe only reuses
-    /// an existing provider and never constructs one.
+    /// This is the daemon front end's fast path: it never blocks beyond the
+    /// warm map's read lock, so the reactor thread can answer warm hits
+    /// inline instead of paying two scheduler hops through the worker pool.
+    /// A cluster whose cost provider was never built cannot have warm
+    /// entries (providers are built by the first search), so the probe only
+    /// reuses an existing provider and never constructs one.
     pub fn try_warm(&self, req: &TuneRequest) -> Option<(TuneOutcome, Source)> {
         let cost = {
             let providers = self.providers.lock().unwrap_or_else(|e| e.into_inner());
             providers.get(&cluster_key(&req.cluster)).cloned()?
         };
-        let key = self.request_key(req, &cost);
+        let key = TuneCache::oracle_prefix(&*oracle_for(req, cost));
         let outcome = self.results.get(&key)?;
         SERVE_REQUESTS_WARM.inc();
         Some((outcome, Source::Warm))
@@ -349,8 +335,8 @@ impl TuneService {
     }
 
     fn tune_inner(&self, req: &TuneRequest) -> Result<(TuneOutcome, Source), String> {
-        let cost = self.provider_for(&req.cluster)?;
-        let key = self.request_key(req, &cost);
+        let oracle = oracle_for(req, self.provider_for(&req.cluster)?);
+        let key = TuneCache::oracle_prefix(&*oracle);
 
         if let Some(outcome) = self.results.get(&key) {
             SERVE_REQUESTS_WARM.inc();
@@ -392,13 +378,13 @@ impl TuneService {
                     flight: &flight,
                     armed: true,
                 };
-                let result = (self.search)(req, &cost, &self.opts);
+                let result = (self.search)(req, &*oracle, &self.opts);
                 guard.armed = false;
                 drop(guard);
                 if let Ok(outcome) = &result {
                     self.results.insert(key.clone(), outcome.clone());
                 }
-                // Deregister *after* publishing to the warm cache: a request
+                // Deregister *after* publishing to the warm map: a request
                 // arriving in between sees either the in-flight entry or the
                 // warm result, never a gap that would start a second search.
                 self.inflight
@@ -413,20 +399,18 @@ impl TuneService {
     }
 
     /// One-line snapshot of the serve counters (the `STATS` response body):
-    /// request sources, warm-cache occupancy and churn, and request-pool
+    /// request sources, warm-map occupancy and evictions, and request-pool
     /// pressure.
     pub fn stats_line(&self) -> String {
         format!(
-            "warm={} cold={} deduped={} inflight={} cached={} cache_entries={} \
-             evictions={} expired={} pool_queued={} pool_active={} pool_rejected={}",
+            "warm={} cold={} deduped={} inflight={} cached={} evictions={} \
+             pool_queued={} pool_active={} pool_rejected={}",
             SERVE_REQUESTS_WARM.get(),
             SERVE_REQUESTS_COLD.get(),
             SERVE_REQUESTS_DEDUPED.get(),
             SERVE_INFLIGHT.get(),
             self.results.len(),
-            self.results.len(),
             SERVE_CACHE_EVICTIONS.get(),
-            SERVE_CACHE_EXPIRED.get(),
             SERVE_POOL_QUEUED.get(),
             SERVE_POOL_ACTIVE.get(),
             SERVE_POOL_REJECTED.get(),
@@ -477,40 +461,45 @@ impl Drop for LeaderGuard<'_> {
     }
 }
 
-/// The real cold-search path: the same `tuned_full_*` constructors the
-/// `reproduce` binary uses, persistent cache and multi-threaded evaluator
-/// included.
-fn run_search(req: &TuneRequest, cost: &SharedCost, opts: &ServeOptions) -> SearchResult {
-    let executor = opts.executor.clone().unwrap_or_else(SearchExecutor::global);
-    let mut topts = TuneOptions {
-        strategy: opts.strategy,
-        space: opts.space.clone(),
-        cache_path: opts.cache_path.clone(),
-        objective: req.objective,
-        ..TuneOptions::default()
-    }
-    .with_cost(cost.clone())
-    .with_executor(executor)
-    // The daemon always sweeps same-scope entries of other cost revisions or
-    // objectives, so its write-behind cache file and memory stay bounded.
-    .with_stale_sweep(true);
-    let tuned = match &req.workload {
-        WorkloadSpec::Mlp(shape) => autotune::tuned_full_mlp(shape, cost.cluster(), &topts),
+/// The oracle a request's search prices, priced by `cost`: the one place a
+/// request becomes a workload, cluster, objective and routing. Building it
+/// draws no routing sample, so the warm probe can key a request with it.
+fn oracle_for(req: &TuneRequest, cost: SharedCost) -> Box<dyn CostOracle> {
+    match &req.workload {
+        WorkloadSpec::Mlp(shape) => {
+            Box::new(MlpOracle::new(shape.clone(), req.cluster.clone()).with_cost(cost))
+        }
         WorkloadSpec::Moe { shape, routing } => {
-            if let Some(spec) = routing {
-                topts = topts.with_routing(*spec);
+            let oracle = MoeOracle::new(shape.clone(), req.cluster.clone())
+                .with_cost(cost)
+                .with_objective(req.objective);
+            match routing {
+                Some(spec) => Box::new(oracle.with_routing(*spec)),
+                None => Box::new(oracle),
             }
-            autotune::tuned_full_moe(shape, cost.cluster(), &topts)
         }
     }
-    .map_err(|e| e.to_string())?;
+}
+
+/// The real cold search: the request's oracle on the process-shared
+/// [`SearchExecutor`], through the persistent cache when one is configured.
+fn run_search(_req: &TuneRequest, oracle: &dyn CostOracle, opts: &ServeOptions) -> SearchResult {
+    // The daemon always sweeps same-scope entries of other cost revisions or
+    // objectives, so its write-behind cache file and memory stay bounded.
+    let mut tuner = Tuner::new(opts.strategy)
+        .with_executor(SearchExecutor::global())
+        .with_stale_sweep(true);
+    if let Some(path) = &opts.cache_path {
+        tuner = tuner.with_cache(TuneCache::open(path).map_err(|e| e.to_string())?);
+    }
+    let report = tuner.tune(oracle, &opts.space).map_err(|e| e.to_string())?;
     Ok(TuneOutcome {
-        config_key: tuned.config.cache_key(),
-        total_s: tuned.layer.total_s,
-        comm_s: tuned.layer.comm_only_s,
-        comp_s: tuned.layer.comp_only_s,
-        evaluations: tuned.search.evaluations,
-        cache_hits: tuned.search.cache_hits,
+        config_key: report.best.config.cache_key(),
+        total_s: report.best.report.total_s,
+        comm_s: report.best.report.comm_only_s,
+        comp_s: report.best.report.comp_only_s,
+        evaluations: report.evaluations,
+        cache_hits: report.cache_hits,
     })
 }
 
@@ -626,7 +615,7 @@ mod tests {
         });
         let req = request("TUNE workload=MoE-2 routing=hot:2 objective=p95");
         let cost = service.provider_for(&req.cluster).unwrap();
-        let key = service.request_key(&req, &cost);
+        let key = TuneCache::oracle_prefix(&*oracle_for(&req, cost));
         assert!(key.contains("moe/"), "workload part missing: {key}");
         assert!(key.contains("rt="), "routing part missing: {key}");
         assert!(key.contains("H800"), "cluster part missing: {key}");
@@ -634,5 +623,78 @@ mod tests {
             key.ends_with("|p95"),
             "objective must close the prefix: {key}"
         );
+    }
+
+    fn outcome(n: usize) -> TuneOutcome {
+        TuneOutcome {
+            config_key: format!("cfg-{n}"),
+            total_s: 1e-3,
+            comm_s: 4e-4,
+            comp_s: 8e-4,
+            evaluations: n,
+            cache_hits: 0,
+        }
+    }
+
+    #[test]
+    fn warm_map_roundtrip_and_replace() {
+        let map = WarmMap::new(8);
+        assert_eq!(map.len(), 0);
+        map.insert("a".into(), outcome(1));
+        map.insert("b".into(), outcome(2));
+        map.insert("a".into(), outcome(3));
+        assert_eq!(map.get("a"), Some(outcome(3)));
+        assert_eq!(map.get("b"), Some(outcome(2)));
+        assert_eq!(map.get("c"), None);
+        assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn warm_map_concurrent_readers_and_writers_agree() {
+        let map = WarmMap::new(WARM_ENTRIES);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let map = &map;
+                scope.spawn(move || {
+                    for i in 0..100 {
+                        map.insert(format!("t{t}-k{i}"), outcome(i));
+                        assert_eq!(map.get(&format!("t{t}-k{i}")), Some(outcome(i)));
+                    }
+                });
+            }
+        });
+        assert_eq!(map.len(), 800);
+    }
+
+    #[test]
+    fn warm_map_holds_its_cap_under_churn() {
+        let map = WarmMap::new(64);
+        for i in 0..1000 {
+            map.insert(format!("churn-key-{i}"), outcome(i));
+            assert!(
+                map.len() <= 64,
+                "cap must hold at every step, len={} after {i} inserts",
+                map.len()
+            );
+        }
+        assert_eq!(map.len(), 64);
+        // The survivors are exactly the 64 newest keys.
+        assert!(map.get("churn-key-935").is_none());
+        assert!((936..1000).all(|i| map.get(&format!("churn-key-{i}")).is_some()));
+    }
+
+    #[test]
+    fn warm_map_evicts_the_least_recently_used() {
+        let map = WarmMap::new(3);
+        map.insert("a".into(), outcome(1));
+        map.insert("b".into(), outcome(2));
+        map.insert("c".into(), outcome(3));
+        // Touch "a" so "b" is now the coldest.
+        assert_eq!(map.get("a"), Some(outcome(1)));
+        map.insert("d".into(), outcome(4));
+        assert_eq!(map.get("b"), None, "coldest entry must be evicted");
+        assert_eq!(map.get("a"), Some(outcome(1)));
+        assert_eq!(map.get("c"), Some(outcome(3)));
+        assert_eq!(map.get("d"), Some(outcome(4)));
     }
 }

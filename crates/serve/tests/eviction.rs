@@ -1,6 +1,6 @@
-//! Warm-cache churn stays bounded: the LRU entry cap holds under a stream
-//! of distinct keys, eviction order follows recency, and the
-//! `serve.cache.evictions` counter records the churn.
+//! The warm map's cap and order: it holds 4,096 results without evicting,
+//! and past the cap it evicts the least recently used entry of the whole
+//! map, counted in `serve.cache.evictions`.
 //!
 //! Lives in its own test binary so the process-global eviction counter is
 //! not shared with unrelated tests.
@@ -12,6 +12,9 @@ use tilelink_probe::metrics::SERVE_CACHE_EVICTIONS;
 use tilelink_serve::protocol::{parse_command, Command, TuneRequest};
 use tilelink_serve::service::{ServeOptions, Source, TuneOutcome, TuneService};
 
+/// The daemon's warm-map cap.
+const CAP: usize = 4096;
+
 fn request(line: &str) -> TuneRequest {
     match parse_command(line).unwrap() {
         Command::Tune(req) => *req,
@@ -19,13 +22,14 @@ fn request(line: &str) -> TuneRequest {
     }
 }
 
-/// A stub service with a single-shard warm cache capped at `cap` entries —
-/// one shard makes the LRU order global, so eviction order is exact.
-fn capped_service(cap: usize, calls: Arc<AtomicUsize>) -> TuneService {
+/// One distinct key per seed: the routing seed is part of the cache key.
+fn seeded(i: usize) -> TuneRequest {
+    request(&format!("TUNE workload=MoE-1 routing=uniform seed={i}"))
+}
+
+fn stub_service(calls: Arc<AtomicUsize>) -> TuneService {
     let opts = ServeOptions {
         cache_path: None,
-        shards: 1,
-        cache_entries: cap,
         ..ServeOptions::quick()
     };
     TuneService::with_search(
@@ -44,56 +48,41 @@ fn capped_service(cap: usize, calls: Arc<AtomicUsize>) -> TuneService {
     )
 }
 
-/// 18 distinct cache-key quintuples (workload / cluster axes).
-fn churn_catalog() -> Vec<String> {
-    let mut catalog = Vec::new();
-    for i in 1..=6 {
-        catalog.push(format!("TUNE workload=MLP-{i}"));
-        catalog.push(format!("TUNE workload=MLP-{i} cluster=h800x4"));
-        catalog.push(format!("TUNE workload=MoE-{i}"));
-    }
-    catalog
-}
-
 #[test]
 fn key_churn_stays_under_the_entry_cap_and_evicts_in_lru_order() {
-    const CAP: usize = 8;
     let calls = Arc::new(AtomicUsize::new(0));
-    let service = capped_service(CAP, Arc::clone(&calls));
-    let catalog = churn_catalog();
-    assert!(catalog.len() > CAP, "churn must overflow the cap");
+    let service = stub_service(Arc::clone(&calls));
+    let requests: Vec<TuneRequest> = (0..=CAP).map(seeded).collect();
 
     let evictions_before = SERVE_CACHE_EVICTIONS.get();
-    for line in &catalog {
-        let (_, source) = service.tune(&request(line)).unwrap();
-        assert_eq!(source, Source::Cold, "{line} is a fresh key");
-        assert!(
-            service.cached_results() <= CAP,
-            "cap must hold at every step, got {} entries",
-            service.cached_results()
-        );
+    for req in &requests[..CAP] {
+        let (_, source) = service.tune(req).unwrap();
+        assert_eq!(source, Source::Cold, "every seed is a fresh key");
     }
     assert_eq!(service.cached_results(), CAP);
-    let evicted = (SERVE_CACHE_EVICTIONS.get() - evictions_before) as usize;
+    // Probing in key order also leaves key 0 the least recently used.
+    for (i, req) in requests[..CAP].iter().enumerate() {
+        assert!(
+            service.try_warm(req).is_some(),
+            "key {i} must still be warm"
+        );
+    }
     assert_eq!(
-        evicted,
-        catalog.len() - CAP,
-        "every overflow insert evicts exactly one entry"
+        SERVE_CACHE_EVICTIONS.get(),
+        evictions_before,
+        "a full cache has evicted nothing"
     );
 
-    // Recency order: the newest CAP keys are still warm, the oldest are not.
-    let searches_so_far = calls.load(Ordering::SeqCst);
-    let (_, source) = service.tune(&request(catalog.last().unwrap())).unwrap();
-    assert_eq!(source, Source::Warm, "the newest key must still be cached");
-    let (_, source) = service.tune(&request(&catalog[0])).unwrap();
-    assert_eq!(
-        source,
-        Source::Cold,
-        "the oldest key must have been evicted"
-    );
-    assert_eq!(
-        calls.load(Ordering::SeqCst),
-        searches_so_far + 1,
-        "only the evicted key re-searches"
-    );
+    // Touch key 0, so key 1 is the least recently used entry of the cache,
+    // then overflow the cap by one.
+    assert!(service.try_warm(&requests[0]).is_some());
+    let (_, source) = service.tune(&requests[CAP]).unwrap();
+    assert_eq!(source, Source::Cold);
+    assert_eq!(service.cached_results(), CAP);
+    assert_eq!(SERVE_CACHE_EVICTIONS.get(), evictions_before + 1);
+    let cold: Vec<usize> = (0..=CAP)
+        .filter(|&i| service.try_warm(&requests[i]).is_none())
+        .collect();
+    assert_eq!(cold, [1], "exactly the least recently used key went cold");
+    assert_eq!(calls.load(Ordering::SeqCst), CAP + 1, "one search per key");
 }

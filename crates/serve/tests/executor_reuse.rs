@@ -3,16 +3,13 @@
 //! paying the spawn cost again.
 //!
 //! Lives in its own test binary so the process-global
-//! `tune.executor.reuses` counter is not shared with unrelated tests, and
-//! uses a dedicated executor so the delta is attributable to these two
-//! searches alone.
-
-use std::sync::Arc;
+//! `tune.executor.reuses` counter is not shared with unrelated tests: the
+//! daemon's searches run on [`tilelink_tune::SearchExecutor::global`], and
+//! nothing else in this process touches it.
 
 use tilelink_probe::metrics::TUNE_EXECUTOR_REUSES;
 use tilelink_serve::protocol::{parse_command, Command, TuneRequest};
 use tilelink_serve::service::{ServeOptions, Source, TuneService};
-use tilelink_tune::SearchExecutor;
 
 fn request(line: &str) -> TuneRequest {
     match parse_command(line).unwrap() {
@@ -23,10 +20,8 @@ fn request(line: &str) -> TuneRequest {
 
 #[test]
 fn two_cold_searches_reuse_the_shared_executor_pool() {
-    let executor = Arc::new(SearchExecutor::with_threads(2));
     let service = TuneService::new(ServeOptions {
         cache_path: None,
-        executor: Some(Arc::clone(&executor)),
         ..ServeOptions::quick()
     });
 

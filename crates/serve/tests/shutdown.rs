@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 use std::process::Command as ProcCommand;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use tilelink::{OverlapConfig, OverlapReport};
@@ -31,8 +31,9 @@ fn marker_key() -> String {
 }
 
 /// Child half: inert unless re-invoked with the marker path in the
-/// environment. Boots a daemon whose search sleeps long enough for the
-/// shutdown to arrive mid-flight, then persists a marker entry.
+/// environment. Boots a daemon whose search signals its start, sleeps long
+/// enough for the shutdown to arrive mid-flight, then persists a marker
+/// entry.
 #[test]
 fn child_daemon_drains_the_inflight_search() {
     let Ok(marker_path) = std::env::var(CHILD_ENV) else {
@@ -40,6 +41,10 @@ fn child_daemon_drains_the_inflight_search() {
     };
     let marker_path = PathBuf::from(marker_path);
 
+    // Two parties: the stub on entry and the shutdown below, so the daemon
+    // is stopped only once its worker is inside the search.
+    let in_search = Arc::new(Barrier::new(2));
+    let stub_barrier = Arc::clone(&in_search);
     let stub_marker = marker_path.clone();
     let service = TuneService::with_search(
         ServeOptions {
@@ -47,6 +52,7 @@ fn child_daemon_drains_the_inflight_search() {
             ..ServeOptions::quick()
         },
         Box::new(move |_req, _cost, _opts| {
+            stub_barrier.wait();
             // Long enough that the parent-side shutdown below overlaps the
             // search, short enough to keep the test fast.
             std::thread::sleep(Duration::from_millis(300));
@@ -75,9 +81,9 @@ fn child_daemon_drains_the_inflight_search() {
             .expect("the drained daemon still answers the in-flight request")
     });
 
-    // Let the request reach a worker and enter the slow search, then ask the
-    // daemon to stop while the search is still running.
-    std::thread::sleep(Duration::from_millis(100));
+    // Wait for the request to reach a worker and enter the slow search, then
+    // ask the daemon to stop while the search is still running.
+    in_search.wait();
     server.shutdown();
 
     let reply = client.join().expect("client thread");

@@ -30,7 +30,7 @@ fn ping_stats_and_errors_over_the_wire() {
     // The payload also parses through the typed reader, and the pipeline
     // fields are present (an unknown or missing key would error here).
     let fields = reply.stats().expect("stats line parses typed");
-    assert_eq!(fields.cached, fields.cache_entries, "legacy alias agrees");
+    assert_eq!(fields.cached, 0, "a fresh daemon has nothing cached");
     assert!(fields.pool_queued >= 0 && fields.pool_active >= 0);
 
     for bad in [
@@ -83,7 +83,7 @@ fn cold_then_warm_tune_over_the_wire() {
         .expect("stats line parses typed");
     assert!(stats.warm >= 1, "one warm hit recorded: {stats:?}");
     assert!(stats.cold >= 1, "one cold search recorded: {stats:?}");
-    assert!(stats.cache_entries >= 1, "the winner is cached: {stats:?}");
+    assert!(stats.cached >= 1, "the winner is cached: {stats:?}");
     server.shutdown();
 }
 

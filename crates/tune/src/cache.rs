@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use tilelink::{OverlapConfig, OverlapReport};
 
-use crate::{Result, TuneError};
+use crate::{cluster_key, CostOracle, Result, TuneError};
 
 /// Environment variable overriding the default cache location.
 pub const CACHE_PATH_ENV: &str = "TILELINK_TUNE_CACHE";
@@ -226,6 +226,21 @@ impl TuneCache {
         objective_key: &str,
     ) -> String {
         format!("{workload_key}|{cluster_key}|{cost_revision}|{objective_key}")
+    }
+
+    /// The [`TuneCache::key_prefix`] of every key `oracle` prices: its
+    /// workload, cluster, cost-model revision and objective.
+    ///
+    /// [`crate::Tuner::tune`] files a run's entries under this prefix, and
+    /// the serve daemon keys its warm results by it, so the daemon's notion
+    /// of a "same" request and the on-disk one cannot drift apart.
+    pub fn oracle_prefix(oracle: &dyn CostOracle) -> String {
+        Self::key_prefix(
+            &oracle.workload_key(),
+            &cluster_key(oracle.cluster()),
+            &oracle.cost_revision(),
+            &oracle.objective().key(),
+        )
     }
 
     /// The full cache key of one candidate under a memoized

@@ -464,12 +464,7 @@ impl<'a> Run<'a> {
         // key are fixed for this whole run, and the oracle accessors allocate
         // a String per call: memoize the joined prefix once instead of
         // re-assembling it for every candidate probe.
-        let prefix = TuneCache::key_prefix(
-            &oracle.workload_key(),
-            &cluster_key(oracle.cluster()),
-            &oracle.cost_revision(),
-            &oracle.objective().key(),
-        );
+        let prefix = TuneCache::oracle_prefix(oracle);
         {
             // Entries for this workload+cluster recorded under another cost
             // revision or objective will self-invalidate (miss) this run;

@@ -411,16 +411,10 @@ pub struct TuneOptions {
     pub verbose: bool,
     /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
     /// private one per run (the default, `None`: one worker per CPU, capped
-    /// at 16); long-running processes (the serve daemon, `reproduce
-    /// --tune`) pass [`SearchExecutor::global`] so back-to-back and
-    /// concurrent searches share one warm pool. Results are bit-identical
+    /// at 16); `reproduce --tune` passes [`SearchExecutor::global`] so
+    /// back-to-back searches share one warm pool. Results are bit-identical
     /// either way.
     pub executor: Option<Arc<SearchExecutor>>,
-    /// Physically removes same-scope cache entries recorded under another
-    /// cost-model revision or objective at the start of the run (see
-    /// [`tilelink_tune::TuneCache::sweep_stale`]). Off by default; the serve
-    /// daemon enables it to bound its write-behind cache.
-    pub sweep_stale: bool,
 }
 
 impl Default for TuneOptions {
@@ -434,7 +428,6 @@ impl Default for TuneOptions {
             objective: Objective::Mean,
             verbose: false,
             executor: None,
-            sweep_stale: false,
         }
     }
 }
@@ -476,12 +469,6 @@ impl TuneOptions {
         self.executor = Some(executor);
         self
     }
-
-    /// Sweeps stale same-scope cache entries at the start of the run.
-    pub fn with_stale_sweep(mut self, sweep: bool) -> Self {
-        self.sweep_stale = sweep;
-        self
-    }
 }
 
 /// A tuned layer: the winning configuration, its simulated timing, and the
@@ -515,9 +502,7 @@ fn checked_cost(opts: &TuneOptions, cluster: &ClusterSpec) -> Option<SharedCost>
 }
 
 fn run_tune(oracle: &dyn CostOracle, opts: &TuneOptions) -> tilelink_tune::Result<TunedLayer> {
-    let mut tuner = Tuner::new(opts.strategy)
-        .with_verbose(opts.verbose)
-        .with_stale_sweep(opts.sweep_stale);
+    let mut tuner = Tuner::new(opts.strategy).with_verbose(opts.verbose);
     if let Some(executor) = &opts.executor {
         tuner = tuner.with_executor(Arc::clone(executor));
     }

@@ -208,7 +208,8 @@ pub struct TunedModelTiming {
     pub mlp_config: Option<OverlapConfig>,
     /// Winning config of the MoE part (`None` for dense models).
     pub moe_config: Option<OverlapConfig>,
-    /// Simulator evaluations performed across the layer searches.
+    /// Ranked oracle pricings performed across the layer searches (see
+    /// [`tilelink_tune::TuneReport::evaluations`]).
     pub evaluations: usize,
     /// Lookups served by the tuning cache instead of the simulator.
     pub cache_hits: usize,

@@ -11,7 +11,7 @@
 //! * [`tilelink_collectives`] — NCCL-like collectives
 //! * [`tilelink_tune`] — simulator-guided autotuner over the overlap design space
 //! * [`tilelink_workloads`] — MLP / MoE / attention workloads and baselines
-//! * [`tilelink_serve`] — tuning-as-a-service daemon (sharded warm cache, deduped searches)
+//! * [`tilelink_serve`] — tuning-as-a-service daemon (LRU warm cache, deduped searches)
 //! * [`tilelink_probe`] — span profiler, metrics registry and Chrome-trace export
 
 pub use tilelink;

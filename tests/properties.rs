@@ -393,8 +393,8 @@ fn wire_parsers_survive_fuzzed_lines() {
         "PING",
         "STATS",
     ];
-    let stats = "warm=12 cold=3 deduped=5 inflight=2 cached=7 cache_entries=7 evictions=4 \
-                 expired=1 pool_queued=6 pool_active=8 pool_rejected=9";
+    let stats = "warm=12 cold=3 deduped=5 inflight=2 cached=7 evictions=4 pool_queued=6 \
+                 pool_active=8 pool_rejected=9";
     let stats_reply = format!("STATS {stats}");
     let replies = [
         "OK workload=MoE-1 source=warm config=ct128x128-gt256x256 total_ms=1.250000 \
