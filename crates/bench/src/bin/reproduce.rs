@@ -56,7 +56,9 @@
 //!   printing each trace's utilisation/overlap summary. Combined with
 //!   `--profile` it also writes `host.trace.json` with the host-side spans.
 //! * `--verbose` (requires `--tune`) prints per-beam-round search progress
-//!   (round, best-so-far, evaluations) to stderr while tuning.
+//!   (round, best-so-far, evaluations) to stderr while tuning, then one
+//!   `[tune] winner:` line per search with what pricing the winner's exact
+//!   report cost (wall time, simulations, memo hits).
 
 use tilelink_bench::cli::{self, Arity};
 use tilelink_bench::{

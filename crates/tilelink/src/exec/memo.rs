@@ -4,7 +4,10 @@
 //! axes no builder or pass reads, second halves that ignore the comm tile,
 //! halves forced onto one lane. [`MakespanMemo`] keys prices by
 //! [`crate::Fingerprint`], so only the first of them builds a task graph and
-//! simulates; the rest are answered from the price it recorded.
+//! simulates; the rest are answered from the price it recorded. A search
+//! winner's exact report ([`MakespanMemo::report`]) reads its overlapped
+//! makespan there too, and simulates only the comm-only and compute-only
+//! runs.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -16,7 +19,8 @@ use tilelink_sim::{BoundedMakespan, SharedCost};
 
 use crate::compile::CompiledKernel;
 use crate::exec::simulate_makespan;
-use crate::{Fingerprint, Result};
+use crate::exec::timed::simulate_split;
+use crate::{Fingerprint, OverlapReport, Result};
 
 /// What the memo knows about one kernel's makespan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,6 +113,22 @@ impl MakespanMemo {
         Ok(priced)
     }
 
+    /// The exact [`OverlapReport`] of `kernel`, bit-identical to
+    /// [`crate::exec::simulate_report`]: the overlapped makespan is
+    /// [`MakespanMemo::makespan`] at an infinite cutoff, so it simulates only
+    /// when no run of the kernel has finished yet, and the comm-only and
+    /// compute-only runs are simulated as [`crate::exec::simulate_report`]
+    /// simulates them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first simulation error.
+    pub fn report(&self, kernel: &CompiledKernel) -> Result<OverlapReport> {
+        let total = self.makespan(kernel, f64::INFINITY)?.clock();
+        let (comm, comp) = simulate_split(kernel, &self.cost)?;
+        Ok(OverlapReport::new(total, comm, comp))
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Fingerprint, Price>> {
         self.prices.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -152,6 +172,7 @@ mod tests {
     use super::*;
     use crate::compile::Compiler;
     use crate::config::OverlapConfig;
+    use crate::exec::simulate_report;
     use crate::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
@@ -247,5 +268,19 @@ mod tests {
         let other = kernel(&cost, 2e6);
         assert_ne!(other.fingerprint, k.fingerprint);
         assert!(!priced(&memo, &other, f64::INFINITY).1);
+
+        // An exact report reads a finished makespan from the memo; a kernel
+        // known only by an abort floor is simulated to completion first.
+        let floored = kernel(&cost, 3e6);
+        assert!(!priced(&memo, &floored, exact / 2.0).1);
+        for (kernel, hit) in [(&k, true), (&floored, false), (&floored, true)] {
+            let hits = EXEC_MEMO_HITS.get();
+            let report = memo.report(kernel).unwrap();
+            let fresh = simulate_report(kernel, &cost).unwrap();
+            assert_eq!(report.total_s.to_bits(), fresh.total_s.to_bits());
+            assert_eq!(report.comm_only_s.to_bits(), fresh.comm_only_s.to_bits());
+            assert_eq!(report.comp_only_s.to_bits(), fresh.comp_only_s.to_bits());
+            assert_eq!(EXEC_MEMO_HITS.get() > hits, hit);
+        }
     }
 }

@@ -3,14 +3,17 @@
 //! The timed runtime prices a compiled kernel three ways:
 //!
 //! * [`simulate_report`] — the exact [`crate::OverlapReport`] (full,
-//!   comm-only and compute-only makespans) of figures, baselines and tuning
-//!   winners;
+//!   comm-only and compute-only makespans) of figures and baselines;
 //! * [`simulate_makespan`] — the full graph only, under an abort cutoff;
 //! * [`MakespanMemo::makespan`] — [`simulate_makespan`] behind a memo keyed
 //!   by [`crate::Fingerprint`], which simulates each distinct kernel once
 //!   (and again only when a recorded abort floor does not settle a new
 //!   cutoff). The layer oracles price every candidate a search ranks through
-//!   one memo each.
+//!   one memo each;
+//! * [`MakespanMemo::report`] — [`simulate_report`] with the overlapped
+//!   makespan read from the memo: the exact report of a search winner, whose
+//!   full graphs the search has already simulated, costs only its comm-only
+//!   and compute-only runs.
 
 pub mod functional;
 mod memo;

@@ -15,8 +15,9 @@
 //!
 //! * [`simulate_report`] simulates the full graph plus the
 //!   communication-only and computation-only graphs behind the paper's
-//!   overlap ratio (Section 7.2) — the exact [`OverlapReport`] of figures,
-//!   baselines and tuning winners;
+//!   overlap ratio (Section 7.2) — the exact [`OverlapReport`] of figures
+//!   and baselines ([`super::MakespanMemo::report`] pairs the same two
+//!   isolated runs with a memoised overlapped makespan);
 //! * [`simulate_makespan`] builds and simulates the full graph only, under an
 //!   abort cutoff — the price of every candidate a search ranks, which reads
 //!   nothing but the overlapped makespan.
@@ -529,35 +530,50 @@ fn build_graph_into(
     builder.finish(subset);
 }
 
+/// Builds the `subset` graph of `kernel` without task labels and simulates it
+/// under `cutoff`: the one simulation behind every pricing path.
+fn simulate_subset(
+    kernel: &CompiledKernel,
+    cost: &SharedCost,
+    subset: Subset,
+    cutoff: f64,
+) -> Result<BoundedMakespan> {
+    let engine = Engine::with_cost(cost.clone());
+    with_graph_scratch(|scratch| {
+        build_graph_into(scratch, kernel, cost.cluster(), subset, false);
+        let _span = tilelink_probe::span("simulate");
+        Ok(engine.makespan(&scratch.graph, cutoff)?)
+    })
+}
+
+/// The communication-only and computation-only makespans of `kernel`: the
+/// two isolated runs behind the overlap ratio (Section 7.2), each simulated
+/// to completion. [`simulate_report`] and [`super::MakespanMemo::report`]
+/// pair them with the overlapped makespan.
+pub(super) fn simulate_split(kernel: &CompiledKernel, cost: &SharedCost) -> Result<(f64, f64)> {
+    let comm = simulate_subset(kernel, cost, Subset::CommOnly, f64::INFINITY)?;
+    let comp = simulate_subset(kernel, cost, Subset::ComputeOnly, f64::INFINITY)?;
+    Ok((comm.clock(), comp.clock()))
+}
+
 /// Exact report-only simulation: the three makespans an [`OverlapReport`]
 /// needs, without constructing any trace.
 ///
 /// Builds the full, comm-only and compute-only graphs one after another
 /// without task labels (the scheduler never reads names, and the empty shared
 /// label spares thousands of `format!` calls per kernel) and simulates each
-/// to completion. Its `total_s` is bit-identical to the finished
-/// [`simulate_makespan`] of the same kernel, and to the makespan
-/// [`Engine::run`] records over [`task_graph`] (one shared scheduler
-/// underneath).
+/// to completion. Its `total_s` is the finished [`simulate_makespan`] of the
+/// same kernel, and bit-identical to the makespan [`Engine::run`] records
+/// over [`task_graph`] (one shared scheduler underneath).
 ///
 /// # Errors
 ///
 /// Returns an error if the generated task graph is invalid (which indicates a
 /// compiler bug, e.g. a dependency cycle between blocks).
 pub fn simulate_report(kernel: &CompiledKernel, cost: &SharedCost) -> Result<OverlapReport> {
-    let engine = Engine::with_cost(cost.clone());
-    with_graph_scratch(|scratch| {
-        let [full, comm, comp] = [Subset::All, Subset::CommOnly, Subset::ComputeOnly].map(|s| {
-            build_graph_into(scratch, kernel, cost.cluster(), s, false);
-            let _span = tilelink_probe::span("simulate");
-            engine.makespan(&scratch.graph, f64::INFINITY)
-        });
-        Ok(OverlapReport::new(
-            full?.clock(),
-            comm?.clock(),
-            comp?.clock(),
-        ))
-    })
+    let total = simulate_makespan(kernel, cost, f64::INFINITY)?.clock();
+    let (comm, comp) = simulate_split(kernel, cost)?;
+    Ok(OverlapReport::new(total, comm, comp))
 }
 
 /// Makespan-only simulation under an abort cutoff: the price of a candidate
@@ -579,12 +595,7 @@ pub fn simulate_makespan(
     cost: &SharedCost,
     cutoff: f64,
 ) -> Result<BoundedMakespan> {
-    let engine = Engine::with_cost(cost.clone());
-    with_graph_scratch(|scratch| {
-        build_graph_into(scratch, kernel, cost.cluster(), Subset::All, false);
-        let _span = tilelink_probe::span("simulate");
-        Ok(engine.makespan(&scratch.graph, cutoff)?)
-    })
+    simulate_subset(kernel, cost, Subset::All, cutoff)
 }
 
 /// The full task graph (all block roles) a compiled kernel simulates as,

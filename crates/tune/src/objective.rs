@@ -48,22 +48,18 @@ impl Objective {
 
     /// Folds sampled makespans (seconds) into the objective's scalar.
     ///
-    /// Percentiles use the nearest-rank method on a sorted copy, so the result
-    /// is always one of the input values (no interpolation — the folded value
-    /// corresponds to a routing that was actually priced).
+    /// Percentiles use the nearest-rank method ([`Objective::picked_sample`]),
+    /// so the result is always one of the input values (no interpolation —
+    /// the folded value corresponds to a routing that was actually priced).
     ///
     /// # Panics
     ///
     /// Panics if `samples` is empty.
     pub fn fold(&self, samples: &[f64]) -> f64 {
         assert!(!samples.is_empty(), "cannot fold zero samples");
-        match self {
-            Objective::Mean => samples.iter().sum::<f64>() / samples.len() as f64,
-            Objective::Percentile(_) | Objective::WorstCase => {
-                let mut sorted = samples.to_vec();
-                sorted.sort_by(f64::total_cmp);
-                sorted[self.pick_index(sorted.len())]
-            }
+        match self.picked_sample(samples) {
+            Some(picked) => samples[picked],
+            None => samples.iter().sum::<f64>() / samples.len() as f64,
         }
     }
 
@@ -78,21 +74,35 @@ impl Objective {
     /// Panics if `reports` is empty.
     pub fn fold_reports(&self, reports: &[OverlapReport]) -> OverlapReport {
         assert!(!reports.is_empty(), "cannot fold zero reports");
-        match self {
-            Objective::Mean => {
-                let n = reports.len() as f64;
-                OverlapReport::new(
-                    reports.iter().map(|r| r.total_s).sum::<f64>() / n,
-                    reports.iter().map(|r| r.comm_only_s).sum::<f64>() / n,
-                    reports.iter().map(|r| r.comp_only_s).sum::<f64>() / n,
-                )
-            }
-            Objective::Percentile(_) | Objective::WorstCase => {
-                let mut order: Vec<usize> = (0..reports.len()).collect();
-                order.sort_by(|&a, &b| reports[a].total_s.total_cmp(&reports[b].total_s));
-                reports[order[self.pick_index(reports.len())]]
-            }
+        let totals: Vec<f64> = reports.iter().map(|r| r.total_s).collect();
+        if let Some(picked) = self.picked_sample(&totals) {
+            return reports[picked];
         }
+        let n = reports.len() as f64;
+        OverlapReport::new(
+            totals.iter().sum::<f64>() / n,
+            reports.iter().map(|r| r.comm_only_s).sum::<f64>() / n,
+            reports.iter().map(|r| r.comp_only_s).sum::<f64>() / n,
+        )
+    }
+
+    /// The index of the sample this objective selects from per-sample
+    /// `totals` (nearest-rank over a stable ascending sort, so tied totals
+    /// rank in sample order), or `None` for [`Objective::Mean`], which
+    /// averages instead of picking.
+    ///
+    /// [`Objective::fold`] and [`Objective::fold_reports`] pick through it,
+    /// so an oracle that knows every sample's total can choose the one sample
+    /// whose full report a fold would return and price only that one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `totals` is empty and the objective picks.
+    pub fn picked_sample(&self, totals: &[f64]) -> Option<usize> {
+        let rank = self.sorted_pick_index(totals.len())?;
+        let mut order: Vec<usize> = (0..totals.len()).collect();
+        order.sort_by(|&a, &b| totals[a].total_cmp(&totals[b]));
+        Some(order[rank])
     }
 
     /// Index into an ascending-sorted sample list of length `n` that this
@@ -112,12 +122,6 @@ impl Objective {
             }
             Objective::WorstCase => Some(n - 1),
         }
-    }
-
-    /// Index into an ascending-sorted sample list of length `n` (nearest-rank).
-    fn pick_index(&self, n: usize) -> usize {
-        self.sorted_pick_index(n)
-            .expect("mean does not pick a sample")
     }
 }
 
@@ -196,6 +200,59 @@ mod tests {
         let mean = Objective::Mean.fold_reports(&reports);
         assert!((mean.total_s - 7.0 / 3.0).abs() < 1e-12);
         assert!((mean.comm_only_s - 3.7 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn picked_sample_is_the_stable_nearest_rank_pick() {
+        // Tied totals rank in sample order, so the lowest tied rank picks
+        // the earliest tied sample.
+        let tied = [2.0, 1.0, 2.0, 2.0];
+        assert_eq!(Objective::Percentile(50).picked_sample(&tied), Some(0));
+        assert_eq!(Objective::Percentile(75).picked_sample(&tied), Some(2));
+        assert_eq!(Objective::WorstCase.picked_sample(&tied), Some(3));
+        assert_eq!(Objective::Percentile(1).picked_sample(&tied), Some(1));
+        assert_eq!(Objective::Mean.picked_sample(&tied), None);
+
+        // Seeded random totals on a coarse grid, so ties are common.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 5) as f64 * 0.25 + 1.0
+        };
+        for n in 1..=16 {
+            for _ in 0..8 {
+                let totals: Vec<f64> = (0..n).map(|_| next()).collect();
+                let mut sorted = totals.clone();
+                sorted.sort_by(f64::total_cmp);
+                assert_eq!(Objective::Mean.picked_sample(&totals), None);
+                for objective in [
+                    Objective::Percentile(1),
+                    Objective::Percentile(50),
+                    Objective::Percentile(95),
+                    Objective::Percentile(99),
+                    Objective::WorstCase,
+                ] {
+                    let picked = objective.picked_sample(&totals).unwrap();
+                    let rank = objective.sorted_pick_index(n).unwrap();
+                    // The nearest-rank value, and exactly `rank` samples
+                    // ahead of the pick in (total, index) order.
+                    assert_eq!(totals[picked], sorted[rank]);
+                    let ahead = (0..n)
+                        .filter(|&i| (totals[i], i) < (totals[picked], picked))
+                        .count();
+                    assert_eq!(ahead, rank, "{objective} over {totals:?}");
+                    assert_eq!(objective.fold(&totals), totals[picked]);
+                    let reports: Vec<OverlapReport> = totals
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| OverlapReport::new(t, i as f64, 0.0))
+                        .collect();
+                    assert_eq!(objective.fold_reports(&reports), reports[picked]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -65,6 +65,12 @@ pub trait CostOracle: Sync {
     /// communication-only and computation-only times behind the overlap
     /// ratio. The tuner calls it for the winner of a search only.
     ///
+    /// An oracle may answer the overlapped makespan from the prices its
+    /// bounded evaluations recorded (the workload oracles read it from their
+    /// `tilelink::exec::MakespanMemo`) as long as the report stays the one a
+    /// fresh simulation would produce; only the comm-only and compute-only
+    /// runs are then new work.
+    ///
     /// # Errors
     ///
     /// Returns an error if the candidate fails to compile or simulate; the

@@ -3,10 +3,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use tilelink::{OverlapConfig, OverlapReport, TileLinkError};
 use tilelink_probe::metrics::{
-    EXEC_MEMO_HITS, EXEC_MEMO_MISSES, TUNE_CACHE_HITS, TUNE_CACHE_MISSES,
+    EXEC_MEMO_HITS, EXEC_MEMO_MISSES, SIM_MAKESPAN_RUNS, TUNE_CACHE_HITS, TUNE_CACHE_MISSES,
     TUNE_CACHE_REVISION_INVALIDATIONS, TUNE_CANDIDATES_CACHED, TUNE_CANDIDATES_FAILED_SIM,
     TUNE_CANDIDATES_PRUNED_BOUND, TUNE_CANDIDATES_PRUNED_CONSTRAINT,
     TUNE_CANDIDATES_PRUNED_VALIDATE, TUNE_CANDIDATES_SIMULATED, TUNE_COMPILE_FULL_REBUILDS,
@@ -358,8 +359,10 @@ impl Tuner {
     }
 
     /// Prints per-beam-round progress (round, best-so-far, evaluations) to
-    /// stderr while the search runs. Off by default; the same numbers are
-    /// always available afterwards in [`TuneReport::rounds`].
+    /// stderr while the search runs, then one line on what pricing the
+    /// winner cost: its wall time, the simulations it ran and its memo hits.
+    /// Off by default; the round numbers are always available afterwards in
+    /// [`TuneReport::rounds`].
     pub fn with_verbose(mut self, verbose: bool) -> Self {
         self.verbose = verbose;
         self
@@ -843,8 +846,14 @@ impl<'a> Run<'a> {
 
     /// The search winner's exact report: the cached one, or one
     /// [`CostOracle::evaluate`] call whose report is then cached, so a rerun
-    /// on the same cache prices nothing.
+    /// on the same cache prices nothing. Verbose runs print what the pricing
+    /// cost after the round lines.
     fn price_winner(&self, winner: &Ranked) -> Result<Candidate> {
+        let (start, sims_start, hits_start) = (
+            Instant::now(),
+            SIM_MAKESPAN_RUNS.get(),
+            EXEC_MEMO_HITS.get(),
+        );
         let key = TuneCache::key_in(&self.prefix, &winner.config);
         let cache = &self.tuner.cache;
         let cached = cache.lock().expect("tune cache lock poisoned").get(&key);
@@ -866,6 +875,16 @@ impl<'a> Run<'a> {
             winner.total_s.to_bits(),
             "the oracle's exact report disagrees with the value it ranked"
         );
+        if self.tuner.verbose {
+            eprintln!(
+                "[tune] winner: {:.4} ms, {} in {:.1} ms | {} simulations, {} memo hits",
+                report.total_s * 1e3,
+                if from_cache { "cached" } else { "priced" },
+                start.elapsed().as_secs_f64() * 1e3,
+                SIM_MAKESPAN_RUNS.get().saturating_sub(sims_start),
+                EXEC_MEMO_HITS.get().saturating_sub(hits_start),
+            );
+        }
         Ok(Candidate {
             config: winner.config,
             report,

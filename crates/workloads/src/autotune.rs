@@ -83,10 +83,11 @@ impl fmt::Display for RoutingSpec {
 /// the activation, mirroring [`mlp::timed_full_mlp`] but with the candidate
 /// config applied to both halves).
 ///
-/// Bounded evaluations price each half kernel through the oracle's own
+/// Both evaluations price each half kernel through the oracle's own
 /// [`MakespanMemo`], so every distinct kernel is simulated once however many
-/// configs and searches compile to it; [`CostOracle::evaluate`] stays
-/// memo-free.
+/// configs and searches compile to it: a search winner's exact report
+/// ([`CostOracle::evaluate`]) reads each half's overlapped makespan there
+/// and simulates only its comm-only and compute-only runs.
 #[derive(Debug, Clone)]
 pub struct MlpOracle {
     shape: MlpShape,
@@ -129,7 +130,7 @@ impl CostOracle for MlpOracle {
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
         let (shape, cost) = (&self.shape, self.memo.cost());
         bounds::exact_layer(
-            cost,
+            &self.memo,
             mlp::activation_seconds(shape, &**cost),
             || mlp::ag_gemm_kernel(shape, cfg, cost),
             || mlp::gemm_rs_kernel(shape, cfg, cost),
@@ -174,8 +175,11 @@ impl CostOracle for MlpOracle {
 /// with its [`Objective`] — tuning for the tail of the routing distribution
 /// rather than the mean.
 ///
-/// Like [`MlpOracle`], bounded evaluations price each half kernel (per
-/// sample, when routed) through the oracle's own [`MakespanMemo`].
+/// Like [`MlpOracle`], both evaluations price each half kernel (per sample,
+/// when routed) through the oracle's own [`MakespanMemo`]. A routed
+/// percentile or worst-case [`CostOracle::evaluate`] ranks the samples by
+/// their memoised layer totals and prices the comm/compute split of the one
+/// sample its objective picks; the mean prices every sample's split.
 #[derive(Debug, Clone)]
 pub struct MoeOracle {
     shape: MoeShape,
@@ -278,19 +282,40 @@ impl CostOracle for MoeOracle {
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
         let (shape, cost) = (&self.shape, self.memo.cost());
+        let act = moe::activation_seconds(shape, &**cost);
         let Some(samples) = self.samples() else {
             return bounds::exact_layer(
-                cost,
-                moe::activation_seconds(shape, &**cost),
+                &self.memo,
+                act,
                 || moe::ag_group_gemm_kernel(shape, cfg, cost),
                 || moe::group_gemm_rs_kernel(shape, cfg, cost),
             );
         };
-        let reports = samples
+        let report = |sample: &RoutingSample| {
+            bounds::exact_layer(
+                &self.memo,
+                act,
+                || moe::routed_ag_group_gemm_kernel(shape, cfg, cost, sample),
+                || moe::routed_group_gemm_rs_kernel(shape, cfg, cost, sample),
+            )
+        };
+        if self.objective == Objective::Mean {
+            let reports = samples
+                .iter()
+                .map(report)
+                .collect::<tilelink::Result<Vec<_>>>()?;
+            return Ok(self.objective.fold_reports(&reports));
+        }
+        // A percentile or the worst case reports one sample: pick it by the
+        // layer totals (read from the memo after a search; each sums as
+        // `(first + second) + act`, the `total_s` of its exact report) and
+        // price only its split.
+        let totals = samples
             .iter()
-            .map(|sample| moe::timed_routed_full_moe(shape, cfg, cost, sample))
+            .map(|sample| Ok(self.routed_makespan(cfg, sample, f64::INFINITY)?.clock()))
             .collect::<tilelink::Result<Vec<_>>>()?;
-        Ok(self.objective.fold_reports(&reports))
+        let picked = self.objective.picked_sample(&totals);
+        report(&samples[picked.expect("a non-mean objective picks a sample")])
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
@@ -406,8 +431,9 @@ pub struct TuneOptions {
     /// [`TuneOptions::routing`].
     pub objective: Objective,
     /// Prints per-beam-round search progress (round, best-so-far, evals) to
-    /// stderr while tuning runs. The same numbers are always available
-    /// afterwards in [`tilelink_tune::TuneReport::rounds`].
+    /// stderr while tuning runs, then what pricing the winner cost. The
+    /// round numbers are always available afterwards in
+    /// [`tilelink_tune::TuneReport::rounds`].
     pub verbose: bool,
     /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
     /// private one per run (the default, `None`: one worker per CPU, capped

@@ -32,12 +32,14 @@
 //! config) costs a lookup, not a graph build and a simulation; the memo
 //! answers every cutoff exactly as a fresh simulation would classify it.
 //! [`exact_layer`] is its exact sibling: the same two halves, each priced
-//! with its comm/compute split and no memo, the reference the memoised
-//! prices must match.
+//! with its comm/compute split by [`MakespanMemo::report`]. A half whose
+//! full graph finished in a bounded evaluation is read from the memo, so a
+//! search winner costs only its comm-only and compute-only runs; the figures
+//! pass a fresh memo and simulate all three runs of each half.
 
-use tilelink::exec::{simulate_report, MakespanMemo};
+use tilelink::exec::MakespanMemo;
 use tilelink::{CommMapping, CompiledKernel, OverlapConfig, OverlapReport};
-use tilelink_sim::{BoundedMakespan, CostProvider, ResourceKind, SharedCost, Task, Work};
+use tilelink_sim::{BoundedMakespan, CostProvider, ResourceKind, Task, Work};
 
 use crate::comm::{allgather_egress, ring_rs_egress};
 use crate::{moe, MlpShape, MoeShape};
@@ -202,22 +204,22 @@ pub(crate) fn moe_second_bound(
 }
 
 /// Prices a layer of two kernel halves with an activation of `act` seconds
-/// between them exactly: each half's full [`OverlapReport`], summed by
-/// [`OverlapReport::layer`]. It takes the closures [`compose_layer`] takes,
-/// so a layer's exact and bounded prices compile the same kernels and agree
-/// on `total_s` bit for bit.
+/// between them exactly: each half's full [`OverlapReport`] from
+/// [`MakespanMemo::report`], summed by [`OverlapReport::layer`]. It takes the
+/// closures [`compose_layer`] takes, so a layer's exact and bounded prices
+/// compile the same kernels and agree on `total_s` bit for bit.
 ///
 /// # Errors
 ///
 /// Returns the first error either half reports.
 pub(crate) fn exact_layer(
-    cost: &SharedCost,
+    memo: &MakespanMemo,
     act: f64,
     first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
     second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
 ) -> tilelink::Result<OverlapReport> {
-    let first = simulate_report(&first()?, cost)?;
-    let second = simulate_report(&second()?, cost)?;
+    let first = memo.report(&first()?)?;
+    let second = memo.report(&second()?)?;
     Ok(OverlapReport::layer(first, act, second))
 }
 
@@ -265,6 +267,7 @@ pub(crate) fn compose_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilelink::exec::simulate_report;
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
     fn shape() -> MlpShape {

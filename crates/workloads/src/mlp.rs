@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::run_comm_compute;
+use tilelink::exec::{run_comm_compute, MakespanMemo};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, write_tile, TileRect};
@@ -482,7 +482,7 @@ pub fn timed_full_mlp(
     cost: &SharedCost,
 ) -> tilelink::Result<OverlapReport> {
     crate::bounds::exact_layer(
-        cost,
+        &MakespanMemo::new(cost.clone()),
         activation_seconds(shape, &**cost),
         || ag_gemm_kernel(shape, &ag_gemm_config(), cost),
         || gemm_rs_kernel(shape, &gemm_rs_config(), cost),

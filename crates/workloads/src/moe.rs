@@ -22,7 +22,7 @@
 //! communication module the MLP builders use too.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::run_comm_compute;
+use tilelink::exec::{run_comm_compute, MakespanMemo};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
@@ -425,7 +425,7 @@ pub fn group_gemm_rs_kernel(
 pub fn timed_full_moe(shape: &MoeShape, cost: &SharedCost) -> tilelink::Result<OverlapReport> {
     let cfg = moe_config();
     crate::bounds::exact_layer(
-        cost,
+        &MakespanMemo::new(cost.clone()),
         activation_seconds(shape, &**cost),
         || ag_group_gemm_kernel(shape, &cfg, cost),
         || group_gemm_rs_kernel(shape, &cfg, cost),
@@ -945,7 +945,7 @@ pub fn timed_routed_full_moe(
     sample: &RoutingSample,
 ) -> tilelink::Result<OverlapReport> {
     crate::bounds::exact_layer(
-        cost,
+        &MakespanMemo::new(cost.clone()),
         activation_seconds(shape, &**cost),
         || routed_ag_group_gemm_kernel(shape, cfg, cost, sample),
         || routed_group_gemm_rs_kernel(shape, cfg, cost, sample),

@@ -64,10 +64,7 @@ fn main() {
     // Beam search over the standard space (the high-level path).
     let opts = TuneOptions::default().with_cost(cost.clone());
     let tuned = autotune::tuned_full_mlp(&shape, &cluster, &opts).expect("beam search succeeds");
-    println!(
-        "\nbeam search ({} simulated candidates):",
-        tuned.search.evaluations
-    );
+    println!("\nbeam search ({} evaluations):", tuned.search.evaluations);
     println!("tuned config:   {}", tuned.layer);
     println!("config:         {}", tuned.config.cache_key());
     println!(
