@@ -365,7 +365,8 @@ fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
         ablations(cost);
     }
 
-    // Opt-in only: a cold tuning run simulates hundreds of candidates.
+    // Opt-in only: a cold tuning run searches 12 layers, some 20-30
+    // simulations each.
     if args.has("--tune") {
         tune(cluster, cost, args);
     }

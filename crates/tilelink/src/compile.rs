@@ -2,13 +2,13 @@
 //!
 //! Besides the classic [`Compiler::compile`] entry point, the compiler keeps a
 //! process-wide cache of lowered programs ([`Compiler::compile_cached`]) so
-//! that the thousands of candidates a search evaluates do not rebuild and
-//! re-lower the same program from scratch. The cache is keyed by a
-//! [`CacheSite`] alone: the builder's name and every value the builder reads,
-//! including the few config values it reads. Every config whose builder
-//! inputs are equal compiles from one lowered program, so changing any other
-//! axis (`num_stages`, `comm_mapping`, a tile's column count...) only re-runs
-//! the per-config tail:
+//! that the up to 648 configs a search judges do not rebuild and re-lower the
+//! same program from scratch. The cache is keyed by a [`CacheSite`] alone:
+//! the builder's name and every value the builder reads, including the few
+//! config values it reads. Every config whose builder inputs are equal
+//! compiles from one lowered program, so changing any other axis
+//! (`num_stages`, `comm_mapping`, a tile's column count...) only re-runs the
+//! per-config tail:
 //!
 //! * pipelining, which shares the cached program as it is unless the stage
 //!   count moves an op (no builder's program has a load a stage count can
@@ -19,9 +19,9 @@
 //! `tune.compile.full_rebuilds` probe counters; concurrent compiles of one
 //! key build it once.
 //!
-//! Every compiled kernel carries a content [`Fingerprint`]: the lowered
-//! program is hashed once per cache miss, and each compile mixes in its
-//! plan (and its stage count, if pipelining moved an op).
+//! The same site names the compiled kernel: its [`KernelKey`] is the site,
+//! the stage count if pipelining moved an op, and the plan, which together
+//! fix everything the timed executor reads.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -29,12 +29,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tilelink_sim::SharedCost;
 
 use crate::config::OverlapConfig;
-use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::ir::{Symbol, TileProgram};
 use crate::mapping::TileMapping;
 use crate::passes::{
     check_consistency, lower, pipeline_program, pipelining_moves, LoweredBlockRef, LoweredProgram,
-    PlanInputs, ResourcePlan,
+    PlanInputs, ResourcePlan, TransferLane,
 };
 use crate::Result;
 
@@ -66,11 +65,10 @@ pub struct CompiledKernel {
     /// order. Feeds the timed executor's comm-SM reservation tasks; invariant
     /// under pipelining (which never reorders transfer ops).
     pub rank_comm_bytes: Vec<f64>,
-    /// Content fingerprint of everything the timed executor reads (the
-    /// lowered program and the plan): kernels with equal fingerprints
-    /// simulate to the same makespan under one cost provider, whatever
-    /// configs they were compiled from.
-    pub fingerprint: Fingerprint,
+    /// The kernel's identity: kernels with equal keys simulate to the same
+    /// makespan under one cost provider, whatever configs they were
+    /// compiled from.
+    pub key: KernelKey,
 }
 
 impl CompiledKernel {
@@ -83,7 +81,7 @@ impl CompiledKernel {
         plan: ResourcePlan,
         config: OverlapConfig,
         comm: CommSummary,
-        fingerprint: Fingerprint,
+        key: KernelKey,
     ) -> Self {
         let sms_per_comm_block = (plan.comm_sms / comm.busiest_rank_blocks).max(1);
         Self {
@@ -94,7 +92,7 @@ impl CompiledKernel {
             config,
             sms_per_comm_block,
             rank_comm_bytes: comm.rank_bytes,
-            fingerprint,
+            key,
         }
     }
 
@@ -110,40 +108,82 @@ impl CompiledKernel {
 }
 
 /// The key of a program in the compile cache ([`Compiler::compile_cached`]):
-/// a static site name (one per program builder) plus a hash of every value
-/// the builder reads. Those are shape dimensions, the world size, a routing
-/// sample, and the config values the builder reads (tile row counts,
+/// a static site name (one per program builder) plus a 128-bit hash of every
+/// value the builder reads. Those are shape dimensions, the world size, a
+/// routing sample, and the config values the builder reads (tile row counts,
 /// `channels_per_rank`), but no config value it ignores: configs that differ
 /// only in those share one cached program. A site that leaves out a value
-/// its builder reads hands a stale program to a compile that changes it.
+/// its builder reads hands a stale program to a compile that changes it, and
+/// a stale price to the [`KernelKey`]s built from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheSite {
     site: &'static str,
-    inputs: u64,
+    inputs: u128,
 }
 
 impl CacheSite {
     /// The key of the program that builder `site` builds from `inputs`
     /// (every value it reads, in a fixed order).
     pub fn new(site: &'static str, inputs: impl IntoIterator<Item = usize>) -> Self {
+        // Two 64-bit lanes with different multipliers, one step per word.
+        // For a fixed word each step is a bijection of a lane's state, so
+        // equally long inputs that differ in a single word never collide;
+        // the word count goes in last.
+        let (mut lo, mut hi) = (0x243f_6a88_85a3_08d3_u64, 0x1319_8a2e_0370_7344_u64);
+        let mut word = |w: u64| {
+            lo = (lo ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
+            hi = (hi ^ w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f).rotate_left(27);
+        };
+        let mut len = 0;
+        for w in inputs {
+            word(w as u64);
+            len += 1;
+        }
+        word(len);
         Self {
             site,
-            inputs: detail_hash(inputs),
+            inputs: u128::from(hi) << 64 | u128::from(lo),
         }
     }
 }
 
-/// FNV-1a over a stream of words: the hash [`CacheSite::new`] keeps of a
-/// builder's inputs.
-fn detail_hash(words: impl IntoIterator<Item = usize>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for byte in (w as u64).to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A compiled kernel's identity: the [`CacheSite`] of its program, the stage
+/// count if pipelining moved an op of it (0 otherwise), and every field of
+/// its [`ResourcePlan`], bit for bit. The timed executor reads nothing else
+/// (the site fixes the lowered program), so [`crate::exec::MakespanMemo`]
+/// prices each key once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KernelKey {
+    site: CacheSite,
+    stages: usize,
+    plan: [u64; 7],
+}
+
+impl KernelKey {
+    fn new(site: CacheSite, stages: usize, plan: &ResourcePlan) -> Self {
+        let (lane, port_share) = match plan.lane {
+            TransferLane::SmPort { port_share } => (0, port_share),
+            TransferLane::CopyEngine => (1, 0),
+        };
+        Self {
+            site,
+            stages,
+            plan: [
+                plan.comm_sms,
+                plan.compute_sms,
+                plan.sms_per_compute_block,
+                lane,
+                port_share,
+                u64::from(plan.host_launch_per_copy),
+                plan.compute_efficiency.to_bits(),
+            ],
         }
     }
-    h
+
+    /// The compile-cache site of the kernel's program.
+    pub fn site(&self) -> CacheSite {
+        self.site
+    }
 }
 
 /// Per-rank communication-block summary of a lowered program: how many comm
@@ -185,9 +225,9 @@ impl CommSummary {
 }
 
 /// A cached compile artifact: the *unpipelined*, consistency-checked lowered
-/// program plus the program summary resource planning needs and the
-/// program's share of the kernel fingerprint. Pipelining and planning re-run
-/// per candidate (they are the axis-dependent parts).
+/// program plus the program summaries resource planning and the timed
+/// executor need. Pipelining and planning re-run per candidate (they are the
+/// axis-dependent parts).
 struct CachedLowered {
     name: Symbol,
     world_size: usize,
@@ -196,12 +236,11 @@ struct CachedLowered {
     hoists: bool,
     plan_inputs: PlanInputs,
     comm: CommSummary,
-    content: Fingerprinter,
 }
 
 impl CachedLowered {
-    /// Lowers `program` through `mapping`, checks its consistency and hashes
-    /// the result: the axis-independent head of every compile.
+    /// Lowers `program` through `mapping` and checks its consistency: the
+    /// axis-independent head of every compile.
     fn lower(program: &TileProgram, mapping: &dyn TileMapping) -> Result<Self> {
         let _span = tilelink_probe::span("compile.lower");
         let lowered = lower(program, mapping)?;
@@ -210,7 +249,6 @@ impl CachedLowered {
             name: program.name,
             world_size: program.world_size,
             comm: CommSummary::of_lowered(&lowered, program.world_size),
-            content: Fingerprinter::of_lowered(program.name, program.world_size, &lowered),
             hoists: pipelining_moves(&lowered),
             lowered: Arc::new(lowered),
             plan_inputs: PlanInputs::of_program(program),
@@ -276,7 +314,9 @@ impl Compiler {
         self.config.validate(self.cost.cluster().gpu.sm_count)
     }
 
-    /// Compiles `program` using `mapping` for tile resolution.
+    /// Compiles `program` using `mapping` for tile resolution, bypassing the
+    /// compile cache: the cold twin of [`Self::compile_cached`] for the
+    /// program `site` names, key included.
     ///
     /// # Errors
     ///
@@ -285,11 +325,12 @@ impl Compiler {
     /// memory-consistency rules.
     pub fn compile(
         &self,
+        site: CacheSite,
         program: &TileProgram,
         mapping: &dyn TileMapping,
     ) -> Result<CompiledKernel> {
         self.validate()?;
-        let kernel = self.finish(&CachedLowered::lower(program, mapping)?)?;
+        let kernel = self.finish(site, &CachedLowered::lower(program, mapping)?)?;
         // Pipelining must preserve consistency; verify the invariant.
         check_consistency(&kernel.lowered)?;
         Ok(kernel)
@@ -328,24 +369,21 @@ impl Compiler {
         if let Some(cached) = entry.clone() {
             drop(entry);
             tilelink_probe::metrics::TUNE_COMPILE_PATCHED.inc();
-            return self.finish(&cached);
+            return self.finish(site, &cached);
         }
         let (program, mapping) = build()?;
         let cached = Arc::new(CachedLowered::lower(&program, &mapping)?);
         *entry = Some(Arc::clone(&cached));
         drop(entry);
         tilelink_probe::metrics::TUNE_COMPILE_FULL_REBUILDS.inc();
-        self.finish(&cached)
+        self.finish(site, &cached)
     }
 
-    /// Applies the per-candidate (axis-dependent) tail of the pipeline to a
-    /// lowered program: pipelining and resource planning, each mixed into
-    /// the cached program's fingerprint.
-    fn finish(&self, cached: &CachedLowered) -> Result<CompiledKernel> {
-        let mut content = cached.content;
+    /// Applies the per-candidate (axis-dependent) tail of the pipeline to
+    /// the lowered program `site` names: pipelining and resource planning.
+    fn finish(&self, site: CacheSite, cached: &CachedLowered) -> Result<CompiledKernel> {
         let stages = self.config.num_stages;
         let moves = cached.hoists && stages > 1;
-        content.pipelined(stages, moves);
         let lowered = if moves {
             let _span = tilelink_probe::span("compile.lower");
             let mut lowered = LoweredProgram::clone(&cached.lowered);
@@ -366,10 +404,9 @@ impl Compiler {
         };
         let plan = {
             let _span = tilelink_probe::span("compile.plan");
-            let plan = ResourcePlan::derive(&self.config, cached.plan_inputs, &*self.cost)?;
-            content.plan(&plan);
-            plan
+            ResourcePlan::derive(&self.config, cached.plan_inputs, &*self.cost)?
         };
+        let key = KernelKey::new(site, if moves { stages } else { 0 }, &plan);
         Ok(CompiledKernel::assemble(
             cached.name,
             cached.world_size,
@@ -377,7 +414,7 @@ impl Compiler {
             plan,
             self.config,
             cached.comm.clone(),
-            content.finish(),
+            key,
         ))
     }
 }
@@ -390,6 +427,7 @@ mod tests {
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
     use crate::TileLinkError;
+    use std::collections::HashSet;
     use tilelink_probe::metrics::TUNE_COMPILE_PATCHED;
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
@@ -399,6 +437,11 @@ mod tests {
 
     /// Serialises the tests that empty the process-wide compile cache.
     static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
+    /// The site of a program compiled cold, past the cache.
+    fn cold_site() -> CacheSite {
+        CacheSite::new("test.compile.cold", [])
+    }
 
     fn ag_gemm_program(world: usize, tiles: usize) -> TileProgram {
         let mut p = TileProgram::new("ag_gemm", world);
@@ -465,7 +508,9 @@ mod tests {
     fn compile_produces_blocks_and_plan() {
         let mapping = StaticMapping::new(256, 64, 2, 2);
         let compiler = Compiler::new(OverlapConfig::default(), &h800());
-        let kernel = compiler.compile(&ag_gemm_program(2, 4), &mapping).unwrap();
+        let kernel = compiler
+            .compile(cold_site(), &ag_gemm_program(2, 4), &mapping)
+            .unwrap();
         assert_eq!(kernel.world_size, 2);
         assert_eq!(kernel.lowered.block_count(), 4);
         assert!(kernel.total_flops() > 0.0);
@@ -487,7 +532,7 @@ mod tests {
                 .op(TileOp::ConsumerWait { tile: 0 }),
         );
         assert!(matches!(
-            compiler.compile(&p, &mapping),
+            compiler.compile(cold_site(), &p, &mapping),
             Err(TileLinkError::ConsistencyViolation { .. })
         ));
     }
@@ -497,32 +542,22 @@ mod tests {
         let mapping = StaticMapping::new(256, 64, 2, 2);
         let cfg = OverlapConfig::default().with_comm_mapping(CommMapping::Sm { sms: 999 });
         let compiler = Compiler::new(cfg, &h800());
-        assert!(compiler.compile(&ag_gemm_program(2, 4), &mapping).is_err());
+        assert!(compiler
+            .compile(cold_site(), &ag_gemm_program(2, 4), &mapping)
+            .is_err());
     }
 
     #[test]
-    fn pipelining_is_applied_to_compiled_blocks() {
+    fn three_stage_compile_without_a_hoistable_load_keeps_its_stage_count() {
+        // Every load of this program follows its wait: nothing to hoist.
         let mapping = StaticMapping::new(256, 64, 2, 2);
         let cfg = OverlapConfig {
             num_stages: 3,
             ..OverlapConfig::default()
         };
-        let compiler = Compiler::new(cfg, &h800());
-        let kernel = compiler.compile(&ag_gemm_program(2, 4), &mapping).unwrap();
-        // after pipelining, some load is directly followed by another load
-        let gemm = kernel.blocks().find(|b| b.name == "gemm/r0").unwrap();
-        let mut found_adjacent_loads = false;
-        for w in gemm.ops.windows(2) {
-            if matches!(w[0].op, TileOp::LoadTile { .. })
-                && matches!(w[1].op, TileOp::LoadTile { .. })
-            {
-                found_adjacent_loads = true;
-            }
-        }
-        // The k-loop here has one load per wait, so adjacency is not guaranteed;
-        // what matters is that compilation succeeded with stages > 1 and stayed
-        // consistent.
-        let _ = found_adjacent_loads;
+        let kernel = Compiler::new(cfg, &h800())
+            .compile(cold_site(), &ag_gemm_program(2, 4), &mapping)
+            .unwrap();
         assert_eq!(kernel.config.num_stages, 3);
     }
 
@@ -576,8 +611,8 @@ mod tests {
                 );
             }
             let (program, mapping) = make().map_err(|_: TileLinkError| ()).unwrap();
-            let cold = compiler.compile(&program, &mapping).unwrap();
-            assert_eq!(cached.fingerprint, cold.fingerprint, "neighbour {i}");
+            let cold = compiler.compile(site, &program, &mapping).unwrap();
+            assert_eq!(cached.key, cold.key, "neighbour {i}");
             assert_eq!(cached, cold, "neighbour {i} diverged");
         }
         // A different builder input rebuilds.
@@ -638,7 +673,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&two.lowered, &compile(2).lowered));
         assert_ne!(two.lowered, one.lowered);
         let cold = Compiler::new(cfg(2), &cost)
-            .compile(&k_loop_program(), &mapping)
+            .compile(site, &k_loop_program(), &mapping)
             .unwrap();
         assert_eq!(two, cold);
     }
@@ -676,11 +711,11 @@ mod tests {
         let mapping = StaticMapping::new(256, 64, 2, 2);
         let program = ag_gemm_program(2, 4);
         let cost = h800();
-        let fingerprint = |cfg: OverlapConfig| {
+        let key = |cfg: OverlapConfig| {
             Compiler::new(cfg, &cost)
-                .compile(&program, &mapping)
+                .compile(cold_site(), &program, &mapping)
                 .unwrap()
-                .fingerprint
+                .key
         };
         let base = OverlapConfig::default();
         let stages = |num_stages| OverlapConfig { num_stages, ..base };
@@ -691,7 +726,7 @@ mod tests {
             stages(2),
             stages(4),
         ] {
-            assert_eq!(fingerprint(cfg), fingerprint(base), "{cfg:?}");
+            assert_eq!(key(cfg), key(base), "{cfg:?}");
         }
         // A different lane, or only a different compute efficiency (the
         // compute tile feeds nothing else here), is another kernel.
@@ -699,7 +734,7 @@ mod tests {
             base.with_comm_mapping(CommMapping::CopyEngine),
             base.with_compute_tile(TileShape::new(64, 128)),
         ] {
-            assert_ne!(fingerprint(cfg), fingerprint(base), "{cfg:?}");
+            assert_ne!(key(cfg), key(base), "{cfg:?}");
         }
     }
 
@@ -713,18 +748,71 @@ mod tests {
                 num_stages,
                 ..OverlapConfig::default()
             };
-            Compiler::new(cfg, &cost).compile(&p, &mapping).unwrap()
+            Compiler::new(cfg, &cost)
+                .compile(cold_site(), &p, &mapping)
+                .unwrap()
         };
         let (unmoved, moved) = (compile(1), compile(2));
         assert_ne!(unmoved.lowered, moved.lowered);
-        assert_ne!(unmoved.fingerprint, moved.fingerprint);
-        assert_eq!(compile(2).fingerprint, moved.fingerprint);
+        assert_ne!(unmoved.key, moved.key);
+        assert_eq!(compile(2).key, moved.key);
+        assert_ne!(compile(3).key, moved.key);
     }
 
     #[test]
-    fn detail_hash_distinguishes_inputs() {
-        assert_ne!(detail_hash([1, 2, 3]), detail_hash([1, 2, 4]));
-        assert_ne!(detail_hash([]), detail_hash([0]));
-        assert_eq!(detail_hash([7, 7]), detail_hash([7, 7]));
+    fn cache_sites_differ_in_input_order_length_and_name() {
+        let site = |name, inputs: &[usize]| CacheSite::new(name, inputs.iter().copied());
+        assert_eq!(site("a", &[7, 7]), site("a", &[7, 7]));
+        assert_ne!(site("a", &[1, 2, 3]), site("a", &[1, 2, 4]));
+        assert_ne!(site("a", &[1, 2]), site("a", &[2, 1]));
+        assert_ne!(site("a", &[]), site("a", &[0]));
+        assert_ne!(site("a", &[0]), site("a", &[0, 0]));
+        assert_ne!(site("a", &[1, 2, 3]), site("b", &[1, 2, 3]));
+    }
+
+    #[test]
+    fn every_plan_field_moves_the_key() {
+        let plan = ResourcePlan {
+            comm_sms: 20,
+            compute_sms: 112,
+            sms_per_compute_block: 1,
+            lane: TransferLane::SmPort { port_share: 5 },
+            host_launch_per_copy: false,
+            compute_efficiency: 0.8,
+        };
+        let key = |plan: &ResourcePlan| KernelKey::new(cold_site(), 0, plan);
+        assert_eq!(key(&plan), key(&plan.clone()));
+        let variants = [
+            ResourcePlan {
+                lane: TransferLane::CopyEngine,
+                ..plan.clone()
+            },
+            ResourcePlan {
+                lane: TransferLane::SmPort { port_share: 4 },
+                ..plan.clone()
+            },
+            ResourcePlan {
+                compute_efficiency: 0.81,
+                ..plan.clone()
+            },
+            ResourcePlan {
+                comm_sms: 16,
+                ..plan.clone()
+            },
+            ResourcePlan {
+                compute_sms: 116,
+                ..plan.clone()
+            },
+            ResourcePlan {
+                sms_per_compute_block: 2,
+                ..plan.clone()
+            },
+            ResourcePlan {
+                host_launch_per_copy: true,
+                ..plan.clone()
+            },
+        ];
+        let keys: HashSet<KernelKey> = variants.iter().chain([&plan]).map(key).collect();
+        assert_eq!(keys.len(), variants.len() + 1, "{variants:?}");
     }
 }

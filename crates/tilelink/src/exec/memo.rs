@@ -3,11 +3,12 @@
 //! A search compiles many configurations to the same kernel: neighbours on
 //! axes no builder or pass reads, second halves that ignore the comm tile,
 //! halves forced onto one lane. [`MakespanMemo`] keys prices by
-//! [`crate::Fingerprint`], so only the first of them builds a task graph and
-//! simulates; the rest are answered from the price it recorded. A search
-//! winner's exact report ([`MakespanMemo::report`]) reads its overlapped
-//! makespan there too, and simulates only the comm-only and compute-only
-//! runs.
+//! [`crate::KernelKey`] (the program's compile-cache site, the stage count
+//! if pipelining moved an op, and the resource plan), so only the first of
+//! them builds a task graph and simulates; the rest are answered from the
+//! price it recorded. A search winner's exact report
+//! ([`MakespanMemo::report`]) reads its overlapped makespan there too, and
+//! simulates only the comm-only and compute-only runs.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -20,7 +21,7 @@ use tilelink_sim::{BoundedMakespan, SharedCost};
 use crate::compile::CompiledKernel;
 use crate::exec::simulate_makespan;
 use crate::exec::timed::simulate_split;
-use crate::{Fingerprint, OverlapReport, Result};
+use crate::{KernelKey, OverlapReport, Result};
 
 /// What the memo knows about one kernel's makespan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,8 +32,8 @@ enum Price {
     Floor(f64),
 }
 
-/// Makespans of compiled kernels under one cost provider, keyed by kernel
-/// fingerprint: [`MakespanMemo::makespan`] is [`simulate_makespan`] that
+/// Makespans of compiled kernels under one cost provider, keyed by
+/// [`KernelKey`]: [`MakespanMemo::makespan`] is [`simulate_makespan`] that
 /// simulates each distinct kernel only until it knows enough to answer.
 ///
 /// A simulation finishes exactly when the makespan is within the cutoff, so
@@ -41,7 +42,7 @@ enum Price {
 /// Only the graph builds and simulations disappear.
 pub struct MakespanMemo {
     cost: SharedCost,
-    prices: Mutex<HashMap<Fingerprint, Price>>,
+    prices: Mutex<HashMap<KernelKey, Price>>,
 }
 
 impl MakespanMemo {
@@ -67,14 +68,14 @@ impl MakespanMemo {
     /// * otherwise [`simulate_makespan`] runs (outside the memo's lock) and
     ///   its result is recorded.
     ///
-    /// A fingerprint does not cover the cost provider, so `kernel` must be
-    /// compiled for this memo's.
+    /// A key does not cover the cost provider, so `kernel` must be compiled
+    /// for this memo's.
     ///
     /// # Errors
     ///
     /// Returns the simulation's error; nothing is recorded then.
     pub fn makespan(&self, kernel: &CompiledKernel, cutoff: f64) -> Result<BoundedMakespan> {
-        let known = self.lock().get(&kernel.fingerprint).copied();
+        let known = self.lock().get(&kernel.key).copied();
         let answer = match known {
             Some(Price::Exact(t)) if t <= cutoff => Some(BoundedMakespan::Finished(t)),
             Some(Price::Exact(t)) => Some(BoundedMakespan::Exceeded(t)),
@@ -96,7 +97,7 @@ impl MakespanMemo {
             BoundedMakespan::Finished(t) => Price::Exact(t),
             BoundedMakespan::Exceeded(f) => Price::Floor(f),
         };
-        match self.lock().entry(kernel.fingerprint) {
+        match self.lock().entry(kernel.key) {
             Entry::Vacant(slot) => {
                 slot.insert(price);
             }
@@ -129,7 +130,7 @@ impl MakespanMemo {
         Ok(OverlapReport::new(total, comm, comp))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Fingerprint, Price>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<KernelKey, Price>> {
         self.prices.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -170,7 +171,7 @@ impl fmt::Debug for MakespanMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::Compiler;
+    use crate::compile::{CacheSite, Compiler};
     use crate::config::OverlapConfig;
     use crate::exec::simulate_report;
     use crate::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
@@ -179,7 +180,7 @@ mod tests {
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
     /// A two-rank AllGather + GEMM, `tiles` tiles of `bytes` bytes each.
-    fn kernel(cost: &SharedCost, bytes: f64) -> CompiledKernel {
+    fn kernel(cost: &SharedCost, bytes: usize) -> CompiledKernel {
         let tiles = 4;
         let mut p = TileProgram::new("ag_gemm", 2);
         for rank in 0..2 {
@@ -188,7 +189,7 @@ mod tests {
                 comm = comm
                     .op(TileOp::PushTile {
                         buffer: "tokens".into(),
-                        bytes,
+                        bytes: bytes as f64,
                         tile,
                         target: PushTarget::Broadcast,
                     })
@@ -212,7 +213,7 @@ mod tests {
         }
         let mapping = StaticMapping::new(256, 64, 2, 2);
         Compiler::new(OverlapConfig::default(), cost)
-            .compile(&p, &mapping)
+            .compile(CacheSite::new("test.memo", [bytes]), &p, &mapping)
             .unwrap()
     }
 
@@ -236,7 +237,7 @@ mod tests {
         // hit counter moves for its lookups alone.
         let cost = analytic_cost(&ClusterSpec::h800_node(2));
         let memo = MakespanMemo::new(cost.clone());
-        let k = kernel(&cost, 1e6);
+        let k = kernel(&cost, 1_000_000);
         let exact = simulate_makespan(&k, &cost, f64::INFINITY).unwrap().clock();
 
         // A first abort records a floor; it answers only cutoffs below it.
@@ -264,14 +265,14 @@ mod tests {
             assert_eq!(priced(&memo, &k, cutoff), (answer, true), "cutoff {cutoff}");
         }
 
-        // A kernel that differs in one op's bytes is priced afresh.
-        let other = kernel(&cost, 2e6);
-        assert_ne!(other.fingerprint, k.fingerprint);
+        // A kernel built from another input is priced afresh.
+        let other = kernel(&cost, 2_000_000);
+        assert_ne!(other.key, k.key);
         assert!(!priced(&memo, &other, f64::INFINITY).1);
 
         // An exact report reads a finished makespan from the memo; a kernel
         // known only by an abort floor is simulated to completion first.
-        let floored = kernel(&cost, 3e6);
+        let floored = kernel(&cost, 3_000_000);
         assert!(!priced(&memo, &floored, exact / 2.0).1);
         for (kernel, hit) in [(&k, true), (&floored, false), (&floored, true)] {
             let hits = EXEC_MEMO_HITS.get();

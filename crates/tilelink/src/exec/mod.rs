@@ -6,7 +6,7 @@
 //!   comm-only and compute-only makespans) of figures and baselines;
 //! * [`simulate_makespan`] — the full graph only, under an abort cutoff;
 //! * [`MakespanMemo::makespan`] — [`simulate_makespan`] behind a memo keyed
-//!   by [`crate::Fingerprint`], which simulates each distinct kernel once
+//!   by [`crate::KernelKey`], which simulates each distinct kernel once
 //!   (and again only when a recorded abort floor does not settle a new
 //!   cutoff). The layer oracles price every candidate a search ranks through
 //!   one memo each;

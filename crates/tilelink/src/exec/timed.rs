@@ -615,7 +615,7 @@ pub fn task_graph(kernel: &CompiledKernel, cluster: &ClusterSpec) -> TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::Compiler;
+    use crate::compile::{CacheSite, Compiler};
     use crate::config::{CommMapping, OverlapConfig};
     use crate::ir::{BlockDesc, ComputeKind, TileProgram};
     use crate::mapping::StaticMapping;
@@ -669,7 +669,7 @@ mod tests {
     fn compile(program: &TileProgram, config: OverlapConfig) -> CompiledKernel {
         let mapping = StaticMapping::new(128 * 8, 128, 8, 4);
         Compiler::new(config, &analytic_cost(&ClusterSpec::h800_node(8)))
-            .compile(program, &mapping)
+            .compile(CacheSite::new("test.timed", []), program, &mapping)
             .unwrap()
     }
 
@@ -840,7 +840,7 @@ mod tests {
         let mapping = StaticMapping::new(64, 64, 1, 1);
         let cost = analytic_cost(&ClusterSpec::h800_node(1));
         let kernel = Compiler::new(OverlapConfig::default(), &cost)
-            .compile(&p, &mapping)
+            .compile(CacheSite::new("test.timed", []), &p, &mapping)
             .unwrap();
         let trace = trace(&kernel, &cost);
         let producer_end = trace
@@ -901,7 +901,7 @@ mod tests {
         let mapping = StaticMapping::new(512, 128, 4, 1);
         let cost = analytic_cost(&ClusterSpec::h800_node(4));
         let kernel = Compiler::new(OverlapConfig::default(), &cost)
-            .compile(&p, &mapping)
+            .compile(CacheSite::new("test.timed", []), &p, &mapping)
             .unwrap();
         let trace = trace(&kernel, &cost);
         let pushes = trace

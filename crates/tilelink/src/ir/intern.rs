@@ -50,11 +50,6 @@ impl Symbol {
     pub fn as_str(self) -> &'static str {
         interner().lock().expect("intern table poisoned").names[self.0 as usize]
     }
-
-    /// The handle's index in the intern table (stable for the process).
-    pub(crate) fn id(self) -> u32 {
-        self.0
-    }
 }
 
 impl Default for Symbol {

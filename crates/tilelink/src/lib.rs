@@ -35,7 +35,6 @@ pub mod compile;
 pub mod config;
 pub mod error;
 pub mod exec;
-mod fingerprint;
 pub mod ir;
 pub mod mapping;
 pub mod passes;
@@ -44,10 +43,9 @@ pub mod report;
 pub mod tile;
 
 pub use channel::BlockChannel;
-pub use compile::{reset_compile_cache, CacheSite, CompiledKernel, Compiler};
+pub use compile::{reset_compile_cache, CacheSite, CompiledKernel, Compiler, KernelKey};
 pub use config::{CommMapping, OverlapConfig, TileOrder, TileShape, TransferMode};
 pub use error::TileLinkError;
-pub use fingerprint::Fingerprint;
 pub use mapping::{DynamicMapping, StaticMapping, TileMapping};
 pub use primitives::DeviceHandle;
 pub use report::OverlapReport;

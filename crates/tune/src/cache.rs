@@ -177,14 +177,14 @@ impl TuneCache {
         let mut parts = line.split('\t');
         let key = parts.next()?;
         let total = seconds(parts.next()?, true)?;
-        let entry = match (parts.next(), parts.next()) {
-            (None, _) => Entry::Total(total),
-            (Some(comm), Some(comp)) => Entry::Exact(OverlapReport::new(
+        let entry = match (parts.next(), parts.next(), parts.next()) {
+            (None, _, _) => Entry::Total(total),
+            (Some(comm), Some(comp), None) => Entry::Exact(OverlapReport::new(
                 total,
                 seconds(comm, false)?,
                 seconds(comp, false)?,
             )),
-            (Some(_), None) => return None,
+            _ => return None,
         };
         Some((key, entry))
     }
@@ -541,7 +541,12 @@ mod tests {
     #[test]
     fn corrupt_lines_are_skipped() {
         let path = tmp("corrupt.tsv");
-        std::fs::write(&path, "good\t1.0\t0.5\t0.5\nbad line\nworse\tnan-ish\t\t\n").unwrap();
+        std::fs::write(
+            &path,
+            "good\t1.0\t0.5\t0.5\nbad line\nworse\tnan-ish\t\t\n\
+             five\t1e-3\t5e-4\t1e-3\tjunk\ntrailing\t1e-3\t5e-4\t1e-3\t\n",
+        )
+        .unwrap();
         let cache = TuneCache::open(&path).unwrap();
         assert_eq!(cache.len(), 1);
         assert!(cache.get("good").is_some());

@@ -3,27 +3,15 @@
 //! `reproduce --trace-out` of `tilelink-bench` simulates these graphs with
 //! [`tilelink_sim::Engine`] and exports each as a Chrome trace. This module
 //! builds the three graphs — a Figure 8 MLP half, a routed Figure 9 MoE half
-//! and a two-node end-to-end-scale kernel — through the same program builders
-//! and compiler the figures run, so the traces show the kernels the figures
+//! and a two-node end-to-end-scale kernel — through the same kernel functions
+//! the figures and the tuner compile, so the traces show the kernels they
 //! price.
 
 use tilelink::exec::task_graph;
-use tilelink::ir::TileProgram;
-use tilelink::{Compiler, OverlapConfig, TileMapping};
 use tilelink_sim::{SharedCost, TaskGraph};
 
 use crate::moe::{RoutingProfile, RoutingSampler};
-use crate::{autotune, e2e, mlp, moe, shapes};
-
-fn compile_to_graph(
-    program: &TileProgram,
-    mapping: &dyn TileMapping,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-) -> tilelink::Result<TaskGraph> {
-    let kernel = Compiler::new(*cfg, cost).compile(program, mapping)?;
-    Ok(task_graph(&kernel, cost.cluster()))
-}
+use crate::{autotune, e2e, mlp, moe, shapes, MlpShape};
 
 /// The Figure 8 MLP-1 AllGather + GEMM kernel graph under the default config.
 ///
@@ -32,11 +20,8 @@ fn compile_to_graph(
 /// Returns an error if the kernel fails to compile.
 pub fn fig8_mlp_graph_with(cost: &SharedCost) -> tilelink::Result<TaskGraph> {
     let shape = &shapes::mlp_shapes()[0];
-    let cfg = mlp::ag_gemm_config();
-    let world = cost.cluster().world_size();
-    let (program, mapping) =
-        mlp::ag_gemm_program(shape.tokens, shape.hidden, shape.intermediate, world, &cfg);
-    compile_to_graph(&program, &mapping, &cfg, cost)
+    let kernel = mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), cost)?;
+    Ok(task_graph(&kernel, cost.cluster()))
 }
 
 /// The Figure 9 MoE-1 routed AG + Gather + GroupGEMM kernel graph for one
@@ -48,16 +33,14 @@ pub fn fig8_mlp_graph_with(cost: &SharedCost) -> tilelink::Result<TaskGraph> {
 /// Returns an error if the routed program or kernel fails to build.
 pub fn fig9_routed_moe_graph_with(cost: &SharedCost) -> tilelink::Result<TaskGraph> {
     let shape = &shapes::moe_shapes()[0];
-    let cfg = moe::moe_config();
-    let world = cost.cluster().world_size();
     let sampler = RoutingSampler::new(RoutingProfile::Uniform, autotune::DEFAULT_ROUTING_SEED);
     let sample = sampler
         .samples_for(shape, 1)
         .into_iter()
         .next()
         .expect("one sample requested");
-    let (program, mapping) = moe::routed_ag_group_gemm_program(shape, world, &cfg, &sample)?;
-    compile_to_graph(&program, &mapping, &cfg, cost)
+    let kernel = moe::routed_ag_group_gemm_kernel(shape, &moe::moe_config(), cost, &sample)?;
+    Ok(task_graph(&kernel, cost.cluster()))
 }
 
 /// An end-to-end-scale kernel graph on the two-node (16×H800) Figure 11
@@ -76,16 +59,12 @@ pub fn e2e_two_node_graph_with(cost: &SharedCost) -> tilelink::Result<TaskGraph>
         &cluster,
         "cost must be priced for the two-node e2e cluster"
     );
-    let shape = &shapes::mlp_shapes()[0];
-    let cfg = mlp::ag_gemm_config();
-    let (program, mapping) = mlp::ag_gemm_program(
+    let shape = MlpShape {
         tokens,
-        shape.hidden,
-        shape.intermediate,
-        cluster.world_size(),
-        &cfg,
-    );
-    compile_to_graph(&program, &mapping, &cfg, cost)
+        ..shapes::mlp_shapes()[0].clone()
+    };
+    let kernel = mlp::ag_gemm_kernel(&shape, &mlp::ag_gemm_config(), cost)?;
+    Ok(task_graph(&kernel, &cluster))
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //! warm compile cache, in a fixed order, with all seven cached kernel
 //! functions at world 2 and 16. Each kernel must equal a cold compile of the
 //! same config, and price to the same exact report, bit for bit. The full
-//! rebuilds must number exactly the distinct builder inputs in the grid.
+//! rebuilds must number exactly the distinct builder inputs in the grid, and
+//! two kernels must share a `KernelKey` (and so a makespan-memo price)
+//! exactly when their builder inputs and resource plans agree.
 //!
 //! The compile cache and its rebuild counter are process-wide, so this file
 //! holds one test.
@@ -233,6 +235,7 @@ fn warm_cached_compiles_equal_cold_compiles_and_rebuild_once_per_builder_input()
     reset_compile_cache();
     let rebuilds_before = TUNE_COMPILE_FULL_REBUILDS.get();
     let mut distinct_inputs = HashSet::new();
+    let mut compiled = Vec::new();
     for world in [2, 16] {
         let cost = analytic_cost(&ClusterSpec::h800_node(world));
         let report_bits = |compiled: &CompiledKernel| {
@@ -242,19 +245,32 @@ fn warm_cached_compiles_equal_cold_compiles_and_rebuild_once_per_builder_input()
         for cfg in &grid {
             for kernel in KERNELS {
                 let ctx = format!("{kernel:?} at world {world}, {cfg:?}");
-                distinct_inputs.insert((world, kernel, kernel.config_inputs(cfg)));
+                let inputs = (world, kernel, kernel.config_inputs(cfg));
+                distinct_inputs.insert(inputs.clone());
                 let warm = kernel.cached(&shapes, cfg, &cost);
                 // The second-half kernels compile onto their forced lane, so
                 // the cold compile takes the config the kernel reports.
                 let (program, mapping) = kernel.program(&shapes, cfg, world);
                 let cold = Compiler::new(warm.config, &cost)
-                    .compile(&program, &*mapping)
+                    .compile(warm.key.site(), &program, &*mapping)
                     .unwrap_or_else(|e| panic!("cold compile: {ctx}: {e}"));
                 assert_eq!(warm, cold, "kernel: {ctx}");
                 assert_eq!(report_bits(&warm), report_bits(&cold), "report: {ctx}");
+                compiled.push((inputs, warm.plan.clone(), warm.key, ctx));
             }
         }
     }
+    // No builder's program has a load a stage count moves, so a kernel is
+    // its builder inputs and its plan.
+    let mut shared = 0;
+    for (i, (inputs, plan, key, ctx)) in compiled.iter().enumerate() {
+        for (other_inputs, other_plan, other_key, other_ctx) in &compiled[..i] {
+            let same_kernel = inputs == other_inputs && plan == other_plan;
+            assert_eq!(key == other_key, same_kernel, "{ctx} vs {other_ctx}");
+            shared += usize::from(same_kernel);
+        }
+    }
+    assert!(shared > 0, "no two configs compiled to one kernel");
     let rebuilds = TUNE_COMPILE_FULL_REBUILDS.get() - rebuilds_before;
     assert_eq!(rebuilds as usize, distinct_inputs.len());
     // Guard against a grid that stops sharing builder inputs: most compiles
