@@ -62,8 +62,8 @@
 
 use tilelink_bench::cli::{self, Arity};
 use tilelink_bench::{
-    benchmark_graphs, cost_for, default_cluster, fig10, fig11, fig11_tuned, fig8, fig9, geomean,
-    table2, MlpPanel, MoePanel,
+    benchmark_graphs, cost_for, default_cluster, fig10, fig11, fig8, fig9, geomean, table2,
+    MlpPanel, MoePanel,
 };
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
 use tilelink_tune::{Objective, SearchExecutor, TuneCache};
@@ -325,23 +325,22 @@ fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
             opts
         });
         for (two_nodes, label) in [(false, "8xH800"), (true, "16xH800")] {
-            let rows = match &tune_opts {
-                Some(opts) => fig11_tuned(two_nodes, usize::MAX, &args.cost, opts),
-                None => fig11(two_nodes, usize::MAX, &args.cost),
-            };
+            let rows = fig11(two_nodes, &args.cost, tune_opts.as_ref());
             println!("\n== Figure 11: end-to-end, {label} ==");
             for r in &rows {
                 print!(
                     "{:<16} Torch {:>10.1} ms   TileLink {:>10.1} ms   speedup {:.2}x",
-                    r.model,
-                    r.torch_ms,
-                    r.tilelink_ms,
+                    r.torch.model,
+                    r.torch.total_s * 1e3,
+                    r.tilelink.total_s * 1e3,
                     r.speedup()
                 );
                 match (&r.tuned, r.tuned_speedup()) {
                     (Some(t), Some(s)) => println!(
                         "   tuned {:>10.1} ms   speedup {s:.2}x ({} evaluations, {} cached)",
-                        t.ms, t.evaluations, t.cache_hits
+                        t.timing.total_s * 1e3,
+                        t.evaluations,
+                        t.cache_hits
                     ),
                     _ => println!(),
                 }
@@ -645,15 +644,16 @@ fn quick_e2e_tune_smoke(args: &Args) {
         };
         let cost = cost_for(&cluster, &args.cost);
         for model in models.iter().filter(|m| names.contains(&m.name)) {
-            let cmp = tilelink_workloads::e2e::compare_model_tuned(model, tokens, &cost, &opts)
+            let cmp = tilelink_workloads::e2e::compare_model(model, tokens, &cost, Some(&opts))
                 .expect("tuned e2e smoke");
+            let tuned = cmp.tuned.as_ref().expect("tuned column");
             println!(
                 "{label:<8} {:<14} default speedup {:.2}x   tuned speedup {:.2}x ({} evaluations, {} cached)",
                 model.name,
-                cmp.default_speedup(),
-                cmp.tuned_speedup(),
-                cmp.tuned.evaluations,
-                cmp.tuned.cache_hits
+                cmp.speedup(),
+                cmp.tuned_speedup().expect("tuned column"),
+                tuned.evaluations,
+                tuned.cache_hits
             );
         }
     }

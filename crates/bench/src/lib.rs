@@ -1,18 +1,21 @@
-//! Shared evaluation functions for the benchmark harness.
+//! Shared evaluation functions for the `reproduce` binary.
 //!
 //! Every table and figure of the paper's evaluation (Section 7) has one
-//! function here that produces its rows; the `harness = false` bench
-//! binaries (built on [`bench_case`]) and the `reproduce` binary both call
-//! these functions, so the printed numbers and the benchmarked numbers are
-//! always the same code path.
+//! function here that produces its rows, and each figure has one code path:
+//! Table 2 relabels the MLP-1 groups of Figure 8's first two panels, and
+//! Figure 11 maps [`e2e::compare_model`] over the models, with the tuned
+//! column when tuning options are given. `reproduce` is the only program
+//! that prints them.
 
 #![deny(missing_docs)]
 
 pub mod cli;
 
 use tilelink::exec::simulate_report;
+use tilelink::CompiledKernel;
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
-use tilelink_workloads::{attention, baselines, e2e, mlp, moe, shapes, TuneOptions};
+use tilelink_workloads::e2e::{self, E2eComparison};
+use tilelink_workloads::{attention, baselines, mlp, moe, shapes, MlpShape, TuneOptions};
 
 /// One (method, milliseconds) measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,65 +75,30 @@ pub fn cost_for(cluster: &ClusterSpec, spec: &CostModelSpec) -> SharedCost {
 // Table 2 — motivational example (MLP-1, AG+GEMM and GEMM+RS)
 // ---------------------------------------------------------------------------
 
+/// Table 2's names for Figure 8's four methods, in the same order.
+const TABLE2_METHODS: [&str; 4] = ["Non-Overlap", "Decomposition", "Fusion (FLUX)", "TileLink"];
+
 /// Reproduces Table 2: the four techniques on the two halves of MLP-1,
 /// priced by `cost` (the cluster is the provider's; see [`cost_for`]).
+///
+/// These are the MLP-1 groups of Figure 8's AG+GEMM and GEMM+RS panels under
+/// the table's labels.
 pub fn table2(cost: &SharedCost) -> Vec<Group> {
     let shape = &shapes::mlp_shapes()[0];
-    let ag = Group {
-        label: "AG+GEMM (MLP-1)".to_string(),
-        entries: vec![
-            Measurement {
-                method: "Non-Overlap",
-                ms: baselines::non_overlap_ag_gemm(shape, &**cost).total_ms(),
-            },
-            Measurement {
-                method: "Decomposition",
-                ms: baselines::decompose_ag_gemm(shape, &**cost).total_ms(),
-            },
-            Measurement {
-                method: "Fusion (FLUX)",
-                ms: baselines::flux_ag_gemm(shape, &**cost).total_ms(),
-            },
-            Measurement {
-                method: "TileLink",
-                ms: simulate_report(
-                    &mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), cost)
-                        .expect("tilelink ag+gemm"),
-                    cost,
-                )
-                .expect("tilelink ag+gemm")
-                .total_ms(),
-            },
-        ],
-    };
-    let rs = Group {
-        label: "GEMM+RS (MLP-1)".to_string(),
-        entries: vec![
-            Measurement {
-                method: "Non-Overlap",
-                ms: baselines::non_overlap_gemm_rs(shape, &**cost).total_ms(),
-            },
-            Measurement {
-                method: "Decomposition",
-                ms: baselines::decompose_gemm_rs(shape, &**cost).total_ms(),
-            },
-            Measurement {
-                method: "Fusion (FLUX)",
-                ms: baselines::flux_gemm_rs(shape, &**cost).total_ms(),
-            },
-            Measurement {
-                method: "TileLink",
-                ms: simulate_report(
-                    &mlp::gemm_rs_kernel(shape, &mlp::gemm_rs_config(), cost)
-                        .expect("tilelink gemm+rs"),
-                    cost,
-                )
-                .expect("tilelink gemm+rs")
-                .total_ms(),
-            },
-        ],
-    };
-    vec![ag, rs]
+    [
+        (MlpPanel::AgGemm, "AG+GEMM (MLP-1)"),
+        (MlpPanel::GemmRs, "GEMM+RS (MLP-1)"),
+    ]
+    .into_iter()
+    .map(|(panel, label)| {
+        let mut group = mlp_group(panel, shape, cost);
+        group.label = label.to_string();
+        for (entry, method) in group.entries.iter_mut().zip(TABLE2_METHODS) {
+            entry.method = method;
+        }
+        group
+    })
+    .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -153,64 +121,49 @@ pub enum MlpPanel {
 pub fn fig8(panel: MlpPanel, cost: &SharedCost) -> Vec<Group> {
     shapes::mlp_shapes()
         .iter()
-        .map(|shape| {
-            let (base, decomp, flux, tilelink) = match panel {
-                MlpPanel::AgGemm => (
-                    baselines::non_overlap_ag_gemm(shape, &**cost).total_ms(),
-                    baselines::decompose_ag_gemm(shape, &**cost).total_ms(),
-                    baselines::flux_ag_gemm(shape, &**cost).total_ms(),
-                    simulate_report(
-                        &mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), cost)
-                            .expect("tilelink"),
-                        cost,
-                    )
-                    .expect("tilelink")
-                    .total_ms(),
-                ),
-                MlpPanel::GemmRs => (
-                    baselines::non_overlap_gemm_rs(shape, &**cost).total_ms(),
-                    baselines::decompose_gemm_rs(shape, &**cost).total_ms(),
-                    baselines::flux_gemm_rs(shape, &**cost).total_ms(),
-                    simulate_report(
-                        &mlp::gemm_rs_kernel(shape, &mlp::gemm_rs_config(), cost)
-                            .expect("tilelink"),
-                        cost,
-                    )
-                    .expect("tilelink")
-                    .total_ms(),
-                ),
-                MlpPanel::Full => (
-                    baselines::non_overlap_full_mlp(shape, &**cost).total_ms(),
-                    baselines::decompose_full_mlp(shape, &**cost).total_ms(),
-                    baselines::flux_full_mlp(shape, &**cost).total_ms(),
-                    mlp::timed_full_mlp(shape, cost)
-                        .expect("tilelink")
-                        .total_ms(),
-                ),
-            };
-            Group {
-                label: shape.name.to_string(),
-                entries: vec![
-                    Measurement {
-                        method: "cuBLAS+NCCL",
-                        ms: base,
-                    },
-                    Measurement {
-                        method: "Async-TP Torch",
-                        ms: decomp,
-                    },
-                    Measurement {
-                        method: "FLUX",
-                        ms: flux,
-                    },
-                    Measurement {
-                        method: "TileLink",
-                        ms: tilelink,
-                    },
-                ],
-            }
-        })
+        .map(|shape| mlp_group(panel, shape, cost))
         .collect()
+}
+
+/// One bar group of a Figure 8 panel: the four methods on one MLP shape.
+fn mlp_group(panel: MlpPanel, shape: &MlpShape, cost: &SharedCost) -> Group {
+    let (base, decomp, flux, tilelink) = match panel {
+        MlpPanel::AgGemm => (
+            baselines::non_overlap_ag_gemm(shape, &**cost).total_ms(),
+            baselines::decompose_ag_gemm(shape, &**cost).total_ms(),
+            baselines::flux_ag_gemm(shape, &**cost).total_ms(),
+            kernel_ms(
+                mlp::ag_gemm_kernel(shape, &mlp::ag_gemm_config(), cost),
+                cost,
+            ),
+        ),
+        MlpPanel::GemmRs => (
+            baselines::non_overlap_gemm_rs(shape, &**cost).total_ms(),
+            baselines::decompose_gemm_rs(shape, &**cost).total_ms(),
+            baselines::flux_gemm_rs(shape, &**cost).total_ms(),
+            kernel_ms(
+                mlp::gemm_rs_kernel(shape, &mlp::gemm_rs_config(), cost),
+                cost,
+            ),
+        ),
+        MlpPanel::Full => (
+            baselines::non_overlap_full_mlp(shape, &**cost).total_ms(),
+            baselines::decompose_full_mlp(shape, &**cost).total_ms(),
+            baselines::flux_full_mlp(shape, &**cost).total_ms(),
+            mlp::timed_full_mlp(shape, cost)
+                .expect("tilelink")
+                .total_ms(),
+        ),
+    };
+    group(
+        shape.name.to_string(),
+        [
+            ("cuBLAS+NCCL", base),
+            ("Async-TP Torch", decomp),
+            ("FLUX", flux),
+            ("TileLink", tilelink),
+        ],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -231,32 +184,22 @@ pub enum MoePanel {
 /// Reproduces one panel of Figure 9 across MoE-1..6, priced by `cost` (the
 /// cluster is the provider's).
 pub fn fig9(panel: MoePanel, cost: &SharedCost) -> Vec<Group> {
+    let cfg = moe::moe_config();
     shapes::moe_shapes()
         .iter()
         .map(|shape| {
-            let cfg = moe::moe_config();
             let (cublas, cutlass, vllm, tilelink) = match panel {
                 MoePanel::First => (
                     baselines::cublas_nccl_moe_first(shape, &**cost).total_ms(),
                     baselines::cutlass_nccl_moe_first(shape, &**cost).total_ms(),
                     baselines::vllm_moe_first(shape, &**cost).total_ms(),
-                    simulate_report(
-                        &moe::ag_group_gemm_kernel(shape, &cfg, cost).expect("tilelink"),
-                        cost,
-                    )
-                    .expect("tilelink")
-                    .total_ms(),
+                    kernel_ms(moe::ag_group_gemm_kernel(shape, &cfg, cost), cost),
                 ),
                 MoePanel::Second => (
                     baselines::cublas_nccl_moe_second(shape, &**cost).total_ms(),
                     baselines::cutlass_nccl_moe_second(shape, &**cost).total_ms(),
                     baselines::vllm_moe_second(shape, &**cost).total_ms(),
-                    simulate_report(
-                        &moe::group_gemm_rs_kernel(shape, &cfg, cost).expect("tilelink"),
-                        cost,
-                    )
-                    .expect("tilelink")
-                    .total_ms(),
+                    kernel_ms(moe::group_gemm_rs_kernel(shape, &cfg, cost), cost),
                 ),
                 MoePanel::Full => (
                     baselines::cublas_nccl_full_moe(shape, &**cost).total_ms(),
@@ -267,27 +210,15 @@ pub fn fig9(panel: MoePanel, cost: &SharedCost) -> Vec<Group> {
                         .total_ms(),
                 ),
             };
-            Group {
-                label: shape.name.to_string(),
-                entries: vec![
-                    Measurement {
-                        method: "cuBLAS+NCCL",
-                        ms: cublas,
-                    },
-                    Measurement {
-                        method: "CUTLASS+NCCL",
-                        ms: cutlass,
-                    },
-                    Measurement {
-                        method: "vLLM-Op",
-                        ms: vllm,
-                    },
-                    Measurement {
-                        method: "TileLink",
-                        ms: tilelink,
-                    },
+            group(
+                shape.name.to_string(),
+                [
+                    ("cuBLAS+NCCL", cublas),
+                    ("CUTLASS+NCCL", cutlass),
+                    ("vLLM-Op", vllm),
+                    ("TileLink", tilelink),
                 ],
-            }
+            )
         })
         .collect()
 }
@@ -321,25 +252,17 @@ pub fn fig10(shape_index: usize, cost: &SharedCost) -> Vec<AttentionRow> {
                 attention::sp_attention_kernel(shape, seq, &attention::attention_config(), cost)
                     .expect("tilelink attention");
             let tl = simulate_report(&kernel, cost).expect("tilelink attention");
+            let label = format!("{} / {}k", shape.name, seq / 1024);
             AttentionRow {
-                label: format!("{} / {}k", shape.name, seq / 1024),
-                group: Group {
-                    label: format!("{} / {}k", shape.name, seq / 1024),
-                    entries: vec![
-                        Measurement {
-                            method: "Torch",
-                            ms: torch,
-                        },
-                        Measurement {
-                            method: "RingAttn",
-                            ms: ring,
-                        },
-                        Measurement {
-                            method: "TileLink",
-                            ms: tl.total_ms(),
-                        },
+                label: label.clone(),
+                group: group(
+                    label,
+                    [
+                        ("Torch", torch),
+                        ("RingAttn", ring),
+                        ("TileLink", tl.total_ms()),
                     ],
-                },
+                ),
                 overlap_ratio: tl.overlap_ratio(),
             }
         })
@@ -350,89 +273,26 @@ pub fn fig10(shape_index: usize, cost: &SharedCost) -> Vec<AttentionRow> {
 // Figure 11 — end-to-end models
 // ---------------------------------------------------------------------------
 
-/// The tuned TileLink column of one Figure 11 row (present when the harness
-/// ran with tuning, see [`fig11_tuned`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TunedE2e {
-    /// TileLink time under searched per-layer configs, in milliseconds.
-    pub ms: f64,
-    /// Ranked oracle pricings the layer searches performed for this model
-    /// (see [`tilelink_tune::TuneReport::evaluations`]).
-    pub evaluations: usize,
-    /// Lookups served by the persistent tuning cache instead of the simulator.
-    pub cache_hits: usize,
-}
-
-/// One bar pair of Figure 11.
-#[derive(Debug, Clone, PartialEq)]
-pub struct E2eRow {
-    /// Model name.
-    pub model: &'static str,
-    /// PyTorch baseline time in milliseconds.
-    pub torch_ms: f64,
-    /// TileLink time in milliseconds.
-    pub tilelink_ms: f64,
-    /// Tuned TileLink column; `None` when the harness ran without tuning.
-    pub tuned: Option<TunedE2e>,
-}
-
-impl E2eRow {
-    /// Speed-up of TileLink (default configs) over PyTorch.
-    pub fn speedup(&self) -> f64 {
-        self.torch_ms / self.tilelink_ms
-    }
-
-    /// Speed-up of tuned TileLink over PyTorch, when tuning ran.
-    pub fn tuned_speedup(&self) -> Option<f64> {
-        self.tuned.map(|t| self.torch_ms / t.ms)
-    }
-}
-
-/// Reproduces Figure 11 for either the 8-GPU (false) or 16-GPU (true) setup.
+/// Reproduces Figure 11 for either the 8-GPU (false) or 16-GPU (true) setup:
+/// one [`e2e::compare_model`] per model, whose tuned column is present
+/// exactly when `tune` is given.
 ///
 /// Takes the cost-model *spec* rather than a built provider because the
-/// cluster is chosen inside (a provider is bound to one cluster).
-/// `model_subset` limits the evaluation to the first `n` models (the bench
-/// binaries use a subset to keep run times reasonable); pass `usize::MAX` for all.
-pub fn fig11(two_nodes: bool, model_subset: usize, spec: &CostModelSpec) -> Vec<E2eRow> {
-    let (cluster, tokens) = if two_nodes {
-        e2e::two_node_setup()
-    } else {
-        e2e::single_node_setup()
-    };
-    let cost = cost_for(&cluster, spec);
-    shapes::model_configs()
-        .iter()
-        .take(model_subset)
-        .map(|model| {
-            let cmp = e2e::compare_model(model, tokens, &cost).expect("e2e comparison");
-            E2eRow {
-                model: model.name,
-                torch_ms: cmp.torch.total_s * 1e3,
-                tilelink_ms: cmp.tilelink.total_s * 1e3,
-                tuned: None,
-            }
-        })
-        .collect()
-}
-
-/// [`fig11`] with a third, *tuned* TileLink column: per-layer configurations
-/// come from the `tilelink-tune` search (strategy, space, persistent cache,
-/// and — for MoE layers — routing distribution and objective all taken from
-/// `opts`; its cost provider is overridden per cluster). With a warm
-/// persistent cache the tuned column reports zero evaluations (ranked
-/// oracle pricings).
+/// cluster is chosen inside (a provider is bound to one cluster). With
+/// `tune`, per-layer configurations come from the `tilelink-tune` search
+/// (strategy, space, persistent cache and, for MoE layers, routing
+/// distribution and objective all taken from `tune`; its cost provider is
+/// overridden per cluster), and a warm persistent cache makes the tuned
+/// column report zero evaluations.
 ///
 /// # Panics
 ///
-/// Panics if a comparison or layer search fails (the spec is validated by
-/// [`cost_for`] before any search runs).
-pub fn fig11_tuned(
+/// Panics if a comparison or layer search fails.
+pub fn fig11(
     two_nodes: bool,
-    model_subset: usize,
     spec: &CostModelSpec,
-    opts: &TuneOptions,
-) -> Vec<E2eRow> {
+    tune: Option<&TuneOptions>,
+) -> Vec<E2eComparison> {
     let (cluster, tokens) = if two_nodes {
         e2e::two_node_setup()
     } else {
@@ -441,22 +301,30 @@ pub fn fig11_tuned(
     let cost = cost_for(&cluster, spec);
     shapes::model_configs()
         .iter()
-        .take(model_subset)
-        .map(|model| {
-            let cmp =
-                e2e::compare_model_tuned(model, tokens, &cost, opts).expect("tuned e2e comparison");
-            E2eRow {
-                model: model.name,
-                torch_ms: cmp.base.torch.total_s * 1e3,
-                tilelink_ms: cmp.base.tilelink.total_s * 1e3,
-                tuned: Some(TunedE2e {
-                    ms: cmp.tuned.timing.total_s * 1e3,
-                    evaluations: cmp.tuned.evaluations,
-                    cache_hits: cmp.tuned.cache_hits,
-                }),
-            }
-        })
+        .map(|model| e2e::compare_model(model, tokens, &cost, tune).expect("e2e comparison"))
         .collect()
+}
+
+/// A bar group from (method, milliseconds) pairs.
+fn group<const N: usize>(label: String, entries: [(&'static str, f64); N]) -> Group {
+    Group {
+        label,
+        entries: entries
+            .into_iter()
+            .map(|(method, ms)| Measurement { method, ms })
+            .collect(),
+    }
+}
+
+/// Milliseconds of a compiled TileLink kernel's exact simulated report.
+///
+/// # Panics
+///
+/// Panics if the kernel failed to compile or simulate.
+fn kernel_ms(kernel: tilelink::Result<CompiledKernel>, cost: &SharedCost) -> f64 {
+    simulate_report(&kernel.expect("tilelink kernel"), cost)
+        .expect("tilelink kernel")
+        .total_ms()
 }
 
 // ---------------------------------------------------------------------------
@@ -486,30 +354,6 @@ pub fn benchmark_graphs(
         ("fig9_routed_moe_first", single, fig9),
         ("e2e_two_node_ag_gemm", two_node, e2e),
     ]
-}
-
-/// Times `iters` invocations of `f` and prints min/median/max wall-clock
-/// milliseconds under `name`.
-///
-/// A minimal stand-in for a third-party benchmark harness (none is available
-/// in this offline environment); the `cargo bench` targets of this crate are
-/// plain `harness = false` binaries built on it.
-pub fn bench_case(name: &str, iters: usize, mut f: impl FnMut()) {
-    f(); // warm-up, untimed
-    let mut samples_ms = Vec::with_capacity(iters.max(1));
-    for _ in 0..iters.max(1) {
-        let start = std::time::Instant::now();
-        f();
-        samples_ms.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    samples_ms.sort_by(f64::total_cmp);
-    println!(
-        "{name:<44} median {:>9.3} ms  (min {:>9.3}, max {:>9.3}, {} iters)",
-        samples_ms[samples_ms.len() / 2],
-        samples_ms[0],
-        samples_ms[samples_ms.len() - 1],
-        samples_ms.len()
-    );
 }
 
 /// Geometric mean of an iterator of positive values.
@@ -625,10 +469,10 @@ mod tests {
 
     #[test]
     fn fig11_subset_speeds_up() {
-        let rows = fig11(false, 2, &CostModelSpec::Analytic);
-        assert_eq!(rows.len(), 2);
+        let rows = fig11(false, &CostModelSpec::Analytic, None);
+        assert_eq!(rows.len(), shapes::model_configs().len());
         for r in rows {
-            assert!(r.speedup() > 1.0, "{}: {:.2}", r.model, r.speedup());
+            assert!(r.speedup() > 1.0, "{}: {:.2}", r.torch.model, r.speedup());
             assert_eq!(r.tuned, None);
             assert_eq!(r.tuned_speedup(), None);
         }
@@ -636,11 +480,14 @@ mod tests {
 
     #[test]
     fn fig11_tuned_rows_carry_the_tuned_column() {
-        let opts = tilelink_workloads::TuneOptions::default();
-        let rows = fig11_tuned(false, 1, &CostModelSpec::Analytic, &opts);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        let t = r.tuned.expect("tuned column");
+        // One model through `fig11`'s own per-model call, so the unit tests
+        // do not tune all eight.
+        let opts = TuneOptions::default();
+        let (cluster, tokens) = e2e::single_node_setup();
+        let cost = cost_for(&cluster, &CostModelSpec::Analytic);
+        let r = e2e::compare_model(&shapes::model_configs()[0], tokens, &cost, Some(&opts))
+            .expect("tuned e2e comparison");
+        let t = r.tuned.as_ref().expect("tuned column");
         assert!(t.evaluations > 0, "cold in-memory search must simulate");
         // Under the deterministic analytic model the searched config never
         // loses to the hand-picked defaults end to end (empirical pin, same

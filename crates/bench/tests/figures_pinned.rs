@@ -54,19 +54,23 @@ fn fig11_e2e_geomeans_are_pinned() {
     // (1.492083017131577 before the fix, when every hop was priced as the
     // intra-node rank 0→1 link); the 8-GPU value is bit-identical to the
     // pre-fix figure because every single-node hop rides NVLink.
-    let single = fig11(false, usize::MAX, &CostModelSpec::Analytic);
+    let single = fig11(false, &CostModelSpec::Analytic, None);
     let actual = geomean(single.iter().map(|r| r.speedup()));
     assert_pinned("fig11 8xH800 geomean", actual, 1.650689315301968);
 
-    let two_node = fig11(true, usize::MAX, &CostModelSpec::Analytic);
+    let two_node = fig11(true, &CostModelSpec::Analytic, None);
     let actual = geomean(two_node.iter().map(|r| r.speedup()));
     assert_pinned("fig11 16xH800 geomean", actual, 2.831073385410031);
 
     // The two-node torch baselines must stay strictly costlier than the
     // single-node ones (IB pricing + doubled tokens), model by model.
     for (one, two) in single.iter().zip(&two_node) {
-        assert_eq!(one.model, two.model);
-        assert!(two.torch_ms > 2.0 * one.torch_ms, "{}", one.model);
+        assert_eq!(one.torch.model, two.torch.model);
+        assert!(
+            two.torch.total_s > 2.0 * one.torch.total_s,
+            "{}",
+            one.torch.model
+        );
     }
 }
 

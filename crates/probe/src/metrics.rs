@@ -180,8 +180,9 @@ impl Histogram {
 pub static TUNE_CACHE_HITS: Counter = Counter::new("tune.cache.hits");
 /// Tune-cache lookups that missed and forced an oracle evaluation.
 pub static TUNE_CACHE_MISSES: Counter = Counter::new("tune.cache.misses");
-/// Persisted cache entries dropped at load because their cost-model revision
-/// no longer matches the active provider.
+/// Tune-cache entries of a run's workload and cluster recorded under another
+/// cost-model revision than the active provider's, counted (or, with the
+/// stale sweep, removed) at the start of each tuning run.
 pub static TUNE_CACHE_REVISION_INVALIDATIONS: Counter =
     Counter::new("tune.cache.revision_invalidations");
 /// Candidates priced by actually running the oracle (compile + simulate).
@@ -258,8 +259,8 @@ pub static SERVE_INFLIGHT: Gauge = Gauge::new("serve.inflight");
 pub static SERVE_POOL_QUEUED: Gauge = Gauge::new("serve.pool.queued");
 /// Serve connection-pool workers currently executing a request.
 pub static SERVE_POOL_ACTIVE: Gauge = Gauge::new("serve.pool.active");
-/// Tuning runs waiting for admission to a shared `SearchExecutor` (its
-/// concurrent-session bound is saturated).
+/// Candidate evaluation jobs queued on a `SearchExecutor` and not yet taken
+/// by a worker (set when a batch is queued and as each job is taken).
 pub static TUNE_EXECUTOR_QUEUE_DEPTH: Gauge = Gauge::new("tune.executor.queue_depth");
 /// Per-candidate oracle evaluation latency in microseconds.
 pub static TUNE_EVAL_US: Histogram = Histogram::new("tune.eval_us");

@@ -484,8 +484,9 @@ fn oracle_for(req: &TuneRequest, cost: SharedCost) -> Box<dyn CostOracle> {
 /// The real cold search: the request's oracle on the process-shared
 /// [`SearchExecutor`], through the persistent cache when one is configured.
 fn run_search(_req: &TuneRequest, oracle: &dyn CostOracle, opts: &ServeOptions) -> SearchResult {
-    // The daemon always sweeps same-scope entries of other cost revisions or
-    // objectives, so its write-behind cache file and memory stay bounded.
+    // The daemon always sweeps same-scope entries of other cost revisions,
+    // so its write-behind cache file and memory stay bounded; entries of
+    // another objective under this revision stay warm.
     let mut tuner = Tuner::new(opts.strategy)
         .with_executor(SearchExecutor::global())
         .with_stale_sweep(true);

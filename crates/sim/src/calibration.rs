@@ -398,18 +398,6 @@ impl CostProvider for CalibratedCostModel {
         }
     }
 
-    fn gemm_seconds(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        tile_m: usize,
-        tile_n: usize,
-        sms: u64,
-    ) -> Seconds {
-        self.base.gemm_seconds(m, n, k, tile_m, tile_n, sms)
-    }
-
     fn link_seconds(&self, src: usize, dst: usize, bytes: f64) -> Seconds {
         let cluster = self.base.cluster();
         let class = cluster.link_class(src, dst);

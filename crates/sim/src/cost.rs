@@ -150,42 +150,12 @@ impl CostModel {
         let tiles = m.div_ceil(tile_m) * n.div_ceil(tile_n);
         Self::gemm_tile_efficiency(tile_m, tile_n, k) * Self::wave_quantization(tiles, sms)
     }
-
-    /// Seconds needed to run an `m × n × k` GEMM on `sms` SMs with the given tiling.
-    pub fn gemm_seconds(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        tile_m: usize,
-        tile_n: usize,
-        sms: u64,
-    ) -> Seconds {
-        let gpu = &self.cluster.gpu;
-        let eff = Self::gemm_efficiency(m, n, k, tile_m, tile_n, sms);
-        let fraction = (sms as f64 / gpu.sm_count as f64).min(1.0);
-        Self::matmul_flops(m, n, k) / (gpu.peak_flops() * fraction * eff)
-    }
-
-    /// Seconds to stream `bytes` through HBM at full bandwidth.
-    pub fn hbm_seconds(&self, bytes: f64) -> Seconds {
-        bytes / self.cluster.gpu.hbm_bytes_per_s()
-    }
-
-    /// Seconds to move `bytes` from `src` to `dst` at full port bandwidth,
-    /// floored at the link class's per-message α (consistent with how
-    /// [`CostModel::duration`] prices [`Work::LinkBytes`], so the closed-form
-    /// baselines and the simulated path agree on small messages).
-    pub fn link_seconds(&self, src: usize, dst: usize, bytes: f64) -> Seconds {
-        let alpha = link_alpha_s(self.cluster.link_class(src, dst));
-        (bytes / self.cluster.link_bytes_per_s(src, dst)).max(alpha)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GpuSpec, ResourceKind};
+    use crate::{CostProvider, GpuSpec, ResourceKind};
 
     fn model() -> CostModel {
         CostModel::new(ClusterSpec::h800_node(8))

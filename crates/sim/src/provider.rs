@@ -46,11 +46,8 @@ pub trait CostProvider: std::fmt::Debug + Send + Sync {
     }
 
     /// Seconds needed to run an `m × n × k` GEMM on `sms` SMs with the given
-    /// tiling.
-    ///
-    /// The default delegates to [`CostModel::gemm_seconds`] so the analytic
-    /// formula has a single home: editing the inherent method automatically
-    /// changes every provider that has not overridden this.
+    /// tiling: its flops at the [`CostModel::gemm_efficiency`] of the
+    /// cluster GPU's peak, scaled to the share of SMs it runs on.
     fn gemm_seconds(
         &self,
         m: usize,
@@ -60,7 +57,10 @@ pub trait CostProvider: std::fmt::Debug + Send + Sync {
         tile_n: usize,
         sms: u64,
     ) -> Seconds {
-        CostModel::new(self.cluster().clone()).gemm_seconds(m, n, k, tile_m, tile_n, sms)
+        let gpu = &self.cluster().gpu;
+        let eff = CostModel::gemm_efficiency(m, n, k, tile_m, tile_n, sms);
+        let fraction = (sms as f64 / gpu.sm_count as f64).min(1.0);
+        CostModel::matmul_flops(m, n, k) / (gpu.peak_flops() * fraction * eff)
     }
 
     /// Seconds to stream `bytes` through HBM at full bandwidth.
@@ -69,8 +69,10 @@ pub trait CostProvider: std::fmt::Debug + Send + Sync {
     }
 
     /// Seconds to move `bytes` from `src` to `dst` at full port bandwidth,
-    /// floored at the link class's per-message α (see
-    /// [`CostModel::link_seconds`]).
+    /// floored at the link class's per-message α (consistent with how
+    /// [`CostModel::duration`] prices [`crate::Work::LinkBytes`], so the
+    /// closed-form baselines and the simulated path agree on small
+    /// messages).
     fn link_seconds(&self, src: usize, dst: usize, bytes: f64) -> Seconds {
         let cluster = self.cluster();
         let alpha = crate::link_alpha_s(cluster.link_class(src, dst));
@@ -97,26 +99,6 @@ impl CostProvider for CostModel {
 
     fn revision(&self) -> String {
         Self::REVISION.to_string()
-    }
-
-    fn gemm_seconds(
-        &self,
-        m: usize,
-        n: usize,
-        k: usize,
-        tile_m: usize,
-        tile_n: usize,
-        sms: u64,
-    ) -> Seconds {
-        self.gemm_seconds(m, n, k, tile_m, tile_n, sms)
-    }
-
-    fn hbm_seconds(&self, bytes: f64) -> Seconds {
-        self.hbm_seconds(bytes)
-    }
-
-    fn link_seconds(&self, src: usize, dst: usize, bytes: f64) -> Seconds {
-        self.link_seconds(src, dst, bytes)
     }
 }
 

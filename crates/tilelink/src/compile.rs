@@ -17,7 +17,10 @@
 //!
 //! Hits and misses are counted in the `tune.compile.patched` /
 //! `tune.compile.full_rebuilds` probe counters; concurrent compiles of one
-//! key build it once.
+//! key build it once. Debug builds also rebuild and lower the program behind
+//! the first hit of each config on a cache entry and assert that it equals
+//! the cached one, so a site that leaves out a value its builder reads fails
+//! the first search that changes that value.
 //!
 //! The same site names the compiled kernel: its [`KernelKey`] is the site,
 //! the stage count if pipelining moved an op, and the plan, which together
@@ -236,6 +239,9 @@ struct CachedLowered {
     hoists: bool,
     plan_inputs: PlanInputs,
     comm: CommSummary,
+    /// Configs whose hits on this entry were checked against a rebuild.
+    #[cfg(debug_assertions)]
+    checked: Mutex<std::collections::HashSet<OverlapConfig>>,
 }
 
 impl CachedLowered {
@@ -252,7 +258,40 @@ impl CachedLowered {
             hoists: pipelining_moves(&lowered),
             lowered: Arc::new(lowered),
             plan_inputs: PlanInputs::of_program(program),
+            #[cfg(debug_assertions)]
+            checked: Mutex::default(),
         })
+    }
+
+    /// Rebuilds and lowers the program behind a hit of `config` on this
+    /// entry, the first time that config hits it, and asserts that it
+    /// equals the cached one: a `site` that leaves out a value its builder
+    /// reads fails here instead of handing out a stale program.
+    #[cfg(debug_assertions)]
+    fn assert_rebuild_matches<M: TileMapping>(
+        &self,
+        site: CacheSite,
+        config: &OverlapConfig,
+        build: impl FnOnce() -> Result<(TileProgram, M)>,
+    ) {
+        let mut checked = self.checked.lock().unwrap_or_else(|e| e.into_inner());
+        if !checked.insert(*config) {
+            return;
+        }
+        drop(checked);
+        let rebuilt = build()
+            .and_then(|(program, mapping)| Self::lower(&program, &mapping))
+            .unwrap_or_else(|e| panic!("{site:?}: rebuilding a cached program failed: {e}"));
+        assert!(
+            rebuilt.name == self.name
+                && rebuilt.world_size == self.world_size
+                && rebuilt.lowered == self.lowered
+                && rebuilt.plan_inputs == self.plan_inputs
+                && rebuilt.comm == self.comm,
+            "{site:?}: the builder's program for {} differs from the cached one; \
+             the site must name every value its builder reads",
+            config.cache_key()
+        );
     }
 }
 
@@ -338,14 +377,15 @@ impl Compiler {
 
     /// Compiles through the process-wide incremental cache.
     ///
-    /// `build` constructs the program and its mapping; it only runs on a cache
-    /// miss (a *full rebuild*), so `site` must name every value it reads. On a
-    /// hit (a *patched* compile) the cached lowered program is pipelined for
+    /// `build` constructs the program and its mapping; it runs on a cache
+    /// miss (a *full rebuild*), so `site` must name every value it reads. On
+    /// a hit (a *patched* compile) the cached lowered program is pipelined for
     /// this config's `num_stages` (shared as it is when that moves no op,
     /// copied and pipelined otherwise) and re-planned for this config. The
     /// result is bit-identical to a cold [`Self::compile`] of the same
-    /// inputs. Concurrent compiles of one key run `build` once: the others
-    /// wait for it and patch.
+    /// inputs. Concurrent compiles of one key build it once: the others
+    /// wait for it and patch. Debug builds also run `build` on the first hit
+    /// of each config on an entry, to check the cached program against it.
     ///
     /// # Errors
     ///
@@ -369,6 +409,8 @@ impl Compiler {
         if let Some(cached) = entry.clone() {
             drop(entry);
             tilelink_probe::metrics::TUNE_COMPILE_PATCHED.inc();
+            #[cfg(debug_assertions)]
+            cached.assert_rebuild_matches(site, &self.config, build);
             return self.finish(site, &cached);
         }
         let (program, mapping) = build()?;
@@ -428,7 +470,7 @@ mod tests {
     use crate::primitives::{NotifyScope, PushTarget};
     use crate::TileLinkError;
     use std::collections::HashSet;
-    use tilelink_probe::metrics::TUNE_COMPILE_PATCHED;
+    use tilelink_probe::metrics::{TUNE_COMPILE_FULL_REBUILDS, TUNE_COMPILE_PATCHED};
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
     fn h800() -> SharedCost {
@@ -568,14 +610,10 @@ mod tests {
         // value.
         let site = CacheSite::new("test.compile.cache", [2, 4]);
         reset_compile_cache();
-        let builds = std::cell::Cell::new(0);
-        let make = || {
-            builds.set(builds.get() + 1);
-            Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)))
-        };
+        let make = || Ok((ag_gemm_program(2, 4), StaticMapping::new(256, 64, 2, 2)));
         // Cold compile through the cache (miss), then patched neighbours that
         // differ only in config values the builder does not read (hits,
-        // which never run the builder).
+        // which never rebuild the cache entry).
         let base = OverlapConfig::default();
         let neighbours = [
             base,
@@ -601,10 +639,15 @@ mod tests {
         let cost = h800();
         for (i, cfg) in neighbours.iter().enumerate() {
             let compiler = Compiler::new(*cfg, &cost);
-            let (builds_before, patched_before) = (builds.get(), TUNE_COMPILE_PATCHED.get());
+            let (rebuilds_before, patched_before) =
+                (TUNE_COMPILE_FULL_REBUILDS.get(), TUNE_COMPILE_PATCHED.get());
             let cached = compiler.compile_cached(site, make).unwrap();
             if i > 0 {
-                assert_eq!(builds.get(), builds_before, "neighbour {i} rebuilt");
+                assert_eq!(
+                    TUNE_COMPILE_FULL_REBUILDS.get(),
+                    rebuilds_before,
+                    "neighbour {i} rebuilt"
+                );
                 assert!(
                     TUNE_COMPILE_PATCHED.get() > patched_before,
                     "neighbour {i} not counted as patched"
@@ -616,14 +659,13 @@ mod tests {
             assert_eq!(cached, cold, "neighbour {i} diverged");
         }
         // A different builder input rebuilds.
-        let builds_before = builds.get();
+        let rebuilds_before = TUNE_COMPILE_FULL_REBUILDS.get();
         Compiler::new(base, &cost)
             .compile_cached(CacheSite::new("test.compile.cache", [2, 8]), || {
-                builds.set(builds.get() + 1);
                 Ok((ag_gemm_program(2, 8), StaticMapping::new(512, 64, 2, 2)))
             })
             .unwrap();
-        assert_eq!(builds.get(), builds_before + 1);
+        assert_eq!(TUNE_COMPILE_FULL_REBUILDS.get(), rebuilds_before + 1);
     }
 
     #[test]
@@ -683,12 +725,11 @@ mod tests {
         let _serial = CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         reset_compile_cache();
         let site = CacheSite::new("test.compile.concurrent", [2, 4]);
-        let builds = std::sync::atomic::AtomicUsize::new(0);
+        let rebuilds_before = TUNE_COMPILE_FULL_REBUILDS.get();
         let cost = h800();
         let compile = || {
             Compiler::new(OverlapConfig::default(), &cost)
                 .compile_cached(site, || {
-                    builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     // Hold the build open so every thread looks the key up
                     // while it is still being built.
                     std::thread::sleep(std::time::Duration::from_millis(20));
@@ -700,12 +741,12 @@ mod tests {
             let threads: Vec<_> = (0..4).map(|_| scope.spawn(compile)).collect();
             threads.into_iter().map(|t| t.join().unwrap()).collect()
         });
-        assert_eq!(builds.into_inner(), 1);
+        assert_eq!(TUNE_COMPILE_FULL_REBUILDS.get(), rebuilds_before + 1);
         assert!(kernels.iter().all(|k| *k == kernels[0]));
     }
 
     #[test]
-    fn neighbours_that_compile_to_one_kernel_share_its_fingerprint() {
+    fn neighbours_that_compile_to_one_kernel_share_its_key() {
         // Every load of this program follows its wait, so no stage count
         // moves an op: order, mode and stage neighbours are one kernel.
         let mapping = StaticMapping::new(256, 64, 2, 2);
@@ -739,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_that_moves_an_op_changes_the_fingerprint() {
+    fn pipelining_that_moves_an_op_changes_the_key() {
         let p = k_loop_program();
         let mapping = StaticMapping::new(256, 64, 1, 1);
         let cost = h800();

@@ -66,6 +66,12 @@ fn put(entries: &mut HashMap<String, Entry>, key: String, entry: Entry) {
     entries.insert(key, entry);
 }
 
+/// The cost-model revision of a key or key prefix in `scope` (a
+/// `workload|cluster|` prefix), or `None` outside it.
+fn revision_in<'k>(scope: &str, key: &'k str) -> Option<&'k str> {
+    key.strip_prefix(scope)?.split('|').next()
+}
+
 /// A persistent map from tuning keys to simulated timings.
 ///
 /// Every candidate a search ranks is cached with its objective value
@@ -277,24 +283,23 @@ impl TuneCache {
         self.entries.get(key).map(|entry| entry.total_s())
     }
 
-    /// Number of entries for the same `workload|cluster` scope that were
-    /// recorded under a *different* cost-model revision or objective than
-    /// `current_prefix` (a full [`TuneCache::key_prefix`]).
+    /// Number of entries in a `workload|cluster|` scope that were recorded
+    /// under a *different* cost-model revision than `current_prefix` (a full
+    /// [`TuneCache::key_prefix`] inside `scope`). Entries of the same
+    /// revision under another objective are current: another run tuning
+    /// that objective still hits them.
     ///
     /// These entries are not wrong — they self-invalidate by missing — but
     /// every one of them represents an oracle call the current run has to
     /// repeat, which is worth surfacing in the metrics registry.
     pub fn count_stale(&self, scope: &str, current_prefix: &str) -> usize {
-        let current = format!("{current_prefix}|");
-        self.entries
-            .keys()
-            .filter(|k| k.starts_with(scope) && !k.starts_with(&current))
-            .count()
+        self.stale_keys(scope, current_prefix).count()
     }
 
     /// Removes every entry in `scope` recorded under a different cost-model
-    /// revision or objective than `current_prefix` (the same notion of stale
-    /// as [`TuneCache::count_stale`]) and returns how many were swept.
+    /// revision than `current_prefix` (the same notion of stale as
+    /// [`TuneCache::count_stale`]; other objectives' entries stay) and
+    /// returns how many were swept.
     ///
     /// Swept keys are tombstoned so the next [`TuneCache::flush`] drops them
     /// from the backing file too instead of resurrecting them through the
@@ -303,18 +308,25 @@ impl TuneCache {
     /// behind forever. One-shot CLI runs that alternate between cost models
     /// should prefer `count_stale`, which keeps both revisions warm.
     pub fn sweep_stale(&mut self, scope: &str, current_prefix: &str) -> usize {
-        let current = format!("{current_prefix}|");
-        let stale: Vec<String> = self
-            .entries
-            .keys()
-            .filter(|k| k.starts_with(scope) && !k.starts_with(&current))
-            .cloned()
-            .collect();
+        let stale: Vec<String> = self.stale_keys(scope, current_prefix).cloned().collect();
         for key in &stale {
             self.entries.remove(key);
             self.tombstones.insert(key.clone());
         }
         stale.len()
+    }
+
+    /// The keys in `scope` whose cost-model revision, the key part after
+    /// `scope`, differs from `current_prefix`'s.
+    fn stale_keys<'a>(
+        &'a self,
+        scope: &'a str,
+        current_prefix: &str,
+    ) -> impl Iterator<Item = &'a String> + 'a {
+        let current = revision_in(scope, current_prefix).map(String::from);
+        self.entries.keys().filter(move |key| {
+            revision_in(scope, key).is_some_and(|r| Some(r) != current.as_deref())
+        })
     }
 
     /// Inserts (or replaces) a cached exact report. Call [`TuneCache::flush`]
@@ -684,7 +696,7 @@ mod tests {
         // of scope and the matching-revision entry is current.
         assert_eq!(cache.count_stale("mlp|h800x8|", &prefix), 1);
         let p95 = TuneCache::key_prefix("mlp", "h800x8", "analytic-v2", "p95");
-        assert_eq!(cache.count_stale("mlp|h800x8|", &p95), 2);
+        assert_eq!(cache.count_stale("mlp|h800x8|", &p95), 1);
         assert_eq!(cache.count_stale("lm|", &prefix), 0);
     }
 

@@ -346,9 +346,11 @@ impl Tuner {
         self
     }
 
-    /// Physically removes stale same-scope cache entries (other cost-model
-    /// revision or objective) at the start of the run instead of merely
-    /// counting them, and drops them from the backing file on the next flush.
+    /// Physically removes stale cache entries (the same workload and
+    /// cluster under another cost-model revision) at the start of the run
+    /// instead of merely counting them, and drops them from the backing file
+    /// on the next flush. Entries tuned for another objective under the
+    /// current revision are not stale and stay.
     ///
     /// Off by default: a CLI alternating between cost models benefits from
     /// keeping both revisions' entries. The long-running serve daemon turns
@@ -470,8 +472,8 @@ impl<'a> Run<'a> {
         let prefix = TuneCache::oracle_prefix(oracle);
         {
             // Entries for this workload+cluster recorded under another cost
-            // revision or objective will self-invalidate (miss) this run;
-            // surface how many in the metrics registry. With the stale sweep
+            // revision will self-invalidate (miss) this run; surface how
+            // many in the metrics registry. With the stale sweep
             // enabled they are removed outright (memory and, on the next
             // flush, the backing file) instead of counted in place.
             let scope = format!(
@@ -896,7 +898,7 @@ impl<'a> Run<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnOracle;
+    use crate::{FnOracle, Objective};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use tilelink::{CommMapping, TileShape};
     use tilelink_sim::ClusterSpec;
@@ -1469,6 +1471,38 @@ mod tests {
         let back = run("analytic-v2");
         assert_eq!(back.evaluations, 0);
         assert_eq!(back.cache_hits, 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stale_sweep_keeps_other_objectives_entries() {
+        // A sweeping tuner (the daemon's) on one cache file: tuning the same
+        // workload for p95 must not sweep its mean entries, which share the
+        // cost-model revision.
+        let dir = std::env::temp_dir().join(format!("tilelink-tune-sweep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.tsv");
+        let _ = std::fs::remove_file(&path);
+
+        let space = SearchSpace::new().with_stages([2, 3, 4]);
+        let run = |objective: Objective| {
+            let oracle = FnOracle::new("sweep", ClusterSpec::h800_node(8), |cfg| {
+                let t = cfg.num_stages as f64;
+                Ok(OverlapReport::new(t, t / 2.0, t / 2.0))
+            })
+            .with_objective(objective);
+            Tuner::new(Strategy::Exhaustive)
+                .with_stale_sweep(true)
+                .with_cache(TuneCache::open(&path).unwrap())
+                .tune(&oracle, &space)
+                .unwrap()
+        };
+
+        assert_eq!(run(Objective::Mean).evaluations, 3);
+        assert_eq!(run(Objective::Percentile(95)).evaluations, 3);
+        let again = run(Objective::Mean);
+        assert_eq!(again.evaluations, 0, "mean entries must survive the sweep");
+        assert_eq!(again.cache_hits, 3);
         let _ = std::fs::remove_file(&path);
     }
 

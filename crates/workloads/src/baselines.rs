@@ -458,25 +458,6 @@ pub fn ring_attention(shape: &AttnShape, seq_len: usize, cost: &dyn CostProvider
     OverlapReport::new(total, comm, comp)
 }
 
-/// TileLink's overlapped attention expressed with the same analytic
-/// ingredients (used by the Figure 10 harness alongside the compiled-kernel
-/// simulation for cross-checking).
-pub fn overlapped_attention_estimate(
-    shape: &AttnShape,
-    seq_len: usize,
-    cost: &dyn CostProvider,
-) -> OverlapReport {
-    let cluster = cost.cluster();
-    let comm = kv_allgather_seconds(shape, seq_len, cost);
-    let comp = flash_seconds(shape, seq_len, cost, 0.7);
-    let exposed = comm / cluster.world_size() as f64;
-    OverlapReport::new(
-        comp.max(comm) + exposed + cluster.gpu.kernel_launch_s(),
-        comm,
-        comp,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,6 +470,16 @@ mod tests {
 
     fn analytic(cluster: &ClusterSpec) -> CostModel {
         CostModel::new(cluster.clone())
+    }
+
+    /// Figure 10's TileLink point: the compiled SP-attention kernel, priced
+    /// by the simulator under the analytic model.
+    fn sp_attention_report(shape: &AttnShape, seq_len: usize) -> OverlapReport {
+        use crate::attention::{attention_config, sp_attention_kernel};
+
+        let cost = tilelink_sim::analytic_cost(&cluster());
+        let kernel = sp_attention_kernel(shape, seq_len, &attention_config(), &cost).unwrap();
+        tilelink::exec::simulate_report(&kernel, &cost).unwrap()
     }
 
     #[test]
@@ -556,7 +547,7 @@ mod tests {
         let c = analytic(&cluster());
         for &s in &shape.seq_lens {
             let torch = torch_attention(shape, s, &c);
-            let tl = overlapped_attention_estimate(shape, s, &c);
+            let tl = sp_attention_report(shape, s);
             let speedup = tl.speedup_over(&torch);
             assert!(speedup > 2.0, "seq {s}: speedup {speedup:.2}");
         }
@@ -569,7 +560,7 @@ mod tests {
         let s = 65_536;
         let torch = torch_attention(shape, s, &c).total_s;
         let ring = ring_attention(shape, s, &c).total_s;
-        let tl = overlapped_attention_estimate(shape, s, &c).total_s;
+        let tl = sp_attention_report(shape, s).total_s;
         assert!(ring < torch);
         assert!(tl < ring);
     }

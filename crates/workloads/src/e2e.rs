@@ -1,9 +1,13 @@
 //! End-to-end model estimates (Figure 11).
 //!
 //! The per-layer building blocks (attention part, dense MLP or MoE part) are
-//! combined for the eight models of Figure 11, once with PyTorch-style
-//! non-overlapping execution and once with TileLink's overlapped kernels, on
-//! one node (8 GPUs, batch 4 × sequence 8192) or two nodes (16 GPUs, batch 8).
+//! combined for the eight models of Figure 11, on one node (8 GPUs, batch
+//! 4 × sequence 8192) or two nodes (16 GPUs, batch 8). [`compare_model`]
+//! prices one model with PyTorch-style non-overlapping execution and with
+//! TileLink's overlapped kernels under the hand-picked layer configurations,
+//! and, given [`TuneOptions`], adds a third column whose layer
+//! configurations come from the `tilelink-tune` search
+//! ([`tuned_model_timing`]).
 
 use tilelink::OverlapConfig;
 use tilelink_sim::{ClusterSpec, CostProvider, SharedCost};
@@ -25,6 +29,19 @@ pub struct ModelTiming {
     pub attention_s: f64,
     /// Time spent in MLP / MoE parts.
     pub ffn_s: f64,
+}
+
+impl ModelTiming {
+    /// `model.layers` repetitions of one layer's attention and FFN parts.
+    fn of_layers(model: &ModelConfig, attn_s: f64, ffn_s: f64) -> Self {
+        let layers = model.layers as f64;
+        Self {
+            model: model.name,
+            total_s: layers * (attn_s + ffn_s),
+            attention_s: layers * attn_s,
+            ffn_s: layers * ffn_s,
+        }
+    }
 }
 
 fn mlp_shape_of(model: &ModelConfig, tokens: usize) -> MlpShape {
@@ -125,82 +142,71 @@ pub fn torch_model_timing(
     cost: &dyn CostProvider,
 ) -> ModelTiming {
     let attn = attention_part_seconds(model, tokens, cost, false);
-    let ffn = ffn_torch_seconds(model, tokens, cost);
-    ModelTiming {
-        model: model.name,
-        total_s: model.layers as f64 * (attn + ffn),
-        attention_s: model.layers as f64 * attn,
-        ffn_s: model.layers as f64 * ffn,
-    }
+    ModelTiming::of_layers(model, attn, ffn_torch_seconds(model, tokens, cost))
 }
 
-/// End-to-end TileLink estimate for one model under the hand-picked layer
-/// configurations, priced by `cost` (the cluster is the provider's).
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
-pub fn tilelink_model_timing(
-    model: &ModelConfig,
-    tokens: usize,
-    cost: &SharedCost,
-) -> tilelink::Result<ModelTiming> {
-    let attn = attention_part_seconds(model, tokens, &**cost, true);
-    let ffn = ffn_tilelink_seconds(model, tokens, cost)?;
-    Ok(ModelTiming {
-        model: model.name,
-        total_s: model.layers as f64 * (attn + ffn),
-        attention_s: model.layers as f64 * attn,
-        ffn_s: model.layers as f64 * ffn,
-    })
-}
-
-/// Combined per-model comparison used by the Figure 11 harness.
+/// The Figure 11 comparison of one model: the PyTorch baseline, TileLink
+/// under the hand-picked layer configurations and, when tuning ran, TileLink
+/// under searched ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct E2eComparison {
     /// PyTorch baseline timing.
     pub torch: ModelTiming,
-    /// TileLink timing.
+    /// TileLink timing under the hand-picked layer configurations.
     pub tilelink: ModelTiming,
+    /// TileLink under searched layer configurations; `None` unless
+    /// [`compare_model`] was given tuning options.
+    pub tuned: Option<TunedModelTiming>,
 }
 
 impl E2eComparison {
-    /// Speed-up of TileLink over the baseline.
+    /// Speed-up of TileLink (hand-picked configurations) over the baseline.
     pub fn speedup(&self) -> f64 {
         self.torch.total_s / self.tilelink.total_s
+    }
+
+    /// Speed-up of tuned TileLink over the baseline, when tuning ran.
+    pub fn tuned_speedup(&self) -> Option<f64> {
+        self.tuned
+            .as_ref()
+            .map(|t| self.torch.total_s / t.timing.total_s)
     }
 }
 
 /// Runs the Figure 11 comparison for one model, priced by `cost` (the
-/// cluster is the provider's).
+/// cluster is the provider's). With `tune`, the comparison also carries the
+/// [`tuned_model_timing`] column.
 ///
 /// # Errors
 ///
-/// Returns an error if a TileLink kernel fails to compile or simulate.
+/// Returns an error if a TileLink kernel fails to compile or simulate, or if
+/// a layer search fails (see [`tuned_model_timing`]).
 pub fn compare_model(
     model: &ModelConfig,
     tokens: usize,
     cost: &SharedCost,
-) -> tilelink::Result<E2eComparison> {
+    tune: Option<&TuneOptions>,
+) -> tilelink_tune::Result<E2eComparison> {
+    let attn = attention_part_seconds(model, tokens, &**cost, true);
+    let ffn = ffn_tilelink_seconds(model, tokens, cost)?;
     Ok(E2eComparison {
         torch: torch_model_timing(model, tokens, &**cost),
-        tilelink: tilelink_model_timing(model, tokens, cost)?,
+        tilelink: ModelTiming::of_layers(model, attn, ffn),
+        tuned: tune
+            .map(|opts| tuned_model_timing(model, tokens, cost, opts))
+            .transpose()?,
     })
 }
-
-// ---------------------------------------------------------------------------
-// Tuned Figure 11: searched per-layer configs instead of the hand-picked ones
-// ---------------------------------------------------------------------------
 
 /// End-to-end timing of one model under *searched* per-layer configurations,
 /// plus the winning configs and the search-effort counters.
 ///
 /// Produced by [`tuned_model_timing`]: the FFN parts replay the best
 /// [`OverlapConfig`] the `tilelink-tune` search found per layer kind instead
-/// of the hand-picked defaults of [`tilelink_model_timing`]. The
-/// counters aggregate over both layer searches, so a rerun against a warm
-/// persistent [`tilelink_tune::TuneCache`] reports zero `evaluations`.
-#[derive(Debug, Clone)]
+/// of the hand-picked defaults. The counters aggregate over both layer
+/// searches, so a rerun against a warm persistent
+/// [`tilelink_tune::TuneCache`] reports zero `evaluations`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunedModelTiming {
     /// Per-model timing under the tuned configurations.
     pub timing: ModelTiming,
@@ -258,57 +264,12 @@ pub fn tuned_model_timing(
         moe_config = Some(tuned.config);
     }
     Ok(TunedModelTiming {
-        timing: ModelTiming {
-            model: model.name,
-            total_s: model.layers as f64 * (attn + ffn),
-            attention_s: model.layers as f64 * attn,
-            ffn_s: model.layers as f64 * ffn,
-        },
+        timing: ModelTiming::of_layers(model, attn, ffn),
         mlp_config,
         moe_config,
         evaluations,
         cache_hits,
     })
-}
-
-/// The Figure 11 comparison with the tuned TileLink column alongside the
-/// default-config one.
-#[derive(Debug, Clone)]
-pub struct E2eTunedComparison {
-    /// The default-config comparison (PyTorch baseline + TileLink defaults).
-    pub base: E2eComparison,
-    /// TileLink with searched per-layer configurations.
-    pub tuned: TunedModelTiming,
-}
-
-impl E2eTunedComparison {
-    /// Speed-up of default-config TileLink over the baseline.
-    pub fn default_speedup(&self) -> f64 {
-        self.base.speedup()
-    }
-
-    /// Speed-up of tuned TileLink over the baseline.
-    pub fn tuned_speedup(&self) -> f64 {
-        self.base.torch.total_s / self.tuned.timing.total_s
-    }
-}
-
-/// Runs the Figure 11 comparison for one model with both the default-config
-/// and the tuned TileLink estimates.
-///
-/// # Errors
-///
-/// Returns an error if a TileLink kernel fails to compile or simulate, or if
-/// a layer search fails (see [`tuned_model_timing`]).
-pub fn compare_model_tuned(
-    model: &ModelConfig,
-    tokens: usize,
-    cost: &SharedCost,
-    opts: &TuneOptions,
-) -> tilelink_tune::Result<E2eTunedComparison> {
-    let base = compare_model(model, tokens, cost).map_err(tilelink_tune::TuneError::from)?;
-    let tuned = tuned_model_timing(model, tokens, cost, opts)?;
-    Ok(E2eTunedComparison { base, tuned })
 }
 
 /// The default single-node setup of Figure 11 (8×H800, batch 4 × seq 8192).
@@ -331,7 +292,7 @@ mod tests {
     use tilelink_sim::analytic_cost;
 
     fn speedup(model: &ModelConfig, (cluster, tokens): (ClusterSpec, usize)) -> f64 {
-        compare_model(model, tokens, &analytic_cost(&cluster))
+        compare_model(model, tokens, &analytic_cost(&cluster), None)
             .unwrap()
             .speedup()
     }
@@ -366,7 +327,8 @@ mod tests {
     #[test]
     fn comparison_struct_reports_speedup() {
         let (cluster, tokens) = single_node_setup();
-        let cmp = compare_model(&model_configs()[7], tokens, &analytic_cost(&cluster)).unwrap(); // Qwen1.5 MoE
+        let cmp =
+            compare_model(&model_configs()[7], tokens, &analytic_cost(&cluster), None).unwrap(); // Qwen1.5 MoE
         assert!(cmp.speedup() > 1.0, "speedup {}", cmp.speedup());
         assert_eq!(cmp.torch.model, "Qwen1.5-2.7B");
     }
@@ -387,7 +349,7 @@ mod tests {
         let (c16, t16) = two_node_setup();
         let model = &model_configs()[1]; // LLaMA2-7B
         let torch8 = torch_model_timing(model, t8, &*analytic_cost(&c8));
-        let cmp16 = compare_model(model, t16, &analytic_cost(&c16)).unwrap();
+        let cmp16 = compare_model(model, t16, &analytic_cost(&c16), None).unwrap();
         let token_scale = (t16 / t8) as f64;
         assert!(
             cmp16.torch.total_s > token_scale * torch8.total_s,
@@ -413,16 +375,17 @@ mod tests {
         let models = model_configs();
         for model in [&models[1], &models[5]] {
             // LLaMA2-7B, Mixtral-8x7B
-            let cmp = compare_model_tuned(model, tokens, &cost, &opts).unwrap();
+            let cmp = compare_model(model, tokens, &cost, Some(&opts)).unwrap();
+            let tuned_speedup = cmp.tuned_speedup().expect("tuned column");
             assert!(
-                cmp.tuned_speedup() >= cmp.default_speedup(),
-                "{}: tuned {:.3}x < default {:.3}x",
+                tuned_speedup >= cmp.speedup(),
+                "{}: tuned {tuned_speedup:.3}x < default {:.3}x",
                 model.name,
-                cmp.tuned_speedup(),
-                cmp.default_speedup()
+                cmp.speedup()
             );
-            assert_eq!(model.intermediate > 0, cmp.tuned.mlp_config.is_some());
-            assert_eq!(model.is_moe(), cmp.tuned.moe_config.is_some());
+            let tuned = cmp.tuned.as_ref().expect("tuned column");
+            assert_eq!(model.intermediate > 0, tuned.mlp_config.is_some());
+            assert_eq!(model.is_moe(), tuned.moe_config.is_some());
         }
     }
 

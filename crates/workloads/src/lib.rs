@@ -16,7 +16,8 @@
 //!   FLUX-style fusion, CUTLASS+NCCL, vLLM-style fused MoE operators,
 //!   RingAttention and the non-flash "Torch" attention baseline;
 //! * [`e2e`] — end-to-end per-model estimates combining the layer results
-//!   (Figure 11), with both hand-picked and tuned per-layer configurations;
+//!   (Figure 11): one comparison per model of PyTorch against TileLink under
+//!   the hand-picked layer configurations, with an optional tuned column;
 //! * [`autotune`] — `tilelink-tune` oracles and `tuned_*` constructors that
 //!   *search* the overlap design space per layer instead of replaying the
 //!   hand-picked defaults.
@@ -39,6 +40,6 @@ pub mod shapes;
 pub mod simgraph;
 
 pub use autotune::{RoutingSpec, TuneOptions, TunedLayer};
-pub use e2e::{E2eTunedComparison, TunedModelTiming};
+pub use e2e::{E2eComparison, TunedModelTiming};
 pub use moe::{RoutingProfile, RoutingSample, RoutingSampler};
 pub use shapes::{AttnShape, MlpShape, ModelConfig, MoeShape};

@@ -624,16 +624,6 @@ impl RoutingSampler {
         Self { profile, seed }
     }
 
-    /// The sampler's profile.
-    pub fn profile(&self) -> RoutingProfile {
-        self.profile
-    }
-
-    /// The sampler's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Draws sample `index`: `rows` dispatched rows over `experts` experts.
     ///
     /// Expert popularity ranks are re-permuted per sample (so different

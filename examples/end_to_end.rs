@@ -34,7 +34,8 @@ fn main() {
         .iter()
         .filter(|m| m.name == "LLaMA2-7B" || m.name == "Mixtral-8x7B")
     {
-        let cmp = e2e::compare_model(model, tokens, &cost).expect("comparison");
+        let cmp =
+            e2e::compare_model(model, tokens, &cost, tune.then_some(&opts)).expect("comparison");
         print!(
             "{:<14} PyTorch {:>8.1} ms | TileLink {:>8.1} ms | speedup {:.2}x (attention {:.0}% of time)",
             model.name,
@@ -43,12 +44,10 @@ fn main() {
             cmp.speedup(),
             100.0 * cmp.tilelink.attention_s / cmp.tilelink.total_s,
         );
-        if tune {
-            let tuned = e2e::tuned_model_timing(model, tokens, &cost, &opts).expect("tuning");
+        if let (Some(tuned), Some(speedup)) = (&cmp.tuned, cmp.tuned_speedup()) {
             print!(
-                " | tuned {:>8.1} ms, speedup {:.2}x ({} evaluations, {} cached)",
+                " | tuned {:>8.1} ms, speedup {speedup:.2}x ({} evaluations, {} cached)",
                 tuned.timing.total_s * 1e3,
-                cmp.torch.total_s / tuned.timing.total_s,
                 tuned.evaluations,
                 tuned.cache_hits,
             );
