@@ -5,12 +5,8 @@
 //! `--table2 --shapes --fig8 --fig9 --fig10 --fig11 --ablation`
 //! Each argument may appear once, and the command line is checked before
 //! anything is printed: an unknown argument, a missing value, a value that
-//! is itself a flag, a repeated argument, `--quick` with a section other
-//! than `--tune`, or `--routing`/`--objective`/`--verbose` without `--tune`
-//! exits 2.
-//!
-//! `--quick` prints a fast smoke subset (shapes + Table 2) — used by CI to
-//! keep this binary from rotting.
+//! is itself a flag, a repeated argument, or `--routing`/`--objective`/
+//! `--verbose` without `--tune` exits 2.
 //!
 //! `--cost-model {analytic|calibrated[:path]}` selects the cost provider the
 //! simulator prices transfers with: the default `analytic` model reproduces
@@ -41,10 +37,11 @@
 //! priced over sampled routings through the dynamic tile mapping and the
 //! search minimises the chosen statistic (e.g. the p95 makespan) instead of
 //! the expected-routing mean. The report prints the mean/uniform-tuned and the
-//! skew-tuned winner side by side per Figure 9 shape. `--quick --tune` runs a
-//! reduced smoke version of the same comparison (used by CI).
+//! skew-tuned winner side by side per Figure 9 shape.
 //!
-//! Observability (combine with any of the above, including `--quick`):
+//! Every tuning pass searches `SearchSpace::standard()` with the default beam.
+//!
+//! Observability (combine with any of the above):
 //!
 //! * `--profile[=<path>]` enables the `tilelink-probe` span profiler for the
 //!   whole run and prints a per-phase wall-time table (count, total, mean,
@@ -85,8 +82,7 @@ const SECTIONS: [&str; 9] = [
 ];
 
 /// The options besides the section flags.
-const OPTIONS: [(&str, Arity); 7] = [
-    ("--quick", Arity::Flag),
+const OPTIONS: [(&str, Arity); 6] = [
     ("--verbose", Arity::Flag),
     ("--profile", Arity::OptionalValue),
     ("--cost-model", Arity::Value),
@@ -99,7 +95,6 @@ const OPTIONS: [(&str, Arity); 7] = [
 struct Args {
     /// The section flags given; none selects every default section.
     sections: Vec<&'static str>,
-    quick: bool,
     verbose: bool,
     cost: CostModelSpec,
     routing: Option<RoutingSpec>,
@@ -119,15 +114,6 @@ impl Args {
             .collect();
         let p = cli::parse(argv, &known)?;
         let sections: Vec<&'static str> = p.names().filter(|n| SECTIONS.contains(n)).collect();
-        // `--quick` replaces section selection entirely; combining it with
-        // section flags would silently drop them. `--tune` is the one
-        // exception: `--quick --tune` runs a reduced tuning smoke (the CI
-        // entry point for the routing-aware search).
-        if p.has("--quick") {
-            if let Some(flag) = sections.iter().find(|&&f| f != "--tune") {
-                return Err(format!("--quick cannot be combined with {flag}"));
-            }
-        }
         // These only change the tuning pass; accepting them without `--tune`
         // would silently drop them.
         for option in ["--routing", "--objective", "--verbose"] {
@@ -145,7 +131,6 @@ impl Args {
         };
         Ok(Self {
             sections,
-            quick: p.has("--quick"),
             verbose: p.has("--verbose"),
             cost: p.parse("--cost-model")?.unwrap_or_default(),
             routing,
@@ -208,26 +193,8 @@ fn main() {
     }
 }
 
-/// Everything the selected flags asked for, in section order. Split out of
-/// `main` so its early return (`--quick`) still falls through to the
-/// `--trace-out` / `--profile` epilogue.
+/// Everything the selected flags asked for, in section order.
 fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
-    if args.quick {
-        // CI smoke subset: cheap, but exercises shapes, baselines and one
-        // compiled TileLink kernel per MLP half.
-        print_shapes();
-        print_groups(
-            "Table 2: motivational example (MLP-1)",
-            &table2(cost),
-            "Non-Overlap",
-        );
-        if args.has("--tune") {
-            quick_tune_smoke(cluster, cost, args);
-            quick_e2e_tune_smoke(args);
-        }
-        return;
-    }
-
     if args.wants("--shapes") {
         print_shapes();
     }
@@ -281,7 +248,7 @@ fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
             let rows = fig10(idx, cost);
             println!("\n== Figure 10: {} ==", shapes::attn_shapes()[idx].name);
             for r in &rows {
-                print!("{:<16}", r.label);
+                print!("{:<16}", r.group.label);
                 for e in &r.group.entries {
                     print!(" {:>9}: {:>9.3} ms", e.method, e.ms);
                 }
@@ -545,123 +512,9 @@ fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
     }
 }
 
-/// Reduced tuning smoke for `--quick --tune`: one MoE shape, a compact space,
-/// few routing samples — enough to exercise the routing-aware search end to
-/// end without the cost of the full `--tune` pass. CI runs this under both
-/// cost models.
-fn quick_tune_smoke(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
-    use tilelink::{CommMapping, TileShape};
-    use tilelink_tune::{SearchSpace, Strategy};
-    use tilelink_workloads::autotune;
-
-    let shape = shapes::moe_shapes()[0].clone();
-    let space = SearchSpace::new()
-        .with_comm_tiles([TileShape::new(128, 128), TileShape::new(256, 128)])
-        .with_compute_tiles([TileShape::new(128, 256), TileShape::new(256, 256)])
-        .with_mappings([CommMapping::CopyEngine, CommMapping::Hybrid { sms: 20 }])
-        .with_stages([2, 3]);
-    let base = TuneOptions {
-        strategy: Strategy::Beam {
-            width: 2,
-            sweeps: 1,
-        },
-        space,
-        ..TuneOptions::default()
-    }
-    .with_cost(cost.clone())
-    .with_executor(SearchExecutor::global())
-    .with_verbose(args.verbose);
-
-    println!("\n== Autotune smoke: {} (compact space) ==", shape.name);
-    let mean_tuned =
-        autotune::tuned_full_moe(&shape, cluster, &base).expect("mean tuning succeeds");
-    println!(
-        "mean/uniform best: {:<44} {:>9.3} ms ({} evaluations)",
-        mean_tuned.config.cache_key(),
-        mean_tuned.layer.total_ms(),
-        mean_tuned.search.evaluations,
-    );
-    let Some(mut spec) = args.routing else {
-        return;
-    };
-    spec.samples = 4; // smoke: fewer sampled routings per candidate
-    let routed_opts = base.with_routing(spec).with_objective(args.objective);
-    let routed =
-        autotune::tuned_full_moe(&shape, cluster, &routed_opts).expect("routed tuning succeeds");
-    let marker = if routed.config == mean_tuned.config {
-        "same config"
-    } else {
-        "DIFFERS"
-    };
-    println!(
-        "{}/{} best:     {:<44} {:>9.3} ms ({} evaluations)  [{marker}]",
-        spec.profile,
-        args.objective,
-        routed.config.cache_key(),
-        routed.layer.total_ms(),
-        routed.search.evaluations,
-    );
-}
-
-/// Reduced tuned-e2e smoke for `--quick --tune`: one dense and one MoE model
-/// on the single-node setup plus the dense model on the two-node setup,
-/// against the persistent default cache (so CI's repeated steps reuse the
-/// tuning TSV instead of re-simulating). Unlike the layer smoke above this
-/// searches the *standard* space — the tuned column is only meaningful if the
-/// search can reach configurations at least as good as the hand-picked ones.
-fn quick_e2e_tune_smoke(args: &Args) {
-    let objective = args.objective;
-    let mut opts = TuneOptions::default()
-        .with_default_cache()
-        .with_objective(objective)
-        .with_executor(SearchExecutor::global())
-        .with_verbose(args.verbose);
-    if let Some(mut spec) = args.routing {
-        spec.samples = 4; // smoke: fewer sampled routings per candidate
-        opts = opts.with_routing(spec);
-    }
-    println!(
-        "\n== Tuned e2e smoke (Figure 11 subset, cache {}) ==",
-        TuneCache::default_path().display()
-    );
-    if let Some(spec) = &opts.routing {
-        // The tuned MoE estimate is then the objective statistic over sampled
-        // routings — a harder workload than the uniform-routing default
-        // column, so the two speedups are not directly comparable.
-        println!("(MoE layers tuned and priced under routing {spec}, objective {objective})");
-    }
-    let models = shapes::model_configs();
-    // One dense and one MoE model on the single-node setup (the MoE model is
-    // what --routing/--objective act on), the dense one again on two nodes.
-    for (two_nodes, names, label) in [
-        (false, &["LLaMA2-7B", "Mixtral-8x7B"][..], "8xH800"),
-        (true, &["LLaMA2-7B"][..], "16xH800"),
-    ] {
-        let (cluster, tokens) = if two_nodes {
-            tilelink_workloads::e2e::two_node_setup()
-        } else {
-            tilelink_workloads::e2e::single_node_setup()
-        };
-        let cost = cost_for(&cluster, &args.cost);
-        for model in models.iter().filter(|m| names.contains(&m.name)) {
-            let cmp = tilelink_workloads::e2e::compare_model(model, tokens, &cost, Some(&opts))
-                .expect("tuned e2e smoke");
-            let tuned = cmp.tuned.as_ref().expect("tuned column");
-            println!(
-                "{label:<8} {:<14} default speedup {:.2}x   tuned speedup {:.2}x ({} evaluations, {} cached)",
-                model.name,
-                cmp.speedup(),
-                cmp.tuned_speedup().expect("tuned column"),
-                tuned.evaluations,
-                tuned.cache_hits
-            );
-        }
-    }
-}
-
 /// `--serve` smoke: boots the daemon on an ephemeral localhost port and
 /// exercises every request path through real client connections — PING, a
-/// cold quick-space search, a warm hit of the same key, and a concurrent
+/// cold search, a warm hit of the same key, and a concurrent
 /// volley of identical requests that must collapse into one search — then
 /// panics unless `STATS` counts exactly that traffic.
 fn serve_smoke(spec: &CostModelSpec) {
@@ -673,7 +526,6 @@ fn serve_smoke(spec: &CostModelSpec) {
     let server = serve_ephemeral(TuneService::new(ServeOptions {
         cost: spec.clone(),
         cache_path: None, // smoke stays hermetic: no shared TSV
-        ..ServeOptions::quick()
     }))
     .expect("bind ephemeral port");
     println!("\n== Serve smoke (daemon on {}) ==", server.addr());

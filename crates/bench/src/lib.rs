@@ -230,9 +230,7 @@ pub fn fig9(panel: MoePanel, cost: &SharedCost) -> Vec<Group> {
 /// One row of Figure 10: times for the three methods plus TileLink's overlap ratio.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttentionRow {
-    /// Group label ("Attn-1 / 32k").
-    pub label: String,
-    /// Method measurements.
+    /// Method measurements, labelled "Attn-1 / 32k".
     pub group: Group,
     /// TileLink's overlap ratio on this point (Section 7.2 metric).
     pub overlap_ratio: f64,
@@ -252,11 +250,9 @@ pub fn fig10(shape_index: usize, cost: &SharedCost) -> Vec<AttentionRow> {
                 attention::sp_attention_kernel(shape, seq, &attention::attention_config(), cost)
                     .expect("tilelink attention");
             let tl = simulate_report(&kernel, cost).expect("tilelink attention");
-            let label = format!("{} / {}k", shape.name, seq / 1024);
             AttentionRow {
-                label: label.clone(),
                 group: group(
-                    label,
+                    format!("{} / {}k", shape.name, seq / 1024),
                     [
                         ("Torch", torch),
                         ("RingAttn", ring),
@@ -279,11 +275,11 @@ pub fn fig10(shape_index: usize, cost: &SharedCost) -> Vec<AttentionRow> {
 ///
 /// Takes the cost-model *spec* rather than a built provider because the
 /// cluster is chosen inside (a provider is bound to one cluster). With
-/// `tune`, per-layer configurations come from the `tilelink-tune` search
-/// (strategy, space, persistent cache and, for MoE layers, routing
-/// distribution and objective all taken from `tune`; its cost provider is
-/// overridden per cluster), and a warm persistent cache makes the tuned
-/// column report zero evaluations.
+/// `tune`, per-layer configurations come from the `tilelink-tune` search of
+/// the standard space with the default beam (persistent cache and, for MoE
+/// layers, routing distribution and objective taken from `tune`; its cost
+/// provider is overridden per cluster), and a warm persistent cache makes
+/// the tuned column report zero evaluations.
 ///
 /// # Panics
 ///

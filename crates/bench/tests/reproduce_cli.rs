@@ -32,7 +32,7 @@ fn assert_usage_error(args: &[&str], needle: &str) {
 
 #[test]
 fn unknown_arguments_exit_2_naming_the_argument() {
-    for flag in ["--bench-sim", "--json", "--fig88"] {
+    for flag in ["--bench-sim", "--json", "--fig88", "--quick"] {
         assert_usage_error(&[flag], flag);
     }
 }
@@ -49,7 +49,7 @@ fn malformed_command_lines_exit_2_before_any_output() {
         (&["--cost-model="][..], "--cost-model requires a value"),
         // A value that is itself a flag.
         (
-            &["--quick", "--trace-out", "--fig8"][..],
+            &["--shapes", "--trace-out", "--fig8"][..],
             "--trace-out requires a value",
         ),
         // Repeats: no silent first-occurrence-wins.
@@ -64,10 +64,7 @@ fn malformed_command_lines_exit_2_before_any_output() {
         (&["--tune", "--objective", "p101"][..], "--objective"),
         (&["--tune=yes"][..], "--tune takes no value"),
         // Conflicts.
-        (
-            &["--quick", "--fig8"][..],
-            "--quick cannot be combined with --fig8",
-        ),
+        (&["--fig8", "--verbose"][..], "--verbose requires --tune"),
         (&["--routing", "zipf:1.2"][..], "--routing requires --tune"),
         (
             &["--fig8", "--objective", "p95"][..],

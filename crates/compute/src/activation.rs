@@ -32,22 +32,6 @@ pub fn silu_mul(gate: &Tensor, up: &Tensor) -> Tensor {
     Tensor::from_vec(data, gate.shape())
 }
 
-/// GeGLU gate: `gelu(gate) * up`, applied element-wise.
-///
-/// # Panics
-///
-/// Panics if the two tensors have different shapes.
-pub fn gelu_mul(gate: &Tensor, up: &Tensor) -> Tensor {
-    assert_eq!(gate.shape(), up.shape(), "gate/up shape mismatch");
-    let data = gate
-        .data()
-        .iter()
-        .zip(up.data())
-        .map(|(&g, &u)| gelu(g) * u)
-        .collect();
-    Tensor::from_vec(data, gate.shape())
-}
-
 /// Row-wise softmax of a 2-D tensor.
 ///
 /// # Panics
@@ -94,16 +78,6 @@ mod tests {
         let out = silu_mul(&gate, &up);
         for (o, g) in out.data().iter().zip(gate.data()) {
             assert!((o - silu(*g) * 2.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn gelu_mul_matches_scalar_math() {
-        let gate = Tensor::random(&[2, 4], 7);
-        let up = Tensor::random(&[2, 4], 8);
-        let out = gelu_mul(&gate, &up);
-        for i in 0..out.numel() {
-            assert!((out.data()[i] - gelu(gate.data()[i]) * up.data()[i]).abs() < 1e-6);
         }
     }
 

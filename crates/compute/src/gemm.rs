@@ -34,19 +34,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// Computes `c += a @ b` in place.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn matmul_accumulate(c: &mut Tensor, a: &Tensor, b: &Tensor) {
-    let product = matmul(a, b);
-    assert_eq!(c.shape(), product.shape(), "accumulator shape mismatch");
-    for (cv, pv) in c.data_mut().iter_mut().zip(product.data()) {
-        *cv += pv;
-    }
-}
-
 /// Computes one `tile_m × tile_n` output tile of `a @ b`.
 ///
 /// `row0` and `col0` are the top-left coordinates of the tile in the output;
@@ -154,15 +141,6 @@ mod tests {
     #[should_panic(expected = "inner dimensions disagree")]
     fn mismatched_inner_dims_panic() {
         matmul(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[4, 2]));
-    }
-
-    #[test]
-    fn accumulate_adds_product() {
-        let a = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let mut c = Tensor::from_vec(vec![10.0, 10.0, 10.0, 10.0], &[2, 2]);
-        matmul_accumulate(&mut c, &a, &b);
-        assert_eq!(c.data(), &[11.0, 12.0, 13.0, 14.0]);
     }
 
     #[test]

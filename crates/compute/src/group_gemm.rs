@@ -1,13 +1,12 @@
 //! Grouped GEMM over per-expert weight matrices (the MoE workhorse).
 
 use crate::gemm::matmul;
-use crate::topk::Dispatch;
 use crate::Tensor;
 
 /// Multiplies each expert's slice of `rows` with that expert's weight matrix.
 ///
 /// * `rows`: `[total_rows, K]`, sorted by expert as produced by
-///   [`Dispatch::gather`];
+///   [`crate::topk::Dispatch::gather`];
 /// * `expert_offsets`: `num_experts + 1` offsets delimiting each expert's rows;
 /// * `weights`: `[num_experts, K, N]`.
 ///
@@ -66,22 +65,9 @@ pub fn expert_weight(weights: &Tensor, e: usize) -> Tensor {
     Tensor::from_vec(data, &[k, n])
 }
 
-/// Convenience wrapper running the full dispatch → group GEMM for an MoE half:
-/// gathers the routed rows, multiplies by each expert's weights and returns the
-/// per-row output (still sorted by expert).
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn moe_expert_forward(tokens: &Tensor, dispatch: &Dispatch, weights: &Tensor) -> Tensor {
-    let gathered = dispatch.gather(tokens);
-    group_gemm(&gathered, &dispatch.expert_offsets, weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk::{topk_routing, Dispatch};
 
     #[test]
     fn group_gemm_matches_per_expert_matmul() {
@@ -124,21 +110,5 @@ mod tests {
         let weights = Tensor::from_fn(&[2, 2, 2], |i| (i[0] * 100 + i[1] * 10 + i[2]) as f32);
         let w1 = expert_weight(&weights, 1);
         assert_eq!(w1.data(), &[100.0, 101.0, 110.0, 111.0]);
-    }
-
-    #[test]
-    fn moe_expert_forward_matches_manual_composition() {
-        let tokens = Tensor::random(&[6, 4], 5);
-        let logits = Tensor::random(&[6, 3], 6);
-        let routing = topk_routing(&logits, 2);
-        let dispatch = Dispatch::new(&routing);
-        let weights = Tensor::random(&[3, 4, 5], 7);
-        let fused = moe_expert_forward(&tokens, &dispatch, &weights);
-        let manual = group_gemm(
-            &dispatch.gather(&tokens),
-            &dispatch.expert_offsets,
-            &weights,
-        );
-        assert!(fused.allclose(&manual, 1e-6));
     }
 }

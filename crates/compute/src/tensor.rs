@@ -155,15 +155,6 @@ impl Tensor {
         self.data[flat] = value;
     }
 
-    /// Reinterprets the tensor with a new shape of the same number of elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        Tensor::from_vec(self.data.clone(), shape)
-    }
-
     /// Returns rows `rows.start..rows.end` of a 2-D tensor as a new tensor.
     ///
     /// # Panics
@@ -294,13 +285,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn at_out_of_bounds_panics() {
         Tensor::zeros(&[2, 2]).at(&[2, 0]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let r = t.reshape(&[4, 1]);
-        assert_eq!(r.at(&[3, 0]), 4.0);
     }
 
     #[test]

@@ -20,6 +20,17 @@
 //!   (`serve.pool.rejected`). Queue depth and active workers are visible as
 //!   the `serve.pool.{queued,active}` gauges and in `STATS`.
 //!
+//! Requests leave the queue in the order their lines arrived, and the daemon
+//! relies on that although the code does not show it: the reactor reads
+//! every socket on one thread and the queue is FIFO, so of two colliding
+//! cold requests the earlier one leads the search and the later one joins it
+//! (`deduped`). A front end that reads each connection on its own thread
+//! loses that order: the earlier request's thread can wake after the later
+//! request's search has finished, and the request sent first is answered
+//! `warm` from a search it did not start (tunebench's `serve` workload fails
+//! such a reply). Keep arrival order through any change to the dispatch
+//! path.
+//!
 //! A request line longer than [`MAX_LINE_BYTES`] is answered with `ERR` and
 //! the connection is closed — a client that streams an unbounded "line" can
 //! no longer pin reactor memory.

@@ -194,15 +194,14 @@ impl Flight {
 pub type SearchFn =
     dyn Fn(&TuneRequest, &dyn CostOracle, &ServeOptions) -> SearchResult + Send + Sync;
 
-/// Configuration of a [`TuneService`].
+/// Configuration of a [`TuneService`]. Every cold search explores
+/// [`SearchSpace::standard`] with the default beam ([`Strategy::default`]),
+/// the search the `tilelink_workloads::autotune::tuned_full_*` constructors
+/// run, so a reply names the winner those constructors return.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Cost model every search prices against.
     pub cost: CostModelSpec,
-    /// Search strategy for cold misses.
-    pub strategy: Strategy,
-    /// Design space cold searches explore.
-    pub space: SearchSpace,
     /// Persistent write-behind cache file; `None` keeps searches in-memory.
     pub cache_path: Option<PathBuf>,
 }
@@ -211,38 +210,7 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             cost: CostModelSpec::Analytic,
-            strategy: Strategy::default(),
-            space: SearchSpace::standard(),
             cache_path: Some(TuneCache::default_path()),
-        }
-    }
-}
-
-impl ServeOptions {
-    /// A compact configuration for smokes and quick benches: the same
-    /// reduced space and narrow beam the `--quick` tuning paths use, so a
-    /// cold search costs milliseconds instead of minutes.
-    pub fn quick() -> Self {
-        Self {
-            strategy: Strategy::Beam {
-                width: 2,
-                sweeps: 1,
-            },
-            space: SearchSpace::new()
-                .with_comm_tiles([
-                    tilelink::TileShape::new(128, 128),
-                    tilelink::TileShape::new(256, 128),
-                ])
-                .with_compute_tiles([
-                    tilelink::TileShape::new(128, 256),
-                    tilelink::TileShape::new(256, 256),
-                ])
-                .with_mappings([
-                    tilelink::CommMapping::CopyEngine,
-                    tilelink::CommMapping::Hybrid { sms: 20 },
-                ])
-                .with_stages([2, 3]),
-            ..Self::default()
         }
     }
 }
@@ -481,19 +449,22 @@ fn oracle_for(req: &TuneRequest, cost: SharedCost) -> Box<dyn CostOracle> {
     }
 }
 
-/// The real cold search: the request's oracle on the process-shared
-/// [`SearchExecutor`], through the persistent cache when one is configured.
+/// The real cold search: the `tuned_full_*` constructors' search of the
+/// request's oracle on the process-shared [`SearchExecutor`], through the
+/// persistent cache when one is configured.
 fn run_search(_req: &TuneRequest, oracle: &dyn CostOracle, opts: &ServeOptions) -> SearchResult {
     // The daemon always sweeps same-scope entries of other cost revisions,
     // so its write-behind cache file and memory stay bounded; entries of
     // another objective under this revision stay warm.
-    let mut tuner = Tuner::new(opts.strategy)
+    let mut tuner = Tuner::new(Strategy::default())
         .with_executor(SearchExecutor::global())
         .with_stale_sweep(true);
     if let Some(path) = &opts.cache_path {
         tuner = tuner.with_cache(TuneCache::open(path).map_err(|e| e.to_string())?);
     }
-    let report = tuner.tune(oracle, &opts.space).map_err(|e| e.to_string())?;
+    let report = tuner
+        .tune(oracle, &SearchSpace::standard())
+        .map_err(|e| e.to_string())?;
     Ok(TuneOutcome {
         config_key: report.best.config.cache_key(),
         total_s: report.best.report.total_s,
@@ -519,7 +490,7 @@ mod tests {
     fn stub_service(counter: Arc<std::sync::atomic::AtomicUsize>) -> TuneService {
         let opts = ServeOptions {
             cache_path: None,
-            ..ServeOptions::quick()
+            ..ServeOptions::default()
         };
         TuneService::with_search(
             opts,
@@ -578,7 +549,7 @@ mod tests {
         let service = TuneService::with_search(
             ServeOptions {
                 cache_path: None,
-                ..ServeOptions::quick()
+                ..ServeOptions::default()
             },
             Box::new(move |_req, _cost, _opts| {
                 let n = attempts_in_stub.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -612,7 +583,7 @@ mod tests {
     fn warm_and_disk_identity_share_the_quintuple_prefix() {
         let service = TuneService::new(ServeOptions {
             cache_path: None,
-            ..ServeOptions::quick()
+            ..ServeOptions::default()
         });
         let req = request("TUNE workload=MoE-2 routing=hot:2 objective=p95");
         let cost = service.provider_for(&req.cluster).unwrap();

@@ -32,7 +32,7 @@ fn slow_stub_service(evaluations: Arc<AtomicUsize>, delay: Duration) -> TuneServ
     TuneService::with_search(
         ServeOptions {
             cache_path: None,
-            ..ServeOptions::quick()
+            ..ServeOptions::default()
         },
         Box::new(move |req, _cost, _opts| {
             let n = evaluations.fetch_add(1, Ordering::SeqCst);
@@ -145,7 +145,7 @@ fn failed_search_is_broadcast_to_every_waiter() {
     let service = Arc::new(TuneService::with_search(
         ServeOptions {
             cache_path: None,
-            ..ServeOptions::quick()
+            ..ServeOptions::default()
         },
         Box::new(move |_req, _cost, _opts| {
             attempts_in_stub.fetch_add(1, Ordering::SeqCst);

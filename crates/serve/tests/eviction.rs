@@ -30,7 +30,7 @@ fn seeded(i: usize) -> TuneRequest {
 fn stub_service(calls: Arc<AtomicUsize>) -> TuneService {
     let opts = ServeOptions {
         cache_path: None,
-        ..ServeOptions::quick()
+        ..ServeOptions::default()
     };
     TuneService::with_search(
         opts,

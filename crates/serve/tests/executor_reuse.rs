@@ -22,13 +22,13 @@ fn request(line: &str) -> TuneRequest {
 fn two_cold_searches_reuse_the_shared_executor_pool() {
     let service = TuneService::new(ServeOptions {
         cache_path: None,
-        ..ServeOptions::quick()
+        ..ServeOptions::default()
     });
 
     let reuses_before = TUNE_EXECUTOR_REUSES.get();
 
     // Distinct keys so both requests run real cold searches through the
-    // quick space.
+    // standard space.
     let (_, source) = service.tune(&request("TUNE workload=MLP-1")).unwrap();
     assert_eq!(source, Source::Cold);
     let (_, source) = service.tune(&request("TUNE workload=MLP-2")).unwrap();

@@ -35,7 +35,7 @@ fn a_panicking_search_leaks_neither_the_gauge_nor_the_flight() {
     let service = Arc::new(TuneService::with_search(
         ServeOptions {
             cache_path: None,
-            ..ServeOptions::quick()
+            ..ServeOptions::default()
         },
         Box::new(move |_req, _cost, _opts| {
             if stub_calls.fetch_add(1, Ordering::SeqCst) == 0 {

@@ -49,7 +49,7 @@ fn child_daemon_drains_the_inflight_search() {
     let service = TuneService::with_search(
         ServeOptions {
             cache_path: None,
-            ..ServeOptions::quick()
+            ..ServeOptions::default()
         },
         Box::new(move |_req, _cost, _opts| {
             stub_barrier.wait();

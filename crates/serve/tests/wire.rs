@@ -1,4 +1,4 @@
-//! End-to-end protocol tests over a real TCP socket, with real quick-space
+//! End-to-end protocol tests over a real TCP socket, with real standard-space
 //! beam searches behind the daemon.
 
 use std::sync::{Arc, Barrier};
@@ -10,7 +10,7 @@ use tilelink_serve::service::{ServeOptions, TuneService};
 fn quick_server() -> tilelink_serve::server::ServerHandle {
     serve_ephemeral(TuneService::new(ServeOptions {
         cache_path: None, // keep tests hermetic: no shared TSV
-        ..ServeOptions::quick()
+        ..ServeOptions::default()
     }))
     .expect("bind ephemeral port")
 }

@@ -94,13 +94,6 @@ impl SignalSet {
         self.set(index, 0);
     }
 
-    /// Resets every slot to zero.
-    pub fn reset_all(&self) {
-        for i in 0..self.len() {
-            self.reset(i);
-        }
-    }
-
     /// Blocks until slot `index` is at least `value` (acquire ordering).
     ///
     /// The waiter spins briefly and then yields to the scheduler, which keeps
@@ -188,8 +181,6 @@ mod tests {
         s.reset(0);
         assert_eq!(s.load(0), 0);
         assert_eq!(s.load(1), 2);
-        s.reset_all();
-        assert_eq!(s.load(1), 0);
     }
 
     #[test]

@@ -73,7 +73,8 @@ impl LinkCalibration {
         Self::default()
     }
 
-    /// Built-in defaults for the paper's H800 platform.
+    /// Built-in defaults for the paper's H800 platform: the table shipped as
+    /// `data/h800-calibration.tsv`, compiled in.
     ///
     /// The bucket edges and fractions follow the shape of published NVLink /
     /// InfiniBand message-rate curves (latency-bound below ~64 KB, ramping to
@@ -81,37 +82,8 @@ impl LinkCalibration {
     /// is the *structure* (α plus size-dependent β), with the TSV loader as
     /// the path for dropping in measured numbers.
     pub fn h800_defaults() -> Self {
-        let mut cal = Self::empty();
-        cal.set_class(
-            LinkClass::SelfCopy,
-            vec![
-                bucket(4096.0, 0.3, 0.10),
-                bucket(65536.0, 0.3, 0.45),
-                bucket(1048576.0, 0.3, 0.80),
-                bucket(f64::INFINITY, 0.3, 0.95),
-            ],
-        );
-        cal.set_class(
-            LinkClass::IntraNode,
-            vec![
-                bucket(4096.0, 1.2, 0.05),
-                bucket(65536.0, 1.2, 0.35),
-                bucket(1048576.0, 1.2, 0.70),
-                bucket(16777216.0, 1.2, 0.90),
-                bucket(f64::INFINITY, 1.2, 0.95),
-            ],
-        );
-        cal.set_class(
-            LinkClass::InterNode,
-            vec![
-                bucket(4096.0, 3.5, 0.03),
-                bucket(65536.0, 3.5, 0.25),
-                bucket(1048576.0, 3.5, 0.55),
-                bucket(16777216.0, 3.5, 0.85),
-                bucket(f64::INFINITY, 3.5, 0.92),
-            ],
-        );
-        cal
+        Self::from_tsv(include_str!("../../../data/h800-calibration.tsv"))
+            .expect("the shipped H800 calibration table parses")
     }
 
     /// Replaces one class's buckets (kept sorted by `max_bytes`).
@@ -326,14 +298,6 @@ impl LinkCalibration {
     }
 }
 
-fn bucket(max_bytes: f64, alpha_us: f64, achieved_frac: f64) -> BandwidthBucket {
-    BandwidthBucket {
-        max_bytes,
-        alpha_us,
-        achieved_frac,
-    }
-}
-
 /// A [`CostProvider`] layering a [`LinkCalibration`] over the analytic model.
 ///
 /// Compute, HBM and latency work is priced by the analytic [`CostModel`]
@@ -517,7 +481,14 @@ mod tests {
     fn different_tables_have_different_fingerprints() {
         let a = LinkCalibration::h800_defaults();
         let mut b = a.clone();
-        b.set_class(LinkClass::IntraNode, vec![bucket(f64::INFINITY, 2.0, 0.5)]);
+        b.set_class(
+            LinkClass::IntraNode,
+            vec![BandwidthBucket {
+                max_bytes: f64::INFINITY,
+                alpha_us: 2.0,
+                achieved_frac: 0.5,
+            }],
+        );
         assert_ne!(a.fingerprint(), b.fingerprint());
         let ma = CalibratedCostModel::new(ClusterSpec::default(), a);
         let mb = CalibratedCostModel::new(ClusterSpec::default(), b);

@@ -91,17 +91,6 @@ impl TaskGraph {
         self.predecessor_count[after.0] += 1;
     }
 
-    /// Declares `after` to depend on every task in `before`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id does not belong to this graph.
-    pub fn add_deps(&mut self, before: &[TaskId], after: TaskId) {
-        for &b in before {
-            self.add_dep(b, after);
-        }
-    }
-
     /// Adds a fixed-latency host task, a common convenience for kernel-launch
     /// and synchronisation overheads.
     pub fn add_host_latency(
@@ -158,7 +147,8 @@ mod tests {
         let b = g.add_task("b", 0, ResourceKind::Sm, 1, Work::Latency { seconds: 1.0 });
         let c = g.add_host_latency("c", 0, 0.5);
         g.add_dep(a, b);
-        g.add_deps(&[a, b], c);
+        g.add_dep(a, c);
+        g.add_dep(b, c);
         assert_eq!(g.len(), 3);
         assert_eq!(g.successors(a), &[b, c]);
         let mut counts = Vec::new();

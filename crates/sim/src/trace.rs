@@ -59,11 +59,6 @@ impl Trace {
         self.entries.iter().map(|e| e.end).fold(0.0, f64::max)
     }
 
-    /// Total simulated wall-clock time in milliseconds.
-    pub fn makespan_ms(&self) -> f64 {
-        self.makespan() * 1e3
-    }
-
     /// Sum of `duration × occupied-fraction` for one resource on one rank,
     /// normalised by the makespan: 1.0 means the resource was fully busy.
     pub fn utilization(&self, rank: usize, resource: ResourceKind) -> f64 {
@@ -91,15 +86,6 @@ impl Trace {
             .filter(|e| e.name.contains(needle))
             .map(|e| e.duration())
             .sum()
-    }
-
-    /// Earliest start time across all entries (0.0 for an empty trace).
-    pub fn first_start(&self) -> Seconds {
-        self.entries
-            .iter()
-            .map(|e| e.start)
-            .fold(f64::INFINITY, f64::min)
-            .min(self.makespan())
     }
 
     /// Per-rank busy time of one resource kind, in seconds.
@@ -287,7 +273,6 @@ mod tests {
     fn makespan_and_entries() {
         let t = simple_trace();
         assert!((t.makespan() - 3.0).abs() < 1e-9);
-        assert!((t.makespan_ms() - 3000.0).abs() < 1e-6);
         assert_eq!(t.entries().len(), 2);
         assert!(t.entry(TaskId(0)).is_some());
         assert!(t.entry(TaskId(9)).is_none());
@@ -446,6 +431,5 @@ mod tests {
         let t = Trace::new(ClusterSpec::h800_node(1), Vec::new());
         assert_eq!(t.makespan(), 0.0);
         assert_eq!(t.utilization(0, ResourceKind::Sm), 0.0);
-        assert_eq!(t.first_start(), 0.0);
     }
 }

@@ -59,11 +59,6 @@ impl BlockChannel {
     pub fn threshold(&self, channel: usize) -> u64 {
         self.producer_threshold.get(channel).copied().unwrap_or(0)
     }
-
-    /// Total number of producer tile completions expected across all channels.
-    pub fn total_producer_tiles(&self) -> u64 {
-        self.producer_threshold.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +77,6 @@ mod tests {
         assert_eq!(bc.num_consumer_blocks, 112);
         // 8 tiles over 8 channels → threshold 1 each.
         assert!(bc.producer_threshold.iter().all(|&t| t == 1));
-        assert_eq!(bc.total_producer_tiles(), 8);
     }
 
     #[test]

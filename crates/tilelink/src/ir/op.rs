@@ -178,14 +178,6 @@ impl TileOp {
                 | TileOp::RankNotifySegment { .. }
         )
     }
-
-    /// Returns `true` for operations that move data across ranks.
-    pub fn is_transfer(&self) -> bool {
-        matches!(
-            self,
-            TileOp::PushTile { .. } | TileOp::PullTile { .. } | TileOp::HostCopy { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -239,13 +231,6 @@ mod tests {
         }
         .is_notify());
         assert!(TileOp::RankNotifySegment { segment: 0 }.is_notify());
-        assert!(TileOp::PushTile {
-            buffer: "b".into(),
-            bytes: 1.0,
-            tile: 0,
-            target: PushTarget::Broadcast
-        }
-        .is_transfer());
         assert!(!TileOp::Compute(ComputeKind::Reduction { elems: 1 }).is_wait());
     }
 }

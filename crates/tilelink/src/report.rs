@@ -65,11 +65,6 @@ impl OverlapReport {
     pub fn speedup_over(&self, baseline: &OverlapReport) -> f64 {
         baseline.total_s / self.total_s
     }
-
-    /// Speed-up relative to a plain duration in seconds.
-    pub fn speedup_over_seconds(&self, baseline_s: f64) -> f64 {
-        baseline_s / self.total_s
-    }
 }
 
 impl std::fmt::Display for OverlapReport {
@@ -119,7 +114,6 @@ mod tests {
         let fast = OverlapReport::new(1e-3, 0.0, 0.0);
         let slow = OverlapReport::new(2e-3, 0.0, 0.0);
         assert!((fast.speedup_over(&slow) - 2.0).abs() < 1e-9);
-        assert!((fast.speedup_over_seconds(3e-3) - 3.0).abs() < 1e-9);
         assert!((fast.total_ms() - 1.0).abs() < 1e-9);
     }
 

@@ -70,22 +70,6 @@ pub fn write_tile(buf: &SharedBuffer, row_stride: usize, rect: &TileRect, data: 
     }
 }
 
-/// Adds a tile element-wise into a row-major buffer.
-///
-/// # Panics
-///
-/// Panics if `data` does not match the tile size or the tile is out of bounds.
-pub fn add_tile(buf: &SharedBuffer, row_stride: usize, rect: &TileRect, data: &[f32]) {
-    assert_eq!(data.len(), rect.numel(), "tile data length mismatch");
-    for (i, r) in rect.rows.clone().enumerate() {
-        for (j, c) in rect.cols.clone().enumerate() {
-            let idx = r * row_stride + c;
-            let cur = buf.load(idx);
-            buf.store(idx, cur + data[i * rect.num_cols() + j]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,14 +93,6 @@ mod tests {
         // untouched elements stay zero
         assert_eq!(buf.load(0), 0.0);
         assert_eq!(buf.load(4), 0.0);
-    }
-
-    #[test]
-    fn add_tile_accumulates() {
-        let buf = SharedBuffer::from_slice(&[1.0; 8]);
-        let rect = TileRect::full_rows(0..2, 4);
-        add_tile(&buf, 4, &rect, &[1.0; 8]);
-        assert!(buf.to_vec().iter().all(|&v| v == 2.0));
     }
 
     #[test]

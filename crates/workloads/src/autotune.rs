@@ -408,12 +408,14 @@ impl CostOracle for MoeOracle {
 // ---------------------------------------------------------------------------
 
 /// Options shared by the `tuned_*` constructors.
-#[derive(Debug, Clone)]
+///
+/// Every constructor searches [`SearchSpace::standard`] with the default
+/// beam ([`Strategy::default`]); these options only choose where results are
+/// cached, how candidates are priced and what the search minimises. Call
+/// [`Tuner`] directly for a custom space, an exhaustive search or another
+/// beam width.
+#[derive(Debug, Clone, Default)]
 pub struct TuneOptions {
-    /// Search strategy (default: beam, width 4, 3 sweeps).
-    pub strategy: Strategy,
-    /// Design space to explore (default: [`SearchSpace::standard`]).
-    pub space: SearchSpace,
     /// Persistent cache file; `None` keeps the cache in memory.
     pub cache_path: Option<PathBuf>,
     /// Cost provider pricing the candidates; `None` uses the analytic model
@@ -441,21 +443,6 @@ pub struct TuneOptions {
     /// back-to-back searches share one warm pool. Results are bit-identical
     /// either way.
     pub executor: Option<Arc<SearchExecutor>>,
-}
-
-impl Default for TuneOptions {
-    fn default() -> Self {
-        Self {
-            strategy: Strategy::default(),
-            space: SearchSpace::standard(),
-            cache_path: None,
-            cost: None,
-            routing: None,
-            objective: Objective::Mean,
-            verbose: false,
-            executor: None,
-        }
-    }
 }
 
 impl TuneOptions {
@@ -528,14 +515,14 @@ fn checked_cost(opts: &TuneOptions, cluster: &ClusterSpec) -> Option<SharedCost>
 }
 
 fn run_tune(oracle: &dyn CostOracle, opts: &TuneOptions) -> tilelink_tune::Result<TunedLayer> {
-    let mut tuner = Tuner::new(opts.strategy).with_verbose(opts.verbose);
+    let mut tuner = Tuner::new(Strategy::default()).with_verbose(opts.verbose);
     if let Some(executor) = &opts.executor {
         tuner = tuner.with_executor(Arc::clone(executor));
     }
     if let Some(path) = &opts.cache_path {
         tuner = tuner.with_cache(TuneCache::open(path)?);
     }
-    let search = tuner.tune(oracle, &opts.space)?;
+    let search = tuner.tune(oracle, &SearchSpace::standard())?;
     Ok(TunedLayer {
         config: search.best.config,
         layer: search.best.report,
@@ -591,19 +578,6 @@ mod tests {
     use super::*;
     use tilelink::TileShape;
 
-    /// A compact space that keeps test runtimes low while still exercising
-    /// several axes.
-    fn small_space() -> SearchSpace {
-        SearchSpace::new()
-            .with_comm_tiles([TileShape::new(128, 128), TileShape::new(256, 128)])
-            .with_compute_tiles([TileShape::new(128, 256), TileShape::new(256, 256)])
-            .with_mappings([
-                tilelink::CommMapping::CopyEngine,
-                tilelink::CommMapping::Sm { sms: 20 },
-            ])
-            .with_stages([2, 3])
-    }
-
     #[test]
     fn beam_tuned_mlp_never_loses_to_the_default_config() {
         let shape = crate::shapes::mlp_shapes()[0].clone();
@@ -611,15 +585,7 @@ mod tests {
         let oracle = MlpOracle::new(shape.clone(), cluster.clone());
         let default_report = oracle.evaluate(&OverlapConfig::default()).unwrap();
 
-        let opts = TuneOptions {
-            strategy: Strategy::Beam {
-                width: 2,
-                sweeps: 2,
-            },
-            space: small_space(),
-            ..TuneOptions::default()
-        };
-        let tuned = tuned_full_mlp(&shape, &cluster, &opts).unwrap();
+        let tuned = tuned_full_mlp(&shape, &cluster, &TuneOptions::default()).unwrap();
         assert!(
             tuned.layer.total_s <= default_report.total_s,
             "tuned {} ms > default {} ms",
@@ -688,19 +654,12 @@ mod tests {
     fn tuned_full_moe_with_routing_produces_a_valid_winner() {
         let shape = crate::shapes::moe_shapes()[0].clone();
         let cluster = ClusterSpec::h800_node(8);
-        let opts = TuneOptions {
-            strategy: Strategy::Beam {
-                width: 2,
-                sweeps: 1,
-            },
-            space: small_space(),
-            ..TuneOptions::default()
-        }
-        .with_routing(RoutingSpec {
-            samples: 2,
-            ..RoutingSpec::new(RoutingProfile::HotExpert { hot: 1 })
-        })
-        .with_objective(Objective::Percentile(95));
+        let opts = TuneOptions::default()
+            .with_routing(RoutingSpec {
+                samples: 2,
+                ..RoutingSpec::new(RoutingProfile::HotExpert { hot: 1 })
+            })
+            .with_objective(Objective::Percentile(95));
         let tuned = tuned_full_moe(&shape, &cluster, &opts).unwrap();
         tuned.config.validate(cluster.gpu.sm_count).unwrap();
         assert!(tuned.layer.total_s > 0.0);

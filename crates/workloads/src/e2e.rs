@@ -67,8 +67,12 @@ fn moe_shape_of(model: &ModelConfig, tokens: usize) -> Option<MoeShape> {
 
 /// Attention-part time per layer (QKV projection, flash attention over the
 /// local 8192-token context, output projection and the tensor-parallel
-/// AllReduce of the projections). Identical math is used for both strategies;
-/// only the exposed communication differs.
+/// AllReduce of the projections), in closed form: no kernel is compiled or
+/// simulated. Both strategies use the same math. The overlapped (TileLink)
+/// variant only exposes a fixed 40% of the AllReduce (`comm * 0.4`), an
+/// assumed overlap rather than a priced one, so this part of every TileLink
+/// column is the PyTorch column's math, not the overlapped kernels of
+/// Figures 8-10.
 fn attention_part_seconds(
     model: &ModelConfig,
     tokens: usize,
@@ -152,7 +156,9 @@ pub fn torch_model_timing(
 pub struct E2eComparison {
     /// PyTorch baseline timing.
     pub torch: ModelTiming,
-    /// TileLink timing under the hand-picked layer configurations.
+    /// TileLink timing under the hand-picked layer configurations. Only the
+    /// FFN part runs compiled TileLink kernels; the attention part is the
+    /// PyTorch column's closed form with 40% of its AllReduce exposed.
     pub tilelink: ModelTiming,
     /// TileLink under searched layer configurations; `None` unless
     /// [`compare_model`] was given tuning options.
@@ -176,6 +182,10 @@ impl E2eComparison {
 /// Runs the Figure 11 comparison for one model, priced by `cost` (the
 /// cluster is the provider's). With `tune`, the comparison also carries the
 /// [`tuned_model_timing`] column.
+///
+/// Both TileLink columns price the FFN part with compiled, simulated kernels
+/// but the attention part in closed form: the PyTorch column's math with a
+/// fixed 40% of its AllReduce exposed, not an overlapped attention kernel.
 ///
 /// # Errors
 ///
@@ -225,11 +235,13 @@ pub struct TunedModelTiming {
 /// pulled from the `tilelink-tune` search instead of the hand-picked defaults.
 ///
 /// The dense MLP part runs [`autotune::tuned_full_mlp`] and the MoE part
-/// [`autotune::tuned_full_moe`] on the model's e2e layer shapes; `opts`
-/// carries the strategy, space, persistent-cache path and — for MoE layers —
-/// the routing distribution and [`tilelink_tune::Objective`] the search
-/// minimises. Any `opts.cost` is replaced by `cost` so the search always
-/// prices against the caller's provider and cluster.
+/// [`autotune::tuned_full_moe`] on the model's e2e layer shapes, each a
+/// search of the standard space with the default beam; `opts` carries the
+/// persistent-cache path and — for MoE layers — the routing distribution and
+/// [`tilelink_tune::Objective`] the search minimises. Any `opts.cost` is
+/// replaced by `cost` so the search always prices against the caller's
+/// provider and cluster. The attention part is the same closed form as in
+/// [`compare_model`].
 ///
 /// # Errors
 ///
@@ -363,7 +375,7 @@ mod tests {
 
     #[test]
     fn tuned_speedup_is_at_least_the_default_config_speedup() {
-        // The quick subset of the tuned Figure 11 path: one dense and one MoE
+        // A subset of the tuned Figure 11 path: one dense and one MoE
         // model. Under the deterministic analytic model the searched config
         // matches or beats the hand-picked per-half defaults on every model,
         // so this pins that (empirical, deterministic) property; it is not a

@@ -30,15 +30,7 @@ fn beam_tuned_mlp1_is_never_worse_than_the_default_config() {
     let oracle = MlpOracle::new(shape.clone(), cluster.clone());
     let default_makespan = oracle.evaluate(&OverlapConfig::default()).unwrap().total_s;
 
-    let opts = TuneOptions {
-        strategy: Strategy::Beam {
-            width: 2,
-            sweeps: 2,
-        },
-        space: small_space(),
-        ..TuneOptions::default()
-    };
-    let tuned = autotune::tuned_full_mlp(&shape, &cluster, &opts).unwrap();
+    let tuned = autotune::tuned_full_mlp(&shape, &cluster, &TuneOptions::default()).unwrap();
     assert!(
         tuned.layer.total_s <= default_makespan,
         "tuned {} s > default {} s",
@@ -169,29 +161,14 @@ fn calibrated_tuning_runs_through_tune_options() {
     let cluster = ClusterSpec::h800_node(8);
     let calibrated: tilelink_sim::SharedCost =
         Arc::new(CalibratedCostModel::h800_defaults(cluster.clone()));
-    let opts = TuneOptions {
-        strategy: Strategy::Beam {
-            width: 2,
-            sweeps: 1,
-        },
-        space: small_space(),
-        ..TuneOptions::default()
-    }
-    .with_cost(calibrated.clone());
+    let opts = TuneOptions::default().with_cost(calibrated.clone());
     let tuned = autotune::tuned_full_mlp(&shape, &cluster, &opts).unwrap();
     assert!(tuned.layer.total_s > 0.0);
 
     // Same search under the analytic default: the calibrated run must be
     // priced higher on communication (achieved bandwidth < 100% of peak).
-    let analytic_opts = TuneOptions {
-        strategy: Strategy::Beam {
-            width: 2,
-            sweeps: 1,
-        },
-        space: small_space(),
-        ..TuneOptions::default()
-    };
-    let analytic_tuned = autotune::tuned_full_mlp(&shape, &cluster, &analytic_opts).unwrap();
+    let analytic_tuned =
+        autotune::tuned_full_mlp(&shape, &cluster, &TuneOptions::default()).unwrap();
     assert!(tuned.layer.comm_only_s > analytic_tuned.layer.comm_only_s);
 }
 
@@ -236,11 +213,6 @@ fn tuned_e2e_calibrated_cache_never_serves_the_analytic_search() {
         .find(|m| m.name == "LLaMA2-7B")
         .unwrap();
     let opts = TuneOptions {
-        strategy: Strategy::Beam {
-            width: 2,
-            sweeps: 1,
-        },
-        space: small_space(),
         cache_path: Some(path.clone()),
         ..TuneOptions::default()
     };
@@ -362,11 +334,6 @@ fn tuned_winners_carry_their_exact_report_and_rerun_without_pricing() {
         let path = dir.join(format!("{name}.tsv"));
         let _ = std::fs::remove_file(&path);
         let opts = TuneOptions {
-            strategy: Strategy::Beam {
-                width: 2,
-                sweeps: 1,
-            },
-            space: small_space(),
             cache_path: Some(path.clone()),
             ..TuneOptions::default()
         };
@@ -397,9 +364,9 @@ fn tuned_winners_carry_their_exact_report_and_rerun_without_pricing() {
             inner: &*oracle,
             calls: AtomicUsize::new(0),
         };
-        let rerun = Tuner::new(opts.strategy)
+        let rerun = Tuner::new(Strategy::default())
             .with_cache(TuneCache::open(&path).unwrap())
-            .tune(&counting, &opts.space)
+            .tune(&counting, &SearchSpace::standard())
             .unwrap();
         assert_eq!(counting.calls.load(Ordering::SeqCst), 0, "{name}");
         assert_eq!(rerun.evaluations, 0, "{name}");
