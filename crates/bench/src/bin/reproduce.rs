@@ -63,8 +63,7 @@ use tilelink_bench::{
     MlpPanel, MoePanel,
 };
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
-use tilelink_tune::{Objective, SearchExecutor, TuneCache};
-use tilelink_workloads::moe::RoutingProfile;
+use tilelink_tune::{Objective, TuneCache};
 use tilelink_workloads::{shapes, RoutingSpec, TuneOptions};
 
 /// Every section flag `reproduce` knows. `--tune` and `--serve` are opt-in:
@@ -121,14 +120,9 @@ impl Args {
                 return Err(format!("{option} requires --tune"));
             }
         }
-        // `--objective` without `--routing` implies sampled uniform routing
-        // (a percentile needs a distribution to take the percentile of).
+        // `--objective` without `--routing` implies sampled uniform routing.
         let objective = p.parse("--objective")?.unwrap_or(Objective::Mean);
-        let routing = match (p.parse::<RoutingProfile>("--routing")?, objective) {
-            (Some(profile), _) => Some(RoutingSpec::new(profile)),
-            (None, Objective::Mean) => None,
-            (None, _) => Some(RoutingSpec::new(RoutingProfile::Uniform)),
-        };
+        let routing = RoutingSpec::for_objective(p.parse("--routing")?, objective);
         Ok(Self {
             sections,
             verbose: p.has("--verbose"),
@@ -270,7 +264,6 @@ fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
         let tune_opts = args.has("--tune").then(|| {
             let opts = TuneOptions::default()
                 .with_default_cache()
-                .with_executor(SearchExecutor::global())
                 .with_verbose(args.verbose);
             let opts = match args.routing {
                 Some(spec) => opts.with_routing(spec).with_objective(args.objective),
@@ -416,7 +409,6 @@ fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
     let opts = TuneOptions::default()
         .with_default_cache()
         .with_cost(cost.clone())
-        .with_executor(SearchExecutor::global())
         .with_verbose(args.verbose);
     if let Some(path) = &opts.cache_path {
         println!(

@@ -34,11 +34,6 @@ impl Comm {
         self.ctx.world_size()
     }
 
-    /// The underlying rank context.
-    pub fn context(&self) -> &RankContext {
-        &self.ctx
-    }
-
     /// Waits for every rank to reach this point.
     pub fn barrier(&self) {
         self.ctx.barrier();

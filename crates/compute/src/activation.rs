@@ -1,15 +1,10 @@
-//! Gated activations used between the two halves of LLaMA/Gemma-style MLPs.
+//! Gated activations used between the two halves of LLaMA-style MLPs.
 
 use crate::Tensor;
 
 /// SiLU (sigmoid-weighted linear unit): `x * sigmoid(x)`.
 pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
-}
-
-/// The tanh-approximated GELU used by Gemma and GPT-style models.
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
 }
 
 /// SwiGLU gate: `silu(gate) * up`, applied element-wise.
@@ -62,13 +57,6 @@ mod tests {
         assert_eq!(silu(0.0), 0.0);
         assert!((silu(1.0) - 0.731_058_6).abs() < 1e-5);
         assert!(silu(-20.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gelu_known_values() {
-        assert_eq!(gelu(0.0), 0.0);
-        assert!((gelu(1.0) - 0.841_19).abs() < 1e-3);
-        assert!(gelu(-10.0).abs() < 1e-4);
     }
 
     #[test]

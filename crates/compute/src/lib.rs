@@ -11,8 +11,8 @@
 //! * [`attention`] — reference attention and an online-softmax (flash)
 //!   accumulator that consumes KV tiles incrementally, exactly the shape of
 //!   computation the overlapped AG-KV + attention kernel needs;
-//! * [`activation`] — SiLU and GELU, the SiLU-mul gate of LLaMA-style MLPs
-//!   and a row softmax;
+//! * [`activation`] — SiLU, the SiLU-mul gate of LLaMA-style MLPs and a row
+//!   softmax;
 //! * [`topk`] — softmax gating, top-k expert selection and token dispatch for
 //!   MoE layers.
 //!

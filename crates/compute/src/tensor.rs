@@ -118,11 +118,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     fn flat_index(&self, idx: &[usize]) -> usize {
         assert_eq!(idx.len(), self.shape.len(), "index rank mismatch");
         let mut flat = 0usize;

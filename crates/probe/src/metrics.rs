@@ -246,9 +246,9 @@ pub static SERVE_POOL_REJECTED: Counter = Counter::new("serve.pool.rejected");
 /// Warm results evicted (least recently used first) to keep the daemon's
 /// warm map under its entry cap.
 pub static SERVE_CACHE_EVICTIONS: Counter = Counter::new("serve.cache.evictions");
-/// Tuning runs admitted to a shared `SearchExecutor` whose worker pool was
-/// already warm (spawned by an earlier run) instead of spawning fresh
-/// threads.
+/// Searches that started on a `SearchExecutor` whose worker pool was
+/// already warm (spawned by an earlier search) instead of spawning fresh
+/// threads: one per search after the first on each pool.
 pub static TUNE_EXECUTOR_REUSES: Counter = Counter::new("tune.executor.reuses");
 /// Size of the most recently enumerated search space (valid candidates).
 pub static TUNE_SPACE_SIZE: Gauge = Gauge::new("tune.space.size");

@@ -39,9 +39,11 @@
 //! the same search as the `tuned_full_*` constructors (the standard space
 //! with the default beam), so a reply names the winner they return, the same
 //! [`tilelink_tune::Objective`] statistics, the same revision-keyed cache
-//! invalidation — and evaluation runs on the process-shared
-//! [`tilelink_tune::SearchExecutor::global`], so concurrent cold searches
-//! interleave on one warm thread pool instead of each spawning their own.
+//! invalidation — and evaluation runs on
+//! [`tilelink_tune::SearchExecutor::global`], the one pool every search in
+//! the process evaluates on, so concurrent cold searches (at most one per
+//! request worker) interleave on one warm thread pool instead of each
+//! spawning their own.
 //! [`ServeOptions`] holds only what differs between deployments: the cost
 //! model and the persistent cache path.
 

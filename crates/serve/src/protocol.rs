@@ -228,12 +228,8 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             return Err("samples/seed require routing=<profile>".to_string());
         }
         // A tail objective without an explicit routing profile means "over
-        // sampled uniform routings" — same convention as the reproduce CLI.
-        if routing.is_none() && objective != Objective::Mean {
-            routing = Some(RoutingProfile::Uniform);
-        }
-        let routing = routing.map(|profile| {
-            let mut spec = RoutingSpec::new(profile);
+        // sampled uniform routings", as in every front end.
+        let routing = RoutingSpec::for_objective(routing, objective).map(|mut spec| {
             if let Some(samples) = samples {
                 spec.samples = samples;
             }

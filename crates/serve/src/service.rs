@@ -34,9 +34,7 @@ use tilelink_probe::metrics::{
     SERVE_POOL_REJECTED, SERVE_REQUESTS_COLD, SERVE_REQUESTS_DEDUPED, SERVE_REQUESTS_WARM,
 };
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
-use tilelink_tune::{
-    cluster_key, CostOracle, SearchExecutor, SearchSpace, Strategy, TuneCache, Tuner,
-};
+use tilelink_tune::{cluster_key, CostOracle, SearchSpace, Strategy, TuneCache, Tuner};
 use tilelink_workloads::autotune::{MlpOracle, MoeOracle};
 
 use crate::protocol::{OkFields, TuneRequest, WorkloadSpec};
@@ -450,15 +448,13 @@ fn oracle_for(req: &TuneRequest, cost: SharedCost) -> Box<dyn CostOracle> {
 }
 
 /// The real cold search: the `tuned_full_*` constructors' search of the
-/// request's oracle on the process-shared [`SearchExecutor`], through the
-/// persistent cache when one is configured.
+/// request's oracle, on [`tilelink_tune::SearchExecutor::global`] like every
+/// search, through the persistent cache when one is configured.
 fn run_search(_req: &TuneRequest, oracle: &dyn CostOracle, opts: &ServeOptions) -> SearchResult {
     // The daemon always sweeps same-scope entries of other cost revisions,
     // so its write-behind cache file and memory stay bounded; entries of
     // another objective under this revision stay warm.
-    let mut tuner = Tuner::new(Strategy::default())
-        .with_executor(SearchExecutor::global())
-        .with_stale_sweep(true);
+    let mut tuner = Tuner::new(Strategy::default()).with_stale_sweep(true);
     if let Some(path) = &opts.cache_path {
         tuner = tuner.with_cache(TuneCache::open(path).map_err(|e| e.to_string())?);
     }

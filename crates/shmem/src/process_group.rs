@@ -203,16 +203,6 @@ impl RankContext {
             .expect("remote symmetric signal lookup failed")
     }
 
-    /// Returns every rank's buffer named `name` in rank order.
-    ///
-    /// This is the "remote tensors" argument of the `tile_push_data` /
-    /// `tile_pull_data` primitives (Table 3).
-    pub fn all_buffers(&self, name: &str) -> Vec<SharedBuffer> {
-        (0..self.world_size())
-            .map(|r| self.remote(r, name))
-            .collect()
-    }
-
     /// Direct access to the underlying registry (host-style access).
     pub fn registry(&self) -> &SymmetricRegistry {
         &self.shared.registry
@@ -264,21 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn all_buffers_returns_world_size_handles() {
-        let out = ProcessGroup::launch(3, |ctx| {
-            ctx.alloc("b", 1).store(0, ctx.rank() as f32);
-            ctx.barrier();
-            ctx.all_buffers("b")
-                .iter()
-                .map(|b| b.load(0))
-                .collect::<Vec<_>>()
-        });
-        for row in out {
-            assert_eq!(row, vec![0.0, 1.0, 2.0]);
-        }
-    }
-
-    #[test]
     fn signal_handshake_between_ranks() {
         // rank 0 produces a value and notifies, rank 1 waits and reads it.
         let out = ProcessGroup::launch(2, |ctx| {
@@ -305,7 +280,9 @@ mod tests {
             b.store(0, 1.0);
             ctx.barrier();
             // After the barrier every rank must see every peer's phase-1 store.
-            let sum: f32 = ctx.all_buffers("phase").iter().map(|b| b.load(0)).sum();
+            let sum: f32 = (0..ctx.world_size())
+                .map(|r| ctx.remote(r, "phase").load(0))
+                .sum();
             sum
         });
         assert_eq!(out, vec![4.0; 4]);

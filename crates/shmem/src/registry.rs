@@ -168,27 +168,6 @@ impl SymmetricRegistry {
             }
         }
     }
-
-    /// Returns the buffer if it is already registered, without blocking.
-    pub fn try_buffer(&self, rank: usize, name: &str) -> Option<SharedBuffer> {
-        let symbols = self.symbols.lock().expect("registry lock poisoned");
-        match symbols.get(&(rank, name.to_string())) {
-            Some(Symbol::Buffer(b)) => Some(b.clone()),
-            _ => None,
-        }
-    }
-
-    /// Names of every symbol registered on `rank`, sorted for reproducibility.
-    pub fn symbols_on(&self, rank: usize) -> Vec<String> {
-        let symbols = self.symbols.lock().expect("registry lock poisoned");
-        let mut names: Vec<String> = symbols
-            .keys()
-            .filter(|(r, _)| *r == rank)
-            .map(|(_, n)| n.clone())
-            .collect();
-        names.sort();
-        names
-    }
 }
 
 impl std::fmt::Debug for SymmetricRegistry {
@@ -270,24 +249,6 @@ mod tests {
         // 0.0 and 7.0 are legal. We only require that it unblocks.
         let v = waiter.join().unwrap();
         assert!(v == 0.0 || v == 7.0);
-    }
-
-    #[test]
-    fn try_buffer_does_not_block() {
-        let reg = SymmetricRegistry::new(1);
-        assert!(reg.try_buffer(0, "missing").is_none());
-        reg.alloc_buffer(0, "present", 1).unwrap();
-        assert!(reg.try_buffer(0, "present").is_some());
-    }
-
-    #[test]
-    fn symbols_on_lists_registered_names() {
-        let reg = SymmetricRegistry::new(2);
-        reg.alloc_buffer(0, "b", 1).unwrap();
-        reg.alloc_buffer(0, "a", 1).unwrap();
-        reg.alloc_buffer(1, "c", 1).unwrap();
-        assert_eq!(reg.symbols_on(0), vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(reg.symbols_on(1), vec!["c".to_string()]);
     }
 
     #[test]

@@ -15,8 +15,7 @@ const SPIN_BEFORE_YIELD: u32 = 64;
 ///
 /// * notify operations ([`SignalSet::set`], [`SignalSet::add`]) use **release**
 ///   ordering, so no prior memory access can be reordered after them;
-/// * wait operations ([`SignalSet::wait_ge`], [`SignalSet::wait_eq`]) use
-///   **acquire** ordering, so no later memory access can be reordered before
+/// * wait operations ([`SignalSet::wait_ge`]) use **acquire** ordering, so no later memory access can be reordered before
 ///   them.
 ///
 /// A slot usually represents one *channel* of the tile-centric channel mapping
@@ -115,24 +114,6 @@ impl SignalSet {
             }
         }
     }
-
-    /// Blocks until slot `index` equals `value` exactly (acquire ordering).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn wait_eq(&self, index: usize, value: u64) {
-        let slot = &self.slots[index];
-        let mut spins = 0u32;
-        while slot.load(Ordering::Acquire) != value {
-            spins += 1;
-            if spins > SPIN_BEFORE_YIELD {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for SignalSet {
@@ -197,20 +178,6 @@ mod tests {
         s.wait_ge(0, 1);
         assert_eq!(data.load(Ordering::Relaxed), 99);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn wait_eq_blocks_until_exact_value() {
-        let s = SignalSet::new(1);
-        let s2 = s.clone();
-        let t = thread::spawn(move || {
-            for _ in 0..4 {
-                s2.add(0, 1);
-            }
-        });
-        s.wait_eq(0, 4);
-        assert_eq!(s.load(0), 4);
-        t.join().unwrap();
     }
 
     #[test]

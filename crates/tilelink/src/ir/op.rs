@@ -163,23 +163,6 @@ pub enum TileOp {
     },
 }
 
-impl TileOp {
-    /// Returns `true` for operations with acquire (wait) semantics.
-    pub fn is_wait(&self) -> bool {
-        matches!(self, TileOp::ConsumerWait { .. } | TileOp::PeerWait { .. })
-    }
-
-    /// Returns `true` for operations with release (notify) semantics.
-    pub fn is_notify(&self) -> bool {
-        matches!(
-            self,
-            TileOp::ProducerNotify { .. }
-                | TileOp::PeerNotify { .. }
-                | TileOp::RankNotifySegment { .. }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,22 +198,5 @@ mod tests {
     fn elementwise_is_not_matmul_like() {
         assert!(!ComputeKind::Elementwise { elems: 10 }.is_matmul_like());
         assert!(!ComputeKind::Reduction { elems: 10 }.is_matmul_like());
-    }
-
-    #[test]
-    fn op_classification() {
-        assert!(TileOp::ConsumerWait { tile: 0 }.is_wait());
-        assert!(TileOp::PeerWait {
-            slot: 0,
-            expected: 1
-        }
-        .is_wait());
-        assert!(TileOp::ProducerNotify {
-            tile: 0,
-            scope: NotifyScope::Local
-        }
-        .is_notify());
-        assert!(TileOp::RankNotifySegment { segment: 0 }.is_notify());
-        assert!(!TileOp::Compute(ComputeKind::Reduction { elems: 1 }).is_wait());
     }
 }

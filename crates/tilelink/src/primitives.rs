@@ -105,11 +105,6 @@ impl DeviceHandle {
         self.ctx.world_size()
     }
 
-    /// The underlying rank context (for symmetric allocation).
-    pub fn context(&self) -> &RankContext {
-        &self.ctx
-    }
-
     /// Waits for every rank of the kernel to reach this point.
     pub fn barrier_all(&self) {
         self.ctx.barrier();

@@ -1,29 +1,22 @@
 //! The candidate-evaluation pool every tuning run evaluates on.
 //!
 //! [`Tuner::tune`](crate::Tuner::tune) hands its candidates to a
-//! [`SearchExecutor`]: a private [`SearchExecutor::new`] (one worker per CPU,
-//! capped at 16) that lives for that one call, or a long-lived one shared
-//! through [`Tuner::with_executor`](crate::Tuner::with_executor). Private per-call
-//! pools are fine for one-shot CLI tuning, but a serving daemon runs many
-//! searches over its lifetime — often several at once for *different* cache
-//! keys — and per-call pools would both pay a thread-spawn tax on every
-//! request and oversubscribe the machine under concurrent cold misses
-//! (N searches × min(cores, 16) threads each).
-//!
-//! A shared executor is one warm worker pool owned by the process, used by
-//! every search wired to it (the `tilelink-serve` daemon, `reproduce --tune`).
-//! Searches are admitted through a bounded session queue
-//! ([`SearchExecutor::session`]), and their evaluation batches interleave
-//! job-by-job on the same workers, so concurrent cold searches share one
-//! pool's worth of threads instead of stacking pools.
+//! [`SearchExecutor`]: the process-wide [`SearchExecutor::global`] (one
+//! worker per CPU, capped at 16), unless the tuner was pinned to another with
+//! [`Tuner::with_executor`](crate::Tuner::with_executor). Every search in a
+//! process therefore shares one warm pool: back-to-back searches (`reproduce
+//! --tune`, the daemon's cold misses) skip the thread spawn, and concurrent
+//! searches interleave their evaluation batches job-by-job on the same
+//! workers instead of stacking pools. Concurrency is bounded by whoever
+//! starts the searches (the daemon's request pool), not by the executor.
 //!
 //! # Determinism
 //!
 //! The executor changes *where* candidates are evaluated, never *what* the
 //! search observes: results land in a slot per candidate, and the tuner
-//! merges them in candidate order. A search run through a shared executor is
-//! bit-identical to the same search run on a private one, whatever either's
-//! thread count (see the `executor_parity` integration test).
+//! merges them in candidate order. A search is bit-identical on any pool,
+//! whatever its thread count and however many other searches share it (see
+//! the `executor_parity` integration test).
 //!
 //! # Safety
 //!
@@ -46,9 +39,6 @@ use tilelink::{OverlapConfig, TileLinkError};
 use tilelink_probe::metrics::{TUNE_EVAL_US, TUNE_EXECUTOR_QUEUE_DEPTH, TUNE_EXECUTOR_REUSES};
 
 use crate::{BoundedEval, CostOracle};
-
-/// Default cap on concurrently admitted search sessions.
-const DEFAULT_MAX_SESSIONS: usize = 4;
 
 /// A lifetime-erased `&dyn CostOracle`. See the module-level safety notes:
 /// the pointee is guaranteed live for as long as any job holding this pointer
@@ -89,7 +79,7 @@ struct Batch {
     /// The submitting search's incumbent-best cutoff as `f64` bits, loaded
     /// per job. The tuner only updates it between batches (single-threaded
     /// merge), so every job of one batch observes the same value — and
-    /// batches from concurrently admitted sessions each carry their own.
+    /// batches of concurrent searches each carry their own.
     cutoff: Arc<AtomicU64>,
 }
 
@@ -100,9 +90,8 @@ struct BatchState {
 
 struct QueueState {
     jobs: VecDeque<Job>,
-    /// Worker threads spawned so far (0 until the first session arrives).
-    spawned: bool,
-    sessions_active: usize,
+    /// The worker threads: none until the first search starts.
+    workers: Vec<JoinHandle<()>>,
     shutdown: bool,
 }
 
@@ -110,87 +99,57 @@ struct Inner {
     queue: Mutex<QueueState>,
     /// Workers park here between jobs.
     work: Condvar,
-    /// Sessions park here while the admission bound is saturated.
-    admission: Condvar,
 }
 
-/// A persistent evaluation worker pool shared across tuning runs.
+/// A persistent evaluation worker pool shared by every search it runs.
 ///
-/// Construct one with [`SearchExecutor::new`] (or take the process-wide
-/// [`SearchExecutor::global`]) and hand it to
-/// [`Tuner::with_executor`](crate::Tuner::with_executor). Workers are spawned
-/// lazily on the first admitted session and reused by every later one — the
+/// Searches evaluate on [`SearchExecutor::global`] unless their tuner is
+/// pinned to another pool with
+/// [`Tuner::with_executor`](crate::Tuner::with_executor) (tests pin thread
+/// counts that way, with [`SearchExecutor::with_threads`]). Workers are
+/// spawned by the first search and reused by every later one — the
 /// `tune.executor.reuses` counter tracks exactly that.
 pub struct SearchExecutor {
     threads: usize,
-    max_sessions: usize,
     inner: Arc<Inner>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for SearchExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchExecutor")
             .field("threads", &self.threads)
-            .field("max_sessions", &self.max_sessions)
             .finish()
     }
 }
 
-impl Default for SearchExecutor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SearchExecutor {
-    /// Creates an executor with one worker per available CPU (capped at 16)
-    /// and the default concurrent-session bound. No threads are spawned until
-    /// the first search is admitted.
-    #[must_use]
-    pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(16);
-        Self::with_threads(threads)
-    }
-
-    /// Creates an executor with exactly `threads` workers (minimum 1).
+    /// Creates an executor with exactly `threads` workers (minimum 1). No
+    /// threads are spawned until its first search starts.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            max_sessions: DEFAULT_MAX_SESSIONS,
             inner: Arc::new(Inner {
                 queue: Mutex::new(QueueState {
                     jobs: VecDeque::new(),
-                    spawned: false,
-                    sessions_active: 0,
+                    workers: Vec::new(),
                     shutdown: false,
                 }),
                 work: Condvar::new(),
-                admission: Condvar::new(),
             }),
-            handles: Mutex::new(Vec::new()),
         }
     }
 
-    /// Replaces the concurrent-session bound (minimum 1): how many tuning
-    /// runs may interleave their batches on the pool at once. Sessions beyond
-    /// the bound queue in [`SearchExecutor::session`].
-    #[must_use]
-    pub fn with_max_sessions(mut self, max_sessions: usize) -> Self {
-        self.max_sessions = max_sessions.max(1);
-        self
-    }
-
-    /// The process-wide executor shared by the serve daemon and
-    /// `reproduce --tune`.
+    /// The process-wide executor, with one worker per available CPU (capped
+    /// at 16). Every search evaluates on it unless its tuner is pinned to
+    /// another with [`Tuner::with_executor`](crate::Tuner::with_executor).
     pub fn global() -> Arc<SearchExecutor> {
         static GLOBAL: OnceLock<Arc<SearchExecutor>> = OnceLock::new();
         GLOBAL
-            .get_or_init(|| Arc::new(SearchExecutor::new()))
+            .get_or_init(|| {
+                let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+                Arc::new(SearchExecutor::with_threads(cpus.min(16)))
+            })
             .clone()
     }
 
@@ -200,43 +159,31 @@ impl SearchExecutor {
         self.threads
     }
 
-    /// Admits one tuning run, blocking while `max_sessions` runs are already
-    /// active. The returned guard releases the slot on drop.
-    ///
-    /// The first session spawns the worker pool; every later one reuses it
-    /// and increments `tune.executor.reuses`.
-    pub fn session(&self) -> ExecutorSession<'_> {
+    /// Starts one search on this pool: the first search spawns the workers,
+    /// and every later one finds them warm and increments
+    /// `tune.executor.reuses`. Must precede the search's first
+    /// [`SearchExecutor::run_batch`].
+    pub(crate) fn start_search(&self) {
         let mut st = self.inner.queue.lock().expect("executor queue poisoned");
-        if st.spawned {
+        if !st.workers.is_empty() {
             TUNE_EXECUTOR_REUSES.inc();
-        } else {
-            st.spawned = true;
-            let mut handles = self.handles.lock().expect("executor handles poisoned");
-            for _ in 0..self.threads {
-                let inner = Arc::clone(&self.inner);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name("tune-executor".to_string())
-                        .spawn(move || worker(&inner))
-                        .expect("spawn executor worker"),
-                );
-            }
+            return;
         }
-        while st.sessions_active >= self.max_sessions {
-            st = self
-                .inner
-                .admission
-                .wait(st)
-                .expect("executor queue poisoned");
+        for _ in 0..self.threads {
+            let inner = Arc::clone(&self.inner);
+            st.workers.push(
+                std::thread::Builder::new()
+                    .name("tune-executor".to_string())
+                    .spawn(move || worker(&inner))
+                    .expect("spawn executor worker"),
+            );
         }
-        st.sessions_active += 1;
-        ExecutorSession { executor: self }
     }
 
     /// Evaluates `misses` under the cutoff in `cutoff` (`f64` bits) and
     /// returns the results in candidate order, blocking until every one is
-    /// in. Batches from concurrently admitted sessions interleave job-by-job
-    /// (FIFO) on the shared workers. A batch of at most one miss, or any
+    /// in. Batches of concurrent searches interleave job-by-job (FIFO) on
+    /// the shared workers. A batch of at most one miss, or any
     /// batch on a one-worker pool, runs on the calling thread instead (its
     /// scratch is warm too, and a pool round-trip buys no parallelism).
     /// Either way a panicking oracle fails its candidate, not the search.
@@ -315,39 +262,21 @@ fn guarded_eval(
 
 impl Drop for SearchExecutor {
     fn drop(&mut self) {
-        {
-            let mut st = self.inner.queue.lock().expect("executor queue poisoned");
+        // A poisoned queue still holds a valid shutdown flag and worker list,
+        // and `Drop` must not panic.
+        let workers = {
+            let mut st = self
+                .inner
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             st.shutdown = true;
-        }
+            std::mem::take(&mut st.workers)
+        };
         self.inner.work.notify_all();
-        for handle in self
-            .handles
-            .lock()
-            .expect("executor handles poisoned")
-            .drain(..)
-        {
-            let _ = handle.join();
+        for worker in workers {
+            let _ = worker.join();
         }
-    }
-}
-
-/// Admission guard returned by [`SearchExecutor::session`]; releases the
-/// session slot (and wakes one queued session) on drop.
-pub struct ExecutorSession<'e> {
-    executor: &'e SearchExecutor,
-}
-
-impl Drop for ExecutorSession<'_> {
-    fn drop(&mut self) {
-        let mut st = self
-            .executor
-            .inner
-            .queue
-            .lock()
-            .expect("executor queue poisoned");
-        st.sessions_active -= 1;
-        drop(st);
-        self.executor.inner.admission.notify_one();
     }
 }
 
@@ -405,7 +334,7 @@ mod tests {
         let exec = SearchExecutor::with_threads(4);
         let calls = AtomicUsize::new(0);
         let oracle = counting_oracle(&calls);
-        let _session = exec.session();
+        exec.start_search();
         let configs: Vec<OverlapConfig> = [2usize, 3, 4]
             .iter()
             .map(|&s| OverlapConfig {
@@ -428,11 +357,11 @@ mod tests {
     fn second_session_reuses_the_warm_pool() {
         let exec = SearchExecutor::with_threads(2);
         let before = TUNE_EXECUTOR_REUSES.get();
-        drop(exec.session());
-        drop(exec.session());
+        exec.start_search();
+        exec.start_search();
         assert!(
             TUNE_EXECUTOR_REUSES.get() > before,
-            "the second session must count as a pool reuse"
+            "the second search must count as a pool reuse"
         );
     }
 
@@ -444,7 +373,7 @@ mod tests {
             ClusterSpec::h800_node(8),
             |_| -> tilelink::Result<OverlapReport> { panic!("synthetic oracle panic") },
         );
-        let _session = exec.session();
+        exec.start_search();
         let two = [
             OverlapConfig::default(),
             OverlapConfig {
@@ -467,26 +396,5 @@ mod tests {
         let results = exec.run_batch(&oracle, &two, &no_cutoff());
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(calls.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn admission_bound_limits_concurrent_sessions() {
-        let exec = Arc::new(SearchExecutor::with_threads(1).with_max_sessions(1));
-        let first = exec.session();
-        let exec2 = Arc::clone(&exec);
-        let waited = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let waited2 = Arc::clone(&waited);
-        let handle = std::thread::spawn(move || {
-            let _session = exec2.session();
-            waited2.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        assert!(
-            !waited.load(Ordering::SeqCst),
-            "second session must block while the first is active"
-        );
-        drop(first);
-        handle.join().unwrap();
-        assert!(waited.load(Ordering::SeqCst));
     }
 }

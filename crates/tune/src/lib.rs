@@ -29,8 +29,9 @@
 //!   serving wrong timings.
 //!
 //! Candidate evaluation is embarrassingly parallel (the simulator is pure),
-//! so the tuner fans evaluations out over the worker threads of a
-//! [`SearchExecutor`].
+//! so the tuner fans evaluations out over the worker threads of one
+//! process-wide [`SearchExecutor`] ([`SearchExecutor::global`]), shared by
+//! every search in the process.
 //!
 //! # Example
 //!
@@ -73,7 +74,7 @@ mod space;
 
 pub use cache::TuneCache;
 pub use error::TuneError;
-pub use executor::{ExecutorSession, SearchExecutor};
+pub use executor::SearchExecutor;
 pub use objective::Objective;
 pub use oracle::{cluster_key, BoundedEval, CostOracle, FnOracle};
 pub use search::{Candidate, FailedBreakdown, Ranked, RoundProgress, Strategy, TuneReport, Tuner};

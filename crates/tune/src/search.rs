@@ -240,17 +240,18 @@ impl TuneReport {
 /// configuration at most once: it is admitted or rejected (see
 /// [`SearchSpace::candidates`]), then ranked, disposed of by
 /// branch-and-bound, or failed in the oracle, and never priced again.
-/// Candidate evaluations run concurrently on a [`SearchExecutor`]: a shared
-/// one from [`Tuner::with_executor`], or a private [`SearchExecutor::new`]
-/// that lives for one [`Tuner::tune`] call (the simulator is pure, so
-/// replicas are independent). Results are merged in candidate order, so the
-/// search is deterministic regardless of thread count or scheduling.
+/// Candidate evaluations run concurrently on the process-wide
+/// [`SearchExecutor::global`], or on the pool given to
+/// [`Tuner::with_executor`] (the simulator is pure, so evaluations are
+/// independent). Results are merged in candidate order, so the search is
+/// deterministic regardless of thread count, scheduling or the other
+/// searches sharing the pool.
 #[derive(Debug)]
 pub struct Tuner {
     strategy: Strategy,
     verbose: bool,
     cache: Mutex<TuneCache>,
-    executor: Option<Arc<SearchExecutor>>,
+    executor: Arc<SearchExecutor>,
     sweep_stale: bool,
     pruning: bool,
 }
@@ -313,15 +314,15 @@ impl Incumbent {
 }
 
 impl Tuner {
-    /// Creates a tuner with an in-memory cache that evaluates on a private
-    /// [`SearchExecutor::new`] per run (one worker per CPU, capped at 16)
-    /// unless given a shared one with [`Tuner::with_executor`].
+    /// Creates a tuner with an in-memory cache that evaluates on
+    /// [`SearchExecutor::global`] unless pinned to another pool with
+    /// [`Tuner::with_executor`].
     pub fn new(strategy: Strategy) -> Self {
         Self {
             strategy,
             verbose: false,
             cache: Mutex::new(TuneCache::in_memory()),
-            executor: None,
+            executor: SearchExecutor::global(),
             sweep_stale: false,
             pruning: true,
         }
@@ -337,12 +338,12 @@ impl Tuner {
         self
     }
 
-    /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
-    /// private one per run. The executor's thread count governs parallelism;
-    /// results are bit-identical either way (slot per candidate, merged in
-    /// candidate order).
+    /// Evaluates candidates on `executor` instead of
+    /// [`SearchExecutor::global`]. The executor's thread count governs
+    /// parallelism; results are bit-identical on any pool (slot per
+    /// candidate, merged in candidate order).
     pub fn with_executor(mut self, executor: Arc<SearchExecutor>) -> Self {
-        self.executor = Some(executor);
+        self.executor = executor;
         self
     }
 
@@ -378,11 +379,14 @@ impl Tuner {
 
     /// Runs the search and returns the ranked outcome.
     ///
-    /// Set-up (cache scope, executor session), then the strategy's front,
-    /// then the finish: the winner is priced exactly once (or served from
-    /// the cache), the cache is flushed and the report assembled. Each
+    /// Set-up (start the search on the tuner's executor —
+    /// [`SearchExecutor::global`] unless pinned — and scope the cache), then
+    /// the strategy's front, whose batches evaluate on that executor, then
+    /// the finish: the winner is priced exactly once (or served from the
+    /// cache), the cache is flushed and the report assembled. Each
     /// configuration is judged at most once per search, so every
-    /// [`FailedBreakdown`] stage counts distinct configurations.
+    /// [`FailedBreakdown`] stage counts distinct configurations. Concurrent
+    /// calls share the executor's workers: their batches queue FIFO on it.
     ///
     /// # Errors
     ///
@@ -392,27 +396,12 @@ impl Tuner {
     /// written.
     pub fn tune(&self, oracle: &dyn CostOracle, space: &SearchSpace) -> Result<TuneReport> {
         TUNE_SPACE_SIZE.set(space.len_unpruned() as i64);
-        // A run without a shared executor gets a private one: its workers
-        // (and their warm per-thread scratch) survive across beam batches and
-        // exit with the run. Admission is bounded, so concurrent runs on a
-        // shared executor interleave their batches instead of stacking pools.
-        let private;
-        let exec = match &self.executor {
-            Some(exec) => &**exec,
-            None => {
-                private = SearchExecutor::new();
-                &private
-            }
-        };
-        let session = exec.session();
-        let mut run = Run::new(self, oracle, space, exec);
+        self.executor.start_search();
+        let mut run = Run::new(self, oracle, space);
         match self.strategy {
             Strategy::Exhaustive => run.exhaustive()?,
             Strategy::Beam { width, sweeps } => run.beam(width.max(1), sweeps.max(1))?,
         }
-        // Free the admission slot before pricing the winner and flushing the
-        // cache, which need no workers.
-        drop(session);
         run.finish()
     }
 }
@@ -438,7 +427,6 @@ struct Run<'a> {
     tuner: &'a Tuner,
     oracle: &'a dyn CostOracle,
     space: &'a SearchSpace,
-    exec: &'a SearchExecutor,
     /// The memoized [`TuneCache::key_prefix`] of this run.
     prefix: String,
     incumbent: Incumbent,
@@ -459,12 +447,7 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new(
-        tuner: &'a Tuner,
-        oracle: &'a dyn CostOracle,
-        space: &'a SearchSpace,
-        exec: &'a SearchExecutor,
-    ) -> Self {
+    fn new(tuner: &'a Tuner, oracle: &'a dyn CostOracle, space: &'a SearchSpace) -> Self {
         // The workload / cluster / revision / objective parts of the cache
         // key are fixed for this whole run, and the oracle accessors allocate
         // a String per call: memoize the joined prefix once instead of
@@ -500,7 +483,6 @@ impl<'a> Run<'a> {
             tuner,
             oracle,
             space,
-            exec,
             prefix,
             incumbent: Incumbent::new(prune_width, tuner.pruning),
             ranked: Vec::new(),
@@ -764,7 +746,8 @@ impl<'a> Run<'a> {
             .map(|&(cfg, _)| cfg)
             .collect();
         let mut results = self
-            .exec
+            .tuner
+            .executor
             .run_batch(self.oracle, &misses, &self.incumbent.bits)
             .into_iter();
 

@@ -1,14 +1,13 @@
 //! Shared-executor bit-identity over the standard search space.
 //!
-//! The serving daemon evaluates cold searches on a process-shared
-//! [`SearchExecutor`]; a tuner without one evaluates on a private executor
-//! that lives for one run. The executor contract is that this is
-//! *unobservable* in the search outcome: results land in a slot per candidate
-//! and merge in candidate order either way, so the same oracle + space +
-//! strategy must produce a bit-identical ranking — same configs in the same
-//! order with the same objective values, and the same winner report —
-//! regardless of which pool evaluated them, how many sessions shared it, or
-//! how its threads were scheduled.
+//! A tuner evaluates on the process-wide [`SearchExecutor::global`] unless
+//! pinned to another pool with `Tuner::with_executor`. The executor contract
+//! is that the pool is *unobservable* in the search outcome: results land in
+//! a slot per candidate and merge in candidate order either way, so the same
+//! oracle + space + strategy must produce a bit-identical ranking — same
+//! configs in the same order with the same objective values, and the same
+//! winner report — regardless of which pool evaluated them, how many searches
+//! shared it, or how its threads were scheduled.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -130,9 +129,9 @@ fn executor_results_are_stable_across_reuse_and_thread_counts() {
 
 #[test]
 fn concurrent_sessions_interleave_without_cross_talk() {
-    // Four different searches race on one shared executor with a session
-    // bound of 2; each must produce exactly the result it would have alone.
-    let exec = Arc::new(SearchExecutor::with_threads(4).with_max_sessions(2));
+    // Four different searches race on one shared executor; each must
+    // produce exactly the result it would have alone.
+    let exec = Arc::new(SearchExecutor::with_threads(4));
     let mut handles = Vec::new();
     for stage_bias in 0..4usize {
         let exec = Arc::clone(&exec);

@@ -63,6 +63,22 @@ impl RoutingSpec {
         }
     }
 
+    /// The routing a search for `objective` prices, given the requested
+    /// `profile`: that profile's default spec, or — for a tail objective
+    /// without one — sampled uniform routings, since a percentile or worst
+    /// case needs a distribution to take it over. `None` (the mean objective
+    /// without a profile) prices the expected uniform routing.
+    ///
+    /// Every front end (`reproduce`, the `autotune` example, the serve
+    /// protocol) resolves its routing arguments through this one rule.
+    pub fn for_objective(profile: Option<RoutingProfile>, objective: Objective) -> Option<Self> {
+        match (profile, objective) {
+            (Some(profile), _) => Some(Self::new(profile)),
+            (None, Objective::Mean) => None,
+            (None, _) => Some(Self::new(RoutingProfile::Uniform)),
+        }
+    }
+
     /// The sampler this spec describes.
     pub fn sampler(&self) -> RoutingSampler {
         RoutingSampler::new(self.profile, self.seed)
@@ -437,11 +453,9 @@ pub struct TuneOptions {
     /// round numbers are always available afterwards in
     /// [`tilelink_tune::TuneReport::rounds`].
     pub verbose: bool,
-    /// Evaluates candidates on a shared [`SearchExecutor`] instead of a
-    /// private one per run (the default, `None`: one worker per CPU, capped
-    /// at 16); `reproduce --tune` passes [`SearchExecutor::global`] so
-    /// back-to-back searches share one warm pool. Results are bit-identical
-    /// either way.
+    /// Pins the pool candidates are evaluated on. `None` (the default)
+    /// evaluates on [`SearchExecutor::global`], the one warm pool every
+    /// search in the process shares. Results are bit-identical on any pool.
     pub executor: Option<Arc<SearchExecutor>>,
 }
 
@@ -477,7 +491,8 @@ impl TuneOptions {
         self
     }
 
-    /// Evaluates candidates on `executor` (e.g. [`SearchExecutor::global`]).
+    /// Evaluates candidates on `executor` instead of
+    /// [`SearchExecutor::global`].
     pub fn with_executor(mut self, executor: Arc<SearchExecutor>) -> Self {
         self.executor = Some(executor);
         self
@@ -577,22 +592,6 @@ pub fn tuned_full_moe(
 mod tests {
     use super::*;
     use tilelink::TileShape;
-
-    #[test]
-    fn beam_tuned_mlp_never_loses_to_the_default_config() {
-        let shape = crate::shapes::mlp_shapes()[0].clone();
-        let cluster = ClusterSpec::h800_node(8);
-        let oracle = MlpOracle::new(shape.clone(), cluster.clone());
-        let default_report = oracle.evaluate(&OverlapConfig::default()).unwrap();
-
-        let tuned = tuned_full_mlp(&shape, &cluster, &TuneOptions::default()).unwrap();
-        assert!(
-            tuned.layer.total_s <= default_report.total_s,
-            "tuned {} ms > default {} ms",
-            tuned.layer.total_ms(),
-            default_report.total_ms()
-        );
-    }
 
     #[test]
     fn unsupported_tile_sizes_are_pruned_for_mlp() {

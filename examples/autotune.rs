@@ -101,14 +101,11 @@ fn main() {
 
     // Routing-distribution-aware MoE search: tune MoE-1 for the expected
     // uniform routing and for the sampled distribution, side by side.
-    // `--objective` without `--routing` implies sampled uniform routing (the
-    // same convention as the `reproduce` binary — a percentile needs a
-    // distribution to take the percentile of).
-    let profile = match (routing, objective) {
-        (Some(p), _) => p,
-        (None, Objective::Mean) => return,
-        (None, _) => RoutingProfile::Uniform,
+    // `--objective` without `--routing` implies sampled uniform routing.
+    let Some(spec) = RoutingSpec::for_objective(routing, objective) else {
+        return;
     };
+    let profile = spec.profile;
     let moe_shape = shapes::moe_shapes()[0].clone();
     let moe_opts = TuneOptions::default().with_cost(cost.clone());
     println!(
@@ -117,9 +114,7 @@ fn main() {
     );
     let mean_tuned =
         autotune::tuned_full_moe(&moe_shape, &cluster, &moe_opts).expect("mean search succeeds");
-    let routed_opts = moe_opts
-        .with_routing(RoutingSpec::new(profile))
-        .with_objective(objective);
+    let routed_opts = moe_opts.with_routing(spec).with_objective(objective);
     let routed = autotune::tuned_full_moe(&moe_shape, &cluster, &routed_opts)
         .expect("routed search succeeds");
     println!(

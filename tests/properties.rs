@@ -285,7 +285,7 @@ fn collective_algebra_holds() {
         let seed = rng.range(0, 100) as u64;
         let len = world * len_per;
         let inputs: Vec<Vec<f32>> = (0..world)
-            .map(|r| Tensor::random(&[len, 1], seed + r as u64).into_vec())
+            .map(|r| Tensor::random(&[len, 1], seed + r as u64).data().to_vec())
             .collect();
         let inputs2 = inputs.clone();
         let results = ProcessGroup::launch(world, move |ctx| {
