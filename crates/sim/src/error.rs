@@ -28,6 +28,12 @@ pub enum SimError {
         /// World size of the cluster.
         world_size: usize,
     },
+    /// A task's work has a negative or non-finite amount (`flops`, `bytes` or
+    /// `seconds`), or a GEMM efficiency that is not finite and positive.
+    InvalidWork {
+        /// The offending task id.
+        task: TaskId,
+    },
     /// The dependency graph contains a cycle, so it can never complete.
     DependencyCycle {
         /// Number of tasks that could not be scheduled.
@@ -59,6 +65,10 @@ impl fmt::Display for SimError {
                     "rank {rank} is invalid for a cluster of {world_size} GPUs"
                 )
             }
+            SimError::InvalidWork { task } => write!(
+                f,
+                "task {task:?} has a negative or non-finite amount of work, or an efficiency that is not finite and positive"
+            ),
             SimError::DependencyCycle { stuck } => {
                 write!(
                     f,
@@ -91,6 +101,7 @@ mod tests {
                 rank: 9,
                 world_size: 8,
             },
+            SimError::InvalidWork { task: TaskId(1) },
             SimError::DependencyCycle { stuck: 2 },
             SimError::Calibration {
                 message: "bad table".to_string(),

@@ -21,9 +21,11 @@
 //! executed by [`Engine::run`], producing a [`Trace`] with per-task timing, a
 //! makespan, and per-resource utilisation. Search loops that only need the
 //! makespan call [`Engine::makespan`]: the same scheduler with trace
-//! recording compiled out and one warm scratch per thread, several times
-//! faster. It takes a cutoff and stops once the makespan provably exceeds it
-//! ([`BoundedMakespan`]); `f64::INFINITY` prices the graph exactly.
+//! recording compiled out and one warm scratch per thread (~33 ms against
+//! ~50 ms for `run` over 216 prebuilt 8×H800 kernel graphs of 348k tasks on
+//! one thread of a 2-vCPU host). It takes a cutoff and stops once the
+//! makespan provably exceeds it ([`BoundedMakespan`]); `f64::INFINITY`
+//! prices the graph exactly.
 //!
 //! Work is priced by a pluggable [`CostProvider`]: the analytic [`CostModel`]
 //! (the default — roofline GEMMs, pure-bandwidth links with a per-message α

@@ -354,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn second_session_reuses_the_warm_pool() {
+    fn second_search_reuses_the_warm_pool() {
         let exec = SearchExecutor::with_threads(2);
         let before = TUNE_EXECUTOR_REUSES.get();
         exec.start_search();

@@ -71,7 +71,7 @@ fn assert_bit_identical(a: &tilelink_tune::TuneReport, b: &tilelink_tune::TuneRe
 }
 
 #[test]
-fn shared_executor_matches_private_pool_bit_for_bit() {
+fn global_pool_matches_a_pinned_pool_bit_for_bit() {
     for strategy in [
         Strategy::Exhaustive,
         Strategy::Beam {
@@ -79,18 +79,18 @@ fn shared_executor_matches_private_pool_bit_for_bit() {
             sweeps: 3,
         },
     ] {
-        let c_pool = AtomicUsize::new(0);
-        let private = Tuner::new(strategy)
-            .tune(&analytic(&c_pool), &space())
+        let c_global = AtomicUsize::new(0);
+        let global = Tuner::new(strategy)
+            .tune(&analytic(&c_global), &space())
             .unwrap();
 
-        let c_exec = AtomicUsize::new(0);
-        let shared = Tuner::new(strategy)
+        let c_pinned = AtomicUsize::new(0);
+        let pinned = Tuner::new(strategy)
             .with_executor(Arc::new(SearchExecutor::with_threads(8)))
-            .tune(&analytic(&c_exec), &space())
+            .tune(&analytic(&c_pinned), &space())
             .unwrap();
 
-        assert_bit_identical(&private, &shared, &format!("{strategy:?}"));
+        assert_bit_identical(&global, &pinned, &format!("{strategy:?}"));
     }
 }
 
@@ -128,7 +128,7 @@ fn executor_results_are_stable_across_reuse_and_thread_counts() {
 }
 
 #[test]
-fn concurrent_sessions_interleave_without_cross_talk() {
+fn concurrent_searches_interleave_without_cross_talk() {
     // Four different searches race on one shared executor; each must
     // produce exactly the result it would have alone.
     let exec = Arc::new(SearchExecutor::with_threads(4));
@@ -154,7 +154,7 @@ fn concurrent_sessions_interleave_without_cross_talk() {
         let expected = 2.0 + stage_bias as f64 * 0.1;
         assert_eq!(
             report.best.report.total_s, expected,
-            "session {stage_bias} must see only its own oracle's timings"
+            "search {stage_bias} must see only its own oracle's timings"
         );
         assert_eq!(report.ranked.len(), 3);
     }
@@ -162,8 +162,8 @@ fn concurrent_sessions_interleave_without_cross_talk() {
 
 #[test]
 fn default_config_seed_survives_executor_path() {
-    // The beam guarantee (never worse than the seed) must hold through the
-    // shared executor exactly as it does on a private one.
+    // The beam guarantee (never worse than the seed) must hold on a pinned
+    // pool exactly as it does on the global one.
     let calls = AtomicUsize::new(0);
     let report = Tuner::new(Strategy::Beam {
         width: 2,
