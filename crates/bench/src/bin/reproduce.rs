@@ -62,7 +62,7 @@ use tilelink_bench::{
     benchmark_graphs, cost_for, default_cluster, fig10, fig11, fig8, fig9, geomean, table2,
     MlpPanel, MoePanel,
 };
-use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
+use tilelink_sim::{CostModelSpec, SharedCost};
 use tilelink_tune::{Objective, TuneCache};
 use tilelink_workloads::{shapes, RoutingSpec, TuneOptions};
 
@@ -177,7 +177,7 @@ fn main() {
         tilelink_probe::set_enabled(true);
     }
 
-    run(&args, &cluster, &cost);
+    run(&args, &cost);
 
     if let Some(dir) = &args.trace_out {
         write_traces(dir, &args.cost);
@@ -188,7 +188,7 @@ fn main() {
 }
 
 /// Everything the selected flags asked for, in section order.
-fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
+fn run(args: &Args, cost: &SharedCost) {
     if args.wants("--shapes") {
         print_shapes();
     }
@@ -327,7 +327,7 @@ fn run(args: &Args, cluster: &ClusterSpec, cost: &SharedCost) {
     // Opt-in only: a cold tuning run searches 12 layers, some 20-30
     // simulations each.
     if args.has("--tune") {
-        tune(cluster, cost, args);
+        tune(cost, args);
     }
 
     // Opt-in only, like --tune: boots a real daemon on an ephemeral port.
@@ -403,12 +403,11 @@ fn print_shapes() {
 /// Tuned-vs-default comparison on the Figure 8 MLP and Figure 9 MoE shapes,
 /// plus — when a routing distribution was requested — the mean/uniform-tuned
 /// vs skew-tuned winner comparison per Figure 9 shape.
-fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
-    use tilelink_workloads::autotune::{self, MlpOracle, MoeOracle};
+fn tune(cost: &SharedCost, args: &Args) {
+    use tilelink_workloads::autotune::{run_tune, WorkloadSpec};
 
     let opts = TuneOptions::default()
         .with_default_cache()
-        .with_cost(cost.clone())
         .with_verbose(args.verbose);
     if let Some(path) = &opts.cache_path {
         println!(
@@ -418,69 +417,60 @@ fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
         );
     }
 
-    println!("\n== Autotune: Figure 8 MLP layers (tuned vs default config) ==");
-    let mut speedups = Vec::new();
-    for shape in shapes::mlp_shapes() {
-        let tuned = autotune::tuned_full_mlp(&shape, cluster, &opts).expect("tuning succeeds");
-        let default_ms = default_ms(
-            &tuned,
-            &MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone()),
-        );
-        let speedup = default_ms / tuned.layer.total_ms();
-        speedups.push(speedup);
-        println!(
-            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} evaluations, {} cached) best: {}",
-            shape.name,
-            default_ms,
-            tuned.layer.total_ms(),
-            speedup,
-            tuned.search.evaluations,
-            tuned.search.cache_hits,
-            tuned.config.cache_key()
-        );
-    }
-    println!(
-        "geomean tuned-vs-default speedup: {:.2}x",
-        geomean(speedups)
-    );
-
-    println!("\n== Autotune: Figure 9 MoE layers (tuned vs default config) ==");
-    let mut speedups = Vec::new();
+    let mlp: Vec<_> = shapes::mlp_shapes()
+        .into_iter()
+        .map(WorkloadSpec::Mlp)
+        .collect();
+    let moe = shapes::moe_shapes()
+        .into_iter()
+        .map(|shape| WorkloadSpec::Moe {
+            shape,
+            routing: None,
+        });
     let mut mean_winners = Vec::new();
-    for shape in shapes::moe_shapes() {
-        let tuned = autotune::tuned_full_moe(&shape, cluster, &opts).expect("tuning succeeds");
-        let default_ms = default_ms(
-            &tuned,
-            &MoeOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone()),
-        );
-        let speedup = default_ms / tuned.layer.total_ms();
-        speedups.push(speedup);
+    for (title, specs) in [("Figure 8 MLP", mlp), ("Figure 9 MoE", moe.collect())] {
+        println!("\n== Autotune: {title} layers (tuned vs default config) ==");
+        let mut speedups = Vec::new();
+        for spec in specs {
+            let oracle = spec.oracle(cost.clone(), Objective::Mean);
+            let tuned = run_tune(&*oracle, &opts).expect("tuning succeeds");
+            let default_ms = default_ms(&tuned, &*oracle);
+            let speedup = default_ms / tuned.layer.total_ms();
+            speedups.push(speedup);
+            println!(
+                "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} evaluations, {} cached) best: {}",
+                spec.name(),
+                default_ms,
+                tuned.layer.total_ms(),
+                speedup,
+                tuned.search.evaluations,
+                tuned.search.cache_hits,
+                tuned.config.cache_key()
+            );
+            if let WorkloadSpec::Moe { shape, .. } = spec {
+                mean_winners.push((shape, tuned));
+            }
+        }
         println!(
-            "{:<8} default {:>9.3} ms -> tuned {:>9.3} ms ({:.2}x, {} evaluations, {} cached) best: {}",
-            shape.name,
-            default_ms,
-            tuned.layer.total_ms(),
-            speedup,
-            tuned.search.evaluations,
-            tuned.search.cache_hits,
-            tuned.config.cache_key()
+            "geomean tuned-vs-default speedup: {:.2}x",
+            geomean(speedups)
         );
-        mean_winners.push((shape, tuned));
     }
-    println!(
-        "geomean tuned-vs-default speedup: {:.2}x",
-        geomean(speedups)
-    );
 
     // Routing-distribution-aware pass: retune each MoE shape over sampled
     // routings and print the skew winner next to the mean/uniform winner.
-    let Some(spec) = args.routing else { return };
+    let Some(routing) = args.routing else { return };
     let objective = args.objective;
-    let routed_opts = opts.with_routing(spec).with_objective(objective);
-    println!("\n== Autotune: Figure 9 MoE layers under routing {spec}, objective {objective} ==");
-    for (shape, mean_tuned) in &mean_winners {
+    println!(
+        "\n== Autotune: Figure 9 MoE layers under routing {routing}, objective {objective} =="
+    );
+    for (shape, mean_tuned) in mean_winners {
+        let spec = WorkloadSpec::Moe {
+            shape,
+            routing: Some(routing),
+        };
         let routed =
-            autotune::tuned_full_moe(shape, cluster, &routed_opts).expect("tuning succeeds");
+            run_tune(&*spec.oracle(cost.clone(), objective), &opts).expect("tuning succeeds");
         let marker = if routed.config == mean_tuned.config {
             "same config"
         } else {
@@ -488,13 +478,13 @@ fn tune(cluster: &ClusterSpec, cost: &SharedCost, args: &Args) {
         };
         println!(
             "{:<8} mean/uniform best: {:<44} {:>9.3} ms",
-            shape.name,
+            spec.name(),
             mean_tuned.config.cache_key(),
             mean_tuned.layer.total_ms(),
         );
         println!(
             "         {}/{} best:   {:<44} {:>9.3} ms  ({} evaluations, {} cached)  [{marker}]",
-            spec.profile,
+            routing.profile,
             objective,
             routed.config.cache_key(),
             routed.layer.total_ms(),
@@ -624,8 +614,8 @@ fn ablations(cost: &tilelink_sim::SharedCost) {
 }
 
 /// Milliseconds of the default config: served from the search's own ranking
-/// (the default is always a beam seed), falling back to one oracle call only
-/// if an exotic space excluded it.
+/// (the default is always a beam seed), falling back to one call of the
+/// searched oracle only if the search did not rank it.
 fn default_ms(
     tuned: &tilelink_workloads::TunedLayer,
     oracle: &dyn tilelink_tune::CostOracle,

@@ -24,7 +24,8 @@
 //! * [`service::TuneService`] — request → oracle → cache-key prefix → warm
 //!   hit / in-flight piggyback / leader search. Warm results live in one
 //!   lock-guarded map capped at 4,096 entries that evicts its least recently
-//!   used entry (`serve.cache.evictions`); the persistent
+//!   used entry (`serve.cache.evictions`), and a cost provider is kept only
+//!   for clusters that produced a result; the persistent
 //!   [`tilelink_tune::TuneCache`] is write-behind storage, and the probe
 //!   counters `serve.requests.{warm,cold,deduped}` + `serve.inflight` are
 //!   threaded through;
@@ -34,16 +35,17 @@
 //!   connection over nonblocking sockets, a fixed worker pool behind a
 //!   bounded queue, and a minimal blocking [`server::Client`].
 //!
-//! Cold searches reuse the existing tuning stack unchanged: the same
-//! [`tilelink_workloads::autotune::MlpOracle`]/[`tilelink_workloads::autotune::MoeOracle`],
-//! the same search as the `tuned_full_*` constructors (the standard space
-//! with the default beam), so a reply names the winner they return, the same
-//! [`tilelink_tune::Objective`] statistics, the same revision-keyed cache
-//! invalidation — and evaluation runs on
-//! [`tilelink_tune::SearchExecutor::global`], the one pool every search in
-//! the process evaluates on, so concurrent cold searches (at most one per
-//! request worker) interleave on one warm thread pool instead of each
-//! spawning their own.
+//! The daemon has no search of its own. A request's oracle is
+//! [`WorkloadSpec::oracle`] and its cold search is
+//! [`tilelink_workloads::autotune::run_tune`], the two functions every front
+//! end (`reproduce --tune`, the `tuned_full_*` constructors) goes through, so
+//! a reply names the winner they return, under the same
+//! [`tilelink_tune::Objective`] statistics and the same revision-keyed cache
+//! (entries another cost model wrote stay in the shared file). Evaluation
+//! runs on [`tilelink_tune::SearchExecutor::global`], the one pool every
+//! search in the process evaluates on, so concurrent cold searches (at most
+//! one per request worker) interleave on one warm thread pool instead of
+//! each spawning their own.
 //! [`ServeOptions`] holds only what differs between deployments: the cost
 //! model and the persistent cache path.
 

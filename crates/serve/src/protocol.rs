@@ -35,40 +35,16 @@ use tilelink_sim::{ClusterSpec, GpuSpec};
 use tilelink_tune::Objective;
 use tilelink_workloads::autotune::DEFAULT_ROUTING_SAMPLES;
 use tilelink_workloads::moe::RoutingProfile;
-use tilelink_workloads::shapes::{mlp_shapes, moe_shapes, MlpShape, MoeShape};
+use tilelink_workloads::shapes::{mlp_shapes, moe_shapes};
 use tilelink_workloads::RoutingSpec;
+
+pub use tilelink_workloads::WorkloadSpec;
 
 /// The most routing samples one request may ask to price per candidate (8×
 /// the default): a routed search draws and keeps every sample and prices
 /// each candidate over all of them, so the wire must bound what one request
 /// line can make a daemon worker allocate and simulate.
 pub const MAX_ROUTING_SAMPLES: usize = 8 * DEFAULT_ROUTING_SAMPLES;
-
-/// The workload a tuning request names: one catalog shape from Table 4.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadSpec {
-    /// A tensor-parallel MLP shape ("MLP-1".."MLP-6").
-    Mlp(MlpShape),
-    /// An MoE shape ("MoE-1".."MoE-6"), optionally priced over sampled
-    /// routings.
-    Moe {
-        /// The shape to tune.
-        shape: MoeShape,
-        /// Routing distribution to sample; `None` prices expected uniform
-        /// routing.
-        routing: Option<RoutingSpec>,
-    },
-}
-
-impl WorkloadSpec {
-    /// The catalog name of the shape ("MLP-3", "MoE-1", …).
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkloadSpec::Mlp(shape) => shape.name,
-            WorkloadSpec::Moe { shape, .. } => shape.name,
-        }
-    }
-}
 
 /// One parsed `TUNE` request: the cache-key quintuple minus the config,
 /// which the search chooses.

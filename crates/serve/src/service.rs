@@ -5,24 +5,27 @@
 //! * **warm** (`serve.requests.warm`) — the request key is in the in-memory
 //!   result map; the answer is one read lock away, microseconds end to end.
 //! * **cold** (`serve.requests.cold`) — this request is the first for its
-//!   key: it becomes the *leader*, runs the beam search (through the
-//!   existing `tilelink-tune` machinery, multi-threaded evaluator and
-//!   persistent [`TuneCache`] included), publishes the result and wakes the
-//!   waiters.
+//!   key: it becomes the *leader*, runs [`autotune::run_tune`] (the search
+//!   every front end runs, persistent [`TuneCache`] included), publishes
+//!   the result and wakes the waiters.
 //! * **deduped** (`serve.requests.deduped`) — an identical request arrived
 //!   while a leader was already searching; it blocks on the leader's
 //!   in-flight slot instead of starting a second search. N simultaneous
 //!   identical cold requests cost exactly one search.
 //!
 //! A request's key is the [`TuneCache::oracle_prefix`] of the oracle its
-//! search prices, so warm identity and on-disk identity are one function.
+//! search prices, built by [`autotune::WorkloadSpec::oracle`] like every
+//! front end's oracle, so warm identity and on-disk identity are one
+//! function.
 //!
 //! The persistent [`TuneCache`] is the service's write-behind layer: each
 //! cold search opens it, reuses any priced candidates, and flushes its new
 //! entries at the end (atomically, merged with concurrent writers). A
 //! restarted daemon therefore warms straight from disk — the first request
 //! per key still runs a "search", but one in which every candidate is a
-//! cache hit (`evals=0`).
+//! cache hit (`evals=0`). Entries another cost model wrote for the same
+//! workload and cluster stay in the file: they miss under this daemon's
+//! revision and still hit when a run under their own model asks again.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -34,10 +37,10 @@ use tilelink_probe::metrics::{
     SERVE_POOL_REJECTED, SERVE_REQUESTS_COLD, SERVE_REQUESTS_DEDUPED, SERVE_REQUESTS_WARM,
 };
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
-use tilelink_tune::{cluster_key, CostOracle, SearchSpace, Strategy, TuneCache, Tuner};
-use tilelink_workloads::autotune::{MlpOracle, MoeOracle};
+use tilelink_tune::{cluster_key, CostOracle, TuneCache};
+use tilelink_workloads::autotune::{self, TuneOptions, TunedLayer};
 
-use crate::protocol::{OkFields, TuneRequest, WorkloadSpec};
+use crate::protocol::{OkFields, TuneRequest};
 
 /// Results the warm map holds before it evicts. `seed=<u64>` lets any client
 /// mint unbounded distinct keys, so this cap is the daemon's memory bound.
@@ -80,6 +83,19 @@ pub struct TuneOutcome {
     pub evaluations: usize,
     /// Candidates answered from the persistent cache.
     pub cache_hits: usize,
+}
+
+impl From<&TunedLayer> for TuneOutcome {
+    fn from(tuned: &TunedLayer) -> Self {
+        Self {
+            config_key: tuned.config.cache_key(),
+            total_s: tuned.layer.total_s,
+            comm_s: tuned.layer.comm_only_s,
+            comp_s: tuned.layer.comp_only_s,
+            evaluations: tuned.search.evaluations,
+            cache_hits: tuned.search.cache_hits,
+        }
+    }
 }
 
 impl TuneOutcome {
@@ -192,10 +208,10 @@ impl Flight {
 pub type SearchFn =
     dyn Fn(&TuneRequest, &dyn CostOracle, &ServeOptions) -> SearchResult + Send + Sync;
 
-/// Configuration of a [`TuneService`]. Every cold search explores
-/// [`SearchSpace::standard`] with the default beam ([`Strategy::default`]),
-/// the search the `tilelink_workloads::autotune::tuned_full_*` constructors
-/// run, so a reply names the winner those constructors return.
+/// Configuration of a [`TuneService`]. Every cold search is
+/// [`autotune::run_tune`], the search the `tuned_full_*` constructors run
+/// (the standard space with the default beam), so a reply names the winner
+/// those constructors return.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Cost model every search prices against.
@@ -214,12 +230,20 @@ impl Default for ServeOptions {
 }
 
 /// The tuning service shared by every connection of the daemon.
+///
+/// It holds no search of its own: a request's oracle comes from
+/// [`autotune::WorkloadSpec::oracle`] and a cold miss runs
+/// [`autotune::run_tune`] on it, as every front end does. The service adds
+/// only what a long-running daemon needs around them: the warm map, the
+/// deduplication of concurrent cold misses, and one kept cost provider per
+/// cluster that has produced a result.
 pub struct TuneService {
     opts: ServeOptions,
     results: WarmMap,
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
-    /// One provider per cluster asked about, built lazily; providers embed
-    /// their cluster, so one per topology serves every request for it.
+    /// One provider per cluster that has produced a result, keyed by
+    /// [`cluster_key`]; providers embed their cluster, so one per topology
+    /// serves every request for it. Every warm entry's cluster is here.
     providers: Mutex<HashMap<String, SharedCost>>,
     search: Box<SearchFn>,
 }
@@ -234,9 +258,21 @@ impl std::fmt::Debug for TuneService {
 }
 
 impl TuneService {
-    /// Creates a service running real beam searches on cold misses.
+    /// Creates a service whose cold misses run [`autotune::run_tune`],
+    /// through the persistent cache at [`ServeOptions::cache_path`] when one
+    /// is set.
     pub fn new(opts: ServeOptions) -> Self {
-        Self::with_search(opts, Box::new(run_search))
+        Self::with_search(
+            opts,
+            Box::new(|_req, oracle, opts| {
+                let tune = TuneOptions {
+                    cache_path: opts.cache_path.clone(),
+                    ..TuneOptions::default()
+                };
+                let tuned = autotune::run_tune(oracle, &tune).map_err(|e| e.to_string())?;
+                Ok(TuneOutcome::from(&tuned))
+            }),
+        )
     }
 
     /// Creates a service with an injected search function (tests use a slow
@@ -256,16 +292,22 @@ impl TuneService {
         self.results.len()
     }
 
-    /// The cost provider for `cluster`, built on first use.
+    /// The kept provider of the cluster keyed `cluster_key`, if any.
+    fn kept_provider(&self, cluster_key: &str) -> Option<SharedCost> {
+        let providers = self.providers.lock().unwrap_or_else(|e| e.into_inner());
+        providers.get(cluster_key).cloned()
+    }
+
+    /// The cost provider for `cluster`: the kept one, or a new one built
+    /// outside the map's lock, so reading a calibrated TSV never blocks the
+    /// reactor's warm probe. [`TuneService::tune`] keeps a new provider only
+    /// once its cluster has produced a result, so requests for clusters no
+    /// workload supports leave nothing behind.
     fn provider_for(&self, cluster: &ClusterSpec) -> Result<SharedCost, String> {
-        let key = cluster_key(cluster);
-        let mut providers = self.providers.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cost) = providers.get(&key) {
-            return Ok(cost.clone());
+        match self.kept_provider(&cluster_key(cluster)) {
+            Some(cost) => Ok(cost),
+            None => self.opts.cost.build(cluster).map_err(|e| e.to_string()),
         }
-        let cost = self.opts.cost.build(cluster).map_err(|e| e.to_string())?;
-        providers.insert(key, cost.clone());
-        Ok(cost)
     }
 
     /// Warm-map-only probe: answers from memory without ever running — or
@@ -274,15 +316,12 @@ impl TuneService {
     /// This is the daemon front end's fast path: it never blocks beyond the
     /// warm map's read lock, so the reactor thread can answer warm hits
     /// inline instead of paying two scheduler hops through the worker pool.
-    /// A cluster whose cost provider was never built cannot have warm
-    /// entries (providers are built by the first search), so the probe only
-    /// reuses an existing provider and never constructs one.
+    /// A cluster without a kept cost provider has no warm entries (a
+    /// provider is kept before its cluster's first result is published), so
+    /// the probe only reuses a kept provider and never constructs one.
     pub fn try_warm(&self, req: &TuneRequest) -> Option<(TuneOutcome, Source)> {
-        let cost = {
-            let providers = self.providers.lock().unwrap_or_else(|e| e.into_inner());
-            providers.get(&cluster_key(&req.cluster)).cloned()?
-        };
-        let key = TuneCache::oracle_prefix(&*oracle_for(req, cost));
+        let cost = self.kept_provider(&cluster_key(&req.cluster))?;
+        let key = TuneCache::oracle_prefix(&*req.workload.oracle(cost, req.objective));
         let outcome = self.results.get(&key)?;
         SERVE_REQUESTS_WARM.inc();
         Some((outcome, Source::Warm))
@@ -301,7 +340,8 @@ impl TuneService {
     }
 
     fn tune_inner(&self, req: &TuneRequest) -> Result<(TuneOutcome, Source), String> {
-        let oracle = oracle_for(req, self.provider_for(&req.cluster)?);
+        let cost = self.provider_for(&req.cluster)?;
+        let oracle = req.workload.oracle(cost.clone(), req.objective);
         let key = TuneCache::oracle_prefix(&*oracle);
 
         if let Some(outcome) = self.results.get(&key) {
@@ -348,6 +388,13 @@ impl TuneService {
                 guard.armed = false;
                 drop(guard);
                 if let Ok(outcome) = &result {
+                    // Keep the provider first: a warm entry whose cluster has
+                    // no provider would be invisible to `try_warm`.
+                    self.providers
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .entry(cluster_key(&req.cluster))
+                        .or_insert(cost);
                     self.results.insert(key.clone(), outcome.clone());
                 }
                 // Deregister *after* publishing to the warm map: a request
@@ -425,50 +472,6 @@ impl Drop for LeaderGuard<'_> {
                 .publish(Err("search panicked before producing a result".to_string()));
         }
     }
-}
-
-/// The oracle a request's search prices, priced by `cost`: the one place a
-/// request becomes a workload, cluster, objective and routing. Building it
-/// draws no routing sample, so the warm probe can key a request with it.
-fn oracle_for(req: &TuneRequest, cost: SharedCost) -> Box<dyn CostOracle> {
-    match &req.workload {
-        WorkloadSpec::Mlp(shape) => {
-            Box::new(MlpOracle::new(shape.clone(), req.cluster.clone()).with_cost(cost))
-        }
-        WorkloadSpec::Moe { shape, routing } => {
-            let oracle = MoeOracle::new(shape.clone(), req.cluster.clone())
-                .with_cost(cost)
-                .with_objective(req.objective);
-            match routing {
-                Some(spec) => Box::new(oracle.with_routing(*spec)),
-                None => Box::new(oracle),
-            }
-        }
-    }
-}
-
-/// The real cold search: the `tuned_full_*` constructors' search of the
-/// request's oracle, on [`tilelink_tune::SearchExecutor::global`] like every
-/// search, through the persistent cache when one is configured.
-fn run_search(_req: &TuneRequest, oracle: &dyn CostOracle, opts: &ServeOptions) -> SearchResult {
-    // The daemon always sweeps same-scope entries of other cost revisions,
-    // so its write-behind cache file and memory stay bounded; entries of
-    // another objective under this revision stay warm.
-    let mut tuner = Tuner::new(Strategy::default()).with_stale_sweep(true);
-    if let Some(path) = &opts.cache_path {
-        tuner = tuner.with_cache(TuneCache::open(path).map_err(|e| e.to_string())?);
-    }
-    let report = tuner
-        .tune(oracle, &SearchSpace::standard())
-        .map_err(|e| e.to_string())?;
-    Ok(TuneOutcome {
-        config_key: report.best.config.cache_key(),
-        total_s: report.best.report.total_s,
-        comm_s: report.best.report.comm_only_s,
-        comp_s: report.best.report.comp_only_s,
-        evaluations: report.evaluations,
-        cache_hits: report.cache_hits,
-    })
 }
 
 #[cfg(test)]
@@ -583,7 +586,7 @@ mod tests {
         });
         let req = request("TUNE workload=MoE-2 routing=hot:2 objective=p95");
         let cost = service.provider_for(&req.cluster).unwrap();
-        let key = TuneCache::oracle_prefix(&*oracle_for(&req, cost));
+        let key = TuneCache::oracle_prefix(&*req.workload.oracle(cost, req.objective));
         assert!(key.contains("moe/"), "workload part missing: {key}");
         assert!(key.contains("rt="), "routing part missing: {key}");
         assert!(key.contains("H800"), "cluster part missing: {key}");
@@ -591,6 +594,78 @@ mod tests {
             key.ends_with("|p95"),
             "objective must close the prefix: {key}"
         );
+    }
+
+    #[test]
+    fn only_clusters_that_produced_a_result_keep_a_provider() {
+        // The stub fails every search on three GPUs, as the real search does
+        // (no token count splits over 3 ranks).
+        let service = TuneService::with_search(
+            ServeOptions {
+                cache_path: None,
+                ..ServeOptions::default()
+            },
+            Box::new(|req, _oracle, _opts| match req.cluster.world_size() {
+                3 => Err("no config is supported".to_string()),
+                _ => Ok(outcome(1)),
+            }),
+        );
+        let providers = || service.providers.lock().unwrap().len();
+        for line in [
+            "TUNE workload=MLP-1 cluster=h800x3",
+            "TUNE workload=MoE-1 cluster=h100x3",
+            "TUNE workload=MLP-1 cluster=h800x3",
+        ] {
+            assert!(service.tune(&request(line)).is_err(), "{line}");
+            assert!(service.try_warm(&request(line)).is_none(), "{line}");
+        }
+        assert_eq!(providers(), 0, "failed clusters must leave no provider");
+
+        let req = request("TUNE workload=MLP-1 cluster=h800x4");
+        assert_eq!(service.tune(&req).unwrap().1, Source::Cold);
+        assert_eq!(providers(), 1);
+        // The warm entry is reachable through the kept provider.
+        assert_eq!(service.try_warm(&req), Some((outcome(1), Source::Warm)));
+        let other = request("TUNE workload=MLP-2 cluster=h800x4");
+        assert_eq!(service.tune(&other).unwrap().1, Source::Cold);
+        assert_eq!(providers(), 1, "one provider per cluster");
+    }
+
+    #[test]
+    fn cold_searches_keep_other_cost_models_entries_on_disk() {
+        let dir = std::env::temp_dir().join(format!("tilelink-serve-stale-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.tsv");
+        let service = TuneService::new(ServeOptions {
+            cache_path: Some(path.clone()),
+            ..ServeOptions::default()
+        });
+        // An entry for the same workload and cluster under another cost
+        // model, as a `reproduce --tune --cost-model calibrated` run sharing
+        // the default cache file leaves behind.
+        let req = request("TUNE workload=MLP-1 cluster=h800x4");
+        let cost = service.provider_for(&req.cluster).unwrap();
+        let oracle = req.workload.oracle(cost, req.objective);
+        let prefix = TuneCache::key_prefix(
+            &oracle.workload_key(),
+            &cluster_key(oracle.cluster()),
+            "calibrated-0123456789abcdef",
+            &req.objective.key(),
+        );
+        let other = TuneCache::key_in(&prefix, &tilelink::OverlapConfig::default());
+        std::fs::write(&path, format!("{other}\t1.0e-3\t4.0e-4\t8.0e-4\n")).unwrap();
+
+        let (outcome, source) = service.tune(&req).unwrap();
+        assert_eq!(source, Source::Cold);
+        assert!(outcome.evaluations > 0, "the other model's entry must miss");
+        let disk = TuneCache::open(&path).unwrap();
+        assert_eq!(
+            disk.get(&other),
+            Some(tilelink::OverlapReport::new(1.0e-3, 4.0e-4, 8.0e-4)),
+            "a cold search must keep another cost model's entry on disk"
+        );
+        assert!(disk.len() > 1, "the search flushed its own entries too");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn outcome(n: usize) -> TuneOutcome {

@@ -24,6 +24,7 @@ fn cold_service_outcome_equals_the_tuned_full_constructor() {
     for line in [
         "TUNE workload=MLP-1",
         "TUNE workload=MoE-3 routing=zipf:1.2 samples=2 objective=p95",
+        "TUNE workload=MoE-2 cluster=h100x4",
     ] {
         let req = request(line);
         let (served, source) = service.tune(&req).unwrap();

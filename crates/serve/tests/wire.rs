@@ -88,6 +88,32 @@ fn cold_then_warm_tune_over_the_wire() {
 }
 
 #[test]
+fn clusters_no_config_fits_answer_err() {
+    let server = quick_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // Three ranks split no token count; 2^58 + 2 ranks overflow `usize`
+    // when multiplied by any tile height, which must not wrap into a
+    // supported ring. Both are refused by admission, before any compile.
+    for line in [
+        "TUNE workload=MLP-1 cluster=h800x3",
+        "TUNE workload=MLP-1 cluster=h800x2x144115188075855873",
+    ] {
+        let reply = parse_reply(&client.request(line).unwrap()).unwrap();
+        assert!(
+            matches!(&reply, Reply::Err(e) if e.contains("search space is empty")),
+            "{line} should answer ERR for an empty space, got {reply:?}"
+        );
+    }
+    let stats = parse_reply(&client.request("STATS").unwrap())
+        .unwrap()
+        .stats()
+        .unwrap();
+    assert_eq!(stats.cached, 0, "a refused request caches nothing");
+    server.shutdown();
+}
+
+#[test]
 fn oversized_request_lines_answer_err_and_close_the_connection() {
     let server = quick_server();
     let mut client = Client::connect(server.addr()).unwrap();

@@ -1,6 +1,6 @@
 //! Persistent tuning cache keyed by `(workload, cluster, config)`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -66,12 +66,6 @@ fn put(entries: &mut HashMap<String, Entry>, key: String, entry: Entry) {
     entries.insert(key, entry);
 }
 
-/// The cost-model revision of a key or key prefix in `scope` (a
-/// `workload|cluster|` prefix), or `None` outside it.
-fn revision_in<'k>(scope: &str, key: &'k str) -> Option<&'k str> {
-    key.strip_prefix(scope)?.split('|').next()
-}
-
 /// A persistent map from tuning keys to simulated timings.
 ///
 /// Every candidate a search ranks is cached with its objective value
@@ -91,6 +85,10 @@ fn revision_in<'k>(scope: &str, key: &'k str) -> Option<&'k str> {
 /// for a different statistic of the sampled makespans — simply miss: a stale
 /// cache self-invalidates instead of serving timings the current model would
 /// not produce, and mean-tuned entries never alias with p99-tuned ones.
+/// Nothing removes them: the `reproduce` CLI, the library constructors and
+/// the tuning daemon share one default file, so a run under one cost model
+/// keeps another model's entries, which hit again when a run under that
+/// model asks ([`TuneCache::count_stale`] counts them for the metrics).
 ///
 /// # Persistence semantics
 ///
@@ -110,11 +108,6 @@ fn revision_in<'k>(scope: &str, key: &'k str) -> Option<&'k str> {
 pub struct TuneCache {
     path: Option<PathBuf>,
     entries: HashMap<String, Entry>,
-    /// Keys removed by [`TuneCache::sweep_stale`]. The flush merge re-reads
-    /// the on-disk file, which would silently resurrect swept entries;
-    /// tombstones make the removal stick until the next flush rewrites the
-    /// file without them.
-    tombstones: HashSet<String>,
 }
 
 impl TuneCache {
@@ -123,7 +116,6 @@ impl TuneCache {
         Self {
             path: None,
             entries: HashMap::new(),
-            tombstones: HashSet::new(),
         }
     }
 
@@ -141,7 +133,6 @@ impl TuneCache {
         Ok(Self {
             path: Some(path),
             entries,
-            tombstones: HashSet::new(),
         })
     }
 
@@ -255,21 +246,6 @@ impl TuneCache {
         format!("{prefix}|{}", cfg.cache_key())
     }
 
-    /// The full cache key for one (workload, cluster, cost-model revision,
-    /// objective, config) quintuple.
-    pub fn key(
-        workload_key: &str,
-        cluster_key: &str,
-        cost_revision: &str,
-        objective_key: &str,
-        cfg: &OverlapConfig,
-    ) -> String {
-        Self::key_in(
-            &Self::key_prefix(workload_key, cluster_key, cost_revision, objective_key),
-            cfg,
-        )
-    }
-
     /// Looks up a cached exact report (objective-only entries miss).
     pub fn get(&self, key: &str) -> Option<OverlapReport> {
         match self.entries.get(key) {
@@ -283,56 +259,33 @@ impl TuneCache {
         self.entries.get(key).map(|entry| entry.total_s())
     }
 
-    /// Number of entries in a `workload|cluster|` scope that were recorded
-    /// under a *different* cost-model revision than `current_prefix` (a full
-    /// [`TuneCache::key_prefix`] inside `scope`). Entries of the same
-    /// revision under another objective are current: another run tuning
-    /// that objective still hits them.
+    /// Number of entries for `oracle`'s workload and cluster (the
+    /// `workload|cluster|` scope of its [`TuneCache::oracle_prefix`]) that
+    /// were recorded under a *different* cost-model revision than the
+    /// oracle's. Entries of the same revision under another objective are
+    /// current: another run tuning that objective still hits them.
     ///
-    /// These entries are not wrong — they self-invalidate by missing — but
-    /// every one of them represents an oracle call the current run has to
-    /// repeat, which is worth surfacing in the metrics registry.
-    pub fn count_stale(&self, scope: &str, current_prefix: &str) -> usize {
-        self.stale_keys(scope, current_prefix).count()
-    }
-
-    /// Removes every entry in `scope` recorded under a different cost-model
-    /// revision than `current_prefix` (the same notion of stale as
-    /// [`TuneCache::count_stale`]; other objectives' entries stay) and
-    /// returns how many were swept.
-    ///
-    /// Swept keys are tombstoned so the next [`TuneCache::flush`] drops them
-    /// from the backing file too instead of resurrecting them through the
-    /// disk merge. This is the long-running daemon's memory/disk bound: a
-    /// cost-model upgrade no longer leaves the superseded revision's entries
-    /// behind forever. One-shot CLI runs that alternate between cost models
-    /// should prefer `count_stale`, which keeps both revisions warm.
-    pub fn sweep_stale(&mut self, scope: &str, current_prefix: &str) -> usize {
-        let stale: Vec<String> = self.stale_keys(scope, current_prefix).cloned().collect();
-        for key in &stale {
-            self.entries.remove(key);
-            self.tombstones.insert(key.clone());
-        }
-        stale.len()
-    }
-
-    /// The keys in `scope` whose cost-model revision, the key part after
-    /// `scope`, differs from `current_prefix`'s.
-    fn stale_keys<'a>(
-        &'a self,
-        scope: &'a str,
-        current_prefix: &str,
-    ) -> impl Iterator<Item = &'a String> + 'a {
-        let current = revision_in(scope, current_prefix).map(String::from);
-        self.entries.keys().filter(move |key| {
-            revision_in(scope, key).is_some_and(|r| Some(r) != current.as_deref())
-        })
+    /// These entries are not wrong — they miss under this revision and hit
+    /// again when a run under their own cost model asks — but every one of
+    /// them represents an oracle call the current run has to repeat, which
+    /// is worth surfacing in the metrics registry.
+    pub fn count_stale(&self, oracle: &dyn CostOracle) -> usize {
+        let scope = format!(
+            "{}|{}|",
+            oracle.workload_key(),
+            cluster_key(oracle.cluster())
+        );
+        let revision = oracle.cost_revision();
+        self.entries
+            .keys()
+            .filter_map(|key| key.strip_prefix(&scope)?.split('|').next())
+            .filter(|r| *r != revision)
+            .count()
     }
 
     /// Inserts (or replaces) a cached exact report. Call [`TuneCache::flush`]
     /// to persist.
     pub fn insert(&mut self, key: String, report: OverlapReport) {
-        self.tombstones.remove(&key);
         self.entries.insert(key, Entry::Exact(report));
     }
 
@@ -340,7 +293,6 @@ impl TuneCache {
     /// (whose `total_s` is the same value). Call [`TuneCache::flush`] to
     /// persist.
     pub fn insert_total(&mut self, key: String, total_s: f64) {
-        self.tombstones.remove(&key);
         put(&mut self.entries, key, Entry::Total(total_s));
     }
 
@@ -374,13 +326,8 @@ impl TuneCache {
         // Merge with whatever is on disk right now: another tuner may have
         // flushed since this cache was opened. In-memory entries win on
         // conflict (they are this run's freshest measurements) except that an
-        // objective value never replaces an exact report, and keys swept by
-        // `sweep_stale` are dropped from the merge so the rewrite shrinks the
-        // file instead of re-reading the stale entries back in.
+        // objective value never replaces an exact report.
         let mut merged = Self::read_entries(path)?;
-        for key in &self.tombstones {
-            merged.remove(key);
-        }
         for (key, entry) in &self.entries {
             put(&mut merged, key.clone(), *entry);
         }
@@ -431,6 +378,23 @@ impl TuneCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FnOracle, Objective};
+    use tilelink_sim::ClusterSpec;
+
+    /// The cache key of `cfg` under the given parts, built the way the tuner
+    /// builds it: one prefix, then one key per candidate.
+    fn key(
+        workload: &str,
+        cluster: &str,
+        revision: &str,
+        objective: &str,
+        cfg: &OverlapConfig,
+    ) -> String {
+        TuneCache::key_in(
+            &TuneCache::key_prefix(workload, cluster, revision, objective),
+            cfg,
+        )
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tilelink-tune-test-{}", std::process::id()));
@@ -444,7 +408,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut cache = TuneCache::open(&path).unwrap();
         assert!(cache.is_empty());
-        let key = TuneCache::key("w", "c", "analytic-v2", "mean", &OverlapConfig::default());
+        let key = key("w", "c", "analytic-v2", "mean", &OverlapConfig::default());
         cache.insert(key.clone(), OverlapReport::new(1.25e-3, 5e-4, 1e-3));
         cache.flush().unwrap();
 
@@ -508,7 +472,7 @@ mod tests {
     #[test]
     fn four_column_files_from_older_writers_still_serve_exact_hits() {
         let path = tmp("four-column.tsv");
-        let key = TuneCache::key("w", "c", "analytic-v2", "mean", &OverlapConfig::default());
+        let key = key("w", "c", "analytic-v2", "mean", &OverlapConfig::default());
         std::fs::write(
             &path,
             format!(
@@ -638,7 +602,7 @@ mod tests {
 
     #[test]
     fn keys_embed_all_five_parts() {
-        let k = TuneCache::key(
+        let k = key(
             "mlp",
             "h800x8",
             "analytic-v2",
@@ -652,18 +616,21 @@ mod tests {
     #[test]
     fn memoized_prefix_produces_identical_keys() {
         let cfg = OverlapConfig::default();
-        let prefix = TuneCache::key_prefix("mlp", "h800x8", "analytic-v2", "p95");
+        let cluster = ClusterSpec::h800_node(8);
+        let oracle = FnOracle::new("mlp", cluster.clone(), |_| unreachable!())
+            .with_revision("analytic-v2")
+            .with_objective(Objective::Percentile(95));
         assert_eq!(
-            TuneCache::key_in(&prefix, &cfg),
-            TuneCache::key("mlp", "h800x8", "analytic-v2", "p95", &cfg)
+            TuneCache::key_in(&TuneCache::oracle_prefix(&oracle), &cfg),
+            key("mlp", &cluster_key(&cluster), "analytic-v2", "p95", &cfg)
         );
     }
 
     #[test]
     fn keys_differ_across_cost_model_revisions() {
         let cfg = OverlapConfig::default();
-        let analytic = TuneCache::key("mlp", "h800x8", "analytic-v2", "mean", &cfg);
-        let calibrated = TuneCache::key("mlp", "h800x8", "calibrated-00ff", "mean", &cfg);
+        let analytic = key("mlp", "h800x8", "analytic-v2", "mean", &cfg);
+        let calibrated = key("mlp", "h800x8", "calibrated-00ff", "mean", &cfg);
         assert_ne!(analytic, calibrated);
         let mut cache = TuneCache::in_memory();
         cache.insert(analytic.clone(), OverlapReport::new(1.0, 0.5, 0.5));
@@ -678,86 +645,35 @@ mod tests {
     fn stale_entries_are_counted_per_scope() {
         let cfg = OverlapConfig::default();
         let r = OverlapReport::new(1.0, 0.5, 0.5);
+        let cluster = ClusterSpec::h800_node(8);
+        let h800x8 = cluster_key(&cluster);
         let mut cache = TuneCache::in_memory();
-        cache.insert(
-            TuneCache::key("mlp", "h800x8", "analytic-v2", "mean", &cfg),
-            r,
+        cache.insert(key("mlp", &h800x8, "analytic-v2", "mean", &cfg), r);
+        cache.insert(key("mlp", &h800x8, "calibrated-00ff", "mean", &cfg), r);
+        cache.insert(key("moe", &h800x8, "calibrated-00ff", "mean", &cfg), r);
+        let h800x4 = cluster_key(&ClusterSpec::h800_node(4));
+        cache.insert(key("mlp", &h800x4, "calibrated-00ff", "mean", &cfg), r);
+        let oracle = |workload: &str, objective| {
+            FnOracle::new(workload, cluster.clone(), |_| unreachable!())
+                .with_revision("analytic-v2")
+                .with_objective(objective)
+        };
+        // One mlp entry under another revision is stale; the moe and h800x4
+        // entries are out of scope and the matching-revision entry is
+        // current, whatever the objective.
+        assert_eq!(cache.count_stale(&oracle("mlp", Objective::Mean)), 1);
+        assert_eq!(
+            cache.count_stale(&oracle("mlp", Objective::Percentile(95))),
+            1
         );
-        cache.insert(
-            TuneCache::key("mlp", "h800x8", "calibrated-00ff", "mean", &cfg),
-            r,
-        );
-        cache.insert(
-            TuneCache::key("moe", "h800x8", "analytic-v2", "mean", &cfg),
-            r,
-        );
-        let prefix = TuneCache::key_prefix("mlp", "h800x8", "analytic-v2", "mean");
-        // One mlp entry under another revision is stale; the moe entry is out
-        // of scope and the matching-revision entry is current.
-        assert_eq!(cache.count_stale("mlp|h800x8|", &prefix), 1);
-        let p95 = TuneCache::key_prefix("mlp", "h800x8", "analytic-v2", "p95");
-        assert_eq!(cache.count_stale("mlp|h800x8|", &p95), 1);
-        assert_eq!(cache.count_stale("lm|", &prefix), 0);
-    }
-
-    #[test]
-    fn sweep_stale_removes_entries_and_shrinks_the_file() {
-        let path = tmp("sweep.tsv");
-        let _ = std::fs::remove_file(&path);
-        let cfg = OverlapConfig::default();
-        let r = OverlapReport::new(1.0, 0.5, 0.5);
-        let mut cache = TuneCache::open(&path).unwrap();
-        let stale_key = TuneCache::key("mlp", "h800x8", "analytic-v1", "mean", &cfg);
-        let fresh_key = TuneCache::key("mlp", "h800x8", "analytic-v2", "mean", &cfg);
-        let other_scope = TuneCache::key("moe", "h800x8", "analytic-v1", "mean", &cfg);
-        cache.insert(stale_key.clone(), r);
-        cache.insert(fresh_key.clone(), r);
-        cache.insert(other_scope.clone(), r);
-        cache.flush().unwrap();
-
-        let prefix = TuneCache::key_prefix("mlp", "h800x8", "analytic-v2", "mean");
-        let swept = cache.sweep_stale("mlp|h800x8|", &prefix);
-        assert_eq!(swept, 1);
-        assert!(cache.get(&stale_key).is_none());
-        assert!(cache.get(&fresh_key).is_some());
-        assert!(cache.get(&other_scope).is_some(), "out of scope, untouched");
-
-        // The flush merge re-reads the disk file; without tombstones the
-        // swept entry would ride back in through the merge.
-        cache.flush().unwrap();
-        let reloaded = TuneCache::open(&path).unwrap();
-        assert!(
-            reloaded.get(&stale_key).is_none(),
-            "swept entry must be dropped from the backing file too"
-        );
-        assert_eq!(reloaded.len(), 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn reinserting_a_swept_key_clears_its_tombstone() {
-        let path = tmp("sweep-reinsert.tsv");
-        let _ = std::fs::remove_file(&path);
-        let cfg = OverlapConfig::default();
-        let mut cache = TuneCache::open(&path).unwrap();
-        let key = TuneCache::key("mlp", "h800x8", "analytic-v1", "mean", &cfg);
-        cache.insert(key.clone(), OverlapReport::new(1.0, 0.5, 0.5));
-        let prefix = TuneCache::key_prefix("mlp", "h800x8", "analytic-v2", "mean");
-        assert_eq!(cache.sweep_stale("mlp|h800x8|", &prefix), 1);
-        // Re-learned under the old prefix (e.g. the CLI switched back): the
-        // fresh value must survive the next flush.
-        cache.insert(key.clone(), OverlapReport::new(2.0, 1.0, 1.5));
-        cache.flush().unwrap();
-        let reloaded = TuneCache::open(&path).unwrap();
-        assert_eq!(reloaded.get(&key).unwrap().total_s, 2.0);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(cache.count_stale(&oracle("ml", Objective::Mean)), 0);
     }
 
     #[test]
     fn keys_differ_across_objectives() {
         let cfg = OverlapConfig::default();
-        let mean = TuneCache::key("moe", "h800x8", "analytic-v2", "mean", &cfg);
-        let p95 = TuneCache::key("moe", "h800x8", "analytic-v2", "p95", &cfg);
+        let mean = key("moe", "h800x8", "analytic-v2", "mean", &cfg);
+        let p95 = key("moe", "h800x8", "analytic-v2", "p95", &cfg);
         assert_ne!(mean, p95);
         let mut cache = TuneCache::in_memory();
         cache.insert(mean.clone(), OverlapReport::new(1.0, 0.5, 0.5));

@@ -36,8 +36,9 @@ pub enum Objective {
 impl Objective {
     /// Stable identifier used in tuning-cache keys (`mean`, `p95`, `worst`).
     ///
-    /// Folded into [`crate::TuneCache::key`] alongside the cost-model
-    /// revision, so entries tuned under different objectives never collide.
+    /// Folded into [`crate::TuneCache::oracle_prefix`] alongside the
+    /// cost-model revision, so entries tuned under different objectives
+    /// never collide.
     pub fn key(&self) -> String {
         match self {
             Objective::Mean => "mean".to_string(),

@@ -15,7 +15,7 @@ use tilelink_probe::metrics::{
 };
 
 use crate::executor::SearchExecutor;
-use crate::oracle::{cluster_key, BoundedEval};
+use crate::oracle::BoundedEval;
 use crate::space::{Rejected, SearchSpace};
 use crate::{CostOracle, Result, TuneCache, TuneError};
 
@@ -252,7 +252,6 @@ pub struct Tuner {
     verbose: bool,
     cache: Mutex<TuneCache>,
     executor: Arc<SearchExecutor>,
-    sweep_stale: bool,
     pruning: bool,
 }
 
@@ -323,7 +322,6 @@ impl Tuner {
             verbose: false,
             cache: Mutex::new(TuneCache::in_memory()),
             executor: SearchExecutor::global(),
-            sweep_stale: false,
             pruning: true,
         }
     }
@@ -344,20 +342,6 @@ impl Tuner {
     /// candidate, merged in candidate order).
     pub fn with_executor(mut self, executor: Arc<SearchExecutor>) -> Self {
         self.executor = executor;
-        self
-    }
-
-    /// Physically removes stale cache entries (the same workload and
-    /// cluster under another cost-model revision) at the start of the run
-    /// instead of merely counting them, and drops them from the backing file
-    /// on the next flush. Entries tuned for another objective under the
-    /// current revision are not stale and stay.
-    ///
-    /// Off by default: a CLI alternating between cost models benefits from
-    /// keeping both revisions' entries. The long-running serve daemon turns
-    /// this on so its write-behind cache file and memory stay bounded.
-    pub fn with_stale_sweep(mut self, sweep: bool) -> Self {
-        self.sweep_stale = sweep;
         self
     }
 
@@ -453,25 +437,15 @@ impl<'a> Run<'a> {
         // a String per call: memoize the joined prefix once instead of
         // re-assembling it for every candidate probe.
         let prefix = TuneCache::oracle_prefix(oracle);
-        {
-            // Entries for this workload+cluster recorded under another cost
-            // revision will self-invalidate (miss) this run; surface how
-            // many in the metrics registry. With the stale sweep
-            // enabled they are removed outright (memory and, on the next
-            // flush, the backing file) instead of counted in place.
-            let scope = format!(
-                "{}|{}|",
-                oracle.workload_key(),
-                cluster_key(oracle.cluster())
-            );
-            let mut cache = tuner.cache.lock().expect("tune cache lock poisoned");
-            let stale = if tuner.sweep_stale {
-                cache.sweep_stale(&scope, &prefix)
-            } else {
-                cache.count_stale(&scope, &prefix)
-            };
-            TUNE_CACHE_REVISION_INVALIDATIONS.add(stale as u64);
-        }
+        // Entries for this workload and cluster recorded under another cost
+        // revision miss this run (and stay for a run under their own model);
+        // surface how many in the metrics registry.
+        let stale = tuner
+            .cache
+            .lock()
+            .expect("tune cache lock poisoned")
+            .count_stale(oracle);
+        TUNE_CACHE_REVISION_INVALIDATIONS.add(stale as u64);
         // Exhaustive search only needs the winner intact, so it prunes
         // against the global best; beam search keeps its `width`-wide
         // frontier bit-identical by pruning against the width-th best.
@@ -881,7 +855,7 @@ impl<'a> Run<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FnOracle, Objective};
+    use crate::FnOracle;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use tilelink::{CommMapping, TileShape};
     use tilelink_sim::ClusterSpec;
@@ -1454,38 +1428,6 @@ mod tests {
         let back = run("analytic-v2");
         assert_eq!(back.evaluations, 0);
         assert_eq!(back.cache_hits, 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stale_sweep_keeps_other_objectives_entries() {
-        // A sweeping tuner (the daemon's) on one cache file: tuning the same
-        // workload for p95 must not sweep its mean entries, which share the
-        // cost-model revision.
-        let dir = std::env::temp_dir().join(format!("tilelink-tune-sweep-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-
-        let space = SearchSpace::new().with_stages([2, 3, 4]);
-        let run = |objective: Objective| {
-            let oracle = FnOracle::new("sweep", ClusterSpec::h800_node(8), |cfg| {
-                let t = cfg.num_stages as f64;
-                Ok(OverlapReport::new(t, t / 2.0, t / 2.0))
-            })
-            .with_objective(objective);
-            Tuner::new(Strategy::Exhaustive)
-                .with_stale_sweep(true)
-                .with_cache(TuneCache::open(&path).unwrap())
-                .tune(&oracle, &space)
-                .unwrap()
-        };
-
-        assert_eq!(run(Objective::Mean).evaluations, 3);
-        assert_eq!(run(Objective::Percentile(95)).evaluations, 3);
-        let again = run(Objective::Mean);
-        assert_eq!(again.evaluations, 0, "mean entries must survive the sweep");
-        assert_eq!(again.cache_hits, 3);
         let _ = std::fs::remove_file(&path);
     }
 

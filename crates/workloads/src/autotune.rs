@@ -7,6 +7,12 @@
 //! `tuned_*` constructor that runs the search and returns the best
 //! configuration together with its timing.
 //!
+//! Every front end goes from a workload to a tuned layer through the same
+//! two functions: [`WorkloadSpec::oracle`] builds the oracle and
+//! [`run_tune`] searches it. The `tuned_full_*` constructors,
+//! `reproduce --tune` and the tuning daemon all call them, so a workload
+//! tuned through any of them gets the same winner.
+//!
 //! The paper picks the per-workload `OverlapConfig` by hand (Section 7); these
 //! constructors *generate* it, which is the point of decoupling the design
 //! space in the first place (Section 3.1).
@@ -420,16 +426,72 @@ impl CostOracle for MoeOracle {
 }
 
 // ---------------------------------------------------------------------------
+// Workloads
+// ---------------------------------------------------------------------------
+
+/// A workload to tune: one catalog shape from Table 4, and for MoE the
+/// routing its candidates are priced over.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadSpec {
+    /// A tensor-parallel MLP shape ("MLP-1".."MLP-6").
+    Mlp(MlpShape),
+    /// An MoE shape ("MoE-1".."MoE-6"), optionally priced over sampled
+    /// routings.
+    Moe {
+        /// The shape to tune.
+        shape: MoeShape,
+        /// Routing distribution to sample; `None` prices expected uniform
+        /// routing.
+        routing: Option<RoutingSpec>,
+    },
+}
+
+impl WorkloadSpec {
+    /// The catalog name of the shape ("MLP-3", "MoE-1", …).
+    pub fn name(&self) -> &'static str {
+        match self {
+            WorkloadSpec::Mlp(shape) => shape.name,
+            WorkloadSpec::Moe { shape, .. } => shape.name,
+        }
+    }
+
+    /// The oracle that prices this workload with `cost`, on the provider's
+    /// cluster, for `objective`: the one place a workload becomes an oracle.
+    /// An MLP layer is deterministic, so it ignores `objective`.
+    ///
+    /// Building the oracle draws no routing sample, so the tuning daemon
+    /// keys a request by [`TuneCache::oracle_prefix`] of this oracle before
+    /// it decides whether to search.
+    pub fn oracle(&self, cost: SharedCost, objective: Objective) -> Box<dyn CostOracle> {
+        let cluster = cost.cluster().clone();
+        match self {
+            WorkloadSpec::Mlp(shape) => {
+                Box::new(MlpOracle::new(shape.clone(), cluster).with_cost(cost))
+            }
+            WorkloadSpec::Moe { shape, routing } => {
+                let oracle = MoeOracle::new(shape.clone(), cluster)
+                    .with_cost(cost)
+                    .with_objective(objective);
+                match routing {
+                    Some(spec) => Box::new(oracle.with_routing(*spec)),
+                    None => Box::new(oracle),
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Tuned constructors
 // ---------------------------------------------------------------------------
 
-/// Options shared by the `tuned_*` constructors.
+/// Options shared by the `tuned_*` constructors and [`run_tune`].
 ///
 /// Every constructor searches [`SearchSpace::standard`] with the default
-/// beam ([`Strategy::default`]); these options only choose where results are
-/// cached, how candidates are priced and what the search minimises. Call
-/// [`Tuner`] directly for a custom space, an exhaustive search or another
-/// beam width.
+/// beam ([`Strategy::default`]) through [`run_tune`]; these options only
+/// choose where results are cached, how candidates are priced and what the
+/// search minimises. Call [`Tuner`] directly for a custom space, an
+/// exhaustive search or another beam width.
 #[derive(Debug, Clone, Default)]
 pub struct TuneOptions {
     /// Persistent cache file; `None` keeps the cache in memory.
@@ -511,25 +573,45 @@ pub struct TunedLayer {
     pub search: TuneReport,
 }
 
-/// The provider from `opts`, checked against the cluster the caller named.
+/// Tunes `spec` on `cluster`: the provider from `opts` (the analytic model
+/// when it names none) prices the oracle [`WorkloadSpec::oracle`] builds,
+/// and [`run_tune`] searches it.
 ///
 /// # Panics
 ///
 /// Panics if `opts.cost` is priced for a different cluster than `cluster` —
 /// silently tuning against the provider's topology would return a winning
 /// config (and cache entries) for hardware the caller did not ask about.
-fn checked_cost(opts: &TuneOptions, cluster: &ClusterSpec) -> Option<SharedCost> {
-    opts.cost.as_ref().map(|cost| {
-        assert_eq!(
-            cost.cluster(),
-            cluster,
-            "TuneOptions::cost is priced for a different cluster"
-        );
-        cost.clone()
-    })
+fn tuned_full(
+    spec: &WorkloadSpec,
+    cluster: &ClusterSpec,
+    opts: &TuneOptions,
+) -> tilelink_tune::Result<TunedLayer> {
+    let cost = match &opts.cost {
+        Some(cost) => {
+            assert_eq!(
+                cost.cluster(),
+                cluster,
+                "TuneOptions::cost is priced for a different cluster"
+            );
+            cost.clone()
+        }
+        None => analytic_cost(cluster),
+    };
+    run_tune(&*spec.oracle(cost, opts.objective), opts)
 }
 
-fn run_tune(oracle: &dyn CostOracle, opts: &TuneOptions) -> tilelink_tune::Result<TunedLayer> {
+/// Searches `oracle` the one way every front end does: the default beam
+/// ([`Strategy::default`]) over [`SearchSpace::standard`], through the
+/// persistent cache at [`TuneOptions::cache_path`] when one is set. The
+/// oracle fixes the workload, cluster, cost model, routing and objective,
+/// so of `opts` only the cache, the pool and `verbose` apply here.
+///
+/// # Errors
+///
+/// Returns an error if the space prunes empty, every candidate fails, or
+/// the persistent cache cannot be read or written.
+pub fn run_tune(oracle: &dyn CostOracle, opts: &TuneOptions) -> tilelink_tune::Result<TunedLayer> {
     let mut tuner = Tuner::new(Strategy::default()).with_verbose(opts.verbose);
     if let Some(executor) = &opts.executor {
         tuner = tuner.with_executor(Arc::clone(executor));
@@ -557,11 +639,7 @@ pub fn tuned_full_mlp(
     cluster: &ClusterSpec,
     opts: &TuneOptions,
 ) -> tilelink_tune::Result<TunedLayer> {
-    let mut oracle = MlpOracle::new(shape.clone(), cluster.clone());
-    if let Some(cost) = checked_cost(opts, cluster) {
-        oracle = oracle.with_cost(cost);
-    }
-    run_tune(&oracle, opts)
+    tuned_full(&WorkloadSpec::Mlp(shape.clone()), cluster, opts)
 }
 
 /// Searches the overlap design space for the full MoE layer.
@@ -578,14 +656,11 @@ pub fn tuned_full_moe(
     cluster: &ClusterSpec,
     opts: &TuneOptions,
 ) -> tilelink_tune::Result<TunedLayer> {
-    let mut oracle = MoeOracle::new(shape.clone(), cluster.clone()).with_objective(opts.objective);
-    if let Some(cost) = checked_cost(opts, cluster) {
-        oracle = oracle.with_cost(cost);
-    }
-    if let Some(spec) = opts.routing {
-        oracle = oracle.with_routing(spec);
-    }
-    run_tune(&oracle, opts)
+    let spec = WorkloadSpec::Moe {
+        shape: shape.clone(),
+        routing: opts.routing,
+    };
+    tuned_full(&spec, cluster, opts)
 }
 
 #[cfg(test)]
@@ -604,6 +679,30 @@ mod tests {
         assert!(!oracle.is_supported(&bad));
         let good = OverlapConfig::default().with_compute_tile(TileShape::new(256, 256));
         assert!(oracle.is_supported(&good));
+    }
+
+    #[test]
+    fn clusters_whose_ring_rows_overflow_admit_no_config() {
+        // `TUNE … cluster=h800x2x144115188075855873`: a world of 2^58 + 2
+        // ranks, whose `world × tile_m` overflows `usize` for every tile.
+        // Wrapped, 64-row tiles read 128 rows and divide every token count.
+        let cluster = ClusterSpec::new(tilelink_sim::GpuSpec::h800(), 2, 144_115_188_075_855_873);
+        let space = SearchSpace::standard();
+        let spec = WorkloadSpec::Moe {
+            shape: crate::shapes::moe_shapes()[0].clone(),
+            routing: None,
+        };
+        for spec in [
+            WorkloadSpec::Mlp(crate::shapes::mlp_shapes()[0].clone()),
+            spec,
+        ] {
+            let oracle = spec.oracle(analytic_cost(&cluster), Objective::Mean);
+            assert!(
+                space.candidates(&*oracle).is_empty(),
+                "{} admits configs on a 2^58-rank cluster",
+                spec.name()
+            );
+        }
     }
 
     #[test]

@@ -30,9 +30,13 @@ fn tiles_per_segment(world: usize, tokens: usize, tile_m: usize) -> usize {
 }
 
 /// Whether the ring ReduceScatter indexes every tile: the token count must
-/// split evenly into `world` segments of whole `tile_m`-row tiles.
+/// split evenly into `world` segments of whole `tile_m`-row tiles. A
+/// `world × tile_m` past `usize` exceeds any token count, so it splits
+/// nothing.
 pub(crate) fn ring_supported(tokens: usize, world: usize, tile_m: usize) -> bool {
-    tokens.is_multiple_of(world * tile_m)
+    world
+        .checked_mul(tile_m)
+        .is_some_and(|rows| tokens.is_multiple_of(rows))
 }
 
 /// The config values the builder of an AllGather kernel (MLP, MoE or routed

@@ -39,7 +39,7 @@ pub mod moe;
 pub mod shapes;
 pub mod simgraph;
 
-pub use autotune::{RoutingSpec, TuneOptions, TunedLayer};
+pub use autotune::{RoutingSpec, TuneOptions, TunedLayer, WorkloadSpec};
 pub use e2e::{E2eComparison, TunedModelTiming};
 pub use moe::{RoutingProfile, RoutingSample, RoutingSampler};
 pub use shapes::{AttnShape, MlpShape, ModelConfig, MoeShape};
