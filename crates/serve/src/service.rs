@@ -320,8 +320,17 @@ impl TuneService {
     /// provider is kept before its cluster's first result is published), so
     /// the probe only reuses a kept provider and never constructs one.
     pub fn try_warm(&self, req: &TuneRequest) -> Option<(TuneOutcome, Source)> {
-        let cost = self.kept_provider(&cluster_key(&req.cluster))?;
-        let key = TuneCache::oracle_prefix(&*req.workload.oracle(cost, req.objective));
+        // The kept provider's cluster has this key, so the oracle's prefix
+        // reuses it instead of formatting it again.
+        let cluster = cluster_key(&req.cluster);
+        let cost = self.kept_provider(&cluster)?;
+        let oracle = req.workload.oracle(cost, req.objective);
+        let key = TuneCache::key_prefix(
+            &oracle.workload_key(),
+            &cluster,
+            &oracle.cost_revision(),
+            &oracle.objective().key(),
+        );
         let outcome = self.results.get(&key)?;
         SERVE_REQUESTS_WARM.inc();
         Some((outcome, Source::Warm))

@@ -223,6 +223,9 @@ struct GraphBuilder<'a> {
     segment: SegmentState,
     /// The block's last task, which its next task depends on.
     prev: Option<TaskId>,
+    /// Whether a task of the block has been chained yet (a host copy launch
+    /// is a task but is not chained).
+    chained: bool,
     /// Sync keys the block's next task waits on.
     pending_waits: Vec<SyncKey>,
     /// Per-block task counter (labels only).
@@ -248,6 +251,7 @@ impl<'a> GraphBuilder<'a> {
             labels,
             segment: SegmentState::default(),
             prev: None,
+            chained: false,
             pending_waits: Vec::new(),
             seq: 0,
         };
@@ -279,9 +283,17 @@ impl<'a> GraphBuilder<'a> {
 
     /// Orders `task` after its rank's launch and the block's previous task,
     /// hands it the block's pending waits, and makes it the previous task.
+    ///
+    /// Only the block's first chained task gets the launch edge: every later
+    /// one follows the launch through its predecessor, and the launch never
+    /// finishes last among a task's predecessors, so the edge would change
+    /// no ready order.
     fn chain(&mut self, rank: usize, task: TaskId) {
         let scratch = &mut *self.scratch;
-        scratch.graph.add_dep(scratch.launch[rank], task);
+        if !self.chained {
+            scratch.graph.add_dep(scratch.launch[rank], task);
+            self.chained = true;
+        }
         if let Some(p) = self.prev {
             scratch.graph.add_dep(p, task);
         }
@@ -382,6 +394,7 @@ impl<'a> GraphBuilder<'a> {
     fn add_block(&mut self, block: &LoweredBlockRef<'_>) {
         self.segment = SegmentState::default();
         self.prev = None;
+        self.chained = false;
         self.pending_waits.clear();
         self.seq = 0;
         let world_size = self.kernel.world_size;
@@ -403,7 +416,7 @@ impl<'a> GraphBuilder<'a> {
                     if let Some(channel) = lop.channel {
                         self.pending_waits.push(SyncKey::Channel {
                             rank: block.rank,
-                            channel,
+                            channel: channel as usize,
                         });
                     }
                 }
@@ -417,6 +430,7 @@ impl<'a> GraphBuilder<'a> {
                 TileOp::ProducerNotify { .. } => {
                     self.flush_segment(block);
                     if let Some(channel) = lop.channel {
+                        let channel = channel as usize;
                         let notifier = self.notifier(block.rank);
                         for dst in lop.targets.iter(world_size) {
                             self.scratch

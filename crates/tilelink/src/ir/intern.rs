@@ -5,8 +5,10 @@
 //! pipelining and graph building. A [`Symbol`] is a `u32` handle into a global
 //! intern table instead: constructing an op is a table lookup, copying one is
 //! free, and comparing two is an integer compare. The table stores each
-//! distinct string once for the lifetime of the process (names repeat across
-//! candidates, so the table stays small).
+//! distinct string once for the lifetime of the process. It holds buffer
+//! names, kernel names and block name patterns, which repeat across
+//! candidates, so it stays small: a block's own name is a pattern plus its
+//! indices ([`super::BlockName`]), not an interned string.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -15,9 +15,11 @@
 //! uses the primitives API directly (see [`crate::exec::functional`]).
 
 mod intern;
+mod name;
 mod op;
 mod program;
 
 pub use intern::Symbol;
+pub use name::{BlockName, NamePattern};
 pub use op::{ComputeKind, TileOp};
 pub use program::{BlockDesc, BlockRole, TileProgram};

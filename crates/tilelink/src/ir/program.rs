@@ -1,6 +1,6 @@
 //! Tile programs: per-rank blocks of tile operations.
 
-use super::{Symbol, TileOp};
+use super::{BlockName, Symbol, TileOp};
 
 /// Whether a block belongs to the communication (producer) or computation
 /// (consumer) side of the fused kernel.
@@ -21,8 +21,8 @@ pub enum BlockRole {
 /// One block of a fused kernel on one rank.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockDesc {
-    /// Human-readable name used in traces and diagnostics (interned).
-    pub name: Symbol,
+    /// Human-readable name used in traces and diagnostics.
+    pub name: BlockName,
     /// Rank the block runs on.
     pub rank: usize,
     /// Producer / consumer / host role.
@@ -33,7 +33,7 @@ pub struct BlockDesc {
 
 impl BlockDesc {
     /// Creates a block.
-    pub fn new(name: impl Into<Symbol>, rank: usize, role: BlockRole) -> Self {
+    pub fn new(name: impl Into<BlockName>, rank: usize, role: BlockRole) -> Self {
         Self {
             name: name.into(),
             rank,

@@ -1,5 +1,6 @@
 //! Dynamic (lookup-table) tile-centric mapping.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use std::sync::{Arc, RwLock};
@@ -19,6 +20,56 @@ struct Entry {
 struct Tables {
     entries: Vec<Entry>,
     thresholds: Vec<u64>,
+    /// The filled non-empty row ranges, start → tile. Filled ranges never
+    /// overlap, so ordered by start they are ordered by end too, and the
+    /// ranges a fill overlaps are the run ending at the last start below
+    /// its end.
+    by_start: BTreeMap<usize, usize>,
+    /// Tiles filled with an empty or reversed row range, which that order
+    /// does not cover (no builder fills one).
+    degenerate: Vec<usize>,
+}
+
+impl Tables {
+    /// The lowest-index tile other than `tile` whose filled rows overlap
+    /// `rows`, with those rows.
+    fn overlap(&self, tile: usize, rows: &Range<usize>) -> Option<(usize, Range<usize>)> {
+        let overlaps = |r: &Range<usize>| r.start < rows.end && rows.start < r.end;
+        let ordered = self
+            .by_start
+            .range(..rows.end)
+            .rev()
+            .map(|(_, &other)| other)
+            .take_while(|&other| self.rows(other).end > rows.start);
+        ordered
+            .chain(self.degenerate.iter().copied())
+            .filter(|&other| other != tile && overlaps(self.rows(other)))
+            .min()
+            .map(|other| (other, self.rows(other).clone()))
+    }
+
+    fn rows(&self, tile: usize) -> &Range<usize> {
+        self.entries[tile]
+            .rows
+            .as_ref()
+            .expect("indexed tiles are filled")
+    }
+
+    fn index(&mut self, tile: usize, rows: &Range<usize>) {
+        if rows.start < rows.end {
+            self.by_start.insert(rows.start, tile);
+        } else {
+            self.degenerate.push(tile);
+        }
+    }
+
+    fn unindex(&mut self, tile: usize, rows: &Range<usize>) {
+        if rows.start < rows.end {
+            self.by_start.remove(&rows.start);
+        } else {
+            self.degenerate.retain(|&t| t != tile);
+        }
+    }
 }
 
 /// Lookup-table mapping whose values are filled at runtime.
@@ -67,6 +118,8 @@ impl DynamicMapping {
             tables: Arc::new(RwLock::new(Tables {
                 entries: vec![Entry::default(); num_tiles],
                 thresholds: vec![0; num_channels],
+                by_start: BTreeMap::new(),
+                degenerate: Vec::new(),
             })),
         }
     }
@@ -99,31 +152,30 @@ impl DynamicMapping {
             });
         }
         let mut tables = self.tables.write().expect("mapping lock poisoned");
-        for (other, entry) in tables.entries.iter().enumerate() {
-            if other == tile {
-                continue;
-            }
-            if let Some(r) = &entry.rows {
-                if r.start < rows.end && rows.start < r.end {
-                    return Err(TileLinkError::InvalidConfig {
-                        reason: format!(
-                            "rows {}..{} of tile {tile} overlap rows {}..{} already filled for tile {other}",
-                            rows.start, rows.end, r.start, r.end
-                        ),
-                    });
-                }
-            }
+        if let Some((other, r)) = tables.overlap(tile, &rows) {
+            return Err(TileLinkError::InvalidConfig {
+                reason: format!(
+                    "rows {}..{} of tile {tile} overlap rows {}..{} already filled for tile {other}",
+                    rows.start, rows.end, r.start, r.end
+                ),
+            });
         }
-        let entry = &mut tables.entries[tile];
-        if let Some(old) = entry.channel {
+        let old = std::mem::replace(
+            &mut tables.entries[tile],
+            Entry {
+                rows: Some(rows.clone()),
+                rank: Some(rank),
+                channel: Some(channel),
+            },
+        );
+        if let Some(old_rows) = &old.rows {
+            tables.unindex(tile, old_rows);
+        }
+        tables.index(tile, &rows);
+        if let Some(old) = old.channel {
             // Re-filling a tile moves its contribution between channels.
             tables.thresholds[old] = tables.thresholds[old].saturating_sub(1);
         }
-        tables.entries[tile] = Entry {
-            rows: Some(rows),
-            rank: Some(rank),
-            channel: Some(channel),
-        };
         tables.thresholds[channel] += 1;
         Ok(())
     }
@@ -272,6 +324,53 @@ mod tests {
         map.fill(1, 64..128, 0, 1).unwrap();
         map.fill(2, 128..128, 0, 0).unwrap();
         assert!(map.is_complete());
+    }
+
+    #[test]
+    fn fills_match_a_scan_of_every_filled_range() {
+        // Random fills and refills, empty and reversed ranges included: each
+        // succeeds or fails exactly as a scan over every other tile's filled
+        // range decides, naming the lowest-index overlapping tile.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        for _ in 0..20 {
+            let tiles = 1 + next(24);
+            let map = DynamicMapping::new(tiles, 1);
+            let mut filled: Vec<Option<Range<usize>>> = vec![None; tiles];
+            for _ in 0..200 {
+                let tile = next(tiles as u64);
+                let start = next(96);
+                let rows = start..(start + next(12)).saturating_sub(next(3));
+                let expected = filled
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(other, r)| Some((other, r.clone()?)))
+                    .find(|(other, r)| *other != tile && r.start < rows.end && rows.start < r.end);
+                match (map.fill(tile, rows.clone(), 0, 0), expected) {
+                    (Ok(()), None) => filled[tile] = Some(rows),
+                    (Err(TileLinkError::InvalidConfig { reason }), Some((other, r))) => {
+                        assert_eq!(
+                            reason,
+                            format!(
+                                "rows {}..{} of tile {tile} overlap rows {}..{} already filled for tile {other}",
+                                rows.start, rows.end, r.start, r.end
+                            )
+                        );
+                    }
+                    (got, expected) => panic!("{rows:?} on tile {tile}: {got:?} vs {expected:?}"),
+                }
+            }
+            for (tile, rows) in filled.iter().enumerate() {
+                if let Some(rows) = rows {
+                    assert_eq!(&map.rows_of(tile).unwrap(), rows);
+                }
+            }
+        }
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn check_block(scratch: &mut CheckScratch, block: &LoweredBlockRef<'_>) -> Resul
         match &lop.op {
             TileOp::ConsumerWait { .. } => {
                 if let Some(c) = lop.channel {
-                    scratch.acquired_channels.insert(c);
+                    scratch.acquired_channels.insert(c as usize);
                 }
             }
             TileOp::PeerWait { slot, .. } => {
@@ -125,7 +125,7 @@ fn check_block(scratch: &mut CheckScratch, block: &LoweredBlockRef<'_>) -> Resul
                 // (ring-style peers).
                 let channel_ok = lop
                     .channel
-                    .map(|c| scratch.acquired_channels.contains(c))
+                    .map(|c| scratch.acquired_channels.contains(c as usize))
                     .unwrap_or(false);
                 let peer_ok = !scratch.acquired_peer_slots.is_empty();
                 if block.role == BlockRole::Consumer && !channel_ok && !peer_ok {

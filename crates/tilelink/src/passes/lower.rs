@@ -1,9 +1,9 @@
 //! Lowering: resolve tile ids through the tile-centric mapping.
 
-use crate::ir::{BlockRole, Symbol, TileOp, TileProgram};
+use crate::ir::{BlockName, BlockRole, TileOp, TileProgram};
 use crate::mapping::TileMapping;
-use crate::primitives::PushTarget;
-use crate::Result;
+use crate::primitives::{NotifyScope, PushTarget};
+use crate::{Result, TileLinkError};
 
 /// Destination rank(s) of a lowered op, resolved through `f_R`.
 ///
@@ -15,7 +15,7 @@ pub enum Targets {
     /// No destination ranks.
     None,
     /// A single destination rank.
-    One(usize),
+    One(u32),
     /// Every rank in the world (`0..world_size`).
     All,
 }
@@ -25,7 +25,7 @@ impl Targets {
     pub fn iter(self, world_size: usize) -> impl Iterator<Item = usize> {
         match self {
             Targets::None => 0..0,
-            Targets::One(r) => r..r + 1,
+            Targets::One(r) => r as usize..r as usize + 1,
             Targets::All => 0..world_size,
         }
     }
@@ -34,7 +34,7 @@ impl Targets {
     pub fn first(self) -> Option<usize> {
         match self {
             Targets::None => None,
-            Targets::One(r) => Some(r),
+            Targets::One(r) => Some(r as usize),
             Targets::All => Some(0),
         }
     }
@@ -57,15 +57,16 @@ impl Targets {
 /// A [`TileOp`] annotated with the mapping results it needs at runtime.
 ///
 /// `Copy`, so pipelining reorders ops by swapping plain values and cloning a
-/// lowered program is a flat memcpy.
+/// lowered program is a flat memcpy. The compile cache keeps every op of
+/// every cached program, so the channel and the single target rank are
+/// stored in 32 bits. A wait keeps no threshold: the timed executor resolves
+/// it to every notifier of its channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoweredOp {
     /// The original operation.
     pub op: TileOp,
     /// Barrier channel resolved through `f_C` (for waits and notifies).
-    pub channel: Option<usize>,
-    /// Producer threshold of that channel (for waits).
-    pub threshold: Option<u64>,
+    pub channel: Option<u32>,
     /// Destination rank(s) resolved through `f_R` (for notifies and pushes).
     pub targets: Targets,
 }
@@ -75,7 +76,7 @@ pub struct LoweredOp {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockInfo {
     /// Block name.
-    pub name: Symbol,
+    pub name: BlockName,
     /// Rank the block runs on.
     pub rank: usize,
     /// Producer / consumer / host role.
@@ -101,7 +102,7 @@ pub struct LoweredProgram {
 #[derive(Debug, Clone, Copy)]
 pub struct LoweredBlockRef<'a> {
     /// Block name.
-    pub name: Symbol,
+    pub name: BlockName,
     /// Rank the block runs on.
     pub rank: usize,
     /// Producer / consumer / host role.
@@ -152,87 +153,70 @@ impl LoweredProgram {
     }
 }
 
+/// `value` (a channel or a rank, named by `what`) in the 32 bits a
+/// [`LoweredOp`] stores it in.
+fn narrow(value: usize, what: &str) -> Result<u32> {
+    u32::try_from(value).map_err(|_| TileLinkError::InvalidConfig {
+        reason: format!("{what} {value} does not fit a lowered op's 32 bits"),
+    })
+}
+
+fn channel_of(mapping: &dyn TileMapping, tile: usize) -> Result<u32> {
+    narrow(mapping.channel_of(tile)?, "channel")
+}
+
+fn one_rank(rank: usize) -> Result<Targets> {
+    narrow(rank, "rank").map(Targets::One)
+}
+
 fn lower_op(op: &TileOp, block_rank: usize, mapping: &dyn TileMapping) -> Result<LoweredOp> {
-    let lowered = match op {
-        TileOp::ConsumerWait { tile } => {
-            let channel = mapping.channel_of(*tile)?;
-            LoweredOp {
-                op: *op,
-                channel: Some(channel),
-                threshold: Some(mapping.channel_threshold(channel)),
-                targets: Targets::None,
-            }
-        }
+    let (channel, targets) = match op {
+        TileOp::ConsumerWait { tile } => (Some(channel_of(mapping, *tile)?), Targets::None),
         TileOp::ProducerNotify { tile, scope } => {
-            let channel = mapping.channel_of(*tile)?;
+            let channel = channel_of(mapping, *tile)?;
             let targets = match scope {
-                crate::primitives::NotifyScope::Local => Targets::One(block_rank),
-                crate::primitives::NotifyScope::Owner => Targets::One(mapping.rank_of(*tile)?),
-                crate::primitives::NotifyScope::Broadcast => Targets::All,
+                NotifyScope::Local => one_rank(block_rank)?,
+                NotifyScope::Owner => one_rank(mapping.rank_of(*tile)?)?,
+                NotifyScope::Broadcast => Targets::All,
             };
-            LoweredOp {
-                op: *op,
-                channel: Some(channel),
-                threshold: None,
-                targets,
-            }
+            (Some(channel), targets)
         }
         TileOp::PushTile { tile, target, .. } => {
             let targets = match target {
-                PushTarget::Owner => Targets::One(mapping.rank_of(*tile)?),
-                PushTarget::Rank(r) => Targets::One(*r),
+                PushTarget::Owner => one_rank(mapping.rank_of(*tile)?)?,
+                PushTarget::Rank(r) => one_rank(*r)?,
                 PushTarget::Broadcast => Targets::All,
             };
-            LoweredOp {
-                op: *op,
-                channel: None,
-                threshold: None,
-                targets,
-            }
+            (None, targets)
         }
-        TileOp::PullTile { tile, .. } => LoweredOp {
-            op: *op,
-            channel: None,
-            threshold: None,
-            targets: Targets::One(mapping.rank_of(*tile)?),
-        },
+        TileOp::PullTile { tile, .. } => (None, one_rank(mapping.rank_of(*tile)?)?),
         TileOp::LoadTile { tile, .. } | TileOp::StoreTile { tile, .. } => {
             let channel = match tile {
-                Some(t) => Some(mapping.channel_of(*t)?),
+                Some(t) => Some(channel_of(mapping, *t)?),
                 None => None,
             };
-            LoweredOp {
-                op: *op,
-                channel,
-                threshold: None,
-                targets: Targets::None,
-            }
+            (channel, Targets::None)
         }
-        TileOp::RankNotifySegment { segment } => LoweredOp {
-            op: *op,
-            channel: None,
-            threshold: None,
-            targets: Targets::One(*segment),
-        },
+        TileOp::RankNotifySegment { segment } => (None, one_rank(*segment)?),
         TileOp::PeerWait { .. }
         | TileOp::PeerNotify { .. }
         | TileOp::Compute(_)
-        | TileOp::HostCopy { .. } => LoweredOp {
-            op: *op,
-            channel: None,
-            threshold: None,
-            targets: Targets::None,
-        },
+        | TileOp::HostCopy { .. } => (None, Targets::None),
     };
-    Ok(lowered)
+    Ok(LoweredOp {
+        op: *op,
+        channel,
+        targets,
+    })
 }
 
 /// Lowers every block of `program` through `mapping`.
 ///
 /// # Errors
 ///
-/// Returns an error if any tile id is outside the mapping or a dynamic mapping
-/// has not been filled for a referenced tile.
+/// Returns an error if any tile id is outside the mapping, a dynamic mapping
+/// has not been filled for a referenced tile, or a resolved channel or rank
+/// exceeds `u32::MAX`.
 pub fn lower(program: &TileProgram, mapping: &dyn TileMapping) -> Result<LoweredProgram> {
     let mut out = LoweredProgram {
         ops: Vec::with_capacity(program.blocks.iter().map(|b| b.ops.len()).sum()),
@@ -260,8 +244,6 @@ mod tests {
     use super::*;
     use crate::ir::{BlockDesc, ComputeKind};
     use crate::mapping::{DynamicMapping, StaticMapping};
-    use crate::primitives::NotifyScope;
-    use crate::TileLinkError;
 
     fn program() -> TileProgram {
         let mut p = TileProgram::new("p", 2);
@@ -308,8 +290,31 @@ mod tests {
         let gemm = lowered.block(1);
         let wait = &gemm.ops[0];
         assert_eq!(wait.channel, Some(1));
-        assert_eq!(wait.threshold, Some(1));
         assert!(gemm.total_flops() > 0.0);
+    }
+
+    #[test]
+    fn lowered_ops_stay_compact() {
+        // The compile cache keeps every op of every cached program.
+        assert!(std::mem::size_of::<LoweredOp>() <= 56);
+    }
+
+    #[test]
+    fn ranks_past_u32_fail_lowering() {
+        let mapping = StaticMapping::new(4, 2, 2, 1);
+        let mut p = TileProgram::new("p", 2);
+        p.add_block(
+            BlockDesc::new("c", 0, BlockRole::Producer).op(TileOp::PushTile {
+                buffer: "t".into(),
+                bytes: 64.0,
+                tile: 0,
+                target: PushTarget::Rank(1 << 40),
+            }),
+        );
+        assert!(matches!(
+            lower(&p, &mapping),
+            Err(TileLinkError::InvalidConfig { reason }) if reason.contains("rank 1099511627776")
+        ));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! structure:
 //!
 //! * [`lower`](mod@lower) — resolves tile ids through the tile-centric mapping into
-//!   concrete channels, thresholds and destination ranks (the paper's shape /
-//!   rank / channel mapping, Section 4.1);
+//!   concrete channels and destination ranks (the paper's shape / rank /
+//!   channel mapping, Section 4.1);
 //! * [`consistency`] — verifies that every access to remotely-produced data is
 //!   ordered by an acquire wait and every notify is preceded by the stores it
 //!   publishes (Section 4.2);

@@ -9,7 +9,7 @@
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
 use tilelink::exec::run_comm_compute;
-use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, TileOp, TileProgram};
+use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, NamePattern, Symbol, TileOp, TileProgram};
 use tilelink::primitives::NotifyScope;
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
@@ -155,10 +155,16 @@ pub fn sp_attention_program(
     let mapping = StaticMapping::new(seq_len, s_per_rank, world, 1);
     // 2 (K and V) tensors per head
     let shard_bytes = 2.0 * heads as f64 * s_per_rank as f64 * head_dim as f64 * BYTES_PER_ELEM;
+    // Buffer names and block name patterns are interned once per build, not
+    // once per op or block.
+    let kv = Symbol::intern("kv");
+    let out = Symbol::intern("out");
+    let agkv = NamePattern::new("agkv/r{}");
+    let fa = NamePattern::new("fa/r{}/b{}");
     let mut program = TileProgram::new("sp_attention", world);
     for rank in 0..world {
         // Host communication block: one copy per remote rank.
-        let mut comm = BlockDesc::new(format!("agkv/r{rank}"), rank, BlockRole::Producer);
+        let mut comm = BlockDesc::new(agkv.name([rank]), rank, BlockRole::Producer);
         for step in 0..world {
             let src_rank = (rank + step) % world;
             let tile = mapping.tiles_of_rank(src_rank)[0];
@@ -169,7 +175,7 @@ pub fn sp_attention_program(
                 });
             } else {
                 comm = comm.op(TileOp::StoreTile {
-                    buffer: "kv".into(),
+                    buffer: kv,
                     bytes: shard_bytes,
                     tile: Some(tile),
                 });
@@ -184,14 +190,14 @@ pub fn sp_attention_program(
         let q_blocks = 16usize;
         let q_rows = (s_per_rank / q_blocks).max(1);
         for b in 0..q_blocks {
-            let mut block = BlockDesc::new(format!("fa/r{rank}/b{b}"), rank, BlockRole::Consumer);
+            let mut block = BlockDesc::new(fa.name([rank, b]), rank, BlockRole::Consumer);
             for step in 0..world {
                 let src_rank = (rank + step) % world;
                 let tile = mapping.tiles_of_rank(src_rank)[0];
                 block = block
                     .op(TileOp::ConsumerWait { tile })
                     .op(TileOp::LoadTile {
-                        buffer: "kv".into(),
+                        buffer: kv,
                         bytes: shard_bytes / q_blocks as f64,
                         tile: Some(tile),
                     })
@@ -202,7 +208,7 @@ pub fn sp_attention_program(
                     }));
             }
             block = block.op(TileOp::StoreTile {
-                buffer: "out".into(),
+                buffer: out,
                 bytes: q_rows as f64 * heads as f64 * head_dim as f64 * BYTES_PER_ELEM,
                 tile: None,
             });

@@ -10,9 +10,7 @@
 //! prune by), and the config values each kind of kernel's builder reads
 //! (which key its compiled program).
 
-use std::fmt::Write as _;
-
-use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
+use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, NamePattern, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::{OverlapConfig, StaticMapping};
 
@@ -64,13 +62,11 @@ pub(crate) fn allgather_blocks(
     hidden: usize,
 ) {
     let gathered = Symbol::intern("gathered");
+    let ag = NamePattern::new("ag/r{}/b{}");
     let bytes = tile_bytes(mapping.tile_rows(), hidden);
-    let mut name = String::with_capacity(32);
     for (i, tile) in mapping.tiles_of_rank(rank).into_iter().enumerate() {
-        name.clear();
-        write!(name, "ag/r{rank}/b{i}").expect("write to string");
         program.add_block(
-            BlockDesc::new(name.as_str(), rank, BlockRole::Producer)
+            BlockDesc::new(ag.name([rank, i]), rank, BlockRole::Producer)
                 .op(TileOp::PushTile {
                     buffer: gathered,
                     bytes,
@@ -106,14 +102,12 @@ pub(crate) fn ring_reduce_scatter_blocks(
     let gemm_out = Symbol::intern("gemm_out");
     let out = Symbol::intern("out");
     let partial = Symbol::intern("partial");
+    let rs = NamePattern::new("rs/r{}/t{}");
     let tiles_per_segment = tiles_per_segment(world, tokens, tile_m);
     let bytes = tile_bytes(tile_m, hidden);
     let to_rank = (rank + world - 1) % world;
-    let mut name = String::with_capacity(32);
     for tid_m in 0..tiles_per_segment {
-        name.clear();
-        write!(name, "rs/r{rank}/t{tid_m}").expect("write to string");
-        let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Producer);
+        let mut block = BlockDesc::new(rs.name([rank, tid_m]), rank, BlockRole::Producer);
         for stage in 0..world {
             let seg = (rank + stage + 1) % world;
             let tile_global = seg * tiles_per_segment + tid_m;

@@ -23,11 +23,9 @@
 //! producers and the ring ReduceScatter come from the crate's one
 //! communication module, which the MoE builders share.
 
-use std::fmt::Write as _;
-
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
 use tilelink::exec::{run_comm_compute, MakespanMemo};
-use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
+use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, NamePattern, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, write_tile, TileRect};
 use tilelink::{
@@ -300,11 +298,11 @@ pub fn ag_gemm_program(
     let mapping = StaticMapping::new(tokens, cfg.comm_tile.m, world, cfg.channels_per_rank);
     let comm_m = mapping.tile_rows();
     let n_local = 2 * intermediate / world;
-    // Buffer names are interned once per build, not once per op (see
-    // `moe::ag_group_gemm_program`).
+    // Buffer names and block name patterns are interned once per build, not
+    // once per op or block (see `moe::ag_group_gemm_program`).
     let gathered = Symbol::intern("gathered");
     let intermediate_buf = Symbol::intern("intermediate");
-    let mut name = String::with_capacity(32);
+    let gemm = NamePattern::new("gemm/r{}/b{}");
     let mut program = TileProgram::new("mlp_ag_gemm", world);
     for rank in 0..world {
         // Communication: push this rank's token tiles to every peer.
@@ -313,9 +311,7 @@ pub fn ag_gemm_program(
         let compute_tiles = tokens.div_ceil(cfg.compute_tile.m);
         for b in 0..compute_tiles {
             let rows = b * cfg.compute_tile.m..((b + 1) * cfg.compute_tile.m).min(tokens);
-            name.clear();
-            write!(name, "gemm/r{rank}/b{b}").expect("write to string");
-            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Consumer);
+            let mut block = BlockDesc::new(gemm.name([rank, b]), rank, BlockRole::Consumer);
             // Comm tile `t` covers rows `t * comm_m..(t + 1) * comm_m`.
             for tile in rows.start / comm_m..rows.end.div_ceil(comm_m) {
                 block = block.op(TileOp::ConsumerWait { tile });
@@ -358,16 +354,14 @@ pub fn gemm_rs_program(
     // Interned once per build, not once per op (see ag_gemm_program).
     let act = Symbol::intern("act");
     let gemm_out = Symbol::intern("gemm_out");
-    let mut name = String::with_capacity(32);
+    let gemm = NamePattern::new("gemm/r{}/t{}");
     let mut program = TileProgram::new("mlp_gemm_rs", world);
     for rank in 0..world {
         // GEMM blocks produce partial-sum tiles of the full [M, H] output.
         for tile in 0..mapping.num_tiles() {
             let rows = mapping.rows_of(tile).expect("tile in range");
-            name.clear();
-            write!(name, "gemm/r{rank}/t{tile}").expect("write to string");
             program.add_block(
-                BlockDesc::new(name.as_str(), rank, BlockRole::Consumer)
+                BlockDesc::new(gemm.name([rank, tile]), rank, BlockRole::Consumer)
                     .op(TileOp::LoadTile {
                         buffer: act,
                         bytes: rows.len() as f64 * k_local as f64 * BYTES_PER_ELEM,

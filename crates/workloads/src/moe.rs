@@ -23,7 +23,7 @@
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
 use tilelink::exec::{run_comm_compute, MakespanMemo};
-use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, Symbol, TileOp, TileProgram};
+use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, NamePattern, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
@@ -38,7 +38,6 @@ use tilelink_shmem::ProcessGroup;
 use tilelink_sim::{CostProvider, SharedCost};
 
 use std::fmt;
-use std::fmt::Write as _;
 use std::ops::Range;
 use std::str::FromStr;
 
@@ -226,12 +225,13 @@ pub fn ag_group_gemm_program(
     let mapping = StaticMapping::new(m, cfg.comm_tile.m, world, cfg.channels_per_rank);
     let rows = dispatched_rows(shape);
     let compute_tiles = rows.div_ceil(cfg.compute_tile.m * DISPATCH_TILES_PER_BLOCK);
-    // Buffer names are interned once here instead of once per op: the intern
-    // table lookup takes a global lock, and these loops run for every block of
-    // every rank on every cache-miss compile.
+    // Buffer names and block name patterns are interned once here instead of
+    // once per op or block: the intern table lookup takes a global lock, and
+    // these loops run for every block of every rank on every cache-miss
+    // compile.
     let gathered = Symbol::intern("gathered");
     let expert_out = Symbol::intern("expert_out");
-    let mut name = String::with_capacity(32);
+    let ggemm = NamePattern::new("ggemm/r{}/b{}");
     let mut program = TileProgram::new("moe_ag_group_gemm", world);
     for rank in 0..world {
         comm::allgather_blocks(&mut program, rank, &mapping, h);
@@ -239,9 +239,7 @@ pub fn ag_group_gemm_program(
         for b in 0..compute_tiles {
             // Each Group-GEMM block consumes tokens scattered across the whole
             // gathered matrix, so it waits on a spread of producer tiles.
-            name.clear();
-            write!(name, "ggemm/r{rank}/b{b}").expect("write to string");
-            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Consumer);
+            let mut block = BlockDesc::new(ggemm.name([rank, b]), rank, BlockRole::Consumer);
             let wait_tiles =
                 (mapping.num_tiles() * (b + 1) / compute_tiles).min(mapping.num_tiles());
             for tile in (mapping.num_tiles() * b / compute_tiles)..wait_tiles {
@@ -288,7 +286,7 @@ pub fn group_gemm_rs_program(
     // Interned once per compile, not once per op (see ag_group_gemm_program).
     let expert_act = Symbol::intern("expert_act");
     let gemm_out = Symbol::intern("gemm_out");
-    let mut name = String::with_capacity(32);
+    let ggemm2 = NamePattern::new("ggemm2/r{}/t{}");
     let mut program = TileProgram::new("moe_group_gemm_rs", world);
     for rank in 0..world {
         // Group GEMM producing partial token outputs, fused with the scatter +
@@ -296,10 +294,8 @@ pub fn group_gemm_rs_program(
         for tile in 0..mapping.num_tiles() {
             let trows = mapping.rows_of(tile).expect("tile in range");
             let rows_of_tile = trows.len() * rows / m; // dispatched rows feeding this tile
-            name.clear();
-            write!(name, "ggemm2/r{rank}/t{tile}").expect("write to string");
             program.add_block(
-                BlockDesc::new(name.as_str(), rank, BlockRole::Consumer)
+                BlockDesc::new(ggemm2.name([rank, tile]), rank, BlockRole::Consumer)
                     .op(TileOp::LoadTile {
                         buffer: expert_act,
                         bytes: rows_of_tile as f64 * i_local as f64 * BYTES_PER_ELEM,
@@ -603,6 +599,55 @@ impl SplitMix {
     }
 }
 
+/// Guide-table buckets per expert: enough that a draw's scan rarely steps
+/// past its first candidate.
+const GUIDE_BUCKETS_PER_EXPERT: usize = 32;
+
+/// A guide table over non-decreasing cumulative weights: `[0, total)` split
+/// into equal buckets, each holding the first expert whose cumulative weight
+/// passes the bucket's lower edge.
+///
+/// A draw scans linearly from the entry of the bucket *below* its own, so
+/// rounding in the bucket arithmetic can never start it past its expert: the
+/// scan returns exactly what a binary search over the cumulative weights
+/// does, in O(1) expected steps instead of O(log experts).
+struct GuideTable {
+    start: Vec<usize>,
+    total: f64,
+}
+
+impl GuideTable {
+    fn new(cumulative: &[f64]) -> Self {
+        let experts = cumulative.len();
+        let buckets = experts * GUIDE_BUCKETS_PER_EXPERT;
+        let total = cumulative.last().copied().unwrap_or(0.0);
+        let mut start = Vec::with_capacity(buckets);
+        let mut e = 0;
+        for b in 0..buckets {
+            let edge = total * (b as f64 / buckets as f64);
+            while e < experts && cumulative[e] <= edge {
+                e += 1;
+            }
+            start.push(e);
+        }
+        Self { start, total }
+    }
+
+    /// The expert a uniform `unit` in `[0, 1)` draws: the first whose
+    /// cumulative weight exceeds `unit * total`, or the last expert.
+    fn draw(&self, cumulative: &[f64], unit: f64) -> usize {
+        let experts = cumulative.len();
+        let buckets = self.start.len();
+        let u = unit * self.total;
+        let bucket = ((unit * buckets as f64) as usize).min(buckets - 1);
+        let mut e = self.start[bucket.saturating_sub(1)];
+        while e < experts && cumulative[e] <= u {
+            e += 1;
+        }
+        e.min(experts - 1)
+    }
+}
+
 /// Deterministic, seedable sampler of per-expert routing loads.
 ///
 /// Every `(seed, sample index)` pair maps to exactly one [`RoutingSample`],
@@ -636,6 +681,18 @@ impl RoutingSampler {
     pub fn sample(&self, experts: usize, rows: usize, index: usize) -> RoutingSample {
         assert!(experts > 0, "expert count must be positive");
         tilelink_probe::metrics::WORKLOADS_ROUTING_SAMPLES.inc();
+        let (mut rng, cumulative) = self.weights(experts, index);
+        let guide = GuideTable::new(&cumulative);
+        let mut rows_per_expert = vec![0usize; experts];
+        for _ in 0..rows {
+            rows_per_expert[guide.draw(&cumulative, rng.next_f64())] += 1;
+        }
+        RoutingSample { rows_per_expert }
+    }
+
+    /// Sample `index`'s generator, after it has drawn the popularity
+    /// permutation, and the cumulative expert weights that permutation gives.
+    fn weights(&self, experts: usize, index: usize) -> (SplitMix, Vec<f64>) {
         let mut rng = SplitMix::new(
             self.seed
                 .wrapping_add((index as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F)),
@@ -646,23 +703,15 @@ impl RoutingSampler {
             let j = rng.below(i + 1);
             rank_of_expert.swap(i, j);
         }
-        let weights: Vec<f64> = rank_of_expert
-            .iter()
-            .map(|&r| self.profile.weight_of_rank(r))
-            .collect();
-        let mut cumulative = Vec::with_capacity(experts);
         let mut total = 0.0;
-        for w in &weights {
-            total += w;
-            cumulative.push(total);
-        }
-        let mut rows_per_expert = vec![0usize; experts];
-        for _ in 0..rows {
-            let u = rng.next_f64() * total;
-            let e = cumulative.partition_point(|&c| c <= u).min(experts - 1);
-            rows_per_expert[e] += 1;
-        }
-        RoutingSample { rows_per_expert }
+        let cumulative = rank_of_expert
+            .iter()
+            .map(|&r| {
+                total += self.profile.weight_of_rank(r);
+                total
+            })
+            .collect();
+        (rng, cumulative)
     }
 
     /// Draws the first `n` samples for one MoE shape.
@@ -750,7 +799,7 @@ pub fn routed_ag_group_gemm_program(
     // Interned once per build, not once per op (see ag_group_gemm_program).
     let gathered = Symbol::intern("gathered");
     let expert_out = Symbol::intern("expert_out");
-    let mut name = String::with_capacity(32);
+    let ggemm = NamePattern::new("ggemm/r{}/e{}/d{}");
     let mut program = TileProgram::new("moe_routed_ag_group_gemm", world);
     for rank in 0..world {
         comm::allgather_blocks(&mut program, rank, &ag, h);
@@ -761,9 +810,8 @@ pub fn routed_ag_group_gemm_program(
             let rows = dyn_map.rows_of(ag_tiles + d)?;
             let expert = dyn_map.rank_of(ag_tiles + d)?;
             let rows_blk = rows.len();
-            name.clear();
-            write!(name, "ggemm/r{rank}/e{expert}/d{d}").expect("write to string");
-            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Consumer);
+            let mut block =
+                BlockDesc::new(ggemm.name([rank, expert, d]), rank, BlockRole::Consumer);
             // Tokens routed to one expert are scattered over the whole
             // gathered matrix, so blocks wait on a prefix spread of producer
             // tiles (the same arrival model as the expected-routing builder).
@@ -818,7 +866,7 @@ pub fn routed_group_gemm_rs_program(
     // Interned once per build, not once per op (see ag_group_gemm_program).
     let expert_act = Symbol::intern("expert_act");
     let gemm_out = Symbol::intern("gemm_out");
-    let mut name = String::with_capacity(32);
+    let ggemm2 = NamePattern::new("ggemm2/r{}/e{}");
     let mut program = TileProgram::new("moe_routed_group_gemm_rs", world);
     for rank in 0..world {
         // Per-expert Group GEMM, fused with the scatter + top-k reduce
@@ -832,9 +880,7 @@ pub fn routed_group_gemm_rs_program(
             let tile_lo = num_tiles * cumulative / rows_total;
             cumulative += rows_e;
             let tile_hi = num_tiles * cumulative / rows_total;
-            name.clear();
-            write!(name, "ggemm2/r{rank}/e{expert}").expect("write to string");
-            let mut block = BlockDesc::new(name.as_str(), rank, BlockRole::Consumer)
+            let mut block = BlockDesc::new(ggemm2.name([rank, expert]), rank, BlockRole::Consumer)
                 .op(TileOp::LoadTile {
                     buffer: expert_act,
                     bytes: rows_e as f64 * i_local as f64 * BYTES_PER_ELEM,
@@ -1061,6 +1107,67 @@ mod tests {
             let c = RoutingSampler::new(profile, 43).sample(shape.experts, rows, 0);
             assert_ne!(a[0], c, "{profile}: different seed");
             assert_ne!(a[0], a[1], "{profile}: different index");
+        }
+    }
+
+    /// [`RoutingSampler::sample`] with every draw a binary search over the
+    /// cumulative weights.
+    fn sample_by_partition_point(
+        sampler: &RoutingSampler,
+        experts: usize,
+        rows: usize,
+        index: usize,
+    ) -> RoutingSample {
+        let (mut rng, cumulative) = sampler.weights(experts, index);
+        let total = *cumulative.last().unwrap();
+        let mut rows_per_expert = vec![0usize; experts];
+        for _ in 0..rows {
+            let u = rng.next_f64() * total;
+            rows_per_expert[cumulative.partition_point(|&c| c <= u).min(experts - 1)] += 1;
+        }
+        RoutingSample { rows_per_expert }
+    }
+
+    #[test]
+    fn guide_table_draws_match_a_binary_search() {
+        for profile in [
+            RoutingProfile::Uniform,
+            RoutingProfile::Zipf { s: 1.2 },
+            RoutingProfile::Zipf { s: 3.0 },
+            RoutingProfile::HotExpert { hot: 2 },
+        ] {
+            for experts in [1, 8, 32, 160] {
+                for seed in 0..8 {
+                    let sampler = RoutingSampler::new(profile, seed);
+                    for index in 0..2 {
+                        assert_eq!(
+                            sampler.sample(experts, 4096, index),
+                            sample_by_partition_point(&sampler, experts, 4096, index),
+                            "{profile}, {experts} experts, seed {seed}, sample {index}"
+                        );
+                    }
+                    // Draws on and beside every bucket edge, and the largest
+                    // unit value.
+                    let (_, cumulative) = sampler.weights(experts, 0);
+                    let guide = GuideTable::new(&cumulative);
+                    let total = guide.total;
+                    for b in 0..=experts {
+                        let edge = b as f64 / experts as f64;
+                        for unit in [edge.next_down(), edge, edge.next_up(), 1.0f64.next_down()] {
+                            if !(0.0..1.0).contains(&unit) {
+                                continue;
+                            }
+                            let u = unit * total;
+                            let expected = cumulative.partition_point(|&c| c <= u).min(experts - 1);
+                            assert_eq!(
+                                guide.draw(&cumulative, unit),
+                                expected,
+                                "{profile}, {unit}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
