@@ -419,22 +419,20 @@ fn tune(cost: &SharedCost, args: &Args) {
 
     let mlp: Vec<_> = shapes::mlp_shapes()
         .into_iter()
-        .map(WorkloadSpec::Mlp)
+        .map(WorkloadSpec::from)
         .collect();
     let moe = shapes::moe_shapes()
         .into_iter()
-        .map(|shape| WorkloadSpec::Moe {
-            shape,
-            routing: None,
-        });
+        .map(WorkloadSpec::from)
+        .collect();
     let mut mean_winners = Vec::new();
-    for (title, specs) in [("Figure 8 MLP", mlp), ("Figure 9 MoE", moe.collect())] {
+    for (title, specs) in [("Figure 8 MLP", mlp), ("Figure 9 MoE", moe)] {
         println!("\n== Autotune: {title} layers (tuned vs default config) ==");
         let mut speedups = Vec::new();
         for spec in specs {
             let oracle = spec.oracle(cost.clone(), Objective::Mean);
-            let tuned = run_tune(&*oracle, &opts).expect("tuning succeeds");
-            let default_ms = default_ms(&tuned, &*oracle);
+            let tuned = run_tune(&oracle, &opts).expect("tuning succeeds");
+            let default_ms = default_ms(&tuned, &oracle);
             let speedup = default_ms / tuned.layer.total_ms();
             speedups.push(speedup);
             println!(
@@ -470,7 +468,7 @@ fn tune(cost: &SharedCost, args: &Args) {
             routing: Some(routing),
         };
         let routed =
-            run_tune(&*spec.oracle(cost.clone(), objective), &opts).expect("tuning succeeds");
+            run_tune(&spec.oracle(cost.clone(), objective), &opts).expect("tuning succeeds");
         let marker = if routed.config == mean_tuned.config {
             "same config"
         } else {

@@ -11,11 +11,12 @@
 
 pub mod cli;
 
-use tilelink::exec::simulate_report;
+use tilelink::exec::{simulate_report, task_graph};
 use tilelink::CompiledKernel;
 use tilelink_sim::{ClusterSpec, CostModelSpec, SharedCost};
 use tilelink_workloads::e2e::{self, E2eComparison};
-use tilelink_workloads::{attention, baselines, mlp, moe, shapes, MlpShape, TuneOptions};
+use tilelink_workloads::{attention, autotune, baselines, mlp, moe, shapes};
+use tilelink_workloads::{MlpShape, RoutingProfile, RoutingSampler, TuneOptions};
 
 /// One (method, milliseconds) measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,13 +194,13 @@ pub fn fig9(panel: MoePanel, cost: &SharedCost) -> Vec<Group> {
                     baselines::cublas_nccl_moe_first(shape, &**cost).total_ms(),
                     baselines::cutlass_nccl_moe_first(shape, &**cost).total_ms(),
                     baselines::vllm_moe_first(shape, &**cost).total_ms(),
-                    kernel_ms(moe::ag_group_gemm_kernel(shape, &cfg, cost), cost),
+                    kernel_ms(moe::ag_group_gemm_kernel(shape, &cfg, cost, None), cost),
                 ),
                 MoePanel::Second => (
                     baselines::cublas_nccl_moe_second(shape, &**cost).total_ms(),
                     baselines::cutlass_nccl_moe_second(shape, &**cost).total_ms(),
                     baselines::vllm_moe_second(shape, &**cost).total_ms(),
-                    kernel_ms(moe::group_gemm_rs_kernel(shape, &cfg, cost), cost),
+                    kernel_ms(moe::group_gemm_rs_kernel(shape, &cfg, cost, None), cost),
                 ),
                 MoePanel::Full => (
                     baselines::cublas_nccl_full_moe(shape, &**cost).total_ms(),
@@ -328,8 +329,13 @@ fn kernel_ms(kernel: tilelink::Result<CompiledKernel>, cost: &SharedCost) -> f64
 // ---------------------------------------------------------------------------
 
 /// The three representative kernel graphs `reproduce --trace-out` exports as
-/// Chrome traces (Figure 8 MLP half, routed Figure 9 MoE half, two-node
-/// e2e-scale kernel), each paired with the cost provider that priced it.
+/// Chrome traces, each paired with the cost provider that priced it: the
+/// Figure 8 MLP-1 AllGather + GEMM half under its recommended config, the
+/// Figure 9 MoE-1 routed AG + Gather + GroupGEMM half for one sampled uniform
+/// routing (the dynamic-mapping layout the routing-aware tuner prices per
+/// sample), and the same MLP half at the end-to-end token count on the
+/// two-node Figure 11 setup, where transfers cross the InfiniBand fabric.
+/// Each is compiled by the kernel function the figures and the tuner use.
 ///
 /// # Panics
 ///
@@ -338,18 +344,41 @@ fn kernel_ms(kernel: tilelink::Result<CompiledKernel>, cost: &SharedCost) -> f64
 pub fn benchmark_graphs(
     spec: &CostModelSpec,
 ) -> Vec<(&'static str, SharedCost, tilelink_sim::TaskGraph)> {
-    use tilelink_workloads::simgraph;
-
     let single = cost_for(&default_cluster(), spec);
-    let two_node = cost_for(&e2e::two_node_setup().0, spec);
-    let fig8 = simgraph::fig8_mlp_graph_with(&single).expect("fig8 bench graph");
-    let fig9 = simgraph::fig9_routed_moe_graph_with(&single).expect("fig9 bench graph");
-    let e2e = simgraph::e2e_two_node_graph_with(&two_node).expect("e2e bench graph");
-    vec![
-        ("fig8_mlp_ag_gemm", single.clone(), fig8),
-        ("fig9_routed_moe_first", single, fig9),
-        ("e2e_two_node_ag_gemm", two_node, e2e),
+    let (two_node_cluster, e2e_tokens) = e2e::two_node_setup();
+    let two_node = cost_for(&two_node_cluster, spec);
+    let mlp1 = &shapes::mlp_shapes()[0];
+    let e2e_mlp = MlpShape {
+        tokens: e2e_tokens,
+        ..mlp1.clone()
+    };
+    let moe1 = &shapes::moe_shapes()[0];
+    let sample = RoutingSampler::new(RoutingProfile::Uniform, autotune::DEFAULT_ROUTING_SEED)
+        .samples_for(moe1, 1);
+    let (mlp_cfg, moe_cfg) = (mlp::ag_gemm_config(), moe::moe_config());
+    [
+        (
+            "fig8_mlp_ag_gemm",
+            &single,
+            mlp::ag_gemm_kernel(mlp1, &mlp_cfg, &single),
+        ),
+        (
+            "fig9_routed_moe_first",
+            &single,
+            moe::ag_group_gemm_kernel(moe1, &moe_cfg, &single, Some(&sample[0])),
+        ),
+        (
+            "e2e_two_node_ag_gemm",
+            &two_node,
+            mlp::ag_gemm_kernel(&e2e_mlp, &mlp_cfg, &two_node),
+        ),
     ]
+    .into_iter()
+    .map(|(name, cost, kernel)| {
+        let kernel = kernel.unwrap_or_else(|e| panic!("{name} bench kernel: {e}"));
+        (name, cost.clone(), task_graph(&kernel, cost.cluster()))
+    })
+    .collect()
 }
 
 /// Geometric mean of an iterator of positive values.
@@ -396,6 +425,20 @@ mod tests {
         for r in &rows {
             assert!(r.overlap_ratio >= 0.0 && r.overlap_ratio <= 1.0);
             assert!(r.group.speedup("TileLink", "Torch") > 1.0);
+        }
+    }
+
+    /// Each graph's makespan-only clock equals its traced makespan, bit for
+    /// bit.
+    #[test]
+    fn bench_graphs_build_and_simulate() {
+        for (label, cost, graph) in benchmark_graphs(&CostModelSpec::Analytic) {
+            assert!(!graph.is_empty(), "{label}");
+            let engine = tilelink_sim::Engine::with_cost(cost);
+            let fast = engine.makespan(&graph, f64::INFINITY).unwrap().clock();
+            let traced = engine.run(&graph).unwrap().makespan();
+            assert!(fast > 0.0, "{label}");
+            assert_eq!(fast.to_bits(), traced.to_bits(), "{label}");
         }
     }
 

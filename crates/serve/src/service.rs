@@ -351,7 +351,7 @@ impl TuneService {
     fn tune_inner(&self, req: &TuneRequest) -> Result<(TuneOutcome, Source), String> {
         let cost = self.provider_for(&req.cluster)?;
         let oracle = req.workload.oracle(cost.clone(), req.objective);
-        let key = TuneCache::oracle_prefix(&*oracle);
+        let key = TuneCache::oracle_prefix(&oracle);
 
         if let Some(outcome) = self.results.get(&key) {
             SERVE_REQUESTS_WARM.inc();
@@ -393,7 +393,7 @@ impl TuneService {
                     flight: &flight,
                     armed: true,
                 };
-                let result = (self.search)(req, &*oracle, &self.opts);
+                let result = (self.search)(req, &oracle, &self.opts);
                 guard.armed = false;
                 drop(guard);
                 if let Ok(outcome) = &result {
@@ -595,7 +595,7 @@ mod tests {
         });
         let req = request("TUNE workload=MoE-2 routing=hot:2 objective=p95");
         let cost = service.provider_for(&req.cluster).unwrap();
-        let key = TuneCache::oracle_prefix(&*req.workload.oracle(cost, req.objective));
+        let key = TuneCache::oracle_prefix(&req.workload.oracle(cost, req.objective));
         assert!(key.contains("moe/"), "workload part missing: {key}");
         assert!(key.contains("rt="), "routing part missing: {key}");
         assert!(key.contains("H800"), "cluster part missing: {key}");

@@ -15,7 +15,7 @@ use tilelink_serve::protocol::{parse_command, Command, TuneRequest};
 use tilelink_serve::service::{ServeOptions, Source, TuneOutcome, TuneService};
 use tilelink_sim::ClusterSpec;
 use tilelink_tune::{CostOracle, Objective};
-use tilelink_workloads::autotune::MoeOracle;
+use tilelink_workloads::autotune::LayerOracle;
 use tilelink_workloads::{shapes, RoutingProfile, RoutingSpec};
 
 fn request(line: &str) -> TuneRequest {
@@ -205,7 +205,7 @@ fn warm_routed_probe_draws_no_routing_samples() {
         samples: 2,
         ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
     };
-    let oracle = MoeOracle::new(shapes::moe_shapes()[0].clone(), ClusterSpec::h800_node(8))
+    let oracle = LayerOracle::new(shapes::moe_shapes()[0].clone(), ClusterSpec::h800_node(8))
         .with_routing(spec)
         .with_objective(Objective::Percentile(95));
     assert_eq!(WORKLOADS_ROUTING_SAMPLES.get(), drawn);

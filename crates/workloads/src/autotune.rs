@@ -1,11 +1,12 @@
 //! Simulator-guided autotuning of the workload layers.
 //!
 //! This module connects the layers of this crate to the `tilelink-tune`
-//! design-space search: the MLP and MoE layers each get a
-//! [`tilelink_tune::CostOracle`] that compiles the candidate configuration
-//! through the TileLink compiler and measures the simulated makespan, plus a
-//! `tuned_*` constructor that runs the search and returns the best
-//! configuration together with its timing.
+//! design-space search: every layer, MLP or MoE, routed or not, is priced by
+//! one [`tilelink_tune::CostOracle`], the [`LayerOracle`], which compiles the
+//! layer's two half kernels for the candidate configuration through the
+//! TileLink compiler and measures the simulated makespan; a `tuned_*`
+//! constructor runs the search and returns the best configuration together
+//! with its timing.
 //!
 //! Every front end goes from a workload to a tuned layer through the same
 //! two functions: [`WorkloadSpec::oracle`] builds the oracle and
@@ -22,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use tilelink::exec::MakespanMemo;
-use tilelink::{OverlapConfig, OverlapReport};
+use tilelink::{CompiledKernel, OverlapConfig, OverlapReport};
 use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_tune::{
     BoundedEval, CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache,
@@ -98,129 +99,126 @@ impl fmt::Display for RoutingSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Oracles
+// Workloads
 // ---------------------------------------------------------------------------
 
-/// Prices one config for the full tensor-parallel MLP layer (both halves plus
-/// the activation, mirroring [`mlp::timed_full_mlp`] but with the candidate
-/// config applied to both halves).
-///
-/// Both evaluations price each half kernel through the oracle's own
-/// [`MakespanMemo`], so every distinct kernel is simulated once however many
-/// configs and searches compile to it: a search winner's exact report
-/// ([`CostOracle::evaluate`]) reads each half's overlapped makespan there
-/// and simulates only its comm-only and compute-only runs.
-#[derive(Debug, Clone)]
-pub struct MlpOracle {
-    shape: MlpShape,
-    memo: MakespanMemo,
+/// A workload to tune: one catalog shape from Table 4, and for MoE the
+/// routing its candidates are priced over.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadSpec {
+    /// A tensor-parallel MLP shape ("MLP-1".."MLP-6").
+    Mlp(MlpShape),
+    /// An MoE shape ("MoE-1".."MoE-6"), optionally priced over sampled
+    /// routings.
+    Moe {
+        /// The shape to tune.
+        shape: MoeShape,
+        /// Routing distribution to sample; `None` prices expected uniform
+        /// routing.
+        routing: Option<RoutingSpec>,
+    },
 }
 
-impl MlpOracle {
-    /// Creates the oracle for one MLP shape on one cluster (analytic costs).
-    pub fn new(shape: MlpShape, cluster: ClusterSpec) -> Self {
-        Self {
+impl From<MlpShape> for WorkloadSpec {
+    fn from(shape: MlpShape) -> Self {
+        WorkloadSpec::Mlp(shape)
+    }
+}
+
+/// An MoE shape under the expected uniform routing.
+impl From<MoeShape> for WorkloadSpec {
+    fn from(shape: MoeShape) -> Self {
+        WorkloadSpec::Moe {
             shape,
-            memo: MakespanMemo::new(analytic_cost(&cluster)),
-        }
-    }
-
-    /// Replaces the cost provider (and with it the cluster) the oracle
-    /// evaluates against, starting a new memo.
-    pub fn with_cost(mut self, cost: SharedCost) -> Self {
-        self.memo = MakespanMemo::new(cost);
-        self
-    }
-}
-
-impl CostOracle for MlpOracle {
-    fn workload_key(&self) -> String {
-        format!(
-            "mlp/S{}-H{}-I{}",
-            self.shape.tokens, self.shape.hidden, self.shape.intermediate
-        )
-    }
-
-    fn cluster(&self) -> &ClusterSpec {
-        self.memo.cost().cluster()
-    }
-
-    fn cost_revision(&self) -> String {
-        self.memo.cost().revision()
-    }
-
-    fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let (shape, cost) = (&self.shape, self.memo.cost());
-        bounds::exact_layer(
-            &self.memo,
-            mlp::activation_seconds(shape, &**cost),
-            || mlp::ag_gemm_kernel(shape, cfg, cost),
-            || mlp::gemm_rs_kernel(shape, cfg, cost),
-        )
-    }
-
-    fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
-        let cost = &**self.memo.cost();
-        Some(
-            bounds::mlp_ag_gemm_bound(&self.shape, cfg, cost)
-                + bounds::mlp_gemm_rs_bound(&self.shape, cfg, cost)
-                + mlp::activation_seconds(&self.shape, cost),
-        )
-    }
-
-    fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let (shape, cost) = (&self.shape, self.memo.cost());
-        bounds::compose_layer(
-            &self.memo,
-            cutoff,
-            mlp::activation_seconds(shape, &**cost),
-            bounds::mlp_gemm_rs_bound(shape, cfg, &**cost),
-            || mlp::ag_gemm_kernel(shape, cfg, cost),
-            || mlp::gemm_rs_kernel(shape, cfg, cost),
-        )
-    }
-
-    fn is_supported(&self, cfg: &OverlapConfig) -> bool {
-        let world = self.cluster().world_size();
-        comm::ring_supported(self.shape.tokens, world, cfg.compute_tile.m)
-    }
-}
-
-/// Prices one config for the full MoE layer (both halves plus activation,
-/// mirroring [`moe::timed_full_moe`] with the candidate config).
-///
-/// By default the oracle prices the *expected* uniform routing through the
-/// static program builders (the historical behaviour, so existing figures and
-/// caches are unchanged). With [`MoeOracle::with_routing`] it instead prices
-/// every candidate over sampled routings through the dynamic-mapping builders
-/// ([`moe::timed_routed_full_moe`]) and folds the per-sample prices
-/// with its [`Objective`] — tuning for the tail of the routing distribution
-/// rather than the mean.
-///
-/// Like [`MlpOracle`], both evaluations price each half kernel (per sample,
-/// when routed) through the oracle's own [`MakespanMemo`]. A routed
-/// percentile or worst-case [`CostOracle::evaluate`] ranks the samples by
-/// their memoised layer totals and prices the comm/compute split of the one
-/// sample its objective picks; the mean prices every sample's split.
-#[derive(Debug, Clone)]
-pub struct MoeOracle {
-    shape: MoeShape,
-    memo: MakespanMemo,
-    /// The routing spec and the samples drawn from it on first use.
-    routing: Option<(RoutingSpec, OnceLock<Vec<RoutingSample>>)>,
-    objective: Objective,
-}
-
-impl MoeOracle {
-    /// Creates the oracle for one MoE shape on one cluster (analytic costs,
-    /// expected uniform routing, mean objective).
-    pub fn new(shape: MoeShape, cluster: ClusterSpec) -> Self {
-        Self {
-            shape,
-            memo: MakespanMemo::new(analytic_cost(&cluster)),
             routing: None,
-            objective: Objective::Mean,
         }
+    }
+}
+
+impl WorkloadSpec {
+    /// The catalog name of the shape ("MLP-3", "MoE-1", …).
+    pub fn name(&self) -> &'static str {
+        match self {
+            WorkloadSpec::Mlp(shape) => shape.name,
+            WorkloadSpec::Moe { shape, .. } => shape.name,
+        }
+    }
+
+    /// The oracle that prices this workload with `cost`, on the provider's
+    /// cluster, for `objective` (which an MLP layer ignores, see
+    /// [`LayerOracle::with_objective`]): the one place a workload becomes an
+    /// oracle.
+    ///
+    /// Building the oracle draws no routing sample, so the tuning daemon
+    /// keys a request by [`TuneCache::oracle_prefix`] of this oracle before
+    /// it decides whether to search.
+    pub fn oracle(&self, cost: SharedCost, objective: Objective) -> LayerOracle {
+        LayerOracle {
+            workload: self.clone(),
+            memo: MakespanMemo::new(cost),
+            objective: Objective::Mean,
+            samples: OnceLock::new(),
+        }
+        .with_objective(objective)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The layer oracle
+// ---------------------------------------------------------------------------
+
+/// Prices one config for the full layer of a [`WorkloadSpec`]: its two half
+/// kernels, both compiled for the candidate config, with the activation
+/// between them (compare [`mlp::timed_full_mlp`] and [`moe::timed_full_moe`],
+/// which replay the hand-picked configs).
+///
+/// An MLP layer, and an MoE layer under the expected uniform routing, is
+/// priced once. An MoE layer with a [`RoutingSpec`] is priced over every
+/// sampled routing through the dynamic-mapping builders, and the per-sample
+/// prices are folded with the oracle's [`Objective`]: tuning for the tail of
+/// the routing distribution rather than the mean.
+///
+/// Both evaluations price each half kernel (per sample, when routed) through
+/// the oracle's own [`MakespanMemo`], so every distinct kernel is simulated
+/// once however many configs and searches compile to it. A search winner's
+/// exact report ([`CostOracle::evaluate`]) reads each half's overlapped
+/// makespan there and simulates only its comm-only and compute-only runs. A
+/// routed percentile or worst-case report ranks the samples by their
+/// memoised layer totals and prices the split of the one sample its
+/// objective picks; the mean prices every sample's split.
+#[derive(Debug, Clone)]
+pub struct LayerOracle {
+    workload: WorkloadSpec,
+    memo: MakespanMemo,
+    objective: Objective,
+    /// The routings drawn from the workload's spec on first use.
+    samples: OnceLock<Vec<RoutingSample>>,
+}
+
+/// [`LayerOracle`] under its older MLP name, which tunebench still builds
+/// its MLP oracles by. This alias and [`MoeOracle`] go once tunebench builds
+/// its oracles through [`WorkloadSpec::oracle`].
+pub type MlpOracle = LayerOracle;
+
+/// [`LayerOracle`] under its older MoE name (see [`MlpOracle`]).
+pub type MoeOracle = LayerOracle;
+
+/// One of the two kernels of a layer.
+enum Half {
+    /// AllGather + GEMM (MLP) or AllGather + Gather + GroupGEMM (MoE).
+    First,
+    /// GEMM + ReduceScatter (MLP) or GroupGEMM + Scatter + TopK-Reduce +
+    /// ReduceScatter (MoE).
+    Second,
+}
+
+impl LayerOracle {
+    /// Creates the oracle for one workload on one cluster (analytic costs,
+    /// mean objective); an MoE shape prices the expected uniform routing.
+    pub fn new(workload: impl Into<WorkloadSpec>, cluster: ClusterSpec) -> Self {
+        workload
+            .into()
+            .oracle(analytic_cost(&cluster), Objective::Mean)
     }
 
     /// Replaces the cost provider (and with it the cluster) the oracle
@@ -235,58 +233,157 @@ impl MoeOracle {
     /// are drawn once, by the first evaluation, and every later evaluation
     /// reuses them; an oracle built only for its
     /// [`CostOracle::workload_key`] draws nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an MLP layer, which has no routing.
     pub fn with_routing(mut self, spec: RoutingSpec) -> Self {
-        self.routing = Some((spec, OnceLock::new()));
+        let WorkloadSpec::Moe { routing, .. } = &mut self.workload else {
+            panic!("an MLP layer has no routing to sample");
+        };
+        *routing = Some(spec);
+        self.samples = OnceLock::new();
         self
     }
 
     /// Replaces the statistic folding the per-sample prices (only meaningful
-    /// together with [`MoeOracle::with_routing`]; a non-mean objective over
-    /// the single expected-routing evaluation is the identity).
+    /// together with [`LayerOracle::with_routing`]; a non-mean objective over
+    /// a single evaluation is the identity). An MLP layer is deterministic,
+    /// so it keeps the mean, and with it the cache key of every objective.
     pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
+        if let WorkloadSpec::Moe { .. } = self.workload {
+            self.objective = objective;
+        }
         self
     }
 
     /// The sampled routings, drawn on the first call; `None` prices the
-    /// expected routing.
+    /// expected routing (and every MLP layer).
     fn samples(&self) -> Option<&[RoutingSample]> {
-        let (spec, samples) = self.routing.as_ref()?;
-        Some(samples.get_or_init(|| spec.sampler().samples_for(&self.shape, spec.samples.max(1))))
+        let WorkloadSpec::Moe {
+            shape,
+            routing: Some(spec),
+        } = &self.workload
+        else {
+            return None;
+        };
+        Some(
+            self.samples
+                .get_or_init(|| spec.sampler().samples_for(shape, spec.samples.max(1))),
+        )
     }
 
-    /// The layer makespan under one sampled routing, cut off at `cutoff`.
-    fn routed_makespan(
+    /// The `half` kernel of the layer compiled for `cfg`, under `sample` or
+    /// (`None`) the expected routing.
+    fn kernel(
+        &self,
+        half: Half,
+        cfg: &OverlapConfig,
+        sample: Option<&RoutingSample>,
+    ) -> tilelink::Result<CompiledKernel> {
+        let cost = self.memo.cost();
+        match (&self.workload, half) {
+            (WorkloadSpec::Mlp(shape), Half::First) => mlp::ag_gemm_kernel(shape, cfg, cost),
+            (WorkloadSpec::Mlp(shape), Half::Second) => mlp::gemm_rs_kernel(shape, cfg, cost),
+            (WorkloadSpec::Moe { shape, .. }, Half::First) => {
+                moe::ag_group_gemm_kernel(shape, cfg, cost, sample)
+            }
+            (WorkloadSpec::Moe { shape, .. }, Half::Second) => {
+                moe::group_gemm_rs_kernel(shape, cfg, cost, sample)
+            }
+        }
+    }
+
+    /// An admissible lower bound of the `half` kernel under any routing.
+    fn bound(&self, half: Half, cfg: &OverlapConfig) -> f64 {
+        let cost = &**self.memo.cost();
+        match (&self.workload, half) {
+            (WorkloadSpec::Mlp(shape), Half::First) => bounds::mlp_ag_gemm_bound(shape, cfg, cost),
+            (WorkloadSpec::Mlp(shape), Half::Second) => bounds::mlp_gemm_rs_bound(shape, cfg, cost),
+            (WorkloadSpec::Moe { shape, .. }, Half::First) => {
+                bounds::moe_first_bound(shape, cfg, cost)
+            }
+            (WorkloadSpec::Moe { shape, .. }, Half::Second) => {
+                bounds::moe_second_bound(shape, cfg, cost)
+            }
+        }
+    }
+
+    /// Seconds of the activation between the two halves.
+    fn activation(&self) -> f64 {
+        let cost = &**self.memo.cost();
+        match &self.workload {
+            WorkloadSpec::Mlp(shape) => mlp::activation_seconds(shape, cost),
+            WorkloadSpec::Moe { shape, .. } => moe::activation_seconds(shape, cost),
+        }
+    }
+
+    /// The exact report of the layer under `sample`: each half's full report
+    /// from [`MakespanMemo::report`], summed by [`OverlapReport::layer`].
+    fn layer_report(
         &self,
         cfg: &OverlapConfig,
-        sample: &RoutingSample,
+        sample: Option<&RoutingSample>,
+    ) -> tilelink::Result<OverlapReport> {
+        let first = self.memo.report(&self.kernel(Half::First, cfg, sample)?)?;
+        let second = self.memo.report(&self.kernel(Half::Second, cfg, sample)?)?;
+        Ok(OverlapReport::layer(first, self.activation(), second))
+    }
+
+    /// The layer makespan under `sample`, cut off at `cutoff` on the layer
+    /// total, each half priced through the memo within the budget it is
+    /// handed. The first half may spend what the cutoff leaves after the
+    /// activation and the second half's admissible bound; the second half
+    /// what remains after the exactly priced first one. An `Exceeded` clock
+    /// is therefore a certified lower bound on the layer total, and a
+    /// `Finished` total sums as `(first + second) + act`, bit for bit the
+    /// `total_s` of [`LayerOracle::layer_report`].
+    fn layer_makespan(
+        &self,
+        cfg: &OverlapConfig,
+        sample: Option<&RoutingSample>,
         cutoff: f64,
     ) -> tilelink::Result<BoundedEval> {
-        let (shape, cost) = (&self.shape, self.memo.cost());
-        bounds::compose_layer(
-            &self.memo,
-            cutoff,
-            moe::activation_seconds(shape, &**cost),
-            bounds::moe_second_bound(shape, cfg, &**cost),
-            || moe::routed_ag_group_gemm_kernel(shape, cfg, cost, sample),
-            || moe::routed_group_gemm_rs_kernel(shape, cfg, cost, sample),
-        )
+        let act = self.activation();
+        let second_bound = self.bound(Half::Second, cfg);
+        let first = self.kernel(Half::First, cfg, sample)?;
+        let first = match self.memo.makespan(&first, cutoff - act - second_bound)? {
+            BoundedEval::Finished(total) => total,
+            BoundedEval::Exceeded(clock) => {
+                return Ok(BoundedEval::Exceeded(clock + second_bound + act))
+            }
+        };
+        // With the first half priced exactly, the second half's bound may
+        // already certify the layer past the cutoff: skip its compile and
+        // simulation.
+        if first + second_bound + act > cutoff {
+            return Ok(BoundedEval::Exceeded(first + second_bound + act));
+        }
+        let second = self.kernel(Half::Second, cfg, sample)?;
+        match self.memo.makespan(&second, cutoff - act - first)? {
+            BoundedEval::Finished(second) => Ok(BoundedEval::Finished(first + second + act)),
+            BoundedEval::Exceeded(clock) => Ok(BoundedEval::Exceeded(first + clock + act)),
+        }
     }
 }
 
-impl CostOracle for MoeOracle {
+impl CostOracle for LayerOracle {
     fn workload_key(&self) -> String {
-        let base = format!(
-            "moe/S{}-H{}-I{}-E{}-K{}",
-            self.shape.tokens,
-            self.shape.hidden,
-            self.shape.intermediate,
-            self.shape.experts,
-            self.shape.top_k
-        );
-        match &self.routing {
-            None => base,
-            Some((spec, _)) => format!("{base}/rt={spec}"),
+        match &self.workload {
+            WorkloadSpec::Mlp(shape) => format!(
+                "mlp/S{}-H{}-I{}",
+                shape.tokens, shape.hidden, shape.intermediate
+            ),
+            WorkloadSpec::Moe { shape, routing } => {
+                let base = format!(
+                    "moe/S{}-H{}-I{}-E{}-K{}",
+                    shape.tokens, shape.hidden, shape.intermediate, shape.experts, shape.top_k
+                );
+                match routing {
+                    None => base,
+                    Some(spec) => format!("{base}/rt={spec}"),
+                }
+            }
         }
     }
 
@@ -303,28 +400,13 @@ impl CostOracle for MoeOracle {
     }
 
     fn evaluate(&self, cfg: &OverlapConfig) -> tilelink::Result<OverlapReport> {
-        let (shape, cost) = (&self.shape, self.memo.cost());
-        let act = moe::activation_seconds(shape, &**cost);
         let Some(samples) = self.samples() else {
-            return bounds::exact_layer(
-                &self.memo,
-                act,
-                || moe::ag_group_gemm_kernel(shape, cfg, cost),
-                || moe::group_gemm_rs_kernel(shape, cfg, cost),
-            );
-        };
-        let report = |sample: &RoutingSample| {
-            bounds::exact_layer(
-                &self.memo,
-                act,
-                || moe::routed_ag_group_gemm_kernel(shape, cfg, cost, sample),
-                || moe::routed_group_gemm_rs_kernel(shape, cfg, cost, sample),
-            )
+            return self.layer_report(cfg, None);
         };
         if self.objective == Objective::Mean {
             let reports = samples
                 .iter()
-                .map(report)
+                .map(|sample| self.layer_report(cfg, Some(sample)))
                 .collect::<tilelink::Result<Vec<_>>>()?;
             return Ok(self.objective.fold_reports(&reports));
         }
@@ -334,10 +416,17 @@ impl CostOracle for MoeOracle {
         // price only its split.
         let totals = samples
             .iter()
-            .map(|sample| Ok(self.routed_makespan(cfg, sample, f64::INFINITY)?.clock()))
+            .map(|sample| {
+                Ok(self
+                    .layer_makespan(cfg, Some(sample), f64::INFINITY)?
+                    .clock())
+            })
             .collect::<tilelink::Result<Vec<_>>>()?;
         let picked = self.objective.picked_sample(&totals);
-        report(&samples[picked.expect("a non-mean objective picks a sample")])
+        self.layer_report(
+            cfg,
+            Some(&samples[picked.expect("a non-mean objective picks a sample")]),
+        )
     }
 
     fn lower_bound(&self, cfg: &OverlapConfig) -> Option<f64> {
@@ -345,25 +434,12 @@ impl CostOracle for MoeOracle {
         // conserves the dispatched row count and the AG traffic), so it
         // floors each sample's total and therefore every objective fold —
         // the mean, any percentile and the worst case alike.
-        let cost = &**self.memo.cost();
-        Some(
-            bounds::moe_first_bound(&self.shape, cfg, cost)
-                + bounds::moe_second_bound(&self.shape, cfg, cost)
-                + moe::activation_seconds(&self.shape, cost),
-        )
+        Some(self.bound(Half::First, cfg) + self.bound(Half::Second, cfg) + self.activation())
     }
 
     fn evaluate_bounded(&self, cfg: &OverlapConfig, cutoff: f64) -> tilelink::Result<BoundedEval> {
-        let (shape, cost) = (&self.shape, self.memo.cost());
         let Some(samples) = self.samples() else {
-            return bounds::compose_layer(
-                &self.memo,
-                cutoff,
-                moe::activation_seconds(shape, &**cost),
-                bounds::moe_second_bound(shape, cfg, &**cost),
-                || moe::ag_group_gemm_kernel(shape, cfg, cost),
-                || moe::group_gemm_rs_kernel(shape, cfg, cost),
-            );
+            return self.layer_makespan(cfg, None, cutoff);
         };
 
         let n = samples.len();
@@ -375,12 +451,12 @@ impl CostOracle for MoeOracle {
             // abort therefore certifies mean > cutoff.
             let lb_sample = self
                 .lower_bound(cfg)
-                .expect("moe oracle always has a bound");
+                .expect("a layer oracle always has a bound");
             let mut sum = 0.0;
             for (i, sample) in samples.iter().enumerate() {
                 let remaining_lb = (n - 1 - i) as f64 * lb_sample;
                 let budget = n as f64 * cutoff - sum - remaining_lb;
-                match self.routed_makespan(cfg, sample, budget)? {
+                match self.layer_makespan(cfg, Some(sample), budget)? {
                     BoundedEval::Finished(total) => {
                         sum += total;
                         totals.push(total);
@@ -404,7 +480,7 @@ impl CostOracle for MoeOracle {
         let allowed_aborts = n - 1 - pick;
         let (mut aborts, mut aborted_floor) = (0, f64::INFINITY);
         for sample in samples {
-            match self.routed_makespan(cfg, sample, cutoff)? {
+            match self.layer_makespan(cfg, Some(sample), cutoff)? {
                 BoundedEval::Finished(total) => totals.push(total),
                 BoundedEval::Exceeded(clock) => {
                     aborts += 1;
@@ -420,64 +496,11 @@ impl CostOracle for MoeOracle {
     }
 
     fn is_supported(&self, cfg: &OverlapConfig) -> bool {
-        let world = self.cluster().world_size();
-        comm::ring_supported(self.shape.tokens, world, cfg.compute_tile.m)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workloads
-// ---------------------------------------------------------------------------
-
-/// A workload to tune: one catalog shape from Table 4, and for MoE the
-/// routing its candidates are priced over.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadSpec {
-    /// A tensor-parallel MLP shape ("MLP-1".."MLP-6").
-    Mlp(MlpShape),
-    /// An MoE shape ("MoE-1".."MoE-6"), optionally priced over sampled
-    /// routings.
-    Moe {
-        /// The shape to tune.
-        shape: MoeShape,
-        /// Routing distribution to sample; `None` prices expected uniform
-        /// routing.
-        routing: Option<RoutingSpec>,
-    },
-}
-
-impl WorkloadSpec {
-    /// The catalog name of the shape ("MLP-3", "MoE-1", …).
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkloadSpec::Mlp(shape) => shape.name,
-            WorkloadSpec::Moe { shape, .. } => shape.name,
-        }
-    }
-
-    /// The oracle that prices this workload with `cost`, on the provider's
-    /// cluster, for `objective`: the one place a workload becomes an oracle.
-    /// An MLP layer is deterministic, so it ignores `objective`.
-    ///
-    /// Building the oracle draws no routing sample, so the tuning daemon
-    /// keys a request by [`TuneCache::oracle_prefix`] of this oracle before
-    /// it decides whether to search.
-    pub fn oracle(&self, cost: SharedCost, objective: Objective) -> Box<dyn CostOracle> {
-        let cluster = cost.cluster().clone();
-        match self {
-            WorkloadSpec::Mlp(shape) => {
-                Box::new(MlpOracle::new(shape.clone(), cluster).with_cost(cost))
-            }
-            WorkloadSpec::Moe { shape, routing } => {
-                let oracle = MoeOracle::new(shape.clone(), cluster)
-                    .with_cost(cost)
-                    .with_objective(objective);
-                match routing {
-                    Some(spec) => Box::new(oracle.with_routing(*spec)),
-                    None => Box::new(oracle),
-                }
-            }
-        }
+        let tokens = match &self.workload {
+            WorkloadSpec::Mlp(shape) => shape.tokens,
+            WorkloadSpec::Moe { shape, .. } => shape.tokens,
+        };
+        comm::ring_supported(tokens, self.cluster().world_size(), cfg.compute_tile.m)
     }
 }
 
@@ -598,7 +621,7 @@ fn tuned_full(
         }
         None => analytic_cost(cluster),
     };
-    run_tune(&*spec.oracle(cost, opts.objective), opts)
+    run_tune(&spec.oracle(cost, opts.objective), opts)
 }
 
 /// Searches `oracle` the one way every front end does: the default beam
@@ -672,7 +695,7 @@ mod tests {
     fn unsupported_tile_sizes_are_pruned_for_mlp() {
         let shape = crate::shapes::mlp_shapes()[0].clone();
         let cluster = ClusterSpec::h800_node(8);
-        let oracle = MlpOracle::new(shape, cluster);
+        let oracle = LayerOracle::new(shape, cluster);
         // 8192 tokens over 8 ranks: 1024 rows per rank. A 384-row compute tile
         // does not divide the segment, so the ring RS indexing rejects it.
         let bad = OverlapConfig::default().with_compute_tile(TileShape::new(384, 256));
@@ -688,21 +711,33 @@ mod tests {
         // Wrapped, 64-row tiles read 128 rows and divide every token count.
         let cluster = ClusterSpec::new(tilelink_sim::GpuSpec::h800(), 2, 144_115_188_075_855_873);
         let space = SearchSpace::standard();
-        let spec = WorkloadSpec::Moe {
-            shape: crate::shapes::moe_shapes()[0].clone(),
-            routing: None,
-        };
         for spec in [
-            WorkloadSpec::Mlp(crate::shapes::mlp_shapes()[0].clone()),
-            spec,
+            WorkloadSpec::from(crate::shapes::mlp_shapes()[0].clone()),
+            WorkloadSpec::from(crate::shapes::moe_shapes()[0].clone()),
         ] {
             let oracle = spec.oracle(analytic_cost(&cluster), Objective::Mean);
             assert!(
-                space.candidates(&*oracle).is_empty(),
+                space.candidates(&oracle).is_empty(),
                 "{} admits configs on a 2^58-rank cluster",
                 spec.name()
             );
         }
+    }
+
+    #[test]
+    fn mlp_layers_keep_the_mean_objective() {
+        let shape = crate::shapes::mlp_shapes()[0].clone();
+        let oracle =
+            LayerOracle::new(shape, ClusterSpec::h800_node(8)).with_objective(Objective::WorstCase);
+        assert_eq!(oracle.objective(), Objective::Mean);
+    }
+
+    #[test]
+    #[should_panic(expected = "no routing")]
+    fn routing_an_mlp_layer_is_rejected() {
+        let shape = crate::shapes::mlp_shapes()[0].clone();
+        let spec = RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 });
+        let _ = LayerOracle::new(shape, ClusterSpec::h800_node(8)).with_routing(spec);
     }
 
     #[test]
@@ -718,13 +753,13 @@ mod tests {
     fn routed_moe_oracle_changes_key_and_prices_the_tail_higher() {
         let shape = crate::shapes::moe_shapes()[0].clone();
         let cluster = ClusterSpec::h800_node(8);
-        let plain = MoeOracle::new(shape.clone(), cluster.clone());
+        let plain = LayerOracle::new(shape.clone(), cluster.clone());
         let spec = RoutingSpec {
             samples: 3,
             ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
         };
-        let mean = MoeOracle::new(shape.clone(), cluster.clone()).with_routing(spec);
-        let worst = MoeOracle::new(shape, cluster)
+        let mean = LayerOracle::new(shape.clone(), cluster.clone()).with_routing(spec);
+        let worst = LayerOracle::new(shape, cluster)
             .with_routing(spec)
             .with_objective(Objective::WorstCase);
 

@@ -1,4 +1,5 @@
-//! Admissible closed-form lower bounds for the workload cost oracles.
+//! Admissible closed-form lower bounds of the layer kernels, for the layer
+//! oracle ([`crate::autotune::LayerOracle`]).
 //!
 //! The branch-and-bound tuner ([`tilelink_tune::CostOracle::lower_bound`])
 //! prunes a candidate without compiling or simulating it when a cheap bound
@@ -25,21 +26,12 @@
 //! the simulator charges — so they stay admissible under calibrated models
 //! too (calibrated links only ever price *slower* than peak).
 //!
-//! [`compose_layer`] spends the bounds: it prices a two-half layer's makespan
-//! under one cutoff, handing each half the residual budget the other leaves.
-//! It prices each half through the oracle's [`MakespanMemo`], so a half
-//! kernel the search already priced (the same kernel compiled from another
-//! config) costs a lookup, not a graph build and a simulation; the memo
-//! answers every cutoff exactly as a fresh simulation would classify it.
-//! [`exact_layer`] is its exact sibling: the same two halves, each priced
-//! with its comm/compute split by [`MakespanMemo::report`]. A half whose
-//! full graph finished in a bounded evaluation is read from the memo, so a
-//! search winner costs only its comm-only and compute-only runs; the figures
-//! pass a fresh memo and simulate all three runs of each half.
+//! The oracle spends them twice: the two halves' bounds plus the activation
+//! are its layer bound, and the second half's bound leaves the first half
+//! its residual budget when it prices a layer under a cutoff.
 
-use tilelink::exec::MakespanMemo;
-use tilelink::{CommMapping, CompiledKernel, OverlapConfig, OverlapReport};
-use tilelink_sim::{BoundedMakespan, CostProvider, ResourceKind, Task, Work};
+use tilelink::{CommMapping, OverlapConfig};
+use tilelink_sim::{CostProvider, ResourceKind, Task, Work};
 
 use crate::comm::{allgather_egress, ring_rs_egress};
 use crate::{moe, MlpShape, MoeShape};
@@ -172,9 +164,10 @@ pub(crate) fn moe_first_bound(
     .lower_bound(cfg, cost)
 }
 
-/// Lower bound for the MoE second half (GroupGEMM + RS). Both second-half
-/// kernels compile onto `moe::SECOND_HALF_MAPPING` whatever the config says,
-/// so the bound drains through that lane too.
+/// Lower bound for the MoE second half (GroupGEMM + RS). The second-half
+/// kernel compiles onto `moe::SECOND_HALF_MAPPING` with or without a routing
+/// sample, whatever the config says, so the bound drains through that lane
+/// too.
 pub(crate) fn moe_second_bound(
     shape: &MoeShape,
     cfg: &OverlapConfig,
@@ -201,67 +194,6 @@ pub(crate) fn moe_second_bound(
         mapping: moe::SECOND_HALF_MAPPING,
     }
     .lower_bound(cfg, cost)
-}
-
-/// Prices a layer of two kernel halves with an activation of `act` seconds
-/// between them exactly: each half's full [`OverlapReport`] from
-/// [`MakespanMemo::report`], summed by [`OverlapReport::layer`]. It takes the
-/// closures [`compose_layer`] takes, so a layer's exact and bounded prices
-/// compile the same kernels and agree on `total_s` bit for bit.
-///
-/// # Errors
-///
-/// Returns the first error either half reports.
-pub(crate) fn exact_layer(
-    memo: &MakespanMemo,
-    act: f64,
-    first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
-    second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
-) -> tilelink::Result<OverlapReport> {
-    let first = memo.report(&first()?)?;
-    let second = memo.report(&second()?)?;
-    Ok(OverlapReport::layer(first, act, second))
-}
-
-/// Prices the makespan of a layer of two kernel halves with an activation
-/// between them under one cutoff on the layer total: the residual-budget
-/// composition every layer oracle's bounded evaluation shares.
-///
-/// `first` and `second` compile one half each, and each half's makespan is
-/// priced through `memo` within the budget it is handed. The first half may
-/// spend what the cutoff leaves after the activation `act` and
-/// `second_bound`, an admissible lower bound of the second half; the second
-/// half what remains after the exactly priced first one. An `Exceeded` clock
-/// is therefore a certified lower bound on the layer total, and a `Finished`
-/// total sums as `(first + second) + act`, bit for bit the `total_s` of
-/// [`exact_layer`].
-///
-/// # Errors
-///
-/// Returns the first error either half reports.
-pub(crate) fn compose_layer(
-    memo: &MakespanMemo,
-    cutoff: f64,
-    act: f64,
-    second_bound: f64,
-    first: impl FnOnce() -> tilelink::Result<CompiledKernel>,
-    second: impl FnOnce() -> tilelink::Result<CompiledKernel>,
-) -> tilelink::Result<BoundedMakespan> {
-    let first = match memo.makespan(&first()?, cutoff - act - second_bound)? {
-        BoundedMakespan::Finished(total) => total,
-        BoundedMakespan::Exceeded(clock) => {
-            return Ok(BoundedMakespan::Exceeded(clock + second_bound + act))
-        }
-    };
-    // With the first half priced exactly, the second half's bound may already
-    // certify the layer past the cutoff: skip its compile and simulation.
-    if first + second_bound + act > cutoff {
-        return Ok(BoundedMakespan::Exceeded(first + second_bound + act));
-    }
-    match memo.makespan(&second()?, cutoff - act - first)? {
-        BoundedMakespan::Finished(second) => Ok(BoundedMakespan::Finished(first + second + act)),
-        BoundedMakespan::Exceeded(clock) => Ok(BoundedMakespan::Exceeded(first + clock + act)),
-    }
 }
 
 #[cfg(test)]
@@ -300,7 +232,7 @@ mod tests {
         let cluster = ClusterSpec::h800_node(8);
         let cost = analytic_cost(&cluster);
         let cfg = OverlapConfig::default();
-        let kernel = crate::moe::ag_group_gemm_kernel(&shape, &cfg, &cost).unwrap();
+        let kernel = crate::moe::ag_group_gemm_kernel(&shape, &cfg, &cost, None).unwrap();
         let first = simulate_report(&kernel, &cost).unwrap();
         let lb = moe_first_bound(&shape, &cfg, &*cost);
         assert!(lb > 0.0);
@@ -309,7 +241,7 @@ mod tests {
             "first-half bound {lb} > {}",
             first.total_s
         );
-        let kernel = crate::moe::group_gemm_rs_kernel(&shape, &cfg, &cost).unwrap();
+        let kernel = crate::moe::group_gemm_rs_kernel(&shape, &cfg, &cost, None).unwrap();
         let second = simulate_report(&kernel, &cost).unwrap();
         let lb = moe_second_bound(&shape, &cfg, &*cost);
         assert!(lb > 0.0);

@@ -18,9 +18,10 @@
 //! * [`e2e`] — end-to-end per-model estimates combining the layer results
 //!   (Figure 11): one comparison per model of PyTorch against TileLink under
 //!   the hand-picked layer configurations, with an optional tuned column;
-//! * [`autotune`] — `tilelink-tune` oracles and `tuned_*` constructors that
-//!   *search* the overlap design space per layer instead of replaying the
-//!   hand-picked defaults.
+//! * [`autotune`] — the [`autotune::LayerOracle`] that prices every MLP and
+//!   MoE layer (routed or not) for `tilelink-tune`, and `tuned_*`
+//!   constructors that *search* the overlap design space per layer instead
+//!   of replaying the hand-picked defaults.
 //!
 //! The MLP, MoE and routed MoE program builders share one AllGather and one
 //! ring ReduceScatter emitter (the private `comm` module), which also owns
@@ -37,7 +38,6 @@ pub mod e2e;
 pub mod mlp;
 pub mod moe;
 pub mod shapes;
-pub mod simgraph;
 
 pub use autotune::{RoutingSpec, TuneOptions, TunedLayer, WorkloadSpec};
 pub use e2e::{E2eComparison, TunedModelTiming};

@@ -24,7 +24,7 @@
 //! communication module, which the MoE builders share.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{run_comm_compute, MakespanMemo};
+use tilelink::exec::{run_comm_compute, simulate_report};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, NamePattern, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, write_tile, TileRect};
@@ -475,12 +475,13 @@ pub fn timed_full_mlp(
     shape: &crate::MlpShape,
     cost: &SharedCost,
 ) -> tilelink::Result<OverlapReport> {
-    crate::bounds::exact_layer(
-        &MakespanMemo::new(cost.clone()),
+    let first = simulate_report(&ag_gemm_kernel(shape, &ag_gemm_config(), cost)?, cost)?;
+    let second = simulate_report(&gemm_rs_kernel(shape, &gemm_rs_config(), cost)?, cost)?;
+    Ok(OverlapReport::layer(
+        first,
         activation_seconds(shape, &**cost),
-        || ag_gemm_kernel(shape, &ag_gemm_config(), cost),
-        || gemm_rs_kernel(shape, &gemm_rs_config(), cost),
-    )
+        second,
+    ))
 }
 
 /// Time of the SiLU-mul activation between the two MLP halves (memory bound).
@@ -495,7 +496,6 @@ pub fn activation_seconds(shape: &crate::MlpShape, cost: &dyn CostProvider) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilelink::exec::simulate_report;
     use tilelink_collectives::Comm;
     use tilelink_sim::{analytic_cost, ClusterSpec};
 

@@ -17,12 +17,15 @@
 //! static AllGather mapping to wait for exactly the token tiles each consumer
 //! tile touches.
 //!
-//! The timed builders, expected-routing and routed alike, emit only the
-//! Group-GEMM halves: the AllGather and the ring ReduceScatter come from the
-//! communication module the MLP builders use too.
+//! Each half has one timed kernel entry, [`ag_group_gemm_kernel`] and
+//! [`group_gemm_rs_kernel`], which compiles the expected-routing program
+//! without a routing sample and the routed (dynamic-mapping) program with
+//! one. Both builders of a half emit only its Group-GEMM blocks: the
+//! AllGather and the ring ReduceScatter come from the communication module
+//! the MLP builders use too.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
-use tilelink::exec::{run_comm_compute, MakespanMemo};
+use tilelink::exec::{run_comm_compute, simulate_report};
 use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, NamePattern, Symbol, TileOp, TileProgram};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
@@ -363,10 +366,12 @@ fn moe_site(
 /// reductions on 20 SMs.
 pub(crate) const SECOND_HALF_MAPPING: CommMapping = CommMapping::Hybrid { sms: 20 };
 
-/// The TileLink AG + Gather + GroupGEMM kernel for one MoE shape under the
-/// expected routing, compiled for `cfg` on the cluster `cost` prices. Price
-/// it exactly with [`tilelink::exec::simulate_report`], or its makespan
-/// under a cutoff with [`tilelink::exec::simulate_makespan`].
+/// The TileLink AG + Gather + GroupGEMM kernel for one MoE shape, compiled
+/// for `cfg` on the cluster `cost` prices: laid out for the expected routing
+/// ([`ag_group_gemm_program`]) when `sample` is `None`, or for one sampled
+/// routing through the dynamic mapping ([`routed_ag_group_gemm_program`]).
+/// Price it exactly with [`tilelink::exec::simulate_report`], or its
+/// makespan under a cutoff with [`tilelink::exec::simulate_makespan`].
 ///
 /// # Errors
 ///
@@ -375,22 +380,27 @@ pub fn ag_group_gemm_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
+    sample: Option<&RoutingSample>,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
-    let site = moe_site(
-        "moe.ag_group_gemm",
-        shape,
-        world,
-        comm::allgather_config_inputs(cfg),
-        None,
-    );
-    Compiler::new(*cfg, cost).compile_cached(site, || Ok(ag_group_gemm_program(shape, world, cfg)))
+    let compiler = Compiler::new(*cfg, cost);
+    let inputs = comm::allgather_config_inputs(cfg);
+    let site = |name| moe_site(name, shape, world, inputs, sample);
+    match sample {
+        None => compiler.compile_cached(site("moe.ag_group_gemm"), || {
+            Ok(ag_group_gemm_program(shape, world, cfg))
+        }),
+        Some(sample) => compiler.compile_cached(site("moe.routed_ag_group_gemm"), || {
+            routed_ag_group_gemm_program(shape, world, cfg, sample)
+        }),
+    }
 }
 
 /// The TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel for one MoE
-/// shape under the expected routing, compiled the same way as
-/// [`ag_group_gemm_kernel`]. The kernel always compiles onto the hybrid
-/// transfer lane, whatever `cfg.comm_mapping` says.
+/// shape, compiled the same way as [`ag_group_gemm_kernel`] from
+/// [`group_gemm_rs_program`] or [`routed_group_gemm_rs_program`]. The
+/// kernel always compiles onto the hybrid transfer lane, whatever
+/// `cfg.comm_mapping` says.
 ///
 /// # Errors
 ///
@@ -399,33 +409,39 @@ pub fn group_gemm_rs_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
+    sample: Option<&RoutingSample>,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     let cfg = cfg.with_comm_mapping(SECOND_HALF_MAPPING);
-    let site = moe_site(
-        "moe.group_gemm_rs",
-        shape,
-        world,
-        comm::reduce_scatter_config_inputs(&cfg),
-        None,
-    );
-    Compiler::new(cfg, cost).compile_cached(site, || Ok(group_gemm_rs_program(shape, world, &cfg)))
+    let compiler = Compiler::new(cfg, cost);
+    let inputs = comm::reduce_scatter_config_inputs(&cfg);
+    let site = |name| moe_site(name, shape, world, inputs, sample);
+    match sample {
+        None => compiler.compile_cached(site("moe.group_gemm_rs"), || {
+            Ok(group_gemm_rs_program(shape, world, &cfg))
+        }),
+        Some(sample) => compiler.compile_cached(site("moe.routed_group_gemm_rs"), || {
+            Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample))
+        }),
+    }
 }
 
 /// Simulates the full TileLink MoE layer (both halves plus the activation)
-/// under the recommended configuration, priced exactly by `cost`.
+/// under the recommended configuration and the expected routing, priced
+/// exactly by `cost`.
 ///
 /// # Errors
 ///
 /// Returns an error if either half fails.
 pub fn timed_full_moe(shape: &MoeShape, cost: &SharedCost) -> tilelink::Result<OverlapReport> {
     let cfg = moe_config();
-    crate::bounds::exact_layer(
-        &MakespanMemo::new(cost.clone()),
+    let first = simulate_report(&ag_group_gemm_kernel(shape, &cfg, cost, None)?, cost)?;
+    let second = simulate_report(&group_gemm_rs_kernel(shape, &cfg, cost, None)?, cost)?;
+    Ok(OverlapReport::layer(
+        first,
         activation_seconds(shape, &**cost),
-        || ag_group_gemm_kernel(shape, &cfg, cost),
-        || group_gemm_rs_kernel(shape, &cfg, cost),
-    )
+        second,
+    ))
 }
 
 /// Time of the expert-MLP activation between the two MoE halves, priced by an
@@ -439,7 +455,7 @@ pub fn activation_seconds(shape: &MoeShape, cost: &dyn CostProvider) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Routing distributions: sampler + routed (dynamic-mapping) timed kernels
+// Routing distributions: sampler + routed (dynamic-mapping) programs
 // ---------------------------------------------------------------------------
 
 /// Relative traffic of a hot expert under [`RoutingProfile::HotExpert`]
@@ -714,8 +730,10 @@ impl RoutingSampler {
         (rng, cumulative)
     }
 
-    /// Draws the first `n` samples for one MoE shape.
+    /// Draws the first `n` samples for one MoE shape, inside a
+    /// `routing.draw` span.
     pub fn samples_for(&self, shape: &MoeShape, n: usize) -> Vec<RoutingSample> {
+        let _span = tilelink_probe::span("routing.draw");
         (0..n)
             .map(|i| self.sample(shape.experts, dispatched_rows(shape), i))
             .collect()
@@ -916,82 +934,9 @@ pub fn routed_group_gemm_rs_program(
     (program, mapping)
 }
 
-/// The routed AG + Gather + GroupGEMM kernel for one sampled routing,
-/// compiled the same way as [`ag_group_gemm_kernel`].
-///
-/// # Errors
-///
-/// Returns an error if compilation fails.
-pub fn routed_ag_group_gemm_kernel(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<CompiledKernel> {
-    let world = cost.cluster().world_size();
-    let site = moe_site(
-        "moe.routed_ag_group_gemm",
-        shape,
-        world,
-        comm::allgather_config_inputs(cfg),
-        Some(sample),
-    );
-    Compiler::new(*cfg, cost).compile_cached(site, || {
-        routed_ag_group_gemm_program(shape, world, cfg, sample)
-    })
-}
-
-/// The routed GroupGEMM + Scatter + TopK-Reduce + RS kernel for one sampled
-/// routing, compiled the same way as [`group_gemm_rs_kernel`] (hybrid lane
-/// included).
-///
-/// # Errors
-///
-/// Returns an error if compilation fails.
-pub fn routed_group_gemm_rs_kernel(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<CompiledKernel> {
-    let world = cost.cluster().world_size();
-    let cfg = cfg.with_comm_mapping(SECOND_HALF_MAPPING);
-    let site = moe_site(
-        "moe.routed_group_gemm_rs",
-        shape,
-        world,
-        comm::reduce_scatter_config_inputs(&cfg),
-        Some(sample),
-    );
-    Compiler::new(cfg, cost).compile_cached(site, || {
-        Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample))
-    })
-}
-
-/// Simulates the full routed MoE layer (both halves plus the activation) for
-/// one sampled routing, priced exactly by `cost`.
-///
-/// # Errors
-///
-/// Returns an error if either half fails to compile or simulate.
-pub fn timed_routed_full_moe(
-    shape: &MoeShape,
-    cfg: &OverlapConfig,
-    cost: &SharedCost,
-    sample: &RoutingSample,
-) -> tilelink::Result<OverlapReport> {
-    crate::bounds::exact_layer(
-        &MakespanMemo::new(cost.clone()),
-        activation_seconds(shape, &**cost),
-        || routed_ag_group_gemm_kernel(shape, cfg, cost, sample),
-        || routed_group_gemm_rs_kernel(shape, cfg, cost, sample),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilelink::exec::simulate_report;
     use tilelink_compute::group_gemm::group_gemm;
     use tilelink_sim::{analytic_cost, ClusterSpec};
 
@@ -1053,7 +998,7 @@ mod tests {
     fn timed_moe_first_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
         let cost = cost();
-        let kernel = ag_group_gemm_kernel(&shape, &moe_config(), &cost).unwrap();
+        let kernel = ag_group_gemm_kernel(&shape, &moe_config(), &cost, None).unwrap();
         let report = simulate_report(&kernel, &cost).unwrap();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
         assert!(report.total_ms() > 0.01 && report.total_ms() < 20.0);
@@ -1063,7 +1008,7 @@ mod tests {
     fn timed_moe_second_half_overlaps() {
         let shape = crate::shapes::moe_shapes()[0].clone();
         let cost = cost();
-        let kernel = group_gemm_rs_kernel(&shape, &moe_config(), &cost).unwrap();
+        let kernel = group_gemm_rs_kernel(&shape, &moe_config(), &cost, None).unwrap();
         let report = simulate_report(&kernel, &cost).unwrap();
         assert!(report.total_s < report.comm_only_s + report.comp_only_s);
     }
@@ -1189,6 +1134,22 @@ mod tests {
         assert!(zipf > 2.0, "zipf:1.2 imbalance {zipf}");
     }
 
+    /// The full routed MoE layer for one sampled routing, priced exactly.
+    fn timed_routed_layer(
+        shape: &MoeShape,
+        cfg: &OverlapConfig,
+        cost: &SharedCost,
+        sample: &RoutingSample,
+    ) -> tilelink::Result<OverlapReport> {
+        let first = simulate_report(&ag_group_gemm_kernel(shape, cfg, cost, Some(sample))?, cost)?;
+        let second = simulate_report(&group_gemm_rs_kernel(shape, cfg, cost, Some(sample))?, cost)?;
+        Ok(OverlapReport::layer(
+            first,
+            activation_seconds(shape, &**cost),
+            second,
+        ))
+    }
+
     #[test]
     fn routed_kernels_price_skew_higher_than_balance() {
         let shape = crate::shapes::moe_shapes()[0].clone();
@@ -1202,8 +1163,8 @@ mod tests {
         let skewed = RoutingSample {
             rows_per_expert: all_on_one,
         };
-        let flat = timed_routed_full_moe(&shape, &cfg, &cost, &balanced).unwrap();
-        let hot = timed_routed_full_moe(&shape, &cfg, &cost, &skewed).unwrap();
+        let flat = timed_routed_layer(&shape, &cfg, &cost, &balanced).unwrap();
+        let hot = timed_routed_layer(&shape, &cfg, &cost, &skewed).unwrap();
         assert!(
             hot.total_s > flat.total_s,
             "skewed {} ms <= balanced {} ms",
@@ -1224,7 +1185,7 @@ mod tests {
             dispatched_rows(&shape),
             0,
         );
-        let price = || timed_routed_full_moe(&shape, &moe_config(), &cost, &sample);
+        let price = || timed_routed_layer(&shape, &moe_config(), &cost, &sample);
         assert_eq!(price().unwrap(), price().unwrap());
     }
 

@@ -5,12 +5,13 @@
 //! shape, the world size, a routing sample, and the config values the
 //! builder reads. A site that leaves one out hands a stale program to a
 //! config that changes it. This test compiles a grid of configs through one
-//! warm compile cache, in a fixed order, with all seven cached kernel
-//! functions at world 2 and 16. Each kernel must equal a cold compile of the
-//! same config, and price to the same exact report, bit for bit. The full
-//! rebuilds must number exactly the distinct builder inputs in the grid, and
-//! two kernels must share a `KernelKey` (and so a makespan-memo price)
-//! exactly when their builder inputs and resource plans agree.
+//! warm compile cache, in a fixed order, at all seven cache sites of the
+//! five cached kernel functions at world 2 and 16. Each kernel must equal a
+//! cold compile of the same config, and price to the same exact report, bit
+//! for bit. The full rebuilds must number exactly the distinct builder
+//! inputs in the grid, and two kernels must share a `KernelKey` (and so a
+//! makespan-memo price) exactly when their builder inputs and resource
+//! plans agree.
 //!
 //! The compile cache and its rebuild counter are process-wide, so this file
 //! holds one test.
@@ -84,7 +85,8 @@ fn grid() -> Vec<OverlapConfig> {
     grid
 }
 
-/// The seven kernel functions that compile through the cache.
+/// The seven cache sites: the MLP and attention kernel functions, and each
+/// MoE kernel function with and without a routing sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Kernel {
     MlpAg,
@@ -156,10 +158,10 @@ impl Kernel {
         match self {
             Kernel::MlpAg => mlp::ag_gemm_kernel(&s.mlp, cfg, cost),
             Kernel::MlpRs => mlp::gemm_rs_kernel(&s.mlp, cfg, cost),
-            Kernel::MoeAg => moe::ag_group_gemm_kernel(&s.moe, cfg, cost),
-            Kernel::MoeRs => moe::group_gemm_rs_kernel(&s.moe, cfg, cost),
-            Kernel::RoutedAg => moe::routed_ag_group_gemm_kernel(&s.moe, cfg, cost, &s.sample),
-            Kernel::RoutedRs => moe::routed_group_gemm_rs_kernel(&s.moe, cfg, cost, &s.sample),
+            Kernel::MoeAg => moe::ag_group_gemm_kernel(&s.moe, cfg, cost, None),
+            Kernel::MoeRs => moe::group_gemm_rs_kernel(&s.moe, cfg, cost, None),
+            Kernel::RoutedAg => moe::ag_group_gemm_kernel(&s.moe, cfg, cost, Some(&s.sample)),
+            Kernel::RoutedRs => moe::group_gemm_rs_kernel(&s.moe, cfg, cost, Some(&s.sample)),
             Kernel::Attention => {
                 attention::sp_attention_kernel(&s.attn, s.attn.seq_lens[0], cfg, cost)
             }

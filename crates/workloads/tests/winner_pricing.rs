@@ -134,9 +134,9 @@ fn winner_reports_are_exact_and_price_one_split_per_half() {
         |cfg| {
             layer(
                 &cost,
-                moe::ag_group_gemm_kernel(&moe3, cfg, &cost),
+                moe::ag_group_gemm_kernel(&moe3, cfg, &cost, None),
                 act,
-                moe::group_gemm_rs_kernel(&moe3, cfg, &cost),
+                moe::group_gemm_rs_kernel(&moe3, cfg, &cost, None),
             )
         },
         Some(4),
@@ -169,9 +169,9 @@ fn winner_reports_are_exact_and_price_one_split_per_half() {
                         .map(|sample| {
                             layer(
                                 &cost,
-                                moe::routed_ag_group_gemm_kernel(&moe1, cfg, &cost, sample),
+                                moe::ag_group_gemm_kernel(&moe1, cfg, &cost, Some(sample)),
                                 act,
-                                moe::routed_group_gemm_rs_kernel(&moe1, cfg, &cost, sample),
+                                moe::group_gemm_rs_kernel(&moe1, cfg, &cost, Some(sample)),
                             )
                         })
                         .collect()

@@ -18,9 +18,9 @@ use tilelink::OverlapConfig;
 use tilelink_bench::cli::{self, Arity};
 use tilelink_sim::{ClusterSpec, CostModelSpec};
 use tilelink_tune::{CostOracle, Objective, SearchSpace, Strategy, Tuner};
-use tilelink_workloads::autotune::{self, MlpOracle, TuneOptions};
+use tilelink_workloads::autotune::{self, TuneOptions};
 use tilelink_workloads::moe::RoutingProfile;
-use tilelink_workloads::{shapes, RoutingSpec};
+use tilelink_workloads::{shapes, RoutingSpec, WorkloadSpec};
 
 fn main() {
     let cluster = ClusterSpec::h800_node(8);
@@ -55,7 +55,7 @@ fn main() {
     );
 
     // What the hand-picked default costs.
-    let oracle = MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
+    let oracle = WorkloadSpec::Mlp(shape.clone()).oracle(cost.clone(), Objective::Mean);
     let default_report = oracle
         .evaluate(&OverlapConfig::default())
         .expect("default config evaluates");

@@ -10,7 +10,7 @@ use tilelink_sim::{analytic_cost, CalibratedCostModel, ClusterSpec};
 use tilelink_tune::{
     BoundedEval, CostOracle, Objective, SearchExecutor, SearchSpace, Strategy, TuneCache, Tuner,
 };
-use tilelink_workloads::autotune::{self, MlpOracle, MoeOracle, TuneOptions};
+use tilelink_workloads::autotune::{self, LayerOracle, TuneOptions};
 use tilelink_workloads::{shapes, RoutingProfile, RoutingSpec, TunedLayer};
 
 /// A small space that still spans tile sizes, mappings and stages.
@@ -27,7 +27,7 @@ fn beam_tuned_mlp1_is_never_worse_than_the_default_config() {
     // The acceptance criterion for the fig8 MLP shape on an 8-rank H800 node.
     let shape = shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
-    let oracle = MlpOracle::new(shape.clone(), cluster.clone());
+    let oracle = LayerOracle::new(shape.clone(), cluster.clone());
     let default_makespan = oracle.evaluate(&OverlapConfig::default()).unwrap().total_s;
 
     let tuned = autotune::tuned_full_mlp(&shape, &cluster, &TuneOptions::default()).unwrap();
@@ -50,7 +50,7 @@ fn repeated_search_is_served_entirely_from_the_persistent_cache() {
 
     let shape = shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
-    let oracle = MlpOracle::new(shape, cluster);
+    let oracle = LayerOracle::new(shape, cluster);
     let space = small_space();
 
     let first = Tuner::new(Strategy::Exhaustive)
@@ -78,7 +78,7 @@ fn repeated_search_is_served_entirely_from_the_persistent_cache() {
 fn search_over_the_real_oracle_is_deterministic_across_thread_counts() {
     let shape = shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
-    let oracle = MlpOracle::new(shape, cluster);
+    let oracle = LayerOracle::new(shape, cluster);
     let space = small_space();
 
     let serial = Tuner::new(Strategy::Exhaustive)
@@ -122,7 +122,7 @@ fn tuning_cache_self_invalidates_across_cost_model_revisions() {
     let space = small_space();
 
     let run = |cost: &tilelink_sim::SharedCost| {
-        let oracle = MlpOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
+        let oracle = LayerOracle::new(shape.clone(), cluster.clone()).with_cost(cost.clone());
         Tuner::new(Strategy::Exhaustive)
             .with_cache(TuneCache::open(&path).unwrap())
             .tune(&oracle, &space)
@@ -176,7 +176,7 @@ fn calibrated_tuning_runs_through_tune_options() {
 fn invalid_and_unsupported_candidates_are_pruned_not_evaluated() {
     let shape = shapes::mlp_shapes()[0].clone();
     let cluster = ClusterSpec::h800_node(8);
-    let oracle = MlpOracle::new(shape, cluster);
+    let oracle = LayerOracle::new(shape, cluster);
 
     // 200 comm SMs exceeds the device; 384-row compute tiles break the ring
     // ReduceScatter segmentation. Both must be pruned before evaluation.
@@ -312,22 +312,14 @@ fn tuned_winners_carry_their_exact_report_and_rerun_without_pricing() {
         samples: 3,
         ..RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 })
     };
-    let cases: [(&str, Box<dyn CostOracle>); 3] = [
-        (
-            "mlp",
-            Box::new(MlpOracle::new(mlp_shape.clone(), cluster.clone())),
-        ),
-        (
-            "moe",
-            Box::new(MoeOracle::new(moe_shape.clone(), cluster.clone())),
-        ),
+    let cases = [
+        ("mlp", LayerOracle::new(mlp_shape.clone(), cluster.clone())),
+        ("moe", LayerOracle::new(moe_shape.clone(), cluster.clone())),
         (
             "moe-routed-p95",
-            Box::new(
-                MoeOracle::new(moe_shape.clone(), cluster.clone())
-                    .with_routing(routing)
-                    .with_objective(Objective::Percentile(95)),
-            ),
+            LayerOracle::new(moe_shape.clone(), cluster.clone())
+                .with_routing(routing)
+                .with_objective(Objective::Percentile(95)),
         ),
     ];
     for (name, oracle) in cases {
@@ -361,7 +353,7 @@ fn tuned_winners_carry_their_exact_report_and_rerun_without_pricing() {
         assert_bit_identical(&tuned.layer, &exact, name);
 
         let counting = CountingExact {
-            inner: &*oracle,
+            inner: &oracle,
             calls: AtomicUsize::new(0),
         };
         let rerun = Tuner::new(Strategy::default())
