@@ -353,8 +353,10 @@ pub fn benchmark_graphs(
         ..mlp1.clone()
     };
     let moe1 = &shapes::moe_shapes()[0];
-    let sample = RoutingSampler::new(RoutingProfile::Uniform, autotune::DEFAULT_ROUTING_SEED)
-        .samples_for(moe1, 1);
+    let routing = RoutingSampler::new(RoutingProfile::Uniform, autotune::DEFAULT_ROUTING_SEED)
+        .samples_for(moe1, 1)
+        .remove(0)
+        .into();
     let (mlp_cfg, moe_cfg) = (mlp::ag_gemm_config(), moe::moe_config());
     [
         (
@@ -365,7 +367,7 @@ pub fn benchmark_graphs(
         (
             "fig9_routed_moe_first",
             &single,
-            moe::ag_group_gemm_kernel(moe1, &moe_cfg, &single, Some(&sample[0])),
+            moe::ag_group_gemm_kernel(moe1, &moe_cfg, &single, Some(&routing)),
         ),
         (
             "e2e_two_node_ag_gemm",

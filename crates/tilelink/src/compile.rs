@@ -22,9 +22,16 @@
 //! the cached one, so a site that leaves out a value its builder reads fails
 //! the first search that changes that value.
 //!
+//! A program with template blocks (the routed MoE halves) is compiled the
+//! same way, routing-free: its templates are lowered once with the rest, and
+//! the [`BlockTable`] they are instantiated from is bound to each kernel when
+//! [`Compiler::compile_cached_with_table`] plans it. The table supplies the
+//! plan's consumer block count, and its digest goes into the kernel's key,
+//! but the cache site never sees it.
+//!
 //! The same site names the compiled kernel: its [`KernelKey`] is the site,
-//! the stage count if pipelining moved an op, and the plan, which together
-//! fix everything the timed executor reads.
+//! the stage count if pipelining moved an op, the plan and the bound table's
+//! digest, which together fix everything the timed executor reads.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -32,11 +39,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 use tilelink_sim::SharedCost;
 
 use crate::config::OverlapConfig;
-use crate::ir::{Symbol, TileProgram};
+use crate::ir::{BlockRole, BlockTable, Symbol, TileProgram};
 use crate::mapping::TileMapping;
 use crate::passes::{
-    check_consistency, lower, pipeline_program, pipelining_moves, LoweredBlockRef, LoweredProgram,
-    PlanInputs, ResourcePlan, TransferLane,
+    check_consistency, lower, pipeline_program, pipelining_moves, BlockCounts, BlockWalk,
+    LoweredOp, LoweredProgram, ResourcePlan, TransferLane,
 };
 use crate::Result;
 
@@ -52,10 +59,14 @@ pub struct CompiledKernel {
     pub name: Symbol,
     /// Number of ranks.
     pub world_size: usize,
-    /// Lowered, pipelined program (flat op and block tables). A kernel whose
-    /// stage count moves no op shares it with the compile cache and with
-    /// every other such kernel compiled from the same program.
+    /// Lowered, pipelined program (flat op and block tables, and its
+    /// templates). A kernel whose stage count moves no op shares it with the
+    /// compile cache and with every other such kernel compiled from the same
+    /// program.
     pub lowered: Arc<LoweredProgram>,
+    /// The table the program's templates are instantiated from (`None` for a
+    /// program without templates).
+    pub table: Option<Arc<BlockTable>>,
     /// Resource-mapping decisions.
     pub plan: ResourcePlan,
     /// The configuration the kernel was compiled with.
@@ -75,95 +86,81 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Builds a kernel from its parts plus the precomputed communication
-    /// summary of its lowered program.
-    fn assemble(
-        name: Symbol,
-        world_size: usize,
-        lowered: Arc<LoweredProgram>,
-        plan: ResourcePlan,
-        config: OverlapConfig,
-        comm: CommSummary,
-        key: KernelKey,
-    ) -> Self {
-        let sms_per_comm_block = (plan.comm_sms / comm.busiest_rank_blocks).max(1);
-        Self {
-            name,
-            world_size,
-            lowered,
-            plan,
-            config,
-            sms_per_comm_block,
-            rank_comm_bytes: comm.rank_bytes,
-            key,
-        }
-    }
-
-    /// Iterates the kernel's blocks as views over the flat op table.
-    pub fn blocks(&self) -> impl Iterator<Item = LoweredBlockRef<'_>> {
-        self.lowered.iter_blocks()
-    }
-
-    /// Total floating-point work of the kernel.
-    pub fn total_flops(&self) -> f64 {
-        self.blocks().map(|b| b.total_flops()).sum()
+    /// A walk over the kernel's blocks in block order whose role `include`
+    /// accepts, each template instantiated once per entry of the kernel's
+    /// table in `buffer`: the walk the timed executor builds its graphs by
+    /// ([`LoweredProgram::walk`]).
+    pub fn walk<'k, 'b, F: Fn(BlockRole) -> bool>(
+        &'k self,
+        buffer: &'b mut Vec<LoweredOp>,
+        include: F,
+    ) -> BlockWalk<'k, 'b, F> {
+        self.lowered.walk(self.table.as_deref(), buffer, include)
     }
 }
 
 /// The key of a program in the compile cache ([`Compiler::compile_cached`]):
 /// a static site name (one per program builder) plus a 128-bit hash of every
-/// value the builder reads. Those are shape dimensions, the world size, a
-/// routing sample, and the config values the builder reads (tile row counts,
+/// value the builder reads. Those are shape dimensions, the world size and
+/// the config values the builder reads (tile row counts,
 /// `channels_per_rank`), but no config value it ignores: configs that differ
-/// only in those share one cached program. A site that leaves out a value
-/// its builder reads hands a stale program to a compile that changes it, and
-/// a stale price to the [`KernelKey`]s built from it.
+/// only in those share one cached program. A table bound to the program
+/// ([`Compiler::compile_cached_with_table`]) is no builder input: the
+/// kernel's key names it. A site that leaves out a value its builder reads
+/// hands a stale program to a compile that changes it, and a stale price to
+/// the [`KernelKey`]s built from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheSite {
     site: &'static str,
     inputs: u128,
 }
 
+/// A 128-bit hash of `words`: two 64-bit lanes with different multipliers,
+/// one step per word. For a fixed word each step is a bijection of a lane's
+/// state, so equally long inputs that differ in a single word never collide;
+/// the word count goes in last.
+pub(crate) fn words_digest(words: impl IntoIterator<Item = usize>) -> u128 {
+    let (mut lo, mut hi) = (0x243f_6a88_85a3_08d3_u64, 0x1319_8a2e_0370_7344_u64);
+    let mut word = |w: u64| {
+        lo = (lo ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
+        hi = (hi ^ w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f).rotate_left(27);
+    };
+    let mut len = 0;
+    for w in words {
+        word(w as u64);
+        len += 1;
+    }
+    word(len);
+    u128::from(hi) << 64 | u128::from(lo)
+}
+
 impl CacheSite {
     /// The key of the program that builder `site` builds from `inputs`
     /// (every value it reads, in a fixed order).
     pub fn new(site: &'static str, inputs: impl IntoIterator<Item = usize>) -> Self {
-        // Two 64-bit lanes with different multipliers, one step per word.
-        // For a fixed word each step is a bijection of a lane's state, so
-        // equally long inputs that differ in a single word never collide;
-        // the word count goes in last.
-        let (mut lo, mut hi) = (0x243f_6a88_85a3_08d3_u64, 0x1319_8a2e_0370_7344_u64);
-        let mut word = |w: u64| {
-            lo = (lo ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31);
-            hi = (hi ^ w).wrapping_mul(0xc2b2_ae3d_27d4_eb4f).rotate_left(27);
-        };
-        let mut len = 0;
-        for w in inputs {
-            word(w as u64);
-            len += 1;
-        }
-        word(len);
         Self {
             site,
-            inputs: u128::from(hi) << 64 | u128::from(lo),
+            inputs: words_digest(inputs),
         }
     }
 }
 
 /// A compiled kernel's identity: the [`CacheSite`] of its program, the stage
-/// count if pipelining moved an op of it (0 otherwise), and every field of
-/// its [`ResourcePlan`], bit for bit. The timed executor reads nothing else
-/// (the site fixes the lowered program), so [`crate::exec::MakespanMemo`]
-/// prices each key once.
+/// count if pipelining moved an op of it (0 otherwise), every field of its
+/// [`ResourcePlan`], bit for bit, and the digest of the table bound to it
+/// (0 without one). The timed executor reads nothing else (the site fixes
+/// the lowered program, the digest the instances of its templates), so
+/// [`crate::exec::MakespanMemo`] prices each key once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelKey {
     site: CacheSite,
     stages: usize,
     plan: [u64; 7],
+    table: u128,
 }
 
 impl KernelKey {
-    fn new(site: CacheSite, stages: usize, plan: &ResourcePlan) -> Self {
+    fn new(site: CacheSite, stages: usize, plan: &ResourcePlan, table: u128) -> Self {
         let (lane, port_share) = match plan.lane {
             TransferLane::SmPort { port_share } => (0, port_share),
             TransferLane::CopyEngine => (1, 0),
@@ -180,6 +177,7 @@ impl KernelKey {
                 u64::from(plan.host_launch_per_copy),
                 plan.compute_efficiency.to_bits(),
             ],
+            table,
         }
     }
 
@@ -192,8 +190,9 @@ impl KernelKey {
 /// Per-rank communication-block summary of a lowered program: how many comm
 /// blocks the busiest rank runs, and how many bytes each rank moves across
 /// ranks. Both are invariant under pipelining (which only hoists loads past
-/// compute steps), so the summary is computed once per lowered program and
-/// shared by every patched compile.
+/// compute steps) and under the table a kernel binds (every template
+/// instance is a consumer block), so the summary is computed once per
+/// lowered program and shared by every patched compile.
 #[derive(Debug, Clone, PartialEq)]
 struct CommSummary {
     busiest_rank_blocks: u64,
@@ -237,7 +236,7 @@ struct CachedLowered {
     lowered: Arc<LoweredProgram>,
     /// Whether pipelining at two or more stages moves an op of `lowered`.
     hoists: bool,
-    plan_inputs: PlanInputs,
+    counts: BlockCounts,
     comm: CommSummary,
     /// Configs whose hits on this entry were checked against a rebuild.
     #[cfg(debug_assertions)]
@@ -257,7 +256,7 @@ impl CachedLowered {
             comm: CommSummary::of_lowered(&lowered, program.world_size),
             hoists: pipelining_moves(&lowered),
             lowered: Arc::new(lowered),
-            plan_inputs: PlanInputs::of_program(program),
+            counts: BlockCounts::of_program(program),
             #[cfg(debug_assertions)]
             checked: Mutex::default(),
         })
@@ -286,7 +285,7 @@ impl CachedLowered {
             rebuilt.name == self.name
                 && rebuilt.world_size == self.world_size
                 && rebuilt.lowered == self.lowered
-                && rebuilt.plan_inputs == self.plan_inputs
+                && rebuilt.counts == self.counts
                 && rebuilt.comm == self.comm,
             "{site:?}: the builder's program for {} differs from the cached one; \
              the site must name every value its builder reads",
@@ -297,9 +296,10 @@ impl CachedLowered {
 
 /// Bound on distinct cache sites. A layer search over the standard space
 /// compiles 8 distinct programs (6 AllGather and 2 ReduceScatter builder
-/// inputs), and a routed one 8 per sampled routing (64 at the default 8
-/// samples), so six routed searches fit. Hitting the cap clears the map
-/// (simple, and never wrong — a miss just rebuilds).
+/// inputs), routed or not, whatever its sample count: a routed kernel binds
+/// its sampled routing as a table instead of compiling it in. So 64 searches
+/// of distinct layers fit. Hitting the cap clears the map (simple, and never
+/// wrong — a miss just rebuilds).
 const COMPILE_CACHE_CAP: usize = 512;
 
 /// One cache entry, filled by the first compile of its key. The slot stays
@@ -368,8 +368,34 @@ impl Compiler {
         program: &TileProgram,
         mapping: &dyn TileMapping,
     ) -> Result<CompiledKernel> {
+        self.compile_cold(site, program, mapping, None)
+    }
+
+    /// [`Self::compile`] of a program with templates, instantiated from
+    /// `table`: the cold twin of [`Self::compile_cached_with_table`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compile`].
+    pub fn compile_with_table(
+        &self,
+        site: CacheSite,
+        program: &TileProgram,
+        mapping: &dyn TileMapping,
+        table: &Arc<BlockTable>,
+    ) -> Result<CompiledKernel> {
+        self.compile_cold(site, program, mapping, Some(table))
+    }
+
+    fn compile_cold(
+        &self,
+        site: CacheSite,
+        program: &TileProgram,
+        mapping: &dyn TileMapping,
+        table: Option<&Arc<BlockTable>>,
+    ) -> Result<CompiledKernel> {
         self.validate()?;
-        let kernel = self.finish(site, &CachedLowered::lower(program, mapping)?)?;
+        let kernel = self.finish(site, &CachedLowered::lower(program, mapping)?, table)?;
         // Pipelining must preserve consistency; verify the invariant.
         check_consistency(&kernel.lowered)?;
         Ok(kernel)
@@ -389,11 +415,40 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// Returns an error if the configuration is invalid for the device or the
-    /// builder / lowering / consistency steps fail on a miss.
+    /// Returns an error if the configuration is invalid for the device, the
+    /// builder / lowering / consistency steps fail on a miss, or the program
+    /// has templates (which compile through
+    /// [`Self::compile_cached_with_table`]).
     pub fn compile_cached<M: TileMapping>(
         &self,
         site: CacheSite,
+        build: impl FnOnce() -> Result<(TileProgram, M)>,
+    ) -> Result<CompiledKernel> {
+        self.compile_through_cache(site, None, build)
+    }
+
+    /// [`Self::compile_cached`] of a program with templates, binding `table`
+    /// to the kernel: the program is cached by `site` alone, routing-free,
+    /// and the table supplies the plan's consumer block count and the key's
+    /// table digest. Build each table once and pass it to every compile that
+    /// binds it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::compile_cached`], and if the program has no templates.
+    pub fn compile_cached_with_table<M: TileMapping>(
+        &self,
+        site: CacheSite,
+        table: &Arc<BlockTable>,
+        build: impl FnOnce() -> Result<(TileProgram, M)>,
+    ) -> Result<CompiledKernel> {
+        self.compile_through_cache(site, Some(table), build)
+    }
+
+    fn compile_through_cache<M: TileMapping>(
+        &self,
+        site: CacheSite,
+        table: Option<&Arc<BlockTable>>,
         build: impl FnOnce() -> Result<(TileProgram, M)>,
     ) -> Result<CompiledKernel> {
         self.validate()?;
@@ -411,19 +466,33 @@ impl Compiler {
             tilelink_probe::metrics::TUNE_COMPILE_PATCHED.inc();
             #[cfg(debug_assertions)]
             cached.assert_rebuild_matches(site, &self.config, build);
-            return self.finish(site, &cached);
+            return self.finish(site, &cached, table);
         }
         let (program, mapping) = build()?;
         let cached = Arc::new(CachedLowered::lower(&program, &mapping)?);
         *entry = Some(Arc::clone(&cached));
         drop(entry);
         tilelink_probe::metrics::TUNE_COMPILE_FULL_REBUILDS.inc();
-        self.finish(site, &cached)
+        self.finish(site, &cached, table)
     }
 
     /// Applies the per-candidate (axis-dependent) tail of the pipeline to
-    /// the lowered program `site` names: pipelining and resource planning.
-    fn finish(&self, site: CacheSite, cached: &CachedLowered) -> Result<CompiledKernel> {
+    /// the lowered program `site` names: pipelining, and resource planning
+    /// with `table` bound (a program has templates exactly when it is given
+    /// one).
+    fn finish(
+        &self,
+        site: CacheSite,
+        cached: &CachedLowered,
+        table: Option<&Arc<BlockTable>>,
+    ) -> Result<CompiledKernel> {
+        if cached.lowered.templates.is_empty() != table.is_none() {
+            return Err(crate::TileLinkError::InvalidConfig {
+                reason: format!(
+                    "{site:?}: a program is bound to a table exactly when it has templates"
+                ),
+            });
+        }
         let stages = self.config.num_stages;
         let moves = cached.hoists && stages > 1;
         let lowered = if moves {
@@ -446,18 +515,22 @@ impl Compiler {
         };
         let plan = {
             let _span = tilelink_probe::span("compile.plan");
-            ResourcePlan::derive(&self.config, cached.plan_inputs, &*self.cost)?
+            let inputs = cached.counts.plan_inputs(table.map_or(0, |t| t.len()));
+            ResourcePlan::derive(&self.config, inputs, &*self.cost)?
         };
-        let key = KernelKey::new(site, if moves { stages } else { 0 }, &plan);
-        Ok(CompiledKernel::assemble(
-            cached.name,
-            cached.world_size,
+        let digest = table.map_or(0, |t| t.digest());
+        let key = KernelKey::new(site, if moves { stages } else { 0 }, &plan, digest);
+        Ok(CompiledKernel {
+            name: cached.name,
+            world_size: cached.world_size,
             lowered,
+            table: table.cloned(),
+            sms_per_comm_block: (plan.comm_sms / cached.comm.busiest_rank_blocks).max(1),
+            rank_comm_bytes: cached.comm.rank_bytes.clone(),
             plan,
-            self.config,
-            cached.comm.clone(),
+            config: self.config,
             key,
-        ))
+        })
     }
 }
 
@@ -465,7 +538,7 @@ impl Compiler {
 mod tests {
     use super::*;
     use crate::config::{CommMapping, TileOrder, TileShape, TransferMode};
-    use crate::ir::{BlockDesc, BlockRole, ComputeKind, TileOp};
+    use crate::ir::{BlockDesc, BlockTemplate, ComputeKind, NamePattern, TableEntry, TileOp};
     use crate::mapping::StaticMapping;
     use crate::primitives::{NotifyScope, PushTarget};
     use crate::TileLinkError;
@@ -555,7 +628,12 @@ mod tests {
             .unwrap();
         assert_eq!(kernel.world_size, 2);
         assert_eq!(kernel.lowered.block_count(), 4);
-        assert!(kernel.total_flops() > 0.0);
+        let (mut flops, mut buffer) = (0.0, Vec::new());
+        let mut walk = kernel.walk(&mut buffer, |_| true);
+        while let Some(block) = walk.next_block() {
+            flops += block.total_flops();
+        }
+        assert!(flops > 0.0);
         assert_eq!(kernel.plan.comm_sms, 20);
     }
 
@@ -801,6 +879,64 @@ mod tests {
     }
 
     #[test]
+    fn a_table_is_bound_exactly_to_a_program_with_templates() {
+        let mapping = StaticMapping::new(256, 64, 2, 2);
+        let compiler = Compiler::new(OverlapConfig::default(), &h800());
+        let table = |slices: &[usize]| {
+            let mut start = 0;
+            Arc::new(BlockTable::new(
+                (slices.iter())
+                    .map(|&rows| {
+                        start += rows;
+                        TableEntry {
+                            rows: start - rows..start,
+                            group: 0,
+                        }
+                    })
+                    .collect(),
+            ))
+        };
+        let plain = ag_gemm_program(2, 4);
+        assert!(compiler
+            .compile_with_table(cold_site(), &plain, &mapping, &table(&[4]))
+            .is_err());
+        let mut templated = plain;
+        for rank in 0..2 {
+            templated.add_template(
+                BlockTemplate::new(NamePattern::new("t/r{}/e{}"), rank)
+                    .per_row(TileOp::Compute(ComputeKind::Elementwise { elems: 8 })),
+            );
+        }
+        assert!(compiler.compile(cold_site(), &templated, &mapping).is_err());
+        let compile = |t: &Arc<BlockTable>| {
+            compiler
+                .compile_with_table(cold_site(), &templated, &mapping, t)
+                .unwrap()
+        };
+        let (one, eight, other) = (
+            compile(&table(&[4])),
+            compile(&table(&[1; 8])),
+            compile(&table(&[2, 0, 1, 1, 1, 1, 1, 1])),
+        );
+        // Each rank runs its fixed consumer block plus one instance per
+        // entry, which the plan counts.
+        let rank_blocks = |k: &CompiledKernel| {
+            let (mut count, mut buffer) = (0, Vec::new());
+            let mut walk = k.walk(&mut buffer, |role| role == BlockRole::Consumer);
+            while walk.next_block().is_some() {
+                count += 1;
+            }
+            count / 2
+        };
+        assert_eq!((rank_blocks(&one), rank_blocks(&eight)), (2, 9));
+        assert!(one.plan.sms_per_compute_block > eight.plan.sms_per_compute_block);
+        // Tables of equal length are other kernels of one program.
+        assert_eq!(eight.plan, other.plan);
+        assert_eq!(eight.key.site(), other.key.site());
+        assert_ne!(eight.key, other.key);
+    }
+
+    #[test]
     fn cache_sites_differ_in_input_order_length_and_name() {
         let site = |name, inputs: &[usize]| CacheSite::new(name, inputs.iter().copied());
         assert_eq!(site("a", &[7, 7]), site("a", &[7, 7]));
@@ -821,7 +957,7 @@ mod tests {
             host_launch_per_copy: false,
             compute_efficiency: 0.8,
         };
-        let key = |plan: &ResourcePlan| KernelKey::new(cold_site(), 0, plan);
+        let key = |plan: &ResourcePlan| KernelKey::new(cold_site(), 0, plan, 0);
         assert_eq!(key(&plan), key(&plan.clone()));
         let variants = [
             ResourcePlan {

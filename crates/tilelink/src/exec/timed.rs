@@ -25,7 +25,9 @@
 //! [`task_graph`] returns the labelled full graph; [`Engine::run`] over it
 //! records the overlapped run's trace (what `reproduce --trace-out` exports).
 //!
-//! Each graph is built by one walk over its subset's blocks. Graph
+//! Each graph is built by one walk over its subset's blocks, in which the
+//! template blocks of a kernel with a bound table (the routed MoE halves)
+//! are instantiated in place, once per table entry. Graph
 //! construction is the tuner's per-candidate hot path, so every build reuses
 //! one thread-local scratch graph: the task graph (with warm per-task
 //! successor vectors), the notifier map (a pooled linked-list multimap keyed
@@ -47,7 +49,7 @@ use tilelink_sim::{
 
 use crate::compile::CompiledKernel;
 use crate::ir::{BlockRole, TileOp};
-use crate::passes::{LoweredBlockRef, TransferLane};
+use crate::passes::{LoweredBlockRef, LoweredOp, TransferLane};
 use crate::report::OverlapReport;
 use crate::Result;
 
@@ -174,6 +176,8 @@ struct GraphScratch {
     waits: Vec<(TaskId, SyncKey)>,
     /// Each rank's kernel-launch task.
     launch: Vec<TaskId>,
+    /// The ops of the template instance being added.
+    instance: Vec<LoweredOp>,
     used: bool,
 }
 
@@ -526,7 +530,8 @@ impl<'a> GraphBuilder<'a> {
 }
 
 /// Builds the `subset` graph of `kernel` into `scratch` in one walk over the
-/// subset's blocks.
+/// subset's blocks, each template instantiated in place once per entry of
+/// the kernel's table into one reused op buffer ([`CompiledKernel::walk`]).
 fn build_graph_into(
     scratch: &mut GraphScratch,
     kernel: &CompiledKernel,
@@ -535,13 +540,14 @@ fn build_graph_into(
     labels: bool,
 ) {
     let _span = tilelink_probe::span("graph.build");
+    let mut instance = std::mem::take(&mut scratch.instance);
     let mut builder = GraphBuilder::new(kernel, cluster, scratch, labels);
-    for block in kernel.lowered.iter_blocks() {
-        if subset.includes(block.role) {
-            builder.add_block(&block);
-        }
+    let mut blocks = kernel.walk(&mut instance, |role| subset.includes(role));
+    while let Some(block) = blocks.next_block() {
+        builder.add_block(&block);
     }
     builder.finish(subset);
+    scratch.instance = instance;
 }
 
 /// Builds the `subset` graph of `kernel` without task labels and simulates it

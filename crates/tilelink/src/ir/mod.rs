@@ -9,6 +9,10 @@
 //! constructed, because the world size and tile counts are known at compile
 //! time — the same property the paper's static mapping exploits.
 //!
+//! A block whose layout depends on data known only when a kernel is priced
+//! (the routed MoE layer's Group-GEMM blocks) is a [`BlockTemplate`]: written
+//! once, instantiated once per entry of the [`BlockTable`] the kernel binds.
+//!
 //! The IR deliberately stays at tile granularity: it is the representation the
 //! compiler passes reason about (lowering, memory consistency, pipelining,
 //! resource mapping) and the input of the timed executor. Functional execution
@@ -18,8 +22,12 @@ mod intern;
 mod name;
 mod op;
 mod program;
+mod template;
 
 pub use intern::Symbol;
 pub use name::{BlockName, NamePattern};
 pub use op::{ComputeKind, TileOp};
 pub use program::{BlockDesc, BlockRole, TileProgram};
+pub use template::{
+    BlockTable, BlockTemplate, ShareRanges, TableEntry, TemplateOp, TemplateStep, TileShare,
+};

@@ -42,6 +42,16 @@ impl NamePattern {
         }
     }
 
+    /// Number of `{}` placeholders.
+    pub fn placeholders(self) -> usize {
+        usize::from(self.placeholders)
+    }
+
+    /// The pattern's text, placeholders included.
+    pub fn as_str(self) -> &'static str {
+        self.text.as_str()
+    }
+
     /// The name of the block whose placeholders take `indices`.
     ///
     /// # Panics

@@ -163,6 +163,67 @@ pub enum TileOp {
     },
 }
 
+impl TileOp {
+    /// The producer tile the op names, if any.
+    pub fn tile(&self) -> Option<usize> {
+        match *self {
+            TileOp::ConsumerWait { tile }
+            | TileOp::ProducerNotify { tile, .. }
+            | TileOp::PushTile { tile, .. }
+            | TileOp::PullTile { tile, .. } => Some(tile),
+            TileOp::LoadTile { tile, .. } | TileOp::StoreTile { tile, .. } => tile,
+            TileOp::PeerWait { .. }
+            | TileOp::PeerNotify { .. }
+            | TileOp::Compute(_)
+            | TileOp::HostCopy { .. }
+            | TileOp::RankNotifySegment { .. } => None,
+        }
+    }
+
+    /// The op naming producer tile `tile` instead (an op that names no tile
+    /// is returned as it is).
+    pub fn with_tile(mut self, to: usize) -> Self {
+        match &mut self {
+            TileOp::ConsumerWait { tile }
+            | TileOp::ProducerNotify { tile, .. }
+            | TileOp::PushTile { tile, .. }
+            | TileOp::PullTile { tile, .. } => *tile = to,
+            TileOp::LoadTile { tile, .. } | TileOp::StoreTile { tile, .. } => *tile = Some(to),
+            TileOp::PeerWait { .. }
+            | TileOp::PeerNotify { .. }
+            | TileOp::Compute(_)
+            | TileOp::HostCopy { .. }
+            | TileOp::RankNotifySegment { .. } => {}
+        }
+        self
+    }
+
+    /// The op with its extent multiplied by `rows`: the bytes a load, store
+    /// or transfer moves, a matmul's `m`, a flash-attention step's query
+    /// rows, an elementwise or reduction step's elements. Synchronisation
+    /// ops have no extent and are returned as they are.
+    pub fn scaled(mut self, rows: usize) -> Self {
+        match &mut self {
+            TileOp::LoadTile { bytes, .. }
+            | TileOp::StoreTile { bytes, .. }
+            | TileOp::PushTile { bytes, .. }
+            | TileOp::PullTile { bytes, .. }
+            | TileOp::HostCopy { bytes, .. } => *bytes *= rows as f64,
+            TileOp::Compute(ComputeKind::MatmulTile { m, .. }) => *m *= rows,
+            TileOp::Compute(ComputeKind::FlashAttnTile { q_rows, .. }) => *q_rows *= rows,
+            TileOp::Compute(
+                ComputeKind::Elementwise { elems } | ComputeKind::Reduction { elems },
+            ) => *elems *= rows,
+            TileOp::ConsumerWait { .. }
+            | TileOp::ProducerNotify { .. }
+            | TileOp::PeerWait { .. }
+            | TileOp::PeerNotify { .. }
+            | TileOp::RankNotifySegment { .. } => {}
+        }
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

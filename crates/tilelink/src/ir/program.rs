@@ -1,6 +1,6 @@
 //! Tile programs: per-rank blocks of tile operations.
 
-use super::{BlockName, Symbol, TileOp};
+use super::{BlockName, BlockTemplate, Symbol, TileOp};
 
 /// Whether a block belongs to the communication (producer) or computation
 /// (consumer) side of the fused kernel.
@@ -88,6 +88,10 @@ pub struct TileProgram {
     pub world_size: usize,
     /// All blocks, across all ranks.
     pub blocks: Vec<BlockDesc>,
+    /// Template blocks, each with the number of blocks added before it: in
+    /// block order a template's instances come right after those blocks.
+    /// The counters and totals below cover `blocks` only.
+    pub templates: Vec<(usize, BlockTemplate)>,
 }
 
 impl TileProgram {
@@ -97,12 +101,18 @@ impl TileProgram {
             name: name.into(),
             world_size,
             blocks: Vec::new(),
+            templates: Vec::new(),
         }
     }
 
     /// Adds a block.
     pub fn add_block(&mut self, block: BlockDesc) {
         self.blocks.push(block);
+    }
+
+    /// Adds a template block after the blocks added so far.
+    pub fn add_template(&mut self, template: BlockTemplate) {
+        self.templates.push((self.blocks.len(), template));
     }
 
     /// Blocks that run on `rank`.

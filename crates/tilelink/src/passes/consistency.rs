@@ -10,6 +10,9 @@
 //! 2. every notify is preceded by the store/push of the tile it publishes
 //!    (store-before-release).
 //!
+//! A template block is checked once, not per instance (see
+//! [`check_consistency`]).
+//!
 //! The per-block membership sets ("which channels are acquired", "which tiles
 //! are published") are generation-stamped dense arrays held in a thread-local
 //! scratch: clearing them between blocks is a generation bump, not a
@@ -18,7 +21,7 @@
 
 use std::cell::RefCell;
 
-use crate::ir::{BlockRole, TileOp};
+use crate::ir::{BlockName, BlockRole, TileOp};
 use crate::passes::lower::{LoweredBlockRef, LoweredProgram};
 use crate::{Result, TileLinkError};
 
@@ -71,7 +74,11 @@ thread_local! {
     static CHECK_SCRATCH: RefCell<CheckScratch> = RefCell::default();
 }
 
-/// Checks the acquire/release ordering invariants on every block.
+/// Checks the acquire/release ordering invariants on every block, and on
+/// one representative instance of every template: each per-tile run laid
+/// out once, at a tile of its own per distinct share, and entry tiles at
+/// another, so an op that an instance orders only through a tile another
+/// share (or a fixed op) names is a violation.
 ///
 /// # Errors
 ///
@@ -92,6 +99,21 @@ pub fn check_consistency(program: &LoweredProgram) -> Result<()> {
 fn check_with(scratch: &mut CheckScratch, program: &LoweredProgram) -> Result<()> {
     for block in program.iter_blocks() {
         check_block(scratch, &block)?;
+    }
+    // A template is checked once, as its representative instance: the
+    // entry's own tile and each per-tile run's tile stand apart from every
+    // fixed op's, so an op is ordered only by ops on the same kind of tile.
+    for template in &program.templates {
+        let ops = template.representative();
+        check_block(
+            scratch,
+            &LoweredBlockRef {
+                name: BlockName::from(template.name.as_str()),
+                rank: template.rank,
+                role: BlockRole::Consumer,
+                ops: &ops,
+            },
+        )?;
     }
     Ok(())
 }

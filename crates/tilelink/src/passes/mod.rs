@@ -6,7 +6,8 @@
 //!
 //! * [`lower`](mod@lower) — resolves tile ids through the tile-centric mapping into
 //!   concrete channels and destination ranks (the paper's shape / rank /
-//!   channel mapping, Section 4.1);
+//!   channel mapping, Section 4.1), and lays out the instances of template
+//!   blocks from a table's entries;
 //! * [`consistency`] — verifies that every access to remotely-produced data is
 //!   ordered by an acquire wait and every notify is preceded by the stores it
 //!   publishes (Section 4.2);
@@ -23,6 +24,9 @@ pub mod pipeline;
 pub mod resource;
 
 pub use consistency::check_consistency;
-pub use lower::{lower, BlockInfo, LoweredBlockRef, LoweredOp, LoweredProgram, Targets};
+pub use lower::{
+    lower, BlockInfo, BlockWalk, LoweredBlockRef, LoweredOp, LoweredProgram, LoweredStep,
+    LoweredTemplate, LoweredTemplateOp, Targets,
+};
 pub use pipeline::{pipeline_ops, pipeline_program, pipelining_moves};
-pub use resource::{PlanInputs, ResourcePlan, TransferLane};
+pub use resource::{BlockCounts, PlanInputs, ResourcePlan, TransferLane};

@@ -39,9 +39,10 @@ pub struct ResourcePlan {
 /// The facts the resource-mapping pass needs from a program: everything else
 /// in [`ResourcePlan::derive`] depends only on the config and the device.
 ///
-/// Extracting this tiny summary is what lets the incremental recompilation
-/// path re-derive a plan for a patched candidate without walking (or even
-/// keeping) the `TileProgram` it came from.
+/// Extracting this tiny summary ([`BlockCounts::plan_inputs`]) is what lets
+/// the incremental recompilation path re-derive a plan for a patched
+/// candidate without walking (or even keeping) the `TileProgram` it came
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanInputs {
     /// Number of ranks the program runs on.
@@ -52,22 +53,51 @@ pub struct PlanInputs {
     pub consumer_blocks_per_rank: usize,
 }
 
-impl PlanInputs {
-    /// Summarises a program in one pass over its blocks.
+/// Per-rank block counts of a program, from which its [`PlanInputs`] follow
+/// for any number of entries its templates are instantiated for (every
+/// instance of a template is a consumer block).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockCounts {
+    world_size: usize,
+    comm_blocks_per_rank: usize,
+    /// Per rank: fixed consumer blocks and templates.
+    consumers: Vec<(usize, usize)>,
+}
+
+impl BlockCounts {
+    /// Counts a program's blocks and templates in one pass.
     pub fn of_program(program: &TileProgram) -> Self {
         let mut comm = vec![0usize; program.world_size];
-        let mut cons = vec![0usize; program.world_size];
+        let mut consumers = vec![(0usize, 0usize); program.world_size];
         for b in &program.blocks {
             match b.role {
                 BlockRole::Producer => comm[b.rank] += 1,
-                BlockRole::Consumer => cons[b.rank] += 1,
+                BlockRole::Consumer => consumers[b.rank].0 += 1,
                 BlockRole::Host => {}
             }
+        }
+        for (_, t) in &program.templates {
+            consumers[t.rank].1 += 1;
         }
         Self {
             world_size: program.world_size,
             comm_blocks_per_rank: comm.into_iter().max().unwrap_or(0).max(1),
-            consumer_blocks_per_rank: cons.into_iter().max().unwrap_or(0).max(1),
+            consumers,
+        }
+    }
+
+    /// The plan inputs with every template instantiated `entries` times.
+    pub fn plan_inputs(&self, entries: usize) -> PlanInputs {
+        PlanInputs {
+            world_size: self.world_size,
+            comm_blocks_per_rank: self.comm_blocks_per_rank,
+            consumer_blocks_per_rank: self
+                .consumers
+                .iter()
+                .map(|&(fixed, templates)| fixed + templates * entries)
+                .max()
+                .unwrap_or(0)
+                .max(1),
         }
     }
 }
@@ -148,7 +178,7 @@ mod tests {
             p.add_block(BlockDesc::new(format!("gemm{i}"), 0, BlockRole::Consumer));
         }
         let cost = analytic_cost(&ClusterSpec::h800_node(8));
-        ResourcePlan::derive(cfg, PlanInputs::of_program(&p), &*cost)
+        ResourcePlan::derive(cfg, BlockCounts::of_program(&p).plan_inputs(0), &*cost)
     }
 
     #[test]

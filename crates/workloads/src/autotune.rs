@@ -30,7 +30,7 @@ use tilelink_tune::{
     TuneReport, Tuner,
 };
 
-use crate::moe::{RoutingProfile, RoutingSample, RoutingSampler};
+use crate::moe::{RoutingProfile, RoutingSampler, RoutingTables};
 use crate::{bounds, comm, mlp, moe, MlpShape, MoeShape};
 
 // ---------------------------------------------------------------------------
@@ -174,9 +174,10 @@ impl WorkloadSpec {
 ///
 /// An MLP layer, and an MoE layer under the expected uniform routing, is
 /// priced once. An MoE layer with a [`RoutingSpec`] is priced over every
-/// sampled routing through the dynamic-mapping builders, and the per-sample
-/// prices are folded with the oracle's [`Objective`]: tuning for the tail of
-/// the routing distribution rather than the mean.
+/// sampled routing, each bound as a table to the routed kernels (compiled
+/// once per config), and the per-sample prices are folded with the oracle's
+/// [`Objective`]: tuning for the tail of the routing distribution rather
+/// than the mean.
 ///
 /// Both evaluations price each half kernel (per sample, when routed) through
 /// the oracle's own [`MakespanMemo`], so every distinct kernel is simulated
@@ -191,8 +192,9 @@ pub struct LayerOracle {
     workload: WorkloadSpec,
     memo: MakespanMemo,
     objective: Objective,
-    /// The routings drawn from the workload's spec on first use.
-    samples: OnceLock<Vec<RoutingSample>>,
+    /// The routings drawn from the workload's spec on first use, each with
+    /// the block tables its kernels bind (built once per compute-tile rows).
+    samples: OnceLock<Vec<RoutingTables>>,
 }
 
 /// [`LayerOracle`] under its older MLP name, which tunebench still builds
@@ -259,7 +261,7 @@ impl LayerOracle {
 
     /// The sampled routings, drawn on the first call; `None` prices the
     /// expected routing (and every MLP layer).
-    fn samples(&self) -> Option<&[RoutingSample]> {
+    fn samples(&self) -> Option<&[RoutingTables]> {
         let WorkloadSpec::Moe {
             shape,
             routing: Some(spec),
@@ -267,10 +269,10 @@ impl LayerOracle {
         else {
             return None;
         };
-        Some(
-            self.samples
-                .get_or_init(|| spec.sampler().samples_for(shape, spec.samples.max(1))),
-        )
+        Some(self.samples.get_or_init(|| {
+            let samples = spec.sampler().samples_for(shape, spec.samples.max(1));
+            samples.into_iter().map(RoutingTables::from).collect()
+        }))
     }
 
     /// The `half` kernel of the layer compiled for `cfg`, under `sample` or
@@ -279,7 +281,7 @@ impl LayerOracle {
         &self,
         half: Half,
         cfg: &OverlapConfig,
-        sample: Option<&RoutingSample>,
+        sample: Option<&RoutingTables>,
     ) -> tilelink::Result<CompiledKernel> {
         let cost = self.memo.cost();
         match (&self.workload, half) {
@@ -323,7 +325,7 @@ impl LayerOracle {
     fn layer_report(
         &self,
         cfg: &OverlapConfig,
-        sample: Option<&RoutingSample>,
+        sample: Option<&RoutingTables>,
     ) -> tilelink::Result<OverlapReport> {
         let first = self.memo.report(&self.kernel(Half::First, cfg, sample)?)?;
         let second = self.memo.report(&self.kernel(Half::Second, cfg, sample)?)?;
@@ -341,7 +343,7 @@ impl LayerOracle {
     fn layer_makespan(
         &self,
         cfg: &OverlapConfig,
-        sample: Option<&RoutingSample>,
+        sample: Option<&RoutingTables>,
         cutoff: f64,
     ) -> tilelink::Result<BoundedEval> {
         let act = self.activation();

@@ -41,5 +41,5 @@ pub mod shapes;
 
 pub use autotune::{RoutingSpec, TuneOptions, TunedLayer, WorkloadSpec};
 pub use e2e::{E2eComparison, TunedModelTiming};
-pub use moe::{RoutingProfile, RoutingSample, RoutingSampler};
+pub use moe::{RoutingProfile, RoutingSample, RoutingSampler, RoutingTables};
 pub use shapes::{AttnShape, MlpShape, ModelConfig, MoeShape};

@@ -19,14 +19,27 @@
 //!
 //! Each half has one timed kernel entry, [`ag_group_gemm_kernel`] and
 //! [`group_gemm_rs_kernel`], which compiles the expected-routing program
-//! without a routing sample and the routed (dynamic-mapping) program with
-//! one. Both builders of a half emit only its Group-GEMM blocks: the
-//! AllGather and the ring ReduceScatter come from the communication module
-//! the MLP builders use too.
+//! without a routing and the routed program with one. Both builders of a
+//! half emit only its Group-GEMM blocks: the AllGather and the ring
+//! ReduceScatter come from the communication module the MLP builders use
+//! too.
+//!
+//! The timed kernels treat a sampled routing the way the paper's dynamic
+//! mapping treats its tables: as data, late-bound. A routed builder emits
+//! one Group-GEMM *template* block per rank ([`BlockTemplate`]), so a routed
+//! half compiles once per shape, world and config inputs, like an
+//! expected-routing one. [`RoutingTables`] lays a sampled routing out as one
+//! [`BlockTable`] per half (one entry per Group-GEMM block: its
+//! dispatched-row slice and expert), built once per compute-tile row count;
+//! the kernel binds it when it is planned, and the timed executor
+//! instantiates the template once per entry.
 
 use tilelink::config::{CommMapping, OverlapConfig, TileShape};
 use tilelink::exec::{run_comm_compute, simulate_report};
-use tilelink::ir::{BlockDesc, BlockRole, ComputeKind, NamePattern, Symbol, TileOp, TileProgram};
+use tilelink::ir::{
+    BlockDesc, BlockRole, BlockTable, BlockTemplate, ComputeKind, NamePattern, Symbol, TableEntry,
+    TemplateOp, TileOp, TileProgram, TileShare,
+};
 use tilelink::primitives::{NotifyScope, PushTarget};
 use tilelink::tile::{read_tile, TileRect};
 use tilelink::{
@@ -41,8 +54,8 @@ use tilelink_shmem::ProcessGroup;
 use tilelink_sim::{CostProvider, SharedCost};
 
 use std::fmt;
-use std::ops::Range;
 use std::str::FromStr;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::mlp::BYTES_PER_ELEM;
 use crate::{comm, MoeShape};
@@ -330,16 +343,15 @@ pub fn group_gemm_rs_program(
     (program, mapping)
 }
 
-/// Compile-cache site of one MoE half: the shape, the cluster size,
-/// `cfg_inputs` (the config values the half's builder reads) and, for a
-/// routed kernel, the sampled per-expert row counts, which change the
-/// emitted program.
+/// Compile-cache site of one MoE half: the shape, the cluster size and
+/// `cfg_inputs` (the config values the half's builder reads). A routed
+/// half's routing is bound as a table, not built into the program, so it is
+/// no site input.
 fn moe_site(
     site: &'static str,
     shape: &MoeShape,
     world: usize,
     cfg_inputs: impl IntoIterator<Item = usize>,
-    sample: Option<&RoutingSample>,
 ) -> CacheSite {
     CacheSite::new(
         site,
@@ -352,12 +364,7 @@ fn moe_site(
             world,
         ]
         .into_iter()
-        .chain(cfg_inputs)
-        .chain(
-            sample
-                .into_iter()
-                .flat_map(|s| s.rows_per_expert.iter().copied()),
-        ),
+        .chain(cfg_inputs),
     )
 }
 
@@ -368,9 +375,10 @@ pub(crate) const SECOND_HALF_MAPPING: CommMapping = CommMapping::Hybrid { sms: 2
 
 /// The TileLink AG + Gather + GroupGEMM kernel for one MoE shape, compiled
 /// for `cfg` on the cluster `cost` prices: laid out for the expected routing
-/// ([`ag_group_gemm_program`]) when `sample` is `None`, or for one sampled
-/// routing through the dynamic mapping ([`routed_ag_group_gemm_program`]).
-/// Price it exactly with [`tilelink::exec::simulate_report`], or its
+/// ([`ag_group_gemm_program`]) when `routing` is `None`, or else the routed
+/// program ([`routed_ag_group_gemm_program`]), compiled once per config
+/// inputs, bound to the routing's first-half table for `cfg`'s compute
+/// tiles. Price it exactly with [`tilelink::exec::simulate_report`], or its
 /// makespan under a cutoff with [`tilelink::exec::simulate_makespan`].
 ///
 /// # Errors
@@ -380,27 +388,29 @@ pub fn ag_group_gemm_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-    sample: Option<&RoutingSample>,
+    routing: Option<&RoutingTables>,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     let compiler = Compiler::new(*cfg, cost);
     let inputs = comm::allgather_config_inputs(cfg);
-    let site = |name| moe_site(name, shape, world, inputs, sample);
-    match sample {
+    let site = |name| moe_site(name, shape, world, inputs);
+    match routing {
         None => compiler.compile_cached(site("moe.ag_group_gemm"), || {
             Ok(ag_group_gemm_program(shape, world, cfg))
         }),
-        Some(sample) => compiler.compile_cached(site("moe.routed_ag_group_gemm"), || {
-            routed_ag_group_gemm_program(shape, world, cfg, sample)
-        }),
+        Some(routing) => compiler.compile_cached_with_table(
+            site("moe.routed_ag_group_gemm"),
+            &routing.first_half(cfg.compute_tile.m),
+            || Ok(routed_ag_group_gemm_program(shape, world, cfg)),
+        ),
     }
 }
 
 /// The TileLink GroupGEMM + Scatter + TopK-Reduce + RS kernel for one MoE
 /// shape, compiled the same way as [`ag_group_gemm_kernel`] from
-/// [`group_gemm_rs_program`] or [`routed_group_gemm_rs_program`]. The
-/// kernel always compiles onto the hybrid transfer lane, whatever
-/// `cfg.comm_mapping` says.
+/// [`group_gemm_rs_program`] or [`routed_group_gemm_rs_program`] (bound to
+/// the routing's second-half table). The kernel always compiles onto the
+/// hybrid transfer lane, whatever `cfg.comm_mapping` says.
 ///
 /// # Errors
 ///
@@ -409,20 +419,22 @@ pub fn group_gemm_rs_kernel(
     shape: &MoeShape,
     cfg: &OverlapConfig,
     cost: &SharedCost,
-    sample: Option<&RoutingSample>,
+    routing: Option<&RoutingTables>,
 ) -> tilelink::Result<CompiledKernel> {
     let world = cost.cluster().world_size();
     let cfg = cfg.with_comm_mapping(SECOND_HALF_MAPPING);
     let compiler = Compiler::new(cfg, cost);
     let inputs = comm::reduce_scatter_config_inputs(&cfg);
-    let site = |name| moe_site(name, shape, world, inputs, sample);
-    match sample {
+    let site = |name| moe_site(name, shape, world, inputs);
+    match routing {
         None => compiler.compile_cached(site("moe.group_gemm_rs"), || {
             Ok(group_gemm_rs_program(shape, world, &cfg))
         }),
-        Some(sample) => compiler.compile_cached(site("moe.routed_group_gemm_rs"), || {
-            Ok(routed_group_gemm_rs_program(shape, world, &cfg, sample))
-        }),
+        Some(routing) => compiler.compile_cached_with_table(
+            site("moe.routed_group_gemm_rs"),
+            &routing.second_half(),
+            || Ok(routed_group_gemm_rs_program(shape, world, &cfg)),
+        ),
     }
 }
 
@@ -455,7 +467,7 @@ pub fn activation_seconds(shape: &MoeShape, cost: &dyn CostProvider) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Routing distributions: sampler + routed (dynamic-mapping) programs
+// Routing distributions: sampler, routing tables + routed programs
 // ---------------------------------------------------------------------------
 
 /// Relative traffic of a hot expert under [`RoutingProfile::HotExpert`]
@@ -740,80 +752,119 @@ impl RoutingSampler {
     }
 }
 
-/// Builds the routed AG + Gather + GroupGEMM program for one sampled routing.
+/// One sampled routing laid out as the Group-GEMM block tables of both MoE
+/// halves, each built once, on first use, inside a `compile.build` span:
+/// the second half's table, and the first half's per compute-tile row
+/// count. A routed kernel binds the table of its half
+/// ([`ag_group_gemm_kernel`], [`group_gemm_rs_kernel`]), so one layer
+/// oracle builds each table once however many configs it prices.
+#[derive(Debug)]
+pub struct RoutingTables {
+    sample: RoutingSample,
+    first: Mutex<Vec<(usize, Arc<BlockTable>)>>,
+    second: OnceLock<Arc<BlockTable>>,
+}
+
+impl Clone for RoutingTables {
+    fn clone(&self) -> Self {
+        Self {
+            sample: self.sample.clone(),
+            first: Mutex::new(self.first.lock().expect("routing tables poisoned").clone()),
+            second: self.second.clone(),
+        }
+    }
+}
+
+impl From<RoutingSample> for RoutingTables {
+    fn from(sample: RoutingSample) -> Self {
+        Self {
+            sample,
+            first: Mutex::new(Vec::new()),
+            second: OnceLock::new(),
+        }
+    }
+}
+
+impl RoutingTables {
+    /// The first half's table for compute tiles of `compute_tile_m` rows:
+    /// one entry per Group-GEMM block, a slice of at most `compute_tile_m ×
+    /// DISPATCH_TILES_PER_BLOCK` (8) dispatched rows of one expert (the
+    /// expected-routing builder's block granularity), experts in order, each
+    /// expert's rows split into equal slices but the last. A hot expert gets
+    /// proportionally more, and past the slice target proportionally
+    /// *larger*, blocks, so skewed samples price to longer makespans than
+    /// balanced ones.
+    pub fn first_half(&self, compute_tile_m: usize) -> Arc<BlockTable> {
+        let mut tables = self.first.lock().expect("routing tables poisoned");
+        if let Some((_, table)) = tables.iter().find(|(m, _)| *m == compute_tile_m) {
+            return Arc::clone(table);
+        }
+        let _span = tilelink_probe::span("compile.build");
+        let target = (compute_tile_m * DISPATCH_TILES_PER_BLOCK).max(1);
+        let mut entries = Vec::new();
+        let mut cursor = 0usize;
+        for (expert, &rows) in self.sample.rows_per_expert.iter().enumerate() {
+            if rows == 0 {
+                continue;
+            }
+            let per_block = rows.div_ceil(rows.div_ceil(target));
+            let expert_end = cursor + rows;
+            while cursor < expert_end {
+                let end = (cursor + per_block).min(expert_end);
+                entries.push(TableEntry {
+                    rows: cursor..end,
+                    group: expert,
+                });
+                cursor = end;
+            }
+        }
+        let table = Arc::new(BlockTable::new(entries));
+        tables.push((compute_tile_m, Arc::clone(&table)));
+        table
+    }
+
+    /// The second half's table: one entry per expert with rows, its
+    /// dispatched rows in expert order.
+    pub fn second_half(&self) -> Arc<BlockTable> {
+        Arc::clone(self.second.get_or_init(|| {
+            let _span = tilelink_probe::span("compile.build");
+            let mut cursor = 0usize;
+            let entries = (self.sample.rows_per_expert.iter().enumerate())
+                .filter(|&(_, &rows)| rows > 0)
+                .map(|(expert, &rows)| {
+                    cursor += rows;
+                    TableEntry {
+                        rows: cursor - rows..cursor,
+                        group: expert,
+                    }
+                })
+                .collect();
+            Arc::new(BlockTable::new(entries))
+        }))
+    }
+}
+
+/// Builds the routed AG + Gather + GroupGEMM program: the AllGather blocks
+/// and, per rank, one Group-GEMM template `ggemm/r{rank}/e{expert}/d{d}`
+/// instantiated once per entry `d` of a [`RoutingTables::first_half`] table.
 ///
-/// Unlike [`ag_group_gemm_program`], which assumes the expected uniform
-/// routing, the consumer side is laid out from the sample through a
-/// [`DynamicMapping`]: one entry per Group-GEMM block describing the
-/// dispatched-row slice it computes and (in the mapping's rank slot) the
-/// expert group it belongs to. A hot expert gets proportionally more — and,
-/// beyond the block row target, proportionally *larger* — consumer blocks, so
-/// skewed samples price to longer makespans than balanced ones.
-///
-/// The returned mapping covers both tile namespaces: tiles
-/// `0..ag.num_tiles()` mirror the static AllGather mapping (token rows),
-/// tiles after that are the dispatch tiles (row ranges offset by the token
-/// count, so the two spaces never overlap; dispatch tiles signal on their own
-/// channels after the AllGather channels).
-///
-/// # Errors
-///
-/// Returns an error if the dynamic mapping cannot be filled (which indicates
-/// a builder bug, e.g. overlapping dispatch slices).
+/// Instance `d` of `D` waits on a prefix spread of the `T` AllGather tiles,
+/// `[T·d/D, min(T·(d+1)/D, T))` (tokens routed to one expert are scattered
+/// over the whole gathered matrix: the expected-routing builder's arrival
+/// model), then loads, multiplies and stores its slice's rows. It stores
+/// dispatch tile `T + d`, which signals channel `C + d % channels_per_rank`
+/// past the AllGather mapping's `C` channels. The returned mapping is the
+/// AllGather mapping.
 pub fn routed_ag_group_gemm_program(
     shape: &MoeShape,
     world: usize,
     cfg: &OverlapConfig,
-    sample: &RoutingSample,
-) -> tilelink::Result<(TileProgram, DynamicMapping)> {
+) -> (TileProgram, StaticMapping) {
     let _span = tilelink_probe::span("compile.build");
-    let m = shape.tokens;
     let h = shape.hidden;
     let i_local = shape.intermediate / world;
-    let ag = StaticMapping::new(m, cfg.comm_tile.m, world, cfg.channels_per_rank);
-    let ag_tiles = ag.num_tiles();
-    let ag_channels = ag.num_channels();
-
-    // One consumer block per slice of at most `compute_tile.m *
-    // DISPATCH_TILES_PER_BLOCK` dispatched rows of one expert (the
-    // expected-routing builder's block granularity).
-    let rows_per_block_target = (cfg.compute_tile.m * DISPATCH_TILES_PER_BLOCK).max(1);
-    let mut block_rows: Vec<Range<usize>> = Vec::new();
-    let mut block_expert: Vec<usize> = Vec::new();
-    let mut cursor = 0usize;
-    for (expert, &rows_e) in sample.rows_per_expert.iter().enumerate() {
-        if rows_e == 0 {
-            continue;
-        }
-        let blocks_e = rows_e.div_ceil(rows_per_block_target);
-        let per_block = rows_e.div_ceil(blocks_e);
-        let expert_end = cursor + rows_e;
-        while cursor < expert_end {
-            let end = (cursor + per_block).min(expert_end);
-            block_rows.push(cursor..end);
-            block_expert.push(expert);
-            cursor = end;
-        }
-    }
-    let dispatch_tiles = block_rows.len();
-
-    let dyn_map = DynamicMapping::new(
-        ag_tiles + dispatch_tiles.max(1),
-        ag_channels + cfg.channels_per_rank,
-    );
-    for t in 0..ag_tiles {
-        dyn_map.fill(t, ag.rows_of(t)?, ag.rank_of(t)?, ag.channel_of(t)?)?;
-    }
-    for (d, rows) in block_rows.iter().enumerate() {
-        // Dispatched-row space starts after the token rows.
-        dyn_map.fill(
-            ag_tiles + d,
-            m + rows.start..m + rows.end,
-            block_expert[d],
-            ag_channels + d % cfg.channels_per_rank,
-        )?;
-    }
-
+    let ag = StaticMapping::new(shape.tokens, cfg.comm_tile.m, world, cfg.channels_per_rank);
+    let (ag_tiles, ag_channels) = (ag.num_tiles(), ag.num_channels());
     // Interned once per build, not once per op (see ag_group_gemm_program).
     let gathered = Symbol::intern("gathered");
     let expert_out = Symbol::intern("expert_out");
@@ -821,65 +872,59 @@ pub fn routed_ag_group_gemm_program(
     let mut program = TileProgram::new("moe_routed_ag_group_gemm", world);
     for rank in 0..world {
         comm::allgather_blocks(&mut program, rank, &ag, h);
-        for d in 0..dispatch_tiles {
-            // The block's row slice and expert group come back out of the
-            // dynamic mapping — the tables are the single source of truth the
-            // compiled program is laid out from.
-            let rows = dyn_map.rows_of(ag_tiles + d)?;
-            let expert = dyn_map.rank_of(ag_tiles + d)?;
-            let rows_blk = rows.len();
-            let mut block =
-                BlockDesc::new(ggemm.name([rank, expert, d]), rank, BlockRole::Consumer);
-            // Tokens routed to one expert are scattered over the whole
-            // gathered matrix, so blocks wait on a prefix spread of producer
-            // tiles (the same arrival model as the expected-routing builder).
-            let wait_hi = (ag_tiles * (d + 1) / dispatch_tiles).min(ag_tiles);
-            for tile in (ag_tiles * d / dispatch_tiles)..wait_hi {
-                block = block.op(TileOp::ConsumerWait { tile });
-            }
-            block = block
-                .op(TileOp::LoadTile {
+        program.add_template(
+            BlockTemplate::new(ggemm, rank)
+                .entry_channels(ag_channels..ag_channels + cfg.channels_per_rank)
+                .each_tile(
+                    TileShare::ByIndex { tiles: ag_tiles },
+                    [TileOp::ConsumerWait { tile: 0 }],
+                )
+                .per_row(TileOp::LoadTile {
                     buffer: gathered,
-                    bytes: rows_blk as f64 * h as f64 * BYTES_PER_ELEM,
+                    bytes: h as f64 * BYTES_PER_ELEM,
                     tile: None,
                 })
-                .op(TileOp::Compute(ComputeKind::MatmulTile {
-                    m: rows_blk,
+                .per_row(TileOp::Compute(ComputeKind::MatmulTile {
+                    m: 1,
                     n: i_local,
                     k: h,
                 }))
-                .op(TileOp::StoreTile {
-                    buffer: expert_out,
-                    bytes: rows_blk as f64 * i_local as f64 * BYTES_PER_ELEM,
-                    tile: Some(ag_tiles + d),
-                });
-            program.add_block(block);
-        }
+                .step(TemplateOp {
+                    op: TileOp::StoreTile {
+                        buffer: expert_out,
+                        bytes: i_local as f64 * BYTES_PER_ELEM,
+                        tile: Some(ag_tiles),
+                    },
+                    per_row: true,
+                    entry_tile: true,
+                }),
+        );
     }
-    Ok((program, dyn_map))
+    (program, ag)
 }
 
 /// Builds the routed GroupGEMM + Scatter + TopK-Reduce + ReduceScatter
-/// program for one sampled routing.
+/// program: per rank, one Group-GEMM template `ggemm2/r{rank}/e{expert}`
+/// instantiated once per entry of a [`RoutingTables::second_half`] table,
+/// then the ring ReduceScatter blocks.
 ///
 /// The second-half Group GEMM runs per expert, so its block sizes follow the
-/// sample; each expert block publishes the share of the token tiles
-/// proportional to its load, which delays the ReduceScatter behind hot
-/// experts exactly the way a skewed scatter does.
+/// routing. The instance of the expert whose rows are `[c, c + r)` of `R`
+/// publishes token tiles `[N·c/R, N·(c+r)/R)` of the `N` tiles: token tiles
+/// are apportioned to experts by cumulative load, so every tile is
+/// published exactly once, and the ReduceScatter waits behind hot experts
+/// exactly the way a skewed scatter does.
 pub fn routed_group_gemm_rs_program(
     shape: &MoeShape,
     world: usize,
     cfg: &OverlapConfig,
-    sample: &RoutingSample,
 ) -> (TileProgram, StaticMapping) {
     let _span = tilelink_probe::span("compile.build");
     let m = shape.tokens;
     let h = shape.hidden;
     let i_local = shape.intermediate / world;
-    let rows_total = sample.total_rows().max(1);
     let tile_m = cfg.compute_tile.m;
     let mapping = StaticMapping::new(m, tile_m, world, cfg.channels_per_rank);
-    let num_tiles = mapping.num_tiles();
     let tile_out_bytes = tile_m as f64 * h as f64 * BYTES_PER_ELEM;
     // Interned once per build, not once per op (see ag_group_gemm_program).
     let expert_act = Symbol::intern("expert_act");
@@ -888,47 +933,40 @@ pub fn routed_group_gemm_rs_program(
     let mut program = TileProgram::new("moe_routed_group_gemm_rs", world);
     for rank in 0..world {
         // Per-expert Group GEMM, fused with the scatter + top-k reduce
-        // epilogue; token tiles are apportioned to experts by cumulative load
-        // so every tile is published exactly once.
-        let mut cumulative = 0usize;
-        for (expert, &rows_e) in sample.rows_per_expert.iter().enumerate() {
-            if rows_e == 0 {
-                continue;
-            }
-            let tile_lo = num_tiles * cumulative / rows_total;
-            cumulative += rows_e;
-            let tile_hi = num_tiles * cumulative / rows_total;
-            let mut block = BlockDesc::new(ggemm2.name([rank, expert]), rank, BlockRole::Consumer)
-                .op(TileOp::LoadTile {
+        // epilogue.
+        program.add_template(
+            BlockTemplate::new(ggemm2, rank)
+                .per_row(TileOp::LoadTile {
                     buffer: expert_act,
-                    bytes: rows_e as f64 * i_local as f64 * BYTES_PER_ELEM,
+                    bytes: i_local as f64 * BYTES_PER_ELEM,
                     tile: None,
                 })
-                .op(TileOp::Compute(ComputeKind::MatmulTile {
-                    m: rows_e,
+                .per_row(TileOp::Compute(ComputeKind::MatmulTile {
+                    m: 1,
                     n: h,
                     k: i_local,
                 }))
                 // top-k weighted combine of the expert rows into token rows
-                .op(TileOp::Compute(ComputeKind::Elementwise {
-                    elems: rows_e * h,
-                }));
-            for tile in tile_lo..tile_hi {
-                block = block
-                    .op(TileOp::StoreTile {
-                        buffer: gemm_out,
-                        bytes: tile_out_bytes,
-                        tile: Some(tile),
-                    })
-                    .op(TileOp::ProducerNotify {
-                        tile,
-                        scope: NotifyScope::Local,
-                    });
-            }
-            program.add_block(block);
-        }
+                .per_row(TileOp::Compute(ComputeKind::Elementwise { elems: h }))
+                .each_tile(
+                    TileShare::ByRows {
+                        tiles: mapping.num_tiles(),
+                    },
+                    [
+                        TileOp::StoreTile {
+                            buffer: gemm_out,
+                            bytes: tile_out_bytes,
+                            tile: Some(0),
+                        },
+                        TileOp::ProducerNotify {
+                            tile: 0,
+                            scope: NotifyScope::Local,
+                        },
+                    ],
+                ),
+        );
         // The ring ReduceScatter itself is routing-independent; only *when*
-        // its inputs become ready depends on the sample.
+        // its inputs become ready depends on the routing.
         comm::ring_reduce_scatter_blocks(&mut program, rank, world, m, tile_m, h);
     }
     (program, mapping)
@@ -1141,8 +1179,15 @@ mod tests {
         cost: &SharedCost,
         sample: &RoutingSample,
     ) -> tilelink::Result<OverlapReport> {
-        let first = simulate_report(&ag_group_gemm_kernel(shape, cfg, cost, Some(sample))?, cost)?;
-        let second = simulate_report(&group_gemm_rs_kernel(shape, cfg, cost, Some(sample))?, cost)?;
+        let routing = RoutingTables::from(sample.clone());
+        let first = simulate_report(
+            &ag_group_gemm_kernel(shape, cfg, cost, Some(&routing))?,
+            cost,
+        )?;
+        let second = simulate_report(
+            &group_gemm_rs_kernel(shape, cfg, cost, Some(&routing))?,
+            cost,
+        )?;
         Ok(OverlapReport::layer(
             first,
             activation_seconds(shape, &**cost),
@@ -1190,20 +1235,30 @@ mod tests {
     }
 
     #[test]
-    fn routed_first_half_fills_a_complete_dynamic_mapping() {
+    fn routing_tables_cover_every_dispatched_row_once() {
         let shape = crate::shapes::moe_shapes()[0].clone();
-        let sample = RoutingSample::balanced(shape.experts, dispatched_rows(&shape));
-        let (program, dyn_map) =
-            routed_ag_group_gemm_program(&shape, 8, &moe_config(), &sample).unwrap();
-        assert!(dyn_map.is_complete());
-        assert!(program.blocks.len() > 8);
-        // AG tiles mirror the static mapping; dispatch tiles live beyond the
-        // token rows and carry the expert id in the rank slot.
-        let ag = StaticMapping::new(shape.tokens, 128, 8, 4);
-        let ag_tiles = ag.num_tiles();
-        assert_eq!(dyn_map.rows_of(0).unwrap(), ag.rows_of(0).unwrap());
-        let first_dispatch = dyn_map.rows_of(ag_tiles).unwrap();
-        assert!(first_dispatch.start >= shape.tokens);
-        assert!(dyn_map.rank_of(ag_tiles).unwrap() < shape.experts);
+        let rows = dispatched_rows(&shape);
+        let mut rows_per_expert = RoutingSample::balanced(shape.experts, rows).rows_per_expert;
+        // A hot expert past the slice target, and an idle one.
+        rows_per_expert[2] += rows_per_expert[5];
+        rows_per_expert[5] = 0;
+        let routing = RoutingTables::from(RoutingSample { rows_per_expert });
+        for tile_m in [64, 128] {
+            let first = routing.first_half(tile_m);
+            assert!(
+                Arc::ptr_eq(&first, &routing.first_half(tile_m)),
+                "built once"
+            );
+            assert_eq!(first.total_rows(), rows);
+            for entry in first.entries() {
+                assert!(!entry.rows.is_empty() && entry.rows.len() <= tile_m * 8);
+                assert_ne!(entry.group, 5, "an idle expert gets no block");
+            }
+        }
+        let second = routing.second_half();
+        assert_eq!(second.total_rows(), rows);
+        assert_eq!(second.len(), shape.experts - 1);
+        let experts: Vec<usize> = second.entries().iter().map(|e| e.group).collect();
+        assert!(experts.windows(2).all(|w| w[0] < w[1]) && !experts.contains(&5));
     }
 }

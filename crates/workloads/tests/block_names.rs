@@ -7,14 +7,27 @@
 //! block, in the order each builder emits its blocks.
 
 use tilelink::ir::{BlockRole, TileProgram};
-use tilelink::{OverlapConfig, StaticMapping, TileMapping};
-use tilelink_sim::ClusterSpec;
+use tilelink::{CompiledKernel, OverlapConfig, StaticMapping, TileMapping};
+use tilelink_sim::{analytic_cost, ClusterSpec};
 use tilelink_workloads::{
     attention, mlp, moe, MlpShape, MoeShape, RoutingProfile, RoutingSample, RoutingSampler,
+    RoutingTables,
 };
 
 fn rendered(program: &TileProgram) -> Vec<String> {
     program.blocks.iter().map(|b| b.name.to_string()).collect()
+}
+
+/// The block names of a compiled kernel in block order, its templates
+/// instantiated from its table by the walk the timed executor builds its
+/// graphs by.
+fn instantiated(kernel: &CompiledKernel) -> Vec<String> {
+    let (mut names, mut buffer) = (Vec::new(), Vec::new());
+    let mut blocks = kernel.walk(&mut buffer, |_| true);
+    while let Some(block) = blocks.next_block() {
+        names.push(block.name.to_string());
+    }
+    names
 }
 
 /// Rank `rank`'s consumer blocks, which a builder numbers `b0`, `b1`, ... in
@@ -138,23 +151,29 @@ fn routed_moe_block_names_render_as_formatted() {
         },
     ];
     for world in worlds() {
+        let cost = analytic_cost(&ClusterSpec::h800_node(world));
         for sample in &samples {
-            let (program, mapping) = moe::routed_ag_group_gemm_program(&shape, world, &cfg, sample)
-                .expect("routed first half builds");
+            let routing = RoutingTables::from(sample.clone());
+            let kernel = moe::ag_group_gemm_kernel(&shape, &cfg, &cost, Some(&routing))
+                .expect("routed first half compiles");
             let ag =
                 StaticMapping::new(shape.tokens, cfg.comm_tile.m, world, cfg.channels_per_rank);
-            let dispatch_tiles = mapping.num_tiles() - ag.num_tiles();
+            let table = routing.first_half(cfg.compute_tile.m);
             let mut expected = Vec::new();
             for rank in 0..world {
                 expected.extend(allgather(rank, &ag));
-                for d in 0..dispatch_tiles {
-                    let expert = mapping.rank_of(ag.num_tiles() + d).unwrap();
-                    expected.push(format!("ggemm/r{rank}/e{expert}/d{d}"));
+                for (d, entry) in table.entries().iter().enumerate() {
+                    expected.push(format!("ggemm/r{rank}/e{}/d{d}", entry.group));
                 }
             }
-            assert_eq!(rendered(&program), expected, "routed MoE AG, world {world}");
+            assert_eq!(
+                instantiated(&kernel),
+                expected,
+                "routed MoE AG, world {world}"
+            );
 
-            let (program, _) = moe::routed_group_gemm_rs_program(&shape, world, &cfg, sample);
+            let kernel = moe::group_gemm_rs_kernel(&shape, &cfg, &cost, Some(&routing))
+                .expect("routed second half compiles");
             let mut expected = Vec::new();
             for rank in 0..world {
                 for (expert, &rows) in sample.rows_per_expert.iter().enumerate() {
@@ -164,7 +183,11 @@ fn routed_moe_block_names_render_as_formatted() {
                 }
                 expected.extend(ring(rank, world, shape.tokens, cfg.compute_tile.m));
             }
-            assert_eq!(rendered(&program), expected, "routed MoE RS, world {world}");
+            assert_eq!(
+                instantiated(&kernel),
+                expected,
+                "routed MoE RS, world {world}"
+            );
         }
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! `Compiler::compile_cached` keys a program by its `CacheSite` alone, so
 //! each kernel function's site must name every value its builder reads: the
-//! shape, the world size, a routing sample, and the config values the
-//! builder reads. A site that leaves one out hands a stale program to a
+//! shape, the world size and the config values the builder reads. A routed
+//! kernel's routing is no builder input: it is bound as a table, which the
+//! kernel's key names. A site that leaves one out hands a stale program to a
 //! config that changes it. This test compiles a grid of configs through one
 //! warm compile cache, in a fixed order, at all seven cache sites of the
 //! five cached kernel functions at world 2 and 16. Each kernel must equal a
-//! cold compile of the same config, and price to the same exact report, bit
-//! for bit. The full rebuilds must number exactly the distinct builder
-//! inputs in the grid, and two kernels must share a `KernelKey` (and so a
-//! makespan-memo price) exactly when their builder inputs and resource
-//! plans agree.
+//! cold compile of the same config (with the same table, for a routed one),
+//! and price to the same exact report, bit for bit. The full rebuilds must
+//! number exactly the distinct builder inputs in the grid, and two kernels
+//! must share a `KernelKey` (and so a makespan-memo price) exactly when
+//! their builder inputs and resource plans agree.
 //!
 //! The compile cache and its rebuild counter are process-wide, so this file
 //! holds one test.
@@ -28,8 +29,8 @@ use tilelink_probe::metrics::TUNE_COMPILE_FULL_REBUILDS;
 use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_workloads::moe::dispatched_rows;
 use tilelink_workloads::{
-    attention, mlp, moe, AttnShape, MlpShape, MoeShape, RoutingProfile, RoutingSample,
-    RoutingSampler,
+    attention, mlp, moe, AttnShape, MlpShape, MoeShape, RoutingProfile, RoutingSampler,
+    RoutingTables,
 };
 
 /// Every value of every axis of `SearchSpace::standard()` (mirrored here),
@@ -86,7 +87,7 @@ fn grid() -> Vec<OverlapConfig> {
 }
 
 /// The seven cache sites: the MLP and attention kernel functions, and each
-/// MoE kernel function with and without a routing sample.
+/// MoE kernel function with and without a routing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Kernel {
     MlpAg,
@@ -114,7 +115,7 @@ struct Shapes {
     mlp: MlpShape,
     moe: MoeShape,
     attn: AttnShape,
-    sample: RoutingSample,
+    routing: RoutingTables,
 }
 
 impl Shapes {
@@ -127,11 +128,9 @@ impl Shapes {
             experts: 8,
             top_k: 2,
         };
-        let sample = RoutingSampler::new(RoutingProfile::Zipf { s: 1.2 }, 11).sample(
-            moe.experts,
-            dispatched_rows(&moe),
-            0,
-        );
+        let routing = RoutingSampler::new(RoutingProfile::Zipf { s: 1.2 }, 11)
+            .sample(moe.experts, dispatched_rows(&moe), 0)
+            .into();
         Self {
             mlp: MlpShape {
                 name: "mlp-small",
@@ -147,7 +146,7 @@ impl Shapes {
                 head_dim: 128,
                 seq_lens: vec![4096],
             },
-            sample,
+            routing,
         }
     }
 }
@@ -160,8 +159,8 @@ impl Kernel {
             Kernel::MlpRs => mlp::gemm_rs_kernel(&s.mlp, cfg, cost),
             Kernel::MoeAg => moe::ag_group_gemm_kernel(&s.moe, cfg, cost, None),
             Kernel::MoeRs => moe::group_gemm_rs_kernel(&s.moe, cfg, cost, None),
-            Kernel::RoutedAg => moe::ag_group_gemm_kernel(&s.moe, cfg, cost, Some(&s.sample)),
-            Kernel::RoutedRs => moe::group_gemm_rs_kernel(&s.moe, cfg, cost, Some(&s.sample)),
+            Kernel::RoutedAg => moe::ag_group_gemm_kernel(&s.moe, cfg, cost, Some(&s.routing)),
+            Kernel::RoutedRs => moe::group_gemm_rs_kernel(&s.moe, cfg, cost, Some(&s.routing)),
             Kernel::Attention => {
                 attention::sp_attention_kernel(&s.attn, s.attn.seq_lens[0], cfg, cost)
             }
@@ -199,13 +198,8 @@ impl Kernel {
             )),
             Kernel::MoeAg => boxed(moe::ag_group_gemm_program(moe, world, cfg)),
             Kernel::MoeRs => boxed(moe::group_gemm_rs_program(moe, world, cfg)),
-            Kernel::RoutedAg => boxed(
-                moe::routed_ag_group_gemm_program(moe, world, cfg, &s.sample)
-                    .expect("routed program"),
-            ),
-            Kernel::RoutedRs => boxed(moe::routed_group_gemm_rs_program(
-                moe, world, cfg, &s.sample,
-            )),
+            Kernel::RoutedAg => boxed(moe::routed_ag_group_gemm_program(moe, world, cfg)),
+            Kernel::RoutedRs => boxed(moe::routed_group_gemm_rs_program(moe, world, cfg)),
             Kernel::Attention => boxed(attention::sp_attention_program(
                 s.attn.heads,
                 s.attn.head_dim,
@@ -251,11 +245,17 @@ fn warm_cached_compiles_equal_cold_compiles_and_rebuild_once_per_builder_input()
                 distinct_inputs.insert(inputs.clone());
                 let warm = kernel.cached(&shapes, cfg, &cost);
                 // The second-half kernels compile onto their forced lane, so
-                // the cold compile takes the config the kernel reports.
+                // the cold compile takes the config the kernel reports; a
+                // routed one binds the table the warm one bound.
                 let (program, mapping) = kernel.program(&shapes, cfg, world);
-                let cold = Compiler::new(warm.config, &cost)
-                    .compile(warm.key.site(), &program, &*mapping)
-                    .unwrap_or_else(|e| panic!("cold compile: {ctx}: {e}"));
+                let compiler = Compiler::new(warm.config, &cost);
+                let cold = match &warm.table {
+                    None => compiler.compile(warm.key.site(), &program, &*mapping),
+                    Some(table) => {
+                        compiler.compile_with_table(warm.key.site(), &program, &*mapping, table)
+                    }
+                }
+                .unwrap_or_else(|e| panic!("cold compile: {ctx}: {e}"));
                 assert_eq!(warm, cold, "kernel: {ctx}");
                 assert_eq!(report_bits(&warm), report_bits(&cold), "report: {ctx}");
                 compiled.push((inputs, warm.plan.clone(), warm.key, ctx));

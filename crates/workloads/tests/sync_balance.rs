@@ -14,10 +14,13 @@
 
 use std::collections::HashMap;
 
-use tilelink::ir::{TileOp, TileProgram};
+use tilelink::ir::{BlockDesc, TileOp, TileProgram};
 use tilelink::primitives::NotifyScope;
-use tilelink::{OverlapConfig, TileMapping, TileShape};
-use tilelink_workloads::{attention, mlp, moe, shapes, RoutingProfile, RoutingSampler};
+use tilelink::{CompiledKernel, OverlapConfig, TileMapping, TileShape};
+use tilelink_sim::{analytic_cost, ClusterSpec};
+use tilelink_workloads::{
+    attention, mlp, moe, shapes, RoutingProfile, RoutingSampler, RoutingTables,
+};
 
 /// Waits checked in one program, by kind.
 #[derive(Debug, Default, Clone, Copy)]
@@ -107,6 +110,21 @@ fn grid() -> Vec<(usize, OverlapConfig)> {
     out
 }
 
+/// The blocks of a compiled kernel in block order, its templates
+/// instantiated from its table by the walk the timed executor builds its
+/// graphs by.
+fn instantiated(kernel: &CompiledKernel) -> TileProgram {
+    let mut program = TileProgram::new(kernel.name, kernel.world_size);
+    let mut buffer = Vec::new();
+    let mut blocks = kernel.walk(&mut buffer, |_| true);
+    while let Some(block) = blocks.next_block() {
+        program.add_block(
+            BlockDesc::new(block.name, block.rank, block.role).ops(block.ops.iter().map(|o| o.op)),
+        );
+    }
+    program
+}
+
 /// Checks a program with a wait-for-data half only (an AllGather or a host
 /// copy feeding its consumers).
 fn check_gather(what: &str, program: &TileProgram, mapping: &dyn TileMapping) {
@@ -128,11 +146,9 @@ fn every_wait_is_met_by_exactly_the_notifies_that_reach_it() {
     let mlp_shape = &shapes::mlp_shapes()[0];
     let (tokens, hidden, inter) = (mlp_shape.tokens, mlp_shape.hidden, mlp_shape.intermediate);
     let moe_shape = &shapes::moe_shapes()[0];
-    let sample = RoutingSampler::new(RoutingProfile::Zipf { s: 1.2 }, 7).sample(
-        moe_shape.experts,
-        moe::dispatched_rows(moe_shape),
-        0,
-    );
+    let routing: RoutingTables = RoutingSampler::new(RoutingProfile::Zipf { s: 1.2 }, 7)
+        .sample(moe_shape.experts, moe::dispatched_rows(moe_shape), 0)
+        .into();
     let attn = &shapes::attn_shapes()[0];
     for (world, cfg) in grid() {
         let what = |kernel: &str| format!("{kernel}, world {world}, {cfg:?}");
@@ -147,11 +163,15 @@ fn every_wait_is_met_by_exactly_the_notifies_that_reach_it() {
         let (program, mapping) = moe::group_gemm_rs_program(moe_shape, world, &cfg);
         check_ring(&what("MoE RS"), &program, &mapping);
 
-        let (program, mapping) =
-            moe::routed_ag_group_gemm_program(moe_shape, world, &cfg, &sample).unwrap();
-        check_gather(&what("routed MoE AG"), &program, &mapping);
-        let (program, mapping) = moe::routed_group_gemm_rs_program(moe_shape, world, &cfg, &sample);
-        check_ring(&what("routed MoE RS"), &program, &mapping);
+        // The routed halves' Group-GEMM blocks are templates: check the
+        // instances a compiled kernel's graphs are built from.
+        let cost = analytic_cost(&ClusterSpec::h800_node(world));
+        let kernel = moe::ag_group_gemm_kernel(moe_shape, &cfg, &cost, Some(&routing)).unwrap();
+        let (_, mapping) = moe::routed_ag_group_gemm_program(moe_shape, world, &cfg);
+        check_gather(&what("routed MoE AG"), &instantiated(&kernel), &mapping);
+        let kernel = moe::group_gemm_rs_kernel(moe_shape, &cfg, &cost, Some(&routing)).unwrap();
+        let (_, mapping) = moe::routed_group_gemm_rs_program(moe_shape, world, &cfg);
+        check_ring(&what("routed MoE RS"), &instantiated(&kernel), &mapping);
 
         let (program, mapping) = attention::sp_attention_program(
             attn.heads,

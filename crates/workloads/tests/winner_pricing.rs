@@ -26,7 +26,7 @@ use tilelink_sim::{analytic_cost, ClusterSpec, SharedCost};
 use tilelink_tune::{CostOracle, Objective, SearchSpace, Strategy, Tuner};
 use tilelink_workloads::autotune::{MlpOracle, MoeOracle};
 use tilelink_workloads::shapes::{mlp_shapes, moe_shapes};
-use tilelink_workloads::{mlp, moe, RoutingProfile, RoutingSpec};
+use tilelink_workloads::{mlp, moe, RoutingProfile, RoutingSpec, RoutingTables};
 
 /// The exact report of a layer of two half kernels, priced with no memo.
 fn layer(
@@ -147,7 +147,10 @@ fn winner_reports_are_exact_and_price_one_split_per_half() {
     let moe1 = moe_shapes()[0].clone();
     let act = moe::activation_seconds(&moe1, &*cost);
     let spec = RoutingSpec::new(RoutingProfile::Zipf { s: 1.2 });
-    let samples = spec.sampler().samples_for(&moe1, spec.samples);
+    let samples: Vec<RoutingTables> = (spec.sampler().samples_for(&moe1, spec.samples))
+        .into_iter()
+        .map(RoutingTables::from)
+        .collect();
     assert_eq!(samples.len(), 8);
     let mut per_sample: HashMap<OverlapConfig, Vec<OverlapReport>> = HashMap::new();
     for (objective, winner_sims) in [
